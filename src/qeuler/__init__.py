@@ -23,14 +23,10 @@ from .padic import (
     PadicApprox,
     PrecisionBudget,
     PrecisionExhausted,
-    padic_arith,
     padic_distance,
-    padic_from_rational,
-    padic_pow,
 )
 from .qintegral import (
     ConvergenceNotReached,
-    CostCapExceeded,
     IntegralRequest,
     IntegralResult,
     bernoulli_number_padic,
@@ -58,8 +54,8 @@ __all__ = [
     "poly_gcd", "ratfunc_arith", "ratfunc_eval",
     "IdentityId", "NumericContext", "VerificationResult", "verify", "verify_grid",
     "PadicApprox", "PrecisionBudget", "PrecisionExhausted",
-    "padic_arith", "padic_distance", "padic_from_rational", "padic_pow",
-    "ConvergenceNotReached", "CostCapExceeded", "IntegralRequest",
+    "padic_distance",
+    "ConvergenceNotReached", "IntegralRequest",
     "IntegralResult", "bernoulli_number_padic", "euler_number_padic",
     "integrate", "riemann_level",
     "DomainError", "InternalInconsistency", "beta_exact", "binom",

@@ -31,7 +31,7 @@ from .qintegral import (
     integrate,
 )
 from .qspecial import euler_number, euler_poly
-from .report import Report, ResultCache
+from .report import CacheError, Report, ResultCache
 
 PADIC_IDS = tuple(i for i, info in REGISTRY.items() if info.mode == "padic")
 
@@ -369,7 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.identity = "all"
             return cmd_verify(args, battery=True)
         parser.error(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

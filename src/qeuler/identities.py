@@ -383,7 +383,6 @@ class NumericContext:
     target: int = 4
     guard: int = 4
     max_level: int = 12
-    cost_cap: int = 10 ** 6
     cache: Optional[object] = None      # report.ResultCache or compatible
     _monomials: Dict[Tuple[str, int], IntegralResult] = field(
         default_factory=dict, repr=False)
@@ -419,8 +418,7 @@ class NumericContext:
             if cached is None:
                 req = IntegralRequest(kind, n, Fraction(0), self.p, self.q,
                                       self.target, guard=self.guard,
-                                      max_level=self.max_level,
-                                      cost_cap=self.cost_cap)
+                                      max_level=self.max_level)
                 cached = integrate(req)
                 if self.cache is not None:
                     self.cache.put_integral(kind, n, self.p, self.q,

@@ -270,28 +270,6 @@ class PadicApprox:
         return cls(d["p"], d["valuation"], d["unit"], d["precision"])
 
 
-def padic_from_rational(r, p: int, precision: int) -> PadicApprox:
-    """Embed an exact rational into Q_p with `precision` relative digits."""
-    return PadicApprox.from_rational(r, p, precision)
-
-
-def padic_arith(a: PadicApprox, b: PadicApprox, op: str) -> PadicApprox:
-    """Interval-style p-adic arithmetic dispatch: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def padic_pow(a: PadicApprox, e: int) -> PadicApprox:
-    return a.pow_int(e)
-
-
 def padic_distance(a: PadicApprox, b: PadicApprox):
     """v_p(a - b), or +inf when the two are indistinguishable at the
     available precision."""

@@ -2,19 +2,25 @@
 for shifted-monomial integrands (x0 + xi)^n, with adaptive level control.
 
 A level-N sum runs over xi < p^N with weight t^xi, where t is q (bosonic)
-or -q (fermionic), and divides by the bracket of p^N in base t.  The
-bosonic normalizer has valuation N whenever v_p(q - 1) >= 1, so bosonic
-summation is carried at modulus p^(K + guard + N); the fermionic
-normalizer is a unit.  Precision never comes from assumptions: the final
-division is done in tracked PadicApprox arithmetic, so an under-budgeted
-modulus shows up as reduced achieved precision, not as a wrong value.
+or -q (fermionic), and divides by the bracket of p^N in base t.  The sum
+is not evaluated term by term: the monomial sums obey a telescoped
+recurrence, so a level costs O(n^2) modular operations for any p and N,
+carried at modulus p^(work + (n + 1) v) with v = v_p(t - 1) (v = 0 for
+the fermionic measure) and reduced to p^work at the end.  The bosonic
+normalizer has valuation N whenever v_p(q - 1) >= 1, so the bosonic
+working exponent is K + guard + N; the fermionic normalizer is a unit and
+its working exponent is K + guard.  Precision never comes from
+assumptions: the final division is done in tracked PadicApprox
+arithmetic, so an under-budgeted modulus shows up as reduced achieved
+precision, not as a wrong value.  An adaptive run stops only at its level
+cap or when a level exhausts the working precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import comb, inf
 from typing import Optional, Tuple, Union
 
 from .padic import (
@@ -31,30 +37,33 @@ KIND_BOSONIC = "bosonic"
 KIND_FERMIONIC = "fermionic"
 
 DEFAULT_MAX_LEVEL = 12
-DEFAULT_COST_CAP = 10 ** 6
+
+# why an adaptive run stopped short of convergence
+STOP_MAX_LEVEL = "max_level"
+STOP_PRECISION = "precision exhausted"
 
 
 class QIntegralError(ArithmeticError):
     pass
 
 
-class CostCapExceeded(QIntegralError):
-    """A requested level would exceed the configured term limit."""
-
-
 class ConvergenceNotReached(QIntegralError):
-    """The level cap was hit before two consecutive stable levels.
+    """The run stopped before two consecutive stable levels, either at the
+    level cap (``STOP_MAX_LEVEL``) or because the next level exhausted the
+    working precision (``STOP_PRECISION``); ``stopped_by`` says which.
 
     The partial result, with its honest achieved precision, is attached
     as ``result``.
     """
 
-    def __init__(self, result: "IntegralResult"):
+    def __init__(self, result: "IntegralResult", stopped_by: str):
         super().__init__(
-            f"no stabilization within {result.levels_used} levels "
+            f"no stabilization within {result.levels_used} levels, "
+            f"stopped by {stopped_by} "
             f"(achieved precision {result.achieved_precision})"
         )
         self.result = result
+        self.stopped_by = stopped_by
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,6 @@ class IntegralRequest:
     guard: int = DEFAULT_GUARD
     level_surcharge: bool = True
     max_level: int = DEFAULT_MAX_LEVEL
-    cost_cap: int = DEFAULT_COST_CAP
 
     def __post_init__(self):
         if self.kind not in (KIND_BOSONIC, KIND_FERMIONIC):
@@ -177,67 +185,76 @@ def _normalizer(req: IntegralRequest, level: int, work: int) -> PadicApprox:
     return numerator / denominator
 
 
-def riemann_level(req: IntegralRequest, level: int, chunks: int = 1) -> PadicApprox:
+def _level_sum(req: IntegralRequest, level: int, work: int) -> int:
+    """Sum of (x0 + xi)^n t^xi over xi < M = p^level, modulo p^work.
+
+    With S_j = sum of xi^j t^xi over xi < M, shifting xi by one telescopes to
+        (t - 1) S_j = M^j t^M - [j = 0] - t sum_{i<j} C(j, i) S_i,
+    and the integrand expands as sum_j C(n, j) x0^(n-j) S_j.  Writing
+    t - 1 = p^v u, each step divides exactly by p^v and loses v digits, so
+    the recurrence runs at p^(work + (n + 1) v).  At t = 1 the S_j are
+    integer power sums, (j + 1) S_j = M^(j+1) - sum_{i<j} C(j + 1, i) S_i,
+    computed exactly.
+    """
+    p, n = req.p, req.exponent
+    m = p ** level
+    t = req.q if req.bosonic else -req.q
+    sums = []
+    if t == 1:
+        modulus = p ** work
+        for j in range(n + 1):
+            rest = sum(comb(j + 1, i) * s for i, s in enumerate(sums))
+            sums.append((m ** (j + 1) - rest) // (j + 1))
+    else:
+        v = rational_valuation(t - 1, p)
+        modulus = p ** (work + (n + 1) * v)
+        t_res = _residue_of_rational(t, p, modulus)
+        u_inv = _residue_of_rational(p ** v / (t - 1), p, modulus)
+        t_m = pow(t_res, m, modulus)
+        m_j = 1
+        for j in range(n + 1):
+            rest = sum(comb(j, i) * s for i, s in enumerate(sums))
+            rhs = (m_j * t_m - (j == 0) - t_res * rest) % modulus
+            sums.append(rhs // p ** v * u_inv % modulus)
+            m_j = m_j * m % modulus
+    x0 = _residue_of_rational(req.shift, p, modulus)
+    total = sum(comb(n, j) * pow(x0, n - j, modulus) * s
+                for j, s in enumerate(sums))
+    return total % p ** work
+
+
+def riemann_level(req: IntegralRequest, level: int) -> PadicApprox:
     """The exact level-N Riemann sum, as a PadicApprox.
 
-    The summation runs at the budget's working modulus for this level; the
-    optional chunked mode splits the xi range and combines partial sums,
-    bit-identically to the sequential loop.
+    The sum is known modulo the budget's working modulus for this level
+    and divided by the normalizer in tracked arithmetic.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    p = req.p
-    terms = p ** level
-    if terms > req.cost_cap:
-        raise CostCapExceeded(
-            f"level {level} needs {terms} terms, cap is {req.cost_cap}"
-        )
     work = req.budget().working_exponent(level, req.bosonic)
-    modulus = p ** work
-    t = req.q if req.bosonic else -req.q
-    t_res = _residue_of_rational(t, p, modulus)
-    x0_res = _residue_of_rational(req.shift, p, modulus)
-    n = req.exponent
-
-    chunks = max(1, min(chunks, terms))
-    bounds = [terms * i // chunks for i in range(chunks + 1)]
-    total = 0
-    for c in range(chunks):
-        lo, hi = bounds[c], bounds[c + 1]
-        acc = 0
-        tp = pow(t_res, lo, modulus)
-        for xi in range(lo, hi):
-            acc = (acc + pow((x0_res + xi) % modulus, n, modulus) * tp) % modulus
-            tp = tp * t_res % modulus
-        total = (total + acc) % modulus
-
-    summed = PadicApprox.from_residue(total, p, work)
+    summed = PadicApprox.from_residue(_level_sum(req, level, work), req.p, work)
     return summed / _normalizer(req, level, work)
 
 
-def integrate(req: IntegralRequest, chunks: int = 1) -> IntegralResult:
+def integrate(req: IntegralRequest) -> IntegralResult:
     """Adaptive evaluation: levels 1, 2, ... until the distance between
     consecutive levels stays at or above the target for two successive
     steps.  Raises ConvergenceNotReached (carrying the partial result) if
-    the level or cost cap is hit first."""
+    max_level is reached first or a level exhausts the working precision."""
     trace = []
     prev: Optional[PadicApprox] = None
     value: Optional[PadicApprox] = None
     stable = 0
     level = 0
-    capped = False
+    stopped_by = STOP_MAX_LEVEL
     for level in range(1, req.max_level + 1):
-        if req.p ** level > req.cost_cap:
-            level -= 1
-            capped = True
-            break
         try:
-            value = riemann_level(req, level, chunks=chunks)
+            value = riemann_level(req, level)
         except PrecisionExhausted:
             # an under-budgeted modulus ran out of digits at this depth
             level -= 1
             value = prev
-            capped = True
+            stopped_by = STOP_PRECISION
             break
         dist = padic_distance(value, prev) if prev is not None else None
         trace.append((level, value, dist))
@@ -249,7 +266,7 @@ def integrate(req: IntegralRequest, chunks: int = 1) -> IntegralResult:
         if stable >= 2:
             break
     if value is None:
-        raise QIntegralError("no level could be evaluated under the cost cap")
+        raise QIntegralError("level 1 exhausted the working precision")
 
     tail = [d for _, _, d in trace[-2:] if d is not None]
     achieved = min(
@@ -264,8 +281,8 @@ def integrate(req: IntegralRequest, chunks: int = 1) -> IntegralResult:
         converged=stable >= 2,
         trace=tuple(trace),
     )
-    if not result.converged or capped:
-        raise ConvergenceNotReached(result)
+    if not result.converged:
+        raise ConvergenceNotReached(result, stopped_by)
     return result
 
 

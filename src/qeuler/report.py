@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -147,26 +149,57 @@ def _cell(value) -> str:
     return str(value)
 
 
+class CacheError(ValueError):
+    """A cache file or entry that cannot be read."""
+
+
 class ResultCache:
     """Single-file JSON cache for computed number tables and numeric
-    integrals; hits are bit-identical to recomputation."""
+    integrals; hits are bit-identical to recomputation.  An unreadable
+    file or entry raises CacheError, and saving replaces the file
+    atomically."""
 
     def __init__(self, path: Optional[Path] = None):
         self.path = Path(path) if path is not None else None
         self.entries: Dict[str, dict] = {}
         self.dirty = False
         if self.path is not None and self.path.exists():
-            doc = json.loads(self.path.read_text())
-            if doc.get("schema") != CACHE_SCHEMA:
-                raise ValueError(f"unsupported cache schema {doc.get('schema')!r}")
-            self.entries = doc["entries"]
+            try:
+                doc = json.loads(self.path.read_text())
+                schema = doc.get("schema")
+                entries = doc["entries"]
+            except (ValueError, KeyError, AttributeError) as exc:
+                raise CacheError(f"unreadable cache file {self.path}: {exc!r}")
+            if schema != CACHE_SCHEMA:
+                raise CacheError(f"unsupported cache schema {schema!r}")
+            if not isinstance(entries, dict):
+                raise CacheError(f"cache file {self.path} has no entry table")
+            self.entries = entries
 
     def save(self):
         if self.path is None or not self.dirty:
             return
         doc = {"schema": CACHE_SCHEMA, "entries": self.entries}
-        self.path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        fd, tmp = tempfile.mkstemp(dir=self.path.parent,
+                                   prefix=self.path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self.dirty = False
+
+    def _decode(self, key: str, decode):
+        obj = self.entries.get(key)
+        if obj is None:
+            return None
+        try:
+            return decode(obj)
+        except (KeyError, TypeError, ValueError, AttributeError,
+                ArithmeticError) as exc:
+            raise CacheError(f"malformed cache entry {key!r}: {exc!r}")
 
     # -- euler numbers -----------------------------------------------------
 
@@ -175,8 +208,7 @@ class ResultCache:
         return f"euler:n={n}"
 
     def get_euler(self, n: int) -> Optional[RatFuncQ]:
-        obj = self.entries.get(self._euler_key(n))
-        return ratfunc_from_obj(obj) if obj is not None else None
+        return self._decode(self._euler_key(n), ratfunc_from_obj)
 
     def put_euler(self, n: int, value: RatFuncQ):
         key = self._euler_key(n)
@@ -194,9 +226,9 @@ class ResultCache:
 
     def get_integral(self, kind, n, p, q, target, guard, max_level
                      ) -> Optional[IntegralResult]:
-        obj = self.entries.get(
-            self._integral_key(kind, n, p, q, target, guard, max_level))
-        return IntegralResult.from_dict(obj) if obj is not None else None
+        return self._decode(
+            self._integral_key(kind, n, p, q, target, guard, max_level),
+            IntegralResult.from_dict)
 
     def put_integral(self, kind, n, p, q, target, guard, max_level,
                      result: IntegralResult):

@@ -2,10 +2,12 @@
 and the result cache."""
 
 import json
+import os
 
 import pytest
 
 from qeuler.cli import ConfigError, main, parse_q, parse_range
+from qeuler.padic import PadicApprox, padic_distance
 from qeuler.report import Report, ResultCache, ratfunc_from_obj, ratfunc_to_obj
 from qeuler.qspecial import euler_number
 
@@ -68,6 +70,13 @@ class TestNumbersCommand:
         assert rows[0]["valuation"] == 0 and rows[0]["unit"] == 1
         assert rows[1]["valuation"] == 1 and rows[1]["unit"] == 17
 
+    def test_bernoulli_large_prime_exits_zero(self, capsys):
+        code, out, err = run(capsys, "numbers", "bernoulli", "--n", "0..3",
+                             "--p", "1000003", "--K", "4", "--format", "json")
+        assert code == 0
+        assert "Traceback" not in err
+        assert [row["n"] for row in json.loads(out)["items"]] == [0, 1, 2, 3]
+
     def test_at_q_pole_is_config_error(self, capsys):
         code, _, err = run(capsys, "numbers", "euler", "--n", "0..2",
                            "--at-q", "-1")
@@ -104,6 +113,27 @@ class TestIntegrateCommand:
         result = doc["items"][0]
         assert result["warning"] == "convergence not reached"
         assert result["achieved_precision"] < 8
+
+    def test_fermionic_p7_converges_past_former_term_cap(self, capsys):
+        # stopped at level 7 with 5 digits when levels were capped at
+        # 10^6 terms
+        code, out, _ = run(capsys, "integrate", "fermionic", "--n", "8",
+                           "--p", "7", "--K", "6", "--format", "json")
+        assert code == 0
+        result = json.loads(out)["items"][0]
+        assert "warning" not in result
+        assert result["achieved_precision"] == 6
+        assert result["levels"] == 8
+        assert result["value"] == "9907*7^1 + O(7^6)"
+        exact = PadicApprox.from_rational(euler_number(8).evaluate(8), 7, 12)
+        assert padic_distance(PadicApprox(7, 1, 9907, 5), exact) >= 6
+
+    def test_large_prime_exits_zero(self, capsys):
+        code, out, err = run(capsys, "integrate", "fermionic", "--n", "3",
+                             "--p", "1000003", "--K", "4", "--format", "json")
+        assert code == 0
+        assert "Traceback" not in err
+        assert json.loads(out)["items"][0]["achieved_precision"] == 4
 
     def test_bosonic_trivial(self, capsys):
         code, out, _ = run(capsys, "integrate", "bosonic", "--n", "0",
@@ -214,6 +244,50 @@ class TestDeterminismAndCache:
         again = ResultCache(path)
         for n in range(6):
             assert again.get_euler(n) == euler_number(n)
+
+    def test_truncated_cache_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text('{"schema": "qeuler-cache/1", "entr')
+        code, _, err = run(capsys, "numbers", "euler", "--n", "0..2",
+                           "--cache", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("entries, argv", [
+        (None, ("numbers", "euler", "--n", "0..2")),
+        ({"euler:n=1": {"num": ["1"]}}, ("numbers", "euler", "--n", "0..2")),
+        ({"euler:n=1": {"num": ["1"], "den": ["0"]}},
+         ("numbers", "euler", "--n", "0..2")),
+        ({"bosonic:n=0:p=3:q=4:K=4:guard=4:nmax=12": {"value": {}}},
+         ("numbers", "bernoulli", "--n", "0", "--p", "3", "--K", "4")),
+    ])
+    def test_malformed_cache_is_config_error(self, capsys, tmp_path,
+                                             entries, argv):
+        path = tmp_path / "cache.json"
+        doc = {"schema": "qeuler-cache/1"}
+        if entries is not None:
+            doc["entries"] = entries
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, *argv, "--cache", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_interrupted_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        cache = ResultCache(path)
+        cache.put_euler(1, euler_number(1))
+        cache.save()
+        before = path.read_text()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted before the rename")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        cache.put_euler(2, euler_number(2))
+        with pytest.raises(OSError):
+            cache.save()
+        assert path.read_text() == before
+        assert os.listdir(tmp_path) == ["cache.json"]
 
     def test_ratfunc_serialization_round_trip(self):
         f = euler_number(5)

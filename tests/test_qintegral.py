@@ -1,19 +1,26 @@
-"""Riemann-sum q-integrals: normalization, exact-value agreement, adaptive
+"""Riemann-sum q-integrals: normalization, exact-value agreement, the
+brute summation loop as an oracle for the closed-form level sums, adaptive
 convergence, the bosonic precision law, and frozen stabilization fixtures."""
 
+import time
 from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qeuler.padic import PadicApprox, padic_distance
+from qeuler.padic import PadicApprox, PrecisionExhausted, padic_distance
 from qeuler.qintegral import (
     KIND_BOSONIC,
     KIND_FERMIONIC,
+    STOP_MAX_LEVEL,
+    STOP_PRECISION,
     ConvergenceNotReached,
-    CostCapExceeded,
     IntegralRequest,
     IntegralResult,
+    _normalizer,
+    _residue_of_rational,
     bernoulli_number_padic,
     euler_number_padic,
     integrate,
@@ -29,6 +36,51 @@ def exact_level_value(kind: str, n: int, x0: Fraction, p: int, q: Fraction,
     total = sum((x0 + xi) ** n * t ** xi for xi in range(p ** level))
     normalizer = (t ** (p ** level) - 1) / (t - 1)
     return total / normalizer
+
+
+def brute_level(req: IntegralRequest, level: int) -> PadicApprox:
+    """Independent oracle: the level-N sum term by term over all p^N terms,
+    at the same working modulus and normalizer as riemann_level."""
+    p = req.p
+    work = req.budget().working_exponent(level, req.bosonic)
+    modulus = p ** work
+    t = req.q if req.bosonic else -req.q
+    t_res = _residue_of_rational(t, p, modulus)
+    x0_res = _residue_of_rational(req.shift, p, modulus)
+    acc, tp = 0, 1
+    for xi in range(p ** level):
+        acc = (acc + pow((x0_res + xi) % modulus, req.exponent, modulus) * tp) % modulus
+        tp = tp * t_res % modulus
+    summed = PadicApprox.from_residue(acc, p, work)
+    return summed / _normalizer(req, level, work)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+@st.composite
+def level_cases(draw):
+    """Both kinds, p in {3, 5, 7}, v_p(q - 1) in {1, 2, 3} (q possibly
+    negative or non-integral) or q = 1, a p-integral shift, n <= 15,
+    levels 1..4, and both the budgeted and the starved surcharge mode."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    v = draw(st.sampled_from((0, 1, 2, 3)))
+    coprime = st.integers(-12, 12).filter(lambda a: a % p != 0)
+    if v == 0:
+        q = Fraction(1)
+    else:
+        q = 1 + Fraction(p ** v * draw(coprime), abs(draw(coprime)))
+    shift = Fraction(draw(st.integers(-30, 30)), abs(draw(coprime)))
+    starved = draw(st.booleans())
+    req = IntegralRequest(
+        draw(st.sampled_from((KIND_BOSONIC, KIND_FERMIONIC))),
+        draw(st.integers(0, 15)), shift, p, q, draw(st.integers(1, 6)),
+        guard=2 if starved else 4, level_surcharge=not starved)
+    return req, draw(st.integers(1, 4))
 
 
 class TestRiemannLevel:
@@ -74,17 +126,30 @@ class TestRiemannLevel:
         total = parts[0] + parts[1]
         assert padic_distance(total, PadicApprox.from_rational(combo, p, 10)) == inf
 
-    def test_chunked_mode_bit_identical(self):
-        req = IntegralRequest(KIND_FERMIONIC, 3, Fraction(1), 3, Fraction(4), 6)
-        seq = riemann_level(req, 4)
-        for chunks in (2, 3, 7):
-            assert riemann_level(req, 4, chunks=chunks) == seq
+    @settings(max_examples=300, deadline=None)
+    @given(level_cases())
+    def test_closed_form_matches_brute_loop(self, case):
+        req, level = case
+        assert _outcome(riemann_level, req, level) == _outcome(brute_level, req, level)
 
-    def test_cost_cap(self):
-        req = IntegralRequest(KIND_FERMIONIC, 1, Fraction(0), 3, Fraction(4), 4,
-                              cost_cap=100)
-        with pytest.raises(CostCapExceeded):
-            riemann_level(req, 5)
+    def test_brute_loop_parity_includes_exhaustion(self):
+        # starved bosonic run whose level-3 sum vanishes at the working
+        # modulus: both routes must give up on the same input
+        req = IntegralRequest(KIND_BOSONIC, 0, Fraction(0), 3, Fraction(4), 1,
+                              guard=2, level_surcharge=False)
+        with pytest.raises(PrecisionExhausted):
+            brute_level(req, 3)
+        with pytest.raises(PrecisionExhausted):
+            riemann_level(req, 3)
+
+    def test_level_40_at_p7_is_immediate(self):
+        # 7^40 terms: out of reach term by term, O(n^2) operations here
+        req = IntegralRequest(KIND_FERMIONIC, 10, Fraction(0), 7, Fraction(8), 6)
+        start = time.perf_counter()
+        value = riemann_level(req, 40)
+        assert time.perf_counter() - start < 1.0
+        exact = PadicApprox.from_rational(euler_number(10).evaluate(8), 7, 12)
+        assert padic_distance(value, exact) >= 6
 
 
 class TestValidation:
@@ -140,6 +205,18 @@ class TestAdaptiveIntegrate:
         assert res.achieved_precision < 8
         assert not res.converged
         assert res.levels_used == 4
+        assert err.value.stopped_by == STOP_MAX_LEVEL
+        assert STOP_MAX_LEVEL in str(err.value)
+
+    def test_fermionic_p5_shifted_converges_past_former_term_cap(self):
+        # stopped at 6 of 8 digits when levels were capped at 10^6 terms
+        req = IntegralRequest(KIND_FERMIONIC, 6, Fraction(2, 7), 5, Fraction(6), 8)
+        res = integrate(req)
+        assert res.achieved_precision == 8
+        assert res.levels_used == 10
+        exact_value = euler_poly(6).eval_at(Fraction(2, 7)).evaluate(6)
+        exact = PadicApprox.from_rational(exact_value, 5, 14)
+        assert padic_distance(res.value, exact) >= 8
 
     def test_result_round_trip(self):
         req = IntegralRequest(KIND_BOSONIC, 1, Fraction(0), 3, Fraction(4), 4)
@@ -203,6 +280,17 @@ class TestBosonicPrecisionLaw:
         if res.achieved_precision > 0:
             d = padic_distance(res.value, full.value)
             assert d == inf or d >= res.achieved_precision
+
+    def test_exhausted_precision_names_its_stop(self):
+        # the starved level-3 sum vanishes at the working modulus, so the
+        # run stops there rather than at max_level
+        req = IntegralRequest(KIND_BOSONIC, 0, Fraction(0), 3, Fraction(4), 1,
+                              guard=2, level_surcharge=False)
+        with pytest.raises(ConvergenceNotReached) as err:
+            integrate(req)
+        assert err.value.stopped_by == STOP_PRECISION
+        assert STOP_PRECISION in str(err.value)
+        assert err.value.result.levels_used == 2
 
     def test_surcharged_run_reaches_target(self):
         res = integrate(IntegralRequest(KIND_BOSONIC, 1, Fraction(0), 3,
