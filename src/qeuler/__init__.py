@@ -8,9 +8,6 @@ from .exactarith import (
     RatFuncQ,
     Rational,
     XPolyQ,
-    poly_gcd,
-    ratfunc_arith,
-    ratfunc_eval,
 )
 from .identities import (
     IdentityId,
@@ -51,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DivisionByZero", "PoleError", "PolyQ", "RatFuncQ", "Rational", "XPolyQ",
-    "poly_gcd", "ratfunc_arith", "ratfunc_eval",
     "IdentityId", "NumericContext", "VerificationResult", "verify", "verify_grid",
     "PadicApprox", "PrecisionBudget", "PrecisionExhausted",
     "padic_distance",

@@ -33,8 +33,6 @@ from .qintegral import (
 from .qspecial import euler_number, euler_poly
 from .report import CacheError, Report, ResultCache
 
-PADIC_IDS = tuple(i for i, info in REGISTRY.items() if info.mode == "padic")
-
 
 class ConfigError(Exception):
     pass
@@ -238,20 +236,15 @@ def cmd_poly(args) -> int:
     return 0
 
 
-def _verify_ranges(args, identity: IdentityId) -> dict:
-    info = REGISTRY[identity]
-    ranges = {}
-    for name in ("k", "m", "n"):
-        value = getattr(args, name, None)
-        if value is not None and name in info.params:
-            ranges[name] = parse_range(value)
-    supplied = {n for n in ("k", "m", "n") if getattr(args, n, None) is not None}
-    stray = supplied - set(info.params)
+def _verify_ranges(args, label: str, params) -> dict:
+    """Parsed --k/--m/--n ranges; a range for a parameter the target does
+    not take is a configuration error."""
+    supplied = [n for n in ("k", "m", "n") if getattr(args, n, None) is not None]
+    stray = sorted(set(supplied) - set(params))
     if stray:
         raise ConfigError(
-            f"{identity.value} takes {sorted(info.params)}; "
-            f"stray range for {sorted(stray)}")
-    return ranges
+            f"{label} takes {sorted(params)}; stray range for {stray}")
+    return {name: parse_range(getattr(args, name)) for name in supplied}
 
 
 def cmd_verify(args, battery: bool = False) -> int:
@@ -261,24 +254,20 @@ def cmd_verify(args, battery: bool = False) -> int:
                          pad["n_max"], cache=cache)
     start = time.monotonic()
     if battery or args.identity == "all":
-        stray = [n for n in ("k", "m", "n") if getattr(args, n, None) is not None]
-        if stray:
-            raise ConfigError(
-                f"ranges {stray} cannot be combined with the full battery")
         targets = list(IdentityId)
         config_identity = "all"
-        explicit_ranges = {}
+        params = ()
     else:
         targets = [IdentityId(args.identity)]
         config_identity = args.identity
-        explicit_ranges = _verify_ranges(args, targets[0])
+        params = REGISTRY[targets[0]].params
+    explicit_ranges = _verify_ranges(args, config_identity, params)
 
     items = []
     per_item = {}
     for ident in targets:
         try:
-            ranges = explicit_ranges if ident.value == config_identity else None
-            results = verify_grid(ident, ranges, ctx)
+            results = verify_grid(ident, explicit_ranges, ctx)
         except ValueError as exc:
             raise ConfigError(str(exc))
         for r in results:

@@ -736,26 +736,3 @@ def _xp_coerce(x):
 _X_ZERO = XPolyQ()
 _X_ONE = XPolyQ((RF_ONE,))
 _X_X = XPolyQ((RF_ZERO, RF_ONE))
-
-
-def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic polynomial gcd over the rationals."""
-    return PolyQ.gcd(a, b)
-
-
-def ratfunc_arith(a: RatFuncQ, b: RatFuncQ, op: str) -> RatFuncQ:
-    """Field arithmetic dispatch: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def ratfunc_eval(f: RatFuncQ, q0: CoercibleScalar) -> Fraction:
-    """Exact evaluation of a rational function at a rational point."""
-    return f.evaluate(q0)

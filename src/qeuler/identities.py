@@ -2,6 +2,22 @@
 q-Bernoulli families, each producing explicit left/right sides and a
 verdict with a difference certificate.
 
+Every statement is data.  Its E-side is a *term list* [(coefficient, n)],
+meaning sum coefficient * E_n(x), seen through one of four linear maps,
+which send E_n(x) to
+
+- the polynomial itself (``euler_poly``);
+- E[n+1]/(n+1), its unit-interval integral divided by -(1+q)/q, the
+  normalization the integrated statements are printed in
+  (``unit_integral``);
+- its fermionic moment (``fermionic_moment``);
+- its bosonic moment (``NumericContext.bosonic_moment``).
+
+A side that is a polynomial in x is a monomial term list [(c, i)], meaning
+sum c * x^i, seen through x^i -> x^i, E[i] or B_i.  The fermionic and
+bosonic moments of E_n(x) are its own monomial terms seen through E[i]
+and B_i.
+
 Exact identities are decided in the rational-function field (certificate
 identically zero or not); identities involving q-Bernoulli numbers can
 only ever be decided to finite p-adic precision, since those numbers are
@@ -21,14 +37,15 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import inf
-from typing import Callable, Dict, Optional, Tuple
+from functools import cache, partial, reduce
+from itertools import product
+from operator import add
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactarith import RF_ONE, RF_Q, RF_ZERO, RatFuncQ, XPolyQ
 from .padic import PadicApprox
 from .qintegral import (
     KIND_BOSONIC,
-    KIND_FERMIONIC,
     IntegralRequest,
     IntegralResult,
     integrate,
@@ -39,6 +56,11 @@ HOLDS = "holds"
 FAILS = "fails"
 HOLDS_TO_PRECISION = "holds-to-precision"
 ERROR = "error"
+
+_Q_MINUS_1 = RF_Q - RF_ONE
+_INV_TWO_Q = RF_ONE / TWO_Q
+
+Terms = List[Tuple[object, int]]
 
 
 class IdentityId(str, Enum):
@@ -61,103 +83,113 @@ class IdentityId(str, Enum):
     def __str__(self) -> str:
         return self.value
 
-    @property
-    def printed_variant(self) -> bool:
-        return self.value.endswith("_PRINTED")
+
+# ---------------------------------------------------------------------------
+# term lists
 
 
-@dataclass(frozen=True)
-class IdentityInfo:
-    params: Tuple[str, ...]
-    mode: str                      # "exact" or "padic"
-    minimum: int                   # lower bound for every parameter
-    default_range: Dict[str, Tuple[int, int]]
-    description: str
+def eq6_terms(k: int, m: int, first: int = 0) -> Terms:
+    """The master identity's bracket sum from j = first:
+    sum_j (q C(k, j) + (-1)^j C(m, j)) E_{k+m-j}(x)."""
+    terms = []
+    for j in range(first, max(k, m) + 1):
+        c = RF_Q * binom(k, j) + RatFuncQ.from_fraction(
+            Fraction(binom(m, j) * (-1) ** j))
+        if not c.is_zero:
+            terms.append((c, k + m - j))
+    return terms
 
 
-REGISTRY: Dict[IdentityId, IdentityInfo] = {
-    IdentityId.EQ6: IdentityInfo(
-        ("k", "m"), "exact", 0, {"k": (0, 8), "m": (0, 8)},
-        "master polynomial identity: weighted sum of E_{k+m-j}(x) equals "
-        "(1+q) x^k (x-1)^m"),
-    IdentityId.THM1: IdentityInfo(
-        ("k", "m"), "exact", 1, {"k": (1, 8), "m": (1, 8)},
-        "unit-interval integral of the master identity, via exact beta values"),
-    IdentityId.THM1_COR: IdentityInfo(
-        ("k",), "exact", 1, {"k": (1, 8)},
-        "the m = k+1 specialization of the integrated identity"),
-    IdentityId.EQ103: IdentityInfo(
-        ("k",), "exact", 1, {"k": (1, 8)},
-        "even/odd regrouping of the master identity at m = k"),
-    IdentityId.THM2: IdentityInfo(
-        ("k",), "exact", 1, {"k": (1, 10)},
-        "unit-interval integral of the regrouped identity"),
-    IdentityId.THM3_PRINTED: IdentityInfo(
-        ("k",), "exact", 1, {"k": (1, 4)},
-        "degree-(2k+1) identity as typeset (suspect bounds and subscripts)"),
-    IdentityId.THM3_CORRECTED: IdentityInfo(
-        ("k",), "exact", 1, {"k": (1, 6)},
-        "degree-(2k+1) identity re-derived from EQ6 at (k, k+1) plus "
-        "EQ103/(1+q)"),
-    IdentityId.THM4: IdentityInfo(
-        ("k", "m"), "exact", 1, {"k": (1, 6), "m": (1, 6)},
-        "fermionic moments of the master identity: double E-sum equals "
-        "(1+q) alternating E-sum"),
-    IdentityId.THM5_PRINTED: IdentityInfo(
-        ("k",), "exact", 1, {"k": (1, 4)},
-        "fermionic moments of the degree-(2k+1) identity, printed reading"),
-    IdentityId.THM5_CORRECTED: IdentityInfo(
-        ("k",), "exact", 1, {"k": (1, 4)},
-        "fermionic moments of the corrected degree-(2k+1) identity"),
-    IdentityId.THM6: IdentityInfo(
-        ("k", "m"), "padic", 1, {"k": (1, 3), "m": (1, 3)},
-        "bosonic moments of the master identity, mixing exact E with "
-        "numeric B values"),
-    IdentityId.COR7_PRINTED: IdentityInfo(
-        ("k",), "padic", 1, {"k": (1, 3)},
-        "bosonic moments of the degree-(2k+1) identity, printed reading"),
-    IdentityId.COR7_CORRECTED: IdentityInfo(
-        ("k",), "padic", 1, {"k": (1, 3)},
-        "bosonic moments of the corrected degree-(2k+1) identity"),
-    IdentityId.EQ7: IdentityInfo(
-        ("n",), "exact", 1, {"n": (1, 12)},
-        "derivative rule: d/dx E_n(x) = n E_{n-1}(x)"),
-    IdentityId.EQ8: IdentityInfo(
-        ("n",), "exact", 0, {"n": (0, 12)},
-        "unit-interval integral closed form: -(1+q)/q * E_{n+1}/(n+1)"),
+def eq103_terms(k: int) -> Terms:
+    """Even/odd regrouping of the master bracket sum at m = k:
+    (1+q) C(k, 2j) E_{2k-2j}(x) and (q-1) C(k, 2j+1) E_{2k-2j-1}(x)."""
+    terms = []
+    for j in range(k // 2 + 1):
+        terms.append((TWO_Q * binom(k, 2 * j), 2 * k - 2 * j))
+        if binom(k, 2 * j + 1):
+            terms.append((_Q_MINUS_1 * binom(k, 2 * j + 1), 2 * k - 2 * j - 1))
+    return terms
+
+
+# Readings of the degree-(2k+1) statement: the last index of its second sum
+# and the subscript offset in its bracket E_{2k-2j} + E_{2k-2j+offset}/(1+q).
+# The printed reading keeps the typeset floor(k/2) and 2k - 2j + 1; the
+# corrected reading runs the second sum over every nonzero binomial and uses
+# 2k - 2j - 1, which is what the master identity at (k, k+1) plus the
+# regrouped identity divided by (1+q) actually produces.
+_READINGS = {
+    "printed": (lambda k: k // 2, 1),
+    "corrected": (lambda k: (k + 1) // 2, -1),
 }
 
 
+def degree_2k1_terms(k: int, variant: str) -> Terms:
+    """Left side of the degree-(2k+1) identity, printed or corrected."""
+    if variant not in _READINGS:
+        raise ValueError(f"variant must be 'printed' or 'corrected', got {variant!r}")
+    last, offset = _READINGS[variant]
+    terms = [(TWO_Q * binom(k, 2 * j), 2 * k + 1 - 2 * j)
+             for j in range(k // 2 + 1)]
+    terms += [(RatFuncQ.from_fraction(binom(k, 2 * j - 1)), 2 * k + 1 - 2 * j)
+              for j in range(1, last(k) + 1)]
+    for j in range((k - 1) // 2 + 1):
+        c = _Q_MINUS_1 * binom(k, 2 * j + 1)
+        terms += [(c, 2 * k - 2 * j), (c * _INV_TWO_Q, 2 * k - 2 * j + offset)]
+    return terms
+
+
+def shift_terms(k: int, m: int) -> Terms:
+    """x^k (x - 1)^m as monomial terms."""
+    return [(RatFuncQ.from_fraction(Fraction(binom(m, l) * (-1) ** (m - l))), k + l)
+            for l in range(m + 1)]
+
+
+def degree_2k1_rhs(k: int) -> Terms:
+    """x^k (x-1)^k ((1+q) x - q) as monomial terms, one pair per term of
+    x^k (x-1)^k, as the bosonic statement is printed."""
+    terms = []
+    for c, i in shift_terms(k, k):
+        terms += [(TWO_Q * c, i + 1), (-RF_Q * c, i)]
+    return terms
+
+
+def monomials(poly: XPolyQ) -> Terms:
+    """The nonzero monomial terms of a polynomial in x."""
+    return [(c, i) for i, c in enumerate(poly.coeffs) if not c.is_zero]
+
+
 # ---------------------------------------------------------------------------
-# exact building blocks
+# linear maps (exact)
 
 
-def _bracket_coeff(k: int, m: int, j: int) -> RatFuncQ:
-    """q*C(k, j) + (-1)^j * C(m, j) as an exact coefficient."""
-    return RF_Q * binom(k, j) + RatFuncQ.from_fraction(
-        Fraction(binom(m, j) * (-1) ** j))
+def apply(terms: Terms, image: Callable):
+    """sum coefficient * image(n) over a term list, added left to right."""
+    return reduce(add, (image(n) * c for c, n in terms))
+
+
+def x_poly(terms: Terms) -> XPolyQ:
+    """The monomial map x^i -> x^i: a monomial term list as a polynomial."""
+    coeffs = [RF_ZERO] * (max(i for _, i in terms) + 1)
+    for c, i in terms:
+        coeffs[i] = coeffs[i] + c
+    return XPolyQ(coeffs)
 
 
 def x_power_shift(k: int, m: int) -> XPolyQ:
     """x^k (x - 1)^m expanded exactly."""
-    coeffs = [RF_ZERO] * (k + m + 1)
-    for l in range(m + 1):
-        coeffs[k + l] = RatFuncQ.from_fraction(
-            Fraction(binom(m, l) * (-1) ** (m - l)))
-    return XPolyQ(coeffs)
+    return x_poly(shift_terms(k, m))
 
 
-_moments: Dict[int, RatFuncQ] = {}
+def unit_integral(n: int) -> RatFuncQ:
+    """E[n+1]/(n+1), the unit-interval integral of E_n(x) divided by
+    -(1+q)/q."""
+    return euler_number(n + 1) * Fraction(1, n + 1)
 
 
+@cache
 def fermionic_moment(n: int) -> RatFuncQ:
     """Exact fermionic moment of E_n(x): sum_l C(n,l) E_{n-l} E_l."""
-    if n not in _moments:
-        total = RF_ZERO
-        for l in range(n + 1):
-            total = total + euler_number(n - l) * euler_number(l) * Fraction(binom(n, l))
-        _moments[n] = total
-    return _moments[n]
+    return apply(monomials(euler_poly(n)), euler_number)
 
 
 # ---------------------------------------------------------------------------
@@ -166,124 +198,38 @@ def fermionic_moment(n: int) -> RatFuncQ:
 
 def sides_eq6(k: int, m: int) -> Tuple[XPolyQ, XPolyQ]:
     """Both sides of the master identity at (k, m)."""
-    left = XPolyQ.zero()
-    for j in range(max(k, m) + 1):
-        c = _bracket_coeff(k, m, j)
-        if not c.is_zero:
-            left = left + euler_poly(k + m - j) * c
-    right = x_power_shift(k, m) * TWO_Q
-    return left, right
+    return apply(eq6_terms(k, m), euler_poly), x_power_shift(k, m) * TWO_Q
 
 
 def sides_thm1(k: int, m: int) -> Tuple[RatFuncQ, RatFuncQ]:
     """Both sides of the integrated master identity (k, m >= 1)."""
-    left = RF_ZERO
-    for j in range(1, max(k, m) + 1):
-        c = _bracket_coeff(k, m, j)
-        if not c.is_zero:
-            left = left + c * euler_number(k + m - j + 1) * Fraction(1, k + m - j + 1)
     n = k + m + 1
     right = RF_Q * Fraction((-1) ** (m + 1), n * binom(k + m, k)) \
-        - TWO_Q * euler_number(n) * Fraction(1, n)
-    return left, right
+        - TWO_Q * unit_integral(k + m)
+    return apply(eq6_terms(k, m, first=1), unit_integral), right
 
 
 def sides_thm1_cor(k: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """The displayed m = k+1 specialization, transcribed directly."""
-    left = RF_ZERO
-    for j in range(1, k + 2):
-        c = RF_Q * binom(k, j) + RatFuncQ.from_fraction(
-            Fraction(binom(k + 1, j) * (-1) ** j))
-        if not c.is_zero:
-            left = left + c * euler_number(2 * k + 2 - j) * Fraction(1, 2 * k + 2 - j)
+    """The displayed m = k+1 specialization, with its printed right side."""
     right = RF_Q * Fraction((-1) ** k, (2 * k + 2) * binom(2 * k + 1, k)) \
-        - TWO_Q * euler_number(2 * k + 2) * Fraction(1, 2 * k + 2)
-    return left, right
+        - TWO_Q * unit_integral(2 * k + 1)
+    return apply(eq6_terms(k, k + 1, first=1), unit_integral), right
 
 
 def sides_eq103(k: int) -> Tuple[XPolyQ, XPolyQ]:
     """Even/odd regrouping of the master identity at m = k."""
-    q_minus_1 = RF_Q - RF_ONE
-    left = XPolyQ.zero()
-    for j in range(k // 2 + 1):
-        c_even = binom(k, 2 * j)
-        if c_even:
-            left = left + euler_poly(2 * k - 2 * j) * (TWO_Q * c_even)
-        c_odd = binom(k, 2 * j + 1)
-        if c_odd:
-            left = left + euler_poly(2 * k - 2 * j - 1) * (q_minus_1 * c_odd)
-    right = x_power_shift(k, k) * TWO_Q
-    return left, right
+    return apply(eq103_terms(k), euler_poly), x_power_shift(k, k) * TWO_Q
 
 
 def sides_thm2(k: int) -> Tuple[RatFuncQ, RatFuncQ]:
     """Unit-interval integral of the regrouped identity."""
-    q_minus_1 = RF_Q - RF_ONE
-    left = RF_ZERO
-    for j in range(k // 2 + 1):
-        c_even = binom(k, 2 * j)
-        if c_even:
-            n = 2 * k - 2 * j + 1
-            left = left + TWO_Q * euler_number(n) * Fraction(c_even, n)
-        c_odd = binom(k, 2 * j + 1)
-        if c_odd:
-            n = 2 * k - 2 * j
-            left = left + q_minus_1 * euler_number(n) * Fraction(c_odd, n)
     right = RF_Q * Fraction((-1) ** (k + 1), (2 * k + 1) * binom(2 * k, k))
-    return left, right
-
-
-def _thm3_right(k: int) -> XPolyQ:
-    """x^k (x-1)^k ((1+q) x - q)."""
-    linear = XPolyQ([-RF_Q, TWO_Q])
-    return x_power_shift(k, k) * linear
+    return apply(eq103_terms(k), unit_integral), right
 
 
 def sides_thm3(k: int, variant: str) -> Tuple[XPolyQ, XPolyQ]:
-    """Degree-(2k+1) identity, printed or corrected reading.
-
-    The printed reading keeps the typeset bounds (second sum from j = 1 to
-    floor(k/2)) and the bracket subscript 2k - 2j + 1; the corrected
-    reading runs every sum over all indices with a nonzero binomial
-    coefficient and uses the bracket subscript 2k - 2j - 1, which is what
-    the combination of the master identity at (k, k+1) with the regrouped
-    identity divided by (1+q) actually produces.
-    """
-    _check_variant(variant)
-    q_minus_1 = RF_Q - RF_ONE
-    inv_two_q = RF_ONE / TWO_Q
-    left = XPolyQ.zero()
-    if variant == "printed":
-        for j in range(k // 2 + 1):
-            c = binom(k, 2 * j)
-            if c:
-                left = left + euler_poly(2 * k + 1 - 2 * j) * (TWO_Q * c)
-        for j in range(1, k // 2 + 1):
-            c = binom(k, 2 * j - 1)
-            if c:
-                left = left + euler_poly(2 * k + 1 - 2 * j) * Fraction(c)
-        for j in range(k // 2 + 1):
-            c = binom(k, 2 * j + 1)
-            if c:
-                bracket = euler_poly(2 * k - 2 * j) \
-                    + euler_poly(2 * k - 2 * j + 1) * inv_two_q
-                left = left + bracket * (q_minus_1 * c)
-    else:
-        j = 0
-        while binom(k, 2 * j):
-            left = left + euler_poly(2 * k + 1 - 2 * j) * (TWO_Q * binom(k, 2 * j))
-            j += 1
-        j = 1
-        while binom(k, 2 * j - 1):
-            left = left + euler_poly(2 * k + 1 - 2 * j) * Fraction(binom(k, 2 * j - 1))
-            j += 1
-        j = 0
-        while binom(k, 2 * j + 1):
-            bracket = euler_poly(2 * k - 2 * j) \
-                + euler_poly(2 * k - 2 * j - 1) * inv_two_q
-            left = left + bracket * (q_minus_1 * binom(k, 2 * j + 1))
-            j += 1
-    return left, _thm3_right(k)
+    """Degree-(2k+1) identity, printed or corrected reading."""
+    return apply(degree_2k1_terms(k, variant), euler_poly), x_poly(degree_2k1_rhs(k))
 
 
 def thm3_construction_residual(k: int) -> XPolyQ:
@@ -297,80 +243,48 @@ def thm3_construction_residual(k: int) -> XPolyQ:
 
 def sides_thm4(k: int, m: int) -> Tuple[RatFuncQ, RatFuncQ]:
     """Fermionic moments of the master identity."""
-    left = RF_ZERO
-    for j in range(max(k, m) + 1):
-        c = _bracket_coeff(k, m, j)
-        if not c.is_zero:
-            left = left + c * fermionic_moment(k + m - j)
-    right = RF_ZERO
-    for l in range(m + 1):
-        right = right + euler_number(l + k) * Fraction(binom(m, l) * (-1) ** (m - l))
-    right = right * TWO_Q
-    return left, right
-
-
-def _degree_2k1_moment_combination(k: int, variant: str,
-                                   moment: Callable) -> object:
-    """The right side shared by the fermionic and bosonic moment identities
-    of the degree-(2k+1) statement; ``moment(n)`` supplies the moment of
-    E_n(x) under the chosen measure."""
-    q_minus_1 = RF_Q - RF_ONE
-    inv_two_q = RF_ONE / TWO_Q
-    terms = []
-    if variant == "printed":
-        for j in range(k // 2 + 1):
-            c = binom(k, 2 * j)
-            if c:
-                terms.append((TWO_Q * c, moment(2 * k + 1 - 2 * j)))
-        for j in range(1, k // 2 + 1):
-            c = binom(k, 2 * j - 1)
-            if c:
-                terms.append((RatFuncQ.from_fraction(c), moment(2 * k + 1 - 2 * j)))
-        for j in range(k // 2 + 1):
-            c = binom(k, 2 * j + 1)
-            if c:
-                terms.append((q_minus_1 * c, moment(2 * k - 2 * j)))
-                terms.append((q_minus_1 * inv_two_q * c, moment(2 * k - 2 * j + 1)))
-    else:
-        j = 0
-        while binom(k, 2 * j):
-            terms.append((TWO_Q * binom(k, 2 * j), moment(2 * k + 1 - 2 * j)))
-            j += 1
-        j = 1
-        while binom(k, 2 * j - 1):
-            terms.append((RatFuncQ.from_fraction(binom(k, 2 * j - 1)),
-                          moment(2 * k + 1 - 2 * j)))
-            j += 1
-        j = 0
-        while binom(k, 2 * j + 1):
-            c = binom(k, 2 * j + 1)
-            terms.append((q_minus_1 * c, moment(2 * k - 2 * j)))
-            terms.append((q_minus_1 * inv_two_q * c, moment(2 * k - 2 * j - 1)))
-            j += 1
-    return terms
-
-
-def _check_variant(variant: str):
-    if variant not in ("printed", "corrected"):
-        raise ValueError(f"variant must be 'printed' or 'corrected', got {variant!r}")
+    return (apply(eq6_terms(k, m), fermionic_moment),
+            apply(shift_terms(k, m), euler_number) * TWO_Q)
 
 
 def sides_thm5(k: int, variant: str) -> Tuple[RatFuncQ, RatFuncQ]:
     """Fermionic moments of the degree-(2k+1) identity; exact throughout."""
-    _check_variant(variant)
-    left = RF_ZERO
-    for l in range(k + 1):
-        sign = Fraction(binom(k, l) * (-1) ** (k - l))
-        left = left + (TWO_Q * euler_number(k + l + 1)
-                       - RF_Q * euler_number(k + l)) * sign
-    right = RF_ZERO
-    for coeff, mom in _degree_2k1_moment_combination(k, variant, fermionic_moment):
-        right = right + coeff * mom
+    return (apply(degree_2k1_rhs(k), euler_number),
+            apply(degree_2k1_terms(k, variant), fermionic_moment))
+
+
+def sides_eq7(n: int) -> Tuple[XPolyQ, XPolyQ]:
+    """Derivative rule: d/dx E_n(x) = n E_{n-1}(x)."""
+    return euler_poly(n).derivative(), euler_poly(n - 1) * Fraction(n)
+
+
+def sides_eq8(n: int) -> Tuple[RatFuncQ, RatFuncQ]:
+    """Unit-interval integral of E_n(x): termwise antiderivative on the
+    left, the closed form on the right."""
+    return euler_poly(n).integral01(), -TWO_Q_RECIP * unit_integral(n)
+
+
+def thm1_independent_route(k: int, m: int) -> Tuple[RatFuncQ, RatFuncQ]:
+    """Reconstruct both sides of the integrated master identity by actually
+    integrating the master identity's sides over [0, 1].
+
+    Termwise integration turns each E_n(x) into -(1+q)/q * E_{n+1}/(n+1);
+    peeling off the j = 0 term and dividing by -(1+q)/q reproduces the
+    left side, and the same transform applied to the right side's exact
+    integral reproduces the right side.
+    """
+    eq6_left, eq6_right = sides_eq6(k, m)
+    head = TWO_Q * euler_number(k + m + 1) * Fraction(1, k + m + 1)
+    left = -(eq6_left.integral01() / TWO_Q_RECIP) - head
+    right = -(eq6_right.integral01() / TWO_Q_RECIP) - head
     return left, right
 
 
 # ---------------------------------------------------------------------------
 # p-adic context and sides
+
+
+BernoulliProvider = Callable[[int], PadicApprox]
 
 
 @dataclass
@@ -431,22 +345,17 @@ class NumericContext:
         """Numeric weight-0 q-Bernoulli number at this context's precision."""
         return self.monomial_integral(KIND_BOSONIC, n).value
 
-    def numeric_poly_integral(self, kind: str, coeffs) -> PadicApprox:
-        """Integral of an exact-coefficient polynomial in xi, by linearity
-        over numeric monomial integrals."""
-        total = None
-        for i, c in enumerate(coeffs):
-            c = Fraction(c)
-            if c == 0:
-                continue
-            term = self.embed(c) * self.monomial_integral(kind, i).value
-            total = term if total is None else total + term
-        if total is None:
-            return PadicApprox.zero(self.p, self.embed_precision)
-        return total
+    def apply(self, terms: Terms, image: Callable[[int], PadicApprox]
+              ) -> PadicApprox:
+        """sum embed(coefficient) * image(n) over a term list: each
+        coefficient is embedded, multiplied, and added left to right, the
+        order the certificate's precision is stated for."""
+        return reduce(add, (self.embed(c) * image(n) for c, n in terms))
 
-
-BernoulliProvider = Callable[[int], PadicApprox]
+    def bosonic_moment(self, n: int, bernoulli: BernoulliProvider
+                       ) -> PadicApprox:
+        """Bosonic moment of E_n(x): sum_l C(n,l) E_{n-l} B_l."""
+        return self.apply(monomials(euler_poly(n)), bernoulli)
 
 
 def sides_thm6(k: int, m: int, ctx: NumericContext,
@@ -455,27 +364,9 @@ def sides_thm6(k: int, m: int, ctx: NumericContext,
     """Bosonic moments of the master identity: exact E values embedded,
     numeric B values from the adaptive integral (or an injected provider,
     used by the degenerate-slice sanity check)."""
-    bget = bernoulli if bernoulli is not None else ctx.bernoulli
-    two_q = ctx.embed(TWO_Q)
-    left = None
-    for l in range(m + 1):
-        c = Fraction(binom(m, l) * (-1) ** (m - l))
-        term = ctx.embed(c) * bget(l + k)
-        left = term if left is None else left + term
-    left = two_q * left
-    right = None
-    for j in range(max(k, m) + 1):
-        c = _bracket_coeff(k, m, j)
-        if c.is_zero:
-            continue
-        inner = None
-        n = k + m - j
-        for l in range(n + 1):
-            t = ctx.embed(euler_number(n - l) * Fraction(binom(n, l))) * bget(l)
-            inner = t if inner is None else inner + t
-        term = ctx.embed(c) * inner
-        right = term if right is None else right + term
-    return left, right
+    b = bernoulli or ctx.bernoulli
+    return (ctx.embed(TWO_Q) * ctx.apply(shift_terms(k, m), b),
+            ctx.apply(eq6_terms(k, m), lambda n: ctx.bosonic_moment(n, b)))
 
 
 def sides_cor7(k: int, variant: str, ctx: NumericContext,
@@ -487,99 +378,91 @@ def sides_cor7(k: int, variant: str, ctx: NumericContext,
     the inner E factor.  The left side follows the final displayed line,
     which carries no leading (1+q) factor.
     """
-    _check_variant(variant)
-    bget = bernoulli if bernoulli is not None else ctx.bernoulli
-    two_q = ctx.embed(TWO_Q)
-    q_emb = ctx.embed(RF_Q)
-    left = None
-    for l in range(k + 1):
-        sign = ctx.embed(Fraction(binom(k, l) * (-1) ** (k - l)))
-        term = sign * (two_q * bget(k + l + 1) - q_emb * bget(k + l))
-        left = term if left is None else left + term
-
-    def bosonic_moment(n: int) -> PadicApprox:
-        total = None
-        for l in range(n + 1):
-            t = ctx.embed(euler_number(n - l) * Fraction(binom(n, l))) * bget(l)
-            total = t if total is None else total + t
-        return total
-
-    right = None
-    for coeff, mom in _degree_2k1_moment_combination(k, variant, bosonic_moment):
-        term = ctx.embed(coeff) * mom
-        right = term if right is None else right + term
-    return left, right
+    terms = degree_2k1_terms(k, variant)
+    b = bernoulli or ctx.bernoulli
+    return (ctx.apply(degree_2k1_rhs(k), b),
+            ctx.apply(terms, lambda n: ctx.bosonic_moment(n, b)))
 
 
-def sides_eq7(n: int) -> Tuple[XPolyQ, XPolyQ]:
-    """Derivative rule: d/dx E_n(x) = n E_{n-1}(x)."""
-    return euler_poly(n).derivative(), euler_poly(n - 1) * Fraction(n)
-
-
-def sides_eq8(n: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """Unit-interval integral of E_n(x): termwise antiderivative on the
-    left, the closed form on the right."""
-    left = euler_poly(n).integral01()
-    right = -TWO_Q_RECIP * euler_number(n + 1) * Fraction(1, n + 1)
-    return left, right
-
-
-def thm1_independent_route(k: int, m: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """Reconstruct both sides of the integrated master identity by actually
-    integrating the master identity's sides over [0, 1].
-
-    Termwise integration turns each E_n(x) into -(1+q)/q * E_{n+1}/(n+1);
-    peeling off the j = 0 term and dividing by -(1+q)/q reproduces the
-    left side, and the same transform applied to the right side's exact
-    integral reproduces the right side.
-    """
-    eq6_left, eq6_right = sides_eq6(k, m)
-    head = TWO_Q * euler_number(k + m + 1) * Fraction(1, k + m + 1)
-    left = -(eq6_left.integral01() / TWO_Q_RECIP) - head
-    right = -(eq6_right.integral01() / TWO_Q_RECIP) - head
-    return left, right
+def direct_moment(kind: str, poly: XPolyQ, ctx: NumericContext) -> PadicApprox:
+    """Numeric moment of an exact polynomial in x under the fermionic or
+    bosonic measure, by linearity over the monomial integrals: the
+    independent route that integrates a side directly."""
+    return ctx.apply(monomials(poly),
+                     lambda i: ctx.monomial_integral(kind, i).value)
 
 
 # ---------------------------------------------------------------------------
-# independent numeric witnesses (two-route oracles)
+# registry and verification driver
 
 
-def thm4_padic_witness(k: int, m: int, ctx: NumericContext
-                       ) -> Tuple[PadicApprox, PadicApprox]:
-    """Exact right side of the fermionic-moment identity, embedded, against
-    the direct numeric fermionic integral of (1+q) x^k (x-1)^m."""
-    exact = ctx.embed(sides_thm4(k, m)[1])
-    coeffs = [c.evaluate(ctx.q) for c in x_power_shift(k, m).coeffs]
-    numeric = ctx.embed(TWO_Q) * ctx.numeric_poly_integral(KIND_FERMIONIC, coeffs)
-    return exact, numeric
+@dataclass(frozen=True)
+class IdentityInfo:
+    sides: Callable                # sides(**params) or sides(**params, ctx=)
+    params: Tuple[str, ...]
+    mode: str                      # "exact" or "padic"
+    minimum: int                   # lower bound for every parameter
+    default_range: Dict[str, Tuple[int, int]]
+    description: str
 
 
-def thm5_padic_witness(k: int, variant: str, ctx: NumericContext
-                       ) -> Tuple[PadicApprox, PadicApprox]:
-    """Exact left side of the fermionic-moment identity, embedded, against
-    the direct numeric fermionic integral of x^k (x-1)^k ((1+q) x - q)."""
-    exact = ctx.embed(sides_thm5(k, variant)[0])
-    poly = _thm3_right(k)
-    coeffs = [c.evaluate(ctx.q) for c in poly.coeffs]
-    numeric = ctx.numeric_poly_integral(KIND_FERMIONIC, coeffs)
-    return exact, numeric
-
-
-def thm6_direct_integral(k: int, m: int, ctx: NumericContext) -> PadicApprox:
-    """(1+q) times the numeric bosonic integral of x^k (x-1)^m: the value
-    both sides of the bosonic-moment identity estimate."""
-    coeffs = [c.evaluate(ctx.q) for c in x_power_shift(k, m).coeffs]
-    return ctx.embed(TWO_Q) * ctx.numeric_poly_integral(KIND_BOSONIC, coeffs)
-
-
-def cor7_direct_integral(k: int, ctx: NumericContext) -> PadicApprox:
-    """Numeric bosonic integral of x^k (x-1)^k ((1+q) x - q)."""
-    coeffs = [c.evaluate(ctx.q) for c in _thm3_right(k).coeffs]
-    return ctx.numeric_poly_integral(KIND_BOSONIC, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# verification driver
+REGISTRY: Dict[IdentityId, IdentityInfo] = {
+    IdentityId.EQ6: IdentityInfo(
+        sides_eq6, ("k", "m"), "exact", 0, {"k": (0, 8), "m": (0, 8)},
+        "master polynomial identity: weighted sum of E_{k+m-j}(x) equals "
+        "(1+q) x^k (x-1)^m"),
+    IdentityId.THM1: IdentityInfo(
+        sides_thm1, ("k", "m"), "exact", 1, {"k": (1, 8), "m": (1, 8)},
+        "unit-interval integral of the master identity, via exact beta values"),
+    IdentityId.THM1_COR: IdentityInfo(
+        sides_thm1_cor, ("k",), "exact", 1, {"k": (1, 8)},
+        "the m = k+1 specialization of the integrated identity"),
+    IdentityId.EQ103: IdentityInfo(
+        sides_eq103, ("k",), "exact", 1, {"k": (1, 8)},
+        "even/odd regrouping of the master identity at m = k"),
+    IdentityId.THM2: IdentityInfo(
+        sides_thm2, ("k",), "exact", 1, {"k": (1, 10)},
+        "unit-interval integral of the regrouped identity"),
+    IdentityId.THM3_PRINTED: IdentityInfo(
+        partial(sides_thm3, variant="printed"), ("k",), "exact", 1,
+        {"k": (1, 4)},
+        "degree-(2k+1) identity as typeset (suspect bounds and subscripts)"),
+    IdentityId.THM3_CORRECTED: IdentityInfo(
+        partial(sides_thm3, variant="corrected"), ("k",), "exact", 1,
+        {"k": (1, 6)},
+        "degree-(2k+1) identity re-derived from EQ6 at (k, k+1) plus "
+        "EQ103/(1+q)"),
+    IdentityId.THM4: IdentityInfo(
+        sides_thm4, ("k", "m"), "exact", 1, {"k": (1, 6), "m": (1, 6)},
+        "fermionic moments of the master identity: double E-sum equals "
+        "(1+q) alternating E-sum"),
+    IdentityId.THM5_PRINTED: IdentityInfo(
+        partial(sides_thm5, variant="printed"), ("k",), "exact", 1,
+        {"k": (1, 4)},
+        "fermionic moments of the degree-(2k+1) identity, printed reading"),
+    IdentityId.THM5_CORRECTED: IdentityInfo(
+        partial(sides_thm5, variant="corrected"), ("k",), "exact", 1,
+        {"k": (1, 4)},
+        "fermionic moments of the corrected degree-(2k+1) identity"),
+    IdentityId.THM6: IdentityInfo(
+        sides_thm6, ("k", "m"), "padic", 1, {"k": (1, 3), "m": (1, 3)},
+        "bosonic moments of the master identity, mixing exact E with "
+        "numeric B values"),
+    IdentityId.COR7_PRINTED: IdentityInfo(
+        partial(sides_cor7, variant="printed"), ("k",), "padic", 1,
+        {"k": (1, 3)},
+        "bosonic moments of the degree-(2k+1) identity, printed reading"),
+    IdentityId.COR7_CORRECTED: IdentityInfo(
+        partial(sides_cor7, variant="corrected"), ("k",), "padic", 1,
+        {"k": (1, 3)},
+        "bosonic moments of the corrected degree-(2k+1) identity"),
+    IdentityId.EQ7: IdentityInfo(
+        sides_eq7, ("n",), "exact", 1, {"n": (1, 12)},
+        "derivative rule: d/dx E_n(x) = n E_{n-1}(x)"),
+    IdentityId.EQ8: IdentityInfo(
+        sides_eq8, ("n",), "exact", 0, {"n": (0, 12)},
+        "unit-interval integral closed form: -(1+q)/q * E_{n+1}/(n+1)"),
+}
 
 
 @dataclass
@@ -606,34 +489,15 @@ class VerificationResult:
         }
 
 
-_EXACT_SIDES = {
-    IdentityId.EQ6: lambda p: sides_eq6(p["k"], p["m"]),
-    IdentityId.THM1: lambda p: sides_thm1(p["k"], p["m"]),
-    IdentityId.THM1_COR: lambda p: sides_thm1_cor(p["k"]),
-    IdentityId.EQ103: lambda p: sides_eq103(p["k"]),
-    IdentityId.THM2: lambda p: sides_thm2(p["k"]),
-    IdentityId.THM3_PRINTED: lambda p: sides_thm3(p["k"], "printed"),
-    IdentityId.THM3_CORRECTED: lambda p: sides_thm3(p["k"], "corrected"),
-    IdentityId.THM4: lambda p: sides_thm4(p["k"], p["m"]),
-    IdentityId.THM5_PRINTED: lambda p: sides_thm5(p["k"], "printed"),
-    IdentityId.THM5_CORRECTED: lambda p: sides_thm5(p["k"], "corrected"),
-    IdentityId.EQ7: lambda p: sides_eq7(p["n"]),
-    IdentityId.EQ8: lambda p: sides_eq8(p["n"]),
-}
-
-_PADIC_SIDES = {
-    IdentityId.THM6: lambda p, ctx: sides_thm6(p["k"], p["m"], ctx),
-    IdentityId.COR7_PRINTED: lambda p, ctx: sides_cor7(p["k"], "printed", ctx),
-    IdentityId.COR7_CORRECTED: lambda p, ctx: sides_cor7(p["k"], "corrected", ctx),
-}
-
-
 def verify(identity: IdentityId, params: Dict[str, int],
            ctx: Optional[NumericContext] = None) -> VerificationResult:
     """Compute both sides, subtract, and classify the verdict.
 
-    Exact identities hold iff the difference is identically zero; p-adic
-    identities hold to precision K iff |difference|_p <= p^-K.
+    Exact identities hold iff the difference is identically zero.  A p-adic
+    identity fails when the difference has a nonzero digit below p^K, and
+    holds to precision K when the difference is known to be divisible by
+    p^K; a zero difference known to fewer than K digits decides nothing
+    and is an error.
     """
     info = REGISTRY[identity]
     expected = set(info.params)
@@ -648,17 +512,21 @@ def verify(identity: IdentityId, params: Dict[str, int],
 
     start = time.monotonic()
     if info.mode == "exact":
-        left, right = _EXACT_SIDES[identity](params)
+        left, right = info.sides(**params)
         cert = left - right
         verdict = HOLDS if cert.is_zero else FAILS
         mode = "exact"
     else:
         if ctx is None:
             raise ValueError(f"{identity.value} needs a numeric context")
-        left, right = _PADIC_SIDES[identity](params, ctx)
+        left, right = info.sides(**params, ctx=ctx)
         cert = left - right
-        dist = inf if cert.is_zero else cert.valuation
-        verdict = HOLDS_TO_PRECISION if dist >= ctx.target else FAILS
+        if not cert.is_zero and cert.valuation < ctx.target:
+            verdict = FAILS
+        elif cert.abs_precision >= ctx.target:
+            verdict = HOLDS_TO_PRECISION
+        else:
+            verdict = ERROR
         mode = f"padic(p={ctx.p},q={ctx.q},K={ctx.target})"
     elapsed = time.monotonic() - start
     return VerificationResult(identity, dict(params), mode, verdict,
@@ -684,16 +552,7 @@ def grid_params(identity: IdentityId,
             raise ValueError(
                 f"{identity.value} requires {name} >= {info.minimum}")
         spans.append(range(lo, hi + 1))
-
-    def rec(i):
-        if i == len(names):
-            yield {}
-            return
-        for v in spans[i]:
-            for rest in rec(i + 1):
-                yield {names[i]: v, **rest}
-
-    return list(rec(0))
+    return [dict(zip(names, values)) for values in product(*spans)]
 
 
 def verify_grid(identity: IdentityId,

@@ -10,20 +10,21 @@ import time
 from fractions import Fraction
 from math import inf
 
-from qeuler.exactarith import RatFuncQ, ratfunc_eval
+from qeuler.exactarith import RatFuncQ
 from qeuler.identities import (
     FAILS,
     HOLDS,
     HOLDS_TO_PRECISION,
     IdentityId,
     NumericContext,
-    cor7_direct_integral,
+    direct_moment,
+    sides_eq6,
     sides_thm2,
+    sides_thm3,
     sides_thm4,
     thm1_independent_route,
     sides_thm1,
     thm3_construction_residual,
-    thm6_direct_integral,
     verify,
     verify_grid,
 )
@@ -47,6 +48,11 @@ from qeuler.qspecial import (
 from qeuler.report import Report
 from qeuler.cli import main as cli_main
 
+# canonical_sha256 of the default `qeuler report` battery: the behaviour
+# gate that any refactor or speed change must leave unchanged
+BATTERY_SHA256 = ("baedeef0ed5e5eb90ce3a2bffd6704ab"
+                  "a646e151e64618d2eecf97a5092a994d")
+
 
 def criterion(num, label):
     def deco(fn):
@@ -66,7 +72,7 @@ def criterion(num, label):
 def test_criterion_01_classical_limit():
     start = time.monotonic()
     for n in range(21):
-        assert ratfunc_eval(euler_number(n), 1) == classical_euler_number(n)
+        assert euler_number(n).evaluate(1) == classical_euler_number(n)
     assert time.monotonic() - start < 1.0
 
 
@@ -181,7 +187,7 @@ def test_criterion_10_thm6_cor7():
         for m in range(1, 4):
             r = verify(IdentityId.THM6, {"k": k, "m": m}, ctx)
             assert r.verdict == HOLDS_TO_PRECISION
-            direct = thm6_direct_integral(k, m, ctx)
+            direct = direct_moment(KIND_BOSONIC, sides_eq6(k, m)[1], ctx)
             from qeuler.identities import sides_thm6
             left, right = sides_thm6(k, m, ctx)
             assert padic_distance(left, direct) >= ctx.target
@@ -191,24 +197,29 @@ def test_criterion_10_thm6_cor7():
         assert r.verdict == HOLDS_TO_PRECISION
         from qeuler.identities import sides_cor7
         left, right = sides_cor7(k, "corrected", ctx)
-        direct = cor7_direct_integral(k, ctx)
+        direct = direct_moment(KIND_BOSONIC, sides_thm3(k, "corrected")[1], ctx)
         assert padic_distance(left, direct) >= ctx.target
         assert padic_distance(right, direct) >= ctx.target
     assert time.monotonic() - start < 120.0
 
 
-@criterion(11, "byte-identical canonical reports, with and without cache")
+@criterion(11, "byte-identical canonical reports, with and without cache, "
+                "and the default battery's pinned hash")
 def test_criterion_11_determinism(tmp_path, capsys):
     def battery(*extra):
         out_file = tmp_path / f"report-{len(list(tmp_path.iterdir()))}.json"
         code = cli_main(["report", "--out", str(out_file), *extra])
         assert code == 0
-        return Report.parse(out_file.read_text()).canonical()
+        return Report.parse(out_file.read_text())
 
     cache = tmp_path / "cache.json"
-    plain_1 = battery()
-    plain_2 = battery()
-    cached_cold = battery("--cache", str(cache))
-    cached_warm = battery("--cache", str(cache))
-    no_cache = battery("--no-cache")
+    first = battery()
+    assert first.sha256() == BATTERY_SHA256
+    assert first.summary == {"holds": 242, "holds_to_precision": 12,
+                             "fails": 11, "errors": 0, "total": 265}
+    plain_1 = first.canonical()
+    plain_2 = battery().canonical()
+    cached_cold = battery("--cache", str(cache)).canonical()
+    cached_warm = battery("--cache", str(cache)).canonical()
+    no_cache = battery("--no-cache").canonical()
     assert plain_1 == plain_2 == cached_cold == cached_warm == no_cache

@@ -169,9 +169,11 @@ class TestVerifyCommand:
         assert doc["summary"]["holds_to_precision"] == 4
 
     def test_stray_range_rejected(self, capsys):
-        code, _, err = run(capsys, "verify", "THM2", "--m", "1..2")
-        assert code == 2
-        assert "stray" in err
+        for argv in (("verify", "THM2", "--m", "1..2"),
+                     ("verify", "all", "--k", "1")):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert "stray" in err
 
     def test_unknown_identity_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "THM9")
@@ -288,6 +290,26 @@ class TestDeterminismAndCache:
             cache.save()
         assert path.read_text() == before
         assert os.listdir(tmp_path) == ["cache.json"]
+
+    def test_zero_certificate_short_of_K_is_undecided(self, capsys, tmp_path):
+        # bosonic entries poisoned to zeros known mod 3^1 make the THM6
+        # difference a zero known to 1 < K digits: no verdict, exit 1
+        path = tmp_path / "cache.json"
+        args = ("verify", "THM6", "--k", "1", "--m", "1", "--format", "json",
+                "--cache", str(path))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert json.loads(out)["items"][0]["verdict"] == "holds-to-precision"
+        doc = json.loads(path.read_text())
+        for key, entry in doc["entries"].items():
+            if key.startswith("bosonic:"):
+                entry["value"] = {"p": 3, "zero": True, "abs_precision": 1}
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, *args)
+        item = json.loads(out)["items"][0]
+        assert item["verdict"] == "error"
+        assert item["certificate"] == "O(3^1)"
+        assert code == 1
 
     def test_ratfunc_serialization_round_trip(self):
         f = euler_number(5)

@@ -13,7 +13,7 @@ from qeuler.identities import (
     HOLDS_TO_PRECISION,
     IdentityId,
     NumericContext,
-    cor7_direct_integral,
+    direct_moment,
     fermionic_moment,
     sides_cor7,
     sides_eq6,
@@ -29,14 +29,12 @@ from qeuler.identities import (
     sides_thm6,
     thm1_independent_route,
     thm3_construction_residual,
-    thm4_padic_witness,
-    thm5_padic_witness,
-    thm6_direct_integral,
     verify,
     verify_grid,
     x_power_shift,
 )
 from qeuler.padic import PadicApprox, padic_distance
+from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC
 from qeuler.qspecial import euler_number
 
 ONE_PLUS_Q = PolyQ((1, 1))
@@ -188,7 +186,8 @@ class TestThm4:
         ctx5 = NumericContext(3, Fraction(4), 5, 4, 12)
         for k in range(1, 4):
             for m in range(1, 4):
-                exact, numeric = thm4_padic_witness(k, m, ctx5)
+                exact = ctx5.embed(sides_thm4(k, m)[1])
+                numeric = direct_moment(KIND_FERMIONIC, sides_eq6(k, m)[1], ctx5)
                 d = padic_distance(exact, numeric)
                 assert d == inf or d >= 5
 
@@ -217,7 +216,8 @@ class TestThm5:
 
     def test_padic_witness(self):
         ctx5 = NumericContext(3, Fraction(4), 5, 4, 12)
-        exact, numeric = thm5_padic_witness(2, "corrected", ctx5)
+        exact = ctx5.embed(sides_thm5(2, "corrected")[0])
+        numeric = direct_moment(KIND_FERMIONIC, sides_thm3(2, "corrected")[1], ctx5)
         d = padic_distance(exact, numeric)
         assert d == inf or d >= 5
 
@@ -230,7 +230,7 @@ class TestThm6:
     def test_holds_to_precision_and_two_routes(self, ctx):
         left, right = sides_thm6(1, 1, ctx)
         assert padic_distance(left, right) >= ctx.target
-        direct = thm6_direct_integral(1, 1, ctx)
+        direct = direct_moment(KIND_BOSONIC, sides_eq6(1, 1)[1], ctx)
         assert padic_distance(left, direct) >= ctx.target
         assert padic_distance(right, direct) >= ctx.target
 
@@ -256,7 +256,7 @@ class TestCor7:
         for k in (1, 2):
             left, right = sides_cor7(k, "corrected", ctx)
             assert padic_distance(left, right) >= ctx.target
-            direct = cor7_direct_integral(k, ctx)
+            direct = direct_moment(KIND_BOSONIC, sides_thm3(k, "corrected")[1], ctx)
             assert padic_distance(left, direct) >= ctx.target
 
     def test_printed_differs(self, ctx):
