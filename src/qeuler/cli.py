@@ -178,11 +178,9 @@ def cmd_numbers(args) -> int:
                 raise ConfigError(f"bad --at-q value {args.at_q!r}")
             config["at_q"] = str(at_q)
         for n in range(lo, hi + 1):
-            value = cache.get_euler(n) if cache is not None else None
-            if value is None:
-                value = euler_number(n)
-                if cache is not None:
-                    cache.put_euler(n, value)
+            value = euler_number(n)
+            if cache is not None:
+                cache.put_euler(n, value)
             row = {"n": n, "value": str(value)}
             if at_q is not None:
                 try:

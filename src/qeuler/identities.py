@@ -489,6 +489,13 @@ class VerificationResult:
         }
 
 
+def _mode(identity: IdentityId, ctx: Optional[NumericContext]) -> str:
+    """The report's mode: "exact", or the p-adic configuration used."""
+    if REGISTRY[identity].mode == "exact":
+        return "exact"
+    return f"padic(p={ctx.p},q={ctx.q},K={ctx.target})"
+
+
 def verify(identity: IdentityId, params: Dict[str, int],
            ctx: Optional[NumericContext] = None) -> VerificationResult:
     """Compute both sides, subtract, and classify the verdict.
@@ -515,7 +522,6 @@ def verify(identity: IdentityId, params: Dict[str, int],
         left, right = info.sides(**params)
         cert = left - right
         verdict = HOLDS if cert.is_zero else FAILS
-        mode = "exact"
     else:
         if ctx is None:
             raise ValueError(f"{identity.value} needs a numeric context")
@@ -527,10 +533,9 @@ def verify(identity: IdentityId, params: Dict[str, int],
             verdict = HOLDS_TO_PRECISION
         else:
             verdict = ERROR
-        mode = f"padic(p={ctx.p},q={ctx.q},K={ctx.target})"
     elapsed = time.monotonic() - start
-    return VerificationResult(identity, dict(params), mode, verdict,
-                              cert, str(cert), elapsed)
+    return VerificationResult(identity, dict(params), _mode(identity, ctx),
+                              verdict, cert, str(cert), elapsed)
 
 
 def grid_params(identity: IdentityId,
@@ -571,8 +576,7 @@ def verify_grid(identity: IdentityId,
             raise
         except Exception as exc:  # honest per-cell failure records
             results.append(VerificationResult(
-                identity, dict(params),
-                REGISTRY[identity].mode, ERROR, None,
+                identity, dict(params), _mode(identity, ctx), ERROR, None,
                 f"{type(exc).__name__}: {exc}", 0.0))
     results.sort(key=VerificationResult.sort_key)
     return results

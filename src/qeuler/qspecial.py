@@ -4,11 +4,23 @@ independent cross-check of the q -> 1 limit.
 
 The number table is driven by the umbral recurrence
 
-    (1 + q) * E[n] + q * sum_{l<n} C(n, l) * E[l] = 0,      E[0] = 1,
+    (1 + q) * E[n] + q * sum_{l<n} C(n, l) * E[l] = 0,      E[0] = 1.
 
-and the polynomial table by the binomial convolution
+Multiplied by (1 + q)^(n-1) it becomes a recurrence over Z[q] for the
+numerators N_n = (1 + q)^n * E[n]:
 
-    E_n(x) = sum_{l<=n} C(n, l) * x^l * E[n - l].
+    N_n = -q * sum_{l<n} C(n, l) * (1 + q)^(n-1-l) * N_l,      N_0 = 1.
+
+At q = -1 only the l = n - 1 term survives, so N_n(-1) = n * N_{n-1}(-1)
+= n!, which is nonzero: (1 + q) never divides N_n, and the denominator of
+E[n] in lowest terms is exactly (1 + q)^n.  The table is filled in
+integers and each entry is handed out already in canonical form.
+
+The polynomial table is the binomial convolution
+
+    E_n(x) = sum_{l<=n} C(n, l) * x^l * E[n - l],
+
+whose coefficients C(n, l) * N_{n-l} / (1 + q)^(n-l) are canonical too.
 
 Both tables are memoized; fills are pure and idempotent, so concurrent
 readers under the GIL are safe.
@@ -75,15 +87,21 @@ TWO_Q = RF_ONE_PLUS_Q                     # bracket of 2
 TWO_Q_RECIP = RatFuncQ(PolyQ((1, 1)), PolyQ((0, 1)))   # (1 + q)/q
 
 _lock = threading.Lock()
+_numerators: list[list[int]] = [[1]]      # N_n, ascending integer coefficients
 _numbers: list[RatFuncQ] = [RF_ONE]
 _polys: list[XPolyQ] = [XPolyQ.one()]
+
+
+def _poly(coeffs: list[int]) -> PolyQ:
+    return PolyQ._raw([Fraction(c) for c in coeffs])
 
 
 def euler_number(n: int) -> RatFuncQ:
     """The nth weight-0 q-Euler number as a reduced rational function.
 
     E[0] = 1, E[1] = -q/(1+q), E[2] = q(q-1)/(1+q)^2, ...; the denominator
-    of E[n] always divides (1+q)^n.
+    of E[n] is exactly (1+q)^n, because its numerator takes the value n!
+    at q = -1.
     """
     if n < 0:
         raise DomainError("index must be >= 0")
@@ -92,10 +110,17 @@ def euler_number(n: int) -> RatFuncQ:
     with _lock:
         while len(_numbers) <= n:
             m = len(_numbers)
-            s = RF_ZERO
+            # Horner in (1 + q): acc = sum_{l<m} C(m, l) (1+q)^(m-1-l) N_l
+            acc: list[int] = []
             for l in range(m):
-                s = s + _numbers[l] * Fraction(comb(m, l))
-            _numbers.append(s * RatFuncQ(PolyQ((0, -1)), PolyQ((1, 1))))
+                acc = [a + b for a, b in zip(acc + [0], [0] + acc)]
+                c = comb(m, l)
+                for i, x in enumerate(_numerators[l]):
+                    acc[i] += c * x
+            numerator = [0] + [-a for a in acc]
+            _numerators.append(numerator)
+            power = _poly([comb(m, i) for i in range(m + 1)])  # (1 + q)^m
+            _numbers.append(RatFuncQ._raw(_poly(numerator), power))
     return _numbers[n]
 
 
@@ -111,8 +136,11 @@ def euler_poly(n: int) -> XPolyQ:
     with _lock:
         while len(_polys) <= n:
             m = len(_polys)
-            coeffs = [euler_number(m - l) * Fraction(comb(m, l)) for l in range(m + 1)]
-            _polys.append(XPolyQ(coeffs))
+            coeffs = [RatFuncQ._raw(_poly([comb(m, l) * c
+                                           for c in _numerators[m - l]]),
+                                    _numbers[m - l].den)
+                      for l in range(m + 1)]
+            _polys.append(XPolyQ._raw(coeffs))
     return _polys[n]
 
 

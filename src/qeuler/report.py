@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .exactarith import PolyQ, RatFuncQ
+from .exactarith import RatFuncQ
 from .identities import ERROR, FAILS, HOLDS, HOLDS_TO_PRECISION
 from .qintegral import IntegralResult
 
@@ -33,12 +33,6 @@ def canonical_json(obj) -> str:
 def ratfunc_to_obj(f: RatFuncQ) -> dict:
     return {"num": [str(c) for c in f.num.coeffs],
             "den": [str(c) for c in f.den.coeffs]}
-
-
-def ratfunc_from_obj(d: dict) -> RatFuncQ:
-    num = PolyQ([Fraction(s) for s in d["num"]])
-    den = PolyQ([Fraction(s) for s in d["den"]])
-    return RatFuncQ(num, den)
 
 
 @dataclass
@@ -155,9 +149,10 @@ class CacheError(ValueError):
 
 class ResultCache:
     """Single-file JSON cache for computed number tables and numeric
-    integrals; hits are bit-identical to recomputation.  An unreadable
-    file or entry raises CacheError, and saving replaces the file
-    atomically."""
+    integrals.  Integral hits are bit-identical to recomputation; number
+    entries are checked against the table.  An unreadable file, or an
+    entry that is malformed or disagrees with what it encodes, raises
+    CacheError, and saving replaces the file atomically."""
 
     def __init__(self, path: Optional[Path] = None):
         self.path = Path(path) if path is not None else None
@@ -191,30 +186,25 @@ class ResultCache:
             raise
         self.dirty = False
 
-    def _decode(self, key: str, decode):
-        obj = self.entries.get(key)
-        if obj is None:
-            return None
-        try:
-            return decode(obj)
-        except (KeyError, TypeError, ValueError, AttributeError,
-                ArithmeticError) as exc:
-            raise CacheError(f"malformed cache entry {key!r}: {exc!r}")
-
     # -- euler numbers -----------------------------------------------------
 
     @staticmethod
     def _euler_key(n: int) -> str:
         return f"euler:n={n}"
 
-    def get_euler(self, n: int) -> Optional[RatFuncQ]:
-        return self._decode(self._euler_key(n), ratfunc_from_obj)
-
     def put_euler(self, n: int, value: RatFuncQ):
+        """Store E[n]; an entry already stored must be its exact encoding.
+
+        Recomputing the table is cheaper than decoding it, so stored
+        entries are only ever checked, never served."""
         key = self._euler_key(n)
-        if key not in self.entries:
-            self.entries[key] = ratfunc_to_obj(value)
+        obj = ratfunc_to_obj(value)
+        stored = self.entries.get(key)
+        if stored is None:
+            self.entries[key] = obj
             self.dirty = True
+        elif stored != obj:
+            raise CacheError(f"cache entry {key!r} does not match E[{n}]")
 
     # -- numeric integrals ---------------------------------------------------
 
@@ -226,9 +216,25 @@ class ResultCache:
 
     def get_integral(self, kind, n, p, q, target, guard, max_level
                      ) -> Optional[IntegralResult]:
-        return self._decode(
-            self._integral_key(kind, n, p, q, target, guard, max_level),
-            IntegralResult.from_dict)
+        """The stored result, or None.  integrate reports its value
+        truncated to the achieved precision, so an entry whose value is
+        known to fewer digits, or lives at another prime, is malformed."""
+        key = self._integral_key(kind, n, p, q, target, guard, max_level)
+        obj = self.entries.get(key)
+        if obj is None:
+            return None
+        try:
+            result = IntegralResult.from_dict(obj)
+        except (KeyError, TypeError, ValueError, AttributeError,
+                ArithmeticError) as exc:
+            raise CacheError(f"malformed cache entry {key!r}: {exc!r}")
+        value = result.value
+        if value.p != p or value.abs_precision < result.achieved_precision:
+            raise CacheError(
+                f"malformed cache entry {key!r}: value {value} (p = "
+                f"{value.p}) is not known to its achieved precision "
+                f"{result.achieved_precision} at p = {p}")
+        return result
 
     def put_integral(self, kind, n, p, q, target, guard, max_level,
                      result: IntegralResult):

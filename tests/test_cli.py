@@ -8,7 +8,7 @@ import pytest
 
 from qeuler.cli import ConfigError, main, parse_q, parse_range
 from qeuler.padic import PadicApprox, padic_distance
-from qeuler.report import Report, ResultCache, ratfunc_from_obj, ratfunc_to_obj
+from qeuler.report import CacheError, Report, ResultCache, ratfunc_to_obj
 from qeuler.qspecial import euler_number
 
 
@@ -183,6 +183,15 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "THM6", "--q", "2")
         assert code == 2
 
+    def test_error_rows_keep_padic_mode(self, capsys):
+        # two levels cannot converge, so both cells are error rows
+        code, out, _ = run(capsys, "verify", "THM6", "--k", "1", "--m", "1..2",
+                           "--n-max", "2", "--format", "json")
+        assert code == 1
+        items = json.loads(out)["items"]
+        assert [item["verdict"] for item in items] == ["error", "error"]
+        assert {item["mode"] for item in items} == {"padic(p=3,q=4,K=4)"}
+
 
 class TestReportDocument:
     def test_round_trip(self, capsys):
@@ -245,7 +254,10 @@ class TestDeterminismAndCache:
         cache.save()
         again = ResultCache(path)
         for n in range(6):
-            assert again.get_euler(n) == euler_number(n)
+            again.put_euler(n, euler_number(n))   # raises on a mismatch
+        assert not again.dirty
+        with pytest.raises(CacheError):
+            again.put_euler(5, euler_number(4))
 
     def test_truncated_cache_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "cache.json"
@@ -262,6 +274,18 @@ class TestDeterminismAndCache:
          ("numbers", "euler", "--n", "0..2")),
         ({"bosonic:n=0:p=3:q=4:K=4:guard=4:nmax=12": {"value": {}}},
          ("numbers", "bernoulli", "--n", "0", "--p", "3", "--K", "4")),
+        # a zero known mod 3^1 beside achieved precision 4
+        ({"bosonic:n=1:p=3:q=4:K=4:guard=4:nmax=12": {
+            "value": {"p": 3, "zero": True, "abs_precision": 1},
+            "achieved_precision": 4, "levels_used": 6, "converged": True,
+            "trace": []}},
+         ("numbers", "bernoulli", "--n", "1", "--p", "3", "--K", "4")),
+        # a 5-adic value under a 3-adic key
+        ({"bosonic:n=1:p=3:q=4:K=4:guard=4:nmax=12": {
+            "value": {"p": 5, "valuation": 0, "unit": 1, "precision": 4},
+            "achieved_precision": 4, "levels_used": 6, "converged": True,
+            "trace": []}},
+         ("numbers", "bernoulli", "--n", "1", "--p", "3", "--K", "4")),
     ])
     def test_malformed_cache_is_config_error(self, capsys, tmp_path,
                                              entries, argv):
@@ -272,6 +296,22 @@ class TestDeterminismAndCache:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, *argv, "--cache", str(path))
         assert code == 2
+        assert err.startswith("error:")
+
+    def test_poisoned_euler_entry_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "cache.json"
+        args = ("numbers", "euler", "--n", "0..3", "--format", "csv",
+                "--cache", str(path))
+        code, cold, _ = run(capsys, *args)
+        assert code == 0
+        code, warm, _ = run(capsys, *args)
+        assert (code, warm) == (0, cold)
+        doc = json.loads(path.read_text())
+        doc["entries"]["euler:n=2"] = {"num": ["0", "5"], "den": ["1"]}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
         assert err.startswith("error:")
 
     def test_interrupted_save_keeps_old_file(self, tmp_path, monkeypatch):
@@ -304,6 +344,7 @@ class TestDeterminismAndCache:
         for key, entry in doc["entries"].items():
             if key.startswith("bosonic:"):
                 entry["value"] = {"p": 3, "zero": True, "abs_precision": 1}
+                entry["achieved_precision"] = 1
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, *args)
         item = json.loads(out)["items"][0]
@@ -312,5 +353,12 @@ class TestDeterminismAndCache:
         assert code == 1
 
     def test_ratfunc_serialization_round_trip(self):
-        f = euler_number(5)
-        assert ratfunc_from_obj(ratfunc_to_obj(f)) == f
+        # the stored encoding survives JSON and is accepted only for E[5]
+        stored = json.loads(json.dumps(ratfunc_to_obj(euler_number(5))))
+        cache = ResultCache()
+        cache.entries["euler:n=5"] = stored
+        cache.put_euler(5, euler_number(5))
+        assert not cache.dirty
+        cache.entries["euler:n=4"] = stored
+        with pytest.raises(CacheError):
+            cache.put_euler(4, euler_number(4))

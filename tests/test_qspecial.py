@@ -2,7 +2,7 @@
 classical-limit cross-check."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -20,6 +20,19 @@ from qeuler.qspecial import (
 
 ONE_PLUS_Q = PolyQ((1, 1))
 Q = PolyQ((0, 1))
+
+
+def accumulated_euler_numbers(n_max):
+    """E[0..n_max] by the umbral recurrence in RatFuncQ arithmetic, every
+    partial sum renormalised: the oracle for the integer table fill."""
+    numbers = [RatFuncQ.one()]
+    factor = RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q)   # -q/(1+q)
+    for m in range(1, n_max + 1):
+        s = RatFuncQ.zero()
+        for l in range(m):
+            s = s + numbers[l] * Fraction(comb(m, l))
+        numbers.append(s * factor)
+    return numbers
 
 
 class TestBinom:
@@ -73,12 +86,21 @@ class TestEulerNumbers:
             lhs = RatFuncQ(ONE_PLUS_Q) * euler_number(n) + RatFuncQ(Q) * s
             assert lhs.is_zero
 
-    def test_denominator_divides_bracket_power(self):
-        for n in range(21):
-            assert (ONE_PLUS_Q ** n % euler_number(n).den).is_zero
+    def test_matches_accumulated_fill(self):
+        for n, expected in enumerate(accumulated_euler_numbers(40)):
+            assert euler_number(n) == expected
+
+    def test_denominator_is_exact_bracket_power(self):
+        # the numerator is n! at q = -1, so no factor (1+q) cancels
+        power = PolyQ.one()
+        for n in range(101):
+            e = euler_number(n)
+            assert e.den == power
+            assert e.num.evaluate(-1) == factorial(n)
+            power = power * ONE_PLUS_Q
 
     def test_classical_limit(self):
-        for n in range(21):
+        for n in range(101):
             assert euler_number(n).evaluate(1) == classical_euler_number(n)
 
     def test_negative_index_rejected(self):
@@ -105,6 +127,13 @@ class TestEulerPolys:
             p = euler_poly(n)
             assert p.degree == n
             assert p.leading == RatFuncQ.one()
+
+    def test_matches_convolution_of_accumulated_fill(self):
+        numbers = accumulated_euler_numbers(20)
+        for n in range(21):
+            expected = XPolyQ([numbers[n - l] * Fraction(comb(n, l))
+                               for l in range(n + 1)])
+            assert euler_poly(n) == expected
 
     def test_constant_term_is_number(self):
         for n in range(13):
