@@ -3,10 +3,10 @@ families, with a mechanically verified identity catalog."""
 
 from .exactarith import (
     DivisionByZero,
+    NonUnitError,
     PoleError,
     PolyQ,
     RatFuncQ,
-    Rational,
     XPolyQ,
 )
 from .identities import (
@@ -42,12 +42,13 @@ from .qspecial import (
     euler_poly_integral01,
     q_bracket,
 )
-from .report import Report, ResultCache
+from .report import TOOL_VERSION, Report, ResultCache
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION
 
 __all__ = [
-    "DivisionByZero", "PoleError", "PolyQ", "RatFuncQ", "Rational", "XPolyQ",
+    "DivisionByZero", "NonUnitError", "PoleError", "PolyQ", "RatFuncQ",
+    "XPolyQ",
     "IdentityId", "NumericContext", "VerificationResult", "verify", "verify_grid",
     "PadicApprox", "PrecisionBudget", "PrecisionExhausted",
     "padic_distance",

@@ -28,6 +28,7 @@ from .qintegral import (
     KIND_FERMIONIC,
     ConvergenceNotReached,
     IntegralRequest,
+    check_p_q,
     integrate,
 )
 from .qspecial import euler_number, euler_poly
@@ -67,6 +68,9 @@ def _add_output_opts(sp):
     sp.add_argument("--format", choices=("json", "csv", "pretty"),
                     default=None, help="output format")
     sp.add_argument("--out", metavar="PATH", help="write output to a file")
+
+
+def _add_cache_opts(sp):
     sp.add_argument("--cache", metavar="PATH", help="persistent result cache file")
     sp.add_argument("--no-cache", action="store_true",
                     help="ignore any cache and recompute everything")
@@ -97,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also evaluate each euler entry at this rational q")
     _add_padic_opts(sp)
     _add_output_opts(sp)
+    _add_cache_opts(sp)
 
     sp = sub.add_parser("poly", help="polynomial tables")
     sp.add_argument("--n", default="0..4", help="index range 'a..b'")
@@ -110,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", default=None, help="range 'a..b' for n")
     _add_padic_opts(sp)
     _add_output_opts(sp)
+    _add_cache_opts(sp)
 
     sp = sub.add_parser("integrate", help="evaluate one p-adic q-integral")
     sp.add_argument("kind", choices=(KIND_FERMIONIC, KIND_BOSONIC))
@@ -121,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("report", help="run the full default verification battery")
     _add_padic_opts(sp)
     _add_output_opts(sp)
+    _add_cache_opts(sp)
 
     return parser
 
@@ -131,6 +138,10 @@ def _padic_config(args, require_explicit: bool = False) -> dict:
     p = 3 if args.p is None else args.p
     target = 4 if args.K is None else args.K
     q = parse_q(args.q if args.q is not None else "1+p", p)
+    try:
+        check_p_q(p, q)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if target < 1:
         raise ConfigError("--K must be >= 1")
     if args.guard < 2:
@@ -142,7 +153,7 @@ def _padic_config(args, require_explicit: bool = False) -> dict:
 
 
 def _open_cache(args) -> Optional[ResultCache]:
-    if getattr(args, "no_cache", False) or not getattr(args, "cache", None):
+    if args.no_cache or not args.cache:
         return None
     return ResultCache(Path(args.cache))
 

@@ -1,10 +1,17 @@
-"""Exact arithmetic for the rational-function field in q.
+"""Exact arithmetic in the ring R = Q[q, 1/q, 1/(1+q)].
+
+Every exact value of the weight-0 q-Euler theory lies in R: the number
+E[n] has denominator exactly (1+q)^n, and the identities combine such
+values with powers of q, (1+q) and (1+q)/q.  The units of R are the
+elements c * q^a * (1+q)^b, so a value of R has the canonical form
+num / (q^a (1+q)^b), with q not dividing num when a > 0 and (1+q) not
+dividing num when b > 0.  Reducing a fraction therefore only strips
+factors of q and (1+q); no Euclidean algorithm is needed.
 
 Three immutable layers, all over exact rationals (``fractions.Fraction``):
 
 * :class:`PolyQ` -- dense univariate polynomials in ``q``;
-* :class:`RatFuncQ` -- reduced quotients of two ``PolyQ`` (monic
-  denominator, numerator and denominator coprime);
+* :class:`RatFuncQ` -- elements of R in canonical form;
 * :class:`XPolyQ` -- polynomials in ``x`` whose coefficients are
   ``RatFuncQ``.
 
@@ -19,8 +26,6 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Union
 
-Rational = Fraction
-
 CoercibleScalar = Union[int, Fraction]
 
 
@@ -32,8 +37,8 @@ class PoleError(ArithmeticError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
-def _fmt_fraction(c: Fraction) -> str:
-    return str(c)
+class NonUnitError(ArithmeticError):
+    """Division by a polynomial that is not a unit c * q^a * (1+q)^b of R."""
 
 
 def _fmt_poly(coeffs, var: str) -> str:
@@ -46,7 +51,7 @@ def _fmt_poly(coeffs, var: str) -> str:
             continue
         mag = abs(c)
         if i == 0:
-            body = _fmt_fraction(mag)
+            body = str(mag)
         else:
             power = var if i == 1 else f"{var}^{i}"
             if mag == 1:
@@ -92,10 +97,6 @@ class PolyQ:
     @classmethod
     def one(cls) -> "PolyQ":
         return _P_ONE
-
-    @classmethod
-    def q(cls) -> "PolyQ":
-        return _P_Q
 
     @classmethod
     def constant(cls, c: CoercibleScalar) -> "PolyQ":
@@ -190,50 +191,11 @@ class PolyQ:
             e >>= 1
         return result
 
-    def __divmod__(self, other: "PolyQ"):
-        """Exact rational-coefficient division with remainder."""
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        if self.degree < d:
-            return _P_ZERO, self
-        inv = 1 / other.leading
-        quot = [Fraction(0)] * (self.degree - d + 1)
-        bc = other.coeffs
-        for top in range(len(rem) - 1, d - 1, -1):
-            c = rem[top]
-            if c:
-                c *= inv
-                quot[top - d] = c
-                for i in range(d):
-                    rem[top - d + i] -= c * bc[i]
-            rem.pop()
-        return PolyQ._raw(quot), PolyQ._raw(rem)
-
-    def __floordiv__(self, other: "PolyQ") -> "PolyQ":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "PolyQ") -> "PolyQ":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "PolyQ":
-        if self.is_zero or self.leading == 1:
-            return self
-        inv = 1 / self.leading
-        return PolyQ._raw([c * inv for c in self.coeffs])
-
     def scale(self, c: CoercibleScalar) -> "PolyQ":
         c = Fraction(c)
         if c == 0:
             return _P_ZERO
         return PolyQ._raw([ci * c for ci in self.coeffs])
-
-    def shift_up(self, e: int) -> "PolyQ":
-        """Multiply by q**e."""
-        if self.is_zero or e == 0:
-            return self
-        return PolyQ._raw([Fraction(0)] * e + list(self.coeffs))
 
     def evaluate(self, q0: CoercibleScalar) -> Fraction:
         q0 = Fraction(q0)
@@ -254,19 +216,6 @@ class PolyQ:
         quot.reverse()
         return PolyQ._raw(quot), rem
 
-    @staticmethod
-    def gcd(a: "PolyQ", b: "PolyQ") -> "PolyQ":
-        """Monic greatest common divisor; gcd(0, 0) = 0."""
-        if a.is_zero:
-            return b.monic()
-        if b.is_zero:
-            return a.monic()
-        if a.degree < b.degree:
-            a, b = b, a
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
     def to_str(self, var: str = "q") -> str:
         return _fmt_poly(self.coeffs, var)
 
@@ -279,29 +228,40 @@ class PolyQ:
 
 _P_ZERO = PolyQ()
 _P_ONE = PolyQ((1,))
-_P_Q = PolyQ((0, 1))
 _P_ONE_PLUS_Q = PolyQ((1, 1))
 
 
 @lru_cache(maxsize=8192)
-def _q_one_plus_q_shape(coeffs) -> bool:
-    """True when the polynomial is c * q^b * (1+q)^a for some constant c."""
-    b = 0
-    while b < len(coeffs) and coeffs[b] == 0:
-        b += 1
-    rest = coeffs[b:]
-    if not rest:
-        return False
-    c = rest[0]
-    d = len(rest) - 1
-    return all(rest[i] == c * comb(d, i) for i in range(1, len(rest)))
+def _unit_shape(coeffs) -> tuple:
+    """(a, b, c) with the polynomial equal to c * q^a * (1+q)^b.
+
+    Raises NonUnitError for any other nonzero polynomial.
+    """
+    a = 0
+    while coeffs[a] == 0:
+        a += 1
+    c = coeffs[a]
+    b = len(coeffs) - 1 - a
+    if any(coeffs[a + i] != c * comb(b, i) for i in range(1, b + 1)):
+        raise NonUnitError(f"{_fmt_poly(coeffs, 'q')} is not a unit "
+                           "c * q^a * (1+q)^b of Q[q, 1/q, 1/(1+q)]")
+    return a, b, c
+
+
+@lru_cache(maxsize=4096)
+def _unit_poly(a: int, b: int) -> PolyQ:
+    """The expanded polynomial q^a * (1+q)^b."""
+    return PolyQ._raw([Fraction(0)] * a + [Fraction(comb(b, i)) for i in range(b + 1)])
 
 
 class RatFuncQ:
-    """Reduced rational function in q: monic denominator, gcd(num, den) = 1.
+    """An element of the ring R = Q[q, 1/q, 1/(1+q)] in canonical form.
 
-    The zero element is 0/1.  Equality is structural, which the canonical
-    form makes sound.
+    The canonical form is num / (q^a (1+q)^b) with ``den`` the expanded
+    q^a (1+q)^b, q not dividing num when a > 0 and (1+q) not dividing num
+    when b > 0.  The zero element is 0/1.  Equality is structural, which
+    the canonical form makes sound.  Constructing, inverting or dividing
+    by anything that is not a unit c * q^a * (1+q)^b raises NonUnitError.
     """
 
     __slots__ = ("num", "den")
@@ -366,13 +326,12 @@ class RatFuncQ:
             return self
         if self.den == other.den:
             return RatFuncQ(self.num + other.num, self.den)
-        g = PolyQ.gcd(self.den, other.den)
-        if g.degree <= 0:
-            return RatFuncQ(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
-        da = self.den // g
-        db = other.den // g
-        return RatFuncQ(self.num * db + other.num * da, self.den * db)
+        a1, b1, _ = _unit_shape(self.den.coeffs)
+        a2, b2, _ = _unit_shape(other.den.coeffs)
+        a, b = max(a1, a2), max(b1, b2)
+        return RatFuncQ(self.num * _unit_poly(a - a1, b - b1)
+                        + other.num * _unit_poly(a - a2, b - b2),
+                        _unit_poly(a, b))
 
     __radd__ = __add__
 
@@ -434,12 +393,6 @@ class RatFuncQ:
             raise PoleError(f"denominator vanishes at q = {q0}")
         return self.num.evaluate(q0) / d
 
-    def as_fraction(self) -> Fraction:
-        """The constant value, when the function is a rational constant."""
-        if self.num.degree > 0 or self.den.degree > 0:
-            raise ValueError("not a constant rational function")
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
-
     def to_str(self) -> str:
         if self.den == _P_ONE:
             return self.num.to_str()
@@ -463,61 +416,33 @@ def _rf_coerce(x):
 
 
 def _normalize(num: PolyQ, den: PolyQ):
-    """Reduce num/den to canonical form: coprime, monic denominator.
+    """Reduce num/den to canonical form; den must be a unit of R.
 
-    The denominators that arise in this library are almost always of the
-    shape c * q^b * (1+q)^a, so common factors of q and (1+q) are stripped
-    directly before any generic gcd is attempted; when the remaining
-    denominator is recognised as that shape, the gcd is 1 by construction
-    and the Euclidean step is skipped.
+    A zero numerator gives 0/1 for any nonzero denominator.
     """
     if den.is_zero:
         raise DivisionByZero("zero denominator")
     if num.is_zero:
         return _P_ZERO, _P_ONE
-    # common powers of q
-    tn = 0
-    nc = num.coeffs
-    while nc[tn] == 0:
-        tn += 1
-    td = 0
-    dc = den.coeffs
-    while dc[td] == 0:
-        td += 1
-    e = min(tn, td)
-    if e:
-        num = PolyQ._raw(list(nc[e:]))
-        den = PolyQ._raw(list(dc[e:]))
-    # common factors of (q + 1)
-    while den.degree > 0 and num.evaluate(-1) == 0 and den.evaluate(-1) == 0:
+    a, b, c = _unit_shape(den.coeffs)
+    if c != 1:
+        num = num.scale(1 / c)
+    t = 0
+    while t < a and num.coeffs[t] == 0:
+        t += 1
+    if t:
+        num = PolyQ._raw(list(num.coeffs[t:]))
+        a -= t
+    # num(-1) = 0 exactly when the even and odd coefficients have equal sums
+    while b and sum(num.coeffs[::2]) == sum(num.coeffs[1::2]):
         num = num.divide_linear(-1)[0]
-        den = den.divide_linear(-1)[0]
-    if den.degree == 0:
-        c = den.coeffs[0]
-        if c != 1:
-            num = num.scale(1 / c)
-        return num, _P_ONE
-    if num.degree > 0 and not _q_one_plus_q_shape(den.coeffs):
-        g = PolyQ.gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-            if den.degree == 0:
-                c = den.coeffs[0]
-                if c != 1:
-                    num = num.scale(1 / c)
-                return num, _P_ONE
-    lc = den.leading
-    if lc != 1:
-        inv = 1 / lc
-        num = num.scale(inv)
-        den = den.monic()
-    return num, den
+        b -= 1
+    return num, _unit_poly(a, b)
 
 
 RF_ZERO = RatFuncQ._raw(_P_ZERO, _P_ONE)
 RF_ONE = RatFuncQ._raw(_P_ONE, _P_ONE)
-RF_Q = RatFuncQ._raw(_P_Q, _P_ONE)
+RF_Q = RatFuncQ._raw(PolyQ((0, 1)), _P_ONE)
 RF_ONE_PLUS_Q = RatFuncQ._raw(_P_ONE_PLUS_Q, _P_ONE)
 
 
@@ -552,10 +477,6 @@ class XPolyQ:
     @classmethod
     def one(cls) -> "XPolyQ":
         return _X_ONE
-
-    @classmethod
-    def x(cls) -> "XPolyQ":
-        return _X_X
 
     @classmethod
     def x_power(cls, e: int) -> "XPolyQ":
@@ -735,4 +656,3 @@ def _xp_coerce(x):
 
 _X_ZERO = XPolyQ()
 _X_ONE = XPolyQ((RF_ONE,))
-_X_X = XPolyQ((RF_ZERO, RF_ONE))

@@ -18,10 +18,10 @@ sum c * x^i, seen through x^i -> x^i, E[i] or B_i.  The fermionic and
 bosonic moments of E_n(x) are its own monomial terms seen through E[i]
 and B_i.
 
-Exact identities are decided in the rational-function field (certificate
-identically zero or not); identities involving q-Bernoulli numbers can
-only ever be decided to finite p-adic precision, since those numbers are
-defined purely as Riemann-sum limits.
+Exact identities are decided in the ring R = Q[q, 1/q, 1/(1+q)]
+(certificate identically zero or not); identities involving q-Bernoulli
+numbers are decided here to finite p-adic precision, because B is
+computed as a Riemann-sum limit.
 
 Several catalogued statements exist in two encodings: a ``_PRINTED``
 variant transcribing the typeset source, including its suspect summation

@@ -122,10 +122,6 @@ class PadicApprox:
         unit = un * pow(ud, -1, m) % m
         return cls(p, vn - vd, unit, precision)
 
-    @classmethod
-    def from_int(cls, n: int, p: int, precision: int) -> "PadicApprox":
-        return cls.from_rational(Fraction(n), p, precision)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -146,10 +142,6 @@ class PadicApprox:
         if self.valuation < 0:
             raise ValueError("no integer residue at negative valuation")
         return self.p ** self.valuation * self.unit
-
-    def norm_exponent(self):
-        """v_p of the value; +inf for the zero state (capped knowledge)."""
-        return inf if self.unit is None else self.valuation
 
     def shift_by_power(self, e: int) -> "PadicApprox":
         """Exact multiplication by p^e."""

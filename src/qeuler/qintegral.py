@@ -66,6 +66,14 @@ class ConvergenceNotReached(QIntegralError):
         self.stopped_by = stopped_by
 
 
+def check_p_q(p: int, q: Fraction) -> None:
+    """Raise ValueError unless p is an odd prime and q = 1 or v_p(q - 1) >= 1."""
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if q != 1 and rational_valuation(q - 1, p) < 1:
+        raise ValueError("q must satisfy v_p(q - 1) >= 1")
+
+
 @dataclass(frozen=True)
 class IntegralRequest:
     """One shifted-monomial integrand (x0 + xi)^n against d(mu_q) or
@@ -87,12 +95,9 @@ class IntegralRequest:
             raise ValueError(f"unknown integral kind {self.kind!r}")
         if self.exponent < 0:
             raise ValueError("exponent must be >= 0")
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
         object.__setattr__(self, "shift", Fraction(self.shift))
         object.__setattr__(self, "q", Fraction(self.q))
-        if self.q != 1 and rational_valuation(self.q - 1, self.p) < 1:
-            raise ValueError("q must satisfy v_p(q - 1) >= 1")
+        check_p_q(self.p, self.q)
         if self.shift.denominator % self.p == 0:
             raise ValueError("shift must be a p-integral rational")
         if self.target < 1:

@@ -67,7 +67,7 @@ def q_bracket(n: int, reciprocal: bool = False) -> RatFuncQ:
 
     For n >= 0 this is the polynomial 1 + q + ... + q^(n-1); negative n
     gives -[(-n)]_q / q^(-n).  With ``reciprocal=True`` the base is 1/q,
-    kept inside the same field: e.g. the reciprocal bracket of 2 is
+    kept inside the same ring: e.g. the reciprocal bracket of 2 is
     (1 + q)/q.
     """
     if reciprocal:

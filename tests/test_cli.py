@@ -3,12 +3,16 @@ and the result cache."""
 
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+import qeuler
 from qeuler.cli import ConfigError, main, parse_q, parse_range
 from qeuler.padic import PadicApprox, padic_distance
-from qeuler.report import CacheError, Report, ResultCache, ratfunc_to_obj
+from qeuler.report import (TOOL_VERSION, CacheError, Report, ResultCache,
+                           ratfunc_to_obj)
 from qeuler.qspecial import euler_number
 
 
@@ -76,6 +80,14 @@ class TestNumbersCommand:
         assert code == 0
         assert "Traceback" not in err
         assert [row["n"] for row in json.loads(out)["items"]] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("bad", [("--p", "9"), ("--p", "3", "--q", "2")])
+    def test_bernoulli_bad_p_or_q_is_config_error(self, capsys, bad):
+        code, _, err = run(capsys, "numbers", "bernoulli", "--n", "0..3",
+                           *bad, "--K", "4")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_at_q_pole_is_config_error(self, capsys):
         code, _, err = run(capsys, "numbers", "euler", "--n", "0..2",
@@ -217,6 +229,12 @@ class TestReportDocument:
                         "--format", "csv")
         assert out.splitlines()[0] == "id,params,mode,verdict,certificate"
 
+    def test_one_version_literal(self):
+        pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+        assert version.group(1) == TOOL_VERSION
+        assert qeuler.__version__ == TOOL_VERSION
+
     def test_exit_code_logic(self):
         fail_printed = Report({}, [{"id": "THM3_PRINTED", "verdict": "fails"}])
         assert fail_printed.exit_code() == 0
@@ -245,6 +263,17 @@ class TestDeterminismAndCache:
         _, none, _ = run(capsys, *args, "--no-cache")
         assert Report.parse(cold).canonical() == Report.parse(warm).canonical()
         assert Report.parse(cold).canonical() == Report.parse(none).canonical()
+
+    @pytest.mark.parametrize("argv", [
+        ("poly", "--n", "0..1"),
+        ("integrate", "fermionic", "--n", "1", "--p", "3", "--K", "4"),
+    ])
+    def test_cache_flags_only_where_read(self, capsys, tmp_path, argv):
+        cache = tmp_path / "cache.json"
+        for flag in (f"--cache={cache}", "--no-cache"):
+            code, _, _ = run(capsys, *argv, flag)
+            assert code == 2
+        assert not cache.exists()
 
     def test_cache_round_trips_euler_entries(self, tmp_path):
         path = tmp_path / "cache.json"

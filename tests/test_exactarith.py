@@ -11,6 +11,7 @@ from qeuler.exactarith import (
     RF_Q,
     RF_ZERO,
     DivisionByZero,
+    NonUnitError,
     PoleError,
     PolyQ,
     RatFuncQ,
@@ -42,16 +43,6 @@ class TestPolyQ:
         assert a + PolyQ((0, 0, 3)) == PolyQ((1, 1, 3))
         assert a ** 3 == PolyQ((1, 3, 3, 1))
 
-    def test_divmod_exact(self):
-        num = PolyQ((-1, 0, 1))  # q^2 - 1
-        q_, r = divmod(num, ONE_PLUS_Q)
-        assert r.is_zero
-        assert q_ == PolyQ((-1, 1))
-
-    def test_divmod_by_zero(self):
-        with pytest.raises(DivisionByZero):
-            divmod(PolyQ((1,)), PolyQ())
-
     def test_evaluate(self):
         assert PolyQ((1, 2, 3)).evaluate(Fraction(1, 2)) == Fraction(11, 4)
 
@@ -60,33 +51,6 @@ class TestPolyQ:
         quot, val = p.divide_linear(-1)
         assert val == 0
         assert quot == ONE_PLUS_Q
-
-
-class TestPolyGcd:
-    def test_difference_of_squares(self):
-        # q^2 - 1 = (q - 1)(q + 1)
-        assert PolyQ.gcd(PolyQ((-1, 0, 1)), ONE_PLUS_Q) == ONE_PLUS_Q
-
-    def test_gcd_with_zero_is_monic_multiple(self):
-        p = PolyQ((2, 4))
-        g = PolyQ.gcd(p, PolyQ())
-        assert g == PolyQ((Fraction(1, 2), 1))
-        assert (p % g).is_zero
-
-    def test_gcd_zero_zero(self):
-        assert PolyQ.gcd(PolyQ(), PolyQ()).is_zero
-
-    def test_power_against_mixed(self):
-        # hand Euclidean run: gcd((1+q)^3, q(1+q)) = 1+q
-        a = ONE_PLUS_Q ** 3
-        b = Q * ONE_PLUS_Q
-        assert PolyQ.gcd(a, b) == ONE_PLUS_Q
-
-    def test_divides_both_inputs(self):
-        a = ONE_PLUS_Q * PolyQ((1, 0, 2))
-        b = ONE_PLUS_Q * PolyQ((3, 1))
-        g = PolyQ.gcd(a, b)
-        assert (a % g).is_zero and (b % g).is_zero
 
 
 class TestRatFuncQ:
@@ -116,9 +80,33 @@ class TestRatFuncQ:
         b = RatFuncQ(Q, ONE_PLUS_Q)
         assert a + b == RatFuncQ(PolyQ((0, 0, 2)), ONE_PLUS_Q ** 2)
 
+    def test_sum_with_mixed_q_and_bracket_exponents(self):
+        # 1/q + 1/(1+q) = (1+2q)/(q(1+q)), by hand
+        a = RatFuncQ(PolyQ((1,)), Q)
+        b = RatFuncQ(PolyQ((1,)), ONE_PLUS_Q)
+        assert a + b == RatFuncQ(PolyQ((1, 2)), Q * ONE_PLUS_Q)
+        # 1/(q(1+q)) - 1/q = -q/(q(1+q)) = -1/(1+q): the sum sheds q
+        c = RatFuncQ(PolyQ((1,)), Q * ONE_PLUS_Q)
+        d = c - a
+        assert d.num == PolyQ((-1,)) and d.den == ONE_PLUS_Q
+        # q/(1+q)^2 + 3/q^2 = (q^3 + 3(1+q)^2)/(q^2(1+q)^2)
+        e = RatFuncQ(Q, ONE_PLUS_Q ** 2) + RatFuncQ(PolyQ((3,)), Q ** 2)
+        assert e.num == PolyQ((3, 6, 3, 1))
+        assert e.den == PolyQ((0, 0, 1, 2, 1))
+
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             RF_ONE / RF_ZERO
+
+    def test_non_unit_denominator_raises(self):
+        q_minus_1 = PolyQ((-1, 1))
+        assert not issubclass(NonUnitError, ValueError)
+        with pytest.raises(NonUnitError):
+            RatFuncQ(PolyQ((1,)), q_minus_1)
+        with pytest.raises(NonUnitError):
+            RatFuncQ(q_minus_1).inv()
+        with pytest.raises(NonUnitError):
+            RF_ONE / RatFuncQ(PolyQ((1, 0, 1)))
 
     def test_eval(self):
         e1 = rf((0, -1), (1, 1))
@@ -186,13 +174,33 @@ def polys(max_degree=3):
     return st.lists(fractions_st, min_size=0, max_size=max_degree + 1).map(PolyQ)
 
 
-def nonzero_polys(max_degree=3):
-    return polys(max_degree).filter(lambda p: not p.is_zero)
+# the units of Q[q, 1/q, 1/(1+q)] that are polynomials: c * q^a * (1+q)^b
+unit_polys = st.builds(
+    lambda c, a, b: PolyQ((c,)) * Q ** a * ONE_PLUS_Q ** b,
+    fractions_st.filter(bool), st.integers(0, 2), st.integers(0, 2))
+
+ratfuncs = st.builds(RatFuncQ, polys(3), unit_polys)
+unit_ratfuncs = st.builds(RatFuncQ, unit_polys, unit_polys)
 
 
-ratfuncs = st.builds(RatFuncQ, polys(3), nonzero_polys(2))
-nonzero_ratfuncs = st.builds(
-    RatFuncQ, nonzero_polys(3), nonzero_polys(2))
+def poly_gcd(a, b):
+    """Monic gcd by Euclid's algorithm; the coprimality oracle."""
+    a, b = list(a.coeffs), list(b.coeffs)
+    while b:
+        while len(a) >= len(b):  # a <- a mod b
+            c = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] -= c * bi
+            a = list(PolyQ(a).coeffs)
+        a, b = b, a
+    return PolyQ([c / a[-1] for c in a])
+
+
+def test_poly_gcd_oracle():
+    # gcd((1+q)^3, q(1+q)) = 1+q and gcd(q^2 - 1, q - 1) = q - 1, by hand
+    assert poly_gcd(ONE_PLUS_Q ** 3, Q * ONE_PLUS_Q) == ONE_PLUS_Q
+    assert poly_gcd(PolyQ((-1, 0, 1)), PolyQ((-2, 2))) == PolyQ((-1, 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,7 +214,7 @@ def test_field_axioms(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(nonzero_ratfuncs)
+@given(unit_ratfuncs)
 def test_multiplicative_inverse(a):
     assert a * a.inv() == RF_ONE
 
@@ -217,7 +225,7 @@ def test_normalization_idempotent(a):
     again = RatFuncQ(a.num, a.den)
     assert again.num == a.num and again.den == a.den
     assert a.den.leading == 1
-    assert PolyQ.gcd(a.num, a.den).degree <= 0
+    assert poly_gcd(a.num, a.den).degree <= 0
 
 
 @settings(max_examples=40, deadline=None)
