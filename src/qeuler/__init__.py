@@ -18,7 +18,6 @@ from .identities import (
 )
 from .padic import (
     PadicApprox,
-    PrecisionBudget,
     PrecisionExhausted,
     padic_distance,
 )
@@ -50,7 +49,7 @@ __all__ = [
     "DivisionByZero", "NonUnitError", "PoleError", "PolyQ", "RatFuncQ",
     "XPolyQ",
     "IdentityId", "NumericContext", "VerificationResult", "verify", "verify_grid",
-    "PadicApprox", "PrecisionBudget", "PrecisionExhausted",
+    "PadicApprox", "PrecisionExhausted",
     "padic_distance",
     "ConvergenceNotReached", "IntegralRequest",
     "IntegralResult", "bernoulli_number_padic", "euler_number_padic",

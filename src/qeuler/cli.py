@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
@@ -152,10 +153,26 @@ def _padic_config(args, require_explicit: bool = False) -> dict:
             "n_max": args.n_max}
 
 
+@contextmanager
+def _user_file(option: str, path: str):
+    """An OSError on a file the user named is a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot use {option} {path}: {exc.strerror or exc}")
+
+
 def _open_cache(args) -> Optional[ResultCache]:
     if args.no_cache or not args.cache:
         return None
-    return ResultCache(Path(args.cache))
+    with _user_file("--cache", args.cache):
+        return ResultCache(Path(args.cache))
+
+
+def _save_cache(cache: Optional[ResultCache], args) -> None:
+    if cache is not None:
+        with _user_file("--cache", args.cache):
+            cache.save()
 
 
 def _emit(report: Report, args, default_format: str) -> None:
@@ -167,7 +184,8 @@ def _emit(report: Report, args, default_format: str) -> None:
     else:
         text = report.to_pretty()
     if args.out:
-        Path(args.out).write_text(text)
+        with _user_file("--out", args.out):
+            Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -225,8 +243,7 @@ def cmd_numbers(args) -> int:
             if warning:
                 row["warning"] = warning
             items.append(row)
-    if cache is not None:
-        cache.save()
+    _save_cache(cache, args)
     report = Report(config, items,
                     timing={"total_seconds": time.monotonic() - start})
     _emit(report, args, "pretty")
@@ -282,8 +299,7 @@ def cmd_verify(args, battery: bool = False) -> int:
         for r in results:
             items.append(r.as_report_item())
             per_item[f"{r.id.value}:{r.params}"] = r.elapsed
-    if cache is not None:
-        cache.save()
+    _save_cache(cache, args)
 
     config = {
         "command": "report" if battery else "verify",

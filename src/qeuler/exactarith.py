@@ -15,6 +15,10 @@ Three immutable layers, all over exact rationals (``fractions.Fraction``):
 * :class:`XPolyQ` -- polynomials in ``x`` whose coefficients are
   ``RatFuncQ``.
 
+``PolyQ`` and ``XPolyQ`` are one dense-polynomial class, ``_DensePoly``,
+over two coefficient rings (Q and R); each supplies only its ring and its
+rendering.
+
 No floating point appears anywhere in this module; every operation either
 returns an exact value or raises.
 """
@@ -67,8 +71,50 @@ def _fmt_poly(coeffs, var: str) -> str:
     return "".join(parts)
 
 
-class PolyQ:
-    """Dense polynomial in q, coefficients ascending by power.
+class _Ring:
+    """Subtraction, powers and rendering shared by the three ring types.
+
+    A subclass supplies ``_coerce`` (its own type from an operand, or
+    None), ``__add__``, ``__neg__``, ``__mul__``, ``one``, ``_inverse``
+    (for negative powers) and ``to_str``.
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self._inverse() ** (-e)
+        result = self.one()
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def __str__(self) -> str:
+        return self.to_str()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self}')"
+
+
+class _DensePoly(_Ring):
+    """Dense polynomial over a coefficient ring, coefficients ascending by
+    power.
+
+    A subclass names its coefficient ring by ``_scalar``, which returns an
+    operand as an element of that ring, or None when it is not one.
 
     Invariant: the highest stored coefficient is nonzero; the zero
     polynomial stores nothing and has degree -1.
@@ -76,14 +122,11 @@ class PolyQ:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[CoercibleScalar] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs: Iterable = ()):
+        self.coeffs = self._raw([self._element(c) for c in coeffs]).coeffs
 
     @classmethod
-    def _raw(cls, cs: list) -> "PolyQ":
+    def _raw(cls, cs: list):
         while cs and not cs[-1]:
             cs.pop()
         p = object.__new__(cls)
@@ -91,16 +134,27 @@ class PolyQ:
         return p
 
     @classmethod
-    def zero(cls) -> "PolyQ":
-        return _P_ZERO
+    def zero(cls):
+        return cls._raw([])
 
     @classmethod
-    def one(cls) -> "PolyQ":
-        return _P_ONE
+    def one(cls):
+        return cls._raw([cls._scalar(1)])
 
-    @classmethod
-    def constant(cls, c: CoercibleScalar) -> "PolyQ":
-        return cls((c,))
+    def _element(self, c):
+        s = self._scalar(c)
+        if s is None:
+            raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
+        return s
+
+    def _coerce(self, other):
+        if type(other) is type(self):
+            return other
+        s = self._scalar(other)
+        return None if s is None else self._raw([s])
+
+    def _inverse(self):
+        raise ValueError("negative power of a polynomial")
 
     @property
     def degree(self) -> int:
@@ -111,35 +165,30 @@ class PolyQ:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+    def leading(self):
+        return self.coeffs[-1] if self.coeffs else self._scalar(0)
+
+    def coefficient(self, i: int):
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return self._scalar(0)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PolyQ):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == PolyQ.constant(other)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self) -> "PolyQ":
-        return PolyQ._raw([-c for c in self.coeffs])
+    def __neg__(self):
+        return self._raw([-c for c in self.coeffs])
 
-    def _coerce(self, other):
-        if isinstance(other, PolyQ):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PolyQ.constant(other)
-        return None
-
-    def __add__(self, other) -> "PolyQ":
+    def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -148,61 +197,57 @@ class PolyQ:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return PolyQ._raw(out)
+            out[i] += c
+        return self._raw(out)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "PolyQ":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "PolyQ":
-        return (-self) + other
-
-    def __mul__(self, other) -> "PolyQ":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def __mul__(self, other):
+        """A ring scalar scales each coefficient; a polynomial of the same
+        class gives the convolution, skipping zero coefficients."""
+        if type(other) is not type(self):
+            s = self._scalar(other)
+            if s is None:
+                return NotImplemented
+            return self._raw([c * s for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return _P_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return self._raw([])
+        out = [self._scalar(0)] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         out[i + j] += ai * bj
-        return PolyQ._raw(out)
+        return self._raw(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "PolyQ":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _P_ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def scale(self, c: CoercibleScalar) -> "PolyQ":
-        c = Fraction(c)
-        if c == 0:
-            return _P_ZERO
-        return PolyQ._raw([ci * c for ci in self.coeffs])
-
-    def evaluate(self, q0: CoercibleScalar) -> Fraction:
-        q0 = Fraction(q0)
-        acc = Fraction(0)
+    def evaluate(self, at):
+        """Horner evaluation at an element of the coefficient ring."""
+        at = self._element(at)
+        acc = self._scalar(0)
         for c in reversed(self.coeffs):
-            acc = acc * q0 + c
+            acc = acc * at + c
         return acc
+
+
+class PolyQ(_DensePoly):
+    """Dense polynomial in q over the rationals."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _scalar(c):
+        if isinstance(c, Fraction):
+            return c
+        if isinstance(c, int):
+            return Fraction(c)
+        return None
+
+    @classmethod
+    def constant(cls, c: CoercibleScalar) -> "PolyQ":
+        return cls((c,))
 
     def divide_linear(self, r: CoercibleScalar):
         """Synthetic division by (q - r): returns (quotient, value at r)."""
@@ -218,12 +263,6 @@ class PolyQ:
 
     def to_str(self, var: str = "q") -> str:
         return _fmt_poly(self.coeffs, var)
-
-    def __str__(self) -> str:
-        return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"PolyQ('{self}')"
 
 
 _P_ZERO = PolyQ()
@@ -254,7 +293,17 @@ def _unit_poly(a: int, b: int) -> PolyQ:
     return PolyQ._raw([Fraction(0)] * a + [Fraction(comb(b, i)) for i in range(b + 1)])
 
 
-class RatFuncQ:
+def _rf_coerce(x):
+    if isinstance(x, RatFuncQ):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return RatFuncQ.from_fraction(x)
+    if isinstance(x, PolyQ):
+        return RatFuncQ._raw(x, _P_ONE) if not x.is_zero else RF_ZERO
+    return None
+
+
+class RatFuncQ(_Ring):
     """An element of the ring R = Q[q, 1/q, 1/(1+q)] in canonical form.
 
     The canonical form is num / (q^a (1+q)^b) with ``den`` the expanded
@@ -265,6 +314,8 @@ class RatFuncQ:
     """
 
     __slots__ = ("num", "den")
+
+    _coerce = staticmethod(_rf_coerce)
 
     def __init__(self, num, den=_P_ONE):
         if not isinstance(num, PolyQ):
@@ -335,15 +386,6 @@ class RatFuncQ:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "RatFuncQ":
-        other = _rf_coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RatFuncQ":
-        return (-self) + other
-
     def __mul__(self, other) -> "RatFuncQ":
         other = _rf_coerce(other)
         if other is None:
@@ -368,22 +410,12 @@ class RatFuncQ:
             return NotImplemented
         return other / self
 
-    def __pow__(self, e: int) -> "RatFuncQ":
-        if e < 0:
-            return self.inv() ** (-e)
-        result = RF_ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def inv(self) -> "RatFuncQ":
         if self.is_zero:
             raise DivisionByZero("inverse of the zero rational function")
         return RatFuncQ(self.den, self.num)
+
+    _inverse = inv
 
     def evaluate(self, q0: CoercibleScalar) -> Fraction:
         """Exact evaluation at a rational point; raises PoleError at poles."""
@@ -398,22 +430,6 @@ class RatFuncQ:
             return self.num.to_str()
         return f"({self.num.to_str()})/({self.den.to_str()})"
 
-    def __str__(self) -> str:
-        return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"RatFuncQ('{self}')"
-
-
-def _rf_coerce(x):
-    if isinstance(x, RatFuncQ):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RatFuncQ.from_fraction(x)
-    if isinstance(x, PolyQ):
-        return RatFuncQ._raw(x, _P_ONE) if not x.is_zero else RF_ZERO
-    return None
-
 
 def _normalize(num: PolyQ, den: PolyQ):
     """Reduce num/den to canonical form; den must be a unit of R.
@@ -426,7 +442,7 @@ def _normalize(num: PolyQ, den: PolyQ):
         return _P_ZERO, _P_ONE
     a, b, c = _unit_shape(den.coeffs)
     if c != 1:
-        num = num.scale(1 / c)
+        num = num * (1 / c)
     t = 0
     while t < a and num.coeffs[t] == 0:
         t += 1
@@ -446,137 +462,16 @@ RF_Q = RatFuncQ._raw(PolyQ((0, 1)), _P_ONE)
 RF_ONE_PLUS_Q = RatFuncQ._raw(_P_ONE_PLUS_Q, _P_ONE)
 
 
-class XPolyQ:
-    """Polynomial in x with RatFuncQ coefficients, ascending by power."""
+class XPolyQ(_DensePoly):
+    """Polynomial in x over R: RatFuncQ coefficients, ascending by power."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = []
-        for c in coeffs:
-            rf = _rf_coerce(c)
-            if rf is None:
-                raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-            cs.append(rf)
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def _raw(cls, cs: list) -> "XPolyQ":
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        f = object.__new__(cls)
-        f.coeffs = tuple(cs)
-        return f
-
-    @classmethod
-    def zero(cls) -> "XPolyQ":
-        return _X_ZERO
-
-    @classmethod
-    def one(cls) -> "XPolyQ":
-        return _X_ONE
+    _scalar = staticmethod(_rf_coerce)
 
     @classmethod
     def x_power(cls, e: int) -> "XPolyQ":
         return cls._raw([RF_ZERO] * e + [RF_ONE])
-
-    @classmethod
-    def from_ratfunc(cls, c) -> "XPolyQ":
-        rf = _rf_coerce(c)
-        if rf.is_zero:
-            return _X_ZERO
-        return cls._raw([rf])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> RatFuncQ:
-        return self.coeffs[-1] if self.coeffs else RF_ZERO
-
-    def coefficient(self, i: int) -> RatFuncQ:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return RF_ZERO
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        other = _xp_coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __neg__(self) -> "XPolyQ":
-        return XPolyQ._raw([-c for c in self.coeffs])
-
-    def __add__(self, other) -> "XPolyQ":
-        other = _xp_coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XPolyQ._raw(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "XPolyQ":
-        other = _xp_coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "XPolyQ":
-        return (-self) + other
-
-    def __mul__(self, other) -> "XPolyQ":
-        if isinstance(other, (int, Fraction, PolyQ, RatFuncQ)):
-            rf = _rf_coerce(other)
-            if rf.is_zero:
-                return _X_ZERO
-            return XPolyQ._raw([c * rf for c in self.coeffs])
-        other = _xp_coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _X_ZERO
-        out = [RF_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai.is_zero:
-                for j, bj in enumerate(b):
-                    if not bj.is_zero:
-                        out[i + j] = out[i + j] + ai * bj
-        return XPolyQ._raw(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "XPolyQ":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _X_ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def derivative(self) -> "XPolyQ":
         """Coefficient-wise d/dx."""
@@ -587,27 +482,19 @@ class XPolyQ:
         total = RF_ZERO
         for i, c in enumerate(self.coeffs):
             if not c.is_zero:
-                total = total + c * RatFuncQ.from_fraction(Fraction(1, i + 1))
+                total = total + c * Fraction(1, i + 1)
         return total
-
-    def eval_at(self, x0) -> RatFuncQ:
-        """Substitute a rational (or rational-function) value for x."""
-        x0 = _rf_coerce(x0)
-        acc = RF_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
 
     def shifted(self, c) -> "XPolyQ":
         """Compose with the shift x -> x + c."""
-        shift = XPolyQ([_rf_coerce(c), RF_ONE])
-        acc = _X_ZERO
+        shift = XPolyQ([c, RF_ONE])
+        acc = XPolyQ.zero()
         for coef in reversed(self.coeffs):
-            acc = acc * shift + XPolyQ.from_ratfunc(coef)
+            acc = acc * shift + coef
         return acc
 
     def evaluate_point(self, x0: CoercibleScalar, q0: CoercibleScalar) -> Fraction:
-        return self.eval_at(Fraction(x0)).evaluate(q0)
+        return self.evaluate(Fraction(x0)).evaluate(q0)
 
     def to_str(self, var: str = "x") -> str:
         if not self.coeffs:
@@ -637,22 +524,3 @@ class XPolyQ:
             else:
                 out += " + " + body
         return out
-
-    def __str__(self) -> str:
-        return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"XPolyQ('{self}')"
-
-
-def _xp_coerce(x):
-    if isinstance(x, XPolyQ):
-        return x
-    rf = _rf_coerce(x)
-    if rf is None:
-        return None
-    return XPolyQ.from_ratfunc(rf)
-
-
-_X_ZERO = XPolyQ()
-_X_ONE = XPolyQ((RF_ONE,))

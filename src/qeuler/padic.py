@@ -27,14 +27,39 @@ class PrecisionExhausted(PadicError):
     """An operation left no known digits in the result."""
 
 
+# Miller-Rabin to the first 13 prime bases is deterministic below this
+# bound (J. Sorenson and J. Webster, Math. Comp. 86 (2017) 985-1003).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_odd_prime(p: int) -> bool:
+    """Deterministic primality test.  Raises ValueError for p at or above
+    PRIME_BOUND with no prime factor up to 41, which it cannot decide."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES[1:]:
+        if p % b == 0:
+            return p == b
+    if p < 43 * 43:     # no prime factor up to 41
+        return True
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p = {p} is not below {PRIME_BOUND}, the bound of "
+                         "the deterministic primality test")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -267,23 +292,3 @@ def padic_distance(a: PadicApprox, b: PadicApprox):
     available precision."""
     d = a - b
     return inf if d.is_zero else d.valuation
-
-
-@dataclass(frozen=True)
-class PrecisionBudget:
-    """Target digits plus guard digits, with the level-dependent surcharge
-    needed when a Riemann-sum normalizer carries positive valuation."""
-
-    target: int
-    guard: int = DEFAULT_GUARD
-    level_surcharge: bool = True
-
-    def __post_init__(self):
-        if self.target < 1:
-            raise ValueError("target precision must be >= 1")
-        if self.guard < 2:
-            raise ValueError("guard must be >= 2")
-
-    def working_exponent(self, level: int, bosonic: bool) -> int:
-        extra = level if (bosonic and self.level_surcharge) else 0
-        return self.target + self.guard + extra

@@ -26,7 +26,6 @@ from typing import Optional, Tuple, Union
 from .padic import (
     DEFAULT_GUARD,
     PadicApprox,
-    PrecisionBudget,
     PrecisionExhausted,
     is_odd_prime,
     padic_distance,
@@ -102,14 +101,18 @@ class IntegralRequest:
             raise ValueError("shift must be a p-integral rational")
         if self.target < 1:
             raise ValueError("target precision must be >= 1")
-        self.budget()  # validates guard
-
-    def budget(self) -> PrecisionBudget:
-        return PrecisionBudget(self.target, self.guard, self.level_surcharge)
+        if self.guard < 2:
+            raise ValueError("guard must be >= 2")
 
     @property
     def bosonic(self) -> bool:
         return self.kind == KIND_BOSONIC
+
+    def working_exponent(self, level: int) -> int:
+        """Target plus guard digits, plus the level surcharge a bosonic
+        normalizer of valuation ``level`` needs."""
+        extra = level if (self.bosonic and self.level_surcharge) else 0
+        return self.target + self.guard + extra
 
 
 LevelTrace = Tuple[int, PadicApprox, Union[int, float, None]]
@@ -231,12 +234,12 @@ def _level_sum(req: IntegralRequest, level: int, work: int) -> int:
 def riemann_level(req: IntegralRequest, level: int) -> PadicApprox:
     """The exact level-N Riemann sum, as a PadicApprox.
 
-    The sum is known modulo the budget's working modulus for this level
+    The sum is known modulo the request's working modulus for this level
     and divided by the normalizer in tracked arithmetic.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    work = req.budget().working_exponent(level, req.bosonic)
+    work = req.working_exponent(level)
     summed = PadicApprox.from_residue(_level_sum(req, level, work), req.p, work)
     return summed / _normalizer(req, level, work)
 

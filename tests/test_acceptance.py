@@ -153,7 +153,7 @@ def test_criterion_08_fermionic_convergence():
                 res = integrate(req)
                 assert res.levels_used <= 10
                 assert res.achieved_precision >= 6
-                exact = euler_poly(n).eval_at(x0).evaluate(q)
+                exact = euler_poly(n).evaluate(x0).evaluate(q)
                 emb = PadicApprox.from_rational(exact, p, 12)
                 assert padic_distance(res.value, emb) >= 6
     assert time.monotonic() - start < 60.0

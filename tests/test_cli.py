@@ -4,6 +4,7 @@ and the result cache."""
 import json
 import os
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,14 @@ class TestPolyCommand:
         assert "x^2" in out
 
 
+    def test_out_in_missing_directory_is_config_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "poly", "--n", "0..1",
+                             "--out", str(tmp_path / "missing" / "x"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestIntegrateCommand:
     def test_result_and_trace(self, capsys):
         code, out, _ = run(capsys, "integrate", "fermionic", "--n", "1",
@@ -146,6 +155,25 @@ class TestIntegrateCommand:
         assert code == 0
         assert "Traceback" not in err
         assert json.loads(out)["items"][0]["achieved_precision"] == 4
+
+    def test_mersenne_61_prime_exits_zero(self, capsys):
+        p = 2 ** 61 - 1
+        code, out, err = run(capsys, "integrate", "fermionic", "--n", "1",
+                             "--p", str(p), "--K", "4", "--format", "json")
+        assert code == 0
+        result = json.loads(out)["items"][0]
+        assert result["achieved_precision"] == 4
+        exact = PadicApprox.from_rational(euler_number(1).evaluate(1 + p), p, 4)
+        assert result["value"] == str(exact)
+
+    def test_prime_beyond_test_bound_is_config_error(self, capsys):
+        start = time.monotonic()
+        code, _, err = run(capsys, "integrate", "fermionic", "--n", "1",
+                           "--p", str((2 ** 31 - 1) * (2 ** 61 - 1)),
+                           "--K", "4")
+        assert code == 2
+        assert err.startswith("error:")
+        assert time.monotonic() - start < 5
 
     def test_bosonic_trivial(self, capsys):
         code, out, _ = run(capsys, "integrate", "bosonic", "--n", "0",
@@ -339,6 +367,21 @@ class TestDeterminismAndCache:
         doc["entries"]["euler:n=2"] = {"num": ["0", "5"], "den": ["1"]}
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_cache_in_missing_directory_is_config_error(self, capsys,
+                                                         tmp_path):
+        code, out, err = run(capsys, "numbers", "euler", "--n", "0..2",
+                             "--cache", str(tmp_path / "missing" / "c.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_cache_path_is_directory_is_config_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "numbers", "euler", "--n", "0..2",
+                             "--cache", str(tmp_path))
         assert code == 2
         assert out == ""
         assert err.startswith("error:")

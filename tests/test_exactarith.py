@@ -151,7 +151,7 @@ class TestXPolyQ:
 
     def test_eval_at_zero_extracts_constant(self):
         f = XPolyQ([RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q), RF_ONE])
-        assert f.eval_at(Fraction(0)) == RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q)
+        assert f.evaluate(Fraction(0)) == RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q)
 
     def test_shifted(self):
         f = XPolyQ.x_power(2)
@@ -232,7 +232,7 @@ def test_normalization_idempotent(a):
 @given(st.lists(ratfuncs, min_size=0, max_size=4).map(XPolyQ))
 def test_fundamental_theorem_of_calculus(f):
     lhs = f.derivative().integral01()
-    rhs = f.eval_at(Fraction(1)) - f.eval_at(Fraction(0))
+    rhs = f.evaluate(Fraction(1)) - f.evaluate(Fraction(0))
     assert lhs == rhs
 
 
@@ -249,3 +249,36 @@ def test_eval_is_ring_homomorphism(a, b, q0):
         return
     assert vab == va * vb
     assert vs == va + vb
+
+
+xpolys = st.lists(ratfuncs, min_size=0, max_size=3).map(XPolyQ)
+
+
+@settings(max_examples=30, deadline=None)
+@given(xpolys, xpolys, xpolys)
+def test_xpoly_ring_axioms(f, g, h):
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f + g == g + f
+    assert f * g == g * f
+    assert f - f == XPolyQ.zero()
+    assert f * XPolyQ.one() == f
+    assert (f * g).is_zero or (f * g).degree == f.degree + g.degree
+
+
+@settings(max_examples=40, deadline=None)
+@given(xpolys, xpolys, ratfuncs, ratfuncs)
+def test_xpoly_evaluation_is_homomorphism(f, g, c, x0):
+    # x -> x0 in R respects +, * and the product with an R-scalar c
+    assert (f + g).evaluate(x0) == f.evaluate(x0) + g.evaluate(x0)
+    assert (f * g).evaluate(x0) == f.evaluate(x0) * g.evaluate(x0)
+    assert (f * c).evaluate(x0) == f.evaluate(x0) * c
+    assert c * f == f * XPolyQ([c])
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(3), fractions_st)
+def test_poly_scalar_product_is_constant_product(p, c):
+    assert p * c == p * PolyQ.constant(c)
+    assert c * p == PolyQ.constant(c) * p

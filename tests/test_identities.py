@@ -49,7 +49,7 @@ def ctx():
 class TestEq6:
     def test_degenerate_cell(self):
         left, right = sides_eq6(0, 0)
-        assert left == right == XPolyQ.from_ratfunc(RatFuncQ(ONE_PLUS_Q))
+        assert left == right == XPolyQ([RatFuncQ(ONE_PLUS_Q)])
 
     def test_k1_m0(self):
         left, right = sides_eq6(1, 0)

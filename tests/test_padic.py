@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from qeuler.exactarith import DivisionByZero
 from qeuler.padic import (
+    PRIME_BOUND,
     PadicApprox,
-    PrecisionBudget,
     PrecisionExhausted,
+    is_odd_prime,
     padic_distance,
     rational_valuation,
 )
+from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC, IntegralRequest
 
 
 class TestConstruction:
@@ -139,14 +141,46 @@ class TestDistance:
 class TestBudget:
     def test_guard_floor(self):
         with pytest.raises(ValueError):
-            PrecisionBudget(4, guard=1)
+            IntegralRequest(KIND_BOSONIC, 0, target=4, guard=1)
 
     def test_surcharge(self):
-        b = PrecisionBudget(4, guard=4)
-        assert b.working_exponent(6, bosonic=True) == 14
-        assert b.working_exponent(6, bosonic=False) == 8
-        flat = PrecisionBudget(4, guard=4, level_surcharge=False)
-        assert flat.working_exponent(6, bosonic=True) == 8
+        bosonic = IntegralRequest(KIND_BOSONIC, 0, target=4, guard=4)
+        fermionic = IntegralRequest(KIND_FERMIONIC, 0, target=4, guard=4)
+        assert bosonic.working_exponent(6) == 14
+        assert fermionic.working_exponent(6) == 8
+        flat = IntegralRequest(KIND_BOSONIC, 0, target=4, guard=4,
+                               level_surcharge=False)
+        assert flat.working_exponent(6) == 8
+
+
+def trial_division_is_odd_prime(p: int) -> bool:
+    """Independent oracle: trial division by odd d up to sqrt(p)."""
+    if p < 3 or p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_1e5(self):
+        for p in range(-2, 10 ** 5):
+            assert is_odd_prime(p) == trial_division_is_odd_prime(p), p
+
+    def test_strong_pseudoprimes_and_large_primes(self):
+        # strong pseudoprimes to the bases 2..7 and 2..23
+        assert not is_odd_prime(3215031751)
+        assert not is_odd_prime(149491 * 747451 * 34233211)
+        assert is_odd_prime(2 ** 61 - 1)
+        assert not is_odd_prime(1000003 * 1000033)
+
+    def test_beyond_bound_is_rejected(self):
+        with pytest.raises(ValueError):
+            is_odd_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+        assert (2 ** 31 - 1) * (2 ** 61 - 1) > PRIME_BOUND
 
 
 # ---------------------------------------------------------------------------

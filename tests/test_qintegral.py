@@ -42,7 +42,7 @@ def brute_level(req: IntegralRequest, level: int) -> PadicApprox:
     """Independent oracle: the level-N sum term by term over all p^N terms,
     at the same working modulus and normalizer as riemann_level."""
     p = req.p
-    work = req.budget().working_exponent(level, req.bosonic)
+    work = req.working_exponent(level)
     modulus = p ** work
     t = req.q if req.bosonic else -req.q
     t_res = _residue_of_rational(t, p, modulus)
@@ -183,7 +183,7 @@ class TestAdaptiveIntegrate:
     def test_fermionic_shifted_agrees_with_polynomial(self):
         req = IntegralRequest(KIND_FERMIONIC, 2, Fraction(1), 3, Fraction(4), 6)
         res = integrate(req)
-        exact_value = euler_poly(2).eval_at(Fraction(1)).evaluate(4)
+        exact_value = euler_poly(2).evaluate(Fraction(1)).evaluate(4)
         exact = PadicApprox.from_rational(exact_value, 3, 12)
         assert padic_distance(res.value, exact) >= 6
 
@@ -214,7 +214,7 @@ class TestAdaptiveIntegrate:
         res = integrate(req)
         assert res.achieved_precision == 8
         assert res.levels_used == 10
-        exact_value = euler_poly(6).eval_at(Fraction(2, 7)).evaluate(6)
+        exact_value = euler_poly(6).evaluate(Fraction(2, 7)).evaluate(6)
         exact = PadicApprox.from_rational(exact_value, 5, 14)
         assert padic_distance(res.value, exact) >= 8
 

@@ -147,9 +147,9 @@ class TestEulerPolys:
         # q * E_n(1) + E_n = 0 for n >= 1, and (1 + q) at n = 0
         q_rf = RatFuncQ(Q)
         for n in range(1, 13):
-            v = q_rf * euler_poly(n).eval_at(Fraction(1)) + euler_number(n)
+            v = q_rf * euler_poly(n).evaluate(Fraction(1)) + euler_number(n)
             assert v.is_zero
-        n0 = q_rf * euler_poly(0).eval_at(Fraction(1)) + euler_number(0)
+        n0 = q_rf * euler_poly(0).evaluate(Fraction(1)) + euler_number(0)
         assert n0 == RatFuncQ(ONE_PLUS_Q)
 
 
