@@ -1,62 +1,40 @@
 """Exact and p-adic computation for the weight-0 q-Euler and q-Bernoulli
-families, with a mechanically verified identity catalog."""
+families, with a mechanically verified identity catalog.
 
-from .exactarith import (
-    DivisionByZero,
-    NonUnitError,
-    PoleError,
-    PolyQ,
-    RatFuncQ,
-    XPolyQ,
-)
-from .identities import (
-    IdentityId,
-    NumericContext,
-    VerificationResult,
-    verify,
-    verify_grid,
-)
-from .padic import (
-    PadicApprox,
-    PrecisionExhausted,
-    padic_distance,
-)
-from .qintegral import (
-    ConvergenceNotReached,
-    IntegralRequest,
-    IntegralResult,
-    bernoulli_number_padic,
-    euler_number_padic,
-    integrate,
-    riemann_level,
-)
-from .qspecial import (
-    DomainError,
-    InternalInconsistency,
-    beta_exact,
-    binom,
-    classical_euler_number,
-    euler_number,
-    euler_poly,
-    euler_poly_integral01,
-    q_bracket,
-)
-from .report import TOOL_VERSION, Report, ResultCache
+The names below are resolved on first use (PEP 562), so importing the
+package, or running ``python -m qeuler.cli``, loads no layer that is not
+used.
+"""
 
-__version__ = TOOL_VERSION
+from importlib import import_module
 
-__all__ = [
-    "DivisionByZero", "NonUnitError", "PoleError", "PolyQ", "RatFuncQ",
-    "XPolyQ",
-    "IdentityId", "NumericContext", "VerificationResult", "verify", "verify_grid",
-    "PadicApprox", "PrecisionExhausted",
-    "padic_distance",
-    "ConvergenceNotReached", "IntegralRequest",
-    "IntegralResult", "bernoulli_number_padic", "euler_number_padic",
-    "integrate", "riemann_level",
-    "DomainError", "InternalInconsistency", "beta_exact", "binom",
-    "classical_euler_number", "euler_number", "euler_poly",
-    "euler_poly_integral01", "q_bracket",
-    "Report", "ResultCache",
-    "__version__",
-]
+_EXPORTS = {
+    "exactarith": ("DivisionByZero", "NonUnitError", "PoleError", "PolyQ",
+                   "RatFuncQ", "XPolyQ"),
+    "identities": ("IdentityId", "NumericContext", "VerificationResult",
+                   "verify", "verify_grid"),
+    "padic": ("PadicApprox", "PrecisionExhausted", "padic_distance"),
+    "qintegral": ("ConvergenceNotReached", "IntegralRequest",
+                  "IntegralResult", "integrate", "riemann_level"),
+    "qspecial": ("DomainError", "beta_exact", "binom", "euler_number",
+                 "euler_poly", "q_bracket"),
+    "report": ("Report", "ResultCache"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name == "__version__":
+        value = import_module(".report", __name__).TOOL_VERSION
+    elif name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -5,6 +5,10 @@ reports.
 Exit codes: 0 for success (printed-variant failures are informational),
 1 when a corrected or exact identity fails, 2 for usage or configuration
 errors.
+
+Each command imports the layers it uses when it runs, so a cold process
+loads and compiles only those: ``integrate`` and ``numbers bernoulli``
+never load the exact layers or the identity catalog.
 """
 
 from __future__ import annotations
@@ -17,23 +21,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 
-from .exactarith import PoleError
-from .identities import (
-    REGISTRY,
-    IdentityId,
-    NumericContext,
-    verify_grid,
-)
-from .qintegral import (
-    KIND_BOSONIC,
-    KIND_FERMIONIC,
-    ConvergenceNotReached,
-    IntegralRequest,
-    check_p_q,
-    integrate,
-)
-from .qspecial import euler_number, euler_poly
 from .report import CacheError, Report, ResultCache
+
+# the integral kinds of qintegral, named here so that building the parser
+# loads no numeric layer
+KINDS = ("fermionic", "bosonic")
 
 
 class ConfigError(Exception):
@@ -109,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_opts(sp)
 
     sp = sub.add_parser("verify", help="verify one identity or all of them")
-    sp.add_argument("identity",
-                    choices=[i.value for i in IdentityId] + ["all"])
+    sp.add_argument("identity", help="an identity id, or 'all'")
     sp.add_argument("--k", default=None, help="range 'a..b' for k")
     sp.add_argument("--m", default=None, help="range 'a..b' for m")
     sp.add_argument("--n", default=None, help="range 'a..b' for n")
@@ -119,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_opts(sp)
 
     sp = sub.add_parser("integrate", help="evaluate one p-adic q-integral")
-    sp.add_argument("kind", choices=(KIND_FERMIONIC, KIND_BOSONIC))
+    sp.add_argument("kind", choices=KINDS)
     sp.add_argument("--n", type=int, required=True, help="monomial exponent")
     sp.add_argument("--x0", default="0", help="rational shift of the integrand")
     _add_padic_opts(sp)
@@ -134,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _padic_config(args, require_explicit: bool = False) -> dict:
+    from .qintegral import check_p_q
+
     if require_explicit and (args.p is None or args.K is None):
         raise ConfigError("this command needs explicit --p and --K")
     p = 3 if args.p is None else args.p
@@ -160,6 +153,24 @@ def _user_file(option: str, path: str):
         yield
     except OSError as exc:
         raise ConfigError(f"cannot use {option} {path}: {exc.strerror or exc}")
+
+
+def _check_user_files(args) -> None:
+    """Reject an --out or --cache path that cannot be written before any
+    work is done: its directory must exist and the path must not be a
+    directory.  Nothing is created or truncated here."""
+    files = [("--out", args.out)]
+    if hasattr(args, "cache") and not args.no_cache:
+        files.append(("--cache", args.cache))
+    for option, path in files:
+        if not path:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            raise ConfigError(f"cannot use {option} {path}: Is a directory")
+        if not target.parent.is_dir():
+            raise ConfigError(f"cannot use {option} {path}: "
+                              "No such file or directory")
 
 
 def _open_cache(args) -> Optional[ResultCache]:
@@ -199,6 +210,9 @@ def cmd_numbers(args) -> int:
     config = {"command": "numbers", "kind": args.kind, "n": [lo, hi]}
     cache = _open_cache(args)
     if args.kind == "euler":
+        from .exactarith import PoleError
+        from .qspecial import euler_number
+
         at_q = None
         if args.at_q is not None:
             try:
@@ -218,15 +232,21 @@ def cmd_numbers(args) -> int:
                     raise ConfigError(f"pole at q = {at_q} for n = {n}")
             items.append(row)
     else:
+        from .qintegral import (
+            KIND_BOSONIC,
+            ConvergenceNotReached,
+            MonomialIntegrals,
+        )
+
         pad = _padic_config(args, require_explicit=True)
         config.update({"p": pad["p"], "q": str(pad["q"]), "K": pad["K"],
                        "guard": pad["guard"], "n_max": pad["n_max"]})
-        ctx = NumericContext(pad["p"], pad["q"], pad["K"], pad["guard"],
-                             pad["n_max"], cache=cache)
+        integrals = MonomialIntegrals(pad["p"], pad["q"], pad["K"],
+                                      pad["guard"], pad["n_max"], cache=cache)
         for n in range(lo, hi + 1):
             warning = None
             try:
-                res = ctx.monomial_integral(KIND_BOSONIC, n)
+                res = integrals(KIND_BOSONIC, n)
             except ConvergenceNotReached as exc:
                 res = exc.result
                 warning = "convergence not reached"
@@ -251,6 +271,8 @@ def cmd_numbers(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    from .qspecial import euler_poly
+
     lo, hi = parse_range(args.n)
     if lo < 0:
         raise ConfigError("indices must be >= 0")
@@ -274,20 +296,27 @@ def _verify_ranges(args, label: str, params) -> dict:
 
 
 def cmd_verify(args, battery: bool = False) -> int:
-    pad = _padic_config(args)
-    cache = _open_cache(args)
-    ctx = NumericContext(pad["p"], pad["q"], pad["K"], pad["guard"],
-                         pad["n_max"], cache=cache)
-    start = time.monotonic()
+    from .identities import REGISTRY, IdentityId, NumericContext, verify_grid
+
     if battery or args.identity == "all":
         targets = list(IdentityId)
         config_identity = "all"
         params = ()
     else:
-        targets = [IdentityId(args.identity)]
+        try:
+            targets = [IdentityId(args.identity)]
+        except ValueError:
+            raise ConfigError(
+                f"unknown identity {args.identity!r}; expected 'all' or one "
+                f"of {', '.join(i.value for i in IdentityId)}")
         config_identity = args.identity
         params = REGISTRY[targets[0]].params
     explicit_ranges = _verify_ranges(args, config_identity, params)
+    pad = _padic_config(args)
+    cache = _open_cache(args)
+    ctx = NumericContext(pad["p"], pad["q"], pad["K"], pad["guard"],
+                         pad["n_max"], cache=cache)
+    start = time.monotonic()
 
     items = []
     per_item = {}
@@ -318,6 +347,8 @@ def cmd_verify(args, battery: bool = False) -> int:
 
 
 def cmd_integrate(args) -> int:
+    from .qintegral import ConvergenceNotReached, IntegralRequest, integrate
+
     pad = _padic_config(args)
     try:
         x0 = Fraction(args.x0)
@@ -371,6 +402,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_user_files(args)
         if args.command == "numbers":
             return cmd_numbers(args)
         if args.command == "poly":

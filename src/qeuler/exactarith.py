@@ -30,11 +30,9 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Union
 
+from .errors import DivisionByZero
+
 CoercibleScalar = Union[int, Fraction]
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Division by an exact zero polynomial or rational function."""
 
 
 class PoleError(ArithmeticError):
@@ -484,17 +482,6 @@ class XPolyQ(_DensePoly):
             if not c.is_zero:
                 total = total + c * Fraction(1, i + 1)
         return total
-
-    def shifted(self, c) -> "XPolyQ":
-        """Compose with the shift x -> x + c."""
-        shift = XPolyQ([c, RF_ONE])
-        acc = XPolyQ.zero()
-        for coef in reversed(self.coeffs):
-            acc = acc * shift + coef
-        return acc
-
-    def evaluate_point(self, x0: CoercibleScalar, q0: CoercibleScalar) -> Fraction:
-        return self.evaluate(Fraction(x0)).evaluate(q0)
 
     def to_str(self, var: str = "x") -> str:
         if not self.coeffs:

@@ -44,18 +44,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactarith import RF_ONE, RF_Q, RF_ZERO, RatFuncQ, XPolyQ
 from .padic import PadicApprox
-from .qintegral import (
-    KIND_BOSONIC,
-    IntegralRequest,
-    IntegralResult,
-    integrate,
-)
+from .qintegral import KIND_BOSONIC, IntegralResult, MonomialIntegrals
 from .qspecial import TWO_Q, TWO_Q_RECIP, binom, euler_number, euler_poly
-
-HOLDS = "holds"
-FAILS = "fails"
-HOLDS_TO_PRECISION = "holds-to-precision"
-ERROR = "error"
+from .report import ERROR, FAILS, HOLDS, HOLDS_TO_PRECISION
 
 _Q_MINUS_1 = RF_Q - RF_ONE
 _INV_TWO_Q = RF_ONE / TWO_Q
@@ -232,15 +223,6 @@ def sides_thm3(k: int, variant: str) -> Tuple[XPolyQ, XPolyQ]:
     return apply(degree_2k1_terms(k, variant), euler_poly), x_poly(degree_2k1_rhs(k))
 
 
-def thm3_construction_residual(k: int) -> XPolyQ:
-    """left(corrected) - [left(EQ6 at (k, k+1)) + left(EQ103 at k)/(1+q)];
-    identically zero by construction."""
-    corrected_left = sides_thm3(k, "corrected")[0]
-    eq6_left = sides_eq6(k, k + 1)[0]
-    eq103_left = sides_eq103(k)[0]
-    return corrected_left - (eq6_left + eq103_left * (RF_ONE / TWO_Q))
-
-
 def sides_thm4(k: int, m: int) -> Tuple[RatFuncQ, RatFuncQ]:
     """Fermionic moments of the master identity."""
     return (apply(eq6_terms(k, m), fermionic_moment),
@@ -264,22 +246,6 @@ def sides_eq8(n: int) -> Tuple[RatFuncQ, RatFuncQ]:
     return euler_poly(n).integral01(), -TWO_Q_RECIP * unit_integral(n)
 
 
-def thm1_independent_route(k: int, m: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """Reconstruct both sides of the integrated master identity by actually
-    integrating the master identity's sides over [0, 1].
-
-    Termwise integration turns each E_n(x) into -(1+q)/q * E_{n+1}/(n+1);
-    peeling off the j = 0 term and dividing by -(1+q)/q reproduces the
-    left side, and the same transform applied to the right side's exact
-    integral reproduces the right side.
-    """
-    eq6_left, eq6_right = sides_eq6(k, m)
-    head = TWO_Q * euler_number(k + m + 1) * Fraction(1, k + m + 1)
-    left = -(eq6_left.integral01() / TWO_Q_RECIP) - head
-    right = -(eq6_right.integral01() / TWO_Q_RECIP) - head
-    return left, right
-
-
 # ---------------------------------------------------------------------------
 # p-adic context and sides
 
@@ -298,12 +264,14 @@ class NumericContext:
     guard: int = 4
     max_level: int = 12
     cache: Optional[object] = None      # report.ResultCache or compatible
-    _monomials: Dict[Tuple[str, int], IntegralResult] = field(
-        default_factory=dict, repr=False)
+    _integrals: MonomialIntegrals = field(init=False, repr=False)
     _embeds: Dict[Fraction, PadicApprox] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.q = Fraction(self.q)
+        self._integrals = MonomialIntegrals(self.p, self.q, self.target,
+                                            self.guard, self.max_level,
+                                            self.cache)
 
     @property
     def embed_precision(self) -> int:
@@ -321,25 +289,8 @@ class NumericContext:
 
     def monomial_integral(self, kind: str, n: int) -> IntegralResult:
         """Adaptive integral of xi^n under the chosen measure, memoized and
-        (when a cache is attached) persisted."""
-        key = (kind, n)
-        if key not in self._monomials:
-            cached = None
-            if self.cache is not None:
-                cached = self.cache.get_integral(kind, n, self.p, self.q,
-                                                 self.target, self.guard,
-                                                 self.max_level)
-            if cached is None:
-                req = IntegralRequest(kind, n, Fraction(0), self.p, self.q,
-                                      self.target, guard=self.guard,
-                                      max_level=self.max_level)
-                cached = integrate(req)
-                if self.cache is not None:
-                    self.cache.put_integral(kind, n, self.p, self.q,
-                                            self.target, self.guard,
-                                            self.max_level, cached)
-            self._monomials[key] = cached
-        return self._monomials[key]
+        (when a cache is attached) checked against its cache entry."""
+        return self._integrals(kind, n)
 
     def bernoulli(self, n: int) -> PadicApprox:
         """Numeric weight-0 q-Bernoulli number at this context's precision."""

@@ -9,12 +9,10 @@ but never silently fabricate digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Union
 
-from .exactarith import DivisionByZero
+from .errors import DivisionByZero
 
 DEFAULT_GUARD = 4
 
@@ -84,9 +82,8 @@ def rational_valuation(r: Fraction, p: int) -> int:
     return vn - vd
 
 
-@dataclass(frozen=True)
 class PadicApprox:
-    """A p-adic number known to finite precision.
+    """A p-adic number known to finite precision; immutable and hashable.
 
     Nonzero: value = p^valuation * unit, with unit in [1, p^precision)
     coprime to p; the value is known modulo p^(valuation + precision).
@@ -94,25 +91,47 @@ class PadicApprox:
     |value|_p <= p^(-A).
     """
 
-    p: int
-    valuation: int
-    unit: Union[int, None]
-    precision: int
+    __slots__ = ("p", "valuation", "unit", "precision")
 
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.unit is None:
-            if self.precision < 0:
+    def __init__(self, p: int, valuation: int, unit, precision: int):
+        if not is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if unit is None:
+            if precision < 0:
                 raise ValueError("zero element needs absolute precision >= 0")
-            object.__setattr__(self, "valuation", 0)
+            valuation = 0
         else:
-            if self.precision < 1:
+            if precision < 1:
                 raise ValueError("nonzero element needs >= 1 known digit")
-            if not (1 <= self.unit < self.p ** self.precision):
+            if not (1 <= unit < p ** precision):
                 raise ValueError("unit out of range for stated precision")
-            if self.unit % self.p == 0:
+            if unit % p == 0:
                 raise ValueError("unit must be coprime to p")
+        init = object.__setattr__
+        init(self, "p", p)
+        init(self, "valuation", valuation)
+        init(self, "unit", unit)
+        init(self, "precision", precision)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.p, self.valuation, self.unit, self.precision)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (PadicApprox, self._fields())
 
     # -- constructors ------------------------------------------------------
 
@@ -279,12 +298,6 @@ class PadicApprox:
             return {"p": self.p, "zero": True, "abs_precision": self.precision}
         return {"p": self.p, "valuation": self.valuation,
                 "unit": self.unit, "precision": self.precision}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PadicApprox":
-        if d.get("zero"):
-            return cls.zero(d["p"], d["abs_precision"])
-        return cls(d["p"], d["valuation"], d["unit"], d["precision"])
 
 
 def padic_distance(a: PadicApprox, b: PadicApprox):

@@ -18,7 +18,6 @@ cap or when a level exhausts the working precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf
 from typing import Optional, Tuple, Union
@@ -73,36 +72,59 @@ def check_p_q(p: int, q: Fraction) -> None:
         raise ValueError("q must satisfy v_p(q - 1) >= 1")
 
 
-@dataclass(frozen=True)
 class IntegralRequest:
     """One shifted-monomial integrand (x0 + xi)^n against d(mu_q) or
     d(mu_-q), with q supplied as an exact rational so the symbolic and
-    numeric paths share it bit for bit."""
+    numeric paths share it bit for bit.  Immutable and hashable."""
 
-    kind: str
-    exponent: int
-    shift: Fraction = Fraction(0)
-    p: int = 3
-    q: Fraction = Fraction(4)
-    target: int = 4
-    guard: int = DEFAULT_GUARD
-    level_surcharge: bool = True
-    max_level: int = DEFAULT_MAX_LEVEL
+    __slots__ = ("kind", "exponent", "shift", "p", "q", "target", "guard",
+                 "level_surcharge", "max_level")
 
-    def __post_init__(self):
-        if self.kind not in (KIND_BOSONIC, KIND_FERMIONIC):
-            raise ValueError(f"unknown integral kind {self.kind!r}")
-        if self.exponent < 0:
+    def __init__(self, kind: str, exponent: int, shift=Fraction(0),
+                 p: int = 3, q=Fraction(4), target: int = 4,
+                 guard: int = DEFAULT_GUARD, level_surcharge: bool = True,
+                 max_level: int = DEFAULT_MAX_LEVEL):
+        if kind not in (KIND_BOSONIC, KIND_FERMIONIC):
+            raise ValueError(f"unknown integral kind {kind!r}")
+        if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        object.__setattr__(self, "shift", Fraction(self.shift))
-        object.__setattr__(self, "q", Fraction(self.q))
-        check_p_q(self.p, self.q)
-        if self.shift.denominator % self.p == 0:
+        shift, q = Fraction(shift), Fraction(q)
+        check_p_q(p, q)
+        if shift.denominator % p == 0:
             raise ValueError("shift must be a p-integral rational")
-        if self.target < 1:
+        if target < 1:
             raise ValueError("target precision must be >= 1")
-        if self.guard < 2:
+        if guard < 2:
             raise ValueError("guard must be >= 2")
+        for name, value in zip(self.__slots__, (
+                kind, exponent, shift, p, q, target, guard, level_surcharge,
+                max_level)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (IntegralRequest, self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"IntegralRequest({args})"
 
     @property
     def bosonic(self) -> bool:
@@ -118,13 +140,44 @@ class IntegralRequest:
 LevelTrace = Tuple[int, PadicApprox, Union[int, float, None]]
 
 
-@dataclass(frozen=True)
 class IntegralResult:
-    value: PadicApprox
-    achieved_precision: int
-    levels_used: int
-    converged: bool
-    trace: Tuple[LevelTrace, ...]
+    """The reported value of an adaptive run, its achieved precision and
+    level trace.  Immutable and hashable."""
+
+    __slots__ = ("value", "achieved_precision", "levels_used", "converged",
+                 "trace")
+
+    def __init__(self, value: PadicApprox, achieved_precision: int,
+                 levels_used: int, converged: bool,
+                 trace: Tuple[LevelTrace, ...]):
+        for name, field in zip(self.__slots__, (
+                value, achieved_precision, levels_used, converged, trace)):
+            object.__setattr__(self, name, field)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (IntegralResult, self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"IntegralResult({args})"
 
     def as_dict(self) -> dict:
         return {
@@ -141,24 +194,6 @@ class IntegralResult:
                 for lv, val, d in self.trace
             ],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IntegralResult":
-        trace = tuple(
-            (
-                row["level"],
-                PadicApprox.from_dict(row["value"]),
-                (inf if row["distance"] == "inf" else row["distance"]),
-            )
-            for row in d["trace"]
-        )
-        return cls(
-            value=PadicApprox.from_dict(d["value"]),
-            achieved_precision=d["achieved_precision"],
-            levels_used=d["levels_used"],
-            converged=d["converged"],
-            trace=trace,
-        )
 
 
 def _residue_of_rational(r: Fraction, p: int, modulus: int) -> int:
@@ -294,23 +329,35 @@ def integrate(req: IntegralRequest) -> IntegralResult:
     return result
 
 
-def bernoulli_number_padic(n: int, p: int = 3, q: Optional[Fraction] = None,
-                           target: int = 4, **kwargs) -> PadicApprox:
-    """The nth weight-0 q-Bernoulli number: bosonic integral of xi^n.
+class MonomialIntegrals:
+    """Memoized integrals of xi^n under either measure at one p-adic
+    configuration.
 
-    Defined only as a Riemann-sum limit; propagates ConvergenceNotReached.
+    Every integral is computed.  With a result cache attached (anything
+    with ``put_integral``, such as ``report.ResultCache``), each result is
+    stored, or checked against the entry already stored, so a persisted
+    file can end a run but never change an answer.
     """
-    if q is None:
-        q = Fraction(1 + p)
-    req = IntegralRequest(KIND_BOSONIC, n, Fraction(0), p, q, target, **kwargs)
-    return integrate(req).value
 
+    __slots__ = ("p", "q", "target", "guard", "max_level", "cache", "_results")
 
-def euler_number_padic(n: int, p: int = 3, q: Optional[Fraction] = None,
-                       target: int = 4, **kwargs) -> PadicApprox:
-    """The nth weight-0 q-Euler number, numerically: fermionic integral of
-    xi^n.  Cross-checks the exact table when q is embedded."""
-    if q is None:
-        q = Fraction(1 + p)
-    req = IntegralRequest(KIND_FERMIONIC, n, Fraction(0), p, q, target, **kwargs)
-    return integrate(req).value
+    def __init__(self, p: int, q, target: int, guard: int = DEFAULT_GUARD,
+                 max_level: int = DEFAULT_MAX_LEVEL, cache=None):
+        self.p, self.q, self.target = p, Fraction(q), target
+        self.guard, self.max_level, self.cache = guard, max_level, cache
+        self._results = {}
+
+    def __call__(self, kind: str, n: int) -> IntegralResult:
+        """The adaptive integral of xi^n; propagates ConvergenceNotReached."""
+        key = (kind, n)
+        result = self._results.get(key)
+        if result is None:
+            req = IntegralRequest(kind, n, Fraction(0), self.p, self.q,
+                                  self.target, guard=self.guard,
+                                  max_level=self.max_level)
+            result = integrate(req)
+            if self.cache is not None:
+                self.cache.put_integral(kind, n, self.p, self.q, self.target,
+                                        self.guard, self.max_level, result)
+            self._results[key] = result
+        return result

@@ -1,6 +1,5 @@
-"""q-bracket values, the weight-0 q-Euler numbers and polynomials, exact
-beta values, and the classical Euler-number recurrence used as an
-independent cross-check of the q -> 1 limit.
+"""q-bracket values, the weight-0 q-Euler numbers and polynomials, and
+exact beta values.
 
 The number table is driven by the umbral recurrence
 
@@ -45,10 +44,6 @@ from .exactarith import (
 
 class DomainError(ValueError):
     """Argument outside the integer domain an operation is defined on."""
-
-
-class InternalInconsistency(RuntimeError):
-    """Two routes that must agree produced different values (a code bug)."""
 
 
 def binom(n: int, r: int) -> int:
@@ -144,44 +139,8 @@ def euler_poly(n: int) -> XPolyQ:
     return _polys[n]
 
 
-def euler_poly_integral01(n: int) -> RatFuncQ:
-    """Integral of the nth q-Euler polynomial over [0, 1].
-
-    Computed two independent ways, the termwise antiderivative and the
-    closed form -(1+q)/q * E[n+1] / (n+1); raises InternalInconsistency if
-    they disagree (they cannot, unless the implementation is broken).
-    """
-    termwise = euler_poly(n).integral01()
-    closed = -TWO_Q_RECIP * euler_number(n + 1) * Fraction(1, n + 1)
-    if termwise != closed:
-        raise InternalInconsistency(
-            f"unit-interval integral routes disagree at n={n}: "
-            f"{termwise} vs {closed}"
-        )
-    return termwise
-
-
 def beta_exact(a: int, b: int) -> Fraction:
     """Exact beta value at positive integers: (a-1)! (b-1)! / (a+b-1)!."""
     if a < 1 or b < 1:
         raise DomainError("beta arguments must be integers >= 1")
     return Fraction(factorial(a - 1) * factorial(b - 1), factorial(a + b - 1))
-
-
-_classical: list[Fraction] = [Fraction(1)]
-
-
-def classical_euler_number(n: int) -> Fraction:
-    """Euler-polynomial-at-zero numbers from the classical recurrence
-    sum_{l<=n} C(n, l) E_l + E_n = 0 (n >= 1), E_0 = 1.
-
-    Deliberately independent of euler_number: this is the q -> 1 oracle.
-    """
-    if n < 0:
-        raise DomainError("index must be >= 0")
-    with _lock:
-        while len(_classical) <= n:
-            m = len(_classical)
-            s = sum(comb(m, l) * _classical[l] for l in range(m))
-            _classical.append(-s / 2)
-    return _classical[n]

@@ -11,18 +11,19 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .exactarith import RatFuncQ
-from .identities import ERROR, FAILS, HOLDS, HOLDS_TO_PRECISION
-from .qintegral import IntegralResult
-
 REPORT_SCHEMA = "qeuler-report/1"
 CACHE_SCHEMA = "qeuler-cache/1"
 TOOL_VERSION = "0.1.0"
+
+# verdicts of an identity check, as reports count them
+HOLDS = "holds"
+FAILS = "fails"
+HOLDS_TO_PRECISION = "holds-to-precision"
+ERROR = "error"
 
 
 def canonical_json(obj) -> str:
@@ -30,19 +31,34 @@ def canonical_json(obj) -> str:
                       ensure_ascii=True)
 
 
-def ratfunc_to_obj(f: RatFuncQ) -> dict:
+def ratfunc_to_obj(f) -> dict:
+    """The JSON encoding of an exactarith.RatFuncQ."""
     return {"num": [str(c) for c in f.num.coeffs],
             "den": [str(c) for c in f.den.coeffs]}
 
 
-@dataclass
 class Report:
     """A grid of verification results or table rows, with summary counts
     and a timing side channel."""
 
-    config: dict
-    items: List[dict]
-    timing: dict = field(default_factory=dict)
+    __slots__ = ("config", "items", "timing")
+    __hash__ = None
+
+    def __init__(self, config: dict, items: List[dict],
+                 timing: Optional[dict] = None):
+        self.config = config
+        self.items = items
+        self.timing = {} if timing is None else timing
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.config, self.items, self.timing)
+                == (other.config, other.items, other.timing))
+
+    def __repr__(self) -> str:
+        return (f"Report(config={self.config!r}, items={self.items!r}, "
+                f"timing={self.timing!r})")
 
     @property
     def summary(self) -> dict:
@@ -149,10 +165,10 @@ class CacheError(ValueError):
 
 class ResultCache:
     """Single-file JSON cache for computed number tables and numeric
-    integrals.  Integral hits are bit-identical to recomputation; number
-    entries are checked against the table.  An unreadable file, or an
-    entry that is malformed or disagrees with what it encodes, raises
-    CacheError, and saving replaces the file atomically."""
+    integrals.  Every entry is recomputed and checked against what it
+    encodes, never served.  An unreadable file, or an entry that is
+    malformed or disagrees with the recomputed value, raises CacheError,
+    and saving replaces the file atomically."""
 
     def __init__(self, path: Optional[Path] = None):
         self.path = Path(path) if path is not None else None
@@ -214,31 +230,16 @@ class ResultCache:
         return (f"{kind}:n={n}:p={p}:q={q}:K={target}"
                 f":guard={guard}:nmax={max_level}")
 
-    def get_integral(self, kind, n, p, q, target, guard, max_level
-                     ) -> Optional[IntegralResult]:
-        """The stored result, or None.  integrate reports its value
-        truncated to the achieved precision, so an entry whose value is
-        known to fewer digits, or lives at another prime, is malformed."""
+    def put_integral(self, kind, n, p, q, target, guard, max_level, result):
+        """Store a qintegral.IntegralResult; an entry already stored must be
+        its exact encoding.  Like E[n] entries, integrals are only ever
+        checked, never served."""
         key = self._integral_key(kind, n, p, q, target, guard, max_level)
-        obj = self.entries.get(key)
-        if obj is None:
-            return None
-        try:
-            result = IntegralResult.from_dict(obj)
-        except (KeyError, TypeError, ValueError, AttributeError,
-                ArithmeticError) as exc:
-            raise CacheError(f"malformed cache entry {key!r}: {exc!r}")
-        value = result.value
-        if value.p != p or value.abs_precision < result.achieved_precision:
-            raise CacheError(
-                f"malformed cache entry {key!r}: value {value} (p = "
-                f"{value.p}) is not known to its achieved precision "
-                f"{result.achieved_precision} at p = {p}")
-        return result
-
-    def put_integral(self, kind, n, p, q, target, guard, max_level,
-                     result: IntegralResult):
-        key = self._integral_key(kind, n, p, q, target, guard, max_level)
-        if key not in self.entries:
-            self.entries[key] = result.as_dict()
+        obj = result.as_dict()
+        stored = self.entries.get(key)
+        if stored is None:
+            self.entries[key] = obj
             self.dirty = True
+        elif stored != obj:
+            raise CacheError(f"cache entry {key!r} does not match the "
+                             "computed integral")

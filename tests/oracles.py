@@ -1,0 +1,155 @@
+"""Independent routes the tests check the library against.  None of them
+is needed to compute anything, so they live here rather than in the
+package."""
+
+from fractions import Fraction
+from math import comb, inf
+
+from qeuler.exactarith import RF_ONE, XPolyQ
+from qeuler.identities import sides_eq103, sides_eq6, sides_thm3
+from qeuler.padic import PadicApprox
+from qeuler.qintegral import (
+    KIND_BOSONIC,
+    KIND_FERMIONIC,
+    IntegralRequest,
+    IntegralResult,
+    integrate,
+)
+from qeuler.qspecial import (
+    TWO_Q,
+    TWO_Q_RECIP,
+    DomainError,
+    euler_number,
+    euler_poly,
+)
+
+
+class InternalInconsistency(RuntimeError):
+    """Two routes that must agree produced different values (a code bug)."""
+
+
+# -- polynomials in x ---------------------------------------------------------
+
+def shifted(poly: XPolyQ, c) -> XPolyQ:
+    """Compose with the shift x -> x + c."""
+    shift = XPolyQ([c, RF_ONE])
+    acc = XPolyQ.zero()
+    for coef in reversed(poly.coeffs):
+        acc = acc * shift + coef
+    return acc
+
+
+def evaluate_point(poly: XPolyQ, x0, q0) -> Fraction:
+    return poly.evaluate(Fraction(x0)).evaluate(q0)
+
+
+# -- the exact tables ---------------------------------------------------------
+
+def euler_poly_integral01(n: int):
+    """Integral of the nth q-Euler polynomial over [0, 1].
+
+    Computed two independent ways, the termwise antiderivative and the
+    closed form -(1+q)/q * E[n+1] / (n+1); raises InternalInconsistency if
+    they disagree (they cannot, unless the implementation is broken).
+    """
+    termwise = euler_poly(n).integral01()
+    closed = -TWO_Q_RECIP * euler_number(n + 1) * Fraction(1, n + 1)
+    if termwise != closed:
+        raise InternalInconsistency(
+            f"unit-interval integral routes disagree at n={n}: "
+            f"{termwise} vs {closed}"
+        )
+    return termwise
+
+
+_classical = [Fraction(1)]
+
+
+def classical_euler_number(n: int) -> Fraction:
+    """Euler-polynomial-at-zero numbers from the classical recurrence
+    sum_{l<=n} C(n, l) E_l + E_n = 0 (n >= 1), E_0 = 1.
+
+    Deliberately independent of euler_number: this is the q -> 1 oracle.
+    """
+    if n < 0:
+        raise DomainError("index must be >= 0")
+    while len(_classical) <= n:
+        m = len(_classical)
+        s = sum(comb(m, l) * _classical[l] for l in range(m))
+        _classical.append(-s / 2)
+    return _classical[n]
+
+
+# -- identity sides by other routes -------------------------------------------
+
+def thm3_construction_residual(k: int) -> XPolyQ:
+    """left(corrected) - [left(EQ6 at (k, k+1)) + left(EQ103 at k)/(1+q)];
+    identically zero by construction."""
+    corrected_left = sides_thm3(k, "corrected")[0]
+    eq6_left = sides_eq6(k, k + 1)[0]
+    eq103_left = sides_eq103(k)[0]
+    return corrected_left - (eq6_left + eq103_left * (RF_ONE / TWO_Q))
+
+
+def thm1_independent_route(k: int, m: int):
+    """Reconstruct both sides of the integrated master identity by actually
+    integrating the master identity's sides over [0, 1].
+
+    Termwise integration turns each E_n(x) into -(1+q)/q * E_{n+1}/(n+1);
+    peeling off the j = 0 term and dividing by -(1+q)/q reproduces the
+    left side, and the same transform applied to the right side's exact
+    integral reproduces the right side.
+    """
+    eq6_left, eq6_right = sides_eq6(k, m)
+    head = TWO_Q * euler_number(k + m + 1) * Fraction(1, k + m + 1)
+    left = -(eq6_left.integral01() / TWO_Q_RECIP) - head
+    right = -(eq6_right.integral01() / TWO_Q_RECIP) - head
+    return left, right
+
+
+# -- numeric numbers ----------------------------------------------------------
+
+def bernoulli_number_padic(n: int, p: int = 3, q=None, target: int = 4,
+                           **kwargs) -> PadicApprox:
+    """The nth weight-0 q-Bernoulli number: bosonic integral of xi^n.
+
+    Defined only as a Riemann-sum limit; propagates ConvergenceNotReached.
+    """
+    if q is None:
+        q = Fraction(1 + p)
+    req = IntegralRequest(KIND_BOSONIC, n, Fraction(0), p, q, target, **kwargs)
+    return integrate(req).value
+
+
+def euler_number_padic(n: int, p: int = 3, q=None, target: int = 4,
+                       **kwargs) -> PadicApprox:
+    """The nth weight-0 q-Euler number, numerically: fermionic integral of
+    xi^n.  Cross-checks the exact table when q is embedded."""
+    if q is None:
+        q = Fraction(1 + p)
+    req = IntegralRequest(KIND_FERMIONIC, n, Fraction(0), p, q, target, **kwargs)
+    return integrate(req).value
+
+
+# -- decoding the cache encoding ----------------------------------------------
+
+def padic_from_dict(d: dict) -> PadicApprox:
+    if d.get("zero"):
+        return PadicApprox.zero(d["p"], d["abs_precision"])
+    return PadicApprox(d["p"], d["valuation"], d["unit"], d["precision"])
+
+
+def integral_result_from_dict(d: dict) -> IntegralResult:
+    """The IntegralResult that IntegralResult.as_dict encoded."""
+    trace = tuple(
+        (row["level"], padic_from_dict(row["value"]),
+         inf if row["distance"] == "inf" else row["distance"])
+        for row in d["trace"]
+    )
+    return IntegralResult(
+        value=padic_from_dict(d["value"]),
+        achieved_precision=d["achieved_precision"],
+        levels_used=d["levels_used"],
+        converged=d["converged"],
+        trace=trace,
+    )

@@ -22,9 +22,7 @@ from qeuler.identities import (
     sides_thm2,
     sides_thm3,
     sides_thm4,
-    thm1_independent_route,
     sides_thm1,
-    thm3_construction_residual,
     verify,
     verify_grid,
 )
@@ -40,13 +38,18 @@ from qeuler.qspecial import (
     TWO_Q,
     TWO_Q_RECIP,
     beta_exact,
-    classical_euler_number,
     euler_number,
     euler_poly,
-    euler_poly_integral01,
 )
 from qeuler.report import Report
 from qeuler.cli import main as cli_main
+
+from oracles import (
+    classical_euler_number,
+    euler_poly_integral01,
+    thm1_independent_route,
+    thm3_construction_residual,
+)
 
 # canonical_sha256 of the default `qeuler report` battery: the behaviour
 # gate that any refactor or speed change must leave unchanged

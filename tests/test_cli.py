@@ -11,7 +11,9 @@ import pytest
 
 import qeuler
 from qeuler.cli import ConfigError, main, parse_q, parse_range
+from qeuler import qintegral
 from qeuler.padic import PadicApprox, padic_distance
+from qeuler.qintegral import IntegralResult
 from qeuler.report import (TOOL_VERSION, CacheError, Report, ResultCache,
                            ratfunc_to_obj)
 from qeuler.qspecial import euler_number
@@ -263,6 +265,14 @@ class TestReportDocument:
         assert version.group(1) == TOOL_VERSION
         assert qeuler.__version__ == TOOL_VERSION
 
+    def test_report_record(self):
+        report = Report({"a": 1}, [{"n": 0}])
+        assert report == Report({"a": 1}, [{"n": 0}], {})
+        assert report != Report({"a": 1}, [{"n": 0}], {"total_seconds": 1})
+        assert repr(report) == "Report(config={'a': 1}, items=[{'n': 0}], timing={})"
+        with pytest.raises(TypeError):
+            hash(report)
+
     def test_exit_code_logic(self):
         fail_printed = Report({}, [{"id": "THM3_PRINTED", "verdict": "fails"}])
         assert fail_printed.exit_code() == 0
@@ -403,26 +413,74 @@ class TestDeterminismAndCache:
         assert path.read_text() == before
         assert os.listdir(tmp_path) == ["cache.json"]
 
-    def test_zero_certificate_short_of_K_is_undecided(self, capsys, tmp_path):
-        # bosonic entries poisoned to zeros known mod 3^1 make the THM6
+    def test_zero_certificate_short_of_K_is_undecided(self, capsys,
+                                                      monkeypatch):
+        # bosonic integrals replaced by zeros known mod 3^1 make the THM6
         # difference a zero known to 1 < K digits: no verdict, exit 1
-        path = tmp_path / "cache.json"
-        args = ("verify", "THM6", "--k", "1", "--m", "1", "--format", "json",
-                "--cache", str(path))
+        args = ("verify", "THM6", "--k", "1", "--m", "1", "--format", "json")
         code, out, _ = run(capsys, *args)
         assert code == 0
         assert json.loads(out)["items"][0]["verdict"] == "holds-to-precision"
-        doc = json.loads(path.read_text())
-        for key, entry in doc["entries"].items():
-            if key.startswith("bosonic:"):
-                entry["value"] = {"p": 3, "zero": True, "abs_precision": 1}
-                entry["achieved_precision"] = 1
-        path.write_text(json.dumps(doc))
+        computed = qintegral.integrate
+
+        def zero_bosonic(req):
+            result = computed(req)
+            if not req.bosonic:
+                return result
+            return IntegralResult(PadicApprox.zero(3, 1), 1,
+                                  result.levels_used, result.converged,
+                                  result.trace)
+
+        monkeypatch.setattr(qintegral, "integrate", zero_bosonic)
         code, out, _ = run(capsys, *args)
         item = json.loads(out)["items"][0]
         assert item["verdict"] == "error"
         assert item["certificate"] == "O(3^1)"
         assert code == 1
+
+    def test_poisoned_integral_entry_is_config_error(self, capsys, tmp_path):
+        # a self-consistent but wrong bosonic entry: unit 17 edited to 20
+        path = tmp_path / "cache.json"
+        args = ("numbers", "bernoulli", "--n", "1", "--p", "3", "--K", "4",
+                "--cache", str(path))
+        code, cold, _ = run(capsys, *args)
+        assert code == 0
+        assert "17*3^1 + O(3^4)" in cold
+        doc = json.loads(path.read_text())
+        (key,) = [k for k in doc["entries"] if k.startswith("bosonic:n=1:")]
+        assert doc["entries"][key]["value"]["unit"] == 17
+        doc["entries"][key]["value"]["unit"] = 20
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("report", "--out", "{missing}"),
+        ("report", "--out", "{tmp}"),
+        ("verify", "EQ6", "--k", "0", "--m", "0", "--cache", "{missing}"),
+        ("verify", "EQ6", "--k", "0", "--m", "0", "--out", "{missing}"),
+    ])
+    def test_bad_output_path_fails_before_any_work(self, capsys, tmp_path,
+                                                   monkeypatch, argv):
+        from qeuler import identities
+
+        cells = []
+        checked = identities.verify
+
+        def counted(*args, **kwargs):
+            cells.append(args)
+            return checked(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "verify", counted)
+        paths = {"missing": tmp_path / "missing" / "r.json", "tmp": tmp_path}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot use --")
+        assert cells == []
+        assert os.listdir(tmp_path) == []
 
     def test_ratfunc_serialization_round_trip(self):
         # the stored encoding survives JSON and is accepted only for E[5]

@@ -1,0 +1,97 @@
+"""Import layering: each CLI command loads only the layers it uses, and the
+package namespace resolves its names on first use."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qeuler
+from qeuler import cli
+from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC
+from qeuler.report import TOOL_VERSION
+
+SRC = Path(qeuler.__file__).resolve().parent.parent
+
+# Runs its arguments through the CLI in a fresh interpreter (or, with the
+# single argument "package", imports qeuler; with none, imports nothing),
+# then writes the names of the loaded modules to stderr, one a line.
+_PROBE = """\
+import sys
+if sys.argv[1:] == ["package"]:
+    import qeuler
+elif sys.argv[1:]:
+    from qeuler.cli import main
+    main(sys.argv[1:])
+sys.stderr.write("\\n".join(sorted(sys.modules)))
+"""
+
+
+def _probe(*argv) -> set:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split("\n"))
+
+
+def loaded_modules(*argv) -> set:
+    """Modules the probe loads beyond those of interpreter start-up."""
+    return _probe(*argv) - _probe()
+
+
+NUMERIC_FREE = {"qeuler.identities", "qeuler.qspecial", "qeuler.exactarith",
+                "dataclasses"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", "fermionic", "--n", "3", "--x0", "1/2", "--p", "3",
+     "--K", "4", "--format", "json"),
+    ("numbers", "bernoulli", "--n", "0..3", "--p", "3", "--K", "4",
+     "--format", "json"),
+])
+def test_numeric_commands_load_no_exact_layer(argv):
+    modules = loaded_modules(*argv)
+    assert "qeuler.qintegral" in modules
+    assert not modules & NUMERIC_FREE
+
+
+def test_euler_table_loads_no_catalog():
+    modules = loaded_modules("numbers", "euler", "--n", "0..4", "--format",
+                             "json")
+    assert "qeuler.qspecial" in modules
+    assert not modules & {"qeuler.identities", "dataclasses"}
+
+
+def test_package_import_loads_no_layer():
+    modules = loaded_modules("package")
+    assert "qeuler" in modules
+    assert not {m for m in modules if m.startswith("qeuler.")}
+
+
+def test_public_names_resolve():
+    for name in qeuler.__all__:
+        assert getattr(qeuler, name) is not None
+    namespace = {}
+    exec("from qeuler import *", namespace)
+    assert set(qeuler.__all__) <= set(namespace)
+    assert qeuler.__version__ == TOOL_VERSION
+    with pytest.raises(AttributeError):
+        qeuler.no_such_name
+
+
+def test_division_by_zero_is_one_class():
+    from qeuler.exactarith import DivisionByZero
+    from qeuler.padic import PadicApprox
+
+    assert qeuler.DivisionByZero is DivisionByZero
+    with pytest.raises(DivisionByZero):
+        PadicApprox.from_rational(1, 3, 4) / PadicApprox.zero(3, 4)
+
+
+def test_cli_kinds_are_the_integral_kinds():
+    assert set(cli.KINDS) == {KIND_FERMIONIC, KIND_BOSONIC}

@@ -1,5 +1,7 @@
 """Fixed-precision p-adic arithmetic: embedding, propagation, distance."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import inf
 
@@ -52,6 +54,18 @@ class TestConstruction:
         x = PadicApprox.from_rational(Fraction(5, 9), 3, 4)
         assert x.valuation == -2
         assert x.abs_precision == 2
+
+    def test_immutable_value(self):
+        x = PadicApprox(3, 1, 2, 4)
+        assert x == PadicApprox(3, 1, 2, 4) != PadicApprox(3, 1, 2, 5)
+        assert hash(x) == hash(PadicApprox(3, 1, 2, 4))
+        assert PadicApprox(3, 7, None, 2) == PadicApprox.zero(3, 2)
+        for mutate in (lambda: setattr(x, "unit", 5),
+                       lambda: delattr(x, "unit")):
+            with pytest.raises(AttributeError):
+                mutate()
+        assert copy.copy(x) == pickle.loads(pickle.dumps(x)) == x
+        assert repr(x) == "PadicApprox('2*3^1 + O(3^5)')"
 
 
 class TestArithmetic:

@@ -2,6 +2,8 @@
 brute summation loop as an oracle for the closed-form level sums, adaptive
 convergence, the bosonic precision law, and frozen stabilization fixtures."""
 
+import copy
+import pickle
 import time
 from fractions import Fraction
 from math import inf
@@ -18,15 +20,18 @@ from qeuler.qintegral import (
     STOP_PRECISION,
     ConvergenceNotReached,
     IntegralRequest,
-    IntegralResult,
     _normalizer,
     _residue_of_rational,
-    bernoulli_number_padic,
-    euler_number_padic,
     integrate,
     riemann_level,
 )
 from qeuler.qspecial import euler_number, euler_poly
+
+from oracles import (
+    bernoulli_number_padic,
+    euler_number_padic,
+    integral_result_from_dict,
+)
 
 
 def exact_level_value(kind: str, n: int, x0: Fraction, p: int, q: Fraction,
@@ -165,6 +170,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             IntegralRequest("spectral", 1, Fraction(0), 3, Fraction(4), 4)
 
+    def test_records_are_immutable_values(self):
+        req = IntegralRequest(KIND_BOSONIC, 1, Fraction(1, 2), 3, 4, 2)
+        assert repr(req) == (
+            "IntegralRequest(kind='bosonic', exponent=1, shift=Fraction(1, 2), "
+            "p=3, q=Fraction(4, 1), target=2, guard=4, level_surcharge=True, "
+            "max_level=12)")
+        res = integrate(IntegralRequest(KIND_FERMIONIC, 1, 0, 3, 4, 2))
+        assert repr(res) == (
+            "IntegralResult(value=PadicApprox('1 + O(3^2)'), "
+            "achieved_precision=2, levels_used=4, converged=True, "
+            "trace=((1, PadicApprox('619 + O(3^6)'), None), "
+            "(2, PadicApprox('28 + O(3^6)'), 1), "
+            "(3, PadicApprox('523 + O(3^6)'), 2), "
+            "(4, PadicApprox('550 + O(3^6)'), 3)))")
+        for record in (req, res):
+            again = pickle.loads(pickle.dumps(record))
+            assert again == record and hash(again) == hash(record)
+            assert copy.copy(record) == record
+            field = type(record).__slots__[0]
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        assert req != IntegralRequest(KIND_BOSONIC, 1, Fraction(1, 2), 3, 4, 3)
+
     def test_allows_q_equal_one(self):
         req = IntegralRequest(KIND_BOSONIC, 0, Fraction(0), 3, Fraction(1), 4)
         v = riemann_level(req, 2)
@@ -221,7 +251,7 @@ class TestAdaptiveIntegrate:
     def test_result_round_trip(self):
         req = IntegralRequest(KIND_BOSONIC, 1, Fraction(0), 3, Fraction(4), 4)
         res = integrate(req)
-        again = IntegralResult.from_dict(res.as_dict())
+        again = integral_result_from_dict(res.as_dict())
         assert again == res
 
 

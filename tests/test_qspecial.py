@@ -11,12 +11,12 @@ from qeuler.qspecial import (
     DomainError,
     beta_exact,
     binom,
-    classical_euler_number,
     euler_number,
     euler_poly,
-    euler_poly_integral01,
     q_bracket,
 )
+
+from oracles import classical_euler_number, euler_poly_integral01
 
 ONE_PLUS_Q = PolyQ((1, 1))
 Q = PolyQ((0, 1))
