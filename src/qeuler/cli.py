@@ -8,7 +8,8 @@ errors.
 
 Each command imports the layers it uses when it runs, so a cold process
 loads and compiles only those: ``integrate`` and ``numbers bernoulli``
-never load the exact layers or the identity catalog.
+never load the exact layers or the identity catalog, and ``numbers euler``
+renders its rows from the integer table of ``zpoly`` alone.
 """
 
 from __future__ import annotations
@@ -75,9 +76,10 @@ def _add_padic_opts(sp):
                     help="q as '1+p', an integer, or 'a/b' (default 1+p)")
     sp.add_argument("--K", type=int, default=None, dest="K",
                     help="target p-adic precision")
-    sp.add_argument("--guard", type=int, default=4, help="guard digits (>= 2)")
-    sp.add_argument("--n-max", type=int, default=12, dest="n_max",
-                    help="maximum Riemann-sum level")
+    sp.add_argument("--guard", type=int, default=None,
+                    help="guard digits (>= 2, default 4)")
+    sp.add_argument("--n-max", type=int, default=None, dest="n_max",
+                    help="maximum Riemann-sum level (default 12)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,6 +133,8 @@ def _padic_config(args, require_explicit: bool = False) -> dict:
         raise ConfigError("this command needs explicit --p and --K")
     p = 3 if args.p is None else args.p
     target = 4 if args.K is None else args.K
+    guard = 4 if args.guard is None else args.guard
+    n_max = 12 if args.n_max is None else args.n_max
     q = parse_q(args.q if args.q is not None else "1+p", p)
     try:
         check_p_q(p, q)
@@ -138,12 +142,24 @@ def _padic_config(args, require_explicit: bool = False) -> dict:
         raise ConfigError(str(exc))
     if target < 1:
         raise ConfigError("--K must be >= 1")
-    if args.guard < 2:
+    if guard < 2:
         raise ConfigError("--guard must be >= 2")
-    if args.n_max < 1:
+    if n_max < 1:
         raise ConfigError("--n-max must be >= 1")
-    return {"p": p, "q": q, "K": target, "guard": args.guard,
-            "n_max": args.n_max}
+    return {"p": p, "q": q, "K": target, "guard": guard, "n_max": n_max}
+
+
+# the p-adic options by destination, as the user spells them
+_PADIC_OPTIONS = {"p": "--p", "q": "--q", "K": "--K", "guard": "--guard",
+                 "n_max": "--n-max"}
+
+
+def _reject_options(args, label: str, options: dict) -> None:
+    """An option the command would ignore is a configuration error."""
+    given = [flag for dest, flag in options.items()
+             if getattr(args, dest) is not None]
+    if given:
+        raise ConfigError(f"{label} does not take {', '.join(given)}")
 
 
 @contextmanager
@@ -205,13 +221,15 @@ def cmd_numbers(args) -> int:
     lo, hi = parse_range(args.n)
     if lo < 0:
         raise ConfigError("indices must be >= 0")
+    _reject_options(args, f"numbers {args.kind}",
+                    _PADIC_OPTIONS if args.kind == "euler" else {"at_q": "--at-q"})
     start = time.monotonic()
     items = []
     config = {"command": "numbers", "kind": args.kind, "n": [lo, hi]}
     cache = _open_cache(args)
     if args.kind == "euler":
-        from .exactarith import PoleError
-        from .qspecial import euler_number
+        from .errors import PoleError
+        from .zpoly import euler_number_at, euler_number_str, euler_numerator
 
         at_q = None
         if args.at_q is not None:
@@ -221,13 +239,12 @@ def cmd_numbers(args) -> int:
                 raise ConfigError(f"bad --at-q value {args.at_q!r}")
             config["at_q"] = str(at_q)
         for n in range(lo, hi + 1):
-            value = euler_number(n)
             if cache is not None:
-                cache.put_euler(n, value)
-            row = {"n": n, "value": str(value)}
+                cache.put_euler(n, euler_numerator(n))
+            row = {"n": n, "value": euler_number_str(n)}
             if at_q is not None:
                 try:
-                    row["value_at_q"] = str(value.evaluate(at_q))
+                    row["value_at_q"] = str(euler_number_at(n, at_q))
                 except PoleError:
                     raise ConfigError(f"pole at q = {at_q} for n = {n}")
             items.append(row)
@@ -359,7 +376,7 @@ def cmd_integrate(args) -> int:
     start = time.monotonic()
     try:
         req = IntegralRequest(args.kind, args.n, x0, pad["p"], pad["q"],
-                              pad["K"], guard=args.guard, max_level=pad["n_max"])
+                              pad["K"], guard=pad["guard"], max_level=pad["n_max"])
     except ValueError as exc:
         raise ConfigError(str(exc))
     warning = None

@@ -1,7 +1,11 @@
-"""The exception shared by the exact and the p-adic layers, kept apart so
-that neither layer has to import the other for it."""
+"""The exceptions shared by more than one layer, kept apart so that no
+layer has to import another for them."""
 
 
 class DivisionByZero(ZeroDivisionError):
     """Division by an exact zero, or by a p-adic value indistinguishable
     from zero."""
+
+
+class PoleError(ArithmeticError):
+    """Evaluation of a rational function at a zero of its denominator."""

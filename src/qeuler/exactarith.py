@@ -5,8 +5,13 @@ E[n] has denominator exactly (1+q)^n, and the identities combine such
 values with powers of q, (1+q) and (1+q)/q.  The units of R are the
 elements c * q^a * (1+q)^b, so a value of R has the canonical form
 num / (q^a (1+q)^b), with q not dividing num when a > 0 and (1+q) not
-dividing num when b > 0.  Reducing a fraction therefore only strips
-factors of q and (1+q); no Euclidean algorithm is needed.
+dividing num when b > 0.  A value is stored as the triple (num, a, b):
+the denominator is two exponents, never an expanded polynomial.  Reducing
+a fraction therefore only strips factors of q and (1+q); no Euclidean
+algorithm is needed.  Since q and (1+q) are primes of Q[q], a product
+strips a factor only when one operand's exponent for it is 0, a sum
+brings both operands to the larger exponents, and an inverse swaps the
+exponents with those of its (unit) numerator.
 
 Three immutable layers, all over exact rationals (``fractions.Fraction``):
 
@@ -17,7 +22,8 @@ Three immutable layers, all over exact rationals (``fractions.Fraction``):
 
 ``PolyQ`` and ``XPolyQ`` are one dense-polynomial class, ``_DensePoly``,
 over two coefficient rings (Q and R); each supplies only its ring and its
-rendering.
+rendering.  The renderer itself, like the integer table of q-Euler
+numerators, lives in :mod:`qeuler.zpoly`, below every exact layer.
 
 No floating point appears anywhere in this module; every operation either
 returns an exact value or raises.
@@ -30,43 +36,14 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Union
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, PoleError
+from .zpoly import bracket_power, fmt_poly
 
 CoercibleScalar = Union[int, Fraction]
 
 
-class PoleError(ArithmeticError):
-    """Evaluation of a rational function at a zero of its denominator."""
-
-
 class NonUnitError(ArithmeticError):
     """Division by a polynomial that is not a unit c * q^a * (1+q)^b of R."""
-
-
-def _fmt_poly(coeffs, var: str) -> str:
-    """Ascending-power rendering with explicit signs, e.g. ``-q + q^2``."""
-    if not coeffs:
-        return "0"
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            power = var if i == 1 else f"{var}^{i}"
-            if mag == 1:
-                body = power
-            elif mag.denominator == 1:
-                body = f"{mag}{power}"
-            else:
-                body = f"({mag}){power}"
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f" - {body}" if c < 0 else f" + {body}")
-    return "".join(parts)
 
 
 class _Ring:
@@ -260,7 +237,7 @@ class PolyQ(_DensePoly):
         return PolyQ._raw(quot), rem
 
     def to_str(self, var: str = "q") -> str:
-        return _fmt_poly(self.coeffs, var)
+        return fmt_poly(self.coeffs, var)
 
 
 _P_ZERO = PolyQ()
@@ -280,7 +257,7 @@ def _unit_shape(coeffs) -> tuple:
     c = coeffs[a]
     b = len(coeffs) - 1 - a
     if any(coeffs[a + i] != c * comb(b, i) for i in range(1, b + 1)):
-        raise NonUnitError(f"{_fmt_poly(coeffs, 'q')} is not a unit "
+        raise NonUnitError(f"{fmt_poly(coeffs, 'q')} is not a unit "
                            "c * q^a * (1+q)^b of Q[q, 1/q, 1/(1+q)]")
     return a, b, c
 
@@ -288,7 +265,7 @@ def _unit_shape(coeffs) -> tuple:
 @lru_cache(maxsize=4096)
 def _unit_poly(a: int, b: int) -> PolyQ:
     """The expanded polynomial q^a * (1+q)^b."""
-    return PolyQ._raw([Fraction(0)] * a + [Fraction(comb(b, i)) for i in range(b + 1)])
+    return PolyQ._raw([Fraction(0)] * a + [Fraction(c) for c in bracket_power(b)])
 
 
 def _rf_coerce(x):
@@ -297,38 +274,77 @@ def _rf_coerce(x):
     if isinstance(x, (int, Fraction)):
         return RatFuncQ.from_fraction(x)
     if isinstance(x, PolyQ):
-        return RatFuncQ._raw(x, _P_ONE) if not x.is_zero else RF_ZERO
+        return RatFuncQ._raw(x, 0, 0)
     return None
+
+
+def _as_poly(x) -> PolyQ:
+    if isinstance(x, PolyQ):
+        return x
+    return PolyQ.constant(x) if isinstance(x, (int, Fraction)) else PolyQ(x)
+
+
+def _lift(num: PolyQ, a: int, b: int) -> PolyQ:
+    """num * q^a * (1+q)^b."""
+    return num * _unit_poly(a, b) if a or b else num
+
+
+def _canonical(num: PolyQ, a: int, b: int, strip_q: bool = True,
+               strip_bracket: bool = True) -> "RatFuncQ":
+    """num / (q^a (1+q)^b) in canonical form.
+
+    Strips each factor q (when strip_q) and (1+q) (when strip_bracket)
+    that num shares with the denominator; a caller may skip a factor it
+    knows num to be prime to.  A zero numerator gives 0/1.
+    """
+    if num.is_zero:
+        return RF_ZERO
+    if strip_q:
+        t = 0
+        while t < a and num.coeffs[t] == 0:
+            t += 1
+        if t:
+            num = PolyQ._raw(list(num.coeffs[t:]))
+            a -= t
+    if strip_bracket:
+        # num(-1) = 0 exactly when the even and odd coefficients have equal sums
+        while b and sum(num.coeffs[::2]) == sum(num.coeffs[1::2]):
+            num = num.divide_linear(-1)[0]
+            b -= 1
+    return RatFuncQ._raw(num, a, b)
 
 
 class RatFuncQ(_Ring):
     """An element of the ring R = Q[q, 1/q, 1/(1+q)] in canonical form.
 
-    The canonical form is num / (q^a (1+q)^b) with ``den`` the expanded
-    q^a (1+q)^b, q not dividing num when a > 0 and (1+q) not dividing num
-    when b > 0.  The zero element is 0/1.  Equality is structural, which
-    the canonical form makes sound.  Constructing, inverting or dividing
-    by anything that is not a unit c * q^a * (1+q)^b raises NonUnitError.
+    The canonical form num / (q^a (1+q)^b) is stored as the triple
+    (num, a, b), with q not dividing num when a > 0 and (1+q) not dividing
+    num when b > 0; ``den`` is the expanded q^a (1+q)^b.  The zero element
+    is 0/1.  Equality is structural, which the canonical form makes sound.
+    Constructing, inverting or dividing by anything that is not a unit
+    c * q^a * (1+q)^b raises NonUnitError.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "a", "b")
 
     _coerce = staticmethod(_rf_coerce)
 
     def __init__(self, num, den=_P_ONE):
-        if not isinstance(num, PolyQ):
-            num = PolyQ.constant(num) if isinstance(num, (int, Fraction)) else PolyQ(num)
-        if not isinstance(den, PolyQ):
-            den = PolyQ.constant(den) if isinstance(den, (int, Fraction)) else PolyQ(den)
-        num, den = _normalize(num, den)
-        self.num = num
-        self.den = den
+        num, den = _as_poly(num), _as_poly(den)
+        if den.is_zero:
+            raise DivisionByZero("zero denominator")
+        f = RF_ZERO
+        if not num.is_zero:
+            a, b, c = _unit_shape(den.coeffs)
+            f = _canonical(num * (1 / c) if c != 1 else num, a, b)
+        self.num, self.a, self.b = f.num, f.a, f.b
 
     @classmethod
-    def _raw(cls, num: PolyQ, den: PolyQ) -> "RatFuncQ":
+    def _raw(cls, num: PolyQ, a: int, b: int) -> "RatFuncQ":
         f = object.__new__(cls)
         f.num = num
-        f.den = den
+        f.a = a
+        f.b = b
         return f
 
     @classmethod
@@ -341,10 +357,14 @@ class RatFuncQ(_Ring):
 
     @classmethod
     def from_fraction(cls, c: CoercibleScalar) -> "RatFuncQ":
-        c = Fraction(c)
         if c == 0:
             return RF_ZERO
-        return cls._raw(PolyQ.constant(c), _P_ONE)
+        return cls._raw(PolyQ.constant(c), 0, 0)
+
+    @property
+    def den(self) -> PolyQ:
+        """The expanded denominator q^a (1+q)^b."""
+        return _unit_poly(self.a, self.b)
 
     @property
     def is_zero(self) -> bool:
@@ -357,40 +377,44 @@ class RatFuncQ(_Ring):
         other = _rf_coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.a == other.a and self.b == other.b
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self.a, self.b))
 
     def __neg__(self) -> "RatFuncQ":
-        return RatFuncQ._raw(-self.num, self.den)
+        return RatFuncQ._raw(-self.num, self.a, self.b)
 
     def __add__(self, other) -> "RatFuncQ":
+        """Both operands are brought to the denominator
+        q^max(a) (1+q)^max(b), and the sum is reduced."""
         other = _rf_coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero:
+        if self.num.is_zero:
             return other
-        if other.is_zero:
+        if other.num.is_zero:
             return self
-        if self.den == other.den:
-            return RatFuncQ(self.num + other.num, self.den)
-        a1, b1, _ = _unit_shape(self.den.coeffs)
-        a2, b2, _ = _unit_shape(other.den.coeffs)
-        a, b = max(a1, a2), max(b1, b2)
-        return RatFuncQ(self.num * _unit_poly(a - a1, b - b1)
-                        + other.num * _unit_poly(a - a2, b - b2),
-                        _unit_poly(a, b))
+        a, b = max(self.a, other.a), max(self.b, other.b)
+        return _canonical(_lift(self.num, a - self.a, b - self.b)
+                          + _lift(other.num, a - other.a, b - other.b), a, b)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "RatFuncQ":
+        """Exponents add.  q and (1+q) are primes of Q[q], and a canonical
+        numerator over a positive power of one of them is prime to it, so
+        the product can share that factor with its denominator only when
+        one operand's exponent for it is 0."""
         other = _rf_coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if self.num.is_zero or other.num.is_zero:
             return RF_ZERO
-        return RatFuncQ(self.num * other.num, self.den * other.den)
+        return _canonical(self.num * other.num, self.a + other.a,
+                          self.b + other.b, not (self.a and other.a),
+                          not (self.b and other.b))
 
     __rmul__ = __mul__
 
@@ -398,9 +422,9 @@ class RatFuncQ(_Ring):
         other = _rf_coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
+        if other.num.is_zero:
             raise DivisionByZero("division by the zero rational function")
-        return RatFuncQ(self.num * other.den, self.den * other.num)
+        return self * other.inv()
 
     def __rtruediv__(self, other) -> "RatFuncQ":
         other = _rf_coerce(other)
@@ -409,55 +433,38 @@ class RatFuncQ(_Ring):
         return other / self
 
     def inv(self) -> "RatFuncQ":
-        if self.is_zero:
+        """The numerator must be a unit c * q^a' * (1+q)^b'; the inverse is
+        q^a (1+q)^b / c over q^a' (1+q)^b', already canonical."""
+        if self.num.is_zero:
             raise DivisionByZero("inverse of the zero rational function")
-        return RatFuncQ(self.den, self.num)
+        a, b, c = _unit_shape(self.num.coeffs)
+        num = _unit_poly(self.a, self.b)
+        return RatFuncQ._raw(num * (1 / c) if c != 1 else num, a, b)
 
     _inverse = inv
 
     def evaluate(self, q0: CoercibleScalar) -> Fraction:
         """Exact evaluation at a rational point; raises PoleError at poles."""
         q0 = Fraction(q0)
-        d = self.den.evaluate(q0)
+        d = q0 ** self.a * (1 + q0) ** self.b
         if d == 0:
             raise PoleError(f"denominator vanishes at q = {q0}")
         return self.num.evaluate(q0) / d
 
     def to_str(self) -> str:
-        if self.den == _P_ONE:
+        if not (self.a or self.b):
             return self.num.to_str()
         return f"({self.num.to_str()})/({self.den.to_str()})"
 
 
-def _normalize(num: PolyQ, den: PolyQ):
-    """Reduce num/den to canonical form; den must be a unit of R.
-
-    A zero numerator gives 0/1 for any nonzero denominator.
-    """
-    if den.is_zero:
-        raise DivisionByZero("zero denominator")
-    if num.is_zero:
-        return _P_ZERO, _P_ONE
-    a, b, c = _unit_shape(den.coeffs)
-    if c != 1:
-        num = num * (1 / c)
-    t = 0
-    while t < a and num.coeffs[t] == 0:
-        t += 1
-    if t:
-        num = PolyQ._raw(list(num.coeffs[t:]))
-        a -= t
-    # num(-1) = 0 exactly when the even and odd coefficients have equal sums
-    while b and sum(num.coeffs[::2]) == sum(num.coeffs[1::2]):
-        num = num.divide_linear(-1)[0]
-        b -= 1
-    return num, _unit_poly(a, b)
+RF_ZERO = RatFuncQ._raw(_P_ZERO, 0, 0)
+RF_ONE = RatFuncQ._raw(_P_ONE, 0, 0)
+RF_Q = RatFuncQ._raw(PolyQ((0, 1)), 0, 0)
+RF_ONE_PLUS_Q = RatFuncQ._raw(_P_ONE_PLUS_Q, 0, 0)
 
 
-RF_ZERO = RatFuncQ._raw(_P_ZERO, _P_ONE)
-RF_ONE = RatFuncQ._raw(_P_ONE, _P_ONE)
-RF_Q = RatFuncQ._raw(PolyQ((0, 1)), _P_ONE)
-RF_ONE_PLUS_Q = RatFuncQ._raw(_P_ONE_PLUS_Q, _P_ONE)
+def _is_rational(c: RatFuncQ) -> bool:
+    return not (c.a or c.b) and c.num.degree <= 0
 
 
 class XPolyQ(_DensePoly):
@@ -492,12 +499,12 @@ class XPolyQ(_DensePoly):
                 continue
             power = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
             if i == 0:
-                body = c.to_str() if c.den == _P_ONE and c.num.degree <= 0 else f"({c.to_str()})"
+                body = c.to_str() if _is_rational(c) else f"({c.to_str()})"
             elif c == RF_ONE:
                 body = power
             elif c == -RF_ONE:
                 body = f"-{power}"
-            elif c.den == _P_ONE and c.num.degree <= 0:
+            elif _is_rational(c):
                 val = c.num.coeffs[0]
                 body = (f"{val}{power}" if val.denominator == 1
                         else f"({val}){power}")

@@ -1,19 +1,9 @@
 """q-bracket values, the weight-0 q-Euler numbers and polynomials, and
 exact beta values.
 
-The number table is driven by the umbral recurrence
-
-    (1 + q) * E[n] + q * sum_{l<n} C(n, l) * E[l] = 0,      E[0] = 1.
-
-Multiplied by (1 + q)^(n-1) it becomes a recurrence over Z[q] for the
-numerators N_n = (1 + q)^n * E[n]:
-
-    N_n = -q * sum_{l<n} C(n, l) * (1 + q)^(n-1-l) * N_l,      N_0 = 1.
-
-At q = -1 only the l = n - 1 term survives, so N_n(-1) = n * N_{n-1}(-1)
-= n!, which is nonzero: (1 + q) never divides N_n, and the denominator of
-E[n] in lowest terms is exactly (1 + q)^n.  The table is filled in
-integers and each entry is handed out already in canonical form.
+The number table is E[n] = N_n / (1 + q)^n, with the integer numerators
+N_n of :mod:`qeuler.zpoly`; since (1 + q) never divides N_n, each entry
+is handed out already in canonical form, as the triple (N_n, 0, n).
 
 The polynomial table is the binomial convolution
 
@@ -40,6 +30,7 @@ from .exactarith import (
     RatFuncQ,
     XPolyQ,
 )
+from .zpoly import euler_numerator
 
 
 class DomainError(ValueError):
@@ -82,12 +73,11 @@ TWO_Q = RF_ONE_PLUS_Q                     # bracket of 2
 TWO_Q_RECIP = RatFuncQ(PolyQ((1, 1)), PolyQ((0, 1)))   # (1 + q)/q
 
 _lock = threading.Lock()
-_numerators: list[list[int]] = [[1]]      # N_n, ascending integer coefficients
 _numbers: list[RatFuncQ] = [RF_ONE]
 _polys: list[XPolyQ] = [XPolyQ.one()]
 
 
-def _poly(coeffs: list[int]) -> PolyQ:
+def _poly(coeffs) -> PolyQ:
     return PolyQ._raw([Fraction(c) for c in coeffs])
 
 
@@ -105,17 +95,7 @@ def euler_number(n: int) -> RatFuncQ:
     with _lock:
         while len(_numbers) <= n:
             m = len(_numbers)
-            # Horner in (1 + q): acc = sum_{l<m} C(m, l) (1+q)^(m-1-l) N_l
-            acc: list[int] = []
-            for l in range(m):
-                acc = [a + b for a, b in zip(acc + [0], [0] + acc)]
-                c = comb(m, l)
-                for i, x in enumerate(_numerators[l]):
-                    acc[i] += c * x
-            numerator = [0] + [-a for a in acc]
-            _numerators.append(numerator)
-            power = _poly([comb(m, i) for i in range(m + 1)])  # (1 + q)^m
-            _numbers.append(RatFuncQ._raw(_poly(numerator), power))
+            _numbers.append(RatFuncQ._raw(_poly(euler_numerator(m)), 0, m))
     return _numbers[n]
 
 
@@ -127,13 +107,12 @@ def euler_poly(n: int) -> XPolyQ:
         raise DomainError("index must be >= 0")
     if n < len(_polys):
         return _polys[n]
-    euler_number(n)
     with _lock:
         while len(_polys) <= n:
             m = len(_polys)
             coeffs = [RatFuncQ._raw(_poly([comb(m, l) * c
-                                           for c in _numerators[m - l]]),
-                                    _numbers[m - l].den)
+                                           for c in euler_numerator(m - l)]),
+                                    0, m - l)
                       for l in range(m + 1)]
             _polys.append(XPolyQ._raw(coeffs))
     return _polys[n]

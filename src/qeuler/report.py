@@ -12,8 +12,9 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from math import comb
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 REPORT_SCHEMA = "qeuler-report/1"
 CACHE_SCHEMA = "qeuler-cache/1"
@@ -29,12 +30,6 @@ ERROR = "error"
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True)
-
-
-def ratfunc_to_obj(f) -> dict:
-    """The JSON encoding of an exactarith.RatFuncQ."""
-    return {"num": [str(c) for c in f.num.coeffs],
-            "den": [str(c) for c in f.den.coeffs]}
 
 
 class Report:
@@ -208,13 +203,16 @@ class ResultCache:
     def _euler_key(n: int) -> str:
         return f"euler:n={n}"
 
-    def put_euler(self, n: int, value: RatFuncQ):
-        """Store E[n]; an entry already stored must be its exact encoding.
+    def put_euler(self, n: int, numerator: Tuple[int, ...]):
+        """Store E[n] = N_n/(1+q)^n, given the integer coefficients of N_n;
+        an entry already stored must be its exact encoding, the ascending
+        coefficients of the numerator and of the expanded denominator.
 
         Recomputing the table is cheaper than decoding it, so stored
         entries are only ever checked, never served."""
         key = self._euler_key(n)
-        obj = ratfunc_to_obj(value)
+        obj = {"num": [str(c) for c in numerator],
+               "den": [str(comb(n, i)) for i in range(n + 1)]}
         stored = self.entries.get(key)
         if stored is None:
             self.entries[key] = obj

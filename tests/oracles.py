@@ -5,7 +5,7 @@ package."""
 from fractions import Fraction
 from math import comb, inf
 
-from qeuler.exactarith import RF_ONE, XPolyQ
+from qeuler.exactarith import RF_ONE, PolyQ, RatFuncQ, XPolyQ
 from qeuler.identities import sides_eq103, sides_eq6, sides_thm3
 from qeuler.padic import PadicApprox
 from qeuler.qintegral import (
@@ -13,6 +13,8 @@ from qeuler.qintegral import (
     KIND_FERMIONIC,
     IntegralRequest,
     IntegralResult,
+    _normalizer,
+    _residue_of_rational,
     integrate,
 )
 from qeuler.qspecial import (
@@ -62,6 +64,19 @@ def euler_poly_integral01(n: int):
     return termwise
 
 
+def accumulated_euler_numbers(n_max):
+    """E[0..n_max] by the umbral recurrence in RatFuncQ arithmetic, every
+    partial sum renormalised: the oracle for the integer table fill."""
+    numbers = [RatFuncQ.one()]
+    factor = RatFuncQ(PolyQ((0, -1)), PolyQ((1, 1)))   # -q/(1+q)
+    for m in range(1, n_max + 1):
+        s = RatFuncQ.zero()
+        for l in range(m):
+            s = s + numbers[l] * Fraction(comb(m, l))
+        numbers.append(s * factor)
+    return numbers
+
+
 _classical = [Fraction(1)]
 
 
@@ -109,6 +124,23 @@ def thm1_independent_route(k: int, m: int):
 
 # -- numeric numbers ----------------------------------------------------------
 
+def brute_level(req: IntegralRequest, level: int) -> PadicApprox:
+    """Independent oracle: the level-N sum term by term over all p^N terms,
+    at the same working modulus and normalizer as riemann_level."""
+    p = req.p
+    work = req.working_exponent(level)
+    modulus = p ** work
+    t = req.q if req.bosonic else -req.q
+    t_res = _residue_of_rational(t, p, modulus)
+    x0_res = _residue_of_rational(req.shift, p, modulus)
+    acc, tp = 0, 1
+    for xi in range(p ** level):
+        acc = (acc + pow((x0_res + xi) % modulus, req.exponent, modulus) * tp) % modulus
+        tp = tp * t_res % modulus
+    summed = PadicApprox.from_residue(acc, p, work)
+    return summed / _normalizer(req, level, work)
+
+
 def bernoulli_number_padic(n: int, p: int = 3, q=None, target: int = 4,
                            **kwargs) -> PadicApprox:
     """The nth weight-0 q-Bernoulli number: bosonic integral of xi^n.
@@ -131,7 +163,14 @@ def euler_number_padic(n: int, p: int = 3, q=None, target: int = 4,
     return integrate(req).value
 
 
-# -- decoding the cache encoding ----------------------------------------------
+# -- the cache encoding ---------------------------------------------------------
+
+def ratfunc_to_obj(f: RatFuncQ) -> dict:
+    """The cache encoding of E[n], taken from a RatFuncQ: the ascending
+    coefficients of its numerator and of its expanded denominator."""
+    return {"num": [str(c) for c in f.num.coeffs],
+            "den": [str(c) for c in f.den.coeffs]}
+
 
 def padic_from_dict(d: dict) -> PadicApprox:
     if d.get("zero"):

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import time
+import typing
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,11 @@ from qeuler.cli import ConfigError, main, parse_q, parse_range
 from qeuler import qintegral
 from qeuler.padic import PadicApprox, padic_distance
 from qeuler.qintegral import IntegralResult
-from qeuler.report import (TOOL_VERSION, CacheError, Report, ResultCache,
-                           ratfunc_to_obj)
+from qeuler.report import TOOL_VERSION, CacheError, Report, ResultCache
 from qeuler.qspecial import euler_number
+from qeuler.zpoly import euler_numerator
+
+from oracles import ratfunc_to_obj
 
 
 def run(capsys, *argv):
@@ -97,6 +100,20 @@ class TestNumbersCommand:
                            "--at-q", "-1")
         assert code == 2
         assert "pole" in err
+
+    @pytest.mark.parametrize("argv, ignored", [
+        (("euler", "--n", "0..2", "--p", "2", "--K", "0", "--q", "zz"),
+         "--p, --q, --K"),
+        (("euler", "--n", "0..2", "--guard", "3", "--n-max", "5"),
+         "--guard, --n-max"),
+        (("bernoulli", "--n", "0..2", "--p", "3", "--K", "4", "--at-q", "2"),
+         "--at-q"),
+    ], ids=["euler-p-q-K", "euler-guard-n-max", "bernoulli-at-q"])
+    def test_ignored_options_are_config_errors(self, capsys, argv, ignored):
+        code, out, err = run(capsys, "numbers", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: numbers {argv[0]} does not take {ignored}\n"
 
 
 class TestPolyCommand:
@@ -317,14 +334,18 @@ class TestDeterminismAndCache:
         path = tmp_path / "cache.json"
         cache = ResultCache(path)
         for n in range(6):
-            cache.put_euler(n, euler_number(n))
+            cache.put_euler(n, euler_numerator(n))
         cache.save()
         again = ResultCache(path)
         for n in range(6):
-            again.put_euler(n, euler_number(n))   # raises on a mismatch
+            again.put_euler(n, euler_numerator(n))   # raises on a mismatch
         assert not again.dirty
         with pytest.raises(CacheError):
-            again.put_euler(5, euler_number(4))
+            again.put_euler(5, euler_numerator(4))
+
+    def test_put_euler_annotations_resolve(self):
+        hints = typing.get_type_hints(ResultCache.put_euler)
+        assert hints["numerator"] == typing.Tuple[int, ...]
 
     def test_truncated_cache_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "cache.json"
@@ -399,7 +420,7 @@ class TestDeterminismAndCache:
     def test_interrupted_save_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
         cache = ResultCache(path)
-        cache.put_euler(1, euler_number(1))
+        cache.put_euler(1, euler_numerator(1))
         cache.save()
         before = path.read_text()
 
@@ -407,7 +428,7 @@ class TestDeterminismAndCache:
             raise OSError("interrupted before the rename")
 
         monkeypatch.setattr(os, "replace", interrupted)
-        cache.put_euler(2, euler_number(2))
+        cache.put_euler(2, euler_numerator(2))
         with pytest.raises(OSError):
             cache.save()
         assert path.read_text() == before
@@ -483,12 +504,13 @@ class TestDeterminismAndCache:
         assert os.listdir(tmp_path) == []
 
     def test_ratfunc_serialization_round_trip(self):
-        # the stored encoding survives JSON and is accepted only for E[5]
+        # the encoding of the RatFuncQ E[5] survives JSON, and the entry
+        # built from integers accepts it only for E[5]
         stored = json.loads(json.dumps(ratfunc_to_obj(euler_number(5))))
         cache = ResultCache()
         cache.entries["euler:n=5"] = stored
-        cache.put_euler(5, euler_number(5))
+        cache.put_euler(5, euler_numerator(5))
         assert not cache.dirty
         cache.entries["euler:n=4"] = stored
         with pytest.raises(CacheError):
-            cache.put_euler(4, euler_number(4))
+            cache.put_euler(4, euler_numerator(4))

@@ -230,6 +230,44 @@ def test_normalization_idempotent(a):
     assert poly_gcd(a.num, a.den).degree <= 0
 
 
+# an operand with exponent 0 whose numerator is divisible by q or (1+q):
+# the one case in which a product may strip a factor
+bare_ratfuncs = st.builds(
+    lambda p, i, j: RatFuncQ(p * Q ** i * ONE_PLUS_Q ** j),
+    polys(2), st.integers(0, 2), st.integers(0, 2))
+
+# rational points that are not poles of any value of R
+regular_points = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
+                              max_denominator=5).filter(lambda x: x not in (0, -1))
+
+
+def assert_canonical(f):
+    assert f.den.leading == 1
+    assert poly_gcd(f.num, f.den).degree <= 0
+    assert not f.num.is_zero or (f.a, f.b) == (0, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratfuncs, bare_ratfuncs, regular_points)
+def test_exponent_form_product_and_sum(a, b, q0):
+    for x, y in ((a, b), (b, a)):
+        product, total = x * y, x + y
+        assert_canonical(product)
+        assert_canonical(total)
+        # the same values by cross-multiplying the expanded denominators
+        assert product.num * x.den * y.den == x.num * y.num * product.den
+        assert (total.num * x.den * y.den
+                == (x.num * y.den + y.num * x.den) * total.den)
+        assert product.evaluate(q0) == x.evaluate(q0) * y.evaluate(q0)
+        assert total.evaluate(q0) == x.evaluate(q0) + y.evaluate(q0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs)
+def test_den_is_the_expanded_unit(f):
+    assert f.den == Q ** f.a * ONE_PLUS_Q ** f.b
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(ratfuncs, min_size=0, max_size=4).map(XPolyQ))
 def test_fundamental_theorem_of_calculus(f):

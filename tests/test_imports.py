@@ -60,11 +60,13 @@ def test_numeric_commands_load_no_exact_layer(argv):
     assert not modules & NUMERIC_FREE
 
 
-def test_euler_table_loads_no_catalog():
-    modules = loaded_modules("numbers", "euler", "--n", "0..4", "--format",
-                             "json")
-    assert "qeuler.qspecial" in modules
-    assert not modules & {"qeuler.identities", "dataclasses"}
+def test_euler_table_loads_no_catalog(tmp_path):
+    # rows, values at q and cache entries all come from the integer table
+    modules = loaded_modules("numbers", "euler", "--n", "0..4", "--at-q",
+                             "3/7", "--format", "json", "--cache",
+                             str(tmp_path / "cache.json"))
+    assert "qeuler.zpoly" in modules
+    assert not modules & NUMERIC_FREE
 
 
 def test_package_import_loads_no_layer():

@@ -20,8 +20,6 @@ from qeuler.qintegral import (
     STOP_PRECISION,
     ConvergenceNotReached,
     IntegralRequest,
-    _normalizer,
-    _residue_of_rational,
     integrate,
     riemann_level,
 )
@@ -29,6 +27,7 @@ from qeuler.qspecial import euler_number, euler_poly
 
 from oracles import (
     bernoulli_number_padic,
+    brute_level,
     euler_number_padic,
     integral_result_from_dict,
 )
@@ -41,23 +40,6 @@ def exact_level_value(kind: str, n: int, x0: Fraction, p: int, q: Fraction,
     total = sum((x0 + xi) ** n * t ** xi for xi in range(p ** level))
     normalizer = (t ** (p ** level) - 1) / (t - 1)
     return total / normalizer
-
-
-def brute_level(req: IntegralRequest, level: int) -> PadicApprox:
-    """Independent oracle: the level-N sum term by term over all p^N terms,
-    at the same working modulus and normalizer as riemann_level."""
-    p = req.p
-    work = req.working_exponent(level)
-    modulus = p ** work
-    t = req.q if req.bosonic else -req.q
-    t_res = _residue_of_rational(t, p, modulus)
-    x0_res = _residue_of_rational(req.shift, p, modulus)
-    acc, tp = 0, 1
-    for xi in range(p ** level):
-        acc = (acc + pow((x0_res + xi) % modulus, req.exponent, modulus) * tp) % modulus
-        tp = tp * t_res % modulus
-    summed = PadicApprox.from_residue(acc, p, work)
-    return summed / _normalizer(req, level, work)
 
 
 def _outcome(fn, *args):

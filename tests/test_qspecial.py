@@ -16,23 +16,14 @@ from qeuler.qspecial import (
     q_bracket,
 )
 
-from oracles import classical_euler_number, euler_poly_integral01
+from oracles import (
+    accumulated_euler_numbers,
+    classical_euler_number,
+    euler_poly_integral01,
+)
 
 ONE_PLUS_Q = PolyQ((1, 1))
 Q = PolyQ((0, 1))
-
-
-def accumulated_euler_numbers(n_max):
-    """E[0..n_max] by the umbral recurrence in RatFuncQ arithmetic, every
-    partial sum renormalised: the oracle for the integer table fill."""
-    numbers = [RatFuncQ.one()]
-    factor = RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q)   # -q/(1+q)
-    for m in range(1, n_max + 1):
-        s = RatFuncQ.zero()
-        for l in range(m):
-            s = s + numbers[l] * Fraction(comb(m, l))
-        numbers.append(s * factor)
-    return numbers
 
 
 class TestBinom:
