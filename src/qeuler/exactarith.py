@@ -9,9 +9,14 @@ dividing num when b > 0.  A value is stored as the triple (num, a, b):
 the denominator is two exponents, never an expanded polynomial.  Reducing
 a fraction therefore only strips factors of q and (1+q); no Euclidean
 algorithm is needed.  Since q and (1+q) are primes of Q[q], a product
-strips a factor only when one operand's exponent for it is 0, a sum
-brings both operands to the larger exponents, and an inverse swaps the
-exponents with those of its (unit) numerator.
+strips a factor only when one operand's exponent for it is 0, and an
+inverse swaps the exponents with those of its (unit) numerator.
+
+Every sum, from ``a + b`` to a term list sum c_1 v_1 + ... + c_k v_k
+(:func:`sum_products`), is reduced once: the numerators are multiplied
+without reducing, each product is brought to the largest exponents
+q^A (1+q)^B, and only the total is put in canonical form.  A sum of
+``XPolyQ`` values is reduced once per power of x.
 
 Three immutable layers, all over exact rationals (``fractions.Fraction``):
 
@@ -34,6 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, PoleError
@@ -66,6 +72,8 @@ class _Ring:
         return (-self) + other
 
     def __pow__(self, e: int):
+        if not isinstance(e, int):
+            raise TypeError(f"exponent must be an int, not {type(e).__name__}")
         if e < 0:
             return self._inverse() ** (-e)
         result = self.one()
@@ -207,6 +215,9 @@ class _DensePoly(_Ring):
         return acc
 
 
+_F0 = Fraction(0)
+
+
 class PolyQ(_DensePoly):
     """Dense polynomial in q over the rationals."""
 
@@ -226,8 +237,8 @@ class PolyQ(_DensePoly):
 
     def divide_linear(self, r: CoercibleScalar):
         """Synthetic division by (q - r): returns (quotient, value at r)."""
-        r = Fraction(r)
-        acc = Fraction(0)
+        r = self._element(r)
+        acc = _F0
         quot = []
         for c in reversed(self.coeffs):
             acc = acc * r + c
@@ -284,11 +295,6 @@ def _as_poly(x) -> PolyQ:
     return PolyQ.constant(x) if isinstance(x, (int, Fraction)) else PolyQ(x)
 
 
-def _lift(num: PolyQ, a: int, b: int) -> PolyQ:
-    """num * q^a * (1+q)^b."""
-    return num * _unit_poly(a, b) if a or b else num
-
-
 def _canonical(num: PolyQ, a: int, b: int, strip_q: bool = True,
                strip_bracket: bool = True) -> "RatFuncQ":
     """num / (q^a (1+q)^b) in canonical form.
@@ -312,6 +318,50 @@ def _canonical(num: PolyQ, a: int, b: int, strip_q: bool = True,
             num = num.divide_linear(-1)[0]
             b -= 1
     return RatFuncQ._raw(num, a, b)
+
+
+def _reduced_sum(parts) -> "RatFuncQ":
+    """The sum of f g / (q^a (1+q)^b) over (f, g, a, b) parts, f and g
+    numerator coefficient tuples (g None for 1), reduced by one _canonical
+    call.
+
+    With A and B the largest exponents, each product f g is accumulated,
+    shifted by its q deficit A - a, into the row of its (1+q) deficit
+    B - b; Horner's rule in (1+q), one shift-add per step, then brings
+    every row to (1+q)^B.
+    """
+    parts = [p for p in parts if p[0] and p[1] != ()]   # drop zero terms
+    if not parts:
+        return RF_ZERO
+    top_a = max(p[2] for p in parts)
+    top_b = max(p[3] for p in parts)
+    rows = {}
+    for f, g, a, b in parts:
+        _add_into(rows.setdefault(top_b - b, []), f, g, top_a - a)
+    top = max(rows)
+    acc = rows[top]
+    for d in range(top - 1, -1, -1):
+        acc = [acc[0], *map(add, acc[1:], acc), acc[-1]]  # acc * (1+q)
+        if d in rows:
+            _add_into(acc, rows[d], None, 0)
+    return _canonical(PolyQ._raw(acc), top_a, top_b)
+
+
+def _add_into(acc: list, f, g, shift: int) -> None:
+    """acc += q^shift f g (g None for 1), growing acc as needed."""
+    grow = shift + len(f) + (len(g) - 1 if g else 0) - len(acc)
+    if grow > 0:
+        acc.extend([_F0] * grow)
+    if g is None:
+        for i, c in enumerate(f, shift):
+            acc[i] += c
+        return
+    if len(f) > len(g):
+        f, g = g, f
+    for i, c in enumerate(f, shift):
+        if c:
+            for j, d in enumerate(g, i):
+                acc[j] += c * d
 
 
 class RatFuncQ(_Ring):
@@ -387,8 +437,7 @@ class RatFuncQ(_Ring):
         return RatFuncQ._raw(-self.num, self.a, self.b)
 
     def __add__(self, other) -> "RatFuncQ":
-        """Both operands are brought to the denominator
-        q^max(a) (1+q)^max(b), and the sum is reduced."""
+        """The two-term case of the one-reduction sum."""
         other = _rf_coerce(other)
         if other is None:
             return NotImplemented
@@ -396,9 +445,8 @@ class RatFuncQ(_Ring):
             return other
         if other.num.is_zero:
             return self
-        a, b = max(self.a, other.a), max(self.b, other.b)
-        return _canonical(_lift(self.num, a - self.a, b - self.b)
-                          + _lift(other.num, a - other.a, b - other.b), a, b)
+        return _reduced_sum(((self.num.coeffs, None, self.a, self.b),
+                             (other.num.coeffs, None, other.a, other.b)))
 
     __radd__ = __add__
 
@@ -445,7 +493,7 @@ class RatFuncQ(_Ring):
 
     def evaluate(self, q0: CoercibleScalar) -> Fraction:
         """Exact evaluation at a rational point; raises PoleError at poles."""
-        q0 = Fraction(q0)
+        q0 = self.num._element(q0)
         d = q0 ** self.a * (1 + q0) ** self.b
         if d == 0:
             raise PoleError(f"denominator vanishes at q = {q0}")
@@ -484,11 +532,8 @@ class XPolyQ(_DensePoly):
 
     def integral01(self) -> RatFuncQ:
         """Integral over the unit interval: sum of c_i / (i + 1)."""
-        total = RF_ZERO
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                total = total + c * Fraction(1, i + 1)
-        return total
+        return sum_products((Fraction(1, i + 1), c)
+                            for i, c in enumerate(self.coeffs))
 
     def to_str(self, var: str = "x") -> str:
         if not self.coeffs:
@@ -518,3 +563,28 @@ class XPolyQ(_DensePoly):
             else:
                 out += " + " + body
         return out
+
+
+def _product(c, v: RatFuncQ) -> tuple:
+    """c * v as an unreduced part (f, g, a, b) of _reduced_sum."""
+    f = _rf_coerce(c)
+    if f is None:
+        raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
+    return f.num.coeffs, v.num.coeffs, f.a + v.a, f.b + v.b
+
+
+def sum_products(pairs: Iterable) -> Union[RatFuncQ, XPolyQ]:
+    """c_1 v_1 + ... + c_k v_k over (c, v) pairs, reduced once.
+
+    The values v are all RatFuncQ or all XPolyQ, and each coefficient c is
+    a RatFuncQ, a PolyQ or a rational.  Over XPolyQ values each power of x
+    is its own sum.  The empty sum is RF_ZERO.
+    """
+    pairs = list(pairs)
+    if not pairs or not isinstance(pairs[0][1], XPolyQ):
+        return _reduced_sum([_product(c, v) for c, v in pairs])
+    columns = [[] for _ in range(max(len(v.coeffs) for _, v in pairs))]
+    for c, v in pairs:
+        for column, vi in zip(columns, v.coeffs):
+            column.append(_product(c, vi))
+    return XPolyQ._raw([_reduced_sum(column) for column in columns])

@@ -42,7 +42,7 @@ from itertools import product
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .exactarith import RF_ONE, RF_Q, RF_ZERO, RatFuncQ, XPolyQ
+from .exactarith import RF_ONE, RF_Q, RatFuncQ, XPolyQ, sum_products
 from .padic import PadicApprox
 from .qintegral import KIND_BOSONIC, IntegralResult, MonomialIntegrals
 from .qspecial import TWO_Q, TWO_Q_RECIP, binom, euler_number, euler_poly
@@ -154,16 +154,15 @@ def monomials(poly: XPolyQ) -> Terms:
 
 
 def apply(terms: Terms, image: Callable):
-    """sum coefficient * image(n) over a term list, added left to right."""
-    return reduce(add, (image(n) * c for c, n in terms))
+    """sum coefficient * image(n) over a term list, as one exact sum: the
+    products are brought to a common denominator and reduced once (per
+    power of x when the images are polynomials in x)."""
+    return sum_products((c, image(n)) for c, n in terms)
 
 
 def x_poly(terms: Terms) -> XPolyQ:
     """The monomial map x^i -> x^i: a monomial term list as a polynomial."""
-    coeffs = [RF_ZERO] * (max(i for _, i in terms) + 1)
-    for c, i in terms:
-        coeffs[i] = coeffs[i] + c
-    return XPolyQ(coeffs)
+    return apply(terms, XPolyQ.x_power)
 
 
 def x_power_shift(k: int, m: int) -> XPolyQ:

@@ -3,7 +3,9 @@ is needed to compute anything, so they live here rather than in the
 package."""
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, inf
+from operator import add
 
 from qeuler.exactarith import RF_ONE, PolyQ, RatFuncQ, XPolyQ
 from qeuler.identities import sides_eq103, sides_eq6, sides_thm3
@@ -28,6 +30,15 @@ from qeuler.qspecial import (
 
 class InternalInconsistency(RuntimeError):
     """Two routes that must agree produced different values (a code bug)."""
+
+
+# -- exact sums ------------------------------------------------------------------
+
+def folded_apply(terms, image):
+    """sum coefficient * image(n) over a non-empty term list, each product
+    reduced on its own and added pairwise left to right: the reference
+    for the one-reduction sum of identities.apply."""
+    return reduce(add, (image(n) * c for c, n in terms))
 
 
 # -- polynomials in x ---------------------------------------------------------

@@ -16,9 +16,10 @@ from qeuler.exactarith import (
     PolyQ,
     RatFuncQ,
     XPolyQ,
+    sum_products,
 )
 
-from oracles import shifted
+from oracles import folded_apply, shifted
 
 ONE_PLUS_Q = PolyQ((1, 1))
 Q = PolyQ((0, 1))
@@ -53,6 +54,12 @@ class TestPolyQ:
         quot, val = p.divide_linear(-1)
         assert val == 0
         assert quot == ONE_PLUS_Q
+
+    def test_float_points_rejected(self):
+        # a float point would be read as its binary value, not as 1/10
+        for use in (PolyQ.evaluate, PolyQ.divide_linear):
+            with pytest.raises(TypeError, match="cannot use float"):
+                use(ONE_PLUS_Q, 0.1)
 
 
 class TestRatFuncQ:
@@ -133,6 +140,16 @@ class TestRatFuncQ:
     def test_pow_negative(self):
         assert RF_Q ** -2 == RatFuncQ(PolyQ((1,)), PolyQ((0, 0, 1)))
 
+    def test_pow_needs_int_exponent(self):
+        with pytest.raises(TypeError, match="not float"):
+            RatFuncQ(ONE_PLUS_Q, Q) ** 1.5
+        with pytest.raises(TypeError, match="not Fraction"):
+            ONE_PLUS_Q ** Fraction(1, 2)
+
+    def test_float_point_rejected(self):
+        with pytest.raises(TypeError, match="cannot use float"):
+            RatFuncQ(ONE_PLUS_Q, Q).evaluate(0.1)
+
 
 class TestXPolyQ:
     def e2_poly(self):
@@ -190,13 +207,13 @@ def poly_gcd(a, b):
     a, b = list(a.coeffs), list(b.coeffs)
     while b:
         while len(a) >= len(b):  # a <- a mod b
-            c = a[-1] / b[-1]
+            c = Fraction(a[-1], b[-1])
             shift = len(a) - len(b)
             for i, bi in enumerate(b):
                 a[shift + i] -= c * bi
             a = list(PolyQ(a).coeffs)
         a, b = b, a
-    return PolyQ([c / a[-1] for c in a])
+    return PolyQ([Fraction(c, a[-1]) for c in a])
 
 
 def test_poly_gcd_oracle():
@@ -322,3 +339,78 @@ def test_xpoly_evaluation_is_homomorphism(f, g, c, x0):
 def test_poly_scalar_product_is_constant_product(p, c):
     assert p * c == p * PolyQ.constant(c)
     assert c * p == PolyQ.constant(c) * p
+
+
+# ---------------------------------------------------------------------------
+# sums of products, reduced once
+
+# values over every small pair of exponents q^a (1+q)^b
+spread_ratfuncs = st.builds(
+    lambda p, a, b: RatFuncQ(p, Q ** a * ONE_PLUS_Q ** b),
+    polys(3), st.integers(0, 3), st.integers(0, 4))
+sum_coefficients = st.one_of(spread_ratfuncs, fractions_st, st.integers(-3, 3))
+
+
+def term_lists(values):
+    """Non-empty lists of (coefficient, value) pairs; when asked, the
+    negation of a prefix is appended, so that part of the sum cancels."""
+    return st.builds(
+        lambda terms, cut: terms + [(-c, v) for c, v in terms[:cut]],
+        st.lists(st.tuples(sum_coefficients, values), min_size=1, max_size=5),
+        st.integers(0, 5))
+
+
+def as_terms(pairs):
+    """(coefficient, value) pairs as a term list with its image."""
+    values = [v for _, v in pairs]
+    return [(c, n) for n, (c, _) in enumerate(pairs)], values.__getitem__
+
+
+def assert_fraction_coefficients(f: RatFuncQ):
+    assert all(type(c) is Fraction for c in f.num.coeffs)
+
+
+def pointwise_sum(pairs, q0) -> Fraction:
+    """sum c(q0) v(q0), with no addition in R at all."""
+    return sum((c.evaluate(q0) if isinstance(c, RatFuncQ) else c) * v.evaluate(q0)
+               for c, v in pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(term_lists(spread_ratfuncs), regular_points)
+def test_sum_products_matches_pairwise_fold(pairs, q0):
+    total = sum_products(pairs)
+    assert total == folded_apply(*as_terms(pairs))
+    assert_canonical(total)
+    assert_fraction_coefficients(total)
+    assert total.evaluate(q0) == pointwise_sum(pairs, q0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(term_lists(st.lists(spread_ratfuncs, max_size=4).map(XPolyQ)),
+       regular_points)
+def test_xpoly_sum_products_matches_pairwise_fold(pairs, q0):
+    total = sum_products(pairs)
+    assert isinstance(total, XPolyQ)
+    assert total == folded_apply(*as_terms(pairs))
+    for j in range(max(len(v.coeffs) for _, v in pairs)):
+        column = total.coefficient(j)
+        assert_canonical(column)
+        assert_fraction_coefficients(column)
+        assert column.evaluate(q0) == pointwise_sum(
+            [(c, v.coefficient(j)) for c, v in pairs], q0)
+
+
+def test_sum_products_cancellation_by_hand():
+    # 1/(q(1+q)) - 1/q = -1/(1+q), and (1+q)/q^2 - 1/q^2 - 1/q = 0
+    a = RatFuncQ(PolyQ((1,)), Q * ONE_PLUS_Q)
+    b = RatFuncQ(PolyQ((1,)), Q)
+    assert sum_products([(1, a), (-1, b)]) == RatFuncQ(PolyQ((-1,)), ONE_PLUS_Q)
+    c = RatFuncQ(ONE_PLUS_Q, Q ** 2)
+    assert sum_products([(RF_ONE, c), (-RF_ONE, b * b), (-1, b)]).is_zero
+    assert sum_products([]) is RF_ZERO
+
+
+def test_sum_products_rejects_float_coefficient():
+    with pytest.raises(TypeError, match="cannot use float"):
+        sum_products([(0.5, RF_Q)])

@@ -13,7 +13,12 @@ from qeuler.identities import (
     HOLDS_TO_PRECISION,
     IdentityId,
     NumericContext,
+    apply,
+    degree_2k1_rhs,
+    degree_2k1_terms,
     direct_moment,
+    eq6_terms,
+    eq103_terms,
     fermionic_moment,
     sides_cor7,
     sides_eq6,
@@ -27,16 +32,19 @@ from qeuler.identities import (
     sides_thm4,
     sides_thm5,
     sides_thm6,
+    unit_integral,
     verify,
     verify_grid,
+    x_poly,
     x_power_shift,
 )
 from qeuler.padic import PadicApprox, padic_distance
 from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC
-from qeuler.qspecial import euler_number
+from qeuler.qspecial import euler_number, euler_poly
 
 from oracles import (
     evaluate_point,
+    folded_apply,
     thm1_independent_route,
     thm3_construction_residual,
 )
@@ -48,6 +56,25 @@ Q = PolyQ((0, 1))
 @pytest.fixture(scope="module")
 def ctx():
     return NumericContext(3, Fraction(4), 4, 4, 12)
+
+
+class TestTermListSums:
+    """apply reduces each sum once; the pairwise fold is the reference."""
+
+    def test_catalogued_term_lists_match_pairwise_fold(self):
+        lists = [eq6_terms(k, m, first) for k in range(4) for m in range(4)
+                 for first in (0, 1)]
+        lists += [eq103_terms(k) for k in range(1, 4)]
+        lists += [degree_2k1_terms(k, variant) for k in range(1, 4)
+                  for variant in ("printed", "corrected")]
+        for terms in filter(None, lists):
+            for image in (euler_poly, unit_integral, fermionic_moment):
+                assert apply(terms, image) == folded_apply(terms, image)
+
+    def test_monomial_map_matches_pairwise_fold(self):
+        for k in range(4):
+            terms = degree_2k1_rhs(k)
+            assert x_poly(terms) == folded_apply(terms, XPolyQ.x_power)
 
 
 class TestEq6:
