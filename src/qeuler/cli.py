@@ -126,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _padic_config(args, require_explicit: bool = False) -> dict:
+def _padic_config(args, require_explicit: bool = False) -> tuple:
+    """The validated (p, q, K, guard, n_max), in the order MonomialIntegrals
+    takes them, and their block of the report config."""
     from .qintegral import check_p_q
 
     if require_explicit and (args.p is None or args.K is None):
@@ -146,7 +148,8 @@ def _padic_config(args, require_explicit: bool = False) -> dict:
         raise ConfigError("--guard must be >= 2")
     if n_max < 1:
         raise ConfigError("--n-max must be >= 1")
-    return {"p": p, "q": q, "K": target, "guard": guard, "n_max": n_max}
+    return ((p, q, target, guard, n_max),
+            {"p": p, "q": str(q), "K": target, "guard": guard, "n_max": n_max})
 
 
 # the p-adic options by destination, as the user spells them
@@ -255,11 +258,9 @@ def cmd_numbers(args) -> int:
             MonomialIntegrals,
         )
 
-        pad = _padic_config(args, require_explicit=True)
-        config.update({"p": pad["p"], "q": str(pad["q"]), "K": pad["K"],
-                       "guard": pad["guard"], "n_max": pad["n_max"]})
-        integrals = MonomialIntegrals(pad["p"], pad["q"], pad["K"],
-                                      pad["guard"], pad["n_max"], cache=cache)
+        pad, block = _padic_config(args, require_explicit=True)
+        config.update(block)
+        integrals = MonomialIntegrals(*pad, cache=cache)
         for n in range(lo, hi + 1):
             warning = None
             try:
@@ -329,10 +330,9 @@ def cmd_verify(args, battery: bool = False) -> int:
         config_identity = args.identity
         params = REGISTRY[targets[0]].params
     explicit_ranges = _verify_ranges(args, config_identity, params)
-    pad = _padic_config(args)
+    pad, block = _padic_config(args)
     cache = _open_cache(args)
-    ctx = NumericContext(pad["p"], pad["q"], pad["K"], pad["guard"],
-                         pad["n_max"], cache=cache)
+    ctx = NumericContext(*pad, cache=cache)
     start = time.monotonic()
 
     items = []
@@ -350,8 +350,7 @@ def cmd_verify(args, battery: bool = False) -> int:
     config = {
         "command": "report" if battery else "verify",
         "identity": config_identity,
-        "padic": {"p": pad["p"], "q": str(pad["q"]), "K": pad["K"],
-                  "guard": pad["guard"], "n_max": pad["n_max"]},
+        "padic": block,
     }
     if explicit_ranges:
         config["ranges"] = {k: list(v) for k, v in sorted(explicit_ranges.items())}
@@ -366,7 +365,7 @@ def cmd_verify(args, battery: bool = False) -> int:
 def cmd_integrate(args) -> int:
     from .qintegral import ConvergenceNotReached, IntegralRequest, integrate
 
-    pad = _padic_config(args)
+    (p, q, target, guard, n_max), block = _padic_config(args)
     try:
         x0 = Fraction(args.x0)
     except (ValueError, ZeroDivisionError):
@@ -375,8 +374,8 @@ def cmd_integrate(args) -> int:
         raise ConfigError("--n must be >= 0")
     start = time.monotonic()
     try:
-        req = IntegralRequest(args.kind, args.n, x0, pad["p"], pad["q"],
-                              pad["K"], guard=pad["guard"], max_level=pad["n_max"])
+        req = IntegralRequest(args.kind, args.n, x0, p, q, target,
+                              guard=guard, max_level=n_max)
     except ValueError as exc:
         raise ConfigError(str(exc))
     warning = None
@@ -404,8 +403,7 @@ def cmd_integrate(args) -> int:
             "distance": "" if dist is None else str(dist),
         })
     config = {"command": "integrate", "kind": args.kind, "n": args.n,
-              "x0": str(x0), "p": pad["p"], "q": str(pad["q"]),
-              "K": pad["K"], "guard": pad["guard"], "n_max": pad["n_max"]}
+              "x0": str(x0), **block}
     report = Report(config, items,
                     timing={"total_seconds": time.monotonic() - start})
     _emit(report, args, "pretty")

@@ -5,6 +5,9 @@ A nonzero value is stored as p^v * u with the unit u known modulo p^K
 precision A, meaning "congruent to 0 modulo p^A".  All reported precisions
 are conservative lower bounds: cancellation and division can shrink them
 but never silently fabricate digits.
+
+``Record`` is the immutable-value base of PadicApprox and of the integral
+requests and results of ``qintegral``.
 """
 
 from __future__ import annotations
@@ -82,8 +85,49 @@ def rational_valuation(r: Fraction, p: int) -> int:
     return vn - vd
 
 
-class PadicApprox:
-    """A p-adic number known to finite precision; immutable and hashable.
+class Record:
+    """Base of the immutable value records of the numeric layers.
+
+    A record's fields are its class's ``__slots__``, set once through
+    ``_set`` in the constructor.  Equality and hashing go by the fields,
+    a copy or a pickle rebuilds the record from them, and the repr is
+    ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values, _init=object.__setattr__) -> None:
+        for name, value in zip(self.__slots__, values):
+            _init(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"{self.__class__.__name__}({args})"
+
+
+class PadicApprox(Record):
+    """A p-adic number known to finite precision; an immutable Record.
 
     Nonzero: value = p^valuation * unit, with unit in [1, p^precision)
     coprime to p; the value is known modulo p^(valuation + precision).
@@ -107,31 +151,7 @@ class PadicApprox:
                 raise ValueError("unit out of range for stated precision")
             if unit % p == 0:
                 raise ValueError("unit must be coprime to p")
-        init = object.__setattr__
-        init(self, "p", p)
-        init(self, "valuation", valuation)
-        init(self, "unit", unit)
-        init(self, "precision", precision)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.p, self.valuation, self.unit, self.precision)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return (PadicApprox, self._fields())
+        self._set(p, valuation, unit, precision)
 
     # -- constructors ------------------------------------------------------
 
@@ -290,14 +310,6 @@ class PadicApprox:
 
     def __repr__(self) -> str:
         return f"PadicApprox('{self}')"
-
-    # -- serialization -----------------------------------------------------
-
-    def as_dict(self) -> dict:
-        if self.unit is None:
-            return {"p": self.p, "zero": True, "abs_precision": self.precision}
-        return {"p": self.p, "valuation": self.valuation,
-                "unit": self.unit, "precision": self.precision}
 
 
 def padic_distance(a: PadicApprox, b: PadicApprox):

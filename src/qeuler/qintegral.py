@@ -26,6 +26,7 @@ from .padic import (
     DEFAULT_GUARD,
     PadicApprox,
     PrecisionExhausted,
+    Record,
     is_odd_prime,
     padic_distance,
     rational_valuation,
@@ -72,10 +73,10 @@ def check_p_q(p: int, q: Fraction) -> None:
         raise ValueError("q must satisfy v_p(q - 1) >= 1")
 
 
-class IntegralRequest:
+class IntegralRequest(Record):
     """One shifted-monomial integrand (x0 + xi)^n against d(mu_q) or
     d(mu_-q), with q supplied as an exact rational so the symbolic and
-    numeric paths share it bit for bit.  Immutable and hashable."""
+    numeric paths share it bit for bit.  An immutable Record."""
 
     __slots__ = ("kind", "exponent", "shift", "p", "q", "target", "guard",
                  "level_surcharge", "max_level")
@@ -96,35 +97,8 @@ class IntegralRequest:
             raise ValueError("target precision must be >= 1")
         if guard < 2:
             raise ValueError("guard must be >= 2")
-        for name, value in zip(self.__slots__, (
-                kind, exponent, shift, p, q, target, guard, level_surcharge,
-                max_level)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return (IntegralRequest, self._fields())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}"
-                         for name in self.__slots__)
-        return f"IntegralRequest({args})"
+        self._set(kind, exponent, shift, p, q, target, guard,
+                  level_surcharge, max_level)
 
     @property
     def bosonic(self) -> bool:
@@ -140,9 +114,9 @@ class IntegralRequest:
 LevelTrace = Tuple[int, PadicApprox, Union[int, float, None]]
 
 
-class IntegralResult:
+class IntegralResult(Record):
     """The reported value of an adaptive run, its achieved precision and
-    level trace.  Immutable and hashable."""
+    level trace.  An immutable Record."""
 
     __slots__ = ("value", "achieved_precision", "levels_used", "converged",
                  "trace")
@@ -150,50 +124,7 @@ class IntegralResult:
     def __init__(self, value: PadicApprox, achieved_precision: int,
                  levels_used: int, converged: bool,
                  trace: Tuple[LevelTrace, ...]):
-        for name, field in zip(self.__slots__, (
-                value, achieved_precision, levels_used, converged, trace)):
-            object.__setattr__(self, name, field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return (IntegralResult, self._fields())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}"
-                         for name in self.__slots__)
-        return f"IntegralResult({args})"
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value.as_dict(),
-            "achieved_precision": self.achieved_precision,
-            "levels_used": self.levels_used,
-            "converged": self.converged,
-            "trace": [
-                {
-                    "level": lv,
-                    "value": val.as_dict(),
-                    "distance": ("inf" if d == inf else d),
-                }
-                for lv, val, d in self.trace
-            ],
-        }
+        self._set(value, achieved_precision, levels_used, converged, trace)
 
 
 def _residue_of_rational(r: Fraction, p: int, modulus: int) -> int:
@@ -331,7 +262,9 @@ def integrate(req: IntegralRequest) -> IntegralResult:
 
 class MonomialIntegrals:
     """Memoized integrals of xi^n under either measure at one p-adic
-    configuration.
+    configuration: the prime, q, the target precision, the guard digits
+    and the level cap.  ``identities.NumericContext`` is this memo with
+    the embedding of exact values added, so a configuration is held once.
 
     Every integral is computed.  With a result cache attached (anything
     with ``put_integral``, such as ``report.ResultCache``), each result is

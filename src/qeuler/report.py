@@ -1,4 +1,5 @@
-"""Deterministic reports and the persistent result cache.
+"""Deterministic reports, and the persistent result cache with the
+encoding of its entries.
 
 A report's canonical body contains no timestamps or timings; elapsed time
 lives in a side-channel section excluded from canonical serialization and
@@ -11,8 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
-from fractions import Fraction
-from math import comb
+from math import comb, inf
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -197,11 +197,16 @@ class ResultCache:
             raise
         self.dirty = False
 
-    # -- euler numbers -----------------------------------------------------
+    def _put(self, key: str, obj: dict, what: str) -> None:
+        """Store an entry, or check it against the entry already stored."""
+        stored = self.entries.get(key)
+        if stored is None:
+            self.entries[key] = obj
+            self.dirty = True
+        elif stored != obj:
+            raise CacheError(f"cache entry {key!r} does not match {what}")
 
-    @staticmethod
-    def _euler_key(n: int) -> str:
-        return f"euler:n={n}"
+    # -- euler numbers -----------------------------------------------------
 
     def put_euler(self, n: int, numerator: Tuple[int, ...]):
         """Store E[n] = N_n/(1+q)^n, given the integer coefficients of N_n;
@@ -210,34 +215,35 @@ class ResultCache:
 
         Recomputing the table is cheaper than decoding it, so stored
         entries are only ever checked, never served."""
-        key = self._euler_key(n)
         obj = {"num": [str(c) for c in numerator],
                "den": [str(comb(n, i)) for i in range(n + 1)]}
-        stored = self.entries.get(key)
-        if stored is None:
-            self.entries[key] = obj
-            self.dirty = True
-        elif stored != obj:
-            raise CacheError(f"cache entry {key!r} does not match E[{n}]")
+        self._put(f"euler:n={n}", obj, f"E[{n}]")
 
     # -- numeric integrals ---------------------------------------------------
 
     @staticmethod
-    def _integral_key(kind: str, n: int, p: int, q: Fraction, target: int,
-                      guard: int, max_level: int) -> str:
-        return (f"{kind}:n={n}:p={p}:q={q}:K={target}"
-                f":guard={guard}:nmax={max_level}")
+    def _padic_obj(x) -> dict:
+        """The encoding of a padic.PadicApprox."""
+        if x.unit is None:
+            return {"p": x.p, "zero": True, "abs_precision": x.precision}
+        return {"p": x.p, "valuation": x.valuation, "unit": x.unit,
+                "precision": x.precision}
 
     def put_integral(self, kind, n, p, q, target, guard, max_level, result):
-        """Store a qintegral.IntegralResult; an entry already stored must be
-        its exact encoding.  Like E[n] entries, integrals are only ever
+        """Store a qintegral.IntegralResult, its values and every (level,
+        value, distance) of its trace; an entry already stored must be its
+        exact encoding.  Like E[n] entries, integrals are only ever
         checked, never served."""
-        key = self._integral_key(kind, n, p, q, target, guard, max_level)
-        obj = result.as_dict()
-        stored = self.entries.get(key)
-        if stored is None:
-            self.entries[key] = obj
-            self.dirty = True
-        elif stored != obj:
-            raise CacheError(f"cache entry {key!r} does not match the "
-                             "computed integral")
+        padic = self._padic_obj
+        obj = {
+            "value": padic(result.value),
+            "achieved_precision": result.achieved_precision,
+            "levels_used": result.levels_used,
+            "converged": result.converged,
+            "trace": [{"level": lv, "value": padic(val),
+                       "distance": "inf" if d == inf else d}
+                      for lv, val, d in result.trace],
+        }
+        key = (f"{kind}:n={n}:p={p}:q={q}:K={target}"
+               f":guard={guard}:nmax={max_level}")
+        self._put(key, obj, "the computed integral")

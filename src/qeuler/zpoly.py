@@ -3,17 +3,25 @@ the weight-0 q-Euler numbers over Z[q], and the one polynomial renderer.
 
 The number table E[n] is driven by the umbral recurrence
 
-    (1 + q) * E[n] + q * sum_{l<n} C(n, l) * E[l] = 0,      E[0] = 1.
+    (1 + q) * E[n] + q * sum_{l<n} C(n, l) * E[l] = 0,      E[0] = 1,
 
-Multiplied by (1 + q)^(n-1) it becomes a recurrence over Z[q] for the
-numerators N_n = (1 + q)^n * E[n]:
+whose generating function (1 + q)/(q e^t + 1) is the Frobenius-Euler
+function (1 - u)/(e^t - u) at u = -1/q.  Carlitz's H_n(u) = A_n(u)/(u - 1)^n
+and the Eulerian symmetry make the numerators N_n = (1 + q)^n * E[n]
+Eulerian polynomials (L. Carlitz, "Eulerian numbers and polynomials",
+Math. Mag. 32 (1959) 247-260):
 
-    N_n = -q * sum_{l<n} C(n, l) * (1 + q)^(n-1-l) * N_l,      N_0 = 1.
+    N_n = -q * A_n(-q),     A_n(t) = sum_{k<n} A(n, k) t^k     (n >= 1),
 
-At q = -1 only the l = n - 1 term survives, so N_n(-1) = n * N_{n-1}(-1)
-= n!, which is nonzero: (1 + q) never divides N_n, and the denominator of
-E[n] in lowest terms is exactly (1 + q)^n.  So E[n] is rendered and
-evaluated here from integers alone; this module imports no exact layer.
+with A(n, k) = (k + 1) A(n-1, k) + (n - k) A(n-1, k-1).  With the signs
+folded in, the coefficient of q^i is, starting from N_0 = 1,
+
+    N_n[i] = i * N_{n-1}[i] - (n + 1 - i) * N_{n-1}[i-1],     1 <= i <= n,
+
+so a row costs O(n) integer operations.  N_n(-1) = A_n(1) = n! is nonzero:
+(1 + q) never divides N_n, and the denominator of E[n] in lowest terms is
+exactly (1 + q)^n.  So E[n] is rendered and evaluated here from integers
+alone; this module imports no exact layer.
 
 The table is memoized; fills are pure and idempotent, so concurrent
 readers under the GIL are safe.
@@ -40,15 +48,9 @@ def euler_numerator(n: int) -> Tuple[int, ...]:
         return _numerators[n]
     with _lock:
         while len(_numerators) <= n:
-            m = len(_numerators)
-            # Horner in (1 + q): acc = sum_{l<m} C(m, l) (1+q)^(m-1-l) N_l
-            acc: list = []
-            for l in range(m):
-                acc = [a + b for a, b in zip(acc + [0], [0] + acc)]
-                c = comb(m, l)
-                for i, x in enumerate(_numerators[l]):
-                    acc[i] += c * x
-            _numerators.append((0, *[-a for a in acc]))
+            m, prev = len(_numerators), _numerators[-1] + (0,)
+            _numerators.append((0, *[i * prev[i] - (m + 1 - i) * prev[i - 1]
+                                     for i in range(1, m + 1)]))
     return _numerators[n]
 
 

@@ -88,6 +88,22 @@ def accumulated_euler_numbers(n_max):
     return numbers
 
 
+def horner_euler_numerators(n_max):
+    """N_0..N_n_max, N_n = (1 + q)^n E[n], by the umbral recurrence over
+    Z[q], N_n = -q sum_{l<n} C(n, l) (1 + q)^(n-1-l) N_l, with a Horner
+    pass in (1 + q): the reference for the Eulerian row recurrence."""
+    rows = [(1,)]
+    for m in range(1, n_max + 1):
+        acc = []
+        for l in range(m):
+            acc = [a + b for a, b in zip(acc + [0], [0] + acc)]
+            c = comb(m, l)
+            for i, x in enumerate(rows[l]):
+                acc[i] += c * x
+        rows.append((0, *[-a for a in acc]))
+    return rows
+
+
 _classical = [Fraction(1)]
 
 
@@ -190,7 +206,7 @@ def padic_from_dict(d: dict) -> PadicApprox:
 
 
 def integral_result_from_dict(d: dict) -> IntegralResult:
-    """The IntegralResult that IntegralResult.as_dict encoded."""
+    """The IntegralResult that ResultCache.put_integral encoded."""
     trace = tuple(
         (row["level"], padic_from_dict(row["value"]),
          inf if row["distance"] == "inf" else row["distance"])

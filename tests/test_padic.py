@@ -1,4 +1,5 @@
-"""Fixed-precision p-adic arithmetic: embedding, propagation, distance."""
+"""Fixed-precision p-adic arithmetic: embedding, propagation, distance,
+and the immutable value records of the numeric layers."""
 
 import copy
 import pickle
@@ -18,7 +19,12 @@ from qeuler.padic import (
     padic_distance,
     rational_valuation,
 )
-from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC, IntegralRequest
+from qeuler.qintegral import (
+    KIND_BOSONIC,
+    KIND_FERMIONIC,
+    IntegralRequest,
+    integrate,
+)
 
 
 class TestConstruction:
@@ -35,6 +41,7 @@ class TestConstruction:
         x = PadicApprox.from_rational(Fraction(0), 5, 6)
         assert x.is_zero
         assert x.abs_precision == 6
+        assert PadicApprox(3, 7, None, 2) == PadicApprox.zero(3, 2)
 
     def test_rejects_even_prime(self):
         with pytest.raises(ValueError):
@@ -55,17 +62,6 @@ class TestConstruction:
         assert x.valuation == -2
         assert x.abs_precision == 2
 
-    def test_immutable_value(self):
-        x = PadicApprox(3, 1, 2, 4)
-        assert x == PadicApprox(3, 1, 2, 4) != PadicApprox(3, 1, 2, 5)
-        assert hash(x) == hash(PadicApprox(3, 1, 2, 4))
-        assert PadicApprox(3, 7, None, 2) == PadicApprox.zero(3, 2)
-        for mutate in (lambda: setattr(x, "unit", 5),
-                       lambda: delattr(x, "unit")):
-            with pytest.raises(AttributeError):
-                mutate()
-        assert copy.copy(x) == pickle.loads(pickle.dumps(x)) == x
-        assert repr(x) == "PadicApprox('2*3^1 + O(3^5)')"
 
 
 class TestArithmetic:
@@ -165,6 +161,47 @@ class TestBudget:
         flat = IntegralRequest(KIND_BOSONIC, 0, target=4, guard=4,
                                level_surcharge=False)
         assert flat.working_exponent(6) == 8
+
+
+# Each value record: a builder, a builder of a record that differs from it
+# in one field, and its pinned repr.
+RECORDS = {
+    "PadicApprox": (
+        lambda: PadicApprox(3, 1, 2, 4),
+        lambda: PadicApprox(3, 1, 2, 5),
+        "PadicApprox('2*3^1 + O(3^5)')"),
+    "IntegralRequest": (
+        lambda: IntegralRequest(KIND_BOSONIC, 1, Fraction(1, 2), 3, 4, 2),
+        lambda: IntegralRequest(KIND_BOSONIC, 1, Fraction(1, 2), 3, 4, 3),
+        "IntegralRequest(kind='bosonic', exponent=1, shift=Fraction(1, 2), "
+        "p=3, q=Fraction(4, 1), target=2, guard=4, level_surcharge=True, "
+        "max_level=12)"),
+    "IntegralResult": (
+        lambda: integrate(IntegralRequest(KIND_FERMIONIC, 1, 0, 3, 4, 2)),
+        lambda: integrate(IntegralRequest(KIND_FERMIONIC, 1, 0, 3, 4, 3)),
+        "IntegralResult(value=PadicApprox('1 + O(3^2)'), "
+        "achieved_precision=2, levels_used=4, converged=True, "
+        "trace=((1, PadicApprox('619 + O(3^6)'), None), "
+        "(2, PadicApprox('28 + O(3^6)'), 1), "
+        "(3, PadicApprox('523 + O(3^6)'), 2), "
+        "(4, PadicApprox('550 + O(3^6)'), 3)))"),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_are_immutable_values(name):
+    build, build_other, pinned = RECORDS[name]
+    x = build()
+    assert x == build() != build_other()
+    assert hash(x) == hash(build())
+    for field in type(x).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(x, field, None)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    again = pickle.loads(pickle.dumps(x))
+    assert copy.copy(x) == again == x and hash(again) == hash(x)
+    assert repr(x) == pinned
 
 
 def trial_division_is_odd_prime(p: int) -> bool:

@@ -1,7 +1,9 @@
-"""The integer table of q-Euler numerators, and the rows that the
-`numbers euler` command builds from it, against the RatFuncQ route."""
+"""The integer table of q-Euler numerators, against the Horner fill of
+the umbral recurrence, and the rows that the `numbers euler` command
+builds from it, against the RatFuncQ route."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,11 @@ from qeuler.zpoly import (
     fmt_poly,
 )
 
-from oracles import accumulated_euler_numbers, ratfunc_to_obj
+from oracles import (
+    accumulated_euler_numbers,
+    horner_euler_numerators,
+    ratfunc_to_obj,
+)
 
 N_MAX = 60
 
@@ -28,6 +34,23 @@ def test_numerators_match_accumulated_fill():
     for n, expected in enumerate(accumulated_euler_numbers(12)):
         assert PolyQ(euler_numerator(n)) == expected.num
         assert expected.den == PolyQ(bracket_power(n))
+
+
+def test_eulerian_rows_match_horner_fill():
+    for n, expected in enumerate(horner_euler_numerators(150)):
+        assert euler_numerator(n) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200))
+def test_eulerian_symmetry(n):
+    # N_n = -q A_n(-q): the coefficient of q^(k+1) is (-1)^(k+1) A(n, k)
+    row = euler_numerator(n)
+    eulerian = [(-1) ** (k + 1) * row[k + 1] for k in range(n)]
+    assert row[0] == 0 and len(row) == n + 1
+    assert all(a > 0 for a in eulerian)
+    assert eulerian == eulerian[::-1]
+    assert sum(eulerian) == factorial(n)
 
 
 @pytest.mark.parametrize("q0", [0, 1, Fraction(3, 7), Fraction(-5, 2)])
