@@ -2,21 +2,25 @@
 q-Bernoulli families, each producing explicit left/right sides and a
 verdict with a difference certificate.
 
-Every statement is data.  Its E-side is a *term list* [(coefficient, n)],
-meaning sum coefficient * E_n(x), seen through one of four linear maps,
-which send E_n(x) to
+Every catalogued statement comes from the master identity and is data: a
+*statement* (terms, scale, monomials) means
 
-- the polynomial itself (``euler_poly``);
-- E[n+1]/(n+1), its unit-interval integral divided by -(1+q)/q, the
-  normalization the integrated statements are printed in
-  (``unit_integral``);
-- its fermionic moment (``fermionic_moment``);
-- its bosonic moment (``NumericContext.bosonic_moment``).
+    sum c * E_n(x) over terms  =  scale * sum c' * x^i over monomials,
 
-A side that is a polynomial in x is a monomial term list [(c, i)], meaning
-sum c * x^i, seen through x^i -> x^i, E[i] or B_i.  The fermionic and
-bosonic moments of E_n(x) are its own monomial terms seen through E[i]
-and B_i.
+with scale None for 1.  There are three: the master identity EQ6 at
+(k, m), its even/odd regrouping EQ103 at k, and the degree-(2k+1)
+statement in its printed or corrected reading.  A theorem is a statement
+seen through one of three *views*, linear maps applied to both sides:
+
+- ``"poly"``: E_n(x) -> E_n(x) and x^i -> x^i (E-side first);
+- ``"fermionic"``: E_n(x) -> its fermionic moment and x^i -> E[i]
+  (monomial side first);
+- ``"bosonic"``: E_n(x) -> its bosonic moment and x^i -> B_i, p-adically
+  (monomial side first).
+
+The integrated statements (THM1, THM1_COR, THM2) keep their printed
+closed forms, and the calculus rules (EQ7, EQ8) their own sides; their
+registry entries hold plain side builders and no view.
 
 Exact identities are decided in the ring R = Q[q, 1/q, 1/(1+q)]
 (certificate identically zero or not); identities involving q-Bernoulli
@@ -52,6 +56,8 @@ _Q_MINUS_1 = RF_Q - RF_ONE
 _INV_TWO_Q = RF_ONE / TWO_Q
 
 Terms = List[Tuple[object, int]]
+# (terms, scale, monomials): sum c E_n(x) = scale * sum c' x^i, scale None for 1
+Statement = Tuple[Terms, Optional[RatFuncQ], Terms]
 
 
 class IdentityId(str, Enum):
@@ -150,6 +156,26 @@ def monomials(poly: XPolyQ) -> Terms:
 
 
 # ---------------------------------------------------------------------------
+# statements
+
+
+def eq6_statement(k: int, m: int) -> Statement:
+    """The master identity at (k, m): the bracket sum equals
+    (1+q) x^k (x-1)^m."""
+    return eq6_terms(k, m), TWO_Q, shift_terms(k, m)
+
+
+def eq103_statement(k: int) -> Statement:
+    """The even/odd regrouping of the master identity at m = k."""
+    return eq103_terms(k), TWO_Q, shift_terms(k, k)
+
+
+def degree_2k1_statement(k: int, variant: str) -> Statement:
+    """The degree-(2k+1) identity, printed or corrected reading."""
+    return degree_2k1_terms(k, variant), None, degree_2k1_rhs(k)
+
+
+# ---------------------------------------------------------------------------
 # linear maps (exact)
 
 
@@ -158,16 +184,6 @@ def apply(terms: Terms, image: Callable):
     products are brought to a common denominator and reduced once (per
     power of x when the images are polynomials in x)."""
     return sum_products((c, image(n)) for c, n in terms)
-
-
-def x_poly(terms: Terms) -> XPolyQ:
-    """The monomial map x^i -> x^i: a monomial term list as a polynomial."""
-    return apply(terms, XPolyQ.x_power)
-
-
-def x_power_shift(k: int, m: int) -> XPolyQ:
-    """x^k (x - 1)^m expanded exactly."""
-    return x_poly(shift_terms(k, m))
 
 
 def unit_integral(n: int) -> RatFuncQ:
@@ -183,73 +199,7 @@ def fermionic_moment(n: int) -> RatFuncQ:
 
 
 # ---------------------------------------------------------------------------
-# identity sides (exact)
-
-
-def sides_eq6(k: int, m: int) -> Tuple[XPolyQ, XPolyQ]:
-    """Both sides of the master identity at (k, m)."""
-    return apply(eq6_terms(k, m), euler_poly), x_power_shift(k, m) * TWO_Q
-
-
-def sides_thm1(k: int, m: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """Both sides of the integrated master identity (k, m >= 1)."""
-    n = k + m + 1
-    right = RF_Q * Fraction((-1) ** (m + 1), n * binom(k + m, k)) \
-        - TWO_Q * unit_integral(k + m)
-    return apply(eq6_terms(k, m, first=1), unit_integral), right
-
-
-def sides_thm1_cor(k: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """The displayed m = k+1 specialization, with its printed right side."""
-    right = RF_Q * Fraction((-1) ** k, (2 * k + 2) * binom(2 * k + 1, k)) \
-        - TWO_Q * unit_integral(2 * k + 1)
-    return apply(eq6_terms(k, k + 1, first=1), unit_integral), right
-
-
-def sides_eq103(k: int) -> Tuple[XPolyQ, XPolyQ]:
-    """Even/odd regrouping of the master identity at m = k."""
-    return apply(eq103_terms(k), euler_poly), x_power_shift(k, k) * TWO_Q
-
-
-def sides_thm2(k: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """Unit-interval integral of the regrouped identity."""
-    right = RF_Q * Fraction((-1) ** (k + 1), (2 * k + 1) * binom(2 * k, k))
-    return apply(eq103_terms(k), unit_integral), right
-
-
-def sides_thm3(k: int, variant: str) -> Tuple[XPolyQ, XPolyQ]:
-    """Degree-(2k+1) identity, printed or corrected reading."""
-    return apply(degree_2k1_terms(k, variant), euler_poly), x_poly(degree_2k1_rhs(k))
-
-
-def sides_thm4(k: int, m: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """Fermionic moments of the master identity."""
-    return (apply(eq6_terms(k, m), fermionic_moment),
-            apply(shift_terms(k, m), euler_number) * TWO_Q)
-
-
-def sides_thm5(k: int, variant: str) -> Tuple[RatFuncQ, RatFuncQ]:
-    """Fermionic moments of the degree-(2k+1) identity; exact throughout."""
-    return (apply(degree_2k1_rhs(k), euler_number),
-            apply(degree_2k1_terms(k, variant), fermionic_moment))
-
-
-def sides_eq7(n: int) -> Tuple[XPolyQ, XPolyQ]:
-    """Derivative rule: d/dx E_n(x) = n E_{n-1}(x)."""
-    return euler_poly(n).derivative(), euler_poly(n - 1) * Fraction(n)
-
-
-def sides_eq8(n: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """Unit-interval integral of E_n(x): termwise antiderivative on the
-    left, the closed form on the right."""
-    return euler_poly(n).integral01(), -TWO_Q_RECIP * unit_integral(n)
-
-
-# ---------------------------------------------------------------------------
-# p-adic context and sides
-
-
-BernoulliProvider = Callable[[int], PadicApprox]
+# p-adic context
 
 
 class NumericContext(MonomialIntegrals):
@@ -292,44 +242,63 @@ class NumericContext(MonomialIntegrals):
         order the certificate's precision is stated for."""
         return reduce(add, (self.embed(c) * image(n) for c, n in terms))
 
-    def bosonic_moment(self, n: int, bernoulli: BernoulliProvider
-                       ) -> PadicApprox:
+    def bosonic_moment(self, n: int) -> PadicApprox:
         """Bosonic moment of E_n(x): sum_l C(n,l) E_{n-l} B_l."""
-        return self.apply(monomials(euler_poly(n)), bernoulli)
+        return self.apply(monomials(euler_poly(n)), self.bernoulli)
 
 
-def sides_thm6(k: int, m: int, ctx: NumericContext,
-               bernoulli: Optional[BernoulliProvider] = None
-               ) -> Tuple[PadicApprox, PadicApprox]:
-    """Bosonic moments of the master identity: exact E values embedded,
-    numeric B values from the adaptive integral (or an injected provider,
-    used by the degenerate-slice sanity check)."""
-    b = bernoulli or ctx.bernoulli
-    return (ctx.embed(TWO_Q) * ctx.apply(shift_terms(k, m), b),
-            ctx.apply(eq6_terms(k, m), lambda n: ctx.bosonic_moment(n, b)))
+# ---------------------------------------------------------------------------
+# views and sides
 
 
-def sides_cor7(k: int, variant: str, ctx: NumericContext,
-               bernoulli: Optional[BernoulliProvider] = None
-               ) -> Tuple[PadicApprox, PadicApprox]:
-    """Bosonic moments of the degree-(2k+1) identity.
+def view_sides(view: str, statement: Statement,
+               ctx: Optional[NumericContext] = None) -> Tuple[object, object]:
+    """Both sides of a statement through one view, ordered as the theorem
+    is printed: the E-side first for "poly", the monomial side first for
+    "fermionic" and "bosonic"."""
+    terms, scale, mono = statement
+    if view == "poly":
+        e_side, x_side = apply(terms, euler_poly), apply(mono, XPolyQ.x_power)
+        return e_side, x_side if scale is None else x_side * scale
+    if view == "fermionic":
+        x_side = apply(mono, euler_number)
+        return (x_side if scale is None else x_side * scale,
+                apply(terms, fermionic_moment))
+    x_side = ctx.apply(mono, ctx.bernoulli)
+    return (x_side if scale is None else ctx.embed(scale) * x_side,
+            ctx.apply(terms, ctx.bosonic_moment))
 
-    Mirrors the fermionic-moment statement with numeric B values replacing
-    the inner E factor.  The left side follows the final displayed line,
-    which carries no leading (1+q) factor.
-    """
-    terms = degree_2k1_terms(k, variant)
-    b = bernoulli or ctx.bernoulli
-    return (ctx.apply(degree_2k1_rhs(k), b),
-            ctx.apply(terms, lambda n: ctx.bosonic_moment(n, b)))
+
+def sides_thm1(k: int, m: int) -> Tuple[RatFuncQ, RatFuncQ]:
+    """Both sides of the integrated master identity (k, m >= 1)."""
+    n = k + m + 1
+    right = RF_Q * Fraction((-1) ** (m + 1), n * binom(k + m, k)) \
+        - TWO_Q * unit_integral(k + m)
+    return apply(eq6_terms(k, m, first=1), unit_integral), right
 
 
-def direct_moment(kind: str, poly: XPolyQ, ctx: NumericContext) -> PadicApprox:
-    """Numeric moment of an exact polynomial in x under the fermionic or
-    bosonic measure, by linearity over the monomial integrals: the
-    independent route that integrates a side directly."""
-    return ctx.apply(monomials(poly),
-                     lambda i: ctx.monomial_integral(kind, i).value)
+def sides_thm1_cor(k: int) -> Tuple[RatFuncQ, RatFuncQ]:
+    """The displayed m = k+1 specialization, with its printed right side."""
+    right = RF_Q * Fraction((-1) ** k, (2 * k + 2) * binom(2 * k + 1, k)) \
+        - TWO_Q * unit_integral(2 * k + 1)
+    return apply(eq6_terms(k, k + 1, first=1), unit_integral), right
+
+
+def sides_thm2(k: int) -> Tuple[RatFuncQ, RatFuncQ]:
+    """Unit-interval integral of the regrouped identity."""
+    right = RF_Q * Fraction((-1) ** (k + 1), (2 * k + 1) * binom(2 * k, k))
+    return apply(eq103_terms(k), unit_integral), right
+
+
+def sides_eq7(n: int) -> Tuple[XPolyQ, XPolyQ]:
+    """Derivative rule: d/dx E_n(x) = n E_{n-1}(x)."""
+    return euler_poly(n).derivative(), euler_poly(n - 1) * Fraction(n)
+
+
+def sides_eq8(n: int) -> Tuple[RatFuncQ, RatFuncQ]:
+    """Unit-interval integral of E_n(x): termwise antiderivative on the
+    left, the closed form on the right."""
+    return euler_poly(n).integral01(), -TWO_Q_RECIP * unit_integral(n)
 
 
 # ---------------------------------------------------------------------------
@@ -338,71 +307,58 @@ def direct_moment(kind: str, poly: XPolyQ, ctx: NumericContext) -> PadicApprox:
 
 @dataclass(frozen=True)
 class IdentityInfo:
-    sides: Callable                # sides(**params) or sides(**params, ctx=)
+    build: Callable      # build(**params): a statement, or both sides
+    view: Optional[str]  # "poly", "fermionic", "bosonic"; None: build gives sides
     params: Tuple[str, ...]
-    mode: str                      # "exact" or "padic"
-    minimum: int                   # lower bound for every parameter
+    minimum: int         # lower bound for every parameter
     default_range: Dict[str, Tuple[int, int]]
-    description: str
 
+    @property
+    def mode(self) -> str:
+        return "padic" if self.view == "bosonic" else "exact"
+
+
+_PRINTED = partial(degree_2k1_statement, variant="printed")
+_CORRECTED = partial(degree_2k1_statement, variant="corrected")
 
 REGISTRY: Dict[IdentityId, IdentityInfo] = {
     IdentityId.EQ6: IdentityInfo(
-        sides_eq6, ("k", "m"), "exact", 0, {"k": (0, 8), "m": (0, 8)},
-        "master polynomial identity: weighted sum of E_{k+m-j}(x) equals "
-        "(1+q) x^k (x-1)^m"),
+        eq6_statement, "poly", ("k", "m"), 0, {"k": (0, 8), "m": (0, 8)}),
     IdentityId.THM1: IdentityInfo(
-        sides_thm1, ("k", "m"), "exact", 1, {"k": (1, 8), "m": (1, 8)},
-        "unit-interval integral of the master identity, via exact beta values"),
+        sides_thm1, None, ("k", "m"), 1, {"k": (1, 8), "m": (1, 8)}),
     IdentityId.THM1_COR: IdentityInfo(
-        sides_thm1_cor, ("k",), "exact", 1, {"k": (1, 8)},
-        "the m = k+1 specialization of the integrated identity"),
+        sides_thm1_cor, None, ("k",), 1, {"k": (1, 8)}),
     IdentityId.EQ103: IdentityInfo(
-        sides_eq103, ("k",), "exact", 1, {"k": (1, 8)},
-        "even/odd regrouping of the master identity at m = k"),
-    IdentityId.THM2: IdentityInfo(
-        sides_thm2, ("k",), "exact", 1, {"k": (1, 10)},
-        "unit-interval integral of the regrouped identity"),
+        eq103_statement, "poly", ("k",), 1, {"k": (1, 8)}),
+    IdentityId.THM2: IdentityInfo(sides_thm2, None, ("k",), 1, {"k": (1, 10)}),
     IdentityId.THM3_PRINTED: IdentityInfo(
-        partial(sides_thm3, variant="printed"), ("k",), "exact", 1,
-        {"k": (1, 4)},
-        "degree-(2k+1) identity as typeset (suspect bounds and subscripts)"),
+        _PRINTED, "poly", ("k",), 1, {"k": (1, 4)}),
     IdentityId.THM3_CORRECTED: IdentityInfo(
-        partial(sides_thm3, variant="corrected"), ("k",), "exact", 1,
-        {"k": (1, 6)},
-        "degree-(2k+1) identity re-derived from EQ6 at (k, k+1) plus "
-        "EQ103/(1+q)"),
+        _CORRECTED, "poly", ("k",), 1, {"k": (1, 6)}),
     IdentityId.THM4: IdentityInfo(
-        sides_thm4, ("k", "m"), "exact", 1, {"k": (1, 6), "m": (1, 6)},
-        "fermionic moments of the master identity: double E-sum equals "
-        "(1+q) alternating E-sum"),
+        eq6_statement, "fermionic", ("k", "m"), 1, {"k": (1, 6), "m": (1, 6)}),
     IdentityId.THM5_PRINTED: IdentityInfo(
-        partial(sides_thm5, variant="printed"), ("k",), "exact", 1,
-        {"k": (1, 4)},
-        "fermionic moments of the degree-(2k+1) identity, printed reading"),
+        _PRINTED, "fermionic", ("k",), 1, {"k": (1, 4)}),
     IdentityId.THM5_CORRECTED: IdentityInfo(
-        partial(sides_thm5, variant="corrected"), ("k",), "exact", 1,
-        {"k": (1, 4)},
-        "fermionic moments of the corrected degree-(2k+1) identity"),
+        _CORRECTED, "fermionic", ("k",), 1, {"k": (1, 4)}),
     IdentityId.THM6: IdentityInfo(
-        sides_thm6, ("k", "m"), "padic", 1, {"k": (1, 3), "m": (1, 3)},
-        "bosonic moments of the master identity, mixing exact E with "
-        "numeric B values"),
+        eq6_statement, "bosonic", ("k", "m"), 1, {"k": (1, 3), "m": (1, 3)}),
     IdentityId.COR7_PRINTED: IdentityInfo(
-        partial(sides_cor7, variant="printed"), ("k",), "padic", 1,
-        {"k": (1, 3)},
-        "bosonic moments of the degree-(2k+1) identity, printed reading"),
+        _PRINTED, "bosonic", ("k",), 1, {"k": (1, 3)}),
     IdentityId.COR7_CORRECTED: IdentityInfo(
-        partial(sides_cor7, variant="corrected"), ("k",), "padic", 1,
-        {"k": (1, 3)},
-        "bosonic moments of the corrected degree-(2k+1) identity"),
-    IdentityId.EQ7: IdentityInfo(
-        sides_eq7, ("n",), "exact", 1, {"n": (1, 12)},
-        "derivative rule: d/dx E_n(x) = n E_{n-1}(x)"),
-    IdentityId.EQ8: IdentityInfo(
-        sides_eq8, ("n",), "exact", 0, {"n": (0, 12)},
-        "unit-interval integral closed form: -(1+q)/q * E_{n+1}/(n+1)"),
+        _CORRECTED, "bosonic", ("k",), 1, {"k": (1, 3)}),
+    IdentityId.EQ7: IdentityInfo(sides_eq7, None, ("n",), 1, {"n": (1, 12)}),
+    IdentityId.EQ8: IdentityInfo(sides_eq8, None, ("n",), 0, {"n": (0, 12)}),
 }
+
+
+def sides(identity: IdentityId, params: Dict[str, int],
+          ctx: Optional[NumericContext] = None) -> Tuple[object, object]:
+    """Both sides of an identity at one parameter cell (``ctx`` for the
+    bosonic view)."""
+    info = REGISTRY[identity]
+    built = info.build(**params)
+    return built if info.view is None else view_sides(info.view, built, ctx)
 
 
 @dataclass
@@ -457,22 +413,20 @@ def verify(identity: IdentityId, params: Dict[str, int],
             raise ValueError(
                 f"{identity.value} requires {name} >= {info.minimum}")
 
+    if info.mode == "padic" and ctx is None:
+        raise ValueError(f"{identity.value} needs a numeric context")
+
     start = time.monotonic()
+    left, right = sides(identity, params, ctx)
+    cert = left - right
     if info.mode == "exact":
-        left, right = info.sides(**params)
-        cert = left - right
         verdict = HOLDS if cert.is_zero else FAILS
+    elif not cert.is_zero and cert.valuation < ctx.target:
+        verdict = FAILS
+    elif cert.abs_precision >= ctx.target:
+        verdict = HOLDS_TO_PRECISION
     else:
-        if ctx is None:
-            raise ValueError(f"{identity.value} needs a numeric context")
-        left, right = info.sides(**params, ctx=ctx)
-        cert = left - right
-        if not cert.is_zero and cert.valuation < ctx.target:
-            verdict = FAILS
-        elif cert.abs_precision >= ctx.target:
-            verdict = HOLDS_TO_PRECISION
-        else:
-            verdict = ERROR
+        verdict = ERROR
     elapsed = time.monotonic() - start
     return VerificationResult(identity, dict(params), _mode(identity, ctx),
                               verdict, cert, str(cert), elapsed)

@@ -146,8 +146,6 @@ def _normalizer(req: IntegralRequest, level: int, work: int) -> PadicApprox:
     m = p ** level
     if t == 1:
         return PadicApprox(p, level, 1, work)
-    if t == -1:
-        return PadicApprox(p, 0, 1, work)
     v1 = rational_valuation(t - 1, p)
     pad = v1 + level if req.bosonic else 0
     w2 = work + pad

@@ -8,7 +8,7 @@ from math import comb, inf
 from operator import add
 
 from qeuler.exactarith import RF_ONE, PolyQ, RatFuncQ, XPolyQ
-from qeuler.identities import sides_eq103, sides_eq6, sides_thm3
+from qeuler.identities import IdentityId, NumericContext, apply, monomials, sides
 from qeuler.padic import PadicApprox
 from qeuler.qintegral import (
     KIND_BOSONIC,
@@ -127,9 +127,9 @@ def classical_euler_number(n: int) -> Fraction:
 def thm3_construction_residual(k: int) -> XPolyQ:
     """left(corrected) - [left(EQ6 at (k, k+1)) + left(EQ103 at k)/(1+q)];
     identically zero by construction."""
-    corrected_left = sides_thm3(k, "corrected")[0]
-    eq6_left = sides_eq6(k, k + 1)[0]
-    eq103_left = sides_eq103(k)[0]
+    corrected_left = sides(IdentityId.THM3_CORRECTED, {"k": k})[0]
+    eq6_left = sides(IdentityId.EQ6, {"k": k, "m": k + 1})[0]
+    eq103_left = sides(IdentityId.EQ103, {"k": k})[0]
     return corrected_left - (eq6_left + eq103_left * (RF_ONE / TWO_Q))
 
 
@@ -142,11 +142,25 @@ def thm1_independent_route(k: int, m: int):
     left side, and the same transform applied to the right side's exact
     integral reproduces the right side.
     """
-    eq6_left, eq6_right = sides_eq6(k, m)
+    eq6_left, eq6_right = sides(IdentityId.EQ6, {"k": k, "m": m})
     head = TWO_Q * euler_number(k + m + 1) * Fraction(1, k + m + 1)
     left = -(eq6_left.integral01() / TWO_Q_RECIP) - head
     right = -(eq6_right.integral01() / TWO_Q_RECIP) - head
     return left, right
+
+
+def fermionic_image(poly: XPolyQ) -> RatFuncQ:
+    """Exact fermionic moment of a polynomial in x, x^i -> E[i] applied to
+    its monomials: the route the fermionic view is checked against."""
+    return apply(monomials(poly), euler_number)
+
+
+def direct_moment(kind: str, poly: XPolyQ, ctx: NumericContext) -> PadicApprox:
+    """Numeric moment of an exact polynomial in x under the fermionic or
+    bosonic measure, by linearity over the monomial integrals: the
+    independent route that integrates a side directly."""
+    return ctx.apply(monomials(poly),
+                     lambda i: ctx.monomial_integral(kind, i).value)
 
 
 # -- numeric numbers ----------------------------------------------------------

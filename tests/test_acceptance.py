@@ -17,11 +17,8 @@ from qeuler.identities import (
     HOLDS_TO_PRECISION,
     IdentityId,
     NumericContext,
-    direct_moment,
-    sides_eq6,
+    sides,
     sides_thm2,
-    sides_thm3,
-    sides_thm4,
     sides_thm1,
     verify,
     verify_grid,
@@ -46,6 +43,7 @@ from qeuler.cli import main as cli_main
 
 from oracles import (
     classical_euler_number,
+    direct_moment,
     euler_poly_integral01,
     thm1_independent_route,
     thm3_construction_residual,
@@ -130,7 +128,7 @@ def test_criterion_06_thm4():
     results = verify_grid(IdentityId.THM4, {"k": (1, 6), "m": (1, 6)})
     assert len(results) == 36
     assert all(r.verdict == HOLDS for r in results)
-    left, right = sides_thm4(1, 1)
+    left, right = sides(IdentityId.THM4, {"k": 1, "m": 1})
     anchor = RatFuncQ([0, 0, 2], [1, 1])          # 2q^2/(1+q)
     assert left == anchor and right == anchor
 
@@ -190,17 +188,17 @@ def test_criterion_10_thm6_cor7():
         for m in range(1, 4):
             r = verify(IdentityId.THM6, {"k": k, "m": m}, ctx)
             assert r.verdict == HOLDS_TO_PRECISION
-            direct = direct_moment(KIND_BOSONIC, sides_eq6(k, m)[1], ctx)
-            from qeuler.identities import sides_thm6
-            left, right = sides_thm6(k, m, ctx)
+            shift = sides(IdentityId.EQ6, {"k": k, "m": m})[1]
+            direct = direct_moment(KIND_BOSONIC, shift, ctx)
+            left, right = sides(IdentityId.THM6, {"k": k, "m": m}, ctx)
             assert padic_distance(left, direct) >= ctx.target
             assert padic_distance(right, direct) >= ctx.target
     for k in range(1, 4):
         r = verify(IdentityId.COR7_CORRECTED, {"k": k}, ctx)
         assert r.verdict == HOLDS_TO_PRECISION
-        from qeuler.identities import sides_cor7
-        left, right = sides_cor7(k, "corrected", ctx)
-        direct = direct_moment(KIND_BOSONIC, sides_thm3(k, "corrected")[1], ctx)
+        left, right = sides(IdentityId.COR7_CORRECTED, {"k": k}, ctx)
+        rhs = sides(IdentityId.THM3_CORRECTED, {"k": k})[1]
+        direct = direct_moment(KIND_BOSONIC, rhs, ctx)
         assert padic_distance(left, direct) >= ctx.target
         assert padic_distance(right, direct) >= ctx.target
     assert time.monotonic() - start < 120.0

@@ -15,35 +15,33 @@ from qeuler.identities import (
     NumericContext,
     apply,
     degree_2k1_rhs,
+    degree_2k1_statement,
     degree_2k1_terms,
-    direct_moment,
+    eq6_statement,
     eq6_terms,
+    eq103_statement,
     eq103_terms,
     fermionic_moment,
-    sides_cor7,
-    sides_eq6,
+    shift_terms,
+    sides,
     sides_eq7,
     sides_eq8,
-    sides_eq103,
     sides_thm1,
     sides_thm1_cor,
     sides_thm2,
-    sides_thm3,
-    sides_thm4,
-    sides_thm5,
-    sides_thm6,
     unit_integral,
     verify,
     verify_grid,
-    x_poly,
-    x_power_shift,
+    view_sides,
 )
 from qeuler.padic import PadicApprox, padic_distance
 from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC
 from qeuler.qspecial import euler_number, euler_poly
 
 from oracles import (
+    direct_moment,
     evaluate_point,
+    fermionic_image,
     folded_apply,
     thm1_independent_route,
     thm3_construction_residual,
@@ -56,6 +54,18 @@ Q = PolyQ((0, 1))
 @pytest.fixture(scope="module")
 def ctx():
     return NumericContext(3, Fraction(4), 4, 4, 12)
+
+
+class DeltaSliceContext(NumericContext):
+    """Every numeric B value replaced by the 0-index slice [n == 0]."""
+
+    def bernoulli(self, n: int) -> PadicApprox:
+        return self.embed(Fraction(1 if n == 0 else 0))
+
+
+@pytest.fixture(scope="module")
+def delta_ctx():
+    return DeltaSliceContext(3, Fraction(4), 4, 4, 12)
 
 
 class TestTermListSums:
@@ -74,21 +84,21 @@ class TestTermListSums:
     def test_monomial_map_matches_pairwise_fold(self):
         for k in range(4):
             terms = degree_2k1_rhs(k)
-            assert x_poly(terms) == folded_apply(terms, XPolyQ.x_power)
+            assert apply(terms, XPolyQ.x_power) == folded_apply(terms, XPolyQ.x_power)
 
 
 class TestEq6:
     def test_degenerate_cell(self):
-        left, right = sides_eq6(0, 0)
+        left, right = sides(IdentityId.EQ6, {"k": 0, "m": 0})
         assert left == right == XPolyQ([RatFuncQ(ONE_PLUS_Q)])
 
     def test_k1_m0(self):
-        left, right = sides_eq6(1, 0)
+        left, right = sides(IdentityId.EQ6, {"k": 1, "m": 0})
         expected = XPolyQ([RatFuncQ.zero(), RatFuncQ(ONE_PLUS_Q)])
         assert left == right == expected
 
     def test_k1_m2_with_bruteforce_right_side(self):
-        left, right = sides_eq6(1, 2)
+        left, right = sides(IdentityId.EQ6, {"k": 1, "m": 2})
         assert left == right
         # expand (1+q) x (x-1)^2 by repeated multiplication instead of the
         # binomial route used internally
@@ -98,7 +108,7 @@ class TestEq6:
         assert right == brute
 
     def test_point_evaluation_samples(self):
-        left, right = sides_eq6(2, 3)
+        left, right = sides(IdentityId.EQ6, {"k": 2, "m": 3})
         for x0, q0 in ((Fraction(2), Fraction(3)), (Fraction(-1, 2), Fraction(2))):
             assert evaluate_point(left, x0, q0) == evaluate_point(right, x0, q0)
 
@@ -129,18 +139,19 @@ class TestThm1:
 
 class TestEq103:
     def test_k1_anchor(self):
-        left, right = sides_eq103(1)
+        left, right = sides(IdentityId.EQ103, {"k": 1})
         expected = XPolyQ([RatFuncQ.zero(),
                            RatFuncQ(-ONE_PLUS_Q), RatFuncQ(ONE_PLUS_Q)])
         assert left == right == expected
 
     def test_k2(self):
-        left, right = sides_eq103(2)
+        left, right = sides(IdentityId.EQ103, {"k": 2})
         assert left == right
 
     def test_regrouping_identity(self):
         for k in range(1, 9):
-            assert (sides_eq103(k)[0] - sides_eq6(k, k)[0]).is_zero
+            regrouped = sides(IdentityId.EQ103, {"k": k})[0]
+            assert (regrouped - sides(IdentityId.EQ6, {"k": k, "m": k})[0]).is_zero
 
 
 class TestThm2:
@@ -158,7 +169,7 @@ class TestThm2:
         # reproduces the statement
         from qeuler.qspecial import TWO_Q_RECIP
         for k in range(1, 6):
-            left103, right103 = sides_eq103(k)
+            left103, right103 = sides(IdentityId.EQ103, {"k": k})
             li = -(left103.integral01() / TWO_Q_RECIP)
             ri = -(right103.integral01() / TWO_Q_RECIP)
             l2, r2 = sides_thm2(k)
@@ -167,7 +178,7 @@ class TestThm2:
 
 class TestThm3:
     def test_corrected_k1_full_expansion(self):
-        left, right = sides_thm3(1, "corrected")
+        left, right = sides(IdentityId.THM3_CORRECTED, {"k": 1})
         expected = XPolyQ([
             RatFuncQ.zero(),
             RatFuncQ(Q),
@@ -178,7 +189,7 @@ class TestThm3:
 
     def test_corrected_holds_to_6(self):
         for k in range(1, 7):
-            left, right = sides_thm3(k, "corrected")
+            left, right = sides(IdentityId.THM3_CORRECTED, {"k": k})
             assert left == right
 
     def test_construction_identity(self):
@@ -186,17 +197,17 @@ class TestThm3:
             assert thm3_construction_residual(k).is_zero
 
     def test_printed_differs_at_k1(self):
-        left, right = sides_thm3(1, "printed")
+        left, right = sides(IdentityId.THM3_PRINTED, {"k": 1})
         assert not (left - right).is_zero
 
     def test_variant_validation(self):
         with pytest.raises(ValueError):
-            sides_thm3(1, "fixed")
+            degree_2k1_statement(1, "fixed")
 
 
 class TestThm4:
     def test_anchor_1_1(self):
-        left, right = sides_thm4(1, 1)
+        left, right = sides(IdentityId.THM4, {"k": 1, "m": 1})
         expected = RatFuncQ(PolyQ((0, 0, 2)), ONE_PLUS_Q)
         assert left == right == expected
 
@@ -205,20 +216,21 @@ class TestThm4:
         e1, e2 = euler_number(1), euler_number(2)
         by_hand = RatFuncQ(ONE_PLUS_Q) * (e2 * 2 + e1 * e1 * 2) \
             + RatFuncQ(PolyQ((-1, 1))) * e1 * 2
-        assert sides_thm4(1, 1)[0] == by_hand
+        assert sides(IdentityId.THM4, {"k": 1, "m": 1})[1] == by_hand
 
     def test_symbolic_grid(self):
         for k in range(1, 4):
             for m in range(1, 4):
-                left, right = sides_thm4(k, m)
+                left, right = sides(IdentityId.THM4, {"k": k, "m": m})
                 assert left == right
 
     def test_padic_witness_at_k5(self):
         ctx5 = NumericContext(3, Fraction(4), 5, 4, 12)
         for k in range(1, 4):
             for m in range(1, 4):
-                exact = ctx5.embed(sides_thm4(k, m)[1])
-                numeric = direct_moment(KIND_FERMIONIC, sides_eq6(k, m)[1], ctx5)
+                exact = ctx5.embed(sides(IdentityId.THM4, {"k": k, "m": m})[0])
+                shift = sides(IdentityId.EQ6, {"k": k, "m": m})[1]
+                numeric = direct_moment(KIND_FERMIONIC, shift, ctx5)
                 d = padic_distance(exact, numeric)
                 assert d == inf or d >= 5
 
@@ -226,11 +238,11 @@ class TestThm4:
 class TestThm5:
     def test_corrected_is_exact_identity(self):
         for k in range(1, 5):
-            left, right = sides_thm5(k, "corrected")
+            left, right = sides(IdentityId.THM5_CORRECTED, {"k": k})
             assert left == right
 
     def test_printed_differs_at_k1(self):
-        left, right = sides_thm5(1, "printed")
+        left, right = sides(IdentityId.THM5_PRINTED, {"k": 1})
         assert not (left - right).is_zero
 
     def test_left_side_is_binomial_expansion_oracle(self):
@@ -243,12 +255,13 @@ class TestThm5:
             s1 = sum((euler_number(k + l + 1) * Fraction(binom(k, l) * (-1) ** (k - l))
                       for l in range(k + 1)), RatFuncQ.zero())
             oracle = TWO_Q * s1 - RatFuncQ(Q) * s0
-            assert sides_thm5(k, "corrected")[0] == oracle
+            assert sides(IdentityId.THM5_CORRECTED, {"k": k})[0] == oracle
 
     def test_padic_witness(self):
         ctx5 = NumericContext(3, Fraction(4), 5, 4, 12)
-        exact = ctx5.embed(sides_thm5(2, "corrected")[0])
-        numeric = direct_moment(KIND_FERMIONIC, sides_thm3(2, "corrected")[1], ctx5)
+        exact = ctx5.embed(sides(IdentityId.THM5_CORRECTED, {"k": 2})[0])
+        rhs = sides(IdentityId.THM3_CORRECTED, {"k": 2})[1]
+        numeric = direct_moment(KIND_FERMIONIC, rhs, ctx5)
         d = padic_distance(exact, numeric)
         assert d == inf or d >= 5
 
@@ -259,50 +272,64 @@ class TestThm5:
 
 class TestThm6:
     def test_holds_to_precision_and_two_routes(self, ctx):
-        left, right = sides_thm6(1, 1, ctx)
+        left, right = sides(IdentityId.THM6, {"k": 1, "m": 1}, ctx)
         assert padic_distance(left, right) >= ctx.target
-        direct = direct_moment(KIND_BOSONIC, sides_eq6(1, 1)[1], ctx)
+        shift = sides(IdentityId.EQ6, {"k": 1, "m": 1})[1]
+        direct = direct_moment(KIND_BOSONIC, shift, ctx)
         assert padic_distance(left, direct) >= ctx.target
         assert padic_distance(right, direct) >= ctx.target
 
     def test_second_prime(self):
         ctx5 = NumericContext(5, Fraction(6), 4, 4, 10)
-        left, right = sides_thm6(1, 2, ctx5)
+        left, right = sides(IdentityId.THM6, {"k": 1, "m": 2}, ctx5)
         assert padic_distance(left, right) >= 4
 
-    def test_degenerate_bernoulli_slice_is_exact_zero(self, ctx):
+    def test_degenerate_bernoulli_slice_is_exact_zero(self, delta_ctx):
         # replacing every numeric value by the 0-index slice collapses both
         # sides to the master identity evaluated at x = 0, which vanishes
         # for k >= 1
-        def delta(n: int) -> PadicApprox:
-            return ctx.embed(Fraction(1 if n == 0 else 0))
         for k, m in ((1, 1), (2, 1)):
-            left, right = sides_thm6(k, m, ctx, bernoulli=delta)
-            assert left.is_zero or left.valuation >= ctx.target
-            assert right.is_zero or right.valuation >= ctx.target
+            left, right = sides(IdentityId.THM6, {"k": k, "m": m}, delta_ctx)
+            assert left.is_zero or left.valuation >= delta_ctx.target
+            assert right.is_zero or right.valuation >= delta_ctx.target
 
 
 class TestCor7:
     def test_corrected_holds_and_two_routes(self, ctx):
         for k in (1, 2):
-            left, right = sides_cor7(k, "corrected", ctx)
+            left, right = sides(IdentityId.COR7_CORRECTED, {"k": k}, ctx)
             assert padic_distance(left, right) >= ctx.target
-            direct = direct_moment(KIND_BOSONIC, sides_thm3(k, "corrected")[1], ctx)
+            rhs = sides(IdentityId.THM3_CORRECTED, {"k": k})[1]
+            direct = direct_moment(KIND_BOSONIC, rhs, ctx)
             assert padic_distance(left, direct) >= ctx.target
 
     def test_printed_differs(self, ctx):
-        left, right = sides_cor7(1, "printed", ctx)
+        left, right = sides(IdentityId.COR7_PRINTED, {"k": 1}, ctx)
         assert padic_distance(left, right) < ctx.target
 
-    def test_degenerate_bernoulli_slice(self, ctx):
-        def delta(n: int) -> PadicApprox:
-            return ctx.embed(Fraction(1 if n == 0 else 0))
-        left, right = sides_cor7(1, "corrected", ctx, bernoulli=delta)
+    def test_degenerate_bernoulli_slice(self, delta_ctx):
+        left, right = sides(IdentityId.COR7_CORRECTED, {"k": 1}, delta_ctx)
         # with the delta slice, left = -q * sum_l C(k,l)(-1)^(k-l) [k+l == 0]
         # which vanishes for k >= 1; the right side reduces to exact E sums
-        assert left.is_zero or left.valuation >= ctx.target
-        exact_right = sides_cor7(1, "corrected", ctx, bernoulli=delta)[1]
+        assert left.is_zero or left.valuation >= delta_ctx.target
+        exact_right = sides(IdentityId.COR7_CORRECTED, {"k": 1}, delta_ctx)[1]
         assert exact_right == right
+
+
+class TestViewComposition:
+    """The fermionic view is x^i -> E[i] applied to each side of the poly
+    view: the slower route, kept as the oracle for fermionic_moment."""
+
+    def test_fermionic_view_is_moment_of_poly_view(self):
+        statements = [eq6_statement(k, m) for k in range(5) for m in range(5)]
+        statements += [eq103_statement(k) for k in range(1, 5)]
+        statements += [degree_2k1_statement(k, variant) for k in range(1, 5)
+                       for variant in ("printed", "corrected")]
+        for statement in statements:
+            e_side, x_side = view_sides("poly", statement)
+            x_moment, e_moment = view_sides("fermionic", statement)
+            assert x_moment == fermionic_image(x_side)
+            assert e_moment == fermionic_image(e_side)
 
 
 class TestCalculusIdentities:
@@ -365,11 +392,10 @@ class TestVerifyDriver:
 
 class TestXPowerShift:
     def test_expansion(self):
-        assert x_power_shift(1, 1) == XPolyQ([RatFuncQ.zero(),
-                                              RatFuncQ.from_fraction(-1),
-                                              RF_ONE])
+        assert apply(shift_terms(1, 1), XPolyQ.x_power) == XPolyQ(
+            [RatFuncQ.zero(), RatFuncQ.from_fraction(-1), RF_ONE])
 
     def test_matches_repeated_multiplication(self):
         factor = XPolyQ([RatFuncQ.from_fraction(-1), RF_ONE])
         brute = XPolyQ.x_power(2) * factor * factor * factor
-        assert x_power_shift(2, 3) == brute
+        assert apply(shift_terms(2, 3), XPolyQ.x_power) == brute

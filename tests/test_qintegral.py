@@ -18,6 +18,7 @@ from qeuler.qintegral import (
     STOP_PRECISION,
     ConvergenceNotReached,
     IntegralRequest,
+    _normalizer,
     integrate,
     riemann_level,
 )
@@ -136,6 +137,18 @@ class TestRiemannLevel:
         assert time.perf_counter() - start < 1.0
         exact = PadicApprox.from_rational(euler_number(10).evaluate(8), 7, 12)
         assert padic_distance(value, exact) >= 6
+
+
+class TestNormalizer:
+    def test_fermionic_at_q_one_is_the_unit_one(self):
+        # t = -q = -1: the bracket of p^level in base -1 is 1, which the
+        # general (t^m - 1)/(t - 1) route gives without a special case
+        for p in (3, 5, 7, 11, 13):
+            req = IntegralRequest(KIND_FERMIONIC, 0, Fraction(0), p, Fraction(1), 4)
+            for level in range(1, 7):
+                for work in range(1, 12):
+                    assert _normalizer(req, level, work) == \
+                        PadicApprox(p, 0, 1, work)
 
 
 class TestValidation:
