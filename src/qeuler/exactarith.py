@@ -16,9 +16,15 @@ Every sum, from ``a + b`` to a term list sum c_1 v_1 + ... + c_k v_k
 (:func:`sum_products`), is reduced once: the numerators are multiplied
 without reducing, each product is brought to the largest exponents
 q^A (1+q)^B, and only the total is put in canonical form.  A sum of
-``XPolyQ`` values is reduced once per power of x.
+``XPolyQ`` values is reduced once per power of x.  The reduction runs
+over Z: the products leave Q over the lcm D of their denominators, the
+lift to (1+q)^B and the stripping of q and (1+q) act on one integer
+numerator, and its coefficients become Fractions c/D only at the end.
+A product's (1+q) strip likewise divides an integer numerator
+(:func:`qeuler.zpoly.strip_bracket`).
 
-Three immutable layers, all over exact rationals (``fractions.Fraction``):
+Three immutable layers, all with exact rational coefficients
+(``fractions.Fraction``):
 
 * :class:`PolyQ` -- dense univariate polynomials in ``q``;
 * :class:`RatFuncQ` -- elements of R in canonical form;
@@ -27,8 +33,9 @@ Three immutable layers, all over exact rationals (``fractions.Fraction``):
 
 ``PolyQ`` and ``XPolyQ`` are one dense-polynomial class, ``_DensePoly``,
 over two coefficient rings (Q and R); each supplies only its ring and its
-rendering.  The renderer itself, like the integer table of q-Euler
-numerators, lives in :mod:`qeuler.zpoly`, below every exact layer.
+rendering.  The renderer itself, the integer division by (1+q) and the
+integer table of q-Euler numerators live in :mod:`qeuler.zpoly`, below
+every exact layer.
 
 No floating point appears anywhere in this module; every operation either
 returns an exact value or raises.
@@ -38,11 +45,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, PoleError
+from . import zpoly
 from .zpoly import bracket_power, fmt_poly
 
 CoercibleScalar = Union[int, Fraction]
@@ -235,18 +243,6 @@ class PolyQ(_DensePoly):
     def constant(cls, c: CoercibleScalar) -> "PolyQ":
         return cls((c,))
 
-    def divide_linear(self, r: CoercibleScalar):
-        """Synthetic division by (q - r): returns (quotient, value at r)."""
-        r = self._element(r)
-        acc = _F0
-        quot = []
-        for c in reversed(self.coeffs):
-            acc = acc * r + c
-            quot.append(acc)
-        rem = quot.pop()
-        quot.reverse()
-        return PolyQ._raw(quot), rem
-
     def to_str(self, var: str = "q") -> str:
         return fmt_poly(self.coeffs, var)
 
@@ -295,40 +291,55 @@ def _as_poly(x) -> PolyQ:
     return PolyQ.constant(x) if isinstance(x, (int, Fraction)) else PolyQ(x)
 
 
+def _scaled(coeffs, d: int) -> list:
+    """The integers d * c for the rationals c of coeffs; d is a common
+    multiple of their denominators."""
+    return [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _shared_q(coeffs, a: int) -> int:
+    """How many factors q the numerator coeffs shares with q^a."""
+    t = 0
+    while t < a and coeffs[t] == 0:
+        t += 1
+    return t
+
+
 def _canonical(num: PolyQ, a: int, b: int, strip_q: bool = True,
                strip_bracket: bool = True) -> "RatFuncQ":
     """num / (q^a (1+q)^b) in canonical form.
 
     Strips each factor q (when strip_q) and (1+q) (when strip_bracket)
     that num shares with the denominator; a caller may skip a factor it
-    knows num to be prime to.  A zero numerator gives 0/1.
+    knows num to be prime to.  The factors (1+q) are divided out of num's
+    integer numerator over one common denominator, and num is rebuilt
+    only when one came off.  A zero numerator gives 0/1.
     """
     if num.is_zero:
         return RF_ZERO
     if strip_q:
-        t = 0
-        while t < a and num.coeffs[t] == 0:
-            t += 1
+        t = _shared_q(num.coeffs, a)
         if t:
             num = PolyQ._raw(list(num.coeffs[t:]))
             a -= t
-    if strip_bracket:
-        # num(-1) = 0 exactly when the even and odd coefficients have equal sums
-        while b and sum(num.coeffs[::2]) == sum(num.coeffs[1::2]):
-            num = num.divide_linear(-1)[0]
-            b -= 1
+    if strip_bracket and b:
+        d = lcm(*(c.denominator for c in num.coeffs))
+        ints, left = zpoly.strip_bracket(_scaled(num.coeffs, d), b)
+        if left < b:
+            num, b = PolyQ._raw([Fraction(c, d) for c in ints]), left
     return RatFuncQ._raw(num, a, b)
 
 
 def _reduced_sum(parts) -> "RatFuncQ":
     """The sum of f g / (q^a (1+q)^b) over (f, g, a, b) parts, f and g
-    numerator coefficient tuples (g None for 1), reduced by one _canonical
-    call.
+    numerator coefficient tuples (g None for 1), reduced once over Z.
 
     With A and B the largest exponents, each product f g is accumulated,
     shifted by its q deficit A - a, into the row of its (1+q) deficit
-    B - b; Horner's rule in (1+q), one shift-add per step, then brings
-    every row to (1+q)^B.
+    B - b.  The rows then leave Q once, over the lcm of their
+    denominators: Horner's rule in (1+q), one shift-add per step, brings
+    every integer row to (1+q)^B, the factors q and (1+q) are stripped
+    from the integer total, and only its coefficients become Fractions.
     """
     parts = [p for p in parts if p[0] and p[1] != ()]   # drop zero terms
     if not parts:
@@ -338,13 +349,25 @@ def _reduced_sum(parts) -> "RatFuncQ":
     rows = {}
     for f, g, a, b in parts:
         _add_into(rows.setdefault(top_b - b, []), f, g, top_a - a)
+    d = lcm(*(c.denominator for row in rows.values() for c in row))
     top = max(rows)
-    acc = rows[top]
-    for d in range(top - 1, -1, -1):
+    # padded so that acc, one longer after each step, covers every row
+    width = max(len(row) + deficit for deficit, row in rows.items())
+    acc = _scaled(rows[top], d)
+    acc += [0] * (width - top - len(acc))
+    for deficit in range(top - 1, -1, -1):
         acc = [acc[0], *map(add, acc[1:], acc), acc[-1]]  # acc * (1+q)
-        if d in rows:
-            _add_into(acc, rows[d], None, 0)
-    return _canonical(PolyQ._raw(acc), top_a, top_b)
+        if deficit in rows:
+            row = _scaled(rows[deficit], d)
+            acc[:len(row)] = map(add, acc, row)
+    while acc and not acc[-1]:
+        acc.pop()
+    if not acc:
+        return RF_ZERO
+    t = _shared_q(acc, top_a)
+    ints, b = zpoly.strip_bracket(acc[t:], top_b)
+    return RatFuncQ._raw(PolyQ._raw([Fraction(c, d) for c in ints]),
+                         top_a - t, b)
 
 
 def _add_into(acc: list, f, g, shift: int) -> None:

@@ -1,5 +1,7 @@
 """Integer polynomials at the bottom of the exact stack: the numerators of
-the weight-0 q-Euler numbers over Z[q], and the one polynomial renderer.
+the weight-0 q-Euler numbers over Z[q], the exact division by (1 + q)
+that reduces every value of the exact layers, and the one polynomial
+renderer.
 
 The number table E[n] is driven by the umbral recurrence
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Tuple
 
@@ -57,6 +60,21 @@ def euler_numerator(n: int) -> Tuple[int, ...]:
 def bracket_power(n: int) -> Tuple[int, ...]:
     """(1 + q)^n as ascending integer coefficients."""
     return tuple(comb(n, i) for i in range(n + 1))
+
+
+def strip_bracket(coeffs, b: int):
+    """Divide the nonzero integer polynomial ``coeffs`` (ascending) by
+    (1 + q) while b > 0 and it vanishes at q = -1, lowering b by one for
+    each factor; returns (coeffs, b).
+
+    The division is exact over Z because 1 + q is monic: the quotient's
+    coefficients are the alternating running sums c_i - c_(i-1) + ....
+    """
+    # num(-1) = 0 exactly when the even and odd coefficients have equal sums
+    while b and sum(coeffs[::2]) == sum(coeffs[1::2]):
+        coeffs = list(accumulate(coeffs[:-1], lambda acc, c: c - acc))
+        b -= 1
+    return coeffs, b
 
 
 def fmt_poly(coeffs, var: str = "q") -> str:

@@ -41,6 +41,33 @@ def folded_apply(terms, image):
     return reduce(add, (image(n) * c for c, n in terms))
 
 
+def divide_linear(p: PolyQ, r):
+    """Synthetic division of p by (q - r) over Q: (quotient, value at r)."""
+    r = p._element(r)
+    acc = Fraction(0)
+    quot = []
+    for c in reversed(p.coeffs):
+        acc = acc * r + c
+        quot.append(acc)
+    rem = quot.pop()
+    quot.reverse()
+    return PolyQ(quot), rem
+
+
+def canonical_by_division(num: PolyQ, a: int, b: int) -> tuple:
+    """(num, a, b) of num / (q^a (1+q)^b) with every shared factor q and
+    (1+q) removed over Q, (1+q) by repeated synthetic division at -1: the
+    Fraction route for the integer reduction of exactarith."""
+    while a and num and num.coefficient(0) == 0:
+        num, a = PolyQ(num.coeffs[1:]), a - 1
+    while b and num:
+        quot, rem = divide_linear(num, -1)
+        if rem:
+            break
+        num, b = quot, b - 1
+    return num, a, b
+
+
 # -- polynomials in x ---------------------------------------------------------
 
 def shifted(poly: XPolyQ, c) -> XPolyQ:

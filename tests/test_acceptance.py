@@ -54,6 +54,26 @@ from oracles import (
 BATTERY_SHA256 = ("baedeef0ed5e5eb90ce3a2bffd6704ab"
                   "a646e151e64618d2eecf97a5092a994d")
 
+# canonical_sha256 of deeper grids and tables, gated the same way
+COMMAND_SHA256 = {
+    "verify EQ6 --k 0..10 --m 0..10":
+        "6e04cc419d9341e55eb807688394a2879723866ed962149968b5b6adc12848a1",
+    "verify all --p 5 --K 5":
+        "b6e890b2a012d99cb94d364d4dfedb8dc6cae346500e5586c3680d99ac188eb6",
+    "poly --n 0..20":
+        "2928e7285c559c98e0bafb01545b5fe7b38b632d9594224a7497d2bfe0d58aa6",
+    "verify THM3_PRINTED --k 1..6":
+        "ce515b96f9a9f8319b99d1344e8e2ff6be65ae4e7d73ffd36589fdff9c4b4bce",
+    "verify THM5_PRINTED --k 1..5":
+        "b28861c4fda11177a22a258fc573ef46aa4b910adcdd78866f2f7869a092bda2",
+    "verify THM4 --k 1..8 --m 1..8":
+        "cedf034bb9b66f4c44e3bd4f5a9ed1274dde98ae08d738a090434d8fc60fcd42",
+    "verify EQ103 --k 1..12":
+        "fa1f51a115fecc7f0d673e54de8167c86f89cfc9c0be8e601fbe63aa471a174a",
+    "verify THM1 --k 1..10 --m 1..10":
+        "49fd3d6d07c6ac2ffcb425e4ae668df11105c6e8e88080f96453e6939be281e3",
+}
+
 
 def criterion(num, label):
     def deco(fn):
@@ -224,3 +244,13 @@ def test_criterion_11_determinism(tmp_path, capsys):
     cached_warm = battery("--cache", str(cache)).canonical()
     no_cache = battery("--no-cache").canonical()
     assert plain_1 == plain_2 == cached_cold == cached_warm == no_cache
+
+
+@criterion(12, "pinned canonical bodies of deeper grids and tables")
+def test_criterion_12_pinned_commands(tmp_path, capsys):
+    for command, expected in COMMAND_SHA256.items():
+        out_file = tmp_path / "out.json"
+        code = cli_main([*command.split(), "--format", "json",
+                         "--out", str(out_file)])
+        assert code == 0, command
+        assert Report.parse(out_file.read_text()).sha256() == expected, command

@@ -1,6 +1,7 @@
 """Exact polynomial / rational-function / x-polynomial arithmetic."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,12 @@ from qeuler.exactarith import (
     PolyQ,
     RatFuncQ,
     XPolyQ,
+    _canonical,
     sum_products,
 )
+from qeuler.zpoly import strip_bracket
 
-from oracles import folded_apply, shifted
+from oracles import canonical_by_division, divide_linear, folded_apply, shifted
 
 ONE_PLUS_Q = PolyQ((1, 1))
 Q = PolyQ((0, 1))
@@ -51,15 +54,14 @@ class TestPolyQ:
 
     def test_divide_linear(self):
         p = ONE_PLUS_Q ** 2
-        quot, val = p.divide_linear(-1)
+        quot, val = divide_linear(p, -1)
         assert val == 0
         assert quot == ONE_PLUS_Q
 
     def test_float_points_rejected(self):
         # a float point would be read as its binary value, not as 1/10
-        for use in (PolyQ.evaluate, PolyQ.divide_linear):
-            with pytest.raises(TypeError, match="cannot use float"):
-                use(ONE_PLUS_Q, 0.1)
+        with pytest.raises(TypeError, match="cannot use float"):
+            PolyQ.evaluate(ONE_PLUS_Q, 0.1)
 
 
 class TestRatFuncQ:
@@ -245,6 +247,20 @@ def test_normalization_idempotent(a):
     assert again.num == a.num and again.den == a.den
     assert a.den.leading == 1
     assert poly_gcd(a.num, a.den).degree <= 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(3).filter(bool), st.integers(0, 4), st.integers(0, 2), st.data())
+def test_integer_strip_matches_synthetic_division(p, j, a, data):
+    num = p * ONE_PLUS_Q ** j
+    b = data.draw(st.integers(0, j + 2), label="b")
+    f = _canonical(num, a, b)
+    assert (f.num, f.a, f.b) == canonical_by_division(num, a, b)
+    assert all(type(c) is Fraction for c in f.num.coeffs)
+    d = lcm(*(c.denominator for c in num.coeffs))
+    ints, left = strip_bracket([int(c * d) for c in num.coeffs], b)
+    assert all(type(c) is int for c in ints)
+    assert (PolyQ(ints) * Fraction(1, d), 0, left) == canonical_by_division(num, 0, b)
 
 
 # an operand with exponent 0 whose numerator is divisible by q or (1+q):

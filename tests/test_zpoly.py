@@ -19,6 +19,7 @@ from qeuler.zpoly import (
     euler_number_str,
     euler_numerator,
     fmt_poly,
+    strip_bracket,
 )
 
 from oracles import (
@@ -79,6 +80,32 @@ def test_minus_one_is_a_pole():
                     max_denominator=12).filter(lambda x: x != -1))
 def test_horner_over_the_integers(n, q0):
     assert euler_number_at(n, q0) == euler_number(n).evaluate(q0)
+
+
+def times_bracket(coeffs, j):
+    """coeffs * (1+q)^j over the integers."""
+    coeffs = list(coeffs)
+    for _ in range(j):
+        coeffs = [x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def test_strip_bracket_leaves_numerators_whole():
+    # N_n(-1) = n! is nonzero, so no factor (1+q) comes off
+    for n in range(N_MAX + 1):
+        assert strip_bracket(euler_numerator(n), n) == (euler_numerator(n), n)
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_strip_bracket_takes_exactly_the_factors_put_on(j):
+    for n in range(0, N_MAX + 1, 6):
+        row = list(euler_numerator(n))
+        for b in range(j, j + 3):
+            assert strip_bracket(times_bracket(row, j), b) == (row, b - j)
+        for b in range(j):
+            # it stops at b, with the remaining factors still on
+            assert strip_bracket(times_bracket(row, j), b) == (
+                times_bracket(row, j - b), 0)
 
 
 def test_negative_index_rejected():
