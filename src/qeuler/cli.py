@@ -336,7 +336,7 @@ def cmd_verify(args, battery: bool = False) -> int:
     start = time.monotonic()
 
     items = []
-    per_item = {}
+    per_item, routes, x_certificates = {}, {}, {}
     for ident in targets:
         try:
             results = verify_grid(ident, explicit_ranges, ctx)
@@ -344,7 +344,12 @@ def cmd_verify(args, battery: bool = False) -> int:
             raise ConfigError(str(exc))
         for r in results:
             items.append(r.as_report_item())
-            per_item[f"{r.id.value}:{r.params}"] = r.elapsed
+            cell = f"{r.id.value}:{r.params}"
+            per_item[cell] = r.elapsed
+            if r.route is not None:
+                routes[r.route] = routes.get(r.route, 0) + 1
+            if r.x_certificate is not None:
+                x_certificates[cell] = r.x_certificate
     _save_cache(cache, args)
 
     config = {
@@ -357,6 +362,8 @@ def cmd_verify(args, battery: bool = False) -> int:
     report = Report(config, items, timing={
         "total_seconds": time.monotonic() - start,
         "per_item_seconds": per_item,
+        "routes": routes,
+        "x_certificates": x_certificates,
     })
     _emit(report, args, "json" if battery else "pretty")
     return report.exit_code()

@@ -7,10 +7,12 @@ Every catalogued statement comes from the master identity and is data: a
 
     sum c * E_n(x) over terms  =  scale * sum c' * x^i over monomials,
 
-with scale None for 1.  There are three: the master identity EQ6 at
-(k, m), its even/odd regrouping EQ103 at k, and the degree-(2k+1)
-statement in its printed or corrected reading.  A theorem is a statement
-seen through one of three *views*, linear maps applied to both sides:
+with scale None for 1.  Its coefficients are integer data, c(q)/(1+q)^b
+for an integer polynomial c, and ``ring_terms`` turns them into values of
+R.  There are three: the master identity EQ6 at (k, m), its even/odd
+regrouping EQ103 at k, and the degree-(2k+1) statement in its printed or
+corrected reading.  A theorem is a statement seen through one of three
+*views*, linear maps applied to both sides:
 
 - ``"poly"``: E_n(x) -> E_n(x) and x^i -> x^i (E-side first);
 - ``"fermionic"``: E_n(x) -> its fermionic moment and x^i -> E[i]
@@ -27,6 +29,23 @@ Exact identities are decided in the ring R = Q[q, 1/q, 1/(1+q)]
 numbers are decided here to finite p-adic precision, because B is
 computed as a Riemann-sum limit.
 
+An exact cell is decided by one of two routes.  With E the linear map
+x^n -> E_n(x), a statement E(t) = h holds iff its *x-certificate*
+c = t - E^-1(h) is zero, where E^-1(h) = (q h(x+1) + h(x))/(1+q); the
+certificate of a view is that view's map of E(c), and an integrated
+statement adds a rational beta residual.  So EQ103, THM1-THM5 and their
+readings are first decided by c, computed from the statement over the
+integers with no table value: a zero c (and a zero residual) gives
+``holds`` and the zero certificate.  Every other cell, and every cell
+whose c is not zero, takes the *table route*: both sides are computed
+from the E tables and subtracted, so a failing certificate is always the
+tables' own.  EQ6 itself, the calculus rules and the bosonic view always
+take the table route.  The x-certificate route is sound only while the
+tables satisfy the functional equation q E_n(x+1) + E_n(x) = (1+q) x^n up
+to the statement's degree; that *license* is checked on the integer
+numerators once per degree and process, and a degree that fails it sends
+its cells to the table route.
+
 Several catalogued statements exist in two encodings: a ``_PRINTED``
 variant transcribing the typeset source, including its suspect summation
 bounds and subscripts, and a ``_CORRECTED`` variant re-derived from the
@@ -42,22 +61,31 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import product
+from itertools import accumulate, chain, product
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .exactarith import RF_ONE, RF_Q, RatFuncQ, XPolyQ, sum_products
+from .exactarith import RF_Q, RF_ZERO, RatFuncQ, XPolyQ, sum_products
 from .padic import PadicApprox
 from .qintegral import KIND_BOSONIC, MonomialIntegrals
-from .qspecial import TWO_Q, TWO_Q_RECIP, binom, euler_number, euler_poly
+from .qspecial import (TWO_Q, TWO_Q_RECIP, beta_exact, binom, euler_number,
+                       euler_poly)
 from .report import ERROR, FAILS, HOLDS, HOLDS_TO_PRECISION
-
-_Q_MINUS_1 = RF_Q - RF_ONE
-_INV_TWO_Q = RF_ONE / TWO_Q
+from .zpoly import bracket_power, euler_numerator
 
 Terms = List[Tuple[object, int]]
-# (terms, scale, monomials): sum c E_n(x) = scale * sum c' x^i, scale None for 1
-Statement = Tuple[Terms, Optional[RatFuncQ], Terms]
+# (coeffs, b, n): coeffs(q) / (1+q)^b times E_n(x), or times x^n, with
+# coeffs ascending integers
+ZTerms = List[Tuple[Tuple[int, ...], int, int]]
+# (terms, scale, monomials): sum c E_n(x) = scale * sum c' x^i, scale an
+# integer polynomial in q, None for 1
+Statement = Tuple[ZTerms, Optional[Tuple[int, ...]], ZTerms]
+
+_ONE_PLUS_Q = (1, 1)
+
+# the two ways verify decides a cell, as the report's timing counts them
+X_CERTIFICATE = "x-certificate"
+TABLES = "tables"
 
 
 class IdentityId(str, Enum):
@@ -85,26 +113,27 @@ class IdentityId(str, Enum):
 # term lists
 
 
-def eq6_terms(k: int, m: int, first: int = 0) -> Terms:
+def eq6_terms(k: int, m: int, first: int = 0) -> ZTerms:
     """The master identity's bracket sum from j = first:
     sum_j (q C(k, j) + (-1)^j C(m, j)) E_{k+m-j}(x)."""
     terms = []
     for j in range(first, max(k, m) + 1):
-        c = RF_Q * binom(k, j) + RatFuncQ.from_fraction(
-            Fraction(binom(m, j) * (-1) ** j))
-        if not c.is_zero:
-            terms.append((c, k + m - j))
+        c = ((-1) ** j * binom(m, j), binom(k, j))
+        if any(c):
+            terms.append((c, 0, k + m - j))
     return terms
 
 
-def eq103_terms(k: int) -> Terms:
+def eq103_terms(k: int) -> ZTerms:
     """Even/odd regrouping of the master bracket sum at m = k:
     (1+q) C(k, 2j) E_{2k-2j}(x) and (q-1) C(k, 2j+1) E_{2k-2j-1}(x)."""
     terms = []
     for j in range(k // 2 + 1):
-        terms.append((TWO_Q * binom(k, 2 * j), 2 * k - 2 * j))
-        if binom(k, 2 * j + 1):
-            terms.append((_Q_MINUS_1 * binom(k, 2 * j + 1), 2 * k - 2 * j - 1))
+        c = binom(k, 2 * j)
+        terms.append(((c, c), 0, 2 * k - 2 * j))
+        c = binom(k, 2 * j + 1)
+        if c:
+            terms.append(((-c, c), 0, 2 * k - 2 * j - 1))
     return terms
 
 
@@ -120,34 +149,38 @@ _READINGS = {
 }
 
 
-def degree_2k1_terms(k: int, variant: str) -> Terms:
+def degree_2k1_terms(k: int, variant: str) -> ZTerms:
     """Left side of the degree-(2k+1) identity, printed or corrected."""
     if variant not in _READINGS:
         raise ValueError(f"variant must be 'printed' or 'corrected', got {variant!r}")
     last, offset = _READINGS[variant]
-    terms = [(TWO_Q * binom(k, 2 * j), 2 * k + 1 - 2 * j)
+    terms = [((binom(k, 2 * j),) * 2, 0, 2 * k + 1 - 2 * j)
              for j in range(k // 2 + 1)]
-    terms += [(RatFuncQ.from_fraction(binom(k, 2 * j - 1)), 2 * k + 1 - 2 * j)
+    terms += [((binom(k, 2 * j - 1),), 0, 2 * k + 1 - 2 * j)
               for j in range(1, last(k) + 1)]
     for j in range((k - 1) // 2 + 1):
-        c = _Q_MINUS_1 * binom(k, 2 * j + 1)
-        terms += [(c, 2 * k - 2 * j), (c * _INV_TWO_Q, 2 * k - 2 * j + offset)]
+        c = binom(k, 2 * j + 1)
+        terms += [((-c, c), 0, 2 * k - 2 * j), ((-c, c), 1, 2 * k - 2 * j + offset)]
     return terms
 
 
-def shift_terms(k: int, m: int) -> Terms:
+def shift_terms(k: int, m: int) -> ZTerms:
     """x^k (x - 1)^m as monomial terms."""
-    return [(RatFuncQ.from_fraction(Fraction(binom(m, l) * (-1) ** (m - l))), k + l)
-            for l in range(m + 1)]
+    return [((binom(m, l) * (-1) ** (m - l),), 0, k + l) for l in range(m + 1)]
 
 
-def degree_2k1_rhs(k: int) -> Terms:
+def degree_2k1_rhs(k: int) -> ZTerms:
     """x^k (x-1)^k ((1+q) x - q) as monomial terms, one pair per term of
     x^k (x-1)^k, as the bosonic statement is printed."""
     terms = []
-    for c, i in shift_terms(k, k):
-        terms += [(TWO_Q * c, i + 1), (-RF_Q * c, i)]
+    for (c,), _, i in shift_terms(k, k):
+        terms += [((c, c), 0, i + 1), ((0, -c), 0, i)]
     return terms
+
+
+def ring_terms(terms: ZTerms) -> Terms:
+    """An integer term list as terms over R."""
+    return [(RatFuncQ(coeffs, bracket_power(b)), n) for coeffs, b, n in terms]
 
 
 def monomials(poly: XPolyQ) -> Terms:
@@ -162,12 +195,12 @@ def monomials(poly: XPolyQ) -> Terms:
 def eq6_statement(k: int, m: int) -> Statement:
     """The master identity at (k, m): the bracket sum equals
     (1+q) x^k (x-1)^m."""
-    return eq6_terms(k, m), TWO_Q, shift_terms(k, m)
+    return eq6_terms(k, m), _ONE_PLUS_Q, shift_terms(k, m)
 
 
 def eq103_statement(k: int) -> Statement:
     """The even/odd regrouping of the master identity at m = k."""
-    return eq103_terms(k), TWO_Q, shift_terms(k, k)
+    return eq103_terms(k), _ONE_PLUS_Q, shift_terms(k, k)
 
 
 def degree_2k1_statement(k: int, variant: str) -> Statement:
@@ -257,6 +290,8 @@ def view_sides(view: str, statement: Statement,
     is printed: the E-side first for "poly", the monomial side first for
     "fermionic" and "bosonic"."""
     terms, scale, mono = statement
+    terms, mono = ring_terms(terms), ring_terms(mono)
+    scale = None if scale is None else RatFuncQ(scale)
     if view == "poly":
         e_side, x_side = apply(terms, euler_poly), apply(mono, XPolyQ.x_power)
         return e_side, x_side if scale is None else x_side * scale
@@ -269,25 +304,35 @@ def view_sides(view: str, statement: Statement,
             ctx.apply(terms, ctx.bosonic_moment))
 
 
+# The printed beta terms of the integrated statements, over q.
+def _thm1_beta(k: int, m: int) -> Fraction:
+    return Fraction((-1) ** (m + 1), (k + m + 1) * binom(k + m, k))
+
+
+def _thm1_cor_beta(k: int) -> Fraction:
+    return Fraction((-1) ** k, (2 * k + 2) * binom(2 * k + 1, k))
+
+
+def _thm2_beta(k: int) -> Fraction:
+    return Fraction((-1) ** (k + 1), (2 * k + 1) * binom(2 * k, k))
+
+
 def sides_thm1(k: int, m: int) -> Tuple[RatFuncQ, RatFuncQ]:
     """Both sides of the integrated master identity (k, m >= 1)."""
-    n = k + m + 1
-    right = RF_Q * Fraction((-1) ** (m + 1), n * binom(k + m, k)) \
-        - TWO_Q * unit_integral(k + m)
-    return apply(eq6_terms(k, m, first=1), unit_integral), right
+    right = RF_Q * _thm1_beta(k, m) - TWO_Q * unit_integral(k + m)
+    return apply(ring_terms(eq6_terms(k, m, first=1)), unit_integral), right
 
 
 def sides_thm1_cor(k: int) -> Tuple[RatFuncQ, RatFuncQ]:
     """The displayed m = k+1 specialization, with its printed right side."""
-    right = RF_Q * Fraction((-1) ** k, (2 * k + 2) * binom(2 * k + 1, k)) \
-        - TWO_Q * unit_integral(2 * k + 1)
-    return apply(eq6_terms(k, k + 1, first=1), unit_integral), right
+    right = RF_Q * _thm1_cor_beta(k) - TWO_Q * unit_integral(2 * k + 1)
+    return apply(ring_terms(eq6_terms(k, k + 1, first=1)), unit_integral), right
 
 
 def sides_thm2(k: int) -> Tuple[RatFuncQ, RatFuncQ]:
     """Unit-interval integral of the regrouped identity."""
-    right = RF_Q * Fraction((-1) ** (k + 1), (2 * k + 1) * binom(2 * k, k))
-    return apply(eq103_terms(k), unit_integral), right
+    right = RF_Q * _thm2_beta(k)
+    return apply(ring_terms(eq103_terms(k)), unit_integral), right
 
 
 def sides_eq7(n: int) -> Tuple[XPolyQ, XPolyQ]:
@@ -361,6 +406,148 @@ def sides(identity: IdentityId, params: Dict[str, int],
     return built if info.view is None else view_sides(info.view, built, ctx)
 
 
+# ---------------------------------------------------------------------------
+# x-certificates
+#
+# With E the linear map x^n -> E_n(x), a statement E(t) = h holds iff its
+# x-certificate c = t - E^-1(h) is zero, E^-1(h) = (q h(x+1) + h(x))/(1+q).
+# E^-1 inverts the tables as far as they satisfy the functional equation
+# q E_n(x+1) + E_n(x) = (1+q) x^n, because E_n(x) is Appell: E commutes
+# with x -> x+1.  Then E(t) - h = E(c), and E(c) = 0 iff c = 0, E_n being
+# monic.  A view maps both sides by one linear map, so a zero c decides
+# its theorem too, and c needs no value of the tables.
+
+
+def _columns(terms: ZTerms, top: int, width: int) -> list:
+    """An integer term list times (1+q)^top, as columns by power of q, each
+    the coefficients of x^0 .. x^(width-1)."""
+    cols = []
+    for coeffs, b, n in terms:
+        for _ in range(top - b):                # times (1+q)
+            coeffs = (coeffs[0], *map(add, coeffs[1:], coeffs), coeffs[-1])
+        while len(cols) < len(coeffs):
+            cols.append([0] * width)
+        for col, c in zip(cols, coeffs):
+            col[n] += c
+    return cols
+
+
+def _shifted(col: list) -> list:
+    """The coefficients of p(x+1) from those of p(x): the Taylor shift,
+    one suffix-sum pass per degree."""
+    col = col[:]
+    for i in range(len(col) - 1):
+        col[i:] = list(accumulate(reversed(col[i:])))[::-1]
+    return col
+
+
+def _add_product(out: list, poly, cols: list, shift: int = 0) -> None:
+    """out += q^shift poly(q) cols, over columns by power of q."""
+    for i, a in enumerate(poly, shift):
+        for j, col in enumerate(cols, i):
+            out[j] = list(map(add, out[j], map(a.__mul__, col)))
+
+
+def _degree(statement: Statement) -> int:
+    terms, _, mono = statement
+    return max(n for _, _, n in chain(terms, mono))
+
+
+def x_certificate(statement: Statement) -> Tuple[list, int]:
+    """The x-certificate c of a statement over the integers, as (cols, b)
+    with c = sum_j cols[j](x) q^j / (1+q)^b.
+
+    Over one (1+q)^B for every coefficient, (1+q)^(B+1) c is
+    (1+q) T(x) - s (q M(x+1) + M(x)), with T the term list, s the scale and
+    M the monomials; it is formed on integer columns, and no value of R
+    is built.
+    """
+    terms, scale, mono = statement
+    scale = scale or (1,)
+    top = max(b for _, b, _ in chain(terms, mono))
+    width = 1 + _degree(statement)
+    t, m = _columns(terms, top, width), _columns(mono, top, width)
+    cols = [[0] * width
+            for _ in range(max(len(t) + 1, len(scale) + len(m)))]
+    _add_product(cols, _ONE_PLUS_Q, t)
+    negated = [-a for a in scale]
+    _add_product(cols, negated, [_shifted(col) for col in m], shift=1)
+    _add_product(cols, negated, m)
+    return cols, top + 1
+
+
+def x_polynomial(cols: list, b: int) -> XPolyQ:
+    """An x-certificate (cols, b) as a polynomial in x over R."""
+    den = bracket_power(b)
+    return XPolyQ([RatFuncQ(tuple(col[i] for col in cols), den)
+                   for i in range(len(cols[0]))])
+
+
+@cache
+def _functional_equation_row(n: int) -> bool:
+    """Whether q E_n(x+1) + E_n(x) = (1+q) x^n holds on the tables (n >= 1).
+
+    E_n(x) is the binomial convolution of E[i] = N_i/(1+q)^i, so over
+    (1+q)^n this reads q sum_{i<=n} C(n, i) N_i (1+q)^(n-i) + N_n = 0, a
+    Horner pass in (1+q) over the integer numerators.
+    """
+    acc = [0]
+    for i in range(n + 1):
+        acc = [*map(add, acc + [0], [0] + acc)]     # times (1+q)
+        for d, c in enumerate(euler_numerator(i)):
+            acc[d] += binom(n, i) * c
+    acc = [0, *acc]                                 # times q
+    for d, c in enumerate(euler_numerator(n)):
+        acc[d] += c
+    return not any(acc)
+
+
+def table_licensed(n: int) -> bool:
+    """Whether the tables satisfy the functional equation for every degree
+    up to n, the condition under which a zero x-certificate decides a
+    statement of degree n.  Each degree is checked once per process."""
+    return all(map(_functional_equation_row, range(1, n + 1)))
+
+
+def _beta_residual(a: int, b: int, printed: Fraction) -> Fraction:
+    """(-1)^(b+1) B(a+1, b+1) less a printed beta term."""
+    return (-1) ** (b + 1) * beta_exact(a + 1, b + 1) - printed
+
+
+# The integrated statements apply U = -(q/(1+q)) int_0^1 to a statement
+# whose right side h is (1+q) x^a (x-1)^b, and U(h) = q (-1)^(b+1)
+# B(a+1, b+1).  Their certificate is U(E(c)) + q * residual, with residual
+# the exact beta term less the printed one: params -> (statement, residual).
+_INTEGRATED = {
+    IdentityId.THM1: lambda k, m: (
+        eq6_statement(k, m), _beta_residual(k, m, _thm1_beta(k, m))),
+    IdentityId.THM1_COR: lambda k: (
+        eq6_statement(k, k + 1), _beta_residual(k, k + 1, _thm1_cor_beta(k))),
+    IdentityId.THM2: lambda k: (
+        eq103_statement(k), _beta_residual(k, k, _thm2_beta(k))),
+}
+
+
+def _x_route(identity: IdentityId, params: Dict[str, int]):
+    """(statement, residual, zero certificate, degree licensed) of a cell
+    that a zero x-certificate may decide, or None.
+
+    EQ6 itself, the calculus rules and the bosonic view are decided on the
+    tables.  The integrated statements need one degree more: the unit
+    integral E[n+1]/(n+1) of E_n(x) rests on the functional equation at
+    n + 1.
+    """
+    if identity in _INTEGRATED:
+        statement, residual = _INTEGRATED[identity](**params)
+        return statement, residual, RF_ZERO, _degree(statement) + 1
+    info = REGISTRY[identity]
+    if identity is IdentityId.EQ6 or info.view not in ("poly", "fermionic"):
+        return None
+    statement = info.build(**params)
+    zero = XPolyQ.zero() if info.view == "poly" else RF_ZERO
+    return statement, 0, zero, _degree(statement)
+
+
 @dataclass
 class VerificationResult:
     id: IdentityId
@@ -370,6 +557,8 @@ class VerificationResult:
     certificate: object
     certificate_str: str
     elapsed: float
+    route: Optional[str] = None           # X_CERTIFICATE or TABLES
+    x_certificate: Optional[str] = None   # the x-certificate, when nonzero
 
     def sort_key(self):
         return (self.id.value,
@@ -394,7 +583,9 @@ def _mode(identity: IdentityId, ctx: Optional[NumericContext]) -> str:
 
 def verify(identity: IdentityId, params: Dict[str, int],
            ctx: Optional[NumericContext] = None) -> VerificationResult:
-    """Compute both sides, subtract, and classify the verdict.
+    """Decide one cell: by its x-certificate when that is zero and the
+    tables are licensed to its degree, otherwise by computing both sides,
+    subtracting, and classifying the verdict.
 
     Exact identities hold iff the difference is identically zero.  A p-adic
     identity fails when the difference has a nonzero digit below p^K, and
@@ -417,8 +608,18 @@ def verify(identity: IdentityId, params: Dict[str, int],
         raise ValueError(f"{identity.value} needs a numeric context")
 
     start = time.monotonic()
-    left, right = sides(identity, params, ctx)
-    cert = left - right
+    cert, route, x_cert = None, TABLES, None
+    shortcut = _x_route(identity, params)
+    if shortcut is not None:
+        statement, residual, zero, degree = shortcut
+        cols, b = x_certificate(statement)
+        if any(map(any, cols)):
+            x_cert = str(x_polynomial(cols, b))
+        elif not residual and table_licensed(degree):
+            cert, route = zero, X_CERTIFICATE
+    if cert is None:
+        left, right = sides(identity, params, ctx)
+        cert = left - right
     if info.mode == "exact":
         verdict = HOLDS if cert.is_zero else FAILS
     elif not cert.is_zero and cert.valuation < ctx.target:
@@ -429,7 +630,7 @@ def verify(identity: IdentityId, params: Dict[str, int],
         verdict = ERROR
     elapsed = time.monotonic() - start
     return VerificationResult(identity, dict(params), _mode(identity, ctx),
-                              verdict, cert, str(cert), elapsed)
+                              verdict, cert, str(cert), elapsed, route, x_cert)
 
 
 def grid_params(identity: IdentityId,

@@ -72,6 +72,14 @@ COMMAND_SHA256 = {
         "fa1f51a115fecc7f0d673e54de8167c86f89cfc9c0be8e601fbe63aa471a174a",
     "verify THM1 --k 1..10 --m 1..10":
         "49fd3d6d07c6ac2ffcb425e4ae668df11105c6e8e88080f96453e6939be281e3",
+    "verify THM1_COR --k 1..10":
+        "9e728c694c28a498be7ce32c3816e6f093f116869ccdd53584da929a09af41e5",
+    "verify THM2 --k 1..12":
+        "a30a5e711e4db5f8edac2e0c5b7c8779ebd5a940da37beea22f63afe2f4a2159",
+    "verify THM3_CORRECTED --k 1..8":
+        "264d45f2b5dc52b66fa28942194c7da1272ee77178bdae2a45c49f372243c842",
+    "verify THM5_CORRECTED --k 1..6":
+        "44d95dd0aaae6b9a01767f149f710efa1d2f92c8a99f72878595c5a73576a7a8",
 }
 
 

@@ -20,6 +20,7 @@ from qeuler.qspecial import euler_number
 from qeuler.zpoly import euler_numerator
 
 from oracles import ratfunc_to_obj
+from test_acceptance import BATTERY_SHA256
 
 
 def run(capsys, *argv):
@@ -250,6 +251,22 @@ class TestVerifyCommand:
         items = json.loads(out)["items"]
         assert [item["verdict"] for item in items] == ["error", "error"]
         assert {item["mode"] for item in items} == {"padic(p=3,q=4,K=4)"}
+
+
+class TestTimingSideChannel:
+    def test_battery_routes_and_x_certificates(self, tmp_path):
+        out = tmp_path / "battery.json"
+        assert main(["report", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["canonical_sha256"] == BATTERY_SHA256
+        timing = doc["timing"]
+        assert timing["routes"] == {"x-certificate": 136, "tables": 129}
+        # only the cells whose x-certificate is not zero
+        assert sorted(timing["x_certificates"]) == [
+            f"{ident}:{{'k': {k}}}" for ident in ("THM3_PRINTED", "THM5_PRINTED")
+            for k in range(1, 5)]
+        assert timing["x_certificates"]["THM3_PRINTED:{'k': 2}"] == (
+            "((2 - 2q)/(1 + q))x^3 + ((-2 + 2q)/(1 + q))x^5")
 
 
 class TestReportDocument:

@@ -1,18 +1,26 @@
 """The identity registry: frozen hand-computed anchors, cross-route
 consistency, printed-variant discrepancies, and the verify driver."""
 
+import json
 from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qeuler import qspecial, zpoly
+from qeuler.cli import main as cli_main
 from qeuler.exactarith import RF_ONE, PolyQ, RatFuncQ, XPolyQ
 from qeuler.identities import (
     FAILS,
     HOLDS,
     HOLDS_TO_PRECISION,
+    TABLES,
+    X_CERTIFICATE,
     IdentityId,
     NumericContext,
+    _functional_equation_row,
     apply,
     degree_2k1_rhs,
     degree_2k1_statement,
@@ -22,6 +30,8 @@ from qeuler.identities import (
     eq103_statement,
     eq103_terms,
     fermionic_moment,
+    monomials,
+    ring_terms,
     shift_terms,
     sides,
     sides_eq7,
@@ -29,10 +39,13 @@ from qeuler.identities import (
     sides_thm1,
     sides_thm1_cor,
     sides_thm2,
+    table_licensed,
     unit_integral,
     verify,
     verify_grid,
     view_sides,
+    x_certificate,
+    x_polynomial,
 )
 from qeuler.padic import PadicApprox, padic_distance
 from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC
@@ -77,13 +90,13 @@ class TestTermListSums:
         lists += [eq103_terms(k) for k in range(1, 4)]
         lists += [degree_2k1_terms(k, variant) for k in range(1, 4)
                   for variant in ("printed", "corrected")]
-        for terms in filter(None, lists):
+        for terms in map(ring_terms, filter(None, lists)):
             for image in (euler_poly, unit_integral, fermionic_moment):
                 assert apply(terms, image) == folded_apply(terms, image)
 
     def test_monomial_map_matches_pairwise_fold(self):
         for k in range(4):
-            terms = degree_2k1_rhs(k)
+            terms = ring_terms(degree_2k1_rhs(k))
             assert apply(terms, XPolyQ.x_power) == folded_apply(terms, XPolyQ.x_power)
 
 
@@ -392,10 +405,107 @@ class TestVerifyDriver:
 
 class TestXPowerShift:
     def test_expansion(self):
-        assert apply(shift_terms(1, 1), XPolyQ.x_power) == XPolyQ(
+        assert apply(ring_terms(shift_terms(1, 1)), XPolyQ.x_power) == XPolyQ(
             [RatFuncQ.zero(), RatFuncQ.from_fraction(-1), RF_ONE])
 
     def test_matches_repeated_multiplication(self):
         factor = XPolyQ([RatFuncQ.from_fraction(-1), RF_ONE])
         brute = XPolyQ.x_power(2) * factor * factor * factor
-        assert apply(shift_terms(2, 3), XPolyQ.x_power) == brute
+        assert apply(ring_terms(shift_terms(2, 3)), XPolyQ.x_power) == brute
+
+
+def table_route(identity, params):
+    """The certificate of a cell computed from the tables alone."""
+    left, right = sides(identity, params)
+    return left - right
+
+
+# the identities a zero x-certificate decides, on grids that contain the
+# default battery's
+DERIVED_GRIDS = {
+    IdentityId.EQ103: {"k": (1, 12)},
+    IdentityId.THM3_PRINTED: {"k": (1, 8)},
+    IdentityId.THM3_CORRECTED: {"k": (1, 8)},
+    IdentityId.THM4: {"k": (1, 8), "m": (1, 8)},
+    IdentityId.THM5_PRINTED: {"k": (1, 6)},
+    IdentityId.THM5_CORRECTED: {"k": (1, 6)},
+    IdentityId.THM1: {"k": (1, 10), "m": (1, 10)},
+    IdentityId.THM1_COR: {"k": (1, 10)},
+    IdentityId.THM2: {"k": (1, 12)},
+}
+
+
+class TestXCertificateRoute:
+    """A zero x-certificate decides a cell exactly as the tables do."""
+
+    @pytest.mark.parametrize("identity", list(DERIVED_GRIDS))
+    def test_routes_agree(self, identity):
+        for r in verify_grid(identity, DERIVED_GRIDS[identity]):
+            cert = table_route(identity, r.params)
+            assert r.verdict == (HOLDS if cert.is_zero else FAILS)
+            assert r.certificate_str == str(cert)
+            assert type(r.certificate) is type(cert)
+            # every cell that holds is decided without the tables
+            assert r.route == (X_CERTIFICATE if cert.is_zero else TABLES)
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(1, 9), m=st.integers(0, 9))
+    def test_zero_x_certificate_iff_table_route_holds(self, k, m):
+        statements = [eq6_statement(k, m), eq103_statement(k)]
+        statements += [degree_2k1_statement(k, variant)
+                       for variant in ("printed", "corrected")]
+        for statement in statements:
+            c = x_polynomial(*x_certificate(statement))
+            e_side, x_side = view_sides("poly", statement)
+            assert c.is_zero == (e_side == x_side)
+            # the poly view's certificate is E(c), the fermionic one minus
+            # the fermionic moment of E(c)
+            assert e_side - x_side == apply(monomials(c), euler_poly)
+            x_moment, e_moment = view_sides("fermionic", statement)
+            assert x_moment - e_moment == -apply(monomials(c), fermionic_moment)
+        cells = [(IdentityId.THM1_COR, {"k": k}), (IdentityId.THM2, {"k": k}),
+                 (IdentityId.THM5_PRINTED, {"k": k})]
+        if m:
+            cells += [(IdentityId.THM1, {"k": k, "m": m}),
+                      (IdentityId.THM4, {"k": k, "m": m})]
+        for identity, params in cells:
+            decided = verify(identity, params).route == X_CERTIFICATE
+            assert decided == table_route(identity, params).is_zero
+
+
+@pytest.fixture
+def corrupt_table(monkeypatch):
+    """The number table with one coefficient of N_2 changed, and the tables
+    and memos refilled from it; all restored afterwards."""
+    numerators = [zpoly.euler_numerator(n) for n in range(30)]
+    numerators[2] = (numerators[2][0] + 1, *numerators[2][1:])
+    monkeypatch.setattr(zpoly, "_numerators", numerators)
+    monkeypatch.setattr(qspecial, "_numbers", [RF_ONE])
+    monkeypatch.setattr(qspecial, "_polys", [XPolyQ.one()])
+    fermionic_moment.cache_clear()
+    _functional_equation_row.cache_clear()
+    yield
+    fermionic_moment.cache_clear()
+    _functional_equation_row.cache_clear()
+
+
+class TestLicense:
+    """The x-certificate route runs only on tables that satisfy the
+    functional equation q E_n(x+1) + E_n(x) = (1+q) x^n."""
+
+    def test_integer_recurrence_holds_to_60(self):
+        assert table_licensed(60)
+
+    def test_corrupt_table_refuses_the_route(self, corrupt_table, tmp_path):
+        assert table_licensed(1)
+        assert not table_licensed(2)
+        out = tmp_path / "thm4.json"
+        code = cli_main(["verify", "THM4", "--k", "1..3", "--m", "1..3",
+                         "--format", "json", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert code == 1
+        assert doc["timing"]["routes"] == {TABLES: 9}
+        for item in doc["items"]:
+            cert = table_route(IdentityId.THM4, item["params"])
+            assert item["verdict"] == FAILS
+            assert item["certificate"] == str(cert)
