@@ -17,7 +17,7 @@ _EXPORTS = {
     "qintegral": ("ConvergenceNotReached", "IntegralRequest",
                   "IntegralResult", "integrate", "riemann_level"),
     "qspecial": ("DomainError", "beta_exact", "binom", "euler_number",
-                 "euler_poly", "q_bracket"),
+                 "euler_poly"),
     "report": ("Report", "ResultCache"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

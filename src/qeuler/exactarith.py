@@ -9,8 +9,8 @@ dividing num when b > 0.  A value is stored as the triple (num, a, b):
 the denominator is two exponents, never an expanded polynomial.  Reducing
 a fraction therefore only strips factors of q and (1+q); no Euclidean
 algorithm is needed.  Since q and (1+q) are primes of Q[q], a product
-strips a factor only when one operand's exponent for it is 0, and an
-inverse swaps the exponents with those of its (unit) numerator.
+strips a factor only when one operand's exponent for it is 0.  R is used
+as a ring: values are added and multiplied, never divided.
 
 Every sum, from ``a + b`` to a term list sum c_1 v_1 + ... + c_k v_k
 (:func:`sum_products`), is reduced once: the numerators are multiplied
@@ -57,15 +57,14 @@ CoercibleScalar = Union[int, Fraction]
 
 
 class NonUnitError(ArithmeticError):
-    """Division by a polynomial that is not a unit c * q^a * (1+q)^b of R."""
+    """A denominator that is not a unit c * q^a * (1+q)^b of R."""
 
 
 class _Ring:
     """Subtraction, powers and rendering shared by the three ring types.
 
     A subclass supplies ``_coerce`` (its own type from an operand, or
-    None), ``__add__``, ``__neg__``, ``__mul__``, ``one``, ``_inverse``
-    (for negative powers) and ``to_str``.
+    None), ``__add__``, ``__neg__``, ``__mul__``, ``one`` and ``to_str``.
     """
 
     __slots__ = ()
@@ -83,7 +82,7 @@ class _Ring:
         if not isinstance(e, int):
             raise TypeError(f"exponent must be an int, not {type(e).__name__}")
         if e < 0:
-            return self._inverse() ** (-e)
+            raise ValueError("negative power in a ring without division")
         result = self.one()
         base = self
         while e:
@@ -143,9 +142,6 @@ class _DensePoly(_Ring):
             return other
         s = self._scalar(other)
         return None if s is None else self._raw([s])
-
-    def _inverse(self):
-        raise ValueError("negative power of a polynomial")
 
     @property
     def degree(self) -> int:
@@ -394,7 +390,7 @@ class RatFuncQ(_Ring):
     (num, a, b), with q not dividing num when a > 0 and (1+q) not dividing
     num when b > 0; ``den`` is the expanded q^a (1+q)^b.  The zero element
     is 0/1.  Equality is structural, which the canonical form makes sound.
-    Constructing, inverting or dividing by anything that is not a unit
+    Constructing a value over a denominator that is not a unit
     c * q^a * (1+q)^b raises NonUnitError.
     """
 
@@ -488,31 +484,6 @@ class RatFuncQ(_Ring):
                           not (self.b and other.b))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFuncQ":
-        other = _rf_coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.num.is_zero:
-            raise DivisionByZero("division by the zero rational function")
-        return self * other.inv()
-
-    def __rtruediv__(self, other) -> "RatFuncQ":
-        other = _rf_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def inv(self) -> "RatFuncQ":
-        """The numerator must be a unit c * q^a' * (1+q)^b'; the inverse is
-        q^a (1+q)^b / c over q^a' (1+q)^b', already canonical."""
-        if self.num.is_zero:
-            raise DivisionByZero("inverse of the zero rational function")
-        a, b, c = _unit_shape(self.num.coeffs)
-        num = _unit_poly(self.a, self.b)
-        return RatFuncQ._raw(num * (1 / c) if c != 1 else num, a, b)
-
-    _inverse = inv
 
     def evaluate(self, q0: CoercibleScalar) -> Fraction:
         """Exact evaluation at a rational point; raises PoleError at poles."""

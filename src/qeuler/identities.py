@@ -11,18 +11,20 @@ with scale None for 1.  Its coefficients are integer data, c(q)/(1+q)^b
 for an integer polynomial c, and ``ring_terms`` turns them into values of
 R.  There are three: the master identity EQ6 at (k, m), its even/odd
 regrouping EQ103 at k, and the degree-(2k+1) statement in its printed or
-corrected reading.  A theorem is a statement seen through one of three
+corrected reading.  A theorem is a statement seen through one of four
 *views*, linear maps applied to both sides:
 
 - ``"poly"``: E_n(x) -> E_n(x) and x^i -> x^i (E-side first);
 - ``"fermionic"``: E_n(x) -> its fermionic moment and x^i -> E[i]
   (monomial side first);
 - ``"bosonic"``: E_n(x) -> its bosonic moment and x^i -> B_i, p-adically
-  (monomial side first).
+  (monomial side first);
+- ``"integral"``: U = -(q/(1+q)) int_0^1, E_n(x) -> E[n+1]/(n+1)
+  (E-side first), with the printed closed form on the right: q times the
+  printed beta, less U of the leading terms the theorem moves there.
 
-The integrated statements (THM1, THM1_COR, THM2) keep their printed
-closed forms, and the calculus rules (EQ7, EQ8) their own sides; their
-registry entries hold plain side builders and no view.
+Only the calculus rules (EQ7, EQ8) have no view: their registry entries
+hold plain side builders.
 
 Exact identities are decided in the ring R = Q[q, 1/q, 1/(1+q)]
 (certificate identically zero or not); identities involving q-Bernoulli
@@ -32,19 +34,18 @@ computed as a Riemann-sum limit.
 An exact cell is decided by one of two routes.  With E the linear map
 x^n -> E_n(x), a statement E(t) = h holds iff its *x-certificate*
 c = t - E^-1(h) is zero, where E^-1(h) = (q h(x+1) + h(x))/(1+q); the
-certificate of a view is that view's map of E(c), and an integrated
-statement adds a rational beta residual.  So EQ103, THM1-THM5 and their
-readings are first decided by c, computed from the statement over the
-integers with no table value: a zero c (and a zero residual) gives
-``holds`` and the zero certificate.  Every other cell, and every cell
-whose c is not zero, takes the *table route*: both sides are computed
-from the E tables and subtracted, so a failing certificate is always the
-tables' own.  EQ6 itself, the calculus rules and the bosonic view always
-take the table route.  The x-certificate route is sound only while the
+certificate of a view is that view's map of E(c), plus, in the integral
+view, q times a rational residual, U(h)/q less the printed beta.  One rule
+decides every cell of the poly, fermionic and integral views but EQ6's
+first: a zero c, computed from the statement over the integers with no
+table value, and a zero residual give ``holds`` and the zero
+certificate.  Every other cell takes the *table route*: both sides are
+computed from the E tables and subtracted, so a failing certificate is
+always the tables' own.  The x-certificate route is sound only while the
 tables satisfy the functional equation q E_n(x+1) + E_n(x) = (1+q) x^n up
-to the statement's degree; that *license* is checked on the integer
-numerators once per degree and process, and a degree that fails it sends
-its cells to the table route.
+to the statement's degree, one more in the integral view; that *license*
+is checked on the integer numerators once per degree and process, and a
+degree that fails it sends its cells to the table route.
 
 Several catalogued statements exist in two encodings: a ``_PRINTED``
 variant transcribing the typeset source, including its suspect summation
@@ -68,8 +69,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .exactarith import RF_Q, RF_ZERO, RatFuncQ, XPolyQ, sum_products
 from .padic import PadicApprox
 from .qintegral import KIND_BOSONIC, MonomialIntegrals
-from .qspecial import (TWO_Q, TWO_Q_RECIP, beta_exact, binom, euler_number,
-                       euler_poly)
+from .qspecial import TWO_Q_RECIP, binom, euler_number, euler_poly
 from .report import ERROR, FAILS, HOLDS, HOLDS_TO_PRECISION
 from .zpoly import bracket_power, euler_numerator
 
@@ -113,11 +113,11 @@ class IdentityId(str, Enum):
 # term lists
 
 
-def eq6_terms(k: int, m: int, first: int = 0) -> ZTerms:
-    """The master identity's bracket sum from j = first:
+def eq6_terms(k: int, m: int) -> ZTerms:
+    """The master identity's bracket sum:
     sum_j (q C(k, j) + (-1)^j C(m, j)) E_{k+m-j}(x)."""
     terms = []
-    for j in range(first, max(k, m) + 1):
+    for j in range(max(k, m) + 1):
         c = ((-1) ** j * binom(m, j), binom(k, j))
         if any(c):
             terms.append((c, 0, k + m - j))
@@ -285,12 +285,18 @@ class NumericContext(MonomialIntegrals):
 
 
 def view_sides(view: str, statement: Statement,
-               ctx: Optional[NumericContext] = None) -> Tuple[object, object]:
+               ctx: Optional[NumericContext] = None, beta: Fraction = 0,
+               moved: int = 0) -> Tuple[object, object]:
     """Both sides of a statement through one view, ordered as the theorem
-    is printed: the E-side first for "poly", the monomial side first for
-    "fermionic" and "bosonic"."""
+    is printed: the E-side first for "poly" and "integral", the monomial
+    side first for "fermionic" and "bosonic".  The "integral" view's right
+    side is q * beta less the image of the first ``moved`` terms."""
     terms, scale, mono = statement
-    terms, mono = ring_terms(terms), ring_terms(mono)
+    terms = ring_terms(terms)
+    if view == "integral":
+        return (apply(terms[moved:], unit_integral),
+                RF_Q * beta - apply(terms[:moved], unit_integral))
+    mono = ring_terms(mono)
     scale = None if scale is None else RatFuncQ(scale)
     if view == "poly":
         e_side, x_side = apply(terms, euler_poly), apply(mono, XPolyQ.x_power)
@@ -317,24 +323,6 @@ def _thm2_beta(k: int) -> Fraction:
     return Fraction((-1) ** (k + 1), (2 * k + 1) * binom(2 * k, k))
 
 
-def sides_thm1(k: int, m: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """Both sides of the integrated master identity (k, m >= 1)."""
-    right = RF_Q * _thm1_beta(k, m) - TWO_Q * unit_integral(k + m)
-    return apply(ring_terms(eq6_terms(k, m, first=1)), unit_integral), right
-
-
-def sides_thm1_cor(k: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """The displayed m = k+1 specialization, with its printed right side."""
-    right = RF_Q * _thm1_cor_beta(k) - TWO_Q * unit_integral(2 * k + 1)
-    return apply(ring_terms(eq6_terms(k, k + 1, first=1)), unit_integral), right
-
-
-def sides_thm2(k: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """Unit-interval integral of the regrouped identity."""
-    right = RF_Q * _thm2_beta(k)
-    return apply(ring_terms(eq103_terms(k)), unit_integral), right
-
-
 def sides_eq7(n: int) -> Tuple[XPolyQ, XPolyQ]:
     """Derivative rule: d/dx E_n(x) = n E_{n-1}(x)."""
     return euler_poly(n).derivative(), euler_poly(n - 1) * Fraction(n)
@@ -353,10 +341,15 @@ def sides_eq8(n: int) -> Tuple[RatFuncQ, RatFuncQ]:
 @dataclass(frozen=True)
 class IdentityInfo:
     build: Callable      # build(**params): a statement, or both sides
-    view: Optional[str]  # "poly", "fermionic", "bosonic"; None: build gives sides
+    view: Optional[str]  # "poly", "fermionic", "bosonic", "integral";
+                         # None: build gives sides
     params: Tuple[str, ...]
     minimum: int         # lower bound for every parameter
     default_range: Dict[str, Tuple[int, int]]
+    # the integral view's printed right side: beta(**params), the printed
+    # beta term over q, and how many leading terms the theorem moves there
+    beta: Optional[Callable] = None
+    moved: int = 0
 
     @property
     def mode(self) -> str:
@@ -369,13 +362,18 @@ _CORRECTED = partial(degree_2k1_statement, variant="corrected")
 REGISTRY: Dict[IdentityId, IdentityInfo] = {
     IdentityId.EQ6: IdentityInfo(
         eq6_statement, "poly", ("k", "m"), 0, {"k": (0, 8), "m": (0, 8)}),
+    # the beta functions are looked up by name when a cell is built
     IdentityId.THM1: IdentityInfo(
-        sides_thm1, None, ("k", "m"), 1, {"k": (1, 8), "m": (1, 8)}),
+        eq6_statement, "integral", ("k", "m"), 1, {"k": (1, 8), "m": (1, 8)},
+        lambda k, m: _thm1_beta(k, m), moved=1),
     IdentityId.THM1_COR: IdentityInfo(
-        sides_thm1_cor, None, ("k",), 1, {"k": (1, 8)}),
+        lambda k: eq6_statement(k, k + 1), "integral", ("k",), 1,
+        {"k": (1, 8)}, lambda k: _thm1_cor_beta(k), moved=1),
     IdentityId.EQ103: IdentityInfo(
         eq103_statement, "poly", ("k",), 1, {"k": (1, 8)}),
-    IdentityId.THM2: IdentityInfo(sides_thm2, None, ("k",), 1, {"k": (1, 10)}),
+    IdentityId.THM2: IdentityInfo(
+        eq103_statement, "integral", ("k",), 1, {"k": (1, 10)},
+        lambda k: _thm2_beta(k)),
     IdentityId.THM3_PRINTED: IdentityInfo(
         _PRINTED, "poly", ("k",), 1, {"k": (1, 4)}),
     IdentityId.THM3_CORRECTED: IdentityInfo(
@@ -403,7 +401,10 @@ def sides(identity: IdentityId, params: Dict[str, int],
     bosonic view)."""
     info = REGISTRY[identity]
     built = info.build(**params)
-    return built if info.view is None else view_sides(info.view, built, ctx)
+    if info.view is None:
+        return built
+    beta = info.beta(**params) if info.beta else 0
+    return view_sides(info.view, built, ctx, beta, info.moved)
 
 
 # ---------------------------------------------------------------------------
@@ -509,43 +510,28 @@ def table_licensed(n: int) -> bool:
     return all(map(_functional_equation_row, range(1, n + 1)))
 
 
-def _beta_residual(a: int, b: int, printed: Fraction) -> Fraction:
-    """(-1)^(b+1) B(a+1, b+1) less a printed beta term."""
-    return (-1) ** (b + 1) * beta_exact(a + 1, b + 1) - printed
-
-
-# The integrated statements apply U = -(q/(1+q)) int_0^1 to a statement
-# whose right side h is (1+q) x^a (x-1)^b, and U(h) = q (-1)^(b+1)
-# B(a+1, b+1).  Their certificate is U(E(c)) + q * residual, with residual
-# the exact beta term less the printed one: params -> (statement, residual).
-_INTEGRATED = {
-    IdentityId.THM1: lambda k, m: (
-        eq6_statement(k, m), _beta_residual(k, m, _thm1_beta(k, m))),
-    IdentityId.THM1_COR: lambda k: (
-        eq6_statement(k, k + 1), _beta_residual(k, k + 1, _thm1_cor_beta(k))),
-    IdentityId.THM2: lambda k: (
-        eq103_statement(k), _beta_residual(k, k, _thm2_beta(k))),
-}
-
-
 def _x_route(identity: IdentityId, params: Dict[str, int]):
     """(statement, residual, zero certificate, degree licensed) of a cell
     that a zero x-certificate may decide, or None.
 
     EQ6 itself, the calculus rules and the bosonic view are decided on the
-    tables.  The integrated statements need one degree more: the unit
-    integral E[n+1]/(n+1) of E_n(x) rests on the functional equation at
-    n + 1.
+    tables.  The residual is 0 but in the integral view, where the
+    certificate is U(E(c)) + q * residual with residual U(h)/q less the
+    printed beta, h the statement's right side.  With h = (1+q) sum
+    c'_i x^i, c'_i rational, U(h)/q is -sum c'_i/(i+1).  The integral view
+    also needs one degree more: the unit integral E[n+1]/(n+1) of E_n(x)
+    rests on the functional equation at n + 1.
     """
-    if identity in _INTEGRATED:
-        statement, residual = _INTEGRATED[identity](**params)
-        return statement, residual, RF_ZERO, _degree(statement) + 1
     info = REGISTRY[identity]
-    if identity is IdentityId.EQ6 or info.view not in ("poly", "fermionic"):
+    if identity is IdentityId.EQ6 or info.view in (None, "bosonic"):
         return None
     statement = info.build(**params)
-    zero = XPolyQ.zero() if info.view == "poly" else RF_ZERO
-    return statement, 0, zero, _degree(statement)
+    if info.view != "integral":
+        zero = XPolyQ.zero() if info.view == "poly" else RF_ZERO
+        return statement, 0, zero, _degree(statement)
+    u_h = -sum(Fraction(c, i + 1) for (c,), _, i in statement[2])  # U(h)/q
+    return (statement, u_h - info.beta(**params), RF_ZERO,
+            _degree(statement) + 1)
 
 
 @dataclass

@@ -1,5 +1,4 @@
-"""q-bracket values, the weight-0 q-Euler numbers and polynomials, and
-exact beta values.
+"""The weight-0 q-Euler numbers and polynomials, and exact beta values.
 
 The number table is E[n] = N_n / (1 + q)^n, with the integer numerators
 N_n of :mod:`qeuler.zpoly`; since (1 + q) never divides N_n, each entry
@@ -21,15 +20,7 @@ import threading
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactarith import (
-    RF_ONE,
-    RF_ONE_PLUS_Q,
-    RF_Q,
-    RF_ZERO,
-    PolyQ,
-    RatFuncQ,
-    XPolyQ,
-)
+from .exactarith import RF_ONE, PolyQ, RatFuncQ, XPolyQ
 from .zpoly import euler_numerator
 
 
@@ -48,28 +39,6 @@ def binom(n: int, r: int) -> int:
     return comb(n, r)
 
 
-def q_bracket(n: int, reciprocal: bool = False) -> RatFuncQ:
-    """The q-deformation (1 - q^n) / (1 - q) of the integer n.
-
-    For n >= 0 this is the polynomial 1 + q + ... + q^(n-1); negative n
-    gives -[(-n)]_q / q^(-n).  With ``reciprocal=True`` the base is 1/q,
-    kept inside the same ring: e.g. the reciprocal bracket of 2 is
-    (1 + q)/q.
-    """
-    if reciprocal:
-        if n == 0:
-            return RF_ZERO
-        if n > 0:
-            return q_bracket(n) / RF_Q ** (n - 1)
-        return -q_bracket(-n, reciprocal=True) * RF_Q ** (-n)
-    if n == 0:
-        return RF_ZERO
-    if n > 0:
-        return RatFuncQ(PolyQ([1] * n))
-    return -q_bracket(-n) / RF_Q ** (-n)
-
-
-TWO_Q = RF_ONE_PLUS_Q                     # bracket of 2
 TWO_Q_RECIP = RatFuncQ(PolyQ((1, 1)), PolyQ((0, 1)))   # (1 + q)/q
 
 _lock = threading.Lock()

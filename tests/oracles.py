@@ -7,7 +7,7 @@ from functools import reduce
 from math import comb, inf
 from operator import add
 
-from qeuler.exactarith import RF_ONE, PolyQ, RatFuncQ, XPolyQ
+from qeuler.exactarith import RF_ONE, RF_ONE_PLUS_Q, RF_Q, PolyQ, RatFuncQ, XPolyQ
 from qeuler.identities import IdentityId, NumericContext, apply, monomials, sides
 from qeuler.padic import PadicApprox
 from qeuler.qintegral import (
@@ -19,13 +19,11 @@ from qeuler.qintegral import (
     _residue_of_rational,
     integrate,
 )
-from qeuler.qspecial import (
-    TWO_Q,
-    TWO_Q_RECIP,
-    DomainError,
-    euler_number,
-    euler_poly,
-)
+from qeuler.qspecial import TWO_Q_RECIP, DomainError, euler_number, euler_poly
+
+Q = PolyQ((0, 1))
+# q/(1+q), the exact inverse of TWO_Q_RECIP
+Q_OVER_TWO_Q = RatFuncQ(Q, PolyQ((1, 1)))
 
 
 class InternalInconsistency(RuntimeError):
@@ -66,6 +64,25 @@ def canonical_by_division(num: PolyQ, a: int, b: int) -> tuple:
             break
         num, b = quot, b - 1
     return num, a, b
+
+
+def q_bracket(n: int, reciprocal: bool = False) -> RatFuncQ:
+    """The q-deformation (1 - q^n) / (1 - q) of the integer n.
+
+    For n >= 0 this is the polynomial 1 + q + ... + q^(n-1); negative n
+    gives -[(-n)]_q / q^(-n).  With ``reciprocal=True`` the base is 1/q,
+    kept inside the same ring: e.g. the reciprocal bracket of 2 is
+    (1 + q)/q.
+    """
+    if n == 0:
+        return RatFuncQ.zero()
+    if reciprocal:
+        if n > 0:
+            return q_bracket(n) * RatFuncQ(1, Q ** (n - 1))
+        return -q_bracket(-n, reciprocal=True) * RF_Q ** (-n)
+    if n > 0:
+        return RatFuncQ(PolyQ([1] * n))
+    return -q_bracket(-n) * RatFuncQ(1, Q ** (-n))
 
 
 # -- polynomials in x ---------------------------------------------------------
@@ -157,7 +174,7 @@ def thm3_construction_residual(k: int) -> XPolyQ:
     corrected_left = sides(IdentityId.THM3_CORRECTED, {"k": k})[0]
     eq6_left = sides(IdentityId.EQ6, {"k": k, "m": k + 1})[0]
     eq103_left = sides(IdentityId.EQ103, {"k": k})[0]
-    return corrected_left - (eq6_left + eq103_left * (RF_ONE / TWO_Q))
+    return corrected_left - (eq6_left + eq103_left * RatFuncQ(1, PolyQ((1, 1))))
 
 
 def thm1_independent_route(k: int, m: int):
@@ -165,14 +182,14 @@ def thm1_independent_route(k: int, m: int):
     integrating the master identity's sides over [0, 1].
 
     Termwise integration turns each E_n(x) into -(1+q)/q * E_{n+1}/(n+1);
-    peeling off the j = 0 term and dividing by -(1+q)/q reproduces the
+    peeling off the j = 0 term and multiplying by -q/(1+q) reproduces the
     left side, and the same transform applied to the right side's exact
     integral reproduces the right side.
     """
     eq6_left, eq6_right = sides(IdentityId.EQ6, {"k": k, "m": m})
-    head = TWO_Q * euler_number(k + m + 1) * Fraction(1, k + m + 1)
-    left = -(eq6_left.integral01() / TWO_Q_RECIP) - head
-    right = -(eq6_right.integral01() / TWO_Q_RECIP) - head
+    head = RF_ONE_PLUS_Q * euler_number(k + m + 1) * Fraction(1, k + m + 1)
+    left = -(eq6_left.integral01() * Q_OVER_TWO_Q) - head
+    right = -(eq6_right.integral01() * Q_OVER_TWO_Q) - head
     return left, right
 
 

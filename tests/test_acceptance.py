@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from math import inf
 
-from qeuler.exactarith import RatFuncQ
+from qeuler.exactarith import RF_ONE_PLUS_Q, PolyQ, RatFuncQ
 from qeuler.identities import (
     FAILS,
     HOLDS,
@@ -18,8 +18,6 @@ from qeuler.identities import (
     IdentityId,
     NumericContext,
     sides,
-    sides_thm2,
-    sides_thm1,
     verify,
     verify_grid,
 )
@@ -31,13 +29,7 @@ from qeuler.qintegral import (
     IntegralRequest,
     integrate,
 )
-from qeuler.qspecial import (
-    TWO_Q,
-    TWO_Q_RECIP,
-    beta_exact,
-    euler_number,
-    euler_poly,
-)
+from qeuler.qspecial import beta_exact, euler_number, euler_poly
 from qeuler.report import Report
 from qeuler.cli import main as cli_main
 
@@ -123,7 +115,7 @@ def test_criterion_03_thm1():
     for k in range(1, 6):
         for m in range(1, 6):
             indep_left, indep_right = thm1_independent_route(k, m)
-            left, right = sides_thm1(k, m)
+            left, right = sides(IdentityId.THM1, {"k": k, "m": m})
             assert indep_left == left
             assert indep_right == right
 
@@ -131,10 +123,11 @@ def test_criterion_03_thm1():
 @criterion(4, "odd/even integrated identity and its beta form")
 def test_criterion_04_thm2():
     for k in range(1, 11):
-        left, right = sides_thm2(k)
+        left, right = sides(IdentityId.THM2, {"k": k})
         assert left == right
-        beta_form = TWO_Q * Fraction((-1) ** k) * beta_exact(k + 1, k + 1) \
-            / (-TWO_Q_RECIP)
+        # times -q/(1+q), the inverse of -(1+q)/q
+        beta_form = RF_ONE_PLUS_Q * Fraction((-1) ** k) \
+            * beta_exact(k + 1, k + 1) * RatFuncQ(PolyQ((0, -1)), PolyQ((1, 1)))
         assert right == beta_form
 
 

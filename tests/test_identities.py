@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import qspecial, zpoly
+from qeuler import identities, qspecial, zpoly
 from qeuler.cli import main as cli_main
-from qeuler.exactarith import RF_ONE, PolyQ, RatFuncQ, XPolyQ
+from qeuler.exactarith import RF_ONE, RF_ONE_PLUS_Q, PolyQ, RatFuncQ, XPolyQ
 from qeuler.identities import (
     FAILS,
     HOLDS,
@@ -36,9 +36,6 @@ from qeuler.identities import (
     sides,
     sides_eq7,
     sides_eq8,
-    sides_thm1,
-    sides_thm1_cor,
-    sides_thm2,
     table_licensed,
     unit_integral,
     verify,
@@ -85,7 +82,7 @@ class TestTermListSums:
     """apply reduces each sum once; the pairwise fold is the reference."""
 
     def test_catalogued_term_lists_match_pairwise_fold(self):
-        lists = [eq6_terms(k, m, first) for k in range(4) for m in range(4)
+        lists = [eq6_terms(k, m)[first:] for k in range(4) for m in range(4)
                  for first in (0, 1)]
         lists += [eq103_terms(k) for k in range(1, 4)]
         lists += [degree_2k1_terms(k, variant) for k in range(1, 4)
@@ -126,9 +123,17 @@ class TestEq6:
             assert evaluate_point(left, x0, q0) == evaluate_point(right, x0, q0)
 
 
+def thm1(k, m):
+    return sides(IdentityId.THM1, {"k": k, "m": m})
+
+
+def thm2(k):
+    return sides(IdentityId.THM2, {"k": k})
+
+
 class TestThm1:
     def test_anchor_1_1(self):
-        left, right = sides_thm1(1, 1)
+        left, right = thm1(1, 1)
         # q (q-1)^2 / (2 (1+q)^2), worked by hand from the number table
         expected = RatFuncQ(
             Q * PolyQ((-1, 1)) ** 2 * PolyQ((Fraction(1, 2),)), ONE_PLUS_Q ** 2)
@@ -137,16 +142,16 @@ class TestThm1:
     def test_independent_route_matches_sides(self):
         for k, m in ((1, 1), (2, 1), (3, 2)):
             il, ir = thm1_independent_route(k, m)
-            dl, dr = sides_thm1(k, m)
+            dl, dr = thm1(k, m)
             assert il == dl and ir == dr
 
     def test_specialization_reproduces_display(self):
         for k in range(1, 7):
-            assert sides_thm1_cor(k) == sides_thm1(k, k + 1)
+            assert sides(IdentityId.THM1_COR, {"k": k}) == thm1(k, k + 1)
 
     def test_displayed_specialization_holds(self):
         for k in range(1, 7):
-            left, right = sides_thm1_cor(k)
+            left, right = sides(IdentityId.THM1_COR, {"k": k})
             assert left == right
 
 
@@ -169,23 +174,23 @@ class TestEq103:
 
 class TestThm2:
     def test_k1_value(self):
-        left, right = sides_thm2(1)
+        left, right = thm2(1)
         assert left == right == RatFuncQ(PolyQ((0, Fraction(1, 6))))
 
     def test_holds_to_10(self):
         for k in range(1, 11):
-            left, right = sides_thm2(k)
+            left, right = thm2(k)
             assert left == right
 
     def test_consistency_with_integrated_regrouping(self):
-        # integrating the regrouped identity and dividing by -(1+q)/q
-        # reproduces the statement
-        from qeuler.qspecial import TWO_Q_RECIP
+        # integrating the regrouped identity and multiplying by -q/(1+q),
+        # the inverse of -(1+q)/q, reproduces the statement
+        q_over_two_q = RatFuncQ(Q, ONE_PLUS_Q)
         for k in range(1, 6):
             left103, right103 = sides(IdentityId.EQ103, {"k": k})
-            li = -(left103.integral01() / TWO_Q_RECIP)
-            ri = -(right103.integral01() / TWO_Q_RECIP)
-            l2, r2 = sides_thm2(k)
+            li = -(left103.integral01() * q_over_two_q)
+            ri = -(right103.integral01() * q_over_two_q)
+            l2, r2 = thm2(k)
             assert li == l2 and ri == r2
 
 
@@ -261,13 +266,13 @@ class TestThm5:
     def test_left_side_is_binomial_expansion_oracle(self):
         # the left side must equal (1+q) S1 - q S0 with
         # S_j = sum_l C(k,l) (-1)^(k-l) E_{k+l+j}
-        from qeuler.qspecial import TWO_Q, binom
+        from qeuler.qspecial import binom
         for k in (1, 2, 3):
             s0 = sum((euler_number(k + l) * Fraction(binom(k, l) * (-1) ** (k - l))
                       for l in range(k + 1)), RatFuncQ.zero())
             s1 = sum((euler_number(k + l + 1) * Fraction(binom(k, l) * (-1) ** (k - l))
                       for l in range(k + 1)), RatFuncQ.zero())
-            oracle = TWO_Q * s1 - RatFuncQ(Q) * s0
+            oracle = RF_ONE_PLUS_Q * s1 - RatFuncQ(Q) * s0
             assert sides(IdentityId.THM5_CORRECTED, {"k": k})[0] == oracle
 
     def test_padic_witness(self):
@@ -472,13 +477,26 @@ class TestXCertificateRoute:
             decided = verify(identity, params).route == X_CERTIFICATE
             assert decided == table_route(identity, params).is_zero
 
+    def test_wrong_printed_beta_takes_the_tables(self, monkeypatch):
+        # a zero x-certificate with a nonzero beta residual decides nothing:
+        # the cell fails on the tables, by q times the beta error
+        delta = Fraction(1, 7)
+        printed = identities._thm2_beta
+        monkeypatch.setattr(identities, "_thm2_beta",
+                            lambda k: printed(k) + delta)
+        r = verify(IdentityId.THM2, {"k": 2})
+        assert (r.verdict, r.route) == (FAILS, TABLES)
+        assert r.certificate == RatFuncQ(Q) * -delta
+
 
 @pytest.fixture
-def corrupt_table(monkeypatch):
-    """The number table with one coefficient of N_2 changed, and the tables
+def corrupt_table(request, monkeypatch):
+    """The number table with one coefficient of N_i changed, i = 2 unless a
+    test passes another index (indirect parametrization), and the tables
     and memos refilled from it; all restored afterwards."""
+    i = getattr(request, "param", 2)
     numerators = [zpoly.euler_numerator(n) for n in range(30)]
-    numerators[2] = (numerators[2][0] + 1, *numerators[2][1:])
+    numerators[i] = (numerators[i][0] + 1, *numerators[i][1:])
     monkeypatch.setattr(zpoly, "_numerators", numerators)
     monkeypatch.setattr(qspecial, "_numbers", [RF_ONE])
     monkeypatch.setattr(qspecial, "_polys", [XPolyQ.one()])
@@ -509,3 +527,17 @@ class TestLicense:
             cert = table_route(IdentityId.THM4, item["params"])
             assert item["verdict"] == FAILS
             assert item["certificate"] == str(cert)
+
+    @pytest.mark.parametrize("corrupt_table", [3], indirect=True)
+    def test_integral_view_needs_one_degree_more(self, corrupt_table):
+        # the integral of E_2(x) is E[3]/3, so THM1 (1, 1) and THM2 (k=1),
+        # of degree 2, rest on the table at degree 3; EQ103 (k=1) does not
+        assert table_licensed(2)
+        assert not table_licensed(3)
+        for identity, params in ((IdentityId.THM1, {"k": 1, "m": 1}),
+                                 (IdentityId.THM2, {"k": 1})):
+            r = verify(identity, params)
+            assert (r.verdict, r.route) == (FAILS, TABLES)
+            assert r.certificate_str == "(1/3)/(1 + 2q + q^2)"
+        r = verify(IdentityId.EQ103, {"k": 1})
+        assert (r.verdict, r.route) == (HOLDS, X_CERTIFICATE)

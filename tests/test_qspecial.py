@@ -1,5 +1,5 @@
-"""q-brackets, the weight-0 q-Euler tables, beta values, and the
-classical-limit cross-check."""
+"""The weight-0 q-Euler tables, beta values, the classical-limit
+cross-check, and the q-bracket oracle."""
 
 from fractions import Fraction
 from math import comb, factorial
@@ -13,13 +13,13 @@ from qeuler.qspecial import (
     binom,
     euler_number,
     euler_poly,
-    q_bracket,
 )
 
 from oracles import (
     accumulated_euler_numbers,
     classical_euler_number,
     euler_poly_integral01,
+    q_bracket,
 )
 
 ONE_PLUS_Q = PolyQ((1, 1))
