@@ -16,8 +16,7 @@ _EXPORTS = {
     "padic": ("PadicApprox", "PrecisionExhausted", "padic_distance"),
     "qintegral": ("ConvergenceNotReached", "IntegralRequest",
                   "IntegralResult", "integrate", "riemann_level"),
-    "qspecial": ("DomainError", "beta_exact", "binom", "euler_number",
-                 "euler_poly"),
+    "qspecial": ("DomainError", "binom", "euler_number", "euler_poly"),
     "report": ("Report", "ResultCache"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

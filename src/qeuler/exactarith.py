@@ -8,9 +8,8 @@ num / (q^a (1+q)^b), with q not dividing num when a > 0 and (1+q) not
 dividing num when b > 0.  A value is stored as the triple (num, a, b):
 the denominator is two exponents, never an expanded polynomial.  Reducing
 a fraction therefore only strips factors of q and (1+q); no Euclidean
-algorithm is needed.  Since q and (1+q) are primes of Q[q], a product
-strips a factor only when one operand's exponent for it is 0.  R is used
-as a ring: values are added and multiplied, never divided.
+algorithm is needed.  R is used as a ring: values are added and
+multiplied, never divided.
 
 Every sum, from ``a + b`` to a term list sum c_1 v_1 + ... + c_k v_k
 (:func:`sum_products`), is reduced once: the numerators are multiplied
@@ -20,8 +19,11 @@ q^A (1+q)^B, and only the total is put in canonical form.  A sum of
 over Z: the products leave Q over the lcm D of their denominators, the
 lift to (1+q)^B and the stripping of q and (1+q) act on one integer
 numerator, and its coefficients become Fractions c/D only at the end.
-A product's (1+q) strip likewise divides an integer numerator
-(:func:`qeuler.zpoly.strip_bracket`).
+A product is the one-term sum, and the constructor reduces its one part
+the same way, so ``_reduced_sum`` is the only normalizer of R.  Integer
+data c(q)/(1+q)^b, the form of every integer term list, enters R
+through :meth:`RatFuncQ.over_bracket`, which strips (1+q) from c by
+exact integer division (:func:`qeuler.zpoly.strip_bracket`).
 
 Three immutable layers, all with exact rational coefficients
 (``fractions.Fraction``):
@@ -301,31 +303,6 @@ def _shared_q(coeffs, a: int) -> int:
     return t
 
 
-def _canonical(num: PolyQ, a: int, b: int, strip_q: bool = True,
-               strip_bracket: bool = True) -> "RatFuncQ":
-    """num / (q^a (1+q)^b) in canonical form.
-
-    Strips each factor q (when strip_q) and (1+q) (when strip_bracket)
-    that num shares with the denominator; a caller may skip a factor it
-    knows num to be prime to.  The factors (1+q) are divided out of num's
-    integer numerator over one common denominator, and num is rebuilt
-    only when one came off.  A zero numerator gives 0/1.
-    """
-    if num.is_zero:
-        return RF_ZERO
-    if strip_q:
-        t = _shared_q(num.coeffs, a)
-        if t:
-            num = PolyQ._raw(list(num.coeffs[t:]))
-            a -= t
-    if strip_bracket and b:
-        d = lcm(*(c.denominator for c in num.coeffs))
-        ints, left = zpoly.strip_bracket(_scaled(num.coeffs, d), b)
-        if left < b:
-            num, b = PolyQ._raw([Fraction(c, d) for c in ints]), left
-    return RatFuncQ._raw(num, a, b)
-
-
 def _reduced_sum(parts) -> "RatFuncQ":
     """The sum of f g / (q^a (1+q)^b) over (f, g, a, b) parts, f and g
     numerator coefficient tuples (g None for 1), reduced once over Z.
@@ -405,7 +382,7 @@ class RatFuncQ(_Ring):
         f = RF_ZERO
         if not num.is_zero:
             a, b, c = _unit_shape(den.coeffs)
-            f = _canonical(num * (1 / c) if c != 1 else num, a, b)
+            f = _reduced_sum(((num.coeffs, None if c == 1 else (1 / c,), a, b),))
         self.num, self.a, self.b = f.num, f.a, f.b
 
     @classmethod
@@ -429,6 +406,15 @@ class RatFuncQ(_Ring):
         if c == 0:
             return RF_ZERO
         return cls._raw(PolyQ.constant(c), 0, 0)
+
+    @classmethod
+    def over_bracket(cls, coeffs, b: int) -> "RatFuncQ":
+        """c(q)/(1+q)^b in canonical form, from the ascending integer
+        coefficients of c.  There is no power of q to strip."""
+        if not any(coeffs):
+            return RF_ZERO
+        ints, b = zpoly.strip_bracket(coeffs, b)
+        return cls._raw(PolyQ._raw([Fraction(c) for c in ints]), 0, b)
 
     @property
     def den(self) -> PolyQ:
@@ -470,18 +456,11 @@ class RatFuncQ(_Ring):
     __radd__ = __add__
 
     def __mul__(self, other) -> "RatFuncQ":
-        """Exponents add.  q and (1+q) are primes of Q[q], and a canonical
-        numerator over a positive power of one of them is prime to it, so
-        the product can share that factor with its denominator only when
-        one operand's exponent for it is 0."""
+        """The one-term case of the one-reduction sum: exponents add."""
         other = _rf_coerce(other)
         if other is None:
             return NotImplemented
-        if self.num.is_zero or other.num.is_zero:
-            return RF_ZERO
-        return _canonical(self.num * other.num, self.a + other.a,
-                          self.b + other.b, not (self.a and other.a),
-                          not (self.b and other.b))
+        return _reduced_sum((_product(self, other),))
 
     __rmul__ = __mul__
 

@@ -71,7 +71,7 @@ from .padic import PadicApprox
 from .qintegral import KIND_BOSONIC, MonomialIntegrals
 from .qspecial import TWO_Q_RECIP, binom, euler_number, euler_poly
 from .report import ERROR, FAILS, HOLDS, HOLDS_TO_PRECISION
-from .zpoly import bracket_power, euler_numerator
+from .zpoly import euler_numerator
 
 Terms = List[Tuple[object, int]]
 # (coeffs, b, n): coeffs(q) / (1+q)^b times E_n(x), or times x^n, with
@@ -180,7 +180,7 @@ def degree_2k1_rhs(k: int) -> ZTerms:
 
 def ring_terms(terms: ZTerms) -> Terms:
     """An integer term list as terms over R."""
-    return [(RatFuncQ(coeffs, bracket_power(b)), n) for coeffs, b, n in terms]
+    return [(RatFuncQ.over_bracket(coeffs, b), n) for coeffs, b, n in terms]
 
 
 def monomials(poly: XPolyQ) -> Terms:
@@ -479,8 +479,7 @@ def x_certificate(statement: Statement) -> Tuple[list, int]:
 
 def x_polynomial(cols: list, b: int) -> XPolyQ:
     """An x-certificate (cols, b) as a polynomial in x over R."""
-    den = bracket_power(b)
-    return XPolyQ([RatFuncQ(tuple(col[i] for col in cols), den)
+    return XPolyQ([RatFuncQ.over_bracket([col[i] for col in cols], b)
                    for i in range(len(cols[0]))])
 
 

@@ -80,9 +80,7 @@ def rational_valuation(r: Fraction, p: int) -> int:
     r = Fraction(r)
     if r == 0:
         raise ValueError("valuation of zero")
-    vn = int_valuation(r.numerator, p)[0] if r.numerator % p == 0 else 0
-    vd = int_valuation(r.denominator, p)[0] if r.denominator % p == 0 else 0
-    return vn - vd
+    return int_valuation(r.numerator, p)[0] - int_valuation(r.denominator, p)[0]
 
 
 class Record:
@@ -178,10 +176,8 @@ class PadicApprox(Record):
             raise ValueError("precision must be >= 1")
         if r == 0:
             return cls.zero(p, precision)
-        vn, un = (int_valuation(r.numerator, p)
-                  if r.numerator % p == 0 else (0, r.numerator))
-        vd, ud = (int_valuation(r.denominator, p)
-                  if r.denominator % p == 0 else (0, r.denominator))
+        vn, un = int_valuation(r.numerator, p)
+        vd, ud = int_valuation(r.denominator, p)
         m = p ** precision
         unit = un * pow(ud, -1, m) % m
         return cls(p, vn - vd, unit, precision)

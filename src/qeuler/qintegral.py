@@ -1,19 +1,21 @@
 """Riemann-sum evaluation of the bosonic and fermionic p-adic q-integrals
 for shifted-monomial integrands (x0 + xi)^n, with adaptive level control.
 
-A level-N sum runs over xi < p^N with weight t^xi, where t is q (bosonic)
-or -q (fermionic), and divides by the bracket of p^N in base t.  The sum
-is not evaluated term by term: the monomial sums obey a telescoped
-recurrence, so a level costs O(n^2) modular operations for any p and N,
-carried at modulus p^(work + (n + 1) v) with v = v_p(t - 1) (v = 0 for
-the fermionic measure) and reduced to p^work at the end.  The bosonic
-normalizer has valuation N whenever v_p(q - 1) >= 1, so the bosonic
-working exponent is K + guard + N; the fermionic normalizer is a unit and
-its working exponent is K + guard.  Precision never comes from
-assumptions: the final division is done in tracked PadicApprox
-arithmetic, so an under-budgeted modulus shows up as reduced achieved
-precision, not as a wrong value.  An adaptive run stops only at its level
-cap or when a level exhausts the working precision.
+A level-N sum runs over xi < M = p^N with weight t^xi, where t is q
+(bosonic) or -q (fermionic), and divides by the bracket [M]_t.  The sum
+is not evaluated term by term: the monomial sums S_j = sum xi^j t^xi obey
+a telescoped recurrence, so a level costs O(n^2) modular operations for
+any p and N, and the bracket is its first term, S_0 = sum t^xi.  The sum
+is wanted modulo p^work and S_0 modulo p^top, and each step of the
+recurrence loses v = v_p(t - 1) digits (v = 0 for the fermionic measure),
+so it runs at p^max(work + (n + 1) v, top + v).  The bosonic bracket has
+valuation N whenever v_p(q - 1) >= 1 (p is odd), so top = work + N keeps
+work relative digits, and the bosonic working exponent is K + guard + N;
+the fermionic bracket is a unit, so top = work = K + guard.  Precision
+never comes from assumptions: the final division is done in tracked
+PadicApprox arithmetic, so an under-budgeted modulus shows up as reduced
+achieved precision, not as a wrong value.  An adaptive run stops only at
+its level cap or when a level exhausts the working precision.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class IntegralRequest(Record):
 
     def working_exponent(self, level: int) -> int:
         """Target plus guard digits, plus the level surcharge a bosonic
-        normalizer of valuation ``level`` needs."""
+        bracket of valuation ``level`` needs."""
         extra = level if (self.bosonic and self.level_surcharge) else 0
         return self.target + self.guard + extra
 
@@ -127,7 +129,7 @@ class IntegralResult(Record):
         self._set(value, achieved_precision, levels_used, converged, trace)
 
 
-def _residue_of_rational(r: Fraction, p: int, modulus: int) -> int:
+def _residue_of_rational(r: Fraction, modulus: int) -> int:
     num = r.numerator % modulus
     den = r.denominator
     if den == 1:
@@ -135,53 +137,33 @@ def _residue_of_rational(r: Fraction, p: int, modulus: int) -> int:
     return num * pow(den, -1, modulus) % modulus
 
 
-def _normalizer(req: IntegralRequest, level: int, work: int) -> PadicApprox:
-    """The bracket of p^level in base t = +/- q, as a tracked PadicApprox.
-
-    Computed from (t^m - 1)/(t - 1) at a modulus padded by the numerator's
-    expected valuation, so the quotient keeps `work` relative digits.
-    """
-    p = req.p
-    t = req.q if req.bosonic else -req.q
-    m = p ** level
-    if t == 1:
-        return PadicApprox(p, level, 1, work)
-    v1 = rational_valuation(t - 1, p)
-    pad = v1 + level if req.bosonic else 0
-    w2 = work + pad
-    big = p ** w2
-    t_res = _residue_of_rational(t, p, big)
-    u = (pow(t_res, m, big) - 1) % big
-    numerator = PadicApprox.from_residue(u, p, w2)
-    denominator = PadicApprox.from_rational(t - 1, p, w2)
-    return numerator / denominator
-
-
-def _level_sum(req: IntegralRequest, level: int, work: int) -> int:
-    """Sum of (x0 + xi)^n t^xi over xi < M = p^level, modulo p^work.
+def _level_sum(req: IntegralRequest, level: int, work: int,
+               top: int) -> Tuple[int, int]:
+    """Sum of (x0 + xi)^n t^xi over xi < M = p^level, modulo p^work, and
+    the bracket [M]_t = S_0 modulo p^top.
 
     With S_j = sum of xi^j t^xi over xi < M, shifting xi by one telescopes to
         (t - 1) S_j = M^j t^M - [j = 0] - t sum_{i<j} C(j, i) S_i,
     and the integrand expands as sum_j C(n, j) x0^(n-j) S_j.  Writing
     t - 1 = p^v u, each step divides exactly by p^v and loses v digits, so
-    the recurrence runs at p^(work + (n + 1) v).  At t = 1 the S_j are
-    integer power sums, (j + 1) S_j = M^(j+1) - sum_{i<j} C(j + 1, i) S_i,
-    computed exactly.
+    the recurrence runs at p^max(work + (n + 1) v, top + v).  At t = 1 the
+    S_j are integer power sums, (j + 1) S_j = M^(j+1) - sum_{i<j}
+    C(j + 1, i) S_i, computed exactly at p^top.
     """
     p, n = req.p, req.exponent
     m = p ** level
     t = req.q if req.bosonic else -req.q
     sums = []
     if t == 1:
-        modulus = p ** work
+        modulus = p ** top
         for j in range(n + 1):
             rest = sum(comb(j + 1, i) * s for i, s in enumerate(sums))
             sums.append((m ** (j + 1) - rest) // (j + 1))
     else:
         v = rational_valuation(t - 1, p)
-        modulus = p ** (work + (n + 1) * v)
-        t_res = _residue_of_rational(t, p, modulus)
-        u_inv = _residue_of_rational(p ** v / (t - 1), p, modulus)
+        modulus = p ** max(work + (n + 1) * v, top + v)
+        t_res = _residue_of_rational(t, modulus)
+        u_inv = _residue_of_rational(p ** v / (t - 1), modulus)
         t_m = pow(t_res, m, modulus)
         m_j = 1
         for j in range(n + 1):
@@ -189,23 +171,29 @@ def _level_sum(req: IntegralRequest, level: int, work: int) -> int:
             rhs = (m_j * t_m - (j == 0) - t_res * rest) % modulus
             sums.append(rhs // p ** v * u_inv % modulus)
             m_j = m_j * m % modulus
-    x0 = _residue_of_rational(req.shift, p, modulus)
+    x0 = _residue_of_rational(req.shift, modulus)
     total = sum(comb(n, j) * pow(x0, n - j, modulus) * s
                 for j, s in enumerate(sums))
-    return total % p ** work
+    return total % p ** work, sums[0] % p ** top
 
 
 def riemann_level(req: IntegralRequest, level: int) -> PadicApprox:
     """The exact level-N Riemann sum, as a PadicApprox.
 
-    The sum is known modulo the request's working modulus for this level
-    and divided by the normalizer in tracked arithmetic.
+    The sum is known modulo the request's working modulus p^work for this
+    level and divided, in tracked arithmetic, by the bracket S_0 known
+    modulo p^top: top = work + level for the bosonic measure, whose
+    bracket has valuation level, and top = work for the fermionic one,
+    whose bracket is a unit.  Either way the bracket keeps work relative
+    digits.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    work = req.working_exponent(level)
-    summed = PadicApprox.from_residue(_level_sum(req, level, work), req.p, work)
-    return summed / _normalizer(req, level, work)
+    p, work = req.p, req.working_exponent(level)
+    top = work + level if req.bosonic else work
+    summed, bracket = _level_sum(req, level, work, top)
+    return (PadicApprox.from_residue(summed, p, work)
+            / PadicApprox.from_residue(bracket, p, top))
 
 
 def integrate(req: IntegralRequest) -> IntegralResult:

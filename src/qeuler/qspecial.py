@@ -1,4 +1,4 @@
-"""The weight-0 q-Euler numbers and polynomials, and exact beta values.
+"""The weight-0 q-Euler numbers and polynomials.
 
 The number table is E[n] = N_n / (1 + q)^n, with the integer numerators
 N_n of :mod:`qeuler.zpoly`; since (1 + q) never divides N_n, each entry
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .exactarith import RF_ONE, PolyQ, RatFuncQ, XPolyQ
 from .zpoly import euler_numerator
@@ -85,10 +85,3 @@ def euler_poly(n: int) -> XPolyQ:
                       for l in range(m + 1)]
             _polys.append(XPolyQ._raw(coeffs))
     return _polys[n]
-
-
-def beta_exact(a: int, b: int) -> Fraction:
-    """Exact beta value at positive integers: (a-1)! (b-1)! / (a+b-1)!."""
-    if a < 1 or b < 1:
-        raise DomainError("beta arguments must be integers >= 1")
-    return Fraction(factorial(a - 1) * factorial(b - 1), factorial(a + b - 1))

@@ -4,7 +4,7 @@ package."""
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, inf
+from math import comb, factorial, inf
 from operator import add
 
 from qeuler.exactarith import RF_ONE, RF_ONE_PLUS_Q, RF_Q, PolyQ, RatFuncQ, XPolyQ
@@ -15,7 +15,6 @@ from qeuler.qintegral import (
     KIND_FERMIONIC,
     IntegralRequest,
     IntegralResult,
-    _normalizer,
     _residue_of_rational,
     integrate,
 )
@@ -83,6 +82,13 @@ def q_bracket(n: int, reciprocal: bool = False) -> RatFuncQ:
     if n > 0:
         return RatFuncQ(PolyQ([1] * n))
     return -q_bracket(-n) * RatFuncQ(1, Q ** (-n))
+
+
+def beta_exact(a: int, b: int) -> Fraction:
+    """Exact beta value at positive integers: (a-1)! (b-1)! / (a+b-1)!."""
+    if a < 1 or b < 1:
+        raise DomainError("beta arguments must be integers >= 1")
+    return Fraction(factorial(a - 1) * factorial(b - 1), factorial(a + b - 1))
 
 
 # -- polynomials in x ---------------------------------------------------------
@@ -210,20 +216,23 @@ def direct_moment(kind: str, poly: XPolyQ, ctx: NumericContext) -> PadicApprox:
 # -- numeric numbers ----------------------------------------------------------
 
 def brute_level(req: IntegralRequest, level: int) -> PadicApprox:
-    """Independent oracle: the level-N sum term by term over all p^N terms,
-    at the same working modulus and normalizer as riemann_level."""
+    """Independent oracle: the level-N sum and the bracket sum of t^xi,
+    both term by term over all p^N terms, at the moduli riemann_level
+    divides at: p^work for the sum, p^top for the bracket."""
     p = req.p
     work = req.working_exponent(level)
-    modulus = p ** work
+    top = work + level if req.bosonic else work
+    modulus, big = p ** work, p ** top
     t = req.q if req.bosonic else -req.q
-    t_res = _residue_of_rational(t, p, modulus)
-    x0_res = _residue_of_rational(req.shift, p, modulus)
-    acc, tp = 0, 1
+    t_res = _residue_of_rational(t, big)
+    x0_res = _residue_of_rational(req.shift, modulus)
+    acc, bracket, tp = 0, 0, 1
     for xi in range(p ** level):
         acc = (acc + pow((x0_res + xi) % modulus, req.exponent, modulus) * tp) % modulus
-        tp = tp * t_res % modulus
-    summed = PadicApprox.from_residue(acc, p, work)
-    return summed / _normalizer(req, level, work)
+        bracket = (bracket + tp) % big
+        tp = tp * t_res % big
+    return (PadicApprox.from_residue(acc, p, work)
+            / PadicApprox.from_residue(bracket, p, top))
 
 
 def bernoulli_number_padic(n: int, p: int = 3, q=None, target: int = 4,

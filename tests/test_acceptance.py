@@ -29,11 +29,12 @@ from qeuler.qintegral import (
     IntegralRequest,
     integrate,
 )
-from qeuler.qspecial import beta_exact, euler_number, euler_poly
+from qeuler.qspecial import euler_number, euler_poly
 from qeuler.report import Report
 from qeuler.cli import main as cli_main
 
 from oracles import (
+    beta_exact,
     classical_euler_number,
     direct_moment,
     euler_poly_integral01,

@@ -17,7 +17,6 @@ from qeuler.exactarith import (
     PolyQ,
     RatFuncQ,
     XPolyQ,
-    _canonical,
     sum_products,
 )
 from qeuler.zpoly import strip_bracket
@@ -247,13 +246,25 @@ def test_normalization_idempotent(a):
 def test_integer_strip_matches_synthetic_division(p, j, a, data):
     num = p * ONE_PLUS_Q ** j
     b = data.draw(st.integers(0, j + 2), label="b")
-    f = _canonical(num, a, b)
+    f = RatFuncQ(num, Q ** a * ONE_PLUS_Q ** b)
     assert (f.num, f.a, f.b) == canonical_by_division(num, a, b)
     assert all(type(c) is Fraction for c in f.num.coeffs)
     d = lcm(*(c.denominator for c in num.coeffs))
     ints, left = strip_bracket([int(c * d) for c in num.coeffs], b)
     assert all(type(c) is int for c in ints)
     assert (PolyQ(ints) * Fraction(1, d), 0, left) == canonical_by_division(num, 0, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=4), st.integers(0, 3),
+       st.integers(0, 2), st.integers(0, 5))
+def test_over_bracket_matches_the_constructor(c, j, zeros, b):
+    # integer numerators times (1+q)^j, padded with trailing zeros; the
+    # empty and all-zero lists are the zero polynomial
+    coeffs = [int(x) for x in (PolyQ(c) * ONE_PLUS_Q ** j).coeffs] + [0] * zeros
+    f = RatFuncQ.over_bracket(coeffs, b)
+    assert f == RatFuncQ(PolyQ(coeffs), ONE_PLUS_Q ** b)
+    assert all(type(x) is Fraction for x in f.num.coeffs)
 
 
 # an operand with exponent 0 whose numerator is divisible by q or (1+q):

@@ -18,7 +18,7 @@ from qeuler.qintegral import (
     STOP_PRECISION,
     ConvergenceNotReached,
     IntegralRequest,
-    _normalizer,
+    _level_sum,
     integrate,
     riemann_level,
 )
@@ -141,14 +141,13 @@ class TestRiemannLevel:
 
 class TestNormalizer:
     def test_fermionic_at_q_one_is_the_unit_one(self):
-        # t = -q = -1: the bracket of p^level in base -1 is 1, which the
-        # general (t^m - 1)/(t - 1) route gives without a special case
+        # t = -q = -1: the bracket S_0 of p^level in base -1 is 1, which
+        # the general recurrence gives without a special case
         for p in (3, 5, 7, 11, 13):
             req = IntegralRequest(KIND_FERMIONIC, 0, Fraction(0), p, Fraction(1), 4)
             for level in range(1, 7):
                 for work in range(1, 12):
-                    assert _normalizer(req, level, work) == \
-                        PadicApprox(p, 0, 1, work)
+                    assert _level_sum(req, level, work, work)[1] == 1
 
 
 class TestValidation:

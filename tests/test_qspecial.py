@@ -9,7 +9,6 @@ import pytest
 from qeuler.exactarith import PolyQ, RatFuncQ, XPolyQ
 from qeuler.qspecial import (
     DomainError,
-    beta_exact,
     binom,
     euler_number,
     euler_poly,
@@ -17,6 +16,7 @@ from qeuler.qspecial import (
 
 from oracles import (
     accumulated_euler_numbers,
+    beta_exact,
     classical_euler_number,
     euler_poly_integral01,
     q_bracket,
