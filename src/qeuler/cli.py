@@ -67,7 +67,7 @@ def _add_output_opts(sp):
 def _add_cache_opts(sp):
     sp.add_argument("--cache", metavar="PATH", help="persistent result cache file")
     sp.add_argument("--no-cache", action="store_true",
-                    help="ignore any cache and recompute everything")
+                    help="do not read, check or write the --cache file")
 
 
 def _add_padic_opts(sp):

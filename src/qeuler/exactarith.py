@@ -25,13 +25,19 @@ data c(q)/(1+q)^b, the form of every integer term list, enters R
 through :meth:`RatFuncQ.over_bracket`, which strips (1+q) from c by
 exact integer division (:func:`qeuler.zpoly.strip_bracket`).
 
-Three immutable layers, all with exact rational coefficients
-(``fractions.Fraction``):
+Three immutable layers, all with exact rational coefficients:
 
 * :class:`PolyQ` -- dense univariate polynomials in ``q``;
 * :class:`RatFuncQ` -- elements of R in canonical form;
 * :class:`XPolyQ` -- polynomials in ``x`` whose coefficients are
   ``RatFuncQ``.
+
+A rational coefficient is an ``int`` or a ``fractions.Fraction``, never a
+float; the two compare, hash and print the same.  Integer data keeps its
+ints where it enters R (:meth:`RatFuncQ.over_bracket` and the tables of
+:mod:`qeuler.qspecial`), so the reduction multiplies ints where it meets
+them.  What ``_reduced_sum`` returns, and so every sum, product and
+constructed value, has Fraction coefficients c/D.
 
 ``PolyQ`` and ``XPolyQ`` are one dense-polynomial class, ``_DensePoly``,
 over two coefficient rings (Q and R); each supplies only its ring and its
@@ -382,7 +388,8 @@ class RatFuncQ(_Ring):
         f = RF_ZERO
         if not num.is_zero:
             a, b, c = _unit_shape(den.coeffs)
-            f = _reduced_sum(((num.coeffs, None if c == 1 else (1 / c,), a, b),))
+            g = None if c == 1 else (Fraction(1, c),)   # exact for int c
+            f = _reduced_sum(((num.coeffs, g, a, b),))
         self.num, self.a, self.b = f.num, f.a, f.b
 
     @classmethod
@@ -410,11 +417,11 @@ class RatFuncQ(_Ring):
     @classmethod
     def over_bracket(cls, coeffs, b: int) -> "RatFuncQ":
         """c(q)/(1+q)^b in canonical form, from the ascending integer
-        coefficients of c.  There is no power of q to strip."""
+        coefficients of c, kept as ints.  There is no power of q to strip."""
         if not any(coeffs):
             return RF_ZERO
         ints, b = zpoly.strip_bracket(coeffs, b)
-        return cls._raw(PolyQ._raw([Fraction(c) for c in ints]), 0, b)
+        return cls._raw(PolyQ._raw(list(ints)), 0, b)
 
     @property
     def den(self) -> PolyQ:

@@ -252,10 +252,13 @@ class MonomialIntegrals:
     and the level cap.  ``identities.NumericContext`` is this memo with
     the embedding of exact values added, so a configuration is held once.
 
-    Every integral is computed.  With a result cache attached (anything
-    with ``put_integral``, such as ``report.ResultCache``), each result is
-    stored, or checked against the entry already stored, so a persisted
-    file can end a run but never change an answer.
+    Every integral is computed once.  An integral that does not converge
+    is memoized too, as its partial result and ``stopped_by``, and each
+    later call raises a fresh ConvergenceNotReached from them.  With a
+    result cache attached (anything with ``put_integral``, such as
+    ``report.ResultCache``), each converged result is stored, or checked
+    against the entry already stored, so a persisted file can end a run
+    but never change an answer.
     """
 
     __slots__ = ("p", "q", "target", "guard", "max_level", "cache", "_results")
@@ -274,9 +277,16 @@ class MonomialIntegrals:
             req = IntegralRequest(kind, n, Fraction(0), self.p, self.q,
                                   self.target, guard=self.guard,
                                   max_level=self.max_level)
-            result = integrate(req)
-            if self.cache is not None:
-                self.cache.put_integral(kind, n, self.p, self.q, self.target,
-                                        self.guard, self.max_level, result)
+            try:
+                result = integrate(req)
+            except ConvergenceNotReached as exc:
+                result = (exc.result, exc.stopped_by)
+            else:
+                if self.cache is not None:
+                    self.cache.put_integral(kind, n, self.p, self.q,
+                                            self.target, self.guard,
+                                            self.max_level, result)
             self._results[key] = result
+        if type(result) is tuple:
+            raise ConvergenceNotReached(*result)
         return result

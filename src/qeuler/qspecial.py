@@ -2,13 +2,15 @@
 
 The number table is E[n] = N_n / (1 + q)^n, with the integer numerators
 N_n of :mod:`qeuler.zpoly`; since (1 + q) never divides N_n, each entry
-is handed out already in canonical form, as the triple (N_n, 0, n).
+is handed out already in canonical form, as the triple (N_n, 0, n), with
+the int coefficients of N_n.
 
 The polynomial table is the binomial convolution
 
     E_n(x) = sum_{l<=n} C(n, l) * x^l * E[n - l],
 
-whose coefficients C(n, l) * N_{n-l} / (1 + q)^(n-l) are canonical too.
+whose coefficients C(n, l) * N_{n-l} / (1 + q)^(n-l) are canonical too,
+and are stored with int numerator coefficients as well.
 
 Both tables are memoized; fills are pure and idempotent, so concurrent
 readers under the GIL are safe.
@@ -17,10 +19,9 @@ readers under the GIL are safe.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from math import comb
 
-from .exactarith import RF_ONE, PolyQ, RatFuncQ, XPolyQ
+from .exactarith import PolyQ, RatFuncQ, XPolyQ
 from .zpoly import euler_numerator
 
 
@@ -42,12 +43,8 @@ def binom(n: int, r: int) -> int:
 TWO_Q_RECIP = RatFuncQ(PolyQ((1, 1)), PolyQ((0, 1)))   # (1 + q)/q
 
 _lock = threading.Lock()
-_numbers: list[RatFuncQ] = [RF_ONE]
-_polys: list[XPolyQ] = [XPolyQ.one()]
-
-
-def _poly(coeffs) -> PolyQ:
-    return PolyQ._raw([Fraction(c) for c in coeffs])
+_numbers: list[RatFuncQ] = []
+_polys: list[XPolyQ] = []
 
 
 def euler_number(n: int) -> RatFuncQ:
@@ -64,7 +61,8 @@ def euler_number(n: int) -> RatFuncQ:
     with _lock:
         while len(_numbers) <= n:
             m = len(_numbers)
-            _numbers.append(RatFuncQ._raw(_poly(euler_numerator(m)), 0, m))
+            ints = list(euler_numerator(m))
+            _numbers.append(RatFuncQ._raw(PolyQ._raw(ints), 0, m))
     return _numbers[n]
 
 
@@ -79,8 +77,8 @@ def euler_poly(n: int) -> XPolyQ:
     with _lock:
         while len(_polys) <= n:
             m = len(_polys)
-            coeffs = [RatFuncQ._raw(_poly([comb(m, l) * c
-                                           for c in euler_numerator(m - l)]),
+            coeffs = [RatFuncQ._raw(PolyQ._raw([comb(m, l) * c for c
+                                                in euler_numerator(m - l)]),
                                     0, m - l)
                       for l in range(m + 1)]
             _polys.append(XPolyQ._raw(coeffs))

@@ -252,6 +252,25 @@ class TestVerifyCommand:
         assert [item["verdict"] for item in items] == ["error", "error"]
         assert {item["mode"] for item in items} == {"padic(p=3,q=4,K=4)"}
 
+    def test_failed_integrals_run_once(self, capsys, monkeypatch):
+        # nine error cells need the three bosonic integrals n = 1, 2, 3;
+        # each stops short of convergence once and is then served its memo
+        computed, calls = qintegral.integrate, []
+
+        def counted(req):
+            calls.append((req.kind, req.exponent))
+            return computed(req)
+
+        monkeypatch.setattr(qintegral, "integrate", counted)
+        code, out, _ = run(capsys, "verify", "THM6", "--k", "1..3", "--m",
+                           "1..3", "--n-max", "2", "--format", "json")
+        assert code == 1
+        items = json.loads(out)["items"]
+        assert [item["verdict"] for item in items] == ["error"] * 9
+        assert all(item["certificate"].startswith("ConvergenceNotReached")
+                   for item in items)
+        assert sorted(calls) == [("bosonic", n) for n in (1, 2, 3)]
+
 
 class TestTimingSideChannel:
     def test_battery_routes_and_x_certificates(self, tmp_path):

@@ -19,7 +19,8 @@ from qeuler.exactarith import (
     XPolyQ,
     sum_products,
 )
-from qeuler.zpoly import strip_bracket
+from qeuler.qspecial import euler_number, euler_poly
+from qeuler.zpoly import euler_numerator, strip_bracket
 
 from oracles import canonical_by_division, divide_linear, folded_apply, shifted
 
@@ -147,6 +148,15 @@ class TestRatFuncQ:
         with pytest.raises(TypeError, match="not Fraction"):
             ONE_PLUS_Q ** Fraction(1, 2)
 
+    def test_integer_denominator_is_inverted_exactly(self):
+        # the constant of an int denominator is inverted as a Fraction
+        two = RatFuncQ.over_bracket((2,), 0).num
+        assert type(two.coeffs[0]) is int
+        half = RatFuncQ(1, two)
+        assert half == RatFuncQ(Fraction(1, 2))
+        assert half.num.coeffs == (Fraction(1, 2),)
+        assert type(half.num.coeffs[0]) is Fraction
+
     def test_float_point_rejected(self):
         with pytest.raises(TypeError, match="cannot use float"):
             RatFuncQ(ONE_PLUS_Q, Q).evaluate(0.1)
@@ -264,7 +274,7 @@ def test_over_bracket_matches_the_constructor(c, j, zeros, b):
     coeffs = [int(x) for x in (PolyQ(c) * ONE_PLUS_Q ** j).coeffs] + [0] * zeros
     f = RatFuncQ.over_bracket(coeffs, b)
     assert f == RatFuncQ(PolyQ(coeffs), ONE_PLUS_Q ** b)
-    assert all(type(x) is Fraction for x in f.num.coeffs)
+    assert all(type(x) is int for x in f.num.coeffs)
 
 
 # an operand with exponent 0 whose numerator is divisible by q or (1+q):
@@ -434,3 +444,47 @@ def test_sum_products_cancellation_by_hand():
 def test_sum_products_rejects_float_coefficient():
     with pytest.raises(TypeError, match="cannot use float"):
         sum_products([(0.5, RF_Q)])
+
+
+# ---------------------------------------------------------------------------
+# integer data in R: over_bracket and the tables keep int coefficients
+
+
+def assert_exact_coefficients(f: RatFuncQ):
+    assert all(type(c) in (int, Fraction) for c in f.num.coeffs)
+
+
+def fraction_twin(f: RatFuncQ) -> RatFuncQ:
+    """The same value built by the constructor, with Fraction coefficients."""
+    twin = RatFuncQ(PolyQ(f.num.coeffs), f.den)
+    assert_fraction_coefficients(twin)
+    return twin
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=4), st.integers(0, 4),
+       st.integers(0, 8), ratfuncs, sum_coefficients, regular_points)
+def test_integer_data_mixes_with_constructed_values(c, b, n, r, k, q0):
+    x, e, p = RatFuncQ.over_bracket(c, b), euler_number(n), euler_poly(n)
+    x_f, e_f = fraction_twin(x), fraction_twin(e)
+    p_f = XPolyQ([fraction_twin(v) for v in p.coeffs])
+    for mixed, twin in ((x, x_f), (e, e_f)):
+        assert mixed == twin and hash(mixed) == hash(twin)
+        assert str(mixed) == str(twin)
+        assert mixed.evaluate(q0) == twin.evaluate(q0)
+        for got, want in ((mixed + r, twin + r), (r + mixed, r + twin),
+                          (mixed * r, twin * r), (mixed * x, twin * x_f),
+                          (mixed + e, twin + e_f), (mixed - e, twin - e_f),
+                          (sum_products([(mixed, r), (k, mixed), (x, e)]),
+                           sum_products([(twin, r), (k, twin), (x_f, e_f)]))):
+            assert got == want
+            assert_exact_coefficients(got)
+            assert got.evaluate(q0) == want.evaluate(q0)
+    got = sum_products([(x, p), (k, p), (r, p_f)])
+    assert got == sum_products([(x_f, p_f), (k, p_f), (r, p_f)])
+    for column in got.coeffs:
+        assert_exact_coefficients(column)
+    at_x = p.evaluate(x)
+    assert at_x == p_f.evaluate(x_f)
+    assert_exact_coefficients(at_x)
+    assert at_x.evaluate(q0) == p_f.evaluate(x_f).evaluate(q0)

@@ -14,6 +14,8 @@ from qeuler.qspecial import (
     euler_poly,
 )
 
+from qeuler.zpoly import euler_numerator
+
 from oracles import (
     accumulated_euler_numbers,
     beta_exact,
@@ -89,6 +91,15 @@ class TestEulerNumbers:
             assert e.den == power
             assert e.num.evaluate(-1) == factorial(n)
             power = power * ONE_PLUS_Q
+
+    def test_tables_hold_the_integer_numerators(self):
+        # E[n] stores N_n itself, and E_n(x) the ints C(n, l) N_(n-l)
+        for n in range(31):
+            e = euler_number(n)
+            assert (e.num.coeffs, e.a, e.b) == (euler_numerator(n), 0, n)
+            assert all(type(c) is int for c in e.num.coeffs)
+            assert all(type(c) is int
+                       for v in euler_poly(n).coeffs for c in v.num.coeffs)
 
     def test_classical_limit(self):
         for n in range(101):
