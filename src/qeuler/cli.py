@@ -129,14 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _padic_config(args, require_explicit: bool = False) -> tuple:
     """The validated (p, q, K, guard, n_max), in the order MonomialIntegrals
     takes them, and their block of the report config."""
-    from .qintegral import check_p_q
+    from .qintegral import DEFAULT_GUARD, DEFAULT_MAX_LEVEL, check_p_q
 
     if require_explicit and (args.p is None or args.K is None):
         raise ConfigError("this command needs explicit --p and --K")
     p = 3 if args.p is None else args.p
     target = 4 if args.K is None else args.K
-    guard = 4 if args.guard is None else args.guard
-    n_max = 12 if args.n_max is None else args.n_max
+    guard = DEFAULT_GUARD if args.guard is None else args.guard
+    n_max = DEFAULT_MAX_LEVEL if args.n_max is None else args.n_max
     q = parse_q(args.q if args.q is not None else "1+p", p)
     try:
         check_p_q(p, q)

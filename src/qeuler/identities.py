@@ -3,16 +3,18 @@ q-Bernoulli families, each producing explicit left/right sides and a
 verdict with a difference certificate.
 
 Every catalogued statement comes from the master identity and is data: a
-*statement* (terms, scale, monomials) means
+*statement* (terms, monomials) means
 
-    sum c * E_n(x) over terms  =  scale * sum c' * x^i over monomials,
+    sum c * E_n(x) over terms  =  sum c' * x^i over monomials.
 
-with scale None for 1.  Its coefficients are integer data, c(q)/(1+q)^b
-for an integer polynomial c, and ``ring_terms`` turns them into values of
-R.  There are three: the master identity EQ6 at (k, m), its even/odd
-regrouping EQ103 at k, and the degree-(2k+1) statement in its printed or
-corrected reading.  A theorem is a statement seen through one of four
-*views*, linear maps applied to both sides:
+Its coefficients are integer data, c(q)/(1+q)^b for an integer polynomial
+c, and ``ring_terms`` turns them into values of R.  There are two: the
+master identity EQ6 at (k, m), whose factor (1+q) sits in its monomial
+coefficients, and the degree-(2k+1) statement in its printed or corrected
+reading.  EQ103 and THM2 read EQ6 at (k, k), whose terms are the paper's
+even/odd regrouping, and THM1_COR reads it at (k, k+1).  A theorem is a
+statement seen through one of four *views*, linear maps applied to both
+sides:
 
 - ``"poly"``: E_n(x) -> E_n(x) and x^i -> x^i (E-side first);
 - ``"fermionic"``: E_n(x) -> its fermionic moment and x^i -> E[i]
@@ -21,7 +23,8 @@ corrected reading.  A theorem is a statement seen through one of four
   (monomial side first);
 - ``"integral"``: U = -(q/(1+q)) int_0^1, E_n(x) -> E[n+1]/(n+1)
   (E-side first), with the printed closed form on the right: q times the
-  printed beta, less U of the leading terms the theorem moves there.
+  beta integral beta(k, m) = -int_0^1 x^k (x-1)^m dx at the statement's
+  (k, m), less U of the leading terms the theorem moves there.
 
 Only the calculus rules (EQ7, EQ8) have no view: their registry entries
 hold plain side builders.
@@ -77,9 +80,8 @@ Terms = List[Tuple[object, int]]
 # (coeffs, b, n): coeffs(q) / (1+q)^b times E_n(x), or times x^n, with
 # coeffs ascending integers
 ZTerms = List[Tuple[Tuple[int, ...], int, int]]
-# (terms, scale, monomials): sum c E_n(x) = scale * sum c' x^i, scale an
-# integer polynomial in q, None for 1
-Statement = Tuple[ZTerms, Optional[Tuple[int, ...]], ZTerms]
+# (terms, monomials): sum c E_n(x) = sum c' x^i
+Statement = Tuple[ZTerms, ZTerms]
 
 _ONE_PLUS_Q = (1, 1)
 
@@ -124,25 +126,12 @@ def eq6_terms(k: int, m: int) -> ZTerms:
     return terms
 
 
-def eq103_terms(k: int) -> ZTerms:
-    """Even/odd regrouping of the master bracket sum at m = k:
-    (1+q) C(k, 2j) E_{2k-2j}(x) and (q-1) C(k, 2j+1) E_{2k-2j-1}(x)."""
-    terms = []
-    for j in range(k // 2 + 1):
-        c = binom(k, 2 * j)
-        terms.append(((c, c), 0, 2 * k - 2 * j))
-        c = binom(k, 2 * j + 1)
-        if c:
-            terms.append(((-c, c), 0, 2 * k - 2 * j - 1))
-    return terms
-
-
 # Readings of the degree-(2k+1) statement: the last index of its second sum
 # and the subscript offset in its bracket E_{2k-2j} + E_{2k-2j+offset}/(1+q).
 # The printed reading keeps the typeset floor(k/2) and 2k - 2j + 1; the
 # corrected reading runs the second sum over every nonzero binomial and uses
 # 2k - 2j - 1, which is what the master identity at (k, k+1) plus the
-# regrouped identity divided by (1+q) actually produces.
+# master identity at (k, k) divided by (1+q) actually produces.
 _READINGS = {
     "printed": (lambda k: k // 2, 1),
     "corrected": (lambda k: (k + 1) // 2, -1),
@@ -195,17 +184,12 @@ def monomials(poly: XPolyQ) -> Terms:
 def eq6_statement(k: int, m: int) -> Statement:
     """The master identity at (k, m): the bracket sum equals
     (1+q) x^k (x-1)^m."""
-    return eq6_terms(k, m), _ONE_PLUS_Q, shift_terms(k, m)
-
-
-def eq103_statement(k: int) -> Statement:
-    """The even/odd regrouping of the master identity at m = k."""
-    return eq103_terms(k), _ONE_PLUS_Q, shift_terms(k, k)
+    return eq6_terms(k, m), [((c, c), 0, i) for (c,), _, i in shift_terms(k, m)]
 
 
 def degree_2k1_statement(k: int, variant: str) -> Statement:
     """The degree-(2k+1) identity, printed or corrected reading."""
-    return degree_2k1_terms(k, variant), None, degree_2k1_rhs(k)
+    return degree_2k1_terms(k, variant), degree_2k1_rhs(k)
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +275,23 @@ def view_sides(view: str, statement: Statement,
     is printed: the E-side first for "poly" and "integral", the monomial
     side first for "fermionic" and "bosonic".  The "integral" view's right
     side is q * beta less the image of the first ``moved`` terms."""
-    terms, scale, mono = statement
+    terms, mono = statement
     terms = ring_terms(terms)
     if view == "integral":
         return (apply(terms[moved:], unit_integral),
                 RF_Q * beta - apply(terms[:moved], unit_integral))
     mono = ring_terms(mono)
-    scale = None if scale is None else RatFuncQ(scale)
     if view == "poly":
-        e_side, x_side = apply(terms, euler_poly), apply(mono, XPolyQ.x_power)
-        return e_side, x_side if scale is None else x_side * scale
+        return apply(terms, euler_poly), apply(mono, XPolyQ.x_power)
     if view == "fermionic":
-        x_side = apply(mono, euler_number)
-        return (x_side if scale is None else x_side * scale,
-                apply(terms, fermionic_moment))
-    x_side = ctx.apply(mono, ctx.bernoulli)
-    return (x_side if scale is None else ctx.embed(scale) * x_side,
-            ctx.apply(terms, ctx.bosonic_moment))
+        return apply(mono, euler_number), apply(terms, fermionic_moment)
+    return ctx.apply(mono, ctx.bernoulli), ctx.apply(terms, ctx.bosonic_moment)
 
 
-# The printed beta terms of the integrated statements, over q.
-def _thm1_beta(k: int, m: int) -> Fraction:
+def _beta(k: int, m: int) -> Fraction:
+    """The printed beta term of the integrated statements, over q:
+    -int_0^1 x^k (x-1)^m dx = (-1)^(m+1) k! m! / (k+m+1)!."""
     return Fraction((-1) ** (m + 1), (k + m + 1) * binom(k + m, k))
-
-
-def _thm1_cor_beta(k: int) -> Fraction:
-    return Fraction((-1) ** k, (2 * k + 2) * binom(2 * k + 1, k))
-
-
-def _thm2_beta(k: int) -> Fraction:
-    return Fraction((-1) ** (k + 1), (2 * k + 1) * binom(2 * k, k))
 
 
 def sides_eq7(n: int) -> Tuple[XPolyQ, XPolyQ]:
@@ -362,18 +333,18 @@ _CORRECTED = partial(degree_2k1_statement, variant="corrected")
 REGISTRY: Dict[IdentityId, IdentityInfo] = {
     IdentityId.EQ6: IdentityInfo(
         eq6_statement, "poly", ("k", "m"), 0, {"k": (0, 8), "m": (0, 8)}),
-    # the beta functions are looked up by name when a cell is built
+    # _beta is looked up by name when a cell is built
     IdentityId.THM1: IdentityInfo(
         eq6_statement, "integral", ("k", "m"), 1, {"k": (1, 8), "m": (1, 8)},
-        lambda k, m: _thm1_beta(k, m), moved=1),
+        lambda k, m: _beta(k, m), moved=1),
     IdentityId.THM1_COR: IdentityInfo(
         lambda k: eq6_statement(k, k + 1), "integral", ("k",), 1,
-        {"k": (1, 8)}, lambda k: _thm1_cor_beta(k), moved=1),
+        {"k": (1, 8)}, lambda k: _beta(k, k + 1), moved=1),
     IdentityId.EQ103: IdentityInfo(
-        eq103_statement, "poly", ("k",), 1, {"k": (1, 8)}),
+        lambda k: eq6_statement(k, k), "poly", ("k",), 1, {"k": (1, 8)}),
     IdentityId.THM2: IdentityInfo(
-        eq103_statement, "integral", ("k",), 1, {"k": (1, 10)},
-        lambda k: _thm2_beta(k)),
+        lambda k: eq6_statement(k, k), "integral", ("k",), 1, {"k": (1, 10)},
+        lambda k: _beta(k, k)),
     IdentityId.THM3_PRINTED: IdentityInfo(
         _PRINTED, "poly", ("k",), 1, {"k": (1, 4)}),
     IdentityId.THM3_CORRECTED: IdentityInfo(
@@ -450,8 +421,7 @@ def _add_product(out: list, poly, cols: list, shift: int = 0) -> None:
 
 
 def _degree(statement: Statement) -> int:
-    terms, _, mono = statement
-    return max(n for _, _, n in chain(terms, mono))
+    return max(n for _, _, n in chain(*statement))
 
 
 def x_certificate(statement: Statement) -> Tuple[list, int]:
@@ -459,21 +429,17 @@ def x_certificate(statement: Statement) -> Tuple[list, int]:
     with c = sum_j cols[j](x) q^j / (1+q)^b.
 
     Over one (1+q)^B for every coefficient, (1+q)^(B+1) c is
-    (1+q) T(x) - s (q M(x+1) + M(x)), with T the term list, s the scale and
-    M the monomials; it is formed on integer columns, and no value of R
-    is built.
+    (1+q) T(x) - q M(x+1) - M(x), with T the term list and M the
+    monomials; it is formed on integer columns, and no value of R is built.
     """
-    terms, scale, mono = statement
-    scale = scale or (1,)
+    terms, mono = statement
     top = max(b for _, b, _ in chain(terms, mono))
     width = 1 + _degree(statement)
     t, m = _columns(terms, top, width), _columns(mono, top, width)
-    cols = [[0] * width
-            for _ in range(max(len(t) + 1, len(scale) + len(m)))]
+    cols = [[0] * width for _ in range(1 + max(len(t), len(m)))]
     _add_product(cols, _ONE_PLUS_Q, t)
-    negated = [-a for a in scale]
-    _add_product(cols, negated, [_shifted(col) for col in m], shift=1)
-    _add_product(cols, negated, m)
+    _add_product(cols, (-1,), [_shifted(col) for col in m], shift=1)
+    _add_product(cols, (-1,), m)
     return cols, top + 1
 
 
@@ -517,9 +483,10 @@ def _x_route(identity: IdentityId, params: Dict[str, int]):
     tables.  The residual is 0 but in the integral view, where the
     certificate is U(E(c)) + q * residual with residual U(h)/q less the
     printed beta, h the statement's right side.  With h = (1+q) sum
-    c'_i x^i, c'_i rational, U(h)/q is -sum c'_i/(i+1).  The integral view
-    also needs one degree more: the unit integral E[n+1]/(n+1) of E_n(x)
-    rests on the functional equation at n + 1.
+    c_i x^i, whose monomial coefficients are (c_i, c_i), U(h)/q is
+    -sum c_i/(i+1).  The integral view also needs one degree more: the
+    unit integral E[n+1]/(n+1) of E_n(x) rests on the functional equation
+    at n + 1.
     """
     info = REGISTRY[identity]
     if identity is IdentityId.EQ6 or info.view in (None, "bosonic"):
@@ -528,7 +495,7 @@ def _x_route(identity: IdentityId, params: Dict[str, int]):
     if info.view != "integral":
         zero = XPolyQ.zero() if info.view == "poly" else RF_ZERO
         return statement, 0, zero, _degree(statement)
-    u_h = -sum(Fraction(c, i + 1) for (c,), _, i in statement[2])  # U(h)/q
+    u_h = -sum(Fraction(c, i + 1) for (c, _), _, i in statement[1])  # U(h)/q
     return (statement, u_h - info.beta(**params), RF_ZERO,
             _degree(statement) + 1)
 

@@ -283,19 +283,6 @@ class PadicApprox(Record):
         u = self.unit * pow(other.unit, -1, self.p ** k) % self.p ** k
         return PadicApprox(self.p, self.valuation - other.valuation, u, k)
 
-    def pow_int(self, e: int) -> "PadicApprox":
-        """Nonnegative integer power; e = 0 gives 1 at this precision."""
-        if e < 0:
-            raise ValueError("exponent must be >= 0")
-        if e == 0:
-            k = self.precision if self.unit is not None else max(self.precision, 1)
-            return PadicApprox(self.p, 0, 1, max(k, 1))
-        if self.unit is None:
-            return PadicApprox.zero(self.p, self.precision * e)
-        k = self.precision
-        u = pow(self.unit, e, self.p ** k)
-        return PadicApprox(self.p, self.valuation * e, u, k)
-
     def __str__(self) -> str:
         if self.unit is None:
             return f"O({self.p}^{self.precision})"

@@ -1,16 +1,16 @@
 """The weight-0 q-Euler numbers and polynomials.
 
 The number table is E[n] = N_n / (1 + q)^n, with the integer numerators
-N_n of :mod:`qeuler.zpoly`; since (1 + q) never divides N_n, each entry
-is handed out already in canonical form, as the triple (N_n, 0, n), with
-the int coefficients of N_n.
+N_n of :mod:`qeuler.zpoly`, built by ``RatFuncQ.over_bracket``; since
+(1 + q) never divides N_n, each entry is the triple (N_n, 0, n), with the
+int coefficients of N_n.
 
 The polynomial table is the binomial convolution
 
     E_n(x) = sum_{l<=n} C(n, l) * x^l * E[n - l],
 
-whose coefficients C(n, l) * N_{n-l} / (1 + q)^(n-l) are canonical too,
-and are stored with int numerator coefficients as well.
+whose coefficients C(n, l) * N_{n-l} / (1 + q)^(n-l) are built the same
+way, with int numerator coefficients as well.
 
 Both tables are memoized; fills are pure and idempotent, so concurrent
 readers under the GIL are safe.
@@ -61,8 +61,7 @@ def euler_number(n: int) -> RatFuncQ:
     with _lock:
         while len(_numbers) <= n:
             m = len(_numbers)
-            ints = list(euler_numerator(m))
-            _numbers.append(RatFuncQ._raw(PolyQ._raw(ints), 0, m))
+            _numbers.append(RatFuncQ.over_bracket(euler_numerator(m), m))
     return _numbers[n]
 
 
@@ -77,9 +76,8 @@ def euler_poly(n: int) -> XPolyQ:
     with _lock:
         while len(_polys) <= n:
             m = len(_polys)
-            coeffs = [RatFuncQ._raw(PolyQ._raw([comb(m, l) * c for c
-                                                in euler_numerator(m - l)]),
-                                    0, m - l)
-                      for l in range(m + 1)]
-            _polys.append(XPolyQ._raw(coeffs))
+            _polys.append(XPolyQ(
+                RatFuncQ.over_bracket(
+                    [comb(m, l) * c for c in euler_numerator(m - l)], m - l)
+                for l in range(m + 1)))
     return _polys[n]

@@ -174,6 +174,20 @@ def classical_euler_number(n: int) -> Fraction:
 
 # -- identity sides by other routes -------------------------------------------
 
+def eq103_terms(k: int) -> list:
+    """The master bracket sum at m = k grouped by parity, as the paper
+    prints it: (1+q) C(k, 2j) E_{2k-2j}(x) and (q-1) C(k, 2j+1)
+    E_{2k-2j-1}(x), as integer term lists (coeffs, b, n)."""
+    terms = []
+    for j in range(k // 2 + 1):
+        c = comb(k, 2 * j)
+        terms.append(((c, c), 0, 2 * k - 2 * j))
+        c = comb(k, 2 * j + 1)
+        if c:
+            terms.append(((-c, c), 0, 2 * k - 2 * j - 1))
+    return terms
+
+
 def thm3_construction_residual(k: int) -> XPolyQ:
     """left(corrected) - [left(EQ6 at (k, k+1)) + left(EQ103 at k)/(1+q)];
     identically zero by construction."""

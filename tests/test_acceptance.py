@@ -73,6 +73,12 @@ COMMAND_SHA256 = {
         "264d45f2b5dc52b66fa28942194c7da1272ee77178bdae2a45c49f372243c842",
     "verify THM5_CORRECTED --k 1..6":
         "44d95dd0aaae6b9a01767f149f710efa1d2f92c8a99f72878595c5a73576a7a8",
+    "verify THM6 --k 1..4 --m 1..4 --p 7 --K 6":
+        "d12510761b741204d4cbf847e288c86203e19eb2ebc82e0043028528f52ffc7a",
+    "verify THM6 --k 1..5 --m 1..5 --p 3 --q 10 --K 6":
+        "6816df63741d1e7591786cee5d05f460f73dc1972df72f7ca39077a3b5cce838",
+    "verify THM6 --k 1..3 --m 1..3 --p 3 --q 1 --K 5":
+        "6e0183bd25416b2608920c9d1a743b41b06319439848342a46f4c9f617260825",
 }
 
 

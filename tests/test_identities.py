@@ -3,7 +3,7 @@ consistency, printed-variant discrepancies, and the verify driver."""
 
 import json
 from fractions import Fraction
-from math import inf
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
@@ -21,14 +21,13 @@ from qeuler.identities import (
     IdentityId,
     NumericContext,
     _functional_equation_row,
+    _beta,
     apply,
     degree_2k1_rhs,
     degree_2k1_statement,
     degree_2k1_terms,
     eq6_statement,
     eq6_terms,
-    eq103_statement,
-    eq103_terms,
     fermionic_moment,
     monomials,
     ring_terms,
@@ -49,7 +48,9 @@ from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC
 from qeuler.qspecial import euler_number, euler_poly
 
 from oracles import (
+    beta_exact,
     direct_moment,
+    eq103_terms,
     evaluate_point,
     fermionic_image,
     folded_apply,
@@ -170,6 +171,29 @@ class TestEq103:
         for k in range(1, 9):
             regrouped = sides(IdentityId.EQ103, {"k": k})[0]
             assert (regrouped - sides(IdentityId.EQ6, {"k": k, "m": k})[0]).is_zero
+
+    def test_printed_regrouping_is_the_master_terms_at_k_k(self):
+        # the paper's parity-grouped list is EQ6's bracket sum at m = k, term
+        # for term and in the same order
+        for k in range(31):
+            assert eq103_terms(k) == eq6_terms(k, k)
+
+
+class TestBeta:
+    """One beta integral, -int_0^1 x^k (x-1)^m dx, gives the printed beta
+    term of THM1, THM1_COR and THM2."""
+
+    def test_printed_closed_forms(self):
+        for k in range(1, 40):
+            assert _beta(k, k + 1) == Fraction(
+                (-1) ** k, (2 * k + 2) * comb(2 * k + 1, k))      # THM1_COR
+            assert _beta(k, k) == Fraction(
+                (-1) ** (k + 1), (2 * k + 1) * comb(2 * k, k))    # THM2
+
+    def test_is_the_signed_beta_function(self):
+        for k in range(20):
+            for m in range(20):
+                assert _beta(k, m) == (-1) ** (m + 1) * beta_exact(k + 1, m + 1)
 
 
 class TestThm2:
@@ -297,6 +321,19 @@ class TestThm6:
         assert padic_distance(left, direct) >= ctx.target
         assert padic_distance(right, direct) >= ctx.target
 
+    def test_folded_scale_keeps_digits_and_precision(self, ctx):
+        # (1+q) is a p-adic unit, so summing embed((1+q) c) B_i gives the
+        # digits and precision of embed(1+q) times the sum of embed(c) B_i
+        for q in (Fraction(4), Fraction(1), Fraction(10), Fraction(-2)):
+            numeric = NumericContext(3, q, 4, 4, 12)
+            for k in range(1, 4):
+                for m in range(1, 4):
+                    x_side = view_sides("bosonic", eq6_statement(k, m),
+                                        numeric)[0]
+                    unfolded = numeric.apply(ring_terms(shift_terms(k, m)),
+                                             numeric.bernoulli)
+                    assert x_side == numeric.embed(1 + q) * unfolded
+
     def test_second_prime(self):
         ctx5 = NumericContext(5, Fraction(6), 4, 4, 10)
         left, right = sides(IdentityId.THM6, {"k": 1, "m": 2}, ctx5)
@@ -340,7 +377,7 @@ class TestViewComposition:
 
     def test_fermionic_view_is_moment_of_poly_view(self):
         statements = [eq6_statement(k, m) for k in range(5) for m in range(5)]
-        statements += [eq103_statement(k) for k in range(1, 5)]
+        statements += [eq6_statement(k, k) for k in range(1, 5)]
         statements += [degree_2k1_statement(k, variant) for k in range(1, 5)
                        for variant in ("printed", "corrected")]
         for statement in statements:
@@ -456,7 +493,7 @@ class TestXCertificateRoute:
     @settings(max_examples=25, deadline=None)
     @given(k=st.integers(1, 9), m=st.integers(0, 9))
     def test_zero_x_certificate_iff_table_route_holds(self, k, m):
-        statements = [eq6_statement(k, m), eq103_statement(k)]
+        statements = [eq6_statement(k, m), eq6_statement(k, k)]
         statements += [degree_2k1_statement(k, variant)
                        for variant in ("printed", "corrected")]
         for statement in statements:
@@ -481,9 +518,9 @@ class TestXCertificateRoute:
         # a zero x-certificate with a nonzero beta residual decides nothing:
         # the cell fails on the tables, by q times the beta error
         delta = Fraction(1, 7)
-        printed = identities._thm2_beta
-        monkeypatch.setattr(identities, "_thm2_beta",
-                            lambda k: printed(k) + delta)
+        printed = identities._beta
+        monkeypatch.setattr(identities, "_beta",
+                            lambda k, m: printed(k, m) + delta)
         r = verify(IdentityId.THM2, {"k": 2})
         assert (r.verdict, r.route) == (FAILS, TABLES)
         assert r.certificate == RatFuncQ(Q) * -delta

@@ -114,24 +114,6 @@ class TestArithmetic:
         assert (z + y).abs_precision == 2
 
 
-class TestPow:
-    def test_modular_exponentiation(self):
-        # 4^9 = 262144 = 28 mod 81 (262144 - 3236*81 = 28)
-        q = PadicApprox.from_rational(Fraction(4), 3, 4)
-        x = q.pow_int(9)
-        assert pow(4, 9, 81) == 28
-        assert (x.valuation, x.unit) == (0, 28)
-
-    def test_zeroth_power(self):
-        x = PadicApprox.from_rational(Fraction(7, 5), 3, 6)
-        one = x.pow_int(0)
-        assert (one.valuation, one.unit) == (0, 1)
-
-    def test_power_of_zero(self):
-        z = PadicApprox.zero(3, 4)
-        assert z.pow_int(5).is_zero
-
-
 class TestDistance:
     def test_self_distance_capped(self):
         x = PadicApprox.from_rational(Fraction(5, 7), 3, 6)
