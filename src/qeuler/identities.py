@@ -61,7 +61,6 @@ intent.  Printed-variant failures are informational and never fail a run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial, reduce
@@ -70,7 +69,7 @@ from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactarith import RF_Q, RF_ZERO, RatFuncQ, XPolyQ, sum_products
-from .padic import PadicApprox
+from .padic import PadicApprox, Record
 from .qintegral import KIND_BOSONIC, MonomialIntegrals
 from .qspecial import TWO_Q_RECIP, binom, euler_number, euler_poly
 from .report import ERROR, FAILS, HOLDS, HOLDS_TO_PRECISION
@@ -196,11 +195,16 @@ def degree_2k1_statement(k: int, variant: str) -> Statement:
 # linear maps (exact)
 
 
+def images(terms: Terms, image: Callable) -> list:
+    """The (coefficient, image(n)) pairs of a term list."""
+    return [(c, image(n)) for c, n in terms]
+
+
 def apply(terms: Terms, image: Callable):
     """sum coefficient * image(n) over a term list, as one exact sum: the
     products are brought to a common denominator and reduced once (per
     power of x when the images are polynomials in x)."""
-    return sum_products((c, image(n)) for c, n in terms)
+    return sum_products(images(terms, image))
 
 
 def unit_integral(n: int) -> RatFuncQ:
@@ -229,21 +233,21 @@ class NumericContext(MonomialIntegrals):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._embeds = {}     # exact value -> its PadicApprox
+        self._embeds = {}     # exact value, as given -> its PadicApprox
 
     @property
     def embed_precision(self) -> int:
         return self.target + self.guard + 2
 
     def embed(self, value) -> PadicApprox:
-        """Embed an exact rational (or rational function of q) p-adically."""
-        if isinstance(value, RatFuncQ):
-            value = value.evaluate(self.q)
-        value = Fraction(value)
-        if value not in self._embeds:
-            self._embeds[value] = PadicApprox.from_rational(
-                value, self.p, self.embed_precision)
-        return self._embeds[value]
+        """Embed an exact rational (or rational function of q) p-adically;
+        memoized by the value given, so each one is evaluated at q once."""
+        approx = self._embeds.get(value)
+        if approx is None:
+            at_q = value.evaluate(self.q) if isinstance(value, RatFuncQ) else value
+            approx = self._embeds[value] = PadicApprox.from_rational(
+                at_q, self.p, self.embed_precision)
+        return approx
 
     # the memo under its own name, by which perfbench/tracer.py times it
     monomial_integral = MonomialIntegrals.__call__
@@ -268,24 +272,35 @@ class NumericContext(MonomialIntegrals):
 # views and sides
 
 
+def view_pairs(view: str, statement: Statement, beta: Fraction = 0,
+               moved: int = 0) -> Tuple[list, list]:
+    """The (coefficient, image) pairs of both sides of a statement through
+    an exact view, ordered as the theorem is printed: the E-side first for
+    "poly" and "integral", the monomial side first for "fermionic".  The
+    "integral" view's right side is q * beta less the image of the first
+    ``moved`` terms."""
+    terms = ring_terms(statement[0])
+    if view == "integral":
+        return (images(terms[moved:], unit_integral),
+                [(beta, RF_Q)] + [(-c, v) for c, v in
+                                  images(terms[:moved], unit_integral)])
+    mono = ring_terms(statement[1])
+    if view == "poly":
+        return images(terms, euler_poly), images(mono, XPolyQ.x_power)
+    return images(mono, euler_number), images(terms, fermionic_moment)
+
+
 def view_sides(view: str, statement: Statement,
                ctx: Optional[NumericContext] = None, beta: Fraction = 0,
                moved: int = 0) -> Tuple[object, object]:
-    """Both sides of a statement through one view, ordered as the theorem
-    is printed: the E-side first for "poly" and "integral", the monomial
-    side first for "fermionic" and "bosonic".  The "integral" view's right
-    side is q * beta less the image of the first ``moved`` terms."""
-    terms, mono = statement
-    terms = ring_terms(terms)
-    if view == "integral":
-        return (apply(terms[moved:], unit_integral),
-                RF_Q * beta - apply(terms[:moved], unit_integral))
-    mono = ring_terms(mono)
-    if view == "poly":
-        return apply(terms, euler_poly), apply(mono, XPolyQ.x_power)
-    if view == "fermionic":
-        return apply(mono, euler_number), apply(terms, fermionic_moment)
-    return ctx.apply(mono, ctx.bernoulli), ctx.apply(terms, ctx.bosonic_moment)
+    """Both sides of a statement through one view, each summed on its own
+    (``view_pairs``), or p-adically in ``ctx`` for "bosonic", monomial
+    side first."""
+    if view == "bosonic":
+        terms, mono = map(ring_terms, statement)
+        return ctx.apply(mono, ctx.bernoulli), ctx.apply(terms, ctx.bosonic_moment)
+    left, right = view_pairs(view, statement, beta, moved)
+    return sum_products(left), sum_products(right)
 
 
 def _beta(k: int, m: int) -> Fraction:
@@ -309,18 +324,25 @@ def sides_eq8(n: int) -> Tuple[RatFuncQ, RatFuncQ]:
 # registry and verification driver
 
 
-@dataclass(frozen=True)
-class IdentityInfo:
-    build: Callable      # build(**params): a statement, or both sides
-    view: Optional[str]  # "poly", "fermionic", "bosonic", "integral";
-                         # None: build gives sides
-    params: Tuple[str, ...]
-    minimum: int         # lower bound for every parameter
-    default_range: Dict[str, Tuple[int, int]]
-    # the integral view's printed right side: beta(**params), the printed
-    # beta term over q, and how many leading terms the theorem moves there
-    beta: Optional[Callable] = None
-    moved: int = 0
+def _no_beta(**params) -> int:
+    return 0
+
+
+class IdentityInfo(Record):
+    """A catalogue entry.  ``build(**params)`` gives a statement, seen
+    through ``view`` ("poly", "fermionic", "bosonic" or "integral"), or,
+    with view None, both sides.  Every parameter is at least ``minimum``.
+    The integral view's printed right side is q * ``beta(**params)`` less
+    U of the ``moved`` leading terms."""
+
+    __slots__ = ("build", "view", "params", "minimum", "default_range",
+                 "beta", "moved")
+
+    def __init__(self, build: Callable, view: Optional[str],
+                 params: Tuple[str, ...], minimum: int,
+                 default_range: Dict[str, Tuple[int, int]],
+                 beta: Callable = _no_beta, moved: int = 0):
+        self._set(build, view, params, minimum, default_range, beta, moved)
 
     @property
     def mode(self) -> str:
@@ -374,8 +396,22 @@ def sides(identity: IdentityId, params: Dict[str, int],
     built = info.build(**params)
     if info.view is None:
         return built
-    beta = info.beta(**params) if info.beta else 0
-    return view_sides(info.view, built, ctx, beta, info.moved)
+    return view_sides(info.view, built, ctx, info.beta(**params), info.moved)
+
+
+def table_certificate(identity: IdentityId, params: Dict[str, int],
+                      ctx: Optional[NumericContext] = None):
+    """left - right of a cell, from the tables.  An exact view sums its
+    left pairs and its right pairs, coefficients negated, as one exact sum
+    (``view_pairs``), reduced once (per power of x); the calculus rules and
+    the bosonic view subtract their sides."""
+    info = REGISTRY[identity]
+    if info.view in (None, "bosonic"):
+        left, right = sides(identity, params, ctx)
+        return left - right
+    left, right = view_pairs(info.view, info.build(**params),
+                             info.beta(**params), info.moved)
+    return sum_products(left + [(-c, v) for c, v in right])
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +536,20 @@ def _x_route(identity: IdentityId, params: Dict[str, int]):
             _degree(statement) + 1)
 
 
-@dataclass
-class VerificationResult:
-    id: IdentityId
-    params: Dict[str, int]
-    mode: str
-    verdict: str
-    certificate: object
-    certificate_str: str
-    elapsed: float
-    route: Optional[str] = None           # X_CERTIFICATE or TABLES
-    x_certificate: Optional[str] = None   # the x-certificate, when nonzero
+class VerificationResult(Record):
+    """One decided cell.  ``route`` is X_CERTIFICATE or TABLES (None for a
+    cell that raised); ``x_certificate`` is the x-certificate, when
+    nonzero."""
+
+    __slots__ = ("id", "params", "mode", "verdict", "certificate",
+                 "certificate_str", "elapsed", "route", "x_certificate")
+
+    def __init__(self, id: IdentityId, params: Dict[str, int], mode: str,
+                 verdict: str, certificate: object, certificate_str: str,
+                 elapsed: float, route: Optional[str] = None,
+                 x_certificate: Optional[str] = None):
+        self._set(id, params, mode, verdict, certificate, certificate_str,
+                  elapsed, route, x_certificate)
 
     def sort_key(self):
         return (self.id.value,
@@ -536,8 +575,8 @@ def _mode(identity: IdentityId, ctx: Optional[NumericContext]) -> str:
 def verify(identity: IdentityId, params: Dict[str, int],
            ctx: Optional[NumericContext] = None) -> VerificationResult:
     """Decide one cell: by its x-certificate when that is zero and the
-    tables are licensed to its degree, otherwise by computing both sides,
-    subtracting, and classifying the verdict.
+    tables are licensed to its degree, otherwise by its table certificate
+    left - right (``table_certificate``), and classify the verdict.
 
     Exact identities hold iff the difference is identically zero.  A p-adic
     identity fails when the difference has a nonzero digit below p^K, and
@@ -570,8 +609,7 @@ def verify(identity: IdentityId, params: Dict[str, int],
         elif not residual and table_licensed(degree):
             cert, route = zero, X_CERTIFICATE
     if cert is None:
-        left, right = sides(identity, params, ctx)
-        cert = left - right
+        cert = table_certificate(identity, params, ctx)
     if info.mode == "exact":
         verdict = HOLDS if cert.is_zero else FAILS
     elif not cert.is_zero and cert.valuation < ctx.target:

@@ -6,8 +6,9 @@ precision A, meaning "congruent to 0 modulo p^A".  All reported precisions
 are conservative lower bounds: cancellation and division can shrink them
 but never silently fabricate digits.
 
-``Record`` is the immutable-value base of PadicApprox and of the integral
-requests and results of ``qintegral``.
+``Record`` is the immutable-value base of PadicApprox, of the integral
+requests and results of ``qintegral`` and of the catalogue entries and
+verification results of ``identities``.
 """
 
 from __future__ import annotations

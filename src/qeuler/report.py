@@ -8,7 +8,6 @@ hashing, so byte-identical configs yield byte-identical canonical bodies.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -30,6 +29,12 @@ ERROR = "error"
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True)
+
+
+def _sha256(text: str) -> str:
+    import hashlib  # only JSON output hashes
+
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 class Report:
@@ -83,7 +88,7 @@ class Report:
         return canonical_json(self.body())
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical().encode("ascii")).hexdigest()
+        return _sha256(self.canonical())
 
     def exit_code(self) -> int:
         """0 unless a non-printed verification item failed or errored."""
@@ -96,8 +101,10 @@ class Report:
         return 0
 
     def to_json(self) -> str:
+        """The body with its hash and the timing side channel; the body is
+        built once and hashed in its canonical form."""
         doc = self.body()
-        doc["canonical_sha256"] = self.sha256()
+        doc["canonical_sha256"] = _sha256(canonical_json(doc))
         doc["timing"] = self.timing
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

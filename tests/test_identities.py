@@ -35,6 +35,7 @@ from qeuler.identities import (
     sides,
     sides_eq7,
     sides_eq8,
+    table_certificate,
     table_licensed,
     unit_integral,
     verify,
@@ -46,6 +47,8 @@ from qeuler.identities import (
 from qeuler.padic import PadicApprox, padic_distance
 from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC
 from qeuler.qspecial import euler_number, euler_poly
+
+from test_acceptance import COMMAND_SHA256
 
 from oracles import (
     beta_exact,
@@ -166,11 +169,6 @@ class TestEq103:
     def test_k2(self):
         left, right = sides(IdentityId.EQ103, {"k": 2})
         assert left == right
-
-    def test_regrouping_identity(self):
-        for k in range(1, 9):
-            regrouped = sides(IdentityId.EQ103, {"k": k})[0]
-            assert (regrouped - sides(IdentityId.EQ6, {"k": k, "m": k})[0]).is_zero
 
     def test_printed_regrouping_is_the_master_terms_at_k_k(self):
         # the paper's parity-grouped list is EQ6's bracket sum at m = k, term
@@ -524,6 +522,61 @@ class TestXCertificateRoute:
         r = verify(IdentityId.THM2, {"k": 2})
         assert (r.verdict, r.route) == (FAILS, TABLES)
         assert r.certificate == RatFuncQ(Q) * -delta
+
+
+class TestOneSumCertificate:
+    """The table route sums an exact view's left images and its negated
+    right images at once; the two sides summed on their own and subtracted
+    are the reference."""
+
+    @staticmethod
+    def assert_one_sum(identity, params, ctx=None):
+        left, right = sides(identity, params, ctx)
+        cert = table_certificate(identity, params, ctx)
+        assert cert == left - right
+        assert str(cert) == str(left - right)
+        return cert
+
+    def test_default_battery_table_cells(self, ctx):
+        cells = 0
+        for identity in IdentityId:
+            for r in verify_grid(identity, ctx=ctx):
+                if r.route == TABLES:
+                    cert = self.assert_one_sum(identity, r.params, ctx)
+                    assert r.certificate_str == str(cert)
+                    cells += 1
+        assert cells == 129     # the battery's timing.routes count
+
+    def test_eq6_to_12(self):
+        for r in verify_grid(IdentityId.EQ6, {"k": (0, 12), "m": (0, 12)}):
+            assert r.route == TABLES
+            assert r.certificate_str == str(self.assert_one_sum(
+                IdentityId.EQ6, r.params))
+
+
+class TestEmbedMemo:
+    def test_each_coefficient_is_evaluated_once(self, monkeypatch, tmp_path):
+        command = "verify THM6 --k 1..4 --m 1..4 --p 7 --K 6"
+        evaluated, embedded = [], []
+        evaluate, embed = RatFuncQ.evaluate, NumericContext.embed
+
+        def counting_evaluate(self, q0):
+            evaluated.append(self)
+            return evaluate(self, q0)
+
+        def recording_embed(self, value):
+            embedded.append(value)
+            return embed(self, value)
+
+        monkeypatch.setattr(RatFuncQ, "evaluate", counting_evaluate)
+        monkeypatch.setattr(NumericContext, "embed", recording_embed)
+        out = tmp_path / "thm6.json"
+        assert cli_main([*command.split(), "--format", "json",
+                         "--out", str(out)]) == 0
+        distinct = {v for v in embedded if isinstance(v, RatFuncQ)}
+        assert len(evaluated) == len(distinct) < len(embedded)
+        assert json.loads(out.read_text())["canonical_sha256"] == \
+            COMMAND_SHA256[command]
 
 
 @pytest.fixture

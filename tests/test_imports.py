@@ -60,6 +60,20 @@ def test_numeric_commands_load_no_exact_layer(argv):
     assert not modules & NUMERIC_FREE
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "EQ103", "--k", "1"),
+    ("verify", "EQ6", "--k", "0..3", "--m", "0..3", "--format", "json"),
+])
+def test_verify_loads_no_dataclasses(argv):
+    # the catalogue's records are padic.Record values; only JSON output
+    # hashes, so pretty output loads no hashlib either
+    modules = loaded_modules(*argv)
+    assert "qeuler.identities" in modules
+    assert not modules & {"dataclasses", "inspect"}
+    if "json" not in argv:
+        assert "hashlib" not in modules
+
+
 def test_euler_table_loads_no_catalog(tmp_path):
     # rows, values at q and cache entries all come from the integer table
     modules = loaded_modules("numbers", "euler", "--n", "0..4", "--at-q",
