@@ -8,22 +8,25 @@ num / (q^a (1+q)^b), with q not dividing num when a > 0 and (1+q) not
 dividing num when b > 0.  A value is stored as the triple (num, a, b):
 the denominator is two exponents, never an expanded polynomial.  Reducing
 a fraction therefore only strips factors of q and (1+q); no Euclidean
-algorithm is needed.  R is used as a ring: values are added and
-multiplied, never divided.
+algorithm is needed.
 
-Every sum, from ``a + b`` to a term list sum c_1 v_1 + ... + c_k v_k
-(:func:`sum_products`), is reduced once: the numerators are multiplied
-without reducing, each product is brought to the largest exponents
-q^A (1+q)^B, and only the total is put in canonical form.  A sum of
-``XPolyQ`` values is reduced once per power of x.  The reduction runs
-over Z: the products leave Q over the lcm D of their denominators, the
-lift to (1+q)^B and the stripping of q and (1+q) act on one integer
-numerator, and its coefficients become Fractions c/D only at the end.
-A product is the one-term sum, and the constructor reduces its one part
-the same way, so ``_reduced_sum`` is the only normalizer of R.  Integer
-data c(q)/(1+q)^b, the form of every integer term list, enters R
-through :meth:`RatFuncQ.over_bracket`, which strips (1+q) from c by
-exact integer division (:func:`qeuler.zpoly.strip_bracket`).
+Every exact value enters R in one of two ways: as integer or rational
+data (:meth:`RatFuncQ.over_bracket`, :meth:`RatFuncQ.from_fraction`, the
+one-part constructor), or as one term-list sum c_1 v_1 + ... + c_k v_k
+(:func:`sum_products`).  The values have no arithmetic operators but
+negation; a sum, a difference and a product are each a term list.  A sum
+is reduced once: the numerators are multiplied without reducing, each
+product is brought to the largest exponents q^A (1+q)^B, and only the
+total is put in canonical form.  A sum of ``XPolyQ`` values is reduced
+once per power of x.  The reduction runs over Z: the products leave Q
+over the lcm D of their denominators, the lift to (1+q)^B and the
+stripping of q and (1+q) act on one integer numerator, and its
+coefficients become Fractions c/D only at the end.  The constructor
+reduces its one part the same way, so ``_reduced_sum`` is the only
+normalizer of R.  Integer data c(q)/(1+q)^b, the form of every integer
+term list, enters R through :meth:`RatFuncQ.over_bracket`, which strips
+(1+q) from c by exact integer division
+(:func:`qeuler.zpoly.strip_bracket`).
 
 Three immutable layers, all with exact rational coefficients:
 
@@ -36,14 +39,14 @@ A rational coefficient is an ``int`` or a ``fractions.Fraction``, never a
 float; the two compare, hash and print the same.  Integer data keeps its
 ints where it enters R (:meth:`RatFuncQ.over_bracket` and the tables of
 :mod:`qeuler.qspecial`), so the reduction multiplies ints where it meets
-them.  What ``_reduced_sum`` returns, and so every sum, product and
-constructed value, has Fraction coefficients c/D.
+them.  What ``_reduced_sum`` returns, and so every sum and constructed
+value, has Fraction coefficients c/D.
 
 ``PolyQ`` and ``XPolyQ`` are one dense-polynomial class, ``_DensePoly``,
-over two coefficient rings (Q and R); each supplies only its ring and its
-rendering.  The renderer itself, the integer division by (1+q) and the
-integer table of q-Euler numerators live in :mod:`qeuler.zpoly`, below
-every exact layer.
+over two coefficient rings (Q and R); each supplies its ring and its
+rendering, and ``PolyQ`` its evaluation at a rational point.  The
+renderer itself, the integer division by (1+q) and the integer table of
+q-Euler numerators live in :mod:`qeuler.zpoly`, below every exact layer.
 
 No floating point appears anywhere in this module; every operation either
 returns an exact value or raises.
@@ -69,36 +72,10 @@ class NonUnitError(ArithmeticError):
 
 
 class _Ring:
-    """Subtraction, powers and rendering shared by the three ring types.
-
-    A subclass supplies ``_coerce`` (its own type from an operand, or
-    None), ``__add__``, ``__neg__``, ``__mul__``, ``one`` and ``to_str``.
-    """
+    """Rendering shared by the three ring types; a subclass supplies
+    ``to_str``."""
 
     __slots__ = ()
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            raise TypeError(f"exponent must be an int, not {type(e).__name__}")
-        if e < 0:
-            raise ValueError("negative power in a ring without division")
-        result = self.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __str__(self) -> str:
         return self.to_str()
@@ -134,10 +111,6 @@ class _DensePoly(_Ring):
     @classmethod
     def zero(cls):
         return cls._raw([])
-
-    @classmethod
-    def one(cls):
-        return cls._raw([cls._scalar(1)])
 
     def _element(self, c):
         s = self._scalar(c)
@@ -183,49 +156,6 @@ class _DensePoly(_Ring):
     def __neg__(self):
         return self._raw([-c for c in self.coeffs])
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return self._raw(out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        """A ring scalar scales each coefficient; a polynomial of the same
-        class gives the convolution, skipping zero coefficients."""
-        if type(other) is not type(self):
-            s = self._scalar(other)
-            if s is None:
-                return NotImplemented
-            return self._raw([c * s for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return self._raw([])
-        out = [self._scalar(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return self._raw(out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, at):
-        """Horner evaluation at an element of the coefficient ring."""
-        at = self._element(at)
-        acc = self._scalar(0)
-        for c in reversed(self.coeffs):
-            acc = acc * at + c
-        return acc
-
 
 _F0 = Fraction(0)
 
@@ -247,13 +177,20 @@ class PolyQ(_DensePoly):
     def constant(cls, c: CoercibleScalar) -> "PolyQ":
         return cls((c,))
 
+    def evaluate(self, at: CoercibleScalar) -> Fraction:
+        """Horner evaluation at a rational point."""
+        at = self._element(at)
+        acc = _F0
+        for c in reversed(self.coeffs):
+            acc = acc * at + c
+        return acc
+
     def to_str(self, var: str = "q") -> str:
         return fmt_poly(self.coeffs, var)
 
 
 _P_ZERO = PolyQ()
 _P_ONE = PolyQ((1,))
-_P_ONE_PLUS_Q = PolyQ((1, 1))
 
 
 @lru_cache(maxsize=8192)
@@ -379,8 +316,6 @@ class RatFuncQ(_Ring):
 
     __slots__ = ("num", "a", "b")
 
-    _coerce = staticmethod(_rf_coerce)
-
     def __init__(self, num, den=_P_ONE):
         num, den = _as_poly(num), _as_poly(den)
         if den.is_zero:
@@ -399,14 +334,6 @@ class RatFuncQ(_Ring):
         f.a = a
         f.b = b
         return f
-
-    @classmethod
-    def zero(cls) -> "RatFuncQ":
-        return RF_ZERO
-
-    @classmethod
-    def one(cls) -> "RatFuncQ":
-        return RF_ONE
 
     @classmethod
     def from_fraction(cls, c: CoercibleScalar) -> "RatFuncQ":
@@ -448,29 +375,6 @@ class RatFuncQ(_Ring):
     def __neg__(self) -> "RatFuncQ":
         return RatFuncQ._raw(-self.num, self.a, self.b)
 
-    def __add__(self, other) -> "RatFuncQ":
-        """The two-term case of the one-reduction sum."""
-        other = _rf_coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.num.is_zero:
-            return other
-        if other.num.is_zero:
-            return self
-        return _reduced_sum(((self.num.coeffs, None, self.a, self.b),
-                             (other.num.coeffs, None, other.a, other.b)))
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "RatFuncQ":
-        """The one-term case of the one-reduction sum: exponents add."""
-        other = _rf_coerce(other)
-        if other is None:
-            return NotImplemented
-        return _reduced_sum((_product(self, other),))
-
-    __rmul__ = __mul__
-
     def evaluate(self, q0: CoercibleScalar) -> Fraction:
         """Exact evaluation at a rational point; raises PoleError at poles."""
         q0 = self.num._element(q0)
@@ -488,7 +392,6 @@ class RatFuncQ(_Ring):
 RF_ZERO = RatFuncQ._raw(_P_ZERO, 0, 0)
 RF_ONE = RatFuncQ._raw(_P_ONE, 0, 0)
 RF_Q = RatFuncQ._raw(PolyQ((0, 1)), 0, 0)
-RF_ONE_PLUS_Q = RatFuncQ._raw(_P_ONE_PLUS_Q, 0, 0)
 
 
 def _is_rational(c: RatFuncQ) -> bool:
@@ -505,15 +408,6 @@ class XPolyQ(_DensePoly):
     @classmethod
     def x_power(cls, e: int) -> "XPolyQ":
         return cls._raw([RF_ZERO] * e + [RF_ONE])
-
-    def derivative(self) -> "XPolyQ":
-        """Coefficient-wise d/dx."""
-        return XPolyQ._raw([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
-
-    def integral01(self) -> RatFuncQ:
-        """Integral over the unit interval: sum of c_i / (i + 1)."""
-        return sum_products((Fraction(1, i + 1), c)
-                            for i, c in enumerate(self.coeffs))
 
     def to_str(self, var: str = "x") -> str:
         if not self.coeffs:

@@ -27,7 +27,9 @@ sides:
   (k, m), less U of the leading terms the theorem moves there.
 
 Only the calculus rules (EQ7, EQ8) have no view: their registry entries
-hold plain side builders.
+build the (coefficient, image) pairs of both sides themselves, with the
+derivative and the unit-interval integral of x^i as images.  Every exact
+side and certificate is one term-list sum of such pairs.
 
 Exact identities are decided in the ring R = Q[q, 1/q, 1/(1+q)]
 (certificate identically zero or not); identities involving q-Bernoulli
@@ -42,12 +44,14 @@ view, q times a rational residual, U(h)/q less the printed beta.  One rule
 decides every cell of the poly, fermionic and integral views but EQ6's
 first: a zero c, computed from the statement over the integers with no
 table value, and a zero residual give ``holds`` and the zero
-certificate.  Every other cell takes the *table route*: both sides are
-computed from the E tables and subtracted, so a failing certificate is
-always the tables' own.  The x-certificate route is sound only while the
-tables satisfy the functional equation q E_n(x+1) + E_n(x) = (1+q) x^n up
-to the statement's degree, one more in the integral view; that *license*
-is checked on the integer numerators once per degree and process, and a
+certificate.  Every other cell takes the *table route*: both sides'
+pairs are taken from the E tables and summed as one term list, the right
+side's coefficients negated (the bosonic view subtracts its sides
+p-adically), so a failing certificate is always the tables' own.  The
+x-certificate route is sound only while the tables satisfy the
+functional equation q E_n(x+1) + E_n(x) = (1+q) x^n up to the
+statement's degree, one more in the integral view; that *license* is
+checked on the integer numerators once per degree and process, and a
 degree that fails it sends its cells to the table route.
 
 Several catalogued statements exist in two encodings: a ``_PRINTED``
@@ -200,23 +204,23 @@ def images(terms: Terms, image: Callable) -> list:
     return [(c, image(n)) for c, n in terms]
 
 
-def apply(terms: Terms, image: Callable):
-    """sum coefficient * image(n) over a term list, as one exact sum: the
-    products are brought to a common denominator and reduced once (per
-    power of x when the images are polynomials in x)."""
-    return sum_products(images(terms, image))
-
-
 def unit_integral(n: int) -> RatFuncQ:
     """E[n+1]/(n+1), the unit-interval integral of E_n(x) divided by
     -(1+q)/q."""
-    return euler_number(n + 1) * Fraction(1, n + 1)
+    return sum_products([(Fraction(1, n + 1), euler_number(n + 1))])
 
 
 @cache
 def fermionic_moment(n: int) -> RatFuncQ:
-    """Exact fermionic moment of E_n(x): sum_l C(n,l) E_{n-l} E_l."""
-    return apply(monomials(euler_poly(n)), euler_number)
+    """Exact fermionic moment of E_n(x), sum_l C(n,l) E_{n-l} E_l: the
+    integer convolution sum_l C(n,l) N_{n-l} N_l over (1+q)^n."""
+    acc = [0] * (n + 1)
+    for l in range(n + 1):
+        c = binom(n, l)
+        for i, a in enumerate(euler_numerator(n - l)):
+            for j, b in enumerate(euler_numerator(l), i):
+                acc[j] += c * a * b
+    return RatFuncQ.over_bracket(acc, n)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +233,12 @@ class NumericContext(MonomialIntegrals):
     or ``ctx.monomial_integral(kind, n)``), plus a memo of the exact
     values embedded at that configuration."""
 
-    __slots__ = ("_embeds",)
+    __slots__ = ("_embeds", "_bosonic")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._embeds = {}     # exact value, as given -> its PadicApprox
+        self._bosonic = {}    # n -> bosonic moment of E_n(x)
 
     @property
     def embed_precision(self) -> int:
@@ -264,8 +269,13 @@ class NumericContext(MonomialIntegrals):
         return reduce(add, (self.embed(c) * image(n) for c, n in terms))
 
     def bosonic_moment(self, n: int) -> PadicApprox:
-        """Bosonic moment of E_n(x): sum_l C(n,l) E_{n-l} B_l."""
-        return self.apply(monomials(euler_poly(n)), self.bernoulli)
+        """Bosonic moment of E_n(x): sum_l C(n,l) E_{n-l} B_l, memoized by
+        n."""
+        moment = self._bosonic.get(n)
+        if moment is None:
+            moment = self._bosonic[n] = self.apply(monomials(euler_poly(n)),
+                                                   self.bernoulli)
+        return moment
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +300,35 @@ def view_pairs(view: str, statement: Statement, beta: Fraction = 0,
     return images(mono, euler_number), images(terms, fermionic_moment)
 
 
-def view_sides(view: str, statement: Statement,
-               ctx: Optional[NumericContext] = None, beta: Fraction = 0,
-               moved: int = 0) -> Tuple[object, object]:
-    """Both sides of a statement through one view, each summed on its own
-    (``view_pairs``), or p-adically in ``ctx`` for "bosonic", monomial
-    side first."""
-    if view == "bosonic":
-        terms, mono = map(ring_terms, statement)
-        return ctx.apply(mono, ctx.bernoulli), ctx.apply(terms, ctx.bosonic_moment)
-    left, right = view_pairs(view, statement, beta, moved)
-    return sum_products(left), sum_products(right)
-
-
 def _beta(k: int, m: int) -> Fraction:
     """The printed beta term of the integrated statements, over q:
     -int_0^1 x^k (x-1)^m dx = (-1)^(m+1) k! m! / (k+m+1)!."""
     return Fraction((-1) ** (m + 1), (k + m + 1) * binom(k + m, k))
 
 
-def sides_eq7(n: int) -> Tuple[XPolyQ, XPolyQ]:
-    """Derivative rule: d/dx E_n(x) = n E_{n-1}(x)."""
-    return euler_poly(n).derivative(), euler_poly(n - 1) * Fraction(n)
+def _x_derivative(i: int) -> XPolyQ:
+    """d/dx x^i = i x^(i-1), zero at i = 0."""
+    return XPolyQ([0] * (i - 1) + [i])
 
 
-def sides_eq8(n: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """Unit-interval integral of E_n(x): termwise antiderivative on the
-    left, the closed form on the right."""
-    return euler_poly(n).integral01(), -TWO_Q_RECIP * unit_integral(n)
+def _unit_interval(i: int) -> RatFuncQ:
+    """int_0^1 x^i dx."""
+    return RatFuncQ.from_fraction(Fraction(1, i + 1))
+
+
+def eq7_pairs(n: int) -> Tuple[list, list]:
+    """Derivative rule: d/dx E_n(x) = n E_{n-1}(x), as the (coefficient,
+    image) pairs of both sides."""
+    return (images(monomials(euler_poly(n)), _x_derivative),
+            [(n, euler_poly(n - 1))])
+
+
+def eq8_pairs(n: int) -> Tuple[list, list]:
+    """Unit-interval integral of E_n(x), as (coefficient, image) pairs:
+    the termwise integral on the left, the closed form -((1+q)/q) U(E_n)
+    on the right."""
+    return (images(monomials(euler_poly(n)), _unit_interval),
+            [(-TWO_Q_RECIP, unit_integral(n))])
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +342,10 @@ def _no_beta(**params) -> int:
 class IdentityInfo(Record):
     """A catalogue entry.  ``build(**params)`` gives a statement, seen
     through ``view`` ("poly", "fermionic", "bosonic" or "integral"), or,
-    with view None, both sides.  Every parameter is at least ``minimum``.
-    The integral view's printed right side is q * ``beta(**params)`` less
-    U of the ``moved`` leading terms."""
+    with view None, the (coefficient, image) pairs of both sides.  Every
+    parameter is at least ``minimum``.  The integral view's printed right
+    side is q * ``beta(**params)`` less U of the ``moved`` leading
+    terms."""
 
     __slots__ = ("build", "view", "params", "minimum", "default_range",
                  "beta", "moved")
@@ -383,34 +395,45 @@ REGISTRY: Dict[IdentityId, IdentityInfo] = {
         _PRINTED, "bosonic", ("k",), 1, {"k": (1, 3)}),
     IdentityId.COR7_CORRECTED: IdentityInfo(
         _CORRECTED, "bosonic", ("k",), 1, {"k": (1, 3)}),
-    IdentityId.EQ7: IdentityInfo(sides_eq7, None, ("n",), 1, {"n": (1, 12)}),
-    IdentityId.EQ8: IdentityInfo(sides_eq8, None, ("n",), 0, {"n": (0, 12)}),
+    IdentityId.EQ7: IdentityInfo(eq7_pairs, None, ("n",), 1, {"n": (1, 12)}),
+    IdentityId.EQ8: IdentityInfo(eq8_pairs, None, ("n",), 0, {"n": (0, 12)}),
 }
 
 
-def sides(identity: IdentityId, params: Dict[str, int],
-          ctx: Optional[NumericContext] = None) -> Tuple[object, object]:
-    """Both sides of an identity at one parameter cell (``ctx`` for the
-    bosonic view)."""
+def cell_pairs(identity: IdentityId, params: Dict[str, int]
+               ) -> Tuple[list, list]:
+    """The (coefficient, image) pairs of both sides of an exact cell: its
+    view's (``view_pairs``), or the calculus rule's own."""
     info = REGISTRY[identity]
     built = info.build(**params)
     if info.view is None:
         return built
-    return view_sides(info.view, built, ctx, info.beta(**params), info.moved)
+    return view_pairs(info.view, built, info.beta(**params), info.moved)
+
+
+def sides(identity: IdentityId, params: Dict[str, int],
+          ctx: Optional[NumericContext] = None) -> Tuple[object, object]:
+    """Both sides of an identity at one parameter cell, each one exact sum
+    (``cell_pairs``), or p-adically in ``ctx`` for the bosonic view,
+    monomial side first."""
+    info = REGISTRY[identity]
+    if info.view == "bosonic":
+        terms, mono = map(ring_terms, info.build(**params))
+        return ctx.apply(mono, ctx.bernoulli), ctx.apply(terms, ctx.bosonic_moment)
+    left, right = cell_pairs(identity, params)
+    return sum_products(left), sum_products(right)
 
 
 def table_certificate(identity: IdentityId, params: Dict[str, int],
                       ctx: Optional[NumericContext] = None):
-    """left - right of a cell, from the tables.  An exact view sums its
+    """left - right of a cell, from the tables.  An exact cell sums its
     left pairs and its right pairs, coefficients negated, as one exact sum
-    (``view_pairs``), reduced once (per power of x); the calculus rules and
-    the bosonic view subtract their sides."""
-    info = REGISTRY[identity]
-    if info.view in (None, "bosonic"):
+    (``cell_pairs``), reduced once (per power of x); the bosonic view
+    subtracts its sides p-adically."""
+    if REGISTRY[identity].view == "bosonic":
         left, right = sides(identity, params, ctx)
         return left - right
-    left, right = view_pairs(info.view, info.build(**params),
-                             info.beta(**params), info.moved)
+    left, right = cell_pairs(identity, params)
     return sum_products(left + [(-c, v) for c, v in right])
 
 

@@ -4,11 +4,11 @@ package."""
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, inf
-from operator import add
+from itertools import zip_longest
+from math import comb, factorial, inf, lcm
 
-from qeuler.exactarith import RF_ONE, RF_ONE_PLUS_Q, RF_Q, PolyQ, RatFuncQ, XPolyQ
-from qeuler.identities import IdentityId, NumericContext, apply, monomials, sides
+from qeuler.exactarith import RF_ONE, RF_Q, RF_ZERO, PolyQ, RatFuncQ, XPolyQ
+from qeuler.identities import IdentityId, NumericContext, monomials, sides
 from qeuler.padic import PadicApprox
 from qeuler.qintegral import (
     KIND_BOSONIC,
@@ -19,8 +19,10 @@ from qeuler.qintegral import (
     integrate,
 )
 from qeuler.qspecial import TWO_Q_RECIP, DomainError, euler_number, euler_poly
+from qeuler.zpoly import bracket_power
 
 Q = PolyQ((0, 1))
+RF_ONE_PLUS_Q = RatFuncQ(PolyQ((1, 1)))
 # q/(1+q), the exact inverse of TWO_Q_RECIP
 Q_OVER_TWO_Q = RatFuncQ(Q, PolyQ((1, 1)))
 
@@ -29,14 +31,126 @@ class InternalInconsistency(RuntimeError):
     """Two routes that must agree produced different values (a code bug)."""
 
 
-# -- exact sums ------------------------------------------------------------------
+# -- an independent R -----------------------------------------------------------
+#
+# The package computes in R only by term-list sums (exactarith.sum_products).
+# The ring operations here take another road: a value is a numerator and a
+# denominator list over Q, two values are combined by multiplying across
+# (n1 d2 + n2 d1 over d1 d2, n1 n2 over d1 d2), and the result is made
+# canonical by the one-part constructor RatFuncQ(num, den).  Polynomials in q
+# combine as polynomials, and polynomials in x coefficient by coefficient.
+
+def _lists(v) -> tuple:
+    """(numerator, denominator) integer coefficient lists of a value of R:
+    num / (q^a (1+q)^b), its rationals over their lcm d, is
+    (d num) / (d q^a (1+q)^b), the denominator expanded."""
+    if isinstance(v, RatFuncQ):
+        num, a, b = v.num.coeffs, v.a, v.b
+    else:
+        num, a, b = (v if isinstance(v, PolyQ) else PolyQ((v,))).coeffs, 0, 0
+    d = lcm(*(c.denominator for c in num))
+    return ([c.numerator * (d // c.denominator) for c in num],
+            [0] * a + [d * c for c in bracket_power(b)])
+
+
+def _times(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _plus(a: list, b: list) -> list:
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _kind(*values) -> type:
+    """XPolyQ if any operand is one, else RatFuncQ if any is one, else PolyQ
+    if any is one; two scalars give a RatFuncQ."""
+    for kind in (XPolyQ, RatFuncQ, PolyQ):
+        if any(isinstance(v, kind) for v in values):
+            return kind
+    return RatFuncQ
+
+
+def _made(kind: type, num: list, den: list):
+    if kind is PolyQ:
+        return PolyQ([Fraction(c, den[0]) for c in num])   # den is constant
+    return RatFuncQ(PolyQ(num), PolyQ(den))
+
+
+def add(x, y):
+    """x + y."""
+    if _kind(x, y) is XPolyQ:
+        f, g = (v.coeffs if isinstance(v, XPolyQ) else (v,) for v in (x, y))
+        return XPolyQ([add(a, b) for a, b in zip_longest(f, g, fillvalue=RF_ZERO)])
+    (n1, d1), (n2, d2) = _lists(x), _lists(y)
+    return _made(_kind(x, y), _plus(_times(n1, d2), _times(n2, d1)), _times(d1, d2))
+
+
+def sub(x, y):
+    """x - y."""
+    return add(x, -y)
+
+
+def mul(x, y):
+    """x * y; a scalar of R times a polynomial in x scales each coefficient."""
+    if _kind(x, y) is XPolyQ:
+        if not isinstance(x, XPolyQ):
+            x, y = y, x
+        if not isinstance(y, XPolyQ):
+            return XPolyQ([mul(c, y) for c in x.coeffs])
+        out = [RF_ZERO] * (len(x.coeffs) + len(y.coeffs))
+        for i, a in enumerate(x.coeffs):
+            for j, b in enumerate(y.coeffs):
+                out[i + j] = add(out[i + j], mul(a, b))
+        return XPolyQ(out)
+    (n1, d1), (n2, d2) = _lists(x), _lists(y)
+    return _made(_kind(x, y), _times(n1, n2), _times(d1, d2))
+
+
+def power(x, e: int):
+    """x^e for e >= 0, by repeated multiplication."""
+    acc = type(x)((1,))
+    for _ in range(e):
+        acc = mul(acc, x)
+    return acc
+
+
+def total(values):
+    """The sum of a non-empty iterable, added pairwise left to right."""
+    return reduce(add, values)
+
 
 def folded_apply(terms, image):
     """sum coefficient * image(n) over a non-empty term list, each product
-    reduced on its own and added pairwise left to right: the reference
-    for the one-reduction sum of identities.apply."""
-    return reduce(add, (image(n) * c for c, n in terms))
+    made on its own and added pairwise left to right: the reference for the
+    term-list sum exactarith.sum_products."""
+    return total(mul(image(n), c) for c, n in terms)
 
+
+def x_derivative(poly: XPolyQ) -> XPolyQ:
+    """Coefficient-wise d/dx."""
+    return XPolyQ([mul(c, i) for i, c in enumerate(poly.coeffs)][1:])
+
+
+def x_integral01(poly: XPolyQ) -> RatFuncQ:
+    """Integral over the unit interval: the sum of c_i / (i + 1)."""
+    return total([RF_ZERO] + [mul(c, Fraction(1, i + 1))
+                              for i, c in enumerate(poly.coeffs)])
+
+
+def x_evaluate(poly: XPolyQ, at) -> RatFuncQ:
+    """Horner evaluation at a value of R."""
+    acc = RF_ZERO
+    for c in reversed(poly.coeffs):
+        acc = add(mul(acc, at), c)
+    return acc
+
+
+# -- exact sums ------------------------------------------------------------------
 
 def divide_linear(p: PolyQ, r):
     """Synthetic division of p by (q - r) over Q: (quotient, value at r)."""
@@ -74,14 +188,14 @@ def q_bracket(n: int, reciprocal: bool = False) -> RatFuncQ:
     (1 + q)/q.
     """
     if n == 0:
-        return RatFuncQ.zero()
+        return RF_ZERO
     if reciprocal:
         if n > 0:
-            return q_bracket(n) * RatFuncQ(1, Q ** (n - 1))
-        return -q_bracket(-n, reciprocal=True) * RF_Q ** (-n)
+            return mul(q_bracket(n), RatFuncQ(1, power(Q, n - 1)))
+        return -mul(q_bracket(-n, reciprocal=True), power(RF_Q, -n))
     if n > 0:
         return RatFuncQ(PolyQ([1] * n))
-    return -q_bracket(-n) * RatFuncQ(1, Q ** (-n))
+    return -mul(q_bracket(-n), RatFuncQ(1, power(Q, -n)))
 
 
 def beta_exact(a: int, b: int) -> Fraction:
@@ -98,12 +212,12 @@ def shifted(poly: XPolyQ, c) -> XPolyQ:
     shift = XPolyQ([c, RF_ONE])
     acc = XPolyQ.zero()
     for coef in reversed(poly.coeffs):
-        acc = acc * shift + coef
+        acc = add(mul(acc, shift), coef)
     return acc
 
 
 def evaluate_point(poly: XPolyQ, x0, q0) -> Fraction:
-    return poly.evaluate(Fraction(x0)).evaluate(q0)
+    return x_evaluate(poly, Fraction(x0)).evaluate(q0)
 
 
 # -- the exact tables ---------------------------------------------------------
@@ -115,8 +229,8 @@ def euler_poly_integral01(n: int):
     closed form -(1+q)/q * E[n+1] / (n+1); raises InternalInconsistency if
     they disagree (they cannot, unless the implementation is broken).
     """
-    termwise = euler_poly(n).integral01()
-    closed = -TWO_Q_RECIP * euler_number(n + 1) * Fraction(1, n + 1)
+    termwise = x_integral01(euler_poly(n))
+    closed = mul(mul(-TWO_Q_RECIP, euler_number(n + 1)), Fraction(1, n + 1))
     if termwise != closed:
         raise InternalInconsistency(
             f"unit-interval integral routes disagree at n={n}: "
@@ -128,13 +242,13 @@ def euler_poly_integral01(n: int):
 def accumulated_euler_numbers(n_max):
     """E[0..n_max] by the umbral recurrence in RatFuncQ arithmetic, every
     partial sum renormalised: the oracle for the integer table fill."""
-    numbers = [RatFuncQ.one()]
+    numbers = [RF_ONE]
     factor = RatFuncQ(PolyQ((0, -1)), PolyQ((1, 1)))   # -q/(1+q)
     for m in range(1, n_max + 1):
-        s = RatFuncQ.zero()
+        s = RF_ZERO
         for l in range(m):
-            s = s + numbers[l] * Fraction(comb(m, l))
-        numbers.append(s * factor)
+            s = add(s, mul(numbers[l], Fraction(comb(m, l))))
+        numbers.append(mul(s, factor))
     return numbers
 
 
@@ -194,7 +308,8 @@ def thm3_construction_residual(k: int) -> XPolyQ:
     corrected_left = sides(IdentityId.THM3_CORRECTED, {"k": k})[0]
     eq6_left = sides(IdentityId.EQ6, {"k": k, "m": k + 1})[0]
     eq103_left = sides(IdentityId.EQ103, {"k": k})[0]
-    return corrected_left - (eq6_left + eq103_left * RatFuncQ(1, PolyQ((1, 1))))
+    return sub(corrected_left,
+               add(eq6_left, mul(eq103_left, RatFuncQ(1, PolyQ((1, 1))))))
 
 
 def thm1_independent_route(k: int, m: int):
@@ -207,16 +322,17 @@ def thm1_independent_route(k: int, m: int):
     integral reproduces the right side.
     """
     eq6_left, eq6_right = sides(IdentityId.EQ6, {"k": k, "m": m})
-    head = RF_ONE_PLUS_Q * euler_number(k + m + 1) * Fraction(1, k + m + 1)
-    left = -(eq6_left.integral01() * Q_OVER_TWO_Q) - head
-    right = -(eq6_right.integral01() * Q_OVER_TWO_Q) - head
+    head = mul(mul(RF_ONE_PLUS_Q, euler_number(k + m + 1)),
+               Fraction(1, k + m + 1))
+    left = sub(-mul(x_integral01(eq6_left), Q_OVER_TWO_Q), head)
+    right = sub(-mul(x_integral01(eq6_right), Q_OVER_TWO_Q), head)
     return left, right
 
 
 def fermionic_image(poly: XPolyQ) -> RatFuncQ:
     """Exact fermionic moment of a polynomial in x, x^i -> E[i] applied to
     its monomials: the route the fermionic view is checked against."""
-    return apply(monomials(poly), euler_number)
+    return folded_apply(monomials(poly), euler_number)
 
 
 def direct_moment(kind: str, poly: XPolyQ, ctx: NumericContext) -> PadicApprox:

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from math import inf
 
-from qeuler.exactarith import RF_ONE_PLUS_Q, PolyQ, RatFuncQ
+from qeuler.exactarith import PolyQ, RatFuncQ
 from qeuler.identities import (
     FAILS,
     HOLDS,
@@ -34,12 +34,16 @@ from qeuler.report import Report
 from qeuler.cli import main as cli_main
 
 from oracles import (
+    RF_ONE_PLUS_Q,
     beta_exact,
     classical_euler_number,
     direct_moment,
     euler_poly_integral01,
+    mul,
     thm1_independent_route,
     thm3_construction_residual,
+    x_derivative,
+    x_evaluate,
 )
 
 # canonical_sha256 of the default `qeuler report` battery: the behaviour
@@ -79,6 +83,10 @@ COMMAND_SHA256 = {
         "6816df63741d1e7591786cee5d05f460f73dc1972df72f7ca39077a3b5cce838",
     "verify THM6 --k 1..3 --m 1..3 --p 3 --q 1 --K 5":
         "6e0183bd25416b2608920c9d1a743b41b06319439848342a46f4c9f617260825",
+    "verify EQ7 --n 1..30":
+        "94c4d63ac18baa7f0845b9ac48ef9fa190dbbcbec66436fc66c88fb612670f5a",
+    "verify EQ8 --n 0..30":
+        "18c0ca7be152661361fc6216871095a55288e336b3fb5826c05f48913387c16a",
 }
 
 
@@ -133,8 +141,9 @@ def test_criterion_04_thm2():
         left, right = sides(IdentityId.THM2, {"k": k})
         assert left == right
         # times -q/(1+q), the inverse of -(1+q)/q
-        beta_form = RF_ONE_PLUS_Q * Fraction((-1) ** k) \
-            * beta_exact(k + 1, k + 1) * RatFuncQ(PolyQ((0, -1)), PolyQ((1, 1)))
+        beta_form = mul(
+            mul(RF_ONE_PLUS_Q, Fraction((-1) ** k) * beta_exact(k + 1, k + 1)),
+            RatFuncQ(PolyQ((0, -1)), PolyQ((1, 1))))
         assert right == beta_form
 
 
@@ -164,7 +173,8 @@ def test_criterion_06_thm4():
 @criterion(7, "derivative and unit-interval integral calculus")
 def test_criterion_07_calculus():
     for n in range(1, 13):
-        assert euler_poly(n).derivative() == euler_poly(n - 1) * Fraction(n)
+        assert x_derivative(euler_poly(n)) == mul(euler_poly(n - 1), n)
+        assert verify(IdentityId.EQ7, {"n": n}).verdict == HOLDS
     for n in range(13):
         euler_poly_integral01(n)  # asserts both routes agree internally
         r = verify(IdentityId.EQ8, {"n": n})
@@ -182,7 +192,7 @@ def test_criterion_08_fermionic_convergence():
                 res = integrate(req)
                 assert res.levels_used <= 10
                 assert res.achieved_precision >= 6
-                exact = euler_poly(n).evaluate(x0).evaluate(q)
+                exact = x_evaluate(euler_poly(n), x0).evaluate(q)
                 emb = PadicApprox.from_rational(exact, p, 12)
                 assert padic_distance(res.value, emb) >= 6
     assert time.monotonic() - start < 60.0

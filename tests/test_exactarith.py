@@ -19,10 +19,23 @@ from qeuler.exactarith import (
     XPolyQ,
     sum_products,
 )
+from qeuler.identities import _unit_interval, _x_derivative, images, monomials
 from qeuler.qspecial import euler_number, euler_poly
 from qeuler.zpoly import euler_numerator, strip_bracket
 
-from oracles import canonical_by_division, divide_linear, folded_apply, shifted
+from oracles import (
+    add,
+    canonical_by_division,
+    divide_linear,
+    folded_apply,
+    mul,
+    power,
+    shifted,
+    sub,
+    x_derivative,
+    x_evaluate,
+    x_integral01,
+)
 
 ONE_PLUS_Q = PolyQ((1, 1))
 Q = PolyQ((0, 1))
@@ -30,6 +43,26 @@ Q = PolyQ((0, 1))
 
 def rf(num, den=(1,)):
     return RatFuncQ(PolyQ(num), PolyQ(den))
+
+
+def plus(*values):
+    """The sum of values of R (or of polynomials in x) as one term list."""
+    return sum_products([(1, v) for v in values])
+
+
+def times(a, b):
+    """The product a * b as a one-term sum."""
+    return sum_products([(a, b)])
+
+
+def d_dx(f: XPolyQ) -> XPolyQ:
+    """d/dx as the package takes it, one sum over the images of x^i."""
+    return sum_products(images(monomials(f), _x_derivative)) if f else f
+
+
+def unit_integral_of(f: XPolyQ) -> RatFuncQ:
+    """int_0^1 as the package takes it, one sum over the images of x^i."""
+    return sum_products(images(monomials(f), _unit_interval))
 
 
 class TestPolyQ:
@@ -43,17 +76,18 @@ class TestPolyQ:
         assert PolyQ().degree == -1
 
     def test_arithmetic(self):
+        # the oracle's polynomial arithmetic, by hand
         a = PolyQ((1, 1))
-        assert a * a == PolyQ((1, 2, 1))
-        assert a - a == PolyQ()
-        assert a + PolyQ((0, 0, 3)) == PolyQ((1, 1, 3))
-        assert a ** 3 == PolyQ((1, 3, 3, 1))
+        assert mul(a, a) == PolyQ((1, 2, 1))
+        assert sub(a, a) == PolyQ()
+        assert add(a, PolyQ((0, 0, 3))) == PolyQ((1, 1, 3))
+        assert power(a, 3) == PolyQ((1, 3, 3, 1))
 
     def test_evaluate(self):
         assert PolyQ((1, 2, 3)).evaluate(Fraction(1, 2)) == Fraction(11, 4)
 
     def test_divide_linear(self):
-        p = ONE_PLUS_Q ** 2
+        p = power(ONE_PLUS_Q, 2)
         quot, val = divide_linear(p, -1)
         assert val == 0
         assert quot == ONE_PLUS_Q
@@ -77,31 +111,31 @@ class TestRatFuncQ:
 
     def test_a_minus_a(self):
         a = rf((0, -1), (1, 1))
-        assert (a - a).is_zero
+        assert sum_products([(1, a), (-1, a)]).is_zero
 
     def test_bracket_product(self):
         # (1+q) * (1+q)/q = (1+q)^2 / q
         a = RatFuncQ(ONE_PLUS_Q)
         b = RatFuncQ(ONE_PLUS_Q, Q)
-        assert a * b == RatFuncQ(ONE_PLUS_Q ** 2, Q)
+        assert times(a, b) == RatFuncQ(power(ONE_PLUS_Q, 2), Q)
 
     def test_sum_with_common_denominator_power(self):
         # q(q-1)/(1+q)^2 + q/(1+q) = 2q^2/(1+q)^2, by hand
-        a = RatFuncQ(Q * PolyQ((-1, 1)), ONE_PLUS_Q ** 2)
+        a = RatFuncQ(mul(Q, PolyQ((-1, 1))), power(ONE_PLUS_Q, 2))
         b = RatFuncQ(Q, ONE_PLUS_Q)
-        assert a + b == RatFuncQ(PolyQ((0, 0, 2)), ONE_PLUS_Q ** 2)
+        assert plus(a, b) == RatFuncQ(PolyQ((0, 0, 2)), power(ONE_PLUS_Q, 2))
 
     def test_sum_with_mixed_q_and_bracket_exponents(self):
         # 1/q + 1/(1+q) = (1+2q)/(q(1+q)), by hand
         a = RatFuncQ(PolyQ((1,)), Q)
         b = RatFuncQ(PolyQ((1,)), ONE_PLUS_Q)
-        assert a + b == RatFuncQ(PolyQ((1, 2)), Q * ONE_PLUS_Q)
+        assert plus(a, b) == RatFuncQ(PolyQ((1, 2)), mul(Q, ONE_PLUS_Q))
         # 1/(q(1+q)) - 1/q = -q/(q(1+q)) = -1/(1+q): the sum sheds q
-        c = RatFuncQ(PolyQ((1,)), Q * ONE_PLUS_Q)
-        d = c - a
+        c = RatFuncQ(PolyQ((1,)), mul(Q, ONE_PLUS_Q))
+        d = sum_products([(1, c), (-1, a)])
         assert d.num == PolyQ((-1,)) and d.den == ONE_PLUS_Q
         # q/(1+q)^2 + 3/q^2 = (q^3 + 3(1+q)^2)/(q^2(1+q)^2)
-        e = RatFuncQ(Q, ONE_PLUS_Q ** 2) + RatFuncQ(PolyQ((3,)), Q ** 2)
+        e = plus(RatFuncQ(Q, power(ONE_PLUS_Q, 2)), RatFuncQ(PolyQ((3,)), power(Q, 2)))
         assert e.num == PolyQ((3, 6, 3, 1))
         assert e.den == PolyQ((0, 0, 1, 2, 1))
 
@@ -132,21 +166,20 @@ class TestRatFuncQ:
         assert str(RF_ZERO) == "0"
 
     def test_mixed_scalar_ops(self):
-        assert RF_Q * 2 == rf((0, 2))
-        assert RF_ONE + Fraction(1, 2) == rf((Fraction(3, 2),))
+        assert sum_products([(2, RF_Q)]) == rf((0, 2))
+        assert (sum_products([(1, RF_ONE), (Fraction(1, 2), RF_ONE)])
+                == rf((Fraction(3, 2),)))
 
-    def test_pow_negative(self):
-        # R has no division: a negative power is an error
-        with pytest.raises(ValueError, match="negative power"):
-            RF_Q ** -2
-        with pytest.raises(ValueError, match="negative power"):
-            ONE_PLUS_Q ** -1
-
-    def test_pow_needs_int_exponent(self):
-        with pytest.raises(TypeError, match="not float"):
-            RatFuncQ(ONE_PLUS_Q, Q) ** 1.5
-        with pytest.raises(TypeError, match="not Fraction"):
-            ONE_PLUS_Q ** Fraction(1, 2)
+    def test_values_have_no_arithmetic_operators(self):
+        # every sum and product is a term list (sum_products); a value of
+        # R has only unary minus
+        for value in (PolyQ((1, 1)), RF_Q, XPolyQ.x_power(1)):
+            for op in ("__add__", "__radd__", "__sub__", "__rsub__",
+                       "__mul__", "__rmul__", "__pow__", "__truediv__"):
+                assert not hasattr(value, op), (type(value).__name__, op)
+            assert -(-value) == value
+        with pytest.raises(TypeError):
+            RF_Q * 2
 
     def test_integer_denominator_is_inverted_exactly(self):
         # the constant of an int denominator is inverted as a Fraction
@@ -166,22 +199,23 @@ class TestXPolyQ:
     def e2_poly(self):
         # x^2 - 2q/(1+q) x + q(q-1)/(1+q)^2, constructed from literals
         return XPolyQ([
-            RatFuncQ(Q * PolyQ((-1, 1)), ONE_PLUS_Q ** 2),
+            RatFuncQ(mul(Q, PolyQ((-1, 1))), power(ONE_PLUS_Q, 2)),
             RatFuncQ(PolyQ((0, -2)), ONE_PLUS_Q),
             RF_ONE,
         ])
 
     def test_derivative_power_rule(self):
-        d = self.e2_poly().derivative()
         expected = XPolyQ([RatFuncQ(PolyQ((0, -2)), ONE_PLUS_Q), rf((2,))])
-        assert d == expected
+        assert d_dx(self.e2_poly()) == expected
+        assert x_derivative(self.e2_poly()) == expected
 
     def test_integral01_of_one(self):
-        assert XPolyQ.one().integral01() == RF_ONE
+        assert unit_integral_of(XPolyQ((1,))) == RF_ONE
+        assert x_integral01(XPolyQ((1,))) == RF_ONE
 
     def test_eval_at_zero_extracts_constant(self):
         f = XPolyQ([RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q), RF_ONE])
-        assert f.evaluate(Fraction(0)) == RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q)
+        assert x_evaluate(f, Fraction(0)) == RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q)
 
     def test_shifted(self):
         f = XPolyQ.x_power(2)
@@ -189,7 +223,7 @@ class TestXPolyQ:
         assert g == XPolyQ([rf((1,)), rf((-2,)), rf((1,))])
 
     def test_mul_degree(self):
-        f = XPolyQ.x_power(2) * XPolyQ([rf((-1,)), RF_ONE])
+        f = mul(XPolyQ.x_power(2), XPolyQ([rf((-1,)), RF_ONE]))
         assert f.degree == 3
 
 
@@ -206,7 +240,7 @@ def polys(max_degree=3):
 
 # the units of Q[q, 1/q, 1/(1+q)] that are polynomials: c * q^a * (1+q)^b
 unit_polys = st.builds(
-    lambda c, a, b: PolyQ((c,)) * Q ** a * ONE_PLUS_Q ** b,
+    lambda c, a, b: mul(mul(PolyQ((c,)), power(Q, a)), power(ONE_PLUS_Q, b)),
     fractions_st.filter(bool), st.integers(0, 2), st.integers(0, 2))
 
 ratfuncs = st.builds(RatFuncQ, polys(3), unit_polys)
@@ -228,18 +262,19 @@ def poly_gcd(a, b):
 
 def test_poly_gcd_oracle():
     # gcd((1+q)^3, q(1+q)) = 1+q and gcd(q^2 - 1, q - 1) = q - 1, by hand
-    assert poly_gcd(ONE_PLUS_Q ** 3, Q * ONE_PLUS_Q) == ONE_PLUS_Q
+    assert poly_gcd(power(ONE_PLUS_Q, 3), mul(Q, ONE_PLUS_Q)) == ONE_PLUS_Q
     assert poly_gcd(PolyQ((-1, 0, 1)), PolyQ((-2, 2))) == PolyQ((-1, 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(ratfuncs, ratfuncs, ratfuncs)
 def test_field_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + b == b + a
-    assert a * b == b * a
+    # each law: the package's term-list sum against the independent R
+    assert plus(a, b, c) == add(add(a, b), c) == add(a, add(b, c))
+    assert times(times(a, b), c) == mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert sum_products([(a, b), (a, c)]) == mul(a, add(b, c))
+    assert plus(a, b) == plus(b, a) == add(b, a)
+    assert times(a, b) == times(b, a) == mul(b, a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,15 +289,15 @@ def test_normalization_idempotent(a):
 @settings(max_examples=80, deadline=None)
 @given(polys(3).filter(bool), st.integers(0, 4), st.integers(0, 2), st.data())
 def test_integer_strip_matches_synthetic_division(p, j, a, data):
-    num = p * ONE_PLUS_Q ** j
+    num = mul(p, power(ONE_PLUS_Q, j))
     b = data.draw(st.integers(0, j + 2), label="b")
-    f = RatFuncQ(num, Q ** a * ONE_PLUS_Q ** b)
+    f = RatFuncQ(num, mul(power(Q, a), power(ONE_PLUS_Q, b)))
     assert (f.num, f.a, f.b) == canonical_by_division(num, a, b)
     assert all(type(c) is Fraction for c in f.num.coeffs)
     d = lcm(*(c.denominator for c in num.coeffs))
     ints, left = strip_bracket([int(c * d) for c in num.coeffs], b)
     assert all(type(c) is int for c in ints)
-    assert (PolyQ(ints) * Fraction(1, d), 0, left) == canonical_by_division(num, 0, b)
+    assert (mul(PolyQ(ints), Fraction(1, d)), 0, left) == canonical_by_division(num, 0, b)
 
 
 @settings(max_examples=80, deadline=None)
@@ -271,16 +306,16 @@ def test_integer_strip_matches_synthetic_division(p, j, a, data):
 def test_over_bracket_matches_the_constructor(c, j, zeros, b):
     # integer numerators times (1+q)^j, padded with trailing zeros; the
     # empty and all-zero lists are the zero polynomial
-    coeffs = [int(x) for x in (PolyQ(c) * ONE_PLUS_Q ** j).coeffs] + [0] * zeros
+    coeffs = [int(x) for x in mul(PolyQ(c), power(ONE_PLUS_Q, j)).coeffs] + [0] * zeros
     f = RatFuncQ.over_bracket(coeffs, b)
-    assert f == RatFuncQ(PolyQ(coeffs), ONE_PLUS_Q ** b)
+    assert f == RatFuncQ(PolyQ(coeffs), power(ONE_PLUS_Q, b))
     assert all(type(x) is int for x in f.num.coeffs)
 
 
 # an operand with exponent 0 whose numerator is divisible by q or (1+q):
 # the one case in which a product may strip a factor
 bare_ratfuncs = st.builds(
-    lambda p, i, j: RatFuncQ(p * Q ** i * ONE_PLUS_Q ** j),
+    lambda p, i, j: RatFuncQ(mul(mul(p, power(Q, i)), power(ONE_PLUS_Q, j))),
     polys(2), st.integers(0, 2), st.integers(0, 2))
 
 # rational points that are not poles of any value of R
@@ -298,13 +333,14 @@ def assert_canonical(f):
 @given(ratfuncs, bare_ratfuncs, regular_points)
 def test_exponent_form_product_and_sum(a, b, q0):
     for x, y in ((a, b), (b, a)):
-        product, total = x * y, x + y
+        product, total = times(x, y), plus(x, y)
         assert_canonical(product)
         assert_canonical(total)
         # the same values by cross-multiplying the expanded denominators
-        assert product.num * x.den * y.den == x.num * y.num * product.den
-        assert (total.num * x.den * y.den
-                == (x.num * y.den + y.num * x.den) * total.den)
+        assert (mul(mul(product.num, x.den), y.den)
+                == mul(mul(x.num, y.num), product.den))
+        assert (mul(mul(total.num, x.den), y.den)
+                == mul(add(mul(x.num, y.den), mul(y.num, x.den)), total.den))
         assert product.evaluate(q0) == x.evaluate(q0) * y.evaluate(q0)
         assert total.evaluate(q0) == x.evaluate(q0) + y.evaluate(q0)
 
@@ -312,15 +348,15 @@ def test_exponent_form_product_and_sum(a, b, q0):
 @settings(max_examples=60, deadline=None)
 @given(ratfuncs)
 def test_den_is_the_expanded_unit(f):
-    assert f.den == Q ** f.a * ONE_PLUS_Q ** f.b
+    assert f.den == mul(power(Q, f.a), power(ONE_PLUS_Q, f.b))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(ratfuncs, min_size=0, max_size=4).map(XPolyQ))
 def test_fundamental_theorem_of_calculus(f):
-    lhs = f.derivative().integral01()
-    rhs = f.evaluate(Fraction(1)) - f.evaluate(Fraction(0))
-    assert lhs == rhs
+    lhs = unit_integral_of(d_dx(f))
+    rhs = sub(x_evaluate(f, Fraction(1)), x_evaluate(f, Fraction(0)))
+    assert lhs == rhs == x_integral01(x_derivative(f))
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,8 +366,8 @@ def test_fundamental_theorem_of_calculus(f):
 def test_eval_is_ring_homomorphism(a, b, q0):
     try:
         va, vb = a.evaluate(q0), b.evaluate(q0)
-        vab = (a * b).evaluate(q0)
-        vs = (a + b).evaluate(q0)
+        vab = times(a, b).evaluate(q0)
+        vs = plus(a, b).evaluate(q0)
     except PoleError:
         return
     assert vab == va * vb
@@ -344,31 +380,37 @@ xpolys = st.lists(ratfuncs, min_size=0, max_size=3).map(XPolyQ)
 @settings(max_examples=30, deadline=None)
 @given(xpolys, xpolys, xpolys)
 def test_xpoly_ring_axioms(f, g, h):
-    assert (f + g) + h == f + (g + h)
-    assert (f * g) * h == f * (g * h)
-    assert f * (g + h) == f * g + f * h
-    assert f + g == g + f
-    assert f * g == g * f
-    assert f - f == XPolyQ.zero()
-    assert f * XPolyQ.one() == f
-    assert (f * g).is_zero or (f * g).degree == f.degree + g.degree
+    # sums are the package's term lists; products of polynomials in x are
+    # the independent R's alone
+    assert plus(f, g, h) == add(add(f, g), h) == add(f, add(g, h))
+    assert mul(mul(f, g), h) == mul(f, mul(g, h))
+    assert mul(f, plus(g, h)) == plus(mul(f, g), mul(f, h))
+    assert plus(f, g) == plus(g, f) == add(g, f)
+    assert mul(f, g) == mul(g, f)
+    assert sum_products([(1, f), (-1, f)]) == XPolyQ.zero()
+    assert mul(f, XPolyQ((1,))) == f
+    fg = mul(f, g)
+    assert fg.is_zero or fg.degree == f.degree + g.degree
 
 
 @settings(max_examples=40, deadline=None)
 @given(xpolys, xpolys, ratfuncs, ratfuncs)
 def test_xpoly_evaluation_is_homomorphism(f, g, c, x0):
     # x -> x0 in R respects +, * and the product with an R-scalar c
-    assert (f + g).evaluate(x0) == f.evaluate(x0) + g.evaluate(x0)
-    assert (f * g).evaluate(x0) == f.evaluate(x0) * g.evaluate(x0)
-    assert (f * c).evaluate(x0) == f.evaluate(x0) * c
-    assert c * f == f * XPolyQ([c])
+    at = lambda p: x_evaluate(p, x0)
+    assert at(plus(f, g)) == add(at(f), at(g))
+    assert at(mul(f, g)) == mul(at(f), at(g))
+    assert at(sum_products([(c, f)])) == mul(at(f), c)
+    assert sum_products([(c, f)]) == mul(f, XPolyQ([c]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys(3), fractions_st)
 def test_poly_scalar_product_is_constant_product(p, c):
-    assert p * c == p * PolyQ.constant(c)
-    assert c * p == PolyQ.constant(c) * p
+    # a rational coefficient and the same constant as a PolyQ give one value
+    assert (sum_products([(c, RatFuncQ(p))])
+            == sum_products([(PolyQ.constant(c), RatFuncQ(p))]) == mul(p, c))
+    assert mul(c, p) == mul(PolyQ.constant(c), p)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +418,7 @@ def test_poly_scalar_product_is_constant_product(p, c):
 
 # values over every small pair of exponents q^a (1+q)^b
 spread_ratfuncs = st.builds(
-    lambda p, a, b: RatFuncQ(p, Q ** a * ONE_PLUS_Q ** b),
+    lambda p, a, b: RatFuncQ(p, mul(power(Q, a), power(ONE_PLUS_Q, b))),
     polys(3), st.integers(0, 3), st.integers(0, 4))
 sum_coefficients = st.one_of(spread_ratfuncs, fractions_st, st.integers(-3, 3))
 
@@ -409,8 +451,11 @@ def pointwise_sum(pairs, q0) -> Fraction:
 @settings(max_examples=80, deadline=None)
 @given(term_lists(spread_ratfuncs), regular_points)
 def test_sum_products_matches_pairwise_fold(pairs, q0):
+    # int, Fraction and RatFuncQ coefficients, a negated prefix among them,
+    # against the independent R, which never calls sum_products
     total = sum_products(pairs)
-    assert total == folded_apply(*as_terms(pairs))
+    reference = folded_apply(*as_terms(pairs))
+    assert total == reference and str(total) == str(reference)
     assert_canonical(total)
     assert_fraction_coefficients(total)
     assert total.evaluate(q0) == pointwise_sum(pairs, q0)
@@ -421,8 +466,9 @@ def test_sum_products_matches_pairwise_fold(pairs, q0):
        regular_points)
 def test_xpoly_sum_products_matches_pairwise_fold(pairs, q0):
     total = sum_products(pairs)
+    reference = folded_apply(*as_terms(pairs))
     assert isinstance(total, XPolyQ)
-    assert total == folded_apply(*as_terms(pairs))
+    assert total == reference and str(total) == str(reference)
     for j in range(max(len(v.coeffs) for _, v in pairs)):
         column = total.coefficient(j)
         assert_canonical(column)
@@ -433,11 +479,11 @@ def test_xpoly_sum_products_matches_pairwise_fold(pairs, q0):
 
 def test_sum_products_cancellation_by_hand():
     # 1/(q(1+q)) - 1/q = -1/(1+q), and (1+q)/q^2 - 1/q^2 - 1/q = 0
-    a = RatFuncQ(PolyQ((1,)), Q * ONE_PLUS_Q)
+    a = RatFuncQ(PolyQ((1,)), mul(Q, ONE_PLUS_Q))
     b = RatFuncQ(PolyQ((1,)), Q)
     assert sum_products([(1, a), (-1, b)]) == RatFuncQ(PolyQ((-1,)), ONE_PLUS_Q)
-    c = RatFuncQ(ONE_PLUS_Q, Q ** 2)
-    assert sum_products([(RF_ONE, c), (-RF_ONE, b * b), (-1, b)]).is_zero
+    c = RatFuncQ(ONE_PLUS_Q, power(Q, 2))
+    assert sum_products([(RF_ONE, c), (-RF_ONE, mul(b, b)), (-1, b)]).is_zero
     assert sum_products([]) is RF_ZERO
 
 
@@ -472,9 +518,13 @@ def test_integer_data_mixes_with_constructed_values(c, b, n, r, k, q0):
         assert mixed == twin and hash(mixed) == hash(twin)
         assert str(mixed) == str(twin)
         assert mixed.evaluate(q0) == twin.evaluate(q0)
-        for got, want in ((mixed + r, twin + r), (r + mixed, r + twin),
-                          (mixed * r, twin * r), (mixed * x, twin * x_f),
-                          (mixed + e, twin + e_f), (mixed - e, twin - e_f),
+        for got, want in ((plus(mixed, r), plus(twin, r)),
+                          (plus(r, mixed), plus(r, twin)),
+                          (times(mixed, r), times(twin, r)),
+                          (times(mixed, x), times(twin, x_f)),
+                          (plus(mixed, e), plus(twin, e_f)),
+                          (sum_products([(1, mixed), (-1, e)]),
+                           sum_products([(1, twin), (-1, e_f)])),
                           (sum_products([(mixed, r), (k, mixed), (x, e)]),
                            sum_products([(twin, r), (k, twin), (x_f, e_f)]))):
             assert got == want
@@ -484,7 +534,7 @@ def test_integer_data_mixes_with_constructed_values(c, b, n, r, k, q0):
     assert got == sum_products([(x_f, p_f), (k, p_f), (r, p_f)])
     for column in got.coeffs:
         assert_exact_coefficients(column)
-    at_x = p.evaluate(x)
-    assert at_x == p_f.evaluate(x_f)
+    at_x = x_evaluate(p, x)
+    assert at_x == x_evaluate(p_f, x_f)
     assert_exact_coefficients(at_x)
-    assert at_x.evaluate(q0) == p_f.evaluate(x_f).evaluate(q0)
+    assert at_x.evaluate(q0) == x_evaluate(p_f, x_f).evaluate(q0)

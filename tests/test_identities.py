@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qeuler import identities, qspecial, zpoly
 from qeuler.cli import main as cli_main
-from qeuler.exactarith import RF_ONE, RF_ONE_PLUS_Q, PolyQ, RatFuncQ, XPolyQ
+from qeuler.exactarith import RF_ONE, RF_ZERO, PolyQ, RatFuncQ, XPolyQ, sum_products
 from qeuler.identities import (
     FAILS,
     HOLDS,
@@ -22,25 +22,23 @@ from qeuler.identities import (
     NumericContext,
     _functional_equation_row,
     _beta,
-    apply,
     degree_2k1_rhs,
     degree_2k1_statement,
     degree_2k1_terms,
     eq6_statement,
     eq6_terms,
     fermionic_moment,
+    images,
     monomials,
     ring_terms,
     shift_terms,
     sides,
-    sides_eq7,
-    sides_eq8,
     table_certificate,
     table_licensed,
     unit_integral,
     verify,
     verify_grid,
-    view_sides,
+    view_pairs,
     x_certificate,
     x_polynomial,
 )
@@ -51,14 +49,23 @@ from qeuler.qspecial import euler_number, euler_poly
 from test_acceptance import COMMAND_SHA256
 
 from oracles import (
+    RF_ONE_PLUS_Q,
+    add,
     beta_exact,
     direct_moment,
     eq103_terms,
+    euler_poly_integral01,
     evaluate_point,
     fermionic_image,
     folded_apply,
+    mul,
+    power,
+    sub,
     thm1_independent_route,
     thm3_construction_residual,
+    total,
+    x_derivative,
+    x_integral01,
 )
 
 ONE_PLUS_Q = PolyQ((1, 1))
@@ -83,7 +90,8 @@ def delta_ctx():
 
 
 class TestTermListSums:
-    """apply reduces each sum once; the pairwise fold is the reference."""
+    """sum_products reduces each term list once; the pairwise fold of the
+    independent R is the reference."""
 
     def test_catalogued_term_lists_match_pairwise_fold(self):
         lists = [eq6_terms(k, m)[first:] for k in range(4) for m in range(4)
@@ -93,12 +101,14 @@ class TestTermListSums:
                   for variant in ("printed", "corrected")]
         for terms in map(ring_terms, filter(None, lists)):
             for image in (euler_poly, unit_integral, fermionic_moment):
-                assert apply(terms, image) == folded_apply(terms, image)
+                assert (sum_products(images(terms, image))
+                        == folded_apply(terms, image))
 
     def test_monomial_map_matches_pairwise_fold(self):
         for k in range(4):
             terms = ring_terms(degree_2k1_rhs(k))
-            assert apply(terms, XPolyQ.x_power) == folded_apply(terms, XPolyQ.x_power)
+            assert (sum_products(images(terms, XPolyQ.x_power))
+                    == folded_apply(terms, XPolyQ.x_power))
 
 
 class TestEq6:
@@ -108,7 +118,7 @@ class TestEq6:
 
     def test_k1_m0(self):
         left, right = sides(IdentityId.EQ6, {"k": 1, "m": 0})
-        expected = XPolyQ([RatFuncQ.zero(), RatFuncQ(ONE_PLUS_Q)])
+        expected = XPolyQ([RF_ZERO, RatFuncQ(ONE_PLUS_Q)])
         assert left == right == expected
 
     def test_k1_m2_with_bruteforce_right_side(self):
@@ -116,9 +126,9 @@ class TestEq6:
         assert left == right
         # expand (1+q) x (x-1)^2 by repeated multiplication instead of the
         # binomial route used internally
-        brute = XPolyQ([RatFuncQ.zero(), RF_ONE])
+        brute = XPolyQ([RF_ZERO, RF_ONE])
         factor = XPolyQ([RatFuncQ.from_fraction(-1), RF_ONE])
-        brute = brute * factor * factor * RatFuncQ(ONE_PLUS_Q)
+        brute = mul(mul(mul(brute, factor), factor), RatFuncQ(ONE_PLUS_Q))
         assert right == brute
 
     def test_point_evaluation_samples(self):
@@ -140,7 +150,8 @@ class TestThm1:
         left, right = thm1(1, 1)
         # q (q-1)^2 / (2 (1+q)^2), worked by hand from the number table
         expected = RatFuncQ(
-            Q * PolyQ((-1, 1)) ** 2 * PolyQ((Fraction(1, 2),)), ONE_PLUS_Q ** 2)
+            mul(mul(Q, power(PolyQ((-1, 1)), 2)), PolyQ((Fraction(1, 2),))),
+            power(ONE_PLUS_Q, 2))
         assert left == right == expected
 
     def test_independent_route_matches_sides(self):
@@ -162,7 +173,7 @@ class TestThm1:
 class TestEq103:
     def test_k1_anchor(self):
         left, right = sides(IdentityId.EQ103, {"k": 1})
-        expected = XPolyQ([RatFuncQ.zero(),
+        expected = XPolyQ([RF_ZERO,
                            RatFuncQ(-ONE_PLUS_Q), RatFuncQ(ONE_PLUS_Q)])
         assert left == right == expected
 
@@ -210,8 +221,8 @@ class TestThm2:
         q_over_two_q = RatFuncQ(Q, ONE_PLUS_Q)
         for k in range(1, 6):
             left103, right103 = sides(IdentityId.EQ103, {"k": k})
-            li = -(left103.integral01() * q_over_two_q)
-            ri = -(right103.integral01() * q_over_two_q)
+            li = -mul(x_integral01(left103), q_over_two_q)
+            ri = -mul(x_integral01(right103), q_over_two_q)
             l2, r2 = thm2(k)
             assert li == l2 and ri == r2
 
@@ -220,7 +231,7 @@ class TestThm3:
     def test_corrected_k1_full_expansion(self):
         left, right = sides(IdentityId.THM3_CORRECTED, {"k": 1})
         expected = XPolyQ([
-            RatFuncQ.zero(),
+            RF_ZERO,
             RatFuncQ(Q),
             RatFuncQ(PolyQ((-1, -2))),
             RatFuncQ(ONE_PLUS_Q),
@@ -238,7 +249,7 @@ class TestThm3:
 
     def test_printed_differs_at_k1(self):
         left, right = sides(IdentityId.THM3_PRINTED, {"k": 1})
-        assert not (left - right).is_zero
+        assert not sub(left, right).is_zero
 
     def test_variant_validation(self):
         with pytest.raises(ValueError):
@@ -254,8 +265,9 @@ class TestThm4:
     def test_anchor_formula_shape(self):
         # left = (1+q)(2 E_2 + 2 E_1^2) + 2 (q-1) E_1, per the hand expansion
         e1, e2 = euler_number(1), euler_number(2)
-        by_hand = RatFuncQ(ONE_PLUS_Q) * (e2 * 2 + e1 * e1 * 2) \
-            + RatFuncQ(PolyQ((-1, 1))) * e1 * 2
+        by_hand = add(
+            mul(RatFuncQ(ONE_PLUS_Q), add(mul(e2, 2), mul(mul(e1, e1), 2))),
+            mul(mul(RatFuncQ(PolyQ((-1, 1))), e1), 2))
         assert sides(IdentityId.THM4, {"k": 1, "m": 1})[1] == by_hand
 
     def test_symbolic_grid(self):
@@ -283,18 +295,18 @@ class TestThm5:
 
     def test_printed_differs_at_k1(self):
         left, right = sides(IdentityId.THM5_PRINTED, {"k": 1})
-        assert not (left - right).is_zero
+        assert not sub(left, right).is_zero
 
     def test_left_side_is_binomial_expansion_oracle(self):
         # the left side must equal (1+q) S1 - q S0 with
         # S_j = sum_l C(k,l) (-1)^(k-l) E_{k+l+j}
         from qeuler.qspecial import binom
         for k in (1, 2, 3):
-            s0 = sum((euler_number(k + l) * Fraction(binom(k, l) * (-1) ** (k - l))
-                      for l in range(k + 1)), RatFuncQ.zero())
-            s1 = sum((euler_number(k + l + 1) * Fraction(binom(k, l) * (-1) ** (k - l))
-                      for l in range(k + 1)), RatFuncQ.zero())
-            oracle = RF_ONE_PLUS_Q * s1 - RatFuncQ(Q) * s0
+            s0 = total(mul(euler_number(k + l), binom(k, l) * (-1) ** (k - l))
+                       for l in range(k + 1))
+            s1 = total(mul(euler_number(k + l + 1), binom(k, l) * (-1) ** (k - l))
+                       for l in range(k + 1))
+            oracle = sub(mul(RF_ONE_PLUS_Q, s1), mul(RatFuncQ(Q), s0))
             assert sides(IdentityId.THM5_CORRECTED, {"k": k})[0] == oracle
 
     def test_padic_witness(self):
@@ -307,7 +319,17 @@ class TestThm5:
 
     def test_moment_table(self):
         # moment of E_1(x): 2 E_1 E_0
-        assert fermionic_moment(1) == euler_number(1) * 2
+        assert fermionic_moment(1) == mul(euler_number(1), 2)
+
+    def test_moment_is_the_convolution_of_the_number_table(self):
+        # integer data over (1+q)^n against the independent R's sum of
+        # C(n, l) E[n-l] E[l]
+        for n in range(16):
+            moment = fermionic_moment(n)
+            assert all(type(c) is int for c in moment.num.coeffs)
+            assert moment == total(
+                mul(mul(euler_number(n - l), euler_number(l)), comb(n, l))
+                for l in range(n + 1))
 
 
 class TestThm6:
@@ -326,8 +348,8 @@ class TestThm6:
             numeric = NumericContext(3, q, 4, 4, 12)
             for k in range(1, 4):
                 for m in range(1, 4):
-                    x_side = view_sides("bosonic", eq6_statement(k, m),
-                                        numeric)[0]
+                    x_side = sides(IdentityId.THM6, {"k": k, "m": m},
+                                   numeric)[0]
                     unfolded = numeric.apply(ring_terms(shift_terms(k, m)),
                                              numeric.bernoulli)
                     assert x_side == numeric.embed(1 + q) * unfolded
@@ -369,6 +391,11 @@ class TestCor7:
         assert exact_right == right
 
 
+def view_sums(view, statement):
+    """Both sides of a statement through an exact view, each summed."""
+    return tuple(map(sum_products, view_pairs(view, statement)))
+
+
 class TestViewComposition:
     """The fermionic view is x^i -> E[i] applied to each side of the poly
     view: the slower route, kept as the oracle for fermionic_moment."""
@@ -379,8 +406,8 @@ class TestViewComposition:
         statements += [degree_2k1_statement(k, variant) for k in range(1, 5)
                        for variant in ("printed", "corrected")]
         for statement in statements:
-            e_side, x_side = view_sides("poly", statement)
-            x_moment, e_moment = view_sides("fermionic", statement)
+            e_side, x_side = view_sums("poly", statement)
+            x_moment, e_moment = view_sums("fermionic", statement)
             assert x_moment == fermionic_image(x_side)
             assert e_moment == fermionic_image(e_side)
 
@@ -388,13 +415,13 @@ class TestViewComposition:
 class TestCalculusIdentities:
     def test_eq7(self):
         for n in range(1, 13):
-            left, right = sides_eq7(n)
-            assert left == right
+            left, right = sides(IdentityId.EQ7, {"n": n})
+            assert left == right == x_derivative(euler_poly(n))
 
     def test_eq8(self):
         for n in range(13):
-            left, right = sides_eq8(n)
-            assert left == right
+            left, right = sides(IdentityId.EQ8, {"n": n})
+            assert left == right == euler_poly_integral01(n)
 
 
 class TestVerifyDriver:
@@ -445,19 +472,22 @@ class TestVerifyDriver:
 
 class TestXPowerShift:
     def test_expansion(self):
-        assert apply(ring_terms(shift_terms(1, 1)), XPolyQ.x_power) == XPolyQ(
-            [RatFuncQ.zero(), RatFuncQ.from_fraction(-1), RF_ONE])
+        assert sum_products(images(ring_terms(shift_terms(1, 1)),
+                                   XPolyQ.x_power)) == XPolyQ(
+            [RF_ZERO, RatFuncQ.from_fraction(-1), RF_ONE])
 
     def test_matches_repeated_multiplication(self):
         factor = XPolyQ([RatFuncQ.from_fraction(-1), RF_ONE])
-        brute = XPolyQ.x_power(2) * factor * factor * factor
-        assert apply(ring_terms(shift_terms(2, 3)), XPolyQ.x_power) == brute
+        brute = mul(mul(mul(XPolyQ.x_power(2), factor), factor), factor)
+        assert sum_products(images(ring_terms(shift_terms(2, 3)),
+                                   XPolyQ.x_power)) == brute
 
 
 def table_route(identity, params):
-    """The certificate of a cell computed from the tables alone."""
+    """The certificate of a cell computed from the tables alone: its two
+    sides subtracted in the independent R."""
     left, right = sides(identity, params)
-    return left - right
+    return sub(left, right)
 
 
 # the identities a zero x-certificate decides, on grids that contain the
@@ -496,13 +526,15 @@ class TestXCertificateRoute:
                        for variant in ("printed", "corrected")]
         for statement in statements:
             c = x_polynomial(*x_certificate(statement))
-            e_side, x_side = view_sides("poly", statement)
+            e_side, x_side = view_sums("poly", statement)
             assert c.is_zero == (e_side == x_side)
             # the poly view's certificate is E(c), the fermionic one minus
             # the fermionic moment of E(c)
-            assert e_side - x_side == apply(monomials(c), euler_poly)
-            x_moment, e_moment = view_sides("fermionic", statement)
-            assert x_moment - e_moment == -apply(monomials(c), fermionic_moment)
+            assert (sub(e_side, x_side)
+                    == sum_products(images(monomials(c), euler_poly)))
+            x_moment, e_moment = view_sums("fermionic", statement)
+            assert (sub(x_moment, e_moment)
+                    == -sum_products(images(monomials(c), fermionic_moment)))
         cells = [(IdentityId.THM1_COR, {"k": k}), (IdentityId.THM2, {"k": k}),
                  (IdentityId.THM5_PRINTED, {"k": k})]
         if m:
@@ -521,20 +553,25 @@ class TestXCertificateRoute:
                             lambda k, m: printed(k, m) + delta)
         r = verify(IdentityId.THM2, {"k": 2})
         assert (r.verdict, r.route) == (FAILS, TABLES)
-        assert r.certificate == RatFuncQ(Q) * -delta
+        assert r.certificate == mul(RatFuncQ(Q), -delta)
 
 
 class TestOneSumCertificate:
-    """The table route sums an exact view's left images and its negated
+    """The table route sums an exact cell's left images and its negated
     right images at once; the two sides summed on their own and subtracted
-    are the reference."""
+    in the independent R (p-adically in the bosonic view) are the
+    reference."""
 
     @staticmethod
     def assert_one_sum(identity, params, ctx=None):
         left, right = sides(identity, params, ctx)
         cert = table_certificate(identity, params, ctx)
-        assert cert == left - right
-        assert str(cert) == str(left - right)
+        if identities.REGISTRY[identity].view == "bosonic":
+            reference = left - right
+        else:
+            reference = sub(left, right)
+        assert cert == reference
+        assert str(cert) == str(reference)
         return cert
 
     def test_default_battery_table_cells(self, ctx):
@@ -552,6 +589,27 @@ class TestOneSumCertificate:
             assert r.route == TABLES
             assert r.certificate_str == str(self.assert_one_sum(
                 IdentityId.EQ6, r.params))
+
+    def test_calculus_rules_to_30(self):
+        for identity, low in ((IdentityId.EQ7, 1), (IdentityId.EQ8, 0)):
+            for r in verify_grid(identity, {"n": (low, 30)}):
+                assert (r.route, r.verdict) == (TABLES, HOLDS)
+                assert r.certificate_str == str(self.assert_one_sum(
+                    identity, r.params)) == "0"
+
+    def test_calculus_rules_on_a_corrupt_table(self, corrupt_table):
+        # the derivative rule holds for any number table; the integral rule
+        # rests on the table's recurrence, so it fails once E[2] is wrong
+        verdicts = {}
+        for identity, low in ((IdentityId.EQ7, 1), (IdentityId.EQ8, 0)):
+            for r in verify_grid(identity, {"n": (low, 8)}):
+                cert = self.assert_one_sum(identity, r.params)
+                assert r.certificate_str == str(cert)
+                assert r.verdict == (HOLDS if cert.is_zero else FAILS)
+                verdicts[identity, r.params["n"]] = r.verdict
+        assert all(verdicts[IdentityId.EQ7, n] == HOLDS for n in range(1, 9))
+        assert verdicts[IdentityId.EQ8, 0] == HOLDS
+        assert all(verdicts[IdentityId.EQ8, n] == FAILS for n in range(1, 9))
 
 
 class TestEmbedMemo:
@@ -579,6 +637,29 @@ class TestEmbedMemo:
             COMMAND_SHA256[command]
 
 
+class TestBosonicMomentMemo:
+    def test_each_moment_is_computed_once(self, monkeypatch, tmp_path):
+        # the deep grid asks for 197 moments of 12 distinct E_n(x); only
+        # bosonic_moment takes monomials of a table polynomial there
+        command = "verify THM6 --k 1..6 --m 1..6 --p 7 --K 10"
+        computed = []
+        monomials = identities.monomials
+
+        def counting_monomials(poly):
+            computed.append(poly.degree)
+            return monomials(poly)
+
+        monkeypatch.setattr(identities, "monomials", counting_monomials)
+        out = tmp_path / "thm6.json"
+        assert cli_main([*command.split(), "--format", "json",
+                         "--out", str(out)]) == 0
+        assert sorted(computed) == list(range(1, 13))
+        # canonical_sha256 taken before the memo
+        assert json.loads(out.read_text())["canonical_sha256"] == (
+            "bb0fa778089f737c744261e6328a5941"
+            "3b85c2f4d69cdd57e96b72040b5550bf")
+
+
 @pytest.fixture
 def corrupt_table(request, monkeypatch):
     """The number table with one coefficient of N_i changed, i = 2 unless a
@@ -589,7 +670,7 @@ def corrupt_table(request, monkeypatch):
     numerators[i] = (numerators[i][0] + 1, *numerators[i][1:])
     monkeypatch.setattr(zpoly, "_numerators", numerators)
     monkeypatch.setattr(qspecial, "_numbers", [RF_ONE])
-    monkeypatch.setattr(qspecial, "_polys", [XPolyQ.one()])
+    monkeypatch.setattr(qspecial, "_polys", [XPolyQ((1,))])
     fermionic_moment.cache_clear()
     _functional_equation_row.cache_clear()
     yield

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from qeuler.exactarith import PolyQ, RatFuncQ, XPolyQ
+from qeuler.exactarith import RF_ONE, PolyQ, RatFuncQ, XPolyQ, sum_products
 from qeuler.qspecial import (
     DomainError,
     binom,
@@ -18,10 +18,15 @@ from qeuler.zpoly import euler_numerator
 
 from oracles import (
     accumulated_euler_numbers,
+    add,
     beta_exact,
     classical_euler_number,
     euler_poly_integral01,
+    mul,
+    power,
     q_bracket,
+    x_derivative,
+    x_evaluate,
 )
 
 ONE_PLUS_Q = PolyQ((1, 1))
@@ -64,19 +69,20 @@ class TestEulerNumbers:
     def test_first_values(self):
         assert euler_number(0) == RatFuncQ(PolyQ((1,)))
         assert euler_number(1) == RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q)
-        assert euler_number(2) == RatFuncQ(Q * PolyQ((-1, 1)), ONE_PLUS_Q ** 2)
+        assert euler_number(2) == RatFuncQ(mul(Q, PolyQ((-1, 1))),
+                                           power(ONE_PLUS_Q, 2))
 
     def test_third_value(self):
         # -q(q^2 - 4q + 1)/(1+q)^3
-        expected = RatFuncQ(Q * PolyQ((-1, 4, -1)), ONE_PLUS_Q ** 3)
+        expected = RatFuncQ(mul(Q, PolyQ((-1, 4, -1))), power(ONE_PLUS_Q, 3))
         assert euler_number(3) == expected
 
     def test_recurrence_invariant(self):
+        # (1+q) E[n] + q sum_{l<n} C(n, l) E[l] = 0, as one term list
         for n in range(1, 15):
-            s = RatFuncQ.zero()
-            for l in range(n):
-                s = s + euler_number(l) * Fraction(comb(n, l))
-            lhs = RatFuncQ(ONE_PLUS_Q) * euler_number(n) + RatFuncQ(Q) * s
+            lhs = sum_products([(ONE_PLUS_Q, euler_number(n))]
+                               + [(PolyQ((0, comb(n, l))), euler_number(l))
+                                  for l in range(n)])
             assert lhs.is_zero
 
     def test_matches_accumulated_fill(self):
@@ -85,12 +91,12 @@ class TestEulerNumbers:
 
     def test_denominator_is_exact_bracket_power(self):
         # the numerator is n! at q = -1, so no factor (1+q) cancels
-        power = PolyQ.one()
+        bracket = PolyQ((1,))
         for n in range(101):
             e = euler_number(n)
-            assert e.den == power
+            assert e.den == bracket
             assert e.num.evaluate(-1) == factorial(n)
-            power = power * ONE_PLUS_Q
+            bracket = mul(bracket, ONE_PLUS_Q)
 
     def test_tables_hold_the_integer_numerators(self):
         # E[n] stores N_n itself, and E_n(x) the ints C(n, l) N_(n-l)
@@ -112,15 +118,15 @@ class TestEulerNumbers:
 
 class TestEulerPolys:
     def test_first_values(self):
-        assert euler_poly(0) == XPolyQ.one()
-        e1 = XPolyQ([RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q), RatFuncQ.one()])
+        assert euler_poly(0) == XPolyQ((1,))
+        e1 = XPolyQ([RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q), RF_ONE])
         assert euler_poly(1) == e1
 
     def test_second_value(self):
         expected = XPolyQ([
-            RatFuncQ(Q * PolyQ((-1, 1)), ONE_PLUS_Q ** 2),
+            RatFuncQ(mul(Q, PolyQ((-1, 1))), power(ONE_PLUS_Q, 2)),
             RatFuncQ(PolyQ((0, -2)), ONE_PLUS_Q),
-            RatFuncQ.one(),
+            RF_ONE,
         ])
         assert euler_poly(2) == expected
 
@@ -128,12 +134,12 @@ class TestEulerPolys:
         for n in range(13):
             p = euler_poly(n)
             assert p.degree == n
-            assert p.leading == RatFuncQ.one()
+            assert p.leading == RF_ONE
 
     def test_matches_convolution_of_accumulated_fill(self):
         numbers = accumulated_euler_numbers(20)
         for n in range(21):
-            expected = XPolyQ([numbers[n - l] * Fraction(comb(n, l))
+            expected = XPolyQ([mul(numbers[n - l], comb(n, l))
                                for l in range(n + 1)])
             assert euler_poly(n) == expected
 
@@ -143,21 +149,23 @@ class TestEulerPolys:
 
     def test_derivative_rule(self):
         for n in range(1, 13):
-            assert euler_poly(n).derivative() == euler_poly(n - 1) * Fraction(n)
+            assert x_derivative(euler_poly(n)) == mul(euler_poly(n - 1), n)
 
     def test_reflection_through_recurrence(self):
         # q * E_n(1) + E_n = 0 for n >= 1, and (1 + q) at n = 0
         q_rf = RatFuncQ(Q)
         for n in range(1, 13):
-            v = q_rf * euler_poly(n).evaluate(Fraction(1)) + euler_number(n)
+            v = add(mul(q_rf, x_evaluate(euler_poly(n), Fraction(1))),
+                    euler_number(n))
             assert v.is_zero
-        n0 = q_rf * euler_poly(0).evaluate(Fraction(1)) + euler_number(0)
+        n0 = add(mul(q_rf, x_evaluate(euler_poly(0), Fraction(1))),
+                 euler_number(0))
         assert n0 == RatFuncQ(ONE_PLUS_Q)
 
 
 class TestIntegral01:
     def test_constant(self):
-        assert euler_poly_integral01(0) == RatFuncQ.one()
+        assert euler_poly_integral01(0) == RF_ONE
 
     def test_linear(self):
         # (1 - q)/(2 (1 + q)), by substituting the second euler number
