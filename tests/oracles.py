@@ -34,9 +34,9 @@ class InternalInconsistency(RuntimeError):
 # -- an independent R -----------------------------------------------------------
 #
 # The package computes in R only by term-list sums (exactarith.sum_products).
-# The ring operations here take another road: a value is a numerator and a
-# denominator list over Q, two values are combined by multiplying across
-# (n1 d2 + n2 d1 over d1 d2, n1 n2 over d1 d2), and the result is made
+# The ring operations here take another road: a value is an integer
+# numerator and denominator list, two values are combined by multiplying
+# across (n1 d2 + n2 d1 over d1 d2, n1 n2 over d1 d2), and the result is made
 # canonical by the one-part constructor RatFuncQ(num, den).  Polynomials in q
 # combine as polynomials, and polynomials in x coefficient by coefficient.
 
@@ -150,7 +150,7 @@ def x_evaluate(poly: XPolyQ, at) -> RatFuncQ:
     return acc
 
 
-# -- exact sums ------------------------------------------------------------------
+# -- reduction by division -------------------------------------------------------
 
 def divide_linear(p: PolyQ, r):
     """Synthetic division of p by (q - r) over Q: (quotient, value at r)."""
