@@ -9,7 +9,10 @@ errors.
 Each command imports the layers it uses when it runs, so a cold process
 loads and compiles only those: ``integrate`` and ``numbers bernoulli``
 never load the exact layers or the identity catalog, and ``numbers euler``
-renders its rows from the integer table of ``zpoly`` alone.
+renders its rows from the integer table of ``zpoly`` alone.  A process
+also builds the arguments of only the command it runs (``COMMANDS``,
+``build_parser``); every command still has its subparser, so usage, help
+and error text are unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .report import CacheError, Report, ResultCache
 
@@ -82,14 +85,7 @@ def _add_padic_opts(sp):
                     help="maximum Riemann-sum level (default 12)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qeuler",
-        description="Exact and p-adic tables and identity checks for the "
-                    "weight-0 q-Euler/q-Bernoulli families.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("numbers", help="number tables")
+def _numbers_arguments(sp) -> None:
     sp.add_argument("kind", choices=("euler", "bernoulli"))
     sp.add_argument("--n", default="0..8", help="index range 'a..b'")
     sp.add_argument("--at-q", dest="at_q", default=None,
@@ -98,11 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_opts(sp)
     _add_cache_opts(sp)
 
-    sp = sub.add_parser("poly", help="polynomial tables")
+
+def _poly_arguments(sp) -> None:
     sp.add_argument("--n", default="0..4", help="index range 'a..b'")
     _add_output_opts(sp)
 
-    sp = sub.add_parser("verify", help="verify one identity or all of them")
+
+def _verify_arguments(sp) -> None:
     sp.add_argument("identity", help="an identity id, or 'all'")
     sp.add_argument("--k", default=None, help="range 'a..b' for k")
     sp.add_argument("--m", default=None, help="range 'a..b' for m")
@@ -111,18 +109,46 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_opts(sp)
     _add_cache_opts(sp)
 
-    sp = sub.add_parser("integrate", help="evaluate one p-adic q-integral")
+
+def _integrate_arguments(sp) -> None:
     sp.add_argument("kind", choices=KINDS)
     sp.add_argument("--n", type=int, required=True, help="monomial exponent")
     sp.add_argument("--x0", default="0", help="rational shift of the integrand")
     _add_padic_opts(sp)
     _add_output_opts(sp)
 
-    sp = sub.add_parser("report", help="run the full default verification battery")
+
+def _report_arguments(sp) -> None:
     _add_padic_opts(sp)
     _add_output_opts(sp)
     _add_cache_opts(sp)
 
+
+# every command, in usage order: its help and what adds its arguments
+COMMANDS = {
+    "numbers": ("number tables", _numbers_arguments),
+    "poly": ("polynomial tables", _poly_arguments),
+    "verify": ("verify one identity or all of them", _verify_arguments),
+    "integrate": ("evaluate one p-adic q-integral", _integrate_arguments),
+    "report": ("run the full default verification battery", _report_arguments),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of ``argv``.  Every command has its subparser, so usage,
+    help and error text are those of the full parser, but only the command
+    that ``argv[0]`` names gets its arguments; when it names none (no
+    arguments, an option, a typo), every command gets them."""
+    parser = argparse.ArgumentParser(
+        prog="qeuler",
+        description="Exact and p-adic tables and identity checks for the "
+                    "weight-0 q-Euler/q-Bernoulli families.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    invoked = argv[0] if argv and argv[0] in COMMANDS else None
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if invoked in (None, name):
+            add_arguments(sp)
     return parser
 
 
@@ -418,7 +444,9 @@ def cmd_integrate(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

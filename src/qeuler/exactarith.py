@@ -376,12 +376,32 @@ class RatFuncQ(_Ring):
         return RatFuncQ._raw(-self.num, self.a, self.b)
 
     def evaluate(self, q0: CoercibleScalar) -> Fraction:
-        """Exact evaluation at a rational point; raises PoleError at poles."""
+        """Exact evaluation at a rational point q0 = u/w, by Horner's rule
+        over the integers (as ``zpoly.euler_number_at``):
+
+            num(u/w) / ((u/w)^a (1 + u/w)^b)
+                = sum_i D c_i u^i w^(d-i) * w^(a+b) / (D w^d u^a (u + w)^b)
+
+        with num = sum_i c_i q^i of degree d and D the lcm of the
+        denominators of its coefficients; one Fraction is built at the end.
+        Raises PoleError at q0 = 0 when a > 0 and at q0 = -1 when b > 0."""
         q0 = self.num._element(q0)
-        d = q0 ** self.a * (1 + q0) ** self.b
-        if d == 0:
+        u, w = q0.numerator, q0.denominator
+        den = u ** self.a * (u + w) ** self.b
+        if den == 0:
             raise PoleError(f"denominator vanishes at q = {q0}")
-        return self.num.evaluate(q0) / d
+        coeffs = self.num.coeffs
+        if not coeffs:
+            return _F0
+        lcd = lcm(*(c.denominator for c in coeffs))
+        acc, w_power = 0, 1         # w_power = w^(d-i) at coefficient c_i
+        for c in reversed(coeffs):
+            acc = acc * u + c.numerator * (lcd // c.denominator) * w_power
+            w_power *= w
+        shift = self.a + self.b - (len(coeffs) - 1)     # the power of w
+        if shift >= 0:
+            return Fraction(acc * w ** shift, lcd * den)
+        return Fraction(acc, lcd * den * w ** -shift)
 
     def to_str(self) -> str:
         if not (self.a or self.b):

@@ -132,6 +132,9 @@ class PadicApprox(Record):
     coprime to p; the value is known modulo p^(valuation + precision).
     Zero: unit is None and ``precision`` is the absolute exponent A with
     |value|_p <= p^(-A).
+
+    The constructor and ``from_rational`` check that p is an odd prime;
+    ``zero``, ``from_residue`` and the arithmetic take a p already checked.
     """
 
     __slots__ = ("p", "valuation", "unit", "precision")
@@ -152,11 +155,21 @@ class PadicApprox(Record):
                 raise ValueError("unit must be coprime to p")
         self._set(p, valuation, unit, precision)
 
+    @classmethod
+    def _raw(cls, p: int, valuation: int, unit, precision: int
+             ) -> "PadicApprox":
+        """A value built without the constructor's checks, for results
+        of arithmetic on checked values: p is their operand's, and the
+        arithmetic keeps the unit and precision in range."""
+        x = object.__new__(cls)
+        x._set(p, valuation, unit, precision)
+        return x
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int, abs_precision: int) -> "PadicApprox":
-        return cls(p, 0, None, max(abs_precision, 0))
+        return cls._raw(p, 0, None, max(abs_precision, 0))
 
     @classmethod
     def from_residue(cls, value: int, p: int, abs_exponent: int) -> "PadicApprox":
@@ -167,7 +180,7 @@ class PadicApprox(Record):
             return cls.zero(p, abs_exponent)
         v, u = int_valuation(value, p)
         k = abs_exponent - v
-        return cls(p, v, u % p ** k, k)
+        return cls._raw(p, v, u % p ** k, k)
 
     @classmethod
     def from_rational(cls, r, p: int, precision: int) -> "PadicApprox":
@@ -176,7 +189,7 @@ class PadicApprox(Record):
         if precision < 1:
             raise ValueError("precision must be >= 1")
         if r == 0:
-            return cls.zero(p, precision)
+            return cls(p, 0, None, precision)
         vn, un = int_valuation(r.numerator, p)
         vd, ud = int_valuation(r.denominator, p)
         m = p ** precision
@@ -210,7 +223,8 @@ class PadicApprox(Record):
             if self.precision + e < 0:
                 raise PrecisionExhausted("shift leaves no known digits")
             return PadicApprox.zero(self.p, self.precision + e)
-        return PadicApprox(self.p, self.valuation + e, self.unit, self.precision)
+        return PadicApprox._raw(self.p, self.valuation + e, self.unit,
+                                self.precision)
 
     def truncate_abs(self, abs_exponent: int) -> "PadicApprox":
         """Forget digits beyond p^abs_exponent (never adds digits)."""
@@ -221,8 +235,8 @@ class PadicApprox(Record):
                 raise PrecisionExhausted("truncation leaves no known digits")
             return PadicApprox.zero(self.p, abs_exponent)
         k = abs_exponent - self.valuation
-        return PadicApprox(self.p, self.valuation,
-                           self.unit % self.p ** k, k)
+        return PadicApprox._raw(self.p, self.valuation,
+                                self.unit % self.p ** k, k)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -236,7 +250,8 @@ class PadicApprox(Record):
         if self.unit is None:
             return self
         m = self.p ** self.precision
-        return PadicApprox(self.p, self.valuation, (-self.unit) % m, self.precision)
+        return PadicApprox._raw(self.p, self.valuation, (-self.unit) % m,
+                                self.precision)
 
     def __add__(self, other: "PadicApprox") -> "PadicApprox":
         self._check(other)
@@ -269,7 +284,7 @@ class PadicApprox(Record):
             return PadicApprox.zero(self.p, a)
         k = min(self.precision, other.precision)
         u = self.unit * other.unit % self.p ** k
-        return PadicApprox(self.p, self.valuation + other.valuation, u, k)
+        return PadicApprox._raw(self.p, self.valuation + other.valuation, u, k)
 
     def __truediv__(self, other: "PadicApprox") -> "PadicApprox":
         self._check(other)
@@ -282,7 +297,7 @@ class PadicApprox(Record):
             return PadicApprox.zero(self.p, a)
         k = min(self.precision, other.precision)
         u = self.unit * pow(other.unit, -1, self.p ** k) % self.p ** k
-        return PadicApprox(self.p, self.valuation - other.valuation, u, k)
+        return PadicApprox._raw(self.p, self.valuation - other.valuation, u, k)
 
     def __str__(self) -> str:
         if self.unit is None:

@@ -4,13 +4,16 @@ encoding of its entries.
 A report's canonical body contains no timestamps or timings; elapsed time
 lives in a side-channel section excluded from canonical serialization and
 hashing, so byte-identical configs yield byte-identical canonical bodies.
+
+``json``, the SHA-256 module and the modules of the cache's atomic save
+are imported where they are used: pretty and CSV output hash nothing,
+and encode JSON only for a cell that holds a dict (a verify cell's
+parameters), so a table or an integral printed that way loads none of
+them.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from math import comb, inf
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -27,14 +30,25 @@ ERROR = "error"
 
 
 def canonical_json(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True)
 
 
 def _sha256(text: str) -> str:
-    import hashlib  # only JSON output hashes
-
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    """The hex SHA-256 of ASCII text, from CPython's own SHA-256 module
+    (``_sha2`` from Python 3.12, ``_sha256`` before), which gives the same
+    digest as ``hashlib`` without loading OpenSSL; ``hashlib`` only where
+    the interpreter has neither.  Only JSON output hashes."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode("ascii")).hexdigest()
 
 
 class Report:
@@ -103,6 +117,8 @@ class Report:
     def to_json(self) -> str:
         """The body with its hash and the timing side channel; the body is
         built once and hashed in its canonical form."""
+        import json
+
         doc = self.body()
         doc["canonical_sha256"] = _sha256(canonical_json(doc))
         doc["timing"] = self.timing
@@ -110,6 +126,8 @@ class Report:
 
     @classmethod
     def parse(cls, text: str) -> "Report":
+        import json
+
         doc = json.loads(text)
         if doc.get("schema") != REPORT_SCHEMA:
             raise ValueError(f"unsupported report schema {doc.get('schema')!r}")
@@ -177,6 +195,8 @@ class ResultCache:
         self.entries: Dict[str, dict] = {}
         self.dirty = False
         if self.path is not None and self.path.exists():
+            import json
+
             try:
                 doc = json.loads(self.path.read_text())
                 schema = doc.get("schema")
@@ -192,6 +212,10 @@ class ResultCache:
     def save(self):
         if self.path is None or not self.dirty:
             return
+        import json
+        import os
+        import tempfile
+
         doc = {"schema": CACHE_SCHEMA, "entries": self.entries}
         fd, tmp = tempfile.mkstemp(dir=self.path.parent,
                                    prefix=self.path.name + ".", suffix=".tmp")

@@ -1,6 +1,7 @@
 """CLI surface: table output, report formats, exit codes, determinism,
 and the result cache."""
 
+import hashlib
 import json
 import os
 import re
@@ -11,7 +12,14 @@ from pathlib import Path
 import pytest
 
 import qeuler
-from qeuler.cli import ConfigError, main, parse_q, parse_range
+from qeuler.cli import (
+    COMMANDS,
+    ConfigError,
+    build_parser,
+    main,
+    parse_q,
+    parse_range,
+)
 from qeuler import qintegral
 from qeuler.padic import PadicApprox, padic_distance
 from qeuler.qintegral import IntegralResult
@@ -48,6 +56,53 @@ class TestParsing:
         assert parse_q("7/2", 5) == Fraction(7, 2)
         with pytest.raises(ConfigError):
             parse_q("one", 3)
+
+
+def parse_with(parser, capsys, argv):
+    """Exit code, stdout and stderr of a parse that exits (help or error)."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestParserParity:
+    """A process builds the arguments of only the command it runs; its
+    help and its errors are those of the parser of every command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"],
+        *([name, "--help"] for name in COMMANDS)])
+    def test_help_is_the_full_parsers(self, capsys, argv):
+        full = parse_with(build_parser(), capsys, argv)
+        assert full[0] == 0 and full[1].startswith("usage: qeuler")
+        assert run(capsys, *argv) == full
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["frob"], "invalid choice: 'frob'"),
+        (["integrate"], "the following arguments are required: kind, --n"),
+        (["integrate", "fermionic", "--n", "3", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["poly", "--k", "1"], "unrecognized arguments: --k 1"),
+        (["integrate", "fermionic", "--n", "x"],
+         "argument --n: invalid int value: 'x'"),
+        (["numbers", "frob"], "argument kind: invalid choice: 'frob'"),
+    ])
+    def test_errors_are_the_full_parsers(self, capsys, argv, message):
+        full = parse_with(build_parser(), capsys, argv)
+        assert full[0] == 2 and message in full[2]
+        assert run(capsys, *argv) == full
+
+    def test_bad_range_is_a_config_error(self, capsys):
+        assert run(capsys, "numbers", "euler", "--n=x") == (
+            2, "", "error: bad range 'x'; expected 'a..b'\n")
+
+    def test_only_the_invoked_command_has_arguments(self, capsys):
+        parser = build_parser(["integrate"])
+        assert parser.parse_args(["integrate", "bosonic", "--n", "2"]).n == 2
+        code, _, err = parse_with(parser, capsys, ["numbers", "euler"])
+        assert code == 2 and "unrecognized arguments: euler" in err
 
 
 class TestNumbersCommand:
@@ -298,6 +353,22 @@ class TestReportDocument:
         doc = json.loads(out)
         assert doc["schema"] == "qeuler-report/1"
         assert doc["canonical_sha256"] == report.sha256()
+
+    @pytest.mark.parametrize("argv", [
+        ["report"],
+        ["integrate", "bosonic", "--n", "3", "--p", "5", "--K", "4",
+         "--format", "json"],
+    ])
+    def test_digest_is_hashlib_sha256(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        body = {key: value for key, value in doc.items()
+                if key not in ("canonical_sha256", "timing")}
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"),
+                               ensure_ascii=True)
+        assert doc["canonical_sha256"] == hashlib.sha256(
+            canonical.encode("ascii")).hexdigest()
 
     def test_summary_counts_items(self, capsys):
         _, out, _ = run(capsys, "verify", "THM2", "--k", "1..5",

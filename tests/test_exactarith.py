@@ -538,3 +538,35 @@ def test_integer_data_mixes_with_constructed_values(c, b, n, r, k, q0):
     assert at_x == x_evaluate(p_f, x_f)
     assert_exact_coefficients(at_x)
     assert at_x.evaluate(q0) == x_evaluate(p_f, x_f).evaluate(q0)
+
+
+def fraction_evaluate(f, q0):
+    """f at q0 by Horner's rule on Fractions, or None at a pole: the
+    reference of the integer evaluation."""
+    den = q0 ** f.a * (1 + q0) ** f.b
+    return None if den == 0 else f.num.evaluate(q0) / den
+
+
+# points that include both poles, q = 0 and q = -1, and plain ints
+points = st.one_of(
+    st.sampled_from([0, -1, 1, Fraction(-1, 2)]),
+    st.integers(-30, 30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=40))
+
+# values with int coefficients, as the tables and over_bracket build them
+bracket_values = st.one_of(
+    st.integers(0, 24).map(euler_number),
+    st.builds(RatFuncQ.over_bracket,
+              st.lists(st.integers(-60, 60), max_size=5), st.integers(0, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ratfuncs, bracket_values), points)
+def test_integer_evaluation_matches_fractions(f, q0):
+    want = fraction_evaluate(f, Fraction(q0))
+    if want is None:
+        with pytest.raises(PoleError):
+            f.evaluate(q0)
+    else:
+        got = f.evaluate(q0)
+        assert type(got) is Fraction and got == want

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import identities, qspecial, zpoly
+from qeuler import identities, padic, qintegral, qspecial, zpoly
 from qeuler.cli import main as cli_main
 from qeuler.exactarith import RF_ONE, RF_ZERO, PolyQ, RatFuncQ, XPolyQ, sum_products
 from qeuler.identities import (
@@ -637,11 +637,23 @@ class TestEmbedMemo:
             COMMAND_SHA256[command]
 
 
+# the deep THM6 grid, and its canonical_sha256 taken before the memos
+DEEP_THM6 = "verify THM6 --k 1..6 --m 1..6 --p 7 --K 10"
+DEEP_THM6_SHA256 = ("bb0fa778089f737c744261e6328a5941"
+                    "3b85c2f4d69cdd57e96b72040b5550bf")
+
+
+def run_deep_thm6(tmp_path) -> str:
+    out = tmp_path / "thm6.json"
+    assert cli_main([*DEEP_THM6.split(), "--format", "json",
+                     "--out", str(out)]) == 0
+    return json.loads(out.read_text())["canonical_sha256"]
+
+
 class TestBosonicMomentMemo:
     def test_each_moment_is_computed_once(self, monkeypatch, tmp_path):
         # the deep grid asks for 197 moments of 12 distinct E_n(x); only
         # bosonic_moment takes monomials of a table polynomial there
-        command = "verify THM6 --k 1..6 --m 1..6 --p 7 --K 10"
         computed = []
         monomials = identities.monomials
 
@@ -650,14 +662,28 @@ class TestBosonicMomentMemo:
             return monomials(poly)
 
         monkeypatch.setattr(identities, "monomials", counting_monomials)
-        out = tmp_path / "thm6.json"
-        assert cli_main([*command.split(), "--format", "json",
-                         "--out", str(out)]) == 0
+        assert run_deep_thm6(tmp_path) == DEEP_THM6_SHA256
         assert sorted(computed) == list(range(1, 13))
-        # canonical_sha256 taken before the memo
-        assert json.loads(out.read_text())["canonical_sha256"] == (
-            "bb0fa778089f737c744261e6328a5941"
-            "3b85c2f4d69cdd57e96b72040b5550bf")
+
+
+class TestPrimeChecks:
+    def test_arithmetic_results_reuse_a_checked_p(self, monkeypatch,
+                                                  tmp_path):
+        # p is tested where it comes in: once by the CLI, once per integral
+        # request (13) and once per embedded exact value (183, each
+        # through PadicApprox.from_rational); the results of p-adic
+        # arithmetic take their operand's p unchecked (5,283 tests before)
+        checked = []
+        is_odd_prime = padic.is_odd_prime
+
+        def counting(p):
+            checked.append(p)
+            return is_odd_prime(p)
+
+        monkeypatch.setattr(padic, "is_odd_prime", counting)
+        monkeypatch.setattr(qintegral, "is_odd_prime", counting)
+        assert run_deep_thm6(tmp_path) == DEEP_THM6_SHA256
+        assert checked == [7] * (1 + 13 + 183)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Import layering: each CLI command loads only the layers it uses, and the
 package namespace resolves its names on first use."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -72,6 +73,26 @@ def test_verify_loads_no_dataclasses(argv):
     assert not modules & {"dataclasses", "inspect"}
     if "json" not in argv:
         assert "hashlib" not in modules
+
+
+INTEGRATE = ("integrate", "bosonic", "--n", "3", "--p", "3", "--K", "4")
+
+
+def test_pretty_output_loads_no_encoder_or_hash():
+    modules = loaded_modules(*INTEGRATE)
+    assert "qeuler.report" in modules
+    assert not modules & {"json", "hashlib", "_hashlib", "_sha2", "_sha256"}
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha2") is None
+    and importlib.util.find_spec("_sha256") is None,
+    reason="the interpreter has no SHA-256 module of its own")
+def test_json_output_hashes_without_openssl():
+    modules = loaded_modules(*INTEGRATE, "--format", "json")
+    assert "json" in modules
+    assert modules & {"_sha2", "_sha256"}
+    assert not modules & {"hashlib", "_hashlib"}
 
 
 def test_euler_table_loads_no_catalog(tmp_path):

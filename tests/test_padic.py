@@ -51,6 +51,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PadicApprox.from_rational(Fraction(1), 9, 4)
 
+    @pytest.mark.parametrize("p", [2, 9, 1, -3, 3 * 7])
+    def test_constructor_rejects_bad_p(self, p):
+        with pytest.raises(ValueError, match="odd prime"):
+            PadicApprox(p, 0, 1, 2)
+        with pytest.raises(ValueError, match="odd prime"):
+            PadicApprox(p, 0, None, 2)
+
     def test_unit_range_checked(self):
         with pytest.raises(ValueError):
             PadicApprox(3, 0, 81, 4)
