@@ -377,7 +377,7 @@ class RatFuncQ(_Ring):
 
     def evaluate(self, q0: CoercibleScalar) -> Fraction:
         """Exact evaluation at a rational point q0 = u/w, by Horner's rule
-        over the integers (as ``zpoly.euler_number_at``):
+        over the integers (``zpoly.horner_int``):
 
             num(u/w) / ((u/w)^a (1 + u/w)^b)
                 = sum_i D c_i u^i w^(d-i) * w^(a+b) / (D w^d u^a (u + w)^b)
@@ -391,17 +391,11 @@ class RatFuncQ(_Ring):
         if den == 0:
             raise PoleError(f"denominator vanishes at q = {q0}")
         coeffs = self.num.coeffs
-        if not coeffs:
-            return _F0
         lcd = lcm(*(c.denominator for c in coeffs))
-        acc, w_power = 0, 1         # w_power = w^(d-i) at coefficient c_i
-        for c in reversed(coeffs):
-            acc = acc * u + c.numerator * (lcd // c.denominator) * w_power
-            w_power *= w
-        shift = self.a + self.b - (len(coeffs) - 1)     # the power of w
-        if shift >= 0:
-            return Fraction(acc * w ** shift, lcd * den)
-        return Fraction(acc, lcd * den * w ** -shift)
+        acc = zpoly.horner_int(
+            [c.numerator * (lcd // c.denominator) for c in coeffs], u, w)
+        return Fraction(acc * w ** (self.a + self.b),
+                        lcd * den * w ** max(len(coeffs) - 1, 0))
 
     def to_str(self) -> str:
         if not (self.a or self.b):

@@ -65,6 +65,11 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def _require_odd_prime(p: int) -> None:
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def int_valuation(n: int, p: int):
     """(v, u) with n = p^v * u, p not dividing u; n must be nonzero."""
     if n == 0:
@@ -133,15 +138,15 @@ class PadicApprox(Record):
     Zero: unit is None and ``precision`` is the absolute exponent A with
     |value|_p <= p^(-A).
 
-    The constructor and ``from_rational`` check that p is an odd prime;
-    ``zero``, ``from_residue`` and the arithmetic take a p already checked.
+    The constructor, ``zero``, ``from_residue`` and ``from_rational``
+    check that p is an odd prime, before any other use of p; the results
+    of arithmetic take their operand's p through ``_raw`` unchecked.
     """
 
     __slots__ = ("p", "valuation", "unit", "precision")
 
     def __init__(self, p: int, valuation: int, unit, precision: int):
-        if not is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        _require_odd_prime(p)
         if unit is None:
             if precision < 0:
                 raise ValueError("zero element needs absolute precision >= 0")
@@ -169,15 +174,22 @@ class PadicApprox(Record):
 
     @classmethod
     def zero(cls, p: int, abs_precision: int) -> "PadicApprox":
+        _require_odd_prime(p)
         return cls._raw(p, 0, None, max(abs_precision, 0))
 
     @classmethod
     def from_residue(cls, value: int, p: int, abs_exponent: int) -> "PadicApprox":
         """Classify an integer known modulo p^abs_exponent."""
-        m = p ** abs_exponent
-        value %= m
+        _require_odd_prime(p)
+        return cls._from_residue(value, p, abs_exponent)
+
+    @classmethod
+    def _from_residue(cls, value: int, p: int, abs_exponent: int
+                      ) -> "PadicApprox":
+        """``from_residue`` for a p already checked."""
+        value %= p ** abs_exponent
         if value == 0:
-            return cls.zero(p, abs_exponent)
+            return cls._raw(p, 0, None, max(abs_exponent, 0))
         v, u = int_valuation(value, p)
         k = abs_exponent - v
         return cls._raw(p, v, u % p ** k, k)
@@ -185,16 +197,17 @@ class PadicApprox(Record):
     @classmethod
     def from_rational(cls, r, p: int, precision: int) -> "PadicApprox":
         """Embed an exact rational with `precision` relative digits."""
+        _require_odd_prime(p)
         r = Fraction(r)
         if precision < 1:
             raise ValueError("precision must be >= 1")
         if r == 0:
-            return cls(p, 0, None, precision)
+            return cls._raw(p, 0, None, precision)
         vn, un = int_valuation(r.numerator, p)
         vd, ud = int_valuation(r.denominator, p)
         m = p ** precision
         unit = un * pow(ud, -1, m) % m
-        return cls(p, vn - vd, unit, precision)
+        return cls._raw(p, vn - vd, unit, precision)
 
     # -- basic queries -----------------------------------------------------
 
@@ -222,7 +235,7 @@ class PadicApprox(Record):
         if self.unit is None:
             if self.precision + e < 0:
                 raise PrecisionExhausted("shift leaves no known digits")
-            return PadicApprox.zero(self.p, self.precision + e)
+            return PadicApprox._raw(self.p, 0, None, self.precision + e)
         return PadicApprox._raw(self.p, self.valuation + e, self.unit,
                                 self.precision)
 
@@ -233,7 +246,7 @@ class PadicApprox(Record):
         if self.unit is None or self.valuation >= abs_exponent:
             if abs_exponent < 0:
                 raise PrecisionExhausted("truncation leaves no known digits")
-            return PadicApprox.zero(self.p, abs_exponent)
+            return PadicApprox._raw(self.p, 0, None, abs_exponent)
         k = abs_exponent - self.valuation
         return PadicApprox._raw(self.p, self.valuation,
                                 self.unit % self.p ** k, k)
@@ -267,7 +280,8 @@ class PadicApprox(Record):
             if x.unit is not None:
                 total += x.unit * self.p ** (x.valuation - shift)
         total %= mod
-        return PadicApprox.from_residue(total, self.p, m - shift).shift_by_power(shift)
+        return PadicApprox._from_residue(total, self.p, m - shift
+                                         ).shift_by_power(shift)
 
     def __sub__(self, other: "PadicApprox") -> "PadicApprox":
         return self + (-other)
@@ -281,7 +295,7 @@ class PadicApprox(Record):
                 a = self.precision + other.valuation
             else:
                 a = other.precision + self.valuation
-            return PadicApprox.zero(self.p, a)
+            return PadicApprox._raw(self.p, 0, None, max(a, 0))
         k = min(self.precision, other.precision)
         u = self.unit * other.unit % self.p ** k
         return PadicApprox._raw(self.p, self.valuation + other.valuation, u, k)
@@ -294,7 +308,7 @@ class PadicApprox(Record):
             a = self.precision - other.valuation
             if a <= 0:
                 raise PrecisionExhausted("division leaves no known digits")
-            return PadicApprox.zero(self.p, a)
+            return PadicApprox._raw(self.p, 0, None, a)
         k = min(self.precision, other.precision)
         u = self.unit * pow(other.unit, -1, self.p ** k) % self.p ** k
         return PadicApprox._raw(self.p, self.valuation - other.valuation, u, k)

@@ -192,8 +192,9 @@ def riemann_level(req: IntegralRequest, level: int) -> PadicApprox:
     p, work = req.p, req.working_exponent(level)
     top = work + level if req.bosonic else work
     summed, bracket = _level_sum(req, level, work, top)
-    return (PadicApprox.from_residue(summed, p, work)
-            / PadicApprox.from_residue(bracket, p, top))
+    # the request checked p
+    return (PadicApprox._from_residue(summed, p, work)
+            / PadicApprox._from_residue(bracket, p, top))
 
 
 def integrate(req: IntegralRequest) -> IntegralResult:

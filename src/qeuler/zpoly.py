@@ -111,6 +111,17 @@ def euler_number_str(n: int) -> str:
     return f"({fmt_poly(euler_numerator(n))})/({fmt_poly(bracket_power(n))})"
 
 
+def horner_int(coeffs, a: int, b: int) -> int:
+    """sum_i c_i a^i b^(d-i) for the integers c_0, ..., c_d: the value of
+    sum_i c_i q^i at q = a/b times b^d, by Horner's rule over the
+    integers."""
+    acc, b_power = 0, 1         # b_power = b^(d-i) at coefficient c_i
+    for c in reversed(coeffs):
+        acc = acc * a + c * b_power
+        b_power *= b
+    return acc
+
+
 def euler_number_at(n: int, q0: Fraction) -> Fraction:
     """E[n] at the rational q0 = a/b, by Horner over the integers:
 
@@ -123,8 +134,5 @@ def euler_number_at(n: int, q0: Fraction) -> Fraction:
     if den == 0:
         raise PoleError(f"denominator vanishes at q = {q0}")
     coeffs = euler_numerator(n)
-    acc, b_power = 0, 1         # b_power = b^(d-i) at coefficient c_i
-    for c in reversed(coeffs):
-        acc = acc * a + c * b_power
-        b_power *= b
-    return Fraction(acc * b ** n, b ** (len(coeffs) - 1) * den)
+    return Fraction(horner_int(coeffs, a, b) * b ** n,
+                    b ** (len(coeffs) - 1) * den)

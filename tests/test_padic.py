@@ -51,12 +51,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PadicApprox.from_rational(Fraction(1), 9, 4)
 
-    @pytest.mark.parametrize("p", [2, 9, 1, -3, 3 * 7])
-    def test_constructor_rejects_bad_p(self, p):
-        with pytest.raises(ValueError, match="odd prime"):
-            PadicApprox(p, 0, 1, 2)
-        with pytest.raises(ValueError, match="odd prime"):
-            PadicApprox(p, 0, None, 2)
+    @pytest.mark.parametrize("p", [2, 9, 1, 0, -3, 3 * 7])
+    def test_constructors_reject_bad_p(self, p):
+        # every public constructor tests p before it uses it: with p = 1,
+        # from_rational's valuations would otherwise never end
+        for build in (lambda: PadicApprox(p, 0, 1, 2),
+                      lambda: PadicApprox(p, 0, None, 2),
+                      lambda: PadicApprox.zero(p, 2),
+                      lambda: PadicApprox.from_residue(3, p, 2),
+                      lambda: PadicApprox.from_rational(Fraction(3), p, 4),
+                      lambda: PadicApprox.from_rational(0, p, 4)):
+            with pytest.raises(ValueError, match="odd prime"):
+                build()
 
     def test_unit_range_checked(self):
         with pytest.raises(ValueError):
