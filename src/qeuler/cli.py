@@ -2,17 +2,22 @@
 verification grids, direct integral evaluation, and machine-readable
 reports.
 
-Exit codes: 0 for success (printed-variant failures are informational),
-1 when a corrected or exact identity fails, 2 for usage or configuration
-errors.
+``COMMANDS`` is the one list of commands: each entry is its help, what
+adds its arguments, what runs it into a ``Report`` and the format it
+prints by default.  ``main`` parses, runs the entry, writes the report and
+returns its exit code: 0 for success (printed-variant failures are
+informational, and table and integral rows carry no verdict), 1 when a
+corrected or exact identity fails, and 2 for usage or configuration
+errors, which reach ``main`` as ``ConfigError`` or ``CacheError`` and
+never as a traceback.
 
 Each command imports the layers it uses when it runs, so a cold process
 loads and compiles only those: ``integrate`` and ``numbers bernoulli``
 never load the exact layers or the identity catalog, and ``numbers euler``
 renders its rows from the integer table of ``zpoly`` alone.  A process
-also builds the arguments of only the command it runs (``COMMANDS``,
-``build_parser``); every command still has its subparser, so usage, help
-and error text are unchanged.
+also builds the arguments of only the command it runs (``build_parser``);
+every command still has its subparser, so usage, help and error text are
+unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -124,16 +130,6 @@ def _report_arguments(sp) -> None:
     _add_cache_opts(sp)
 
 
-# every command, in usage order: its help and what adds its arguments
-COMMANDS = {
-    "numbers": ("number tables", _numbers_arguments),
-    "poly": ("polynomial tables", _poly_arguments),
-    "verify": ("verify one identity or all of them", _verify_arguments),
-    "integrate": ("evaluate one p-adic q-integral", _integrate_arguments),
-    "report": ("run the full default verification battery", _report_arguments),
-}
-
-
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     """The parser of ``argv``.  Every command has its subparser, so usage,
     help and error text are those of the full parser, but only the command
@@ -145,7 +141,7 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
                     "weight-0 q-Euler/q-Bernoulli families.")
     sub = parser.add_subparsers(dest="command", required=True)
     invoked = argv[0] if argv and argv[0] in COMMANDS else None
-    for name, (help_text, add_arguments) in COMMANDS.items():
+    for name, (help_text, add_arguments, _, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if invoked in (None, name):
             add_arguments(sp)
@@ -218,17 +214,18 @@ def _check_user_files(args) -> None:
                               "No such file or directory")
 
 
-def _open_cache(args) -> Optional[ResultCache]:
+@contextmanager
+def _cache(args):
+    """The --cache file's ResultCache, or None without one; saved only when
+    the block completes."""
     if args.no_cache or not args.cache:
-        return None
+        yield None
+        return
     with _user_file("--cache", args.cache):
-        return ResultCache(Path(args.cache))
-
-
-def _save_cache(cache: Optional[ResultCache], args) -> None:
-    if cache is not None:
-        with _user_file("--cache", args.cache):
-            cache.save()
+        cache = ResultCache(Path(args.cache))
+    yield cache
+    with _user_file("--cache", args.cache):
+        cache.save()
 
 
 def _emit(report: Report, args, default_format: str) -> None:
@@ -246,7 +243,21 @@ def _emit(report: Report, args, default_format: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_numbers(args) -> int:
+def _adaptive(compute, *args) -> tuple:
+    """An adaptive integral's result, and its row fields: the value, the
+    achieved precision, the levels and, short of the target, a warning."""
+    from .qintegral import ConvergenceNotReached
+
+    try:
+        res, warning = compute(*args), {}
+    except ConvergenceNotReached as exc:
+        res, warning = exc.result, {"warning": "convergence not reached"}
+    return res, {"value": str(res.value),
+                 "achieved_precision": res.achieved_precision,
+                 "levels": res.levels_used, **warning}
+
+
+def cmd_numbers(args) -> Report:
     lo, hi = parse_range(args.n)
     if lo < 0:
         raise ConfigError("indices must be >= 0")
@@ -255,66 +266,49 @@ def cmd_numbers(args) -> int:
     start = time.monotonic()
     items = []
     config = {"command": "numbers", "kind": args.kind, "n": [lo, hi]}
-    cache = _open_cache(args)
-    if args.kind == "euler":
-        from .errors import PoleError
-        from .zpoly import euler_number_at, euler_number_str, euler_numerator
+    with _cache(args) as cache:
+        if args.kind == "euler":
+            from .errors import PoleError
+            from .zpoly import euler_number_at, euler_number_str, euler_numerator
 
-        at_q = None
-        if args.at_q is not None:
-            try:
-                at_q = Fraction(args.at_q)
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(f"bad --at-q value {args.at_q!r}")
-            config["at_q"] = str(at_q)
-        for n in range(lo, hi + 1):
-            if cache is not None:
-                cache.put_euler(n, euler_numerator(n))
-            row = {"n": n, "value": euler_number_str(n)}
-            if at_q is not None:
+            at_q = None
+            if args.at_q is not None:
                 try:
-                    row["value_at_q"] = str(euler_number_at(n, at_q))
-                except PoleError:
-                    raise ConfigError(f"pole at q = {at_q} for n = {n}")
-            items.append(row)
-    else:
-        from .qintegral import (
-            KIND_BOSONIC,
-            ConvergenceNotReached,
-            MonomialIntegrals,
-        )
+                    at_q = Fraction(args.at_q)
+                except (ValueError, ZeroDivisionError):
+                    raise ConfigError(f"bad --at-q value {args.at_q!r}")
+                config["at_q"] = str(at_q)
+            for n in range(lo, hi + 1):
+                if cache is not None:
+                    cache.put_euler(n, euler_numerator(n))
+                row = {"n": n, "value": euler_number_str(n)}
+                if at_q is not None:
+                    try:
+                        row["value_at_q"] = str(euler_number_at(n, at_q))
+                    except PoleError:
+                        raise ConfigError(f"pole at q = {at_q} for n = {n}")
+                items.append(row)
+        else:
+            from .qintegral import KIND_BOSONIC, MonomialIntegrals
 
-        pad, block = _padic_config(args, require_explicit=True)
-        config.update(block)
-        integrals = MonomialIntegrals(*pad, cache=cache)
-        for n in range(lo, hi + 1):
-            warning = None
-            try:
-                res = integrals(KIND_BOSONIC, n)
-            except ConvergenceNotReached as exc:
-                res = exc.result
-                warning = "convergence not reached"
-            value = res.value
-            row = {
-                "n": n,
-                "valuation": "" if value.is_zero else value.valuation,
-                "unit": "" if value.is_zero else value.unit,
-                "precision": value.precision,
-                "value": str(value),
-                "achieved_precision": res.achieved_precision,
-                "levels": res.levels_used,
-            }
-            if warning:
-                row["warning"] = warning
-            items.append(row)
-    _save_cache(cache, args)
-    report = Report(config, items,
-                    timing={"total_seconds": time.monotonic() - start})
-    _emit(report, args, "pretty")
-    return 0
+            pad, block = _padic_config(args, require_explicit=True)
+            config.update(block)
+            integrals = MonomialIntegrals(*pad, cache=cache)
+            for n in range(lo, hi + 1):
+                res, fields = _adaptive(integrals, KIND_BOSONIC, n)
+                value = res.value
+                items.append({
+                    "n": n,
+                    "valuation": "" if value.is_zero else value.valuation,
+                    "unit": "" if value.is_zero else value.unit,
+                    "precision": value.precision,
+                    **fields,
+                })
+    return Report(config, items,
+                  timing={"total_seconds": time.monotonic() - start})
 
 
-def cmd_poly(args) -> int:
+def cmd_poly(args) -> Report:
     from .qspecial import euler_poly
 
     lo, hi = parse_range(args.n)
@@ -322,10 +316,8 @@ def cmd_poly(args) -> int:
         raise ConfigError("indices must be >= 0")
     start = time.monotonic()
     items = [{"n": n, "value": str(euler_poly(n))} for n in range(lo, hi + 1)]
-    report = Report({"command": "poly", "n": [lo, hi]}, items,
-                    timing={"total_seconds": time.monotonic() - start})
-    _emit(report, args, "pretty")
-    return 0
+    return Report({"command": "poly", "n": [lo, hi]}, items,
+                  timing={"total_seconds": time.monotonic() - start})
 
 
 def _verify_ranges(args, label: str, params) -> dict:
@@ -339,7 +331,7 @@ def _verify_ranges(args, label: str, params) -> dict:
     return {name: parse_range(getattr(args, name)) for name in supplied}
 
 
-def cmd_verify(args, battery: bool = False) -> int:
+def cmd_verify(args, battery: bool = False) -> Report:
     from .identities import REGISTRY, IdentityId, NumericContext, verify_grid
 
     if battery or args.identity == "all":
@@ -357,26 +349,24 @@ def cmd_verify(args, battery: bool = False) -> int:
         params = REGISTRY[targets[0]].params
     explicit_ranges = _verify_ranges(args, config_identity, params)
     pad, block = _padic_config(args)
-    cache = _open_cache(args)
-    ctx = NumericContext(*pad, cache=cache)
-    start = time.monotonic()
-
     items = []
     per_item, routes, x_certificates = {}, {}, {}
-    for ident in targets:
-        try:
-            results = verify_grid(ident, explicit_ranges, ctx)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        for r in results:
-            items.append(r.as_report_item())
-            cell = f"{r.id.value}:{r.params}"
-            per_item[cell] = r.elapsed
-            if r.route is not None:
-                routes[r.route] = routes.get(r.route, 0) + 1
-            if r.x_certificate is not None:
-                x_certificates[cell] = r.x_certificate
-    _save_cache(cache, args)
+    with _cache(args) as cache:
+        ctx = NumericContext(*pad, cache=cache)
+        start = time.monotonic()
+        for ident in targets:
+            try:
+                results = verify_grid(ident, explicit_ranges, ctx)
+            except ValueError as exc:
+                raise ConfigError(str(exc))
+            for r in results:
+                items.append(r.as_report_item())
+                cell = f"{r.id.value}:{r.params}"
+                per_item[cell] = r.elapsed
+                if r.route is not None:
+                    routes[r.route] = routes.get(r.route, 0) + 1
+                if r.x_certificate is not None:
+                    x_certificates[cell] = r.x_certificate
 
     config = {
         "command": "report" if battery else "verify",
@@ -385,18 +375,16 @@ def cmd_verify(args, battery: bool = False) -> int:
     }
     if explicit_ranges:
         config["ranges"] = {k: list(v) for k, v in sorted(explicit_ranges.items())}
-    report = Report(config, items, timing={
+    return Report(config, items, timing={
         "total_seconds": time.monotonic() - start,
         "per_item_seconds": per_item,
         "routes": routes,
         "x_certificates": x_certificates,
     })
-    _emit(report, args, "json" if battery else "pretty")
-    return report.exit_code()
 
 
-def cmd_integrate(args) -> int:
-    from .qintegral import ConvergenceNotReached, IntegralRequest, integrate
+def cmd_integrate(args) -> Report:
+    from .qintegral import IntegralRequest, integrate
 
     (p, q, target, guard, n_max), block = _padic_config(args)
     try:
@@ -411,23 +399,9 @@ def cmd_integrate(args) -> int:
                               guard=guard, max_level=n_max)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    warning = None
-    try:
-        res = integrate(req)
-    except ConvergenceNotReached as exc:
-        res = exc.result
-        warning = "convergence not reached"
-    items = [{
-        "row": "result",
-        "kind": args.kind,
-        "n": args.n,
-        "x0": str(x0),
-        "value": str(res.value),
-        "achieved_precision": res.achieved_precision,
-        "levels": res.levels_used,
-    }]
-    if warning:
-        items[0]["warning"] = warning
+    res, fields = _adaptive(integrate, req)
+    items = [{"row": "result", "kind": args.kind, "n": args.n,
+              "x0": str(x0), **fields}]
     for level, value, dist in res.trace:
         items.append({
             "row": "level",
@@ -437,38 +411,40 @@ def cmd_integrate(args) -> int:
         })
     config = {"command": "integrate", "kind": args.kind, "n": args.n,
               "x0": str(x0), **block}
-    report = Report(config, items,
-                    timing={"total_seconds": time.monotonic() - start})
-    _emit(report, args, "pretty")
-    return 0
+    return Report(config, items,
+                  timing={"total_seconds": time.monotonic() - start})
+
+
+# every command, in usage order: its help, what adds its arguments, what
+# runs it into a Report, and the format it prints by default
+COMMANDS = {
+    "numbers": ("number tables", _numbers_arguments, cmd_numbers, "pretty"),
+    "poly": ("polynomial tables", _poly_arguments, cmd_poly, "pretty"),
+    "verify": ("verify one identity or all of them", _verify_arguments,
+               cmd_verify, "pretty"),
+    "integrate": ("evaluate one p-adic q-integral", _integrate_arguments,
+                  cmd_integrate, "pretty"),
+    "report": ("run the full default verification battery", _report_arguments,
+               partial(cmd_verify, battery=True), "json"),
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _, _, run, default_format = COMMANDS[args.command]
     try:
         _check_user_files(args)
-        if args.command == "numbers":
-            return cmd_numbers(args)
-        if args.command == "poly":
-            return cmd_poly(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "integrate":
-            return cmd_integrate(args)
-        if args.command == "report":
-            args.identity = "all"
-            return cmd_verify(args, battery=True)
-        parser.error(f"unknown command {args.command!r}")
+        report = run(args)
+        _emit(report, args, default_format)
     except (ConfigError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return report.exit_code()
 
 
 def entry() -> None:

@@ -648,7 +648,9 @@ def verify(identity: IdentityId, params: Dict[str, int],
 
 def grid_params(identity: IdentityId,
                 ranges: Optional[Dict[str, Tuple[int, int]]] = None):
-    """Sorted parameter assignments for a rectangular grid."""
+    """The parameter assignments of a rectangular grid, in
+    ``VerificationResult.sort_key`` order; ``verify`` rejects a value below
+    the identity's minimum at the grid's first cell."""
     info = REGISTRY[identity]
     bounds = dict(info.default_range)
     if ranges:
@@ -661,9 +663,6 @@ def grid_params(identity: IdentityId,
         lo, hi = bounds[name]
         if lo > hi:
             raise ValueError(f"empty range for {name}: {lo}..{hi}")
-        if lo < info.minimum:
-            raise ValueError(
-                f"{identity.value} requires {name} >= {info.minimum}")
         spans.append(range(lo, hi + 1))
     return [dict(zip(names, values)) for values in product(*spans)]
 
@@ -686,5 +685,4 @@ def verify_grid(identity: IdentityId,
             results.append(VerificationResult(
                 identity, dict(params), _mode(identity, ctx), ERROR, None,
                 f"{type(exc).__name__}: {exc}", 0.0))
-    results.sort(key=VerificationResult.sort_key)
     return results

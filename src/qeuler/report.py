@@ -76,17 +76,13 @@ class Report:
 
     @property
     def summary(self) -> dict:
-        counts = {HOLDS: 0, FAILS: 0, HOLDS_TO_PRECISION: 0, ERROR: 0}
-        for item in self.items:
-            verdict = item.get("verdict")
-            if verdict in counts:
-                counts[verdict] += 1
+        verdicts = [item.get("verdict") for item in self.items]
         return {
-            "holds": counts[HOLDS],
-            "fails": counts[FAILS],
-            "holds_to_precision": counts[HOLDS_TO_PRECISION],
-            "errors": counts[ERROR],
-            "total": len(self.items),
+            "holds": verdicts.count(HOLDS),
+            "fails": verdicts.count(FAILS),
+            "holds_to_precision": verdicts.count(HOLDS_TO_PRECISION),
+            "errors": verdicts.count(ERROR),
+            "total": len(verdicts),
         }
 
     def body(self) -> dict:

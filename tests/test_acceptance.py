@@ -87,6 +87,18 @@ COMMAND_SHA256 = {
         "94c4d63ac18baa7f0845b9ac48ef9fa190dbbcbec66436fc66c88fb612670f5a",
     "verify EQ8 --n 0..30":
         "18c0ca7be152661361fc6216871095a55288e336b3fb5826c05f48913387c16a",
+    "numbers euler --n 0..20 --at-q 3/7":
+        "b35bfd5e941a3968588b2f91174bd5d492b4a5bdc730255125dab96d723aa079",
+    "numbers bernoulli --n 0..6 --p 3 --K 5":
+        "d8bad7e377dde0db5834f4748d8812657f366062fe25ba4afc7e5748db1b1b87",
+    # every row carries the "convergence not reached" warning
+    "numbers bernoulli --n 0..4 --p 5 --K 6 --n-max 2":
+        "c93c7bd6cb796723084c92cb89d5e60d56c2cdec34d6c0083299a33220bc5448",
+    "integrate fermionic --n 4 --x0 1/2 --p 5 --K 6":
+        "4f5e3af8dcb111e9db071ade575b1f2a9e4dd20416d3829e760d21a338dad63f",
+    # a warning on the result row, then the trace rows
+    "integrate bosonic --n 3 --p 5 --K 6 --n-max 2":
+        "1e11f7997b03a26b7a80bdbee23ddba3c5ddda8a1fb3923801c8db22a1c5a6c8",
 }
 
 

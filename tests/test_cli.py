@@ -105,6 +105,53 @@ class TestParserParity:
         assert code == 2 and "unrecognized arguments: euler" in err
 
 
+class TestCommandTable:
+    """``COMMANDS`` is the one list of commands: ``main`` runs an entry,
+    writes its report and returns the report's exit code."""
+
+    CHEAP = {
+        "numbers": ["numbers", "euler", "--n", "0"],
+        "poly": ["poly", "--n", "0"],
+        "verify": ["verify", "EQ103", "--k", "1"],
+        "integrate": ["integrate", "fermionic", "--n", "0"],
+        "report": ["report"],
+    }
+
+    def test_every_subparser_has_a_handler(self):
+        sub = next(a for a in build_parser()._actions
+                   if a.dest == "command")
+        assert list(sub.choices) == list(COMMANDS) == list(self.CHEAP)
+        for help_text, add_arguments, run_command, fmt in COMMANDS.values():
+            assert callable(add_arguments) and callable(run_command)
+            assert fmt in ("json", "pretty")
+
+    @pytest.mark.parametrize("name", list(CHEAP))
+    def test_default_format(self, capsys, name):
+        code, out, err = run(capsys, *self.CHEAP[name])
+        assert (code, err) == (0, "")
+        if name == "report":
+            assert json.loads(out)["config"]["command"] == "report"
+        else:
+            assert out.split()[0] in ("n", "id", "row")
+            assert "\nholds=" in out
+
+    def test_failed_out_write_is_a_config_error(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # the write fails after the command has run: still exit 2, one
+        # error line and no traceback
+        def refuse(self, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        out = tmp_path / "t.txt"
+        code, stdout, err = run(capsys, "poly", "--n", "0..2", "--out",
+                                str(out))
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: cannot use --out {out}: "
+                       "No space left on device\n")
+        assert not out.exists()
+
+
 class TestNumbersCommand:
     def test_euler_rows(self, capsys):
         code, out, _ = run(capsys, "numbers", "euler", "--n", "0..3")
