@@ -44,9 +44,13 @@ value, has Fraction coefficients c/D.
 
 ``PolyQ`` and ``XPolyQ`` are one dense-polynomial class, ``_DensePoly``,
 over two coefficient rings (Q and R); each supplies its ring and its
-rendering, and ``PolyQ`` its evaluation at a rational point.  The
-renderer itself, the integer division by (1+q) and the integer table of
-q-Euler numerators live in :mod:`qeuler.zpoly`, below every exact layer.
+rendering.  A value of R is printed and evaluated at a rational point
+from its triple (num, a, b) by the one printer and the one evaluator of
+N/(q^a (1+q)^b), :func:`qeuler.zpoly.fmt_ratio` and
+:func:`qeuler.zpoly.ratio_at`, which the integer table of q-Euler
+numerators uses as well.  The polynomial renderer, the integer division
+by (1+q) and that table live in :mod:`qeuler.zpoly`, below every exact
+layer.
 
 No floating point appears anywhere in this module; every operation either
 returns an exact value or raises.
@@ -55,7 +59,6 @@ returns an exact value or raises.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm
 from operator import add
 from typing import Iterable, Union
@@ -177,14 +180,6 @@ class PolyQ(_DensePoly):
     def constant(cls, c: CoercibleScalar) -> "PolyQ":
         return cls((c,))
 
-    def evaluate(self, at: CoercibleScalar) -> Fraction:
-        """Horner evaluation at a rational point."""
-        at = self._element(at)
-        acc = _F0
-        for c in reversed(self.coeffs):
-            acc = acc * at + c
-        return acc
-
     def to_str(self, var: str = "q") -> str:
         return fmt_poly(self.coeffs, var)
 
@@ -193,7 +188,6 @@ _P_ZERO = PolyQ()
 _P_ONE = PolyQ((1,))
 
 
-@lru_cache(maxsize=8192)
 def _unit_shape(coeffs) -> tuple:
     """(a, b, c) with the polynomial equal to c * q^a * (1+q)^b.
 
@@ -208,12 +202,6 @@ def _unit_shape(coeffs) -> tuple:
         raise NonUnitError(f"{fmt_poly(coeffs, 'q')} is not a unit "
                            "c * q^a * (1+q)^b of Q[q, 1/q, 1/(1+q)]")
     return a, b, c
-
-
-@lru_cache(maxsize=4096)
-def _unit_poly(a: int, b: int) -> PolyQ:
-    """The expanded polynomial q^a * (1+q)^b."""
-    return PolyQ._raw([Fraction(0)] * a + [Fraction(c) for c in bracket_power(b)])
 
 
 def _rf_coerce(x):
@@ -353,7 +341,7 @@ class RatFuncQ(_Ring):
     @property
     def den(self) -> PolyQ:
         """The expanded denominator q^a (1+q)^b."""
-        return _unit_poly(self.a, self.b)
+        return PolyQ((0,) * self.a + bracket_power(self.b))
 
     @property
     def is_zero(self) -> bool:
@@ -376,31 +364,13 @@ class RatFuncQ(_Ring):
         return RatFuncQ._raw(-self.num, self.a, self.b)
 
     def evaluate(self, q0: CoercibleScalar) -> Fraction:
-        """Exact evaluation at a rational point q0 = u/w, by Horner's rule
-        over the integers (``zpoly.horner_int``):
-
-            num(u/w) / ((u/w)^a (1 + u/w)^b)
-                = sum_i D c_i u^i w^(d-i) * w^(a+b) / (D w^d u^a (u + w)^b)
-
-        with num = sum_i c_i q^i of degree d and D the lcm of the
-        denominators of its coefficients; one Fraction is built at the end.
-        Raises PoleError at q0 = 0 when a > 0 and at q0 = -1 when b > 0."""
-        q0 = self.num._element(q0)
-        u, w = q0.numerator, q0.denominator
-        den = u ** self.a * (u + w) ** self.b
-        if den == 0:
-            raise PoleError(f"denominator vanishes at q = {q0}")
-        coeffs = self.num.coeffs
-        lcd = lcm(*(c.denominator for c in coeffs))
-        acc = zpoly.horner_int(
-            [c.numerator * (lcd // c.denominator) for c in coeffs], u, w)
-        return Fraction(acc * w ** (self.a + self.b),
-                        lcd * den * w ** max(len(coeffs) - 1, 0))
+        """Exact value at a rational point, by ``zpoly.ratio_at``.  Raises
+        PoleError at q0 = 0 when a > 0 and at q0 = -1 when b > 0."""
+        return zpoly.ratio_at(self.num.coeffs, self.a, self.b,
+                              self.num._element(q0))
 
     def to_str(self) -> str:
-        if not (self.a or self.b):
-            return self.num.to_str()
-        return f"({self.num.to_str()})/({self.den.to_str()})"
+        return zpoly.fmt_ratio(self.num.coeffs, self.a, self.b)
 
 
 RF_ZERO = RatFuncQ._raw(_P_ZERO, 0, 0)

@@ -650,13 +650,14 @@ def grid_params(identity: IdentityId,
                 ranges: Optional[Dict[str, Tuple[int, int]]] = None):
     """The parameter assignments of a rectangular grid, in
     ``VerificationResult.sort_key`` order; ``verify`` rejects a value below
-    the identity's minimum at the grid's first cell."""
+    the identity's minimum at the grid's first cell, and this function a
+    range for a parameter the identity does not take."""
     info = REGISTRY[identity]
     bounds = dict(info.default_range)
-    if ranges:
-        for name, pair in ranges.items():
-            if name in bounds:
-                bounds[name] = pair
+    for name, pair in (ranges or {}).items():
+        if name not in bounds:
+            raise ValueError(f"{identity.value} takes no parameter {name!r}")
+        bounds[name] = pair
     names = sorted(info.params)
     spans = []
     for name in names:

@@ -99,6 +99,8 @@ class IntegralRequest(Record):
             raise ValueError("target precision must be >= 1")
         if guard < 2:
             raise ValueError("guard must be >= 2")
+        if max_level < 1:
+            raise ValueError("max_level must be >= 1")
         self._set(kind, exponent, shift, p, q, target, guard,
                   level_surcharge, max_level)
 

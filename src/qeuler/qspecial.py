@@ -12,13 +12,14 @@ The polynomial table is the binomial convolution
 whose coefficients C(n, l) * N_{n-l} / (1 + q)^(n-l) are built the same
 way, with int numerator coefficients as well.
 
-Both tables are memoized; fills are pure and idempotent, so concurrent
-readers under the GIL are safe.
+Both are ``functools.cache`` functions over the one integer table,
+:func:`qeuler.zpoly.euler_numerator`: an entry is built from its own
+numerator rows on first use, and no table is kept here.
 """
 
 from __future__ import annotations
 
-import threading
+from functools import cache
 from math import comb
 
 from .exactarith import PolyQ, RatFuncQ, XPolyQ
@@ -42,11 +43,7 @@ def binom(n: int, r: int) -> int:
 
 TWO_Q_RECIP = RatFuncQ(PolyQ((1, 1)), PolyQ((0, 1)))   # (1 + q)/q
 
-_lock = threading.Lock()
-_numbers: list[RatFuncQ] = []
-_polys: list[XPolyQ] = []
-
-
+@cache
 def euler_number(n: int) -> RatFuncQ:
     """The nth weight-0 q-Euler number as a reduced rational function.
 
@@ -56,28 +53,16 @@ def euler_number(n: int) -> RatFuncQ:
     """
     if n < 0:
         raise DomainError("index must be >= 0")
-    if n < len(_numbers):
-        return _numbers[n]
-    with _lock:
-        while len(_numbers) <= n:
-            m = len(_numbers)
-            _numbers.append(RatFuncQ.over_bracket(euler_numerator(m), m))
-    return _numbers[n]
+    return RatFuncQ.over_bracket(euler_numerator(n), n)
 
 
+@cache
 def euler_poly(n: int) -> XPolyQ:
     """The nth weight-0 q-Euler polynomial: binomial convolution of the
     number table against powers of x.  Monic of degree n in x; its constant
     term is euler_number(n)."""
     if n < 0:
         raise DomainError("index must be >= 0")
-    if n < len(_polys):
-        return _polys[n]
-    with _lock:
-        while len(_polys) <= n:
-            m = len(_polys)
-            _polys.append(XPolyQ(
-                RatFuncQ.over_bracket(
-                    [comb(m, l) * c for c in euler_numerator(m - l)], m - l)
-                for l in range(m + 1)))
-    return _polys[n]
+    return XPolyQ(RatFuncQ.over_bracket(
+        [comb(n, l) * c for c in euler_numerator(n - l)], n - l)
+        for l in range(n + 1))

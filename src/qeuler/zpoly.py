@@ -1,7 +1,7 @@
 """Integer polynomials at the bottom of the exact stack: the numerators of
 the weight-0 q-Euler numbers over Z[q], the exact division by (1 + q)
-that reduces every value of the exact layers, and the one polynomial
-renderer.
+that reduces every value of the exact layers, and the one printer and
+the one evaluator of a value N/(q^a (1+q)^b) with N a polynomial over Q.
 
 The number table E[n] is driven by the umbral recurrence
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, lcm
 from typing import Tuple
 
 from .errors import PoleError
@@ -104,35 +104,45 @@ def fmt_poly(coeffs, var: str = "q") -> str:
     return "".join(parts)
 
 
+def fmt_ratio(coeffs, a: int, b: int) -> str:
+    """N/(q^a (1+q)^b) rendered with the denominator expanded, e.g.
+    ``(-q)/(1 + q)``; N alone when a = b = 0."""
+    if not (a or b):
+        return fmt_poly(coeffs)
+    den = (0,) * a + bracket_power(b)
+    return f"({fmt_poly(coeffs)})/({fmt_poly(den)})"
+
+
 def euler_number_str(n: int) -> str:
     """E[n] rendered as its canonical rational function N_n/(1+q)^n."""
-    if n == 0:
-        return "1"
-    return f"({fmt_poly(euler_numerator(n))})/({fmt_poly(bracket_power(n))})"
+    return fmt_ratio(euler_numerator(n), 0, n)
 
 
-def horner_int(coeffs, a: int, b: int) -> int:
-    """sum_i c_i a^i b^(d-i) for the integers c_0, ..., c_d: the value of
-    sum_i c_i q^i at q = a/b times b^d, by Horner's rule over the
-    integers."""
-    acc, b_power = 0, 1         # b_power = b^(d-i) at coefficient c_i
+def ratio_at(coeffs, a: int, b: int, q0) -> Fraction:
+    """N/(q^a (1+q)^b) at the rational q0 = u/w, for N = sum_i c_i q^i
+    of degree d with int or Fraction coefficients, by Horner's rule over
+    the integers:
+
+        N(u/w) / ((u/w)^a (1 + u/w)^b)
+            = sum_i D c_i u^i w^(d-i) * w^(a+b) / (D w^d u^a (u + w)^b)
+
+    with D the lcm of the denominators of the c_i; one Fraction is built
+    at the end.  Raises PoleError at q0 = 0 when a > 0 and at q0 = -1
+    when b > 0."""
+    u, w = q0.numerator, q0.denominator
+    den = u ** a * (u + w) ** b
+    if den == 0:
+        raise PoleError(f"denominator vanishes at q = {q0}")
+    lcd = lcm(*(c.denominator for c in coeffs))
+    acc, w_power = 0, 1         # w_power = w^(d-i) at coefficient c_i
     for c in reversed(coeffs):
-        acc = acc * a + c * b_power
-        b_power *= b
-    return acc
+        acc = acc * u + c.numerator * (lcd // c.denominator) * w_power
+        w_power *= w
+    return Fraction(acc * w ** (a + b),
+                    lcd * den * w ** max(len(coeffs) - 1, 0))
 
 
 def euler_number_at(n: int, q0: Fraction) -> Fraction:
-    """E[n] at the rational q0 = a/b, by Horner over the integers:
-
-        E[n](a/b) = sum_i c_i a^i b^(d-i) * b^n / (b^d * (a + b)^n)
-
-    with N_n = sum_i c_i q^i of degree d.  Raises PoleError at q0 = -1
-    for n >= 1."""
-    a, b = q0.numerator, q0.denominator
-    den = (a + b) ** n
-    if den == 0:
-        raise PoleError(f"denominator vanishes at q = {q0}")
-    coeffs = euler_numerator(n)
-    return Fraction(horner_int(coeffs, a, b) * b ** n,
-                    b ** (len(coeffs) - 1) * den)
+    """E[n] = N_n/(1+q)^n at the rational q0; raises PoleError at
+    q0 = -1 for n >= 1."""
+    return ratio_at(euler_numerator(n), 0, n, q0)

@@ -165,6 +165,15 @@ def divide_linear(p: PolyQ, r):
     return PolyQ(quot), rem
 
 
+def fraction_horner(coeffs, q0) -> Fraction:
+    """sum_i c_i q0^i by Horner's rule on Fractions: the reference for the
+    integer evaluation of zpoly.ratio_at."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * q0 + c
+    return acc
+
+
 def canonical_by_division(num: PolyQ, a: int, b: int) -> tuple:
     """(num, a, b) of num / (q^a (1+q)^b) with every shared factor q and
     (1+q) removed over Q, (1+q) by repeated synthetic division at -1: the

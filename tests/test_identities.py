@@ -28,6 +28,7 @@ from qeuler.identities import (
     eq6_statement,
     eq6_terms,
     fermionic_moment,
+    grid_params,
     images,
     monomials,
     ring_terms,
@@ -469,6 +470,14 @@ class TestVerifyDriver:
         with pytest.raises(ValueError):
             verify_grid(IdentityId.EQ6, {"k": (3, 1)})
 
+    def test_grid_rejects_a_parameter_the_identity_does_not_take(self):
+        # refused, not dropped in favour of the 81-cell default grid
+        with pytest.raises(ValueError, match="'n'"):
+            grid_params(IdentityId.EQ6, {"n": (1, 2)})
+        with pytest.raises(ValueError, match="'m'"):
+            grid_params(IdentityId.EQ7, {"n": (1, 2), "m": (0, 1)})
+        assert len(grid_params(IdentityId.EQ6)) == 81
+
 
 class TestXPowerShift:
     def test_expansion(self):
@@ -689,19 +698,20 @@ class TestPrimeChecks:
 @pytest.fixture
 def corrupt_table(request, monkeypatch):
     """The number table with one coefficient of N_i changed, i = 2 unless a
-    test passes another index (indirect parametrization), and the tables
-    and memos refilled from it; all restored afterwards."""
+    test passes another index (indirect parametrization), and the caches
+    built from the rows cleared so that they refill from it; all restored
+    afterwards."""
     i = getattr(request, "param", 2)
     numerators = [zpoly.euler_numerator(n) for n in range(30)]
     numerators[i] = (numerators[i][0] + 1, *numerators[i][1:])
     monkeypatch.setattr(zpoly, "_numerators", numerators)
-    monkeypatch.setattr(qspecial, "_numbers", [RF_ONE])
-    monkeypatch.setattr(qspecial, "_polys", [XPolyQ((1,))])
-    fermionic_moment.cache_clear()
-    _functional_equation_row.cache_clear()
+    memos = (qspecial.euler_number, qspecial.euler_poly, fermionic_moment,
+             _functional_equation_row)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    fermionic_moment.cache_clear()
-    _functional_equation_row.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 class TestLicense:

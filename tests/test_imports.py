@@ -1,6 +1,7 @@
 """Import layering: each CLI command loads only the layers it uses, and the
 package namespace resolves its names on first use."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -102,6 +103,43 @@ def test_euler_table_loads_no_catalog(tmp_path):
                              str(tmp_path / "cache.json"))
     assert "qeuler.zpoly" in modules
     assert not modules & NUMERIC_FREE
+
+
+def test_poly_loads_only_the_exact_tables():
+    modules = loaded_modules("poly", "--n", "0..4", "--format", "json")
+    assert {"qeuler.qspecial", "qeuler.zpoly"} <= modules
+    assert not modules & {"qeuler.identities", "qeuler.padic",
+                          "qeuler.qintegral"}
+
+
+# the README's Layout table, lowest layer first
+LAYERS = ("errors", "zpoly", "exactarith", "qspecial", "padic", "qintegral",
+          "report", "identities", "cli")
+
+
+def _relative_imports(module: str) -> set:
+    """The package modules that ``qeuler.<module>`` imports by a relative
+    import, at any depth of its source."""
+    tree = ast.parse((SRC / "qeuler" / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:                       # from . import zpoly
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_layout_table_is_the_module_list():
+    modules = {path.stem for path in (SRC / "qeuler").glob("*.py")}
+    assert modules - {"__init__"} == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_each_layer_imports_only_the_layers_below(module):
+    below = set(LAYERS[:LAYERS.index(module)])
+    assert _relative_imports(module) <= below
 
 
 def test_package_import_loads_no_layer():

@@ -18,6 +18,7 @@ from qeuler.qintegral import (
     STOP_PRECISION,
     ConvergenceNotReached,
     IntegralRequest,
+    MonomialIntegrals,
     _level_sum,
     integrate,
     riemann_level,
@@ -163,6 +164,13 @@ class TestValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             IntegralRequest("spectral", 1, Fraction(0), 3, Fraction(4), 4)
+
+    def test_rejects_max_level_below_one(self):
+        # a bad argument, not a working precision exhausted at level 1
+        with pytest.raises(ValueError, match="max_level"):
+            integrate(IntegralRequest(KIND_BOSONIC, 1, max_level=0))
+        with pytest.raises(ValueError, match="max_level"):
+            MonomialIntegrals(3, 4, 4, max_level=0)(KIND_BOSONIC, 2)
 
     def test_allows_q_equal_one(self):
         req = IntegralRequest(KIND_BOSONIC, 0, Fraction(0), 3, Fraction(1), 4)

@@ -19,16 +19,25 @@ from qeuler.zpoly import (
     euler_number_str,
     euler_numerator,
     fmt_poly,
+    fmt_ratio,
     strip_bracket,
 )
 
 from oracles import (
     accumulated_euler_numbers,
+    fraction_horner,
     horner_euler_numerators,
     ratfunc_to_obj,
 )
 
 N_MAX = 60
+
+
+def fraction_euler_number(n, q0):
+    """N_n(q0)/(1 + q0)^n by Horner's rule on Fractions: the reference
+    for the integer evaluation (the rows are checked above)."""
+    q0 = Fraction(q0)
+    return fraction_horner(euler_numerator(n), q0) / (1 + q0) ** n
 
 
 def test_numerators_match_accumulated_fill():
@@ -60,7 +69,8 @@ def test_integer_rows_match_ratfunc_route(q0):
     for n in range(N_MAX + 1):
         value = euler_number(n)
         assert euler_number_str(n) == str(value)
-        assert euler_number_at(n, Fraction(q0)) == value.evaluate(q0)
+        assert (euler_number_at(n, Fraction(q0)) == value.evaluate(q0)
+                == fraction_euler_number(n, q0))
         cache.put_euler(n, euler_numerator(n))
         assert cache.entries[f"euler:n={n}"] == ratfunc_to_obj(value)
 
@@ -79,7 +89,8 @@ def test_minus_one_is_a_pole():
        st.fractions(min_value=Fraction(-9), max_value=Fraction(9),
                     max_denominator=12).filter(lambda x: x != -1))
 def test_horner_over_the_integers(n, q0):
-    assert euler_number_at(n, q0) == euler_number(n).evaluate(q0)
+    assert (euler_number_at(n, q0) == euler_number(n).evaluate(q0)
+            == fraction_euler_number(n, q0))
 
 
 def times_bracket(coeffs, j):
@@ -118,3 +129,7 @@ def test_renderer_takes_ints_and_fractions():
     assert fmt_poly((0, -1, 1)) == "-q + q^2"
     assert fmt_poly((Fraction(1, 2), 0, Fraction(-3, 2)), "x") == "1/2 - (3/2)x^2"
     assert fmt_poly(()) == "0"
+    # the one printer of N/(q^a (1+q)^b), by hand
+    assert euler_number_str(0) == "1"
+    assert euler_number_str(2) == "(-q + q^2)/(1 + 2q + q^2)"
+    assert fmt_ratio((Fraction(1, 2),), 2, 1) == "(1/2)/(q^2 + q^3)"
