@@ -57,10 +57,11 @@ def parse_range(text: str) -> tuple:
     return lo, hi
 
 
-def parse_q(text: str, p: int) -> Fraction:
-    """q given as '1+p', an integer, or a rational 'a/b'."""
+def parse_q(text: str) -> Optional[Fraction]:
+    """q given as an integer or a rational 'a/b', or None for '1+p', the
+    default of ``qintegral.check_config``."""
     if text.strip() == "1+p":
-        return Fraction(1 + p)
+        return None
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -148,35 +149,26 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
+# the p-adic options by destination, in the order of check_config, as the
+# user spells them; the destinations key a report's p-adic config block
+_PADIC_OPTIONS = {"p": "--p", "q": "--q", "K": "--K", "guard": "--guard",
+                 "n_max": "--n-max"}
+
+
 def _padic_config(args, require_explicit: bool = False) -> tuple:
     """The validated (p, q, K, guard, n_max), in the order MonomialIntegrals
     takes them, and their block of the report config."""
-    from .qintegral import DEFAULT_GUARD, DEFAULT_MAX_LEVEL, check_p_q
+    from .qintegral import check_config
 
     if require_explicit and (args.p is None or args.K is None):
         raise ConfigError("this command needs explicit --p and --K")
-    p = 3 if args.p is None else args.p
-    target = 4 if args.K is None else args.K
-    guard = DEFAULT_GUARD if args.guard is None else args.guard
-    n_max = DEFAULT_MAX_LEVEL if args.n_max is None else args.n_max
-    q = parse_q(args.q if args.q is not None else "1+p", p)
+    q = None if args.q is None else parse_q(args.q)
     try:
-        check_p_q(p, q)
+        config = check_config(args.p, q, args.K, args.guard, args.n_max,
+                              names=("p", "q", "--K", "--guard", "--n-max"))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if target < 1:
-        raise ConfigError("--K must be >= 1")
-    if guard < 2:
-        raise ConfigError("--guard must be >= 2")
-    if n_max < 1:
-        raise ConfigError("--n-max must be >= 1")
-    return ((p, q, target, guard, n_max),
-            {"p": p, "q": str(q), "K": target, "guard": guard, "n_max": n_max})
-
-
-# the p-adic options by destination, as the user spells them
-_PADIC_OPTIONS = {"p": "--p", "q": "--q", "K": "--K", "guard": "--guard",
-                 "n_max": "--n-max"}
+    return config, dict(zip(_PADIC_OPTIONS, config), q=str(config[1]))
 
 
 def _reject_options(args, label: str, options: dict) -> None:
@@ -194,6 +186,15 @@ def _user_file(option: str, path: str):
         yield
     except OSError as exc:
         raise ConfigError(f"cannot use {option} {path}: {exc.strerror or exc}")
+
+
+def _check_values(args) -> None:
+    """No option takes a list, but argparse stores '--opt=--' as an empty
+    one without calling the option's type: a usage error."""
+    for dest, value in vars(args).items():
+        if type(value) is list:
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"argument {flag}: expected one argument")
 
 
 def _check_user_files(args) -> None:
@@ -386,7 +387,7 @@ def cmd_verify(args, battery: bool = False) -> Report:
 def cmd_integrate(args) -> Report:
     from .qintegral import IntegralRequest, integrate
 
-    (p, q, target, guard, n_max), block = _padic_config(args)
+    pad, block = _padic_config(args)
     try:
         x0 = Fraction(args.x0)
     except (ValueError, ZeroDivisionError):
@@ -395,8 +396,7 @@ def cmd_integrate(args) -> Report:
         raise ConfigError("--n must be >= 0")
     start = time.monotonic()
     try:
-        req = IntegralRequest(args.kind, args.n, x0, p, q, target,
-                              guard=guard, max_level=n_max)
+        req = IntegralRequest(args.kind, args.n, x0, *pad)
     except ValueError as exc:
         raise ConfigError(str(exc))
     res, fields = _adaptive(integrate, req)
@@ -438,6 +438,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     _, _, run, default_format = COMMANDS[args.command]
     try:
+        _check_values(args)
         _check_user_files(args)
         report = run(args)
         _emit(report, args, default_format)

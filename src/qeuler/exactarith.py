@@ -65,7 +65,7 @@ from typing import Iterable, Union
 
 from .errors import DivisionByZero, PoleError
 from . import zpoly
-from .zpoly import bracket_power, fmt_poly
+from .zpoly import fmt_poly
 
 CoercibleScalar = Union[int, Fraction]
 
@@ -134,15 +134,6 @@ class _DensePoly(_Ring):
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else self._scalar(0)
-
-    def coefficient(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self._scalar(0)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -337,11 +328,6 @@ class RatFuncQ(_Ring):
             return RF_ZERO
         ints, b = zpoly.strip_bracket(coeffs, b)
         return cls._raw(PolyQ._raw(list(ints)), 0, b)
-
-    @property
-    def den(self) -> PolyQ:
-        """The expanded denominator q^a (1+q)^b."""
-        return PolyQ((0,) * self.a + bracket_power(self.b))
 
     @property
     def is_zero(self) -> bool:

@@ -18,8 +18,6 @@ from math import inf
 
 from .errors import DivisionByZero
 
-DEFAULT_GUARD = 4
-
 
 class PadicError(ArithmeticError):
     pass

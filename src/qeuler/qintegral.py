@@ -25,7 +25,6 @@ from math import comb, inf
 from typing import Optional, Tuple, Union
 
 from .padic import (
-    DEFAULT_GUARD,
     PadicApprox,
     PrecisionExhausted,
     Record,
@@ -37,6 +36,11 @@ from .padic import (
 KIND_BOSONIC = "bosonic"
 KIND_FERMIONIC = "fermionic"
 
+# the default p-adic configuration: the prime, the target precision K, the
+# guard digits and the level cap; q defaults to 1 + p
+DEFAULT_P = 3
+DEFAULT_TARGET = 4
+DEFAULT_GUARD = 4
 DEFAULT_MAX_LEVEL = 12
 
 # why an adaptive run stopped short of convergence
@@ -67,52 +71,57 @@ class ConvergenceNotReached(QIntegralError):
         self.stopped_by = stopped_by
 
 
-def check_p_q(p: int, q: Fraction) -> None:
-    """Raise ValueError unless p is an odd prime and q = 1 or v_p(q - 1) >= 1."""
+def check_config(p=None, q=None, target=None, guard=None, max_level=None,
+                 names=("p", "q", "target", "guard", "max_level")) -> tuple:
+    """The p-adic configuration (p, q, target, guard, max_level), a setting
+    given as None at its default.  Raises ValueError, naming the setting
+    as ``names`` does, unless p is an odd prime, q = 1 or v_p(q - 1) >= 1,
+    target >= 1, guard >= 2 and max_level >= 1."""
+    p = DEFAULT_P if p is None else p
+    target = DEFAULT_TARGET if target is None else target
+    guard = DEFAULT_GUARD if guard is None else guard
+    max_level = DEFAULT_MAX_LEVEL if max_level is None else max_level
     if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise ValueError(f"{names[0]} must be an odd prime, got {p}")
+    q = Fraction(1 + p if q is None else q)
     if q != 1 and rational_valuation(q - 1, p) < 1:
-        raise ValueError("q must satisfy v_p(q - 1) >= 1")
+        raise ValueError(f"{names[1]} must satisfy v_p(q - 1) >= 1")
+    for name, value, least in zip(names[2:], (target, guard, max_level),
+                                  (1, 2, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+    return p, q, target, guard, max_level
 
 
 class IntegralRequest(Record):
     """One shifted-monomial integrand (x0 + xi)^n against d(mu_q) or
     d(mu_-q), with q supplied as an exact rational so the symbolic and
-    numeric paths share it bit for bit.  An immutable Record."""
+    numeric paths share it bit for bit, at a configuration that
+    ``check_config`` checks and completes.  An immutable Record."""
 
     __slots__ = ("kind", "exponent", "shift", "p", "q", "target", "guard",
-                 "level_surcharge", "max_level")
+                 "max_level")
 
-    def __init__(self, kind: str, exponent: int, shift=Fraction(0),
-                 p: int = 3, q=Fraction(4), target: int = 4,
-                 guard: int = DEFAULT_GUARD, level_surcharge: bool = True,
-                 max_level: int = DEFAULT_MAX_LEVEL):
+    def __init__(self, kind: str, exponent: int, shift=Fraction(0), p=None,
+                 q=None, target=None, guard=None, max_level=None):
         if kind not in (KIND_BOSONIC, KIND_FERMIONIC):
             raise ValueError(f"unknown integral kind {kind!r}")
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        shift, q = Fraction(shift), Fraction(q)
-        check_p_q(p, q)
-        if shift.denominator % p == 0:
+        config = check_config(p, q, target, guard, max_level)
+        shift = Fraction(shift)
+        if shift.denominator % config[0] == 0:
             raise ValueError("shift must be a p-integral rational")
-        if target < 1:
-            raise ValueError("target precision must be >= 1")
-        if guard < 2:
-            raise ValueError("guard must be >= 2")
-        if max_level < 1:
-            raise ValueError("max_level must be >= 1")
-        self._set(kind, exponent, shift, p, q, target, guard,
-                  level_surcharge, max_level)
+        self._set(kind, exponent, shift, *config)
 
     @property
     def bosonic(self) -> bool:
         return self.kind == KIND_BOSONIC
 
     def working_exponent(self, level: int) -> int:
-        """Target plus guard digits, plus the level surcharge a bosonic
-        bracket of valuation ``level`` needs."""
-        extra = level if (self.bosonic and self.level_surcharge) else 0
-        return self.target + self.guard + extra
+        """Target plus guard digits, plus the ``level`` digits a bosonic
+        bracket of valuation ``level`` takes."""
+        return self.target + self.guard + (level if self.bosonic else 0)
 
 
 LevelTrace = Tuple[int, PadicApprox, Union[int, float, None]]
@@ -252,8 +261,9 @@ def integrate(req: IntegralRequest) -> IntegralResult:
 class MonomialIntegrals:
     """Memoized integrals of xi^n under either measure at one p-adic
     configuration: the prime, q, the target precision, the guard digits
-    and the level cap.  ``identities.NumericContext`` is this memo with
-    the embedding of exact values added, so a configuration is held once.
+    and the level cap, checked by ``check_config`` when the memo is built.
+    ``identities.NumericContext`` is this memo with the embedding of exact
+    values added, so a configuration is held once.
 
     Every integral is computed once.  An integral that does not converge
     is memoized too, as its partial result and ``stopped_by``, and each
@@ -266,10 +276,10 @@ class MonomialIntegrals:
 
     __slots__ = ("p", "q", "target", "guard", "max_level", "cache", "_results")
 
-    def __init__(self, p: int, q, target: int, guard: int = DEFAULT_GUARD,
-                 max_level: int = DEFAULT_MAX_LEVEL, cache=None):
-        self.p, self.q, self.target = p, Fraction(q), target
-        self.guard, self.max_level, self.cache = guard, max_level, cache
+    def __init__(self, p, q, target, guard=None, max_level=None, cache=None):
+        (self.p, self.q, self.target, self.guard,
+         self.max_level) = check_config(p, q, target, guard, max_level)
+        self.cache = cache
         self._results = {}
 
     def __call__(self, kind: str, n: int) -> IntegralResult:
@@ -278,8 +288,7 @@ class MonomialIntegrals:
         result = self._results.get(key)
         if result is None:
             req = IntegralRequest(kind, n, Fraction(0), self.p, self.q,
-                                  self.target, guard=self.guard,
-                                  max_level=self.max_level)
+                                  self.target, self.guard, self.max_level)
             try:
                 result = integrate(req)
             except ConvergenceNotReached as exc:

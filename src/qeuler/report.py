@@ -6,10 +6,10 @@ lives in a side-channel section excluded from canonical serialization and
 hashing, so byte-identical configs yield byte-identical canonical bodies.
 
 ``json``, the SHA-256 module and the modules of the cache's atomic save
-are imported where they are used: pretty and CSV output hash nothing,
-and encode JSON only for a cell that holds a dict (a verify cell's
-parameters), so a table or an integral printed that way loads none of
-them.
+are imported where they are used: pretty and CSV output hash nothing and
+encode no JSON (a verify row's parameters are written as canonical JSON
+writes them), so a table, an integral or a grid printed that way loads
+none of them.
 """
 
 from __future__ import annotations
@@ -171,7 +171,9 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, dict):
-        return canonical_json(value)
+        # a verify row's parameters, {name: int}, as canonical_json writes it
+        pairs = (f'"{k}":{v}' for k, v in sorted(value.items()))
+        return "{" + ",".join(pairs) + "}"
     return str(value)
 
 

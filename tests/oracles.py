@@ -2,6 +2,7 @@
 is needed to compute anything, so they live here rather than in the
 package."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
@@ -119,6 +120,12 @@ def power(x, e: int):
     return acc
 
 
+def unit(a: int, b: int) -> PolyQ:
+    """q^a (1+q)^b expanded, by repeated multiplication: the denominator
+    of the value (num, a, b) of R."""
+    return mul(power(Q, a), power(PolyQ((1, 1)), b))
+
+
 def total(values):
     """The sum of a non-empty iterable, added pairwise left to right."""
     return reduce(add, values)
@@ -178,7 +185,7 @@ def canonical_by_division(num: PolyQ, a: int, b: int) -> tuple:
     """(num, a, b) of num / (q^a (1+q)^b) with every shared factor q and
     (1+q) removed over Q, (1+q) by repeated synthetic division at -1: the
     Fraction route for the integer reduction of exactarith."""
-    while a and num and num.coefficient(0) == 0:
+    while a and num and num.coeffs[0] == 0:
         num, a = PolyQ(num.coeffs[1:]), a - 1
     while b and num:
         quot, rem = divide_linear(num, -1)
@@ -277,6 +284,26 @@ def horner_euler_numerators(n_max):
     return rows
 
 
+def stirling_euler_numerators(n_max):
+    """N_0..N_n_max by the explicit formula
+        N_n = sum_k (-1)^k k! S(n, k) q^k (1 + q)^(n-k),
+    with S the Stirling numbers of the second kind: the generating function
+    (1 + q)/(q e^t + 1) = 1/(1 + q (e^t - 1)/(1 + q)) expanded in powers of
+    e^t - 1.  It shares no recurrence with the Eulerian rows."""
+    rows, stirling = [], [1]            # S(n, 0..n)
+    for n in range(n_max + 1):
+        if n:
+            stirling = [0] + [k * s + t for k, s, t in zip(
+                range(1, n + 1), stirling[1:] + [0], stirling)]
+        row = [0] * (n + 1)
+        for k, s in enumerate(stirling):
+            c = (-1) ** k * factorial(k) * s
+            for i in range(n - k + 1):          # q^k (1 + q)^(n-k)
+                row[k + i] += c * comb(n - k, i)
+        rows.append(tuple(row))
+    return rows
+
+
 _classical = [Fraction(1)]
 
 
@@ -354,6 +381,19 @@ def direct_moment(kind: str, poly: XPolyQ, ctx: NumericContext) -> PadicApprox:
 
 # -- numeric numbers ----------------------------------------------------------
 
+@contextmanager
+def starved_modulus():
+    """Fault injection for the bosonic precision law: inside the block
+    every IntegralRequest works at K + guard digits at every level, short
+    of the N digits a bosonic bracket of valuation N takes."""
+    budgeted = IntegralRequest.working_exponent
+    IntegralRequest.working_exponent = lambda req, level: req.target + req.guard
+    try:
+        yield
+    finally:
+        IntegralRequest.working_exponent = budgeted
+
+
 def brute_level(req: IntegralRequest, level: int) -> PadicApprox:
     """Independent oracle: the level-N sum and the bracket sum of t^xi,
     both term by term over all p^N terms, at the moduli riemann_level
@@ -374,24 +414,20 @@ def brute_level(req: IntegralRequest, level: int) -> PadicApprox:
             / PadicApprox.from_residue(bracket, p, top))
 
 
-def bernoulli_number_padic(n: int, p: int = 3, q=None, target: int = 4,
+def bernoulli_number_padic(n: int, p: int = None, q=None, target: int = None,
                            **kwargs) -> PadicApprox:
     """The nth weight-0 q-Bernoulli number: bosonic integral of xi^n.
 
     Defined only as a Riemann-sum limit; propagates ConvergenceNotReached.
     """
-    if q is None:
-        q = Fraction(1 + p)
     req = IntegralRequest(KIND_BOSONIC, n, Fraction(0), p, q, target, **kwargs)
     return integrate(req).value
 
 
-def euler_number_padic(n: int, p: int = 3, q=None, target: int = 4,
+def euler_number_padic(n: int, p: int = None, q=None, target: int = None,
                        **kwargs) -> PadicApprox:
     """The nth weight-0 q-Euler number, numerically: fermionic integral of
     xi^n.  Cross-checks the exact table when q is embedded."""
-    if q is None:
-        q = Fraction(1 + p)
     req = IntegralRequest(KIND_FERMIONIC, n, Fraction(0), p, q, target, **kwargs)
     return integrate(req).value
 
@@ -402,7 +438,7 @@ def ratfunc_to_obj(f: RatFuncQ) -> dict:
     """The cache encoding of E[n], taken from a RatFuncQ: the ascending
     coefficients of its numerator and of its expanded denominator."""
     return {"num": [str(c) for c in f.num.coeffs],
-            "den": [str(c) for c in f.den.coeffs]}
+            "den": [str(c) for c in unit(f.a, f.b).coeffs]}
 
 
 def padic_from_dict(d: dict) -> PadicApprox:

@@ -50,12 +50,12 @@ class TestParsing:
 
     def test_q_forms(self):
         from fractions import Fraction
-        assert parse_q("1+p", 3) == 4
-        assert parse_q("10", 3) == 10
-        assert parse_q("4/1", 3) == 4
-        assert parse_q("7/2", 5) == Fraction(7, 2)
+        assert parse_q("1+p") is None     # check_config's default, 1 + p
+        assert parse_q("10") == 10
+        assert parse_q("4/1") == 4
+        assert parse_q("7/2") == Fraction(7, 2)
         with pytest.raises(ConfigError):
-            parse_q("one", 3)
+            parse_q("one")
 
 
 def parse_with(parser, capsys, argv):
@@ -150,6 +150,65 @@ class TestCommandTable:
         assert err == (f"error: cannot use --out {out}: "
                        "No space left on device\n")
         assert not out.exists()
+
+
+def _subparser(name):
+    return next(a for a in build_parser([name])._actions
+                if a.dest == "command").choices[name]
+
+
+# every option that takes a value, of every command
+VALUE_OPTIONS = [(name, action.option_strings[0])
+                 for name in COMMANDS for action in _subparser(name)._actions
+                 if action.option_strings and action.nargs != 0]
+
+
+class TestPadicConfiguration:
+    """``qintegral.check_config`` checks the p-adic settings and holds their
+    defaults; the CLI turns its ValueError into one ``error:`` line that
+    names the setting as the user gave it."""
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--p", "4", "p must be an odd prime, got 4"),
+        ("--q", "2", "q must satisfy v_p(q - 1) >= 1"),
+        ("--K", "0", "--K must be >= 1"),
+        ("--guard", "1", "--guard must be >= 2"),
+        ("--n-max", "0", "--n-max must be >= 1"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ("numbers", "bernoulli", "--p", "3", "--K", "4"),
+        ("verify", "THM6"),
+        ("integrate", "bosonic", "--n", "1"),
+        ("report",),
+    ], ids=lambda c: " ".join(c[:2]))
+    def test_a_bad_setting_is_named_as_given(self, capsys, command, option,
+                                             value, message):
+        assert run(capsys, *command, option, value) == (
+            2, "", f"error: {message}\n")
+
+    def test_help_states_the_defaults_of_check_config(self):
+        # help is built without loading qintegral, so it repeats them
+        helps = {a.dest: a.help for a in _subparser("integrate")._actions}
+        assert "default 1+p" in helps["q"]
+        assert f"default {qintegral.DEFAULT_GUARD})" in helps["guard"]
+        assert f"default {qintegral.DEFAULT_MAX_LEVEL})" in helps["n_max"]
+
+    def test_config_block_holds_the_defaults(self, capsys):
+        code, out, _ = run(capsys, "integrate", "bosonic", "--n", "1",
+                           "--format", "json")
+        config = json.loads(out)["config"]
+        assert code == 0
+        assert [config[k] for k in ("p", "q", "K", "guard", "n_max")] == [
+            3, "4", 4, 4, 12]
+
+
+@pytest.mark.parametrize("name, option", VALUE_OPTIONS,
+                         ids=[f"{n} {o}" for n, o in VALUE_OPTIONS])
+def test_option_given_dashes_is_a_usage_error(capsys, name, option):
+    # argparse stores '--opt=--' as an empty list, without the option's type
+    code, out, err = run(capsys, *TestCommandTable.CHEAP[name], f"{option}=--")
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {option}: expected one argument\n"
 
 
 class TestNumbersCommand:
@@ -416,6 +475,16 @@ class TestReportDocument:
                                ensure_ascii=True)
         assert doc["canonical_sha256"] == hashlib.sha256(
             canonical.encode("ascii")).hexdigest()
+
+    def test_params_cells_are_canonical_json(self):
+        # pretty and CSV rows write a row's parameters without json
+        from qeuler.identities import IdentityId, grid_params
+        from qeuler.report import _cell, canonical_json
+
+        cells = [params for identity in IdentityId
+                 for params in grid_params(identity)]
+        for params in cells + [{"m": 12, "k": -3}]:
+            assert _cell(params) == canonical_json(params)
 
     def test_summary_counts_items(self, capsys):
         _, out, _ = run(capsys, "verify", "THM2", "--k", "1..5",

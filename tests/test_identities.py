@@ -678,10 +678,11 @@ class TestBosonicMomentMemo:
 class TestPrimeChecks:
     def test_arithmetic_results_reuse_a_checked_p(self, monkeypatch,
                                                   tmp_path):
-        # p is tested where it comes in: once by the CLI, once per integral
-        # request (13) and once per embedded exact value (183, each
-        # through PadicApprox.from_rational); the results of p-adic
-        # arithmetic take their operand's p unchecked (5,283 tests before)
+        # p is tested where it comes in: once by the CLI, once where the
+        # NumericContext is built, once per integral request (13) and once
+        # per embedded exact value (183, each through
+        # PadicApprox.from_rational); the results of p-adic arithmetic take
+        # their operand's p unchecked (5,283 tests before)
         checked = []
         is_odd_prime = padic.is_odd_prime
 
@@ -692,7 +693,7 @@ class TestPrimeChecks:
         monkeypatch.setattr(padic, "is_odd_prime", counting)
         monkeypatch.setattr(qintegral, "is_odd_prime", counting)
         assert run_deep_thm6(tmp_path) == DEEP_THM6_SHA256
-        assert checked == [7] * (1 + 13 + 183)
+        assert checked == [7] * (1 + 1 + 13 + 183)
 
 
 @pytest.fixture

@@ -153,9 +153,6 @@ class TestBudget:
         fermionic = IntegralRequest(KIND_FERMIONIC, 0, target=4, guard=4)
         assert bosonic.working_exponent(6) == 14
         assert fermionic.working_exponent(6) == 8
-        flat = IntegralRequest(KIND_BOSONIC, 0, target=4, guard=4,
-                               level_surcharge=False)
-        assert flat.working_exponent(6) == 8
 
 
 # Each value record: a builder, a builder of a record that differs from it
@@ -169,8 +166,7 @@ RECORDS = {
         lambda: IntegralRequest(KIND_BOSONIC, 1, Fraction(1, 2), 3, 4, 2),
         lambda: IntegralRequest(KIND_BOSONIC, 1, Fraction(1, 2), 3, 4, 3),
         "IntegralRequest(kind='bosonic', exponent=1, shift=Fraction(1, 2), "
-        "p=3, q=Fraction(4, 1), target=2, guard=4, level_surcharge=True, "
-        "max_level=12)"),
+        "p=3, q=Fraction(4, 1), target=2, guard=4, max_level=12)"),
     "IntegralResult": (
         lambda: integrate(IntegralRequest(KIND_FERMIONIC, 1, 0, 3, 4, 2)),
         lambda: integrate(IntegralRequest(KIND_FERMIONIC, 1, 0, 3, 4, 3)),

@@ -3,6 +3,7 @@ brute summation loop as an oracle for the closed-form level sums, adaptive
 convergence, the bosonic precision law, and frozen stabilization fixtures."""
 
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from math import inf
 
@@ -20,9 +21,11 @@ from qeuler.qintegral import (
     IntegralRequest,
     MonomialIntegrals,
     _level_sum,
+    check_config,
     integrate,
     riemann_level,
 )
+from qeuler.identities import NumericContext
 from qeuler.qspecial import euler_number, euler_poly
 from qeuler.report import ResultCache
 
@@ -31,6 +34,7 @@ from oracles import (
     brute_level,
     euler_number_padic,
     integral_result_from_dict,
+    starved_modulus,
     x_evaluate,
 )
 
@@ -55,7 +59,7 @@ def _outcome(fn, *args):
 def level_cases(draw):
     """Both kinds, p in {3, 5, 7}, v_p(q - 1) in {1, 2, 3} (q possibly
     negative or non-integral) or q = 1, a p-integral shift, n <= 15,
-    levels 1..4, and both the budgeted and the starved surcharge mode."""
+    levels 1..4, and both the budgeted and the starved modulus."""
     p = draw(st.sampled_from((3, 5, 7)))
     v = draw(st.sampled_from((0, 1, 2, 3)))
     coprime = st.integers(-12, 12).filter(lambda a: a % p != 0)
@@ -68,8 +72,8 @@ def level_cases(draw):
     req = IntegralRequest(
         draw(st.sampled_from((KIND_BOSONIC, KIND_FERMIONIC))),
         draw(st.integers(0, 15)), shift, p, q, draw(st.integers(1, 6)),
-        guard=2 if starved else 4, level_surcharge=not starved)
-    return req, draw(st.integers(1, 4))
+        guard=2 if starved else 4)
+    return req, draw(st.integers(1, 4)), starved
 
 
 class TestRiemannLevel:
@@ -118,18 +122,21 @@ class TestRiemannLevel:
     @settings(max_examples=300, deadline=None)
     @given(level_cases())
     def test_closed_form_matches_brute_loop(self, case):
-        req, level = case
-        assert _outcome(riemann_level, req, level) == _outcome(brute_level, req, level)
+        req, level, starved = case
+        with starved_modulus() if starved else nullcontext():
+            assert (_outcome(riemann_level, req, level)
+                    == _outcome(brute_level, req, level))
 
     def test_brute_loop_parity_includes_exhaustion(self):
         # starved bosonic run whose level-3 sum vanishes at the working
         # modulus: both routes must give up on the same input
         req = IntegralRequest(KIND_BOSONIC, 0, Fraction(0), 3, Fraction(4), 1,
-                              guard=2, level_surcharge=False)
-        with pytest.raises(PrecisionExhausted):
-            brute_level(req, 3)
-        with pytest.raises(PrecisionExhausted):
-            riemann_level(req, 3)
+                              guard=2)
+        with starved_modulus():
+            with pytest.raises(PrecisionExhausted):
+                brute_level(req, 3)
+            with pytest.raises(PrecisionExhausted):
+                riemann_level(req, 3)
 
     def test_level_40_at_p7_is_immediate(self):
         # 7^40 terms: out of reach term by term, O(n^2) operations here
@@ -170,7 +177,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_level"):
             integrate(IntegralRequest(KIND_BOSONIC, 1, max_level=0))
         with pytest.raises(ValueError, match="max_level"):
-            MonomialIntegrals(3, 4, 4, max_level=0)(KIND_BOSONIC, 2)
+            MonomialIntegrals(3, 4, 4, max_level=0)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("p", 4), ("p", 2), ("p", -3), ("q", Fraction(2)),
+        ("q", Fraction(1, 3)), ("target", 0), ("guard", 1), ("max_level", 0),
+    ])
+    @pytest.mark.parametrize("build", [MonomialIntegrals, NumericContext,
+                                       IntegralRequest])
+    def test_a_bad_configuration_fails_where_it_is_built(self, build,
+                                                         setting, value):
+        config = {"p": 3, "q": Fraction(4), "target": 4, "guard": 4,
+                  "max_level": 12, setting: value}
+        args = (KIND_BOSONIC, 1) if build is IntegralRequest else ()
+        with pytest.raises(ValueError, match=f"^{setting} must"):
+            build(*args, **config)
+
+    def test_unset_settings_take_their_defaults(self):
+        # p = 3, q = 1 + p, K = 4, guard = 4, level cap 12
+        assert check_config() == (3, Fraction(4), 4, 4, 12)
+        assert check_config(p=5) == (5, Fraction(6), 4, 4, 12)
+        req = IntegralRequest(KIND_BOSONIC, 1)
+        config = (req.p, req.q, req.target, req.guard, req.max_level)
+        assert config == check_config()
 
     def test_allows_q_equal_one(self):
         req = IntegralRequest(KIND_BOSONIC, 0, Fraction(0), 3, Fraction(1), 4)
@@ -279,11 +308,12 @@ class TestBosonicPrecisionLaw:
                                          Fraction(4), 6, guard=6))
         # starved run: no level surcharge, thin guard
         req = IntegralRequest(KIND_BOSONIC, 1, Fraction(0), 3, Fraction(4), 4,
-                              guard=2, level_surcharge=False)
-        try:
-            res = integrate(req)
-        except ConvergenceNotReached as err:
-            res = err.result
+                              guard=2)
+        with starved_modulus():
+            try:
+                res = integrate(req)
+            except ConvergenceNotReached as err:
+                res = err.result
         assert res.achieved_precision < 4
         # the digits it does claim agree with the trusted value
         if res.achieved_precision > 0:
@@ -294,8 +324,8 @@ class TestBosonicPrecisionLaw:
         # the starved level-3 sum vanishes at the working modulus, so the
         # run stops there rather than at max_level
         req = IntegralRequest(KIND_BOSONIC, 0, Fraction(0), 3, Fraction(4), 1,
-                              guard=2, level_surcharge=False)
-        with pytest.raises(ConvergenceNotReached) as err:
+                              guard=2)
+        with starved_modulus(), pytest.raises(ConvergenceNotReached) as err:
             integrate(req)
         assert err.value.stopped_by == STOP_PRECISION
         assert STOP_PRECISION in str(err.value)

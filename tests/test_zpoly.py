@@ -14,7 +14,6 @@ from qeuler.exactarith import PolyQ
 from qeuler.qspecial import euler_number
 from qeuler.report import ResultCache
 from qeuler.zpoly import (
-    bracket_power,
     euler_number_at,
     euler_number_str,
     euler_numerator,
@@ -28,6 +27,7 @@ from oracles import (
     fraction_horner,
     horner_euler_numerators,
     ratfunc_to_obj,
+    stirling_euler_numerators,
 )
 
 N_MAX = 60
@@ -43,11 +43,16 @@ def fraction_euler_number(n, q0):
 def test_numerators_match_accumulated_fill():
     for n, expected in enumerate(accumulated_euler_numbers(12)):
         assert PolyQ(euler_numerator(n)) == expected.num
-        assert expected.den == PolyQ(bracket_power(n))
+        assert (expected.a, expected.b) == (0, n)
 
 
 def test_eulerian_rows_match_horner_fill():
     for n, expected in enumerate(horner_euler_numerators(150)):
+        assert euler_numerator(n) == expected
+
+
+def test_explicit_stirling_formula_matches_the_rows():
+    for n, expected in enumerate(stirling_euler_numerators(79)):
         assert euler_numerator(n) == expected
 
 
