@@ -164,6 +164,7 @@ def _padic_config(args, require_explicit: bool = False) -> tuple:
         raise ConfigError("this command needs explicit --p and --K")
     q = None if args.q is None else parse_q(args.q)
     try:
+        # p and q are named as values, the counts as the flags that set them
         config = check_config(args.p, q, args.K, args.guard, args.n_max,
                               names=("p", "q", "--K", "--guard", "--n-max"))
     except ValueError as exc:

@@ -414,7 +414,7 @@ def brute_level(req: IntegralRequest, level: int) -> PadicApprox:
             / PadicApprox.from_residue(bracket, p, top))
 
 
-def bernoulli_number_padic(n: int, p: int = None, q=None, target: int = None,
+def bernoulli_number_padic(n: int, p=None, q=None, target=None,
                            **kwargs) -> PadicApprox:
     """The nth weight-0 q-Bernoulli number: bosonic integral of xi^n.
 
@@ -424,7 +424,7 @@ def bernoulli_number_padic(n: int, p: int = None, q=None, target: int = None,
     return integrate(req).value
 
 
-def euler_number_padic(n: int, p: int = None, q=None, target: int = None,
+def euler_number_padic(n: int, p=None, q=None, target=None,
                        **kwargs) -> PadicApprox:
     """The nth weight-0 q-Euler number, numerically: fermionic integral of
     xi^n.  Cross-checks the exact table when q is embedded."""
