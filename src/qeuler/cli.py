@@ -2,8 +2,8 @@
 verification grids, direct integral evaluation, and machine-readable
 reports.
 
-``COMMANDS`` is the one list of commands: each entry is its help, what
-adds its arguments, what runs it into a ``Report`` and the format it
+``COMMANDS`` is the one list of commands: each entry is its help, its
+arguments as data, what runs it into a ``Report`` and the format it
 prints by default.  ``main`` parses, runs the entry, writes the report and
 returns its exit code: 0 for success (printed-variant failures are
 informational, and table and integral rows carry no verdict), 1 when a
@@ -14,21 +14,24 @@ never as a traceback.
 Each command imports the layers it uses when it runs, so a cold process
 loads and compiles only those: ``integrate`` and ``numbers bernoulli``
 never load the exact layers or the identity catalog, and ``numbers euler``
-renders its rows from the integer table of ``zpoly`` alone.  A process
-also builds the arguments of only the command it runs (``build_parser``);
+renders its rows from the integer table of ``zpoly`` alone.  A
+well-formed command line is read straight from the command's entry
+(``read_argv``), so such a process never imports argparse.  Any other line
+(help, an abbreviation, a bad value, a stray or missing argument) goes to
+``build_parser``, which builds the arguments of only the command it names;
 every command still has its subparser, so usage, help and error text are
-unchanged.
+the full parser's.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 from .report import CacheError, Report, ResultCache
@@ -68,67 +71,33 @@ def parse_q(text: str) -> Optional[Fraction]:
         raise ConfigError(f"bad q {text!r}; expected '1+p', an integer, or 'a/b'")
 
 
-def _add_output_opts(sp):
-    sp.add_argument("--format", choices=("json", "csv", "pretty"),
-                    default=None, help="output format")
-    sp.add_argument("--out", metavar="PATH", help="write output to a file")
+# Each command's arguments are data: a flag (or a positional argument's
+# name) with the keyword arguments of argparse's add_argument for it.
+# build_parser gives them to argparse as they are, and read_argv reads a
+# well-formed argv from the same entries.
+_PADIC_ARGS = (
+    ("--p", dict(type=int, help="odd prime")),
+    ("--q", dict(help="q as '1+p', an integer, or 'a/b' (default 1+p)")),
+    ("--K", dict(type=int, help="target p-adic precision")),
+    ("--guard", dict(type=int, help="guard digits (>= 2, default 4)")),
+    ("--n-max", dict(type=int, dest="n_max",
+                     help="maximum Riemann-sum level (default 12)")),
+)
+_OUTPUT_ARGS = (
+    ("--format", dict(choices=("json", "csv", "pretty"),
+                      help="output format")),
+    ("--out", dict(metavar="PATH", help="write output to a file")),
+)
+_CACHE_ARGS = (
+    ("--cache", dict(metavar="PATH", help="persistent result cache file")),
+    ("--no-cache", dict(action="store_true", default=False,
+                        help="do not read, check or write the --cache file")),
+)
 
 
-def _add_cache_opts(sp):
-    sp.add_argument("--cache", metavar="PATH", help="persistent result cache file")
-    sp.add_argument("--no-cache", action="store_true",
-                    help="do not read, check or write the --cache file")
-
-
-def _add_padic_opts(sp):
-    sp.add_argument("--p", type=int, default=None, help="odd prime")
-    sp.add_argument("--q", default=None,
-                    help="q as '1+p', an integer, or 'a/b' (default 1+p)")
-    sp.add_argument("--K", type=int, default=None, dest="K",
-                    help="target p-adic precision")
-    sp.add_argument("--guard", type=int, default=None,
-                    help="guard digits (>= 2, default 4)")
-    sp.add_argument("--n-max", type=int, default=None, dest="n_max",
-                    help="maximum Riemann-sum level (default 12)")
-
-
-def _numbers_arguments(sp) -> None:
-    sp.add_argument("kind", choices=("euler", "bernoulli"))
-    sp.add_argument("--n", default="0..8", help="index range 'a..b'")
-    sp.add_argument("--at-q", dest="at_q", default=None,
-                    help="also evaluate each euler entry at this rational q")
-    _add_padic_opts(sp)
-    _add_output_opts(sp)
-    _add_cache_opts(sp)
-
-
-def _poly_arguments(sp) -> None:
-    sp.add_argument("--n", default="0..4", help="index range 'a..b'")
-    _add_output_opts(sp)
-
-
-def _verify_arguments(sp) -> None:
-    sp.add_argument("identity", help="an identity id, or 'all'")
-    sp.add_argument("--k", default=None, help="range 'a..b' for k")
-    sp.add_argument("--m", default=None, help="range 'a..b' for m")
-    sp.add_argument("--n", default=None, help="range 'a..b' for n")
-    _add_padic_opts(sp)
-    _add_output_opts(sp)
-    _add_cache_opts(sp)
-
-
-def _integrate_arguments(sp) -> None:
-    sp.add_argument("kind", choices=KINDS)
-    sp.add_argument("--n", type=int, required=True, help="monomial exponent")
-    sp.add_argument("--x0", default="0", help="rational shift of the integrand")
-    _add_padic_opts(sp)
-    _add_output_opts(sp)
-
-
-def _report_arguments(sp) -> None:
-    _add_padic_opts(sp)
-    _add_output_opts(sp)
-    _add_cache_opts(sp)
+def _dest(flag: str, spec: dict) -> str:
+    """The attribute that argparse stores an argument under."""
+    return spec.get("dest", flag.lstrip("-").replace("-", "_"))
 
 
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
@@ -136,23 +105,77 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     help and error text are those of the full parser, but only the command
     that ``argv[0]`` names gets its arguments; when it names none (no
     arguments, an option, a typo), every command gets them."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qeuler",
         description="Exact and p-adic tables and identity checks for the "
                     "weight-0 q-Euler/q-Bernoulli families.")
     sub = parser.add_subparsers(dest="command", required=True)
     invoked = argv[0] if argv and argv[0] in COMMANDS else None
-    for name, (help_text, add_arguments, _, _) in COMMANDS.items():
+    for name, (help_text, arguments, _, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if invoked in (None, name):
-            add_arguments(sp)
+            for flag, spec in arguments:
+                sp.add_argument(flag, **spec)
     return parser
+
+
+def read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The arguments of a well-formed ``argv``, read from ``COMMANDS``
+    without argparse, or None for any other argv.
+
+    Well formed is a command, then its positional arguments in number and
+    its options by their exact names, each option once, as '--opt=value'
+    or as '--opt value' with a value that does not start with '-'; every
+    value passes its argument's type and choices, and every required
+    option is given.  The namespace holds what argparse would store.
+    Everything else (help, abbreviations, '--', a bad value, a stray or a
+    missing argument) is left to argparse and its usage and error text."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    arguments = COMMANDS[argv[0]][1]
+    options = {flag: spec for flag, spec in arguments if flag[0] == "-"}
+    positionals = [(flag, spec) for flag, spec in arguments if flag[0] != "-"]
+    values = {}
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            if not positionals:
+                return None
+            (flag, spec), value = positionals.pop(0), word
+        else:
+            flag, eq, value = word.partition("=")
+            spec = options.pop(flag, None)      # so a repeated option declines
+            if spec is None:
+                return None
+            if spec.get("action") == "store_true":
+                if eq:
+                    return None
+                value = True
+            elif not eq:
+                value = next(words, "-")
+                if value[:1] == "-":
+                    return None
+            elif value == "--":                 # argparse would store []
+                return None
+        try:
+            value = spec["type"](value) if "type" in spec else value
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[_dest(flag, spec)] = value
+    if positionals or any(spec.get("required") for spec in options.values()):
+        return None
+    defaults = {_dest(flag, spec): spec.get("default")
+                for flag, spec in arguments}
+    return SimpleNamespace(command=argv[0], **{**defaults, **values})
 
 
 # the p-adic options by destination, in the order of check_config, as the
 # user spells them; the destinations key a report's p-adic config block
-_PADIC_OPTIONS = {"p": "--p", "q": "--q", "K": "--K", "guard": "--guard",
-                 "n_max": "--n-max"}
+_PADIC_OPTIONS = {_dest(flag, spec): flag for flag, spec in _PADIC_ARGS}
 
 
 def _padic_config(args, require_explicit: bool = False) -> tuple:
@@ -416,27 +439,44 @@ def cmd_integrate(args) -> Report:
                   timing={"total_seconds": time.monotonic() - start})
 
 
-# every command, in usage order: its help, what adds its arguments, what
-# runs it into a Report, and the format it prints by default
+# every command, in usage order: its help, its arguments, what runs it into
+# a Report, and the format it prints by default
 COMMANDS = {
-    "numbers": ("number tables", _numbers_arguments, cmd_numbers, "pretty"),
-    "poly": ("polynomial tables", _poly_arguments, cmd_poly, "pretty"),
-    "verify": ("verify one identity or all of them", _verify_arguments,
-               cmd_verify, "pretty"),
-    "integrate": ("evaluate one p-adic q-integral", _integrate_arguments,
-                  cmd_integrate, "pretty"),
-    "report": ("run the full default verification battery", _report_arguments,
-               partial(cmd_verify, battery=True), "json"),
+    "numbers": ("number tables", (
+        ("kind", dict(choices=("euler", "bernoulli"))),
+        ("--n", dict(default="0..8", help="index range 'a..b'")),
+        ("--at-q", dict(help="also evaluate each euler entry at this "
+                             "rational q")),
+        *_PADIC_ARGS, *_OUTPUT_ARGS, *_CACHE_ARGS), cmd_numbers, "pretty"),
+    "poly": ("polynomial tables", (
+        ("--n", dict(default="0..4", help="index range 'a..b'")),
+        *_OUTPUT_ARGS), cmd_poly, "pretty"),
+    "verify": ("verify one identity or all of them", (
+        ("identity", dict(help="an identity id, or 'all'")),
+        ("--k", dict(help="range 'a..b' for k")),
+        ("--m", dict(help="range 'a..b' for m")),
+        ("--n", dict(help="range 'a..b' for n")),
+        *_PADIC_ARGS, *_OUTPUT_ARGS, *_CACHE_ARGS), cmd_verify, "pretty"),
+    "integrate": ("evaluate one p-adic q-integral", (
+        ("kind", dict(choices=KINDS)),
+        ("--n", dict(type=int, required=True, help="monomial exponent")),
+        ("--x0", dict(default="0", help="rational shift of the integrand")),
+        *_PADIC_ARGS, *_OUTPUT_ARGS), cmd_integrate, "pretty"),
+    "report": ("run the full default verification battery", (
+        *_PADIC_ARGS, *_OUTPUT_ARGS, *_CACHE_ARGS),
+        partial(cmd_verify, battery=True), "json"),
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     _, _, run, default_format = COMMANDS[args.command]
     try:
         _check_values(args)

@@ -67,8 +67,10 @@ def parse_with(parser, capsys, argv):
 
 
 class TestParserParity:
-    """A process builds the arguments of only the command it runs; its
-    help and its errors are those of the parser of every command."""
+    """A well-formed line is read from the command table without argparse;
+    any other line goes to a parser that builds the arguments of only the
+    command it runs, and its help and errors are those of the parser of
+    every command."""
 
     @pytest.mark.parametrize("argv", [
         ["--help"], ["-h"],
@@ -121,9 +123,13 @@ class TestCommandTable:
         sub = next(a for a in build_parser()._actions
                    if a.dest == "command")
         assert list(sub.choices) == list(COMMANDS) == list(self.CHEAP)
-        for help_text, add_arguments, run_command, fmt in COMMANDS.values():
-            assert callable(add_arguments) and callable(run_command)
-            assert fmt in ("json", "pretty")
+        for name, (_, arguments, run_command, fmt) in COMMANDS.items():
+            assert callable(run_command) and fmt in ("json", "pretty")
+            # the subparser's arguments are the entry's, in its order
+            actions = [a for a in _subparser(name)._actions
+                       if a.dest != "help"]
+            assert [(a.option_strings or [a.dest])[0]
+                    for a in actions] == [flag for flag, _ in arguments]
 
     @pytest.mark.parametrize("name", list(CHEAP))
     def test_default_format(self, capsys, name):

@@ -1,11 +1,16 @@
 """The CLI over a grammar of argument vectors, in process: every argv ends
-in exit 0, 1 or 2 and never in a traceback.
+in exit 0, 1 or 2 and never in a traceback, and the command table's
+reader (``read_argv``) either declines an argv or reads what argparse
+reads from it.
 
 The grammar draws a command, its positional arguments and up to four of
-its options, each in the '--opt value' or the '--opt=value' form, at
-valid values, and then at most one fault: an out-of-range or malformed
-value ('--' among them), a bad positional argument or a stray token.
-Sizes stay small (indices and levels up to 8, K up to 6), so one example
+its options (an option may repeat, and the options may come before the
+positional arguments), each in the '--opt value' or the '--opt=value'
+form, at valid values, and then at most one fault: an out-of-range or
+malformed value ('--' among them), a bad positional argument or a stray
+token (help, an abbreviation, '--', a flag given a value).  Valid values
+include some that start with '-', which argparse reads only in the '='
+form.  Sizes stay small (indices and levels up to 8, K up to 6), so one example
 runs in milliseconds.  Paths name a directory or a missing one, so no
 example writes a file.  Hypothesis derandomizes the examples, so every
 run draws the same ones.
@@ -14,10 +19,11 @@ run draws the same ones.
 import contextlib
 import io
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qeuler.cli import main
+from qeuler.cli import build_parser, main, read_argv
 
 # each option's values: valid ones, then out-of-range or malformed ones
 RANGES = (("0", "1", "0..3", "1..2", "2..4"),
@@ -51,17 +57,19 @@ COMMANDS = {
                    ("bosonic", "--n", "8")), "spectral",
                   ("--n", "--x0", *PADIC, "--format", "--out")),
 }
-TOKENS = ("--bogus", "--no-cache", "--", "-h")
+TOKENS = ("--bogus", "--no-cache", "--no-cache=x", "--form=json", "--",
+          "-h")
 
 
 @st.composite
 def argvs(draw):
     """A command with valid positional arguments and up to four options at
-    valid values, then at most one fault: a bad value for one option (last
-    given, so it wins), a bad positional argument or a stray token."""
+    valid values, before or after the positional arguments, then at most
+    one fault: a bad value for one option (last given, so it wins), a bad
+    positional argument or a stray token."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     positionals, bad_positional, names = COMMANDS[command]
-    words = [command, *draw(st.sampled_from(positionals))]
+    words = list(draw(st.sampled_from(positionals)))
     options = [(name, draw(st.sampled_from(VALUES[name][0])))
                for name in draw(st.lists(st.sampled_from(names), max_size=4))
                if VALUES[name][0]]
@@ -70,10 +78,12 @@ def argvs(draw):
         name = draw(st.sampled_from(names))
         options.append((name, draw(st.sampled_from(VALUES[name][1]))))
     elif fault == "positional":
-        words[1:2] = [bad_positional]
-    for name, value in options:
-        words += ([f"{name}={value}"] if draw(st.booleans())
-                  else [name, value])
+        words[:1] = [bad_positional]
+    given = [word for name, value in options
+             for word in ([f"{name}={value}"] if draw(st.booleans())
+                          else [name, value])]
+    words = [command, *(given + words if draw(st.booleans())
+                        else words + given)]
     if fault == "token":
         words.insert(draw(st.integers(1, len(words))),
                      draw(st.sampled_from(TOKENS)))
@@ -91,3 +101,27 @@ def test_every_argv_exits_0_1_or_2(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code == 2:
         assert "error:" in err.getvalue(), argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_the_reader_declines_or_agrees_with_argparse(argv):
+    args = read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser(argv).parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "fermionic", "--n=8", "--x0=-5/2", "--p=7", "--K=8"],
+    ["integrate", "--n", "3", "bosonic", "--q", "1/2"],
+    ["numbers", "--format", "csv", "bernoulli", "--n=0..9", "--p=3", "--K=7",
+     "--no-cache", "--cache=c.json"],
+    ["numbers", "euler", "--n", "0..40", "--at-q=3/7", "--format=json"],
+    ["verify", "EQ6", "--k=0..3", "--m", "1..2", "--n-max=3"],
+    ["poly"], ["report", "--guard", "4", "--out=r.json"],
+])
+def test_the_reader_reads_well_formed_lines(argv):
+    args = read_argv(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser(argv).parse_args(argv))

@@ -76,6 +76,30 @@ def test_verify_loads_no_dataclasses(argv):
         assert not modules & {"hashlib", "json"}
 
 
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", "fermionic", "--n=8", "--x0=1/2", "--p=7", "--K=8",
+     "--format=json"),
+    ("numbers", "bernoulli", "--n=0..9", "--p=3", "--K=7", "--format=json"),
+    ("numbers", "euler", "--n=0..40", "--at-q=3/7", "--format=json"),
+])
+def test_well_formed_lines_load_no_argparse(argv):
+    # read from the command table, as every benchmark line is
+    modules = loaded_modules(*argv)
+    assert "qeuler.cli" in modules
+    assert not modules & ARGPARSE
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", "--help"),
+    ("integrate", "fermionic", "--n=8", "--x0", "-5/2"),
+])
+def test_help_and_errors_load_argparse(argv):
+    assert "argparse" in loaded_modules(*argv)
+
+
 INTEGRATE = ("integrate", "bosonic", "--n", "3", "--p", "3", "--K", "4")
 
 
