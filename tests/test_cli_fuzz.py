@@ -7,12 +7,13 @@ The grammar draws a command, its positional arguments and up to four of
 its options (an option may repeat, and the options may come before the
 positional arguments), each in the '--opt value' or the '--opt=value'
 form, at valid values, and then at most one fault: an out-of-range or
-malformed value ('--' among them), a bad positional argument or a stray
-token (help, an abbreviation, '--', a flag given a value).  Valid values
+malformed value ('--' among them), a bad positional argument, missing
+positional words (integrate's '--n 3' among them), or a stray token
+(help, an abbreviation, '--', a flag given a value).  Valid values
 include some that start with '-', which argparse reads only in the '='
-form.  Sizes stay small (indices and levels up to 8, K up to 6), so one example
-runs in milliseconds.  Paths name a directory or a missing one, so no
-example writes a file.  Hypothesis derandomizes the examples, so every
+form.  Sizes stay small (indices and levels up to 8, K up to 6), so one
+example runs in milliseconds.  Paths name a directory or a missing one,
+so no example writes a file.  Hypothesis derandomizes the examples, so every
 run draws the same ones.
 """
 
@@ -66,7 +67,8 @@ def argvs(draw):
     """A command with valid positional arguments and up to four options at
     valid values, before or after the positional arguments, then at most
     one fault: a bad value for one option (last given, so it wins), a bad
-    positional argument or a stray token."""
+    positional argument, a random subset of the positional words, or a
+    stray token."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     positionals, bad_positional, names = COMMANDS[command]
     words = list(draw(st.sampled_from(positionals)))
@@ -77,8 +79,10 @@ def argvs(draw):
     if fault == "value":
         name = draw(st.sampled_from(names))
         options.append((name, draw(st.sampled_from(VALUES[name][1]))))
-    elif fault == "positional":
+    elif fault == "positional" and draw(st.booleans()):
         words[:1] = [bad_positional]
+    elif fault == "positional":
+        words = [word for word in words if draw(st.booleans())]
     given = [word for name, value in options
              for word in ([f"{name}={value}"] if draw(st.booleans())
                           else [name, value])]

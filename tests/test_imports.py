@@ -86,9 +86,10 @@ ARGPARSE = {"argparse", "gettext", "locale"}
     ("numbers", "euler", "--n=0..40", "--at-q=3/7", "--format=json"),
 ])
 def test_well_formed_lines_load_no_argparse(argv):
-    # read from the command table, as every benchmark line is
+    # read from the command table, as every benchmark line is; the layer
+    # the command runs on shows that it got past parsing
     modules = loaded_modules(*argv)
-    assert "qeuler.cli" in modules
+    assert modules & {"qeuler.qintegral", "qeuler.zpoly"}
     assert not modules & ARGPARSE
 
 
