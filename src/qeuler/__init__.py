@@ -9,8 +9,7 @@ used.
 from importlib import import_module
 
 _EXPORTS = {
-    "exactarith": ("DivisionByZero", "NonUnitError", "PoleError", "PolyQ",
-                   "RatFuncQ", "XPolyQ"),
+    "exactarith": ("DivisionByZero", "PoleError", "RatFuncQ", "XPolyQ"),
     "identities": ("IdentityId", "NumericContext", "VerificationResult",
                    "verify", "verify_grid"),
     "padic": ("PadicApprox", "PrecisionExhausted", "padic_distance"),

@@ -100,11 +100,13 @@ def _dest(flag: str, spec: dict) -> str:
     return spec.get("dest", flag.lstrip("-").replace("-", "_"))
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser of ``argv``.  Every command has its subparser, so usage,
-    help and error text are those of the full parser, but only the command
-    that ``argv[0]`` names gets its arguments; when it names none (no
-    arguments, an option, a typo), every command gets them."""
+def build_parser(argv: Sequence[str] = ()):
+    """The ``argparse.ArgumentParser`` of ``argv`` (argparse is imported
+    here, not at module level, so the return type is not annotated).
+    Every command has its subparser, so usage, help and error text are
+    those of the full parser, but only the command that ``argv[0]`` names
+    gets its arguments; when it names none (no arguments, an option, a
+    typo), every command gets them."""
     import argparse
 
     parser = argparse.ArgumentParser(

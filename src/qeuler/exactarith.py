@@ -12,27 +12,27 @@ algorithm is needed.
 
 Every exact value enters R in one of two ways: as integer or rational
 data (:meth:`RatFuncQ.over_bracket`, :meth:`RatFuncQ.from_fraction`, the
-one-part constructor), or as one term-list sum c_1 v_1 + ... + c_k v_k
-(:func:`sum_products`).  The values have no arithmetic operators but
-negation; a sum, a difference and a product are each a term list.  A sum
-is reduced once: the numerators are multiplied without reducing, each
-product is brought to the largest exponents q^A (1+q)^B, and only the
-total is put in canonical form.  A sum of ``XPolyQ`` values is reduced
-once per power of x.  The reduction runs over Z: the products leave Q
-over the lcm D of their denominators, the lift to (1+q)^B and the
-stripping of q and (1+q) act on one integer numerator, and its
-coefficients become Fractions c/D only at the end.  The constructor
-reduces its one part the same way, so ``_reduced_sum`` is the only
-normalizer of R.  Integer data c(q)/(1+q)^b, the form of every integer
-term list, enters R through :meth:`RatFuncQ.over_bracket`, which strips
-(1+q) from c by exact integer division
-(:func:`qeuler.zpoly.strip_bracket`).
+constructor ``RatFuncQ(num, a, b)``, which takes the triple itself), or
+as one term-list sum c_1 v_1 + ... + c_k v_k (:func:`sum_products`).  The
+values have no arithmetic operators but negation; a sum, a difference
+and a product are each a term list.  A sum is reduced once: the
+numerators are multiplied without reducing, each product is brought to
+the largest exponents q^A (1+q)^B, and only the total is put in
+canonical form.  A sum of ``XPolyQ`` values is reduced once per power of
+x.  The reduction runs over Z: the products leave Q over the lcm D of
+their denominators, the lift to (1+q)^B and the stripping of q and (1+q)
+act on one integer numerator, and its coefficients become Fractions c/D
+only at the end.  The constructor reduces its one part the same way, so
+``_reduced_sum`` is the only normalizer of R.  Integer data
+c(q)/(1+q)^b, the form of every integer term list, enters R through
+:meth:`RatFuncQ.over_bracket`, which strips (1+q) from c by exact
+integer division (:func:`qeuler.zpoly.strip_bracket`).
 
-Three immutable layers, all with exact rational coefficients:
+Two immutable types, both with exact rational coefficients:
 
-* :class:`PolyQ` -- dense univariate polynomials in ``q``;
-* :class:`RatFuncQ` -- elements of R in canonical form;
-* :class:`XPolyQ` -- polynomials in ``x`` whose coefficients are
+* :class:`RatFuncQ` -- elements of R in canonical form, the numerator a
+  tuple of coefficients ascending in ``q``;
+* :class:`XPolyQ` -- dense polynomials in ``x`` whose coefficients are
   ``RatFuncQ``.
 
 A rational coefficient is an ``int`` or a ``fractions.Fraction``, never a
@@ -42,15 +42,14 @@ ints where it enters R (:meth:`RatFuncQ.over_bracket` and the tables of
 them.  What ``_reduced_sum`` returns, and so every sum and constructed
 value, has Fraction coefficients c/D.
 
-``PolyQ`` and ``XPolyQ`` are one dense-polynomial class, ``_DensePoly``,
-over two coefficient rings (Q and R); each supplies its ring and its
-rendering.  A value of R is printed and evaluated at a rational point
-from its triple (num, a, b) by the one printer and the one evaluator of
+A value of R is printed and evaluated at a rational point from its
+triple (num, a, b) by the one printer and the one evaluator of
 N/(q^a (1+q)^b), :func:`qeuler.zpoly.fmt_ratio` and
 :func:`qeuler.zpoly.ratio_at`, which the integer table of q-Euler
-numerators uses as well.  The polynomial renderer, the integer division
-by (1+q) and that table live in :mod:`qeuler.zpoly`, below every exact
-layer.
+numerators uses as well; a polynomial in x is printed by the same term
+loop, :func:`qeuler.zpoly.fmt_poly`.  The polynomial renderer, the
+integer division by (1+q) and that table live in :mod:`qeuler.zpoly`,
+below every exact layer.
 
 No floating point appears anywhere in this module; every operation either
 returns an exact value or raises.
@@ -59,140 +58,33 @@ returns an exact value or raises.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from operator import add
 from typing import Iterable, Union
 
-from .errors import DivisionByZero, PoleError
+from .errors import DivisionByZero, PoleError   # exported from here
 from . import zpoly
-from .zpoly import fmt_poly
 
 CoercibleScalar = Union[int, Fraction]
-
-
-class NonUnitError(ArithmeticError):
-    """A denominator that is not a unit c * q^a * (1+q)^b of R."""
-
-
-class _Ring:
-    """Rendering shared by the three ring types; a subclass supplies
-    ``to_str``."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}('{self}')"
-
-
-class _DensePoly(_Ring):
-    """Dense polynomial over a coefficient ring, coefficients ascending by
-    power.
-
-    A subclass names its coefficient ring by ``_scalar``, which returns an
-    operand as an element of that ring, or None when it is not one.
-
-    Invariant: the highest stored coefficient is nonzero; the zero
-    polynomial stores nothing and has degree -1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        self.coeffs = self._raw([self._element(c) for c in coeffs]).coeffs
-
-    @classmethod
-    def _raw(cls, cs: list):
-        while cs and not cs[-1]:
-            cs.pop()
-        p = object.__new__(cls)
-        p.coeffs = tuple(cs)
-        return p
-
-    @classmethod
-    def zero(cls):
-        return cls._raw([])
-
-    def _element(self, c):
-        s = self._scalar(c)
-        if s is None:
-            raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-        return s
-
-    def _coerce(self, other):
-        if type(other) is type(self):
-            return other
-        s = self._scalar(other)
-        return None if s is None else self._raw([s])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __neg__(self):
-        return self._raw([-c for c in self.coeffs])
-
 
 _F0 = Fraction(0)
 
 
-class PolyQ(_DensePoly):
-    """Dense polynomial in q over the rationals."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _scalar(c):
-        if isinstance(c, Fraction):
-            return c
-        if isinstance(c, int):
-            return Fraction(c)
-        return None
-
-    @classmethod
-    def constant(cls, c: CoercibleScalar) -> "PolyQ":
-        return cls((c,))
-
-    def to_str(self, var: str = "q") -> str:
-        return fmt_poly(self.coeffs, var)
+def _rational(c) -> Fraction:
+    """c as a Fraction; a rational coefficient or point is an int or a
+    Fraction, never a float."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
-_P_ZERO = PolyQ()
-_P_ONE = PolyQ((1,))
-
-
-def _unit_shape(coeffs) -> tuple:
-    """(a, b, c) with the polynomial equal to c * q^a * (1+q)^b.
-
-    Raises NonUnitError for any other nonzero polynomial.
-    """
-    a = 0
-    while coeffs[a] == 0:
-        a += 1
-    c = coeffs[a]
-    b = len(coeffs) - 1 - a
-    if any(coeffs[a + i] != c * comb(b, i) for i in range(1, b + 1)):
-        raise NonUnitError(f"{fmt_poly(coeffs, 'q')} is not a unit "
-                           "c * q^a * (1+q)^b of Q[q, 1/q, 1/(1+q)]")
-    return a, b, c
+def _trimmed(cs: list) -> tuple:
+    """The coefficients cs without their trailing zeros."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
 def _rf_coerce(x):
@@ -200,15 +92,15 @@ def _rf_coerce(x):
         return x
     if isinstance(x, (int, Fraction)):
         return RatFuncQ.from_fraction(x)
-    if isinstance(x, PolyQ):
-        return RatFuncQ._raw(x, 0, 0)
     return None
 
 
-def _as_poly(x) -> PolyQ:
-    if isinstance(x, PolyQ):
-        return x
-    return PolyQ.constant(x) if isinstance(x, (int, Fraction)) else PolyQ(x)
+def _coefficient(c) -> "RatFuncQ":
+    """c as a value of R; raises TypeError unless it is one or a rational."""
+    f = _rf_coerce(c)
+    if f is None:
+        raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
+    return f
 
 
 def _scaled(coeffs, d: int) -> list:
@@ -261,8 +153,7 @@ def _reduced_sum(parts) -> "RatFuncQ":
         return RF_ZERO
     t = _shared_q(acc, top_a)
     ints, b = zpoly.strip_bracket(acc[t:], top_b)
-    return RatFuncQ._raw(PolyQ._raw([Fraction(c, d) for c in ints]),
-                         top_a - t, b)
+    return RatFuncQ._raw(tuple([Fraction(c, d) for c in ints]), top_a - t, b)
 
 
 def _add_into(acc: list, f, g, shift: int) -> None:
@@ -282,32 +173,27 @@ def _add_into(acc: list, f, g, shift: int) -> None:
                 acc[j] += c * d
 
 
-class RatFuncQ(_Ring):
+class RatFuncQ:
     """An element of the ring R = Q[q, 1/q, 1/(1+q)] in canonical form.
 
-    The canonical form num / (q^a (1+q)^b) is stored as the triple
-    (num, a, b), with q not dividing num when a > 0 and (1+q) not dividing
-    num when b > 0; ``den`` is the expanded q^a (1+q)^b.  The zero element
-    is 0/1.  Equality is structural, which the canonical form makes sound.
-    Constructing a value over a denominator that is not a unit
-    c * q^a * (1+q)^b raises NonUnitError.
+    ``RatFuncQ(num, a, b)`` is num / (q^a (1+q)^b), from the ascending
+    rational coefficients of num and two exponents a, b >= 0.  It is
+    stored in canonical form as the triple (num, a, b), with ``num`` the
+    coefficient tuple, q not dividing num when a > 0 and (1+q) not
+    dividing num when b > 0.  The zero element is () with a = b = 0.
+    Equality is structural, which the canonical form makes sound.
     """
 
     __slots__ = ("num", "a", "b")
 
-    def __init__(self, num, den=_P_ONE):
-        num, den = _as_poly(num), _as_poly(den)
-        if den.is_zero:
-            raise DivisionByZero("zero denominator")
-        f = RF_ZERO
-        if not num.is_zero:
-            a, b, c = _unit_shape(den.coeffs)
-            g = None if c == 1 else (Fraction(1, c),)   # exact for int c
-            f = _reduced_sum(((num.coeffs, g, a, b),))
+    def __init__(self, num: Iterable = (), a: int = 0, b: int = 0):
+        if a < 0 or b < 0:
+            raise ValueError("the exponents a and b must be >= 0")
+        f = _reduced_sum(((tuple(map(_rational, num)), None, a, b),))
         self.num, self.a, self.b = f.num, f.a, f.b
 
     @classmethod
-    def _raw(cls, num: PolyQ, a: int, b: int) -> "RatFuncQ":
+    def _raw(cls, num: tuple, a: int, b: int) -> "RatFuncQ":
         f = object.__new__(cls)
         f.num = num
         f.a = a
@@ -318,7 +204,7 @@ class RatFuncQ(_Ring):
     def from_fraction(cls, c: CoercibleScalar) -> "RatFuncQ":
         if c == 0:
             return RF_ZERO
-        return cls._raw(PolyQ.constant(c), 0, 0)
+        return cls._raw((_rational(c),), 0, 0)
 
     @classmethod
     def over_bracket(cls, coeffs, b: int) -> "RatFuncQ":
@@ -327,14 +213,14 @@ class RatFuncQ(_Ring):
         if not any(coeffs):
             return RF_ZERO
         ints, b = zpoly.strip_bracket(coeffs, b)
-        return cls._raw(PolyQ._raw(list(ints)), 0, b)
+        return cls._raw(_trimmed(list(ints)), 0, b)
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         other = _rf_coerce(other)
@@ -347,82 +233,109 @@ class RatFuncQ(_Ring):
         return hash((self.num, self.a, self.b))
 
     def __neg__(self) -> "RatFuncQ":
-        return RatFuncQ._raw(-self.num, self.a, self.b)
+        return RatFuncQ._raw(tuple([-c for c in self.num]), self.a, self.b)
 
     def evaluate(self, q0: CoercibleScalar) -> Fraction:
         """Exact value at a rational point, by ``zpoly.ratio_at``.  Raises
         PoleError at q0 = 0 when a > 0 and at q0 = -1 when b > 0."""
-        return zpoly.ratio_at(self.num.coeffs, self.a, self.b,
-                              self.num._element(q0))
+        return zpoly.ratio_at(self.num, self.a, self.b, _rational(q0))
 
     def to_str(self) -> str:
-        return zpoly.fmt_ratio(self.num.coeffs, self.a, self.b)
+        return zpoly.fmt_ratio(self.num, self.a, self.b)
+
+    def __str__(self) -> str:
+        return self.to_str()
+
+    def __repr__(self) -> str:
+        return f"RatFuncQ('{self}')"
 
 
-RF_ZERO = RatFuncQ._raw(_P_ZERO, 0, 0)
-RF_ONE = RatFuncQ._raw(_P_ONE, 0, 0)
-RF_Q = RatFuncQ._raw(PolyQ((0, 1)), 0, 0)
+RF_ZERO = RatFuncQ._raw((), 0, 0)
+RF_ONE = RatFuncQ._raw((Fraction(1),), 0, 0)
+RF_Q = RatFuncQ._raw((_F0, Fraction(1)), 0, 0)
 
 
-def _is_rational(c: RatFuncQ) -> bool:
-    return not (c.a or c.b) and c.num.degree <= 0
+def _term(c: RatFuncQ):
+    """c as ``fmt_poly`` takes a coefficient: its rational value, or its
+    rendering when it is not rational."""
+    if c.a or c.b or len(c.num) > 1:
+        return c.to_str()
+    return c.num[0] if c.num else 0
 
 
-class XPolyQ(_DensePoly):
-    """Polynomial in x over R: RatFuncQ coefficients, ascending by power."""
+class XPolyQ:
+    """Polynomial in x over R: RatFuncQ coefficients, ascending by power.
 
-    __slots__ = ()
+    Invariant: the highest stored coefficient is nonzero; the zero
+    polynomial stores nothing and has degree -1.
+    """
 
-    _scalar = staticmethod(_rf_coerce)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable = ()):
+        self.coeffs = _trimmed([_coefficient(c) for c in coeffs])
+
+    @classmethod
+    def _raw(cls, cs: list) -> "XPolyQ":
+        p = object.__new__(cls)
+        p.coeffs = _trimmed(cs)
+        return p
+
+    @classmethod
+    def zero(cls) -> "XPolyQ":
+        return cls._raw([])
 
     @classmethod
     def x_power(cls, e: int) -> "XPolyQ":
         return cls._raw([RF_ZERO] * e + [RF_ONE])
 
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not XPolyQ:
+            other = _rf_coerce(other)
+            if other is None:
+                return NotImplemented
+            other = XPolyQ._raw([other])
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __neg__(self) -> "XPolyQ":
+        return XPolyQ._raw([-c for c in self.coeffs])
+
     def to_str(self, var: str = "x") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            power = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-            if i == 0:
-                body = c.to_str() if _is_rational(c) else f"({c.to_str()})"
-            elif c == RF_ONE:
-                body = power
-            elif c == -RF_ONE:
-                body = f"-{power}"
-            elif _is_rational(c):
-                val = c.num.coeffs[0]
-                body = (f"{val}{power}" if val.denominator == 1
-                        else f"({val}){power}")
-            else:
-                body = f"({c.to_str()}){power}"
-            parts.append(body)
-        out = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                out += " - " + body[1:]
-            else:
-                out += " + " + body
-        return out
+        return zpoly.fmt_poly([_term(c) for c in self.coeffs], var)
+
+    def __str__(self) -> str:
+        return self.to_str()
+
+    def __repr__(self) -> str:
+        return f"XPolyQ('{self}')"
 
 
 def _product(c, v: RatFuncQ) -> tuple:
     """c * v as an unreduced part (f, g, a, b) of _reduced_sum."""
-    f = _rf_coerce(c)
-    if f is None:
-        raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-    return f.num.coeffs, v.num.coeffs, f.a + v.a, f.b + v.b
+    f = _coefficient(c)
+    return f.num, v.num, f.a + v.a, f.b + v.b
 
 
 def sum_products(pairs: Iterable) -> Union[RatFuncQ, XPolyQ]:
     """c_1 v_1 + ... + c_k v_k over (c, v) pairs, reduced once.
 
     The values v are all RatFuncQ or all XPolyQ, and each coefficient c is
-    a RatFuncQ, a PolyQ or a rational.  Over XPolyQ values each power of x
-    is its own sum.  The empty sum is RF_ZERO.
+    a RatFuncQ or a rational.  Over XPolyQ values each power of x is its
+    own sum.  The empty sum is RF_ZERO.
     """
     pairs = list(pairs)
     if not pairs or not isinstance(pairs[0][1], XPolyQ):

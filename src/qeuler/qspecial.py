@@ -14,7 +14,9 @@ way, with int numerator coefficients as well.
 
 Both are ``functools.cache`` functions over the one integer table,
 :func:`qeuler.zpoly.euler_numerator`: an entry is built from its own
-numerator rows on first use, and no table is kept here.
+numerator rows on first use, and no table is kept here.  The one other
+value, ``TWO_Q_RECIP`` = (1 + q)/q, is built from its triple
+((1, 1), 1, 0).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from .exactarith import PolyQ, RatFuncQ, XPolyQ
+from .exactarith import RatFuncQ, XPolyQ
 from .zpoly import euler_numerator
 
 
@@ -41,7 +43,7 @@ def binom(n: int, r: int) -> int:
     return comb(n, r)
 
 
-TWO_Q_RECIP = RatFuncQ(PolyQ((1, 1)), PolyQ((0, 1)))   # (1 + q)/q
+TWO_Q_RECIP = RatFuncQ((1, 1), 1)   # (1 + q)/q
 
 @cache
 def euler_number(n: int) -> RatFuncQ:

@@ -78,29 +78,34 @@ def strip_bracket(coeffs, b: int):
 
 
 def fmt_poly(coeffs, var: str = "q") -> str:
-    """Ascending-power rendering with explicit signs, e.g. ``-q + q^2``;
-    the coefficients are ints or Fractions."""
+    """Ascending-power rendering with explicit signs, e.g. ``-q + q^2``.
+    A coefficient is an int or a Fraction, or a str: the rendering of a
+    coefficient that is not rational, printed in parentheses after a
+    plus sign."""
     if not coeffs:
         return "0"
     parts = []
     for i, c in enumerate(coeffs):
-        if c == 0:
+        if type(c) is str:
+            negative, mag = False, f"({c})"
+        elif c:
+            negative, mag = c < 0, abs(c)
+        else:
             continue
-        mag = abs(c)
         if i == 0:
             body = str(mag)
         else:
             power = var if i == 1 else f"{var}^{i}"
             if mag == 1:
                 body = power
-            elif mag.denominator == 1:
+            elif type(mag) is str or mag.denominator == 1:
                 body = f"{mag}{power}"
             else:
                 body = f"({mag}){power}"
         if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
+            parts.append(f"-{body}" if negative else body)
         else:
-            parts.append(f" - {body}" if c < 0 else f" + {body}")
+            parts.append(f" - {body}" if negative else f" + {body}")
     return "".join(parts)
 
 

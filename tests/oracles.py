@@ -8,7 +8,7 @@ from functools import reduce
 from itertools import zip_longest
 from math import comb, factorial, inf, lcm
 
-from qeuler.exactarith import RF_ONE, RF_Q, RF_ZERO, PolyQ, RatFuncQ, XPolyQ
+from qeuler.exactarith import RF_ONE, RF_Q, RF_ZERO, RatFuncQ, XPolyQ
 from qeuler.identities import IdentityId, NumericContext, monomials, sides
 from qeuler.padic import PadicApprox
 from qeuler.qintegral import (
@@ -22,12 +22,6 @@ from qeuler.qintegral import (
 from qeuler.qspecial import TWO_Q_RECIP, DomainError, euler_number, euler_poly
 from qeuler.zpoly import bracket_power
 
-Q = PolyQ((0, 1))
-RF_ONE_PLUS_Q = RatFuncQ(PolyQ((1, 1)))
-# q/(1+q), the exact inverse of TWO_Q_RECIP
-Q_OVER_TWO_Q = RatFuncQ(Q, PolyQ((1, 1)))
-
-
 class InternalInconsistency(RuntimeError):
     """Two routes that must agree produced different values (a code bug)."""
 
@@ -38,17 +32,49 @@ class InternalInconsistency(RuntimeError):
 # The ring operations here take another road: a value is an integer
 # numerator and denominator list, two values are combined by multiplying
 # across (n1 d2 + n2 d1 over d1 d2, n1 n2 over d1 d2), and the result is made
-# canonical by the one-part constructor RatFuncQ(num, den).  Polynomials in q
-# combine as polynomials, and polynomials in x coefficient by coefficient.
+# canonical by synthetic division (canonical_by_division), so no reduction
+# code is shared with the package.  A polynomial in q is the tuple of its
+# rational coefficients, ascending.  Polynomials in q combine as
+# polynomials, and polynomials in x coefficient by coefficient.
+
+def _trim(cs) -> tuple:
+    """The coefficients cs without their trailing zeros."""
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def rf(num, den=(1,)) -> RatFuncQ:
+    """The value num/den of R, written by hand: num and den are coefficient
+    tuples, and den is a unit c q^a (1+q)^b.  It is made canonical by
+    canonical_by_division and stored as it comes out, so no reduction of
+    the package touches it."""
+    den = _trim(den)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    a = 0
+    while den[a] == 0:
+        a += 1
+    c, b = den[a], len(den) - 1 - a
+    if den[a:] != tuple(c * x for x in bracket_power(b)):
+        raise ValueError(f"{den} is not a unit c q^a (1+q)^b")
+    num, a, b = canonical_by_division([Fraction(x) / c for x in num], a, b)
+    return RatFuncQ._raw(num, a, b)
+
+
+Q = (0, 1)
+ONE_PLUS_Q = (1, 1)
+
 
 def _lists(v) -> tuple:
     """(numerator, denominator) integer coefficient lists of a value of R:
     num / (q^a (1+q)^b), its rationals over their lcm d, is
     (d num) / (d q^a (1+q)^b), the denominator expanded."""
     if isinstance(v, RatFuncQ):
-        num, a, b = v.num.coeffs, v.a, v.b
+        num, a, b = v.num, v.a, v.b
     else:
-        num, a, b = (v if isinstance(v, PolyQ) else PolyQ((v,))).coeffs, 0, 0
+        num, a, b = (v if isinstance(v, tuple) else (v,)), 0, 0
     d = lcm(*(c.denominator for c in num))
     return ([c.numerator * (d // c.denominator) for c in num],
             [0] * a + [d * c for c in bracket_power(b)])
@@ -68,18 +94,18 @@ def _plus(a: list, b: list) -> list:
 
 
 def _kind(*values) -> type:
-    """XPolyQ if any operand is one, else RatFuncQ if any is one, else PolyQ
-    if any is one; two scalars give a RatFuncQ."""
-    for kind in (XPolyQ, RatFuncQ, PolyQ):
+    """XPolyQ if any operand is one, else RatFuncQ if any is one, else a
+    polynomial in q (a tuple) if any is one; two scalars give a RatFuncQ."""
+    for kind in (XPolyQ, RatFuncQ, tuple):
         if any(isinstance(v, kind) for v in values):
             return kind
     return RatFuncQ
 
 
 def _made(kind: type, num: list, den: list):
-    if kind is PolyQ:
-        return PolyQ([Fraction(c, den[0]) for c in num])   # den is constant
-    return RatFuncQ(PolyQ(num), PolyQ(den))
+    if kind is tuple:
+        return _trim(Fraction(c, den[0]) for c in num)   # den is constant
+    return rf(num, den)
 
 
 def add(x, y):
@@ -93,7 +119,7 @@ def add(x, y):
 
 def sub(x, y):
     """x - y."""
-    return add(x, -y)
+    return add(x, mul(y, -1))
 
 
 def mul(x, y):
@@ -114,16 +140,17 @@ def mul(x, y):
 
 def power(x, e: int):
     """x^e for e >= 0, by repeated multiplication."""
-    acc = type(x)((1,))
+    acc = ((1,) if isinstance(x, tuple)
+           else RF_ONE if isinstance(x, RatFuncQ) else XPolyQ((1,)))
     for _ in range(e):
         acc = mul(acc, x)
     return acc
 
 
-def unit(a: int, b: int) -> PolyQ:
+def unit(a: int, b: int) -> tuple:
     """q^a (1+q)^b expanded, by repeated multiplication: the denominator
     of the value (num, a, b) of R."""
-    return mul(power(Q, a), power(PolyQ((1, 1)), b))
+    return mul(power(Q, a), power(ONE_PLUS_Q, b))
 
 
 def total(values):
@@ -159,17 +186,16 @@ def x_evaluate(poly: XPolyQ, at) -> RatFuncQ:
 
 # -- reduction by division -------------------------------------------------------
 
-def divide_linear(p: PolyQ, r):
+def divide_linear(p: tuple, r):
     """Synthetic division of p by (q - r) over Q: (quotient, value at r)."""
-    r = p._element(r)
     acc = Fraction(0)
     quot = []
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * r + c
         quot.append(acc)
     rem = quot.pop()
     quot.reverse()
-    return PolyQ(quot), rem
+    return _trim(quot), rem
 
 
 def fraction_horner(coeffs, q0) -> Fraction:
@@ -181,18 +207,27 @@ def fraction_horner(coeffs, q0) -> Fraction:
     return acc
 
 
-def canonical_by_division(num: PolyQ, a: int, b: int) -> tuple:
+def canonical_by_division(num, a: int, b: int) -> tuple:
     """(num, a, b) of num / (q^a (1+q)^b) with every shared factor q and
     (1+q) removed over Q, (1+q) by repeated synthetic division at -1: the
-    Fraction route for the integer reduction of exactarith."""
-    while a and num and num.coeffs[0] == 0:
-        num, a = PolyQ(num.coeffs[1:]), a - 1
-    while b and num:
+    Fraction route for the integer reduction of exactarith.  The zero
+    value is ((), 0, 0)."""
+    num = _trim(num)
+    if not num:
+        return (), 0, 0
+    while a and num[0] == 0:
+        num, a = num[1:], a - 1
+    while b:
         quot, rem = divide_linear(num, -1)
         if rem:
             break
         num, b = quot, b - 1
     return num, a, b
+
+
+RF_ONE_PLUS_Q = rf(ONE_PLUS_Q)
+# q/(1+q), the exact inverse of TWO_Q_RECIP
+Q_OVER_TWO_Q = rf(Q, ONE_PLUS_Q)
 
 
 def q_bracket(n: int, reciprocal: bool = False) -> RatFuncQ:
@@ -207,11 +242,11 @@ def q_bracket(n: int, reciprocal: bool = False) -> RatFuncQ:
         return RF_ZERO
     if reciprocal:
         if n > 0:
-            return mul(q_bracket(n), RatFuncQ(1, power(Q, n - 1)))
+            return mul(q_bracket(n), rf((1,), power(Q, n - 1)))
         return -mul(q_bracket(-n, reciprocal=True), power(RF_Q, -n))
     if n > 0:
-        return RatFuncQ(PolyQ([1] * n))
-    return -mul(q_bracket(-n), RatFuncQ(1, power(Q, -n)))
+        return rf([1] * n)
+    return -mul(q_bracket(-n), rf((1,), power(Q, -n)))
 
 
 def beta_exact(a: int, b: int) -> Fraction:
@@ -259,7 +294,7 @@ def accumulated_euler_numbers(n_max):
     """E[0..n_max] by the umbral recurrence in RatFuncQ arithmetic, every
     partial sum renormalised: the oracle for the integer table fill."""
     numbers = [RF_ONE]
-    factor = RatFuncQ(PolyQ((0, -1)), PolyQ((1, 1)))   # -q/(1+q)
+    factor = rf((0, -1), ONE_PLUS_Q)   # -q/(1+q)
     for m in range(1, n_max + 1):
         s = RF_ZERO
         for l in range(m):
@@ -345,7 +380,7 @@ def thm3_construction_residual(k: int) -> XPolyQ:
     eq6_left = sides(IdentityId.EQ6, {"k": k, "m": k + 1})[0]
     eq103_left = sides(IdentityId.EQ103, {"k": k})[0]
     return sub(corrected_left,
-               add(eq6_left, mul(eq103_left, RatFuncQ(1, PolyQ((1, 1))))))
+               add(eq6_left, mul(eq103_left, rf((1,), ONE_PLUS_Q))))
 
 
 def thm1_independent_route(k: int, m: int):
@@ -414,6 +449,66 @@ def brute_level(req: IntegralRequest, level: int) -> PadicApprox:
             / PadicApprox.from_residue(bracket, p, top))
 
 
+def valuation(r, p: int):
+    """v_p of a rational, by repeated division; inf at 0."""
+    r = Fraction(r)
+    if r == 0:
+        return inf
+    v, num, den = 0, r.numerator, r.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def padic_rational(x: PadicApprox) -> Fraction:
+    """The rational p^valuation * unit that a PadicApprox stands for."""
+    return Fraction(0) if x.is_zero else Fraction(x.p) ** x.valuation * x.unit
+
+
+def padic_log(q: Fraction, p: int, precision: int) -> Fraction:
+    """A rational l with v_p(log_p q - l) >= precision, for v = v_p(q - 1)
+    >= 1: the partial sum of log_p q = sum_{k>=1} (-1)^(k+1) (q - 1)^k / k.
+    Term k has valuation k v - v_p(k) >= k v - log_p k, which grows with k,
+    so the sum stops before the first k with p^(k v - precision) >= k."""
+    v = valuation(q - 1, p)
+    total, k = Fraction(0), 1
+    while k * v < precision or p ** (k * v - precision) < k:
+        total += Fraction((-1) ** (k + 1), k) * (q - 1) ** k
+        k += 1
+    return total
+
+
+def _euler_poly_at(n: int, x0: Fraction, q0: Fraction) -> Fraction:
+    return sum(c.evaluate(q0) * x0 ** i
+               for i, c in enumerate(euler_poly(n).coeffs))
+
+
+def bosonic_closed_form(n: int, x0, p: int, q, precision: int) -> Fraction:
+    """The bosonic integral of (x0 + xi)^n d(mu_q), to absolute precision
+    ``precision``, in closed form from the exact q-Euler polynomials:
+
+        E_n(x0)|_{q -> -q} + n lambda E_{n-1}(x0)|_{q -> -q} / (q - 1),
+
+    with lambda = (q - 1)/log_p q.  The level-N generating function of the
+    bosonic sums, e^(x0 t) (1 - q^M e^(M t)) (1 - q)/((1 - q e^t)(1 - q^M))
+    at M = p^N, tends to e^(x0 t) (1 - q)/(1 - q e^t) (1 + t/log_p q),
+    and e^(x0 t) (1 + q)/(1 + q e^t) generates E_n(x0).  The terms have
+    large negative valuation and cancel, so log_p q is taken to the digits
+    that the division by it and its cancellation need."""
+    q, x0 = Fraction(q), Fraction(x0)
+    head = _euler_poly_at(n, x0, -q)
+    lead = n * _euler_poly_at(n - 1, x0, -q) if n else 0
+    if lead == 0:
+        return head
+    # lead/l - lead/log = lead (log - l)/(l log), and v_p(log_p q) = v
+    v = valuation(q - 1, p)
+    digits = max(precision + 2 * v - valuation(lead, p), v + 1)
+    lam = (q - 1) / padic_log(q, p, digits)
+    return head + lead * lam / (q - 1)
+
+
 def bernoulli_number_padic(n: int, p=None, q=None, target=None,
                            **kwargs) -> PadicApprox:
     """The nth weight-0 q-Bernoulli number: bosonic integral of xi^n.
@@ -437,8 +532,8 @@ def euler_number_padic(n: int, p=None, q=None, target=None,
 def ratfunc_to_obj(f: RatFuncQ) -> dict:
     """The cache encoding of E[n], taken from a RatFuncQ: the ascending
     coefficients of its numerator and of its expanded denominator."""
-    return {"num": [str(c) for c in f.num.coeffs],
-            "den": [str(c) for c in unit(f.a, f.b).coeffs]}
+    return {"num": [str(c) for c in f.num],
+            "den": [str(c) for c in unit(f.a, f.b)]}
 
 
 def padic_from_dict(d: dict) -> PadicApprox:

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 from math import inf
 
-from qeuler.exactarith import PolyQ, RatFuncQ
 from qeuler.identities import (
     FAILS,
     HOLDS,
@@ -34,12 +33,14 @@ from qeuler.report import Report
 from qeuler.cli import main as cli_main
 
 from oracles import (
+    ONE_PLUS_Q,
     RF_ONE_PLUS_Q,
     beta_exact,
     classical_euler_number,
     direct_moment,
     euler_poly_integral01,
     mul,
+    rf,
     starved_modulus,
     thm1_independent_route,
     thm3_construction_residual,
@@ -156,7 +157,7 @@ def test_criterion_04_thm2():
         # times -q/(1+q), the inverse of -(1+q)/q
         beta_form = mul(
             mul(RF_ONE_PLUS_Q, Fraction((-1) ** k) * beta_exact(k + 1, k + 1)),
-            RatFuncQ(PolyQ((0, -1)), PolyQ((1, 1))))
+            rf((0, -1), ONE_PLUS_Q))
         assert right == beta_form
 
 
@@ -179,7 +180,7 @@ def test_criterion_06_thm4():
     assert len(results) == 36
     assert all(r.verdict == HOLDS for r in results)
     left, right = sides(IdentityId.THM4, {"k": 1, "m": 1})
-    anchor = RatFuncQ([0, 0, 2], [1, 1])          # 2q^2/(1+q)
+    anchor = rf((0, 0, 2), ONE_PLUS_Q)            # 2q^2/(1+q)
     assert left == anchor and right == anchor
 
 

@@ -2,11 +2,14 @@
 package namespace resolves its names on first use."""
 
 import ast
+import importlib
 import importlib.util
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -19,31 +22,35 @@ SRC = Path(qeuler.__file__).resolve().parent.parent
 
 # Runs its arguments through the CLI in a fresh interpreter (or, with the
 # single argument "package", imports qeuler; with none, imports nothing),
-# then writes the names of the loaded modules to stderr, one a line.
+# then writes the names of the loaded modules to stderr, one a line, and
+# exits with the CLI's exit code.
 _PROBE = """\
 import sys
+code = 0
 if sys.argv[1:] == ["package"]:
     import qeuler
 elif sys.argv[1:]:
     from qeuler.cli import main
-    main(sys.argv[1:])
+    code = main(sys.argv[1:])
 sys.stderr.write("\\n".join(sorted(sys.modules)))
+sys.exit(code)
 """
 
 
-def _probe(*argv) -> set:
+def _probe(*argv, code: int = 0) -> set:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return set(proc.stderr.split("\n"))
 
 
-def loaded_modules(*argv) -> set:
-    """Modules the probe loads beyond those of interpreter start-up."""
-    return _probe(*argv) - _probe()
+def loaded_modules(*argv, code: int = 0) -> set:
+    """Modules the probe loads beyond those of interpreter start-up; the
+    command must exit with ``code``."""
+    return _probe(*argv, code=code) - _probe()
 
 
 NUMERIC_FREE = {"qeuler.identities", "qeuler.qspecial", "qeuler.exactarith",
@@ -93,12 +100,12 @@ def test_well_formed_lines_load_no_argparse(argv):
     assert not modules & ARGPARSE
 
 
-@pytest.mark.parametrize("argv", [
-    ("integrate", "--help"),
-    ("integrate", "fermionic", "--n=8", "--x0", "-5/2"),
+@pytest.mark.parametrize("argv, code", [
+    (("integrate", "--help"), 0),
+    (("integrate", "fermionic", "--n=8", "--x0", "-5/2"), 2),
 ])
-def test_help_and_errors_load_argparse(argv):
-    assert "argparse" in loaded_modules(*argv)
+def test_help_and_errors_load_argparse(argv, code):
+    assert "argparse" in loaded_modules(*argv, code=code)
 
 
 INTEGRATE = ("integrate", "bosonic", "--n", "3", "--p", "3", "--K", "4")
@@ -165,6 +172,43 @@ def test_layout_table_is_the_module_list():
 def test_each_layer_imports_only_the_layers_below(module):
     below = set(LAYERS[:LAYERS.index(module)])
     assert _relative_imports(module) <= below
+
+
+def _defined_functions():
+    """Every function and method, static and class methods and property
+    getters included, defined at the top of a module of the package or of
+    one of its classes."""
+    for path in sorted((SRC / "qeuler").glob("*.py")):
+        name = "qeuler" if path.stem == "__init__" else f"qeuler.{path.stem}"
+        module = importlib.import_module(name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != name:
+                continue
+            if isinstance(obj, FunctionType):
+                yield obj
+            elif isinstance(obj, type):
+                for member in vars(obj).values():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    if isinstance(member, FunctionType):
+                        yield member
+
+
+def test_every_annotation_resolves():
+    # postponed annotations are strings; each must name something the
+    # module can see when the hints are asked for
+    unresolved = []
+    functions = list(_defined_functions())
+    for function in functions:
+        try:
+            typing.get_type_hints(function)
+        except NameError as exc:
+            unresolved.append(
+                f"{function.__module__}.{function.__qualname__}: {exc}")
+    assert len(functions) > 150
+    assert not unresolved
 
 
 def test_package_import_loads_no_layer():

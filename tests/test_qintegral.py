@@ -31,10 +31,14 @@ from qeuler.report import ResultCache
 
 from oracles import (
     bernoulli_number_padic,
+    bosonic_closed_form,
     brute_level,
     euler_number_padic,
     integral_result_from_dict,
+    padic_log,
+    padic_rational,
     starved_modulus,
+    valuation,
     x_evaluate,
 )
 
@@ -299,6 +303,42 @@ class TestNumberWrappers:
         exact = exact_level_value(KIND_BOSONIC, 2, Fraction(0), 3, Fraction(4), 7)
         emb = PadicApprox.from_rational(exact, 3, 12)
         assert padic_distance(got, emb) >= got.abs_precision
+
+
+def agrees_with_closed_form(value: PadicApprox, n: int, x0: Fraction,
+                            p: int, q: Fraction) -> bool:
+    """value is the closed form to the absolute precision value states."""
+    digits = value.abs_precision
+    diff = bosonic_closed_form(n, x0, p, q, digits) - padic_rational(value)
+    return valuation(diff, p) >= digits
+
+
+class TestBosonicClosedForm:
+    """The bosonic integral of (x0 + xi)^n against the q-Euler polynomials
+    at -q and the p-adic logarithm of q, a route that shares nothing with
+    the level sums."""
+
+    def test_padic_log_is_additive(self):
+        # log 4 + log 7 = log 28 and log 4 + log 1/4 = 0, to 3^12
+        log = lambda q: padic_log(Fraction(q), 3, 12)
+        assert valuation(log(4) + log(7) - log(28), 3) >= 12
+        assert valuation(log(4) + log(Fraction(1, 4)), 3) >= 12
+
+    @pytest.mark.parametrize("p, q, K", [
+        (3, 4, 6), (5, 6, 5), (7, 8, 6), (3, Fraction(4, 7), 6),
+        (3, -2, 6), (5, 11, 5)])
+    def test_integrals_and_bernoulli_numbers(self, p, q, K):
+        q = Fraction(q)
+        ctx = NumericContext(p, q, K)
+        for x0 in (Fraction(0), Fraction(1, 2), Fraction(-2, 5)):
+            if x0.denominator % p == 0:
+                continue
+            for n in range(8):
+                result = integrate(IntegralRequest(KIND_BOSONIC, n, x0, p, q, K))
+                assert result.achieved_precision == K
+                assert agrees_with_closed_form(result.value, n, x0, p, q), (n, x0)
+                if x0 == 0:
+                    assert agrees_with_closed_form(ctx.bernoulli(n), n, x0, p, q)
 
 
 class TestBosonicPrecisionLaw:

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from qeuler.exactarith import RF_ONE, PolyQ, RatFuncQ, XPolyQ, sum_products
+from qeuler.exactarith import RF_ONE, XPolyQ, sum_products
 from qeuler.qspecial import (
     DomainError,
     binom,
@@ -17,6 +17,8 @@ from qeuler.qspecial import (
 from qeuler.zpoly import euler_numerator
 
 from oracles import (
+    ONE_PLUS_Q,
+    Q,
     accumulated_euler_numbers,
     add,
     beta_exact,
@@ -26,12 +28,10 @@ from oracles import (
     mul,
     power,
     q_bracket,
+    rf,
     x_derivative,
     x_evaluate,
 )
-
-ONE_PLUS_Q = PolyQ((1, 1))
-Q = PolyQ((0, 1))
 
 
 class TestBinom:
@@ -48,17 +48,17 @@ class TestBinom:
 
 class TestQBracket:
     def test_small_values(self):
-        assert q_bracket(3) == RatFuncQ(PolyQ((1, 1, 1)))
+        assert q_bracket(3) == rf((1, 1, 1))
         assert q_bracket(0).is_zero
-        assert q_bracket(1) == RatFuncQ(PolyQ((1,)))
+        assert q_bracket(1) == rf((1,))
 
     def test_reciprocal_base(self):
-        assert q_bracket(2, reciprocal=True) == RatFuncQ(ONE_PLUS_Q, Q)
+        assert q_bracket(2, reciprocal=True) == rf(ONE_PLUS_Q, Q)
         assert q_bracket(0, reciprocal=True).is_zero
 
     def test_negative_index(self):
         # (1 - q^-1)/(1 - q) = -1/q
-        assert q_bracket(-1) == RatFuncQ(PolyQ((-1,)), Q)
+        assert q_bracket(-1) == rf((-1,), Q)
 
     def test_q_to_one_limit(self):
         for n in range(-4, 8):
@@ -68,21 +68,20 @@ class TestQBracket:
 
 class TestEulerNumbers:
     def test_first_values(self):
-        assert euler_number(0) == RatFuncQ(PolyQ((1,)))
-        assert euler_number(1) == RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q)
-        assert euler_number(2) == RatFuncQ(mul(Q, PolyQ((-1, 1))),
-                                           power(ONE_PLUS_Q, 2))
+        assert euler_number(0) == rf((1,))
+        assert euler_number(1) == rf((0, -1), ONE_PLUS_Q)
+        assert euler_number(2) == rf(mul(Q, (-1, 1)), power(ONE_PLUS_Q, 2))
 
     def test_third_value(self):
         # -q(q^2 - 4q + 1)/(1+q)^3
-        expected = RatFuncQ(mul(Q, PolyQ((-1, 4, -1))), power(ONE_PLUS_Q, 3))
+        expected = rf(mul(Q, (-1, 4, -1)), power(ONE_PLUS_Q, 3))
         assert euler_number(3) == expected
 
     def test_recurrence_invariant(self):
         # (1+q) E[n] + q sum_{l<n} C(n, l) E[l] = 0, as one term list
         for n in range(1, 15):
-            lhs = sum_products([(ONE_PLUS_Q, euler_number(n))]
-                               + [(PolyQ((0, comb(n, l))), euler_number(l))
+            lhs = sum_products([(rf(ONE_PLUS_Q), euler_number(n))]
+                               + [(rf((0, comb(n, l))), euler_number(l))
                                   for l in range(n)])
             assert lhs.is_zero
 
@@ -95,16 +94,16 @@ class TestEulerNumbers:
         for n in range(101):
             e = euler_number(n)
             assert (e.a, e.b) == (0, n)
-            assert fraction_horner(e.num.coeffs, -1) == factorial(n)
+            assert fraction_horner(e.num, -1) == factorial(n)
 
     def test_tables_hold_the_integer_numerators(self):
         # E[n] stores N_n itself, and E_n(x) the ints C(n, l) N_(n-l)
         for n in range(31):
             e = euler_number(n)
-            assert (e.num.coeffs, e.a, e.b) == (euler_numerator(n), 0, n)
-            assert all(type(c) is int for c in e.num.coeffs)
+            assert (e.num, e.a, e.b) == (euler_numerator(n), 0, n)
+            assert all(type(c) is int for c in e.num)
             assert all(type(c) is int
-                       for v in euler_poly(n).coeffs for c in v.num.coeffs)
+                       for v in euler_poly(n).coeffs for c in v.num)
 
     def test_classical_limit(self):
         for n in range(101):
@@ -118,13 +117,13 @@ class TestEulerNumbers:
 class TestEulerPolys:
     def test_first_values(self):
         assert euler_poly(0) == XPolyQ((1,))
-        e1 = XPolyQ([RatFuncQ(PolyQ((0, -1)), ONE_PLUS_Q), RF_ONE])
+        e1 = XPolyQ([rf((0, -1), ONE_PLUS_Q), RF_ONE])
         assert euler_poly(1) == e1
 
     def test_second_value(self):
         expected = XPolyQ([
-            RatFuncQ(mul(Q, PolyQ((-1, 1))), power(ONE_PLUS_Q, 2)),
-            RatFuncQ(PolyQ((0, -2)), ONE_PLUS_Q),
+            rf(mul(Q, (-1, 1)), power(ONE_PLUS_Q, 2)),
+            rf((0, -2), ONE_PLUS_Q),
             RF_ONE,
         ])
         assert euler_poly(2) == expected
@@ -152,14 +151,14 @@ class TestEulerPolys:
 
     def test_reflection_through_recurrence(self):
         # q * E_n(1) + E_n = 0 for n >= 1, and (1 + q) at n = 0
-        q_rf = RatFuncQ(Q)
+        q_rf = rf(Q)
         for n in range(1, 13):
             v = add(mul(q_rf, x_evaluate(euler_poly(n), Fraction(1))),
                     euler_number(n))
             assert v.is_zero
         n0 = add(mul(q_rf, x_evaluate(euler_poly(0), Fraction(1))),
                  euler_number(0))
-        assert n0 == RatFuncQ(ONE_PLUS_Q)
+        assert n0 == rf(ONE_PLUS_Q)
 
 
 class TestIntegral01:
@@ -168,7 +167,7 @@ class TestIntegral01:
 
     def test_linear(self):
         # (1 - q)/(2 (1 + q)), by substituting the second euler number
-        expected = RatFuncQ(PolyQ((Fraction(1, 2), Fraction(-1, 2))), ONE_PLUS_Q)
+        expected = rf((Fraction(1, 2), Fraction(-1, 2)), ONE_PLUS_Q)
         assert euler_poly_integral01(1) == expected
 
     def test_routes_agree_up_to_12(self):

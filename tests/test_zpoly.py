@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler.errors import PoleError
-from qeuler.exactarith import PolyQ
 from qeuler.qspecial import euler_number
 from qeuler.report import ResultCache
 from qeuler.zpoly import (
@@ -42,7 +41,7 @@ def fraction_euler_number(n, q0):
 
 def test_numerators_match_accumulated_fill():
     for n, expected in enumerate(accumulated_euler_numbers(12)):
-        assert PolyQ(euler_numerator(n)) == expected.num
+        assert euler_numerator(n) == expected.num
         assert (expected.a, expected.b) == (0, n)
 
 
