@@ -480,7 +480,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     _, _, run, default_format = COMMANDS[args.command]
+    # Python 3.11+ converts no int of more than 4,300 digits to str; the
+    # values printed are computed, so the limit is lifted while the command
+    # runs, and restored for a caller in the same process
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         _check_values(args)
         _check_user_files(args)
         report = run(args)
@@ -488,6 +494,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
     return report.exit_code()
 
 

@@ -38,9 +38,11 @@ Two immutable types, both with exact rational coefficients:
 A rational coefficient is an ``int`` or a ``fractions.Fraction``, never a
 float; the two compare, hash and print the same.  Integer data keeps its
 ints where it enters R (:meth:`RatFuncQ.over_bracket` and the tables of
-:mod:`qeuler.qspecial`), so the reduction multiplies ints where it meets
-them.  What ``_reduced_sum`` returns, and so every sum and constructed
-value, has Fraction coefficients c/D.
+:mod:`qeuler.qspecial`), and the accumulator rows of a sum start at the
+int 0, so rows over integer data stay in Z: the reduction multiplies and
+adds ints where it meets them, and a Fraction promotes only the cells it
+lands in.  What ``_reduced_sum`` returns, and so every sum and
+constructed value, has Fraction coefficients c/D.
 
 A value of R is printed and evaluated at a rational point from its
 triple (num, a, b) by the one printer and the one evaluator of
@@ -66,8 +68,6 @@ from .errors import DivisionByZero, PoleError   # exported from here
 from . import zpoly
 
 CoercibleScalar = Union[int, Fraction]
-
-_F0 = Fraction(0)
 
 
 def _rational(c) -> Fraction:
@@ -123,7 +123,7 @@ def _reduced_sum(parts) -> "RatFuncQ":
 
     With A and B the largest exponents, each product f g is accumulated,
     shifted by its q deficit A - a, into the row of its (1+q) deficit
-    B - b.  The rows then leave Q once, over the lcm of their
+    B - b; a row over integer data stays in Z.  The rows then leave Q once, over the lcm of their
     denominators: Horner's rule in (1+q), one shift-add per step, brings
     every integer row to (1+q)^B, the factors q and (1+q) are stripped
     from the integer total, and only its coefficients become Fractions.
@@ -157,10 +157,14 @@ def _reduced_sum(parts) -> "RatFuncQ":
 
 
 def _add_into(acc: list, f, g, shift: int) -> None:
-    """acc += q^shift f g (g None for 1), growing acc as needed."""
+    """acc += q^shift f g (g None for 1), growing acc as needed.
+
+    New cells start at the int 0, so a row of integer data stays in Z:
+    an int * int product is an int addition, and a Fraction promotes only
+    the cell it lands in."""
     grow = shift + len(f) + (len(g) - 1 if g else 0) - len(acc)
     if grow > 0:
-        acc.extend([_F0] * grow)
+        acc.extend([0] * grow)
     if g is None:
         for i, c in enumerate(f, shift):
             acc[i] += c
@@ -252,7 +256,7 @@ class RatFuncQ:
 
 RF_ZERO = RatFuncQ._raw((), 0, 0)
 RF_ONE = RatFuncQ._raw((Fraction(1),), 0, 0)
-RF_Q = RatFuncQ._raw((_F0, Fraction(1)), 0, 0)
+RF_Q = RatFuncQ._raw((Fraction(0), Fraction(1)), 0, 0)
 
 
 def _term(c: RatFuncQ):
