@@ -240,10 +240,12 @@ def integrate(req: IntegralRequest) -> IntegralResult:
     if value is None:
         raise QIntegralError("level 1 exhausted the working precision")
 
+    # only a distance between two levels certifies digits: a run that
+    # compared none achieves 0
     tail = [d for _, _, d in trace[-2:] if d is not None]
     achieved = min(
         [req.target, value.abs_precision] + [d for d in tail if d != inf]
-    )
+    ) if tail else 0
     achieved = max(int(achieved), 0)
     reported = value.truncate_abs(achieved) if achieved > 0 else value
     result = IntegralResult(

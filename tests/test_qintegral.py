@@ -2,6 +2,7 @@
 brute summation loop as an oracle for the closed-form level sums, adaptive
 convergence, the bosonic precision law, and frozen stabilization fixtures."""
 
+import random
 import time
 from contextlib import nullcontext
 from fractions import Fraction
@@ -248,6 +249,18 @@ class TestAdaptiveIntegrate:
         assert err.value.stopped_by == STOP_MAX_LEVEL
         assert STOP_MAX_LEVEL in str(err.value)
 
+    @pytest.mark.parametrize("kind", [KIND_BOSONIC, KIND_FERMIONIC])
+    def test_one_level_certifies_no_digit(self, kind):
+        # a single level is compared with nothing, so its partial result
+        # claims no precision; level 1 of this bosonic integral agrees
+        # with the limit to 3^1 only
+        req = IntegralRequest(kind, 4, Fraction(-2), 3, Fraction(118), 5,
+                              max_level=1)
+        with pytest.raises(ConvergenceNotReached) as err:
+            integrate(req)
+        assert err.value.result.achieved_precision == 0
+        assert err.value.result.levels_used == 1
+
     def test_fermionic_p5_shifted_converges_past_former_term_cap(self):
         # stopped at 6 of 8 digits when levels were capped at 10^6 terms
         req = IntegralRequest(KIND_FERMIONIC, 6, Fraction(2, 7), 5, Fraction(6), 8)
@@ -339,6 +352,35 @@ class TestBosonicClosedForm:
                 assert agrees_with_closed_form(result.value, n, x0, p, q), (n, x0)
                 if x0 == 0:
                     assert agrees_with_closed_form(ctx.bernoulli(n), n, x0, p, q)
+
+
+    def test_seeded_stopping_rule_cases(self):
+        # 300 seeded requests: p in {3, 5, 7}, v_p(q - 1) >= 1, p-integral
+        # x0, K 3..8 and a level cap 1..12, so that some stop short; every
+        # value, converged or partial, is the closed form to the precision
+        # it achieved
+        rng = random.Random(2901)
+        stopped_short = 0
+        for _ in range(300):
+            p = rng.choice((3, 5, 7))
+            units = [u for u in range(1, 10) if u % p]
+            q = 1 + Fraction(p ** rng.randint(1, 2) * rng.choice((-1, 1))
+                             * rng.randint(1, 30), rng.choice(units))
+            x0 = Fraction(rng.randint(-9, 9), rng.choice(units))
+            n, K = rng.randint(0, 8), rng.randint(3, 8)
+            req = IntegralRequest(KIND_BOSONIC, n, x0, p, q, K,
+                                  max_level=rng.randint(1, 12))
+            try:
+                result = integrate(req)
+            except ConvergenceNotReached as exc:
+                result = exc.result
+                stopped_short += 1
+            case = (n, x0, p, q, K, req.max_level)
+            digits = result.achieved_precision
+            diff = (bosonic_closed_form(n, x0, p, q, digits)
+                    - padic_rational(result.value))
+            assert valuation(diff, p) >= digits, case
+        assert 0 < stopped_short < 300
 
 
 class TestBosonicPrecisionLaw:
