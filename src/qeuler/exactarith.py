@@ -123,10 +123,11 @@ def _reduced_sum(parts) -> "RatFuncQ":
 
     With A and B the largest exponents, each product f g is accumulated,
     shifted by its q deficit A - a, into the row of its (1+q) deficit
-    B - b; a row over integer data stays in Z.  The rows then leave Q once, over the lcm of their
-    denominators: Horner's rule in (1+q), one shift-add per step, brings
-    every integer row to (1+q)^B, the factors q and (1+q) are stripped
-    from the integer total, and only its coefficients become Fractions.
+    B - b; a row over integer data stays in Z.  The rows then leave Q
+    once, over the lcm of their denominators: Horner's rule in (1+q), one
+    shift-add per step, brings every integer row to (1+q)^B, the factors
+    q and (1+q) are stripped from the integer total, and only its
+    coefficients become Fractions.
     """
     parts = [p for p in parts if p[0] and p[1] != ()]   # drop zero terms
     if not parts:
