@@ -5,8 +5,10 @@ import hashlib
 import json
 import os
 import re
+import sys
 import time
 import typing
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ from qeuler.padic import PadicApprox, padic_distance
 from qeuler.qintegral import IntegralResult
 from qeuler.report import TOOL_VERSION, CacheError, Report, ResultCache
 from qeuler.qspecial import euler_number
-from qeuler.zpoly import euler_numerator
+from qeuler.zpoly import euler_number_at, euler_numerator
 
 from oracles import ratfunc_to_obj
 from test_acceptance import BATTERY_SHA256
@@ -282,6 +284,50 @@ class TestNumbersCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: numbers {argv[0]} does not take {ignored}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on int-to-str conversion before 3.11")
+class TestDigitLimit:
+    """Computed values print at any size: ``main`` lifts Python's limit on
+    int-to-str conversion while a command runs, and restores it."""
+
+    @pytest.fixture(autouse=True)
+    def saved_limit(self):
+        saved = sys.get_int_max_str_digits()
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    def test_a_lowered_limit_is_restored(self, capsys):
+        sys.set_int_max_str_digits(640)
+        code, out, err = run(capsys, "numbers", "euler", "--n", "330..330")
+        assert (code, err) == (0, "")
+        assert re.search(r"\d{641}", out)      # N_330 has about 689 digits
+        assert sys.get_int_max_str_digits() == 640
+
+    def test_at_q_rows_are_the_exact_values(self, capsys):
+        code, out, _ = run(capsys, "numbers", "euler", "--n", "0..3",
+                           "--at-q=1e-2000", "--format", "json")
+        assert code == 0
+        sys.set_int_max_str_digits(0)           # to read the rows back
+        q0 = Fraction(1, 10 ** 2000)
+        assert ([Fraction(row["value_at_q"])
+                 for row in json.loads(out)["items"]]
+                == [euler_number_at(n, q0) for n in range(4)])
+
+    @pytest.mark.parametrize("argv", [
+        ("integrate", "bosonic", "--n", "2", "--x0=1e-99999", "--p", "3",
+         "--K", "4"),
+        ("integrate", "bosonic", "--n", "2", "--q=1e5000", "--p", "3",
+         "--K", "4"),
+        ("verify", "THM6", "--k", "1", "--m", "1", "--q=1e5000"),
+    ], ids=["integrate-x0", "integrate-q", "verify-q"])
+    def test_large_values_print(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert re.search(r"\d{%d}" % (limit + 1), out)
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestPolyCommand:

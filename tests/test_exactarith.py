@@ -15,6 +15,7 @@ from qeuler.exactarith import (
     PoleError,
     RatFuncQ,
     XPolyQ,
+    _add_into,
     sum_products,
 )
 from qeuler.identities import _unit_interval, _x_derivative, images, monomials
@@ -409,10 +410,14 @@ def test_poly_scalar_product_is_constant_product(p, c):
 # ---------------------------------------------------------------------------
 # sums of products, reduced once
 
-# values over every small pair of exponents q^a (1+q)^b
-spread_ratfuncs = st.builds(
-    lambda p, a, b: RatFuncQ(p, a, b),
-    polys(3), st.integers(0, 3), st.integers(0, 4))
+# values over every small pair of exponents q^a (1+q)^b, built by the
+# constructor (Fraction coefficients) or as integer data c(q)/(1+q)^b (int
+# coefficients), so that a sum's rows are all int, mixed or all Fraction
+int_coefficients = st.lists(st.integers(-9, 9), max_size=4)
+spread_ratfuncs = st.one_of(
+    st.builds(lambda p, a, b: RatFuncQ(p, a, b),
+              polys(3), st.integers(0, 3), st.integers(0, 4)),
+    st.builds(RatFuncQ.over_bracket, int_coefficients, st.integers(0, 4)))
 sum_coefficients = st.one_of(spread_ratfuncs, fractions_st, st.integers(-3, 3))
 
 
@@ -469,6 +474,25 @@ def test_xpoly_sum_products_matches_pairwise_fold(pairs, q0):
         assert_fraction_coefficients(column)
         assert column.evaluate(q0) == pointwise_sum(
             [(c, part) for (c, _), part in zip(pairs, parts)], q0)
+
+
+int_factors = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(int_factors, st.none() | int_factors,
+                          st.integers(0, 3)), max_size=5))
+def test_add_into_keeps_integer_rows_in_z(parts):
+    # acc += q^shift f g over int parts leaves only ints, equal to the
+    # products added coefficient by coefficient
+    acc, want = [], [0] * 12
+    for f, g, shift in parts:
+        _add_into(acc, f, g, shift)
+        for i, c in enumerate(f, shift):
+            for j, d in enumerate(g or (1,), i):
+                want[j] += c * d
+    assert all(type(c) is int for c in acc)
+    assert acc == want[:len(acc)] and not any(want[len(acc):])
 
 
 def test_sum_products_cancellation_by_hand():

@@ -353,7 +353,6 @@ class TestBosonicClosedForm:
                 if x0 == 0:
                     assert agrees_with_closed_form(ctx.bernoulli(n), n, x0, p, q)
 
-
     def test_seeded_stopping_rule_cases(self):
         # 300 seeded requests: p in {3, 5, 7}, v_p(q - 1) >= 1, p-integral
         # x0, K 3..8 and a level cap 1..12, so that some stop short; every
