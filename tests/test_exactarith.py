@@ -413,11 +413,11 @@ def test_poly_scalar_product_is_constant_product(p, c):
 # values over every small pair of exponents q^a (1+q)^b, built by the
 # constructor (Fraction coefficients) or as integer data c(q)/(1+q)^b (int
 # coefficients), so that a sum's rows are all int, mixed or all Fraction
-int_coefficients = st.lists(st.integers(-9, 9), max_size=4)
 spread_ratfuncs = st.one_of(
     st.builds(lambda p, a, b: RatFuncQ(p, a, b),
               polys(3), st.integers(0, 3), st.integers(0, 4)),
-    st.builds(RatFuncQ.over_bracket, int_coefficients, st.integers(0, 4)))
+    st.builds(RatFuncQ.over_bracket, st.lists(st.integers(-9, 9), max_size=4),
+              st.integers(0, 4)))
 sum_coefficients = st.one_of(spread_ratfuncs, fractions_st, st.integers(-3, 3))
 
 
