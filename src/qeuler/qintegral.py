@@ -247,9 +247,8 @@ def integrate(req: IntegralRequest) -> IntegralResult:
         [req.target, value.abs_precision] + [d for d in tail if d != inf]
     ) if tail else 0
     achieved = max(int(achieved), 0)
-    reported = value.truncate_abs(achieved) if achieved > 0 else value
     result = IntegralResult(
-        value=reported,
+        value=value.truncate_abs(achieved),
         achieved_precision=achieved,
         levels_used=level,
         converged=stable >= 2,

@@ -258,8 +258,11 @@ class TestAdaptiveIntegrate:
                               max_level=1)
         with pytest.raises(ConvergenceNotReached) as err:
             integrate(req)
-        assert err.value.result.achieved_precision == 0
-        assert err.value.result.levels_used == 1
+        result = err.value.result
+        assert result.achieved_precision == 0
+        assert result.levels_used == 1
+        # and its value states no digit beyond p^0
+        assert result.value.abs_precision <= 0
 
     def test_fermionic_p5_shifted_converges_past_former_term_cap(self):
         # stopped at 6 of 8 digits when levels were capped at 10^6 terms
