@@ -25,6 +25,7 @@ the full parser's.
 
 from __future__ import annotations
 
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -214,13 +215,22 @@ def _user_file(option: str, path: str):
         raise ConfigError(f"cannot use {option} {path}: {exc.strerror or exc}")
 
 
-def _check_values(args) -> None:
+def _check_values(args, digits: Optional[int]) -> None:
     """No option takes a list, but argparse stores '--opt=--' as an empty
-    one without calling the option's type: a usage error."""
+    one without calling the option's type: a usage error.  A value with a
+    number of more than ``digits`` digits is one too: the rationals and
+    ranges are read by ``int`` after main lifts the interpreter's limit
+    on str-to-int conversion, and the limit keeps a user's digits from
+    taking quadratic time to read."""
     for dest, value in vars(args).items():
+        flag = "--" + dest.replace("_", "-")
         if type(value) is list:
-            flag = "--" + dest.replace("_", "-")
             raise ConfigError(f"argument {flag}: expected one argument")
+        if (digits and type(value) is str and max(
+                map(len, re.findall(r"\d+", value.replace("_", ""))),
+                default=0) > digits):
+            raise ConfigError(f"argument {flag}: a number of more than "
+                              f"{digits} digits")
 
 
 def _check_user_files(args) -> None:
@@ -480,14 +490,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     _, _, run, default_format = COMMANDS[args.command]
-    # Python 3.11+ converts no int of more than 4,300 digits to str; the
-    # values printed are computed, so the limit is lifted while the command
-    # runs, and restored for a caller in the same process
+    # Python 3.11+ converts no int of more than 4,300 digits to or from
+    # str; the values printed are computed, so the limit is lifted once the
+    # user's values are checked, and restored for a caller in the same
+    # process
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        _check_values(args, digits)
         if digits is not None:
             sys.set_int_max_str_digits(0)
-        _check_values(args)
         _check_user_files(args)
         report = run(args)
         _emit(report, args, default_format)

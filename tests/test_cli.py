@@ -329,6 +329,24 @@ class TestDigitLimit:
         assert re.search(r"\d{%d}" % (limit + 1), out)
         assert sys.get_int_max_str_digits() == limit
 
+    @pytest.mark.parametrize("option", ["--q", "--x0", "--at-q", "--n"])
+    def test_long_input_numbers_are_usage_errors(self, capsys, option):
+        # the user's digits are read under the limit, which main lifts only
+        # for the values it computes
+        limit = sys.get_int_max_str_digits()
+        number = "9" * (limit + 1)
+        argv = {"--q": ("integrate", "bosonic", "--n", "2", "--p", "3",
+                        "--K", "4", f"--q=1/{number}"),
+                "--x0": ("integrate", "bosonic", "--n", "2", "--p", "3",
+                         "--K", "4", f"--x0={number}"),
+                "--at-q": ("numbers", "euler", f"--at-q={number}"),
+                "--n": ("numbers", "euler", f"--n=0..{number}")}[option]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: argument {option}: a number of more than "
+                       f"{limit} digits\n")
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestPolyCommand:
     def test_rows(self, capsys):
