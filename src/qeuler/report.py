@@ -111,14 +111,13 @@ class Report:
         return 0
 
     def to_json(self) -> str:
-        """The body with its hash and the timing side channel; the body is
-        built once and hashed in its canonical form."""
-        import json
-
+        """The body with its hash and the timing side channel, on one line
+        in the canonical layout; the body is built once and hashed in its
+        canonical form."""
         doc = self.body()
         doc["canonical_sha256"] = _sha256(canonical_json(doc))
         doc["timing"] = self.timing
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return canonical_json(doc) + "\n"
 
     @classmethod
     def parse(cls, text: str) -> "Report":

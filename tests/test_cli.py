@@ -529,6 +529,9 @@ class TestReportDocument:
         doc = json.loads(out)
         assert doc["schema"] == "qeuler-report/1"
         assert doc["canonical_sha256"] == report.sha256()
+        # one line, in the canonical layout
+        assert out == json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                                 ensure_ascii=True) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["report"],
