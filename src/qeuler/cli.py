@@ -363,8 +363,8 @@ def _verify_ranges(args, label: str, params) -> dict:
     supplied = [n for n in ("k", "m", "n") if getattr(args, n, None) is not None]
     stray = sorted(set(supplied) - set(params))
     if stray:
-        raise ConfigError(
-            f"{label} takes {sorted(params)}; stray range for {stray}")
+        takes = sorted(params) or "no ranges"
+        raise ConfigError(f"{label} takes {takes}; stray range for {stray}")
     return {name: parse_range(getattr(args, name)) for name in supplied}
 
 

@@ -287,10 +287,6 @@ class XPolyQ:
         return p
 
     @classmethod
-    def zero(cls) -> "XPolyQ":
-        return cls._raw([])
-
-    @classmethod
     def x_power(cls, e: int) -> "XPolyQ":
         return cls._raw([RF_ZERO] * e + [RF_ONE])
 

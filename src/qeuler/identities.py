@@ -36,23 +36,19 @@ Exact identities are decided in the ring R = Q[q, 1/q, 1/(1+q)]
 numbers are decided here to finite p-adic precision, because B is
 computed as a Riemann-sum limit.
 
-An exact cell is decided by one of two routes.  With E the linear map
-x^n -> E_n(x), a statement E(t) = h holds iff its *x-certificate*
-c = t - E^-1(h) is zero, where E^-1(h) = (q h(x+1) + h(x))/(1+q); the
-certificate of a view is that view's map of E(c), plus, in the integral
-view, q times a rational residual, U(h)/q less the printed beta.  One rule
-decides every cell of the poly, fermionic and integral views but EQ6's
-first: a zero c, computed from the statement over the integers with no
-table value, and a zero residual give ``holds`` and the zero
-certificate.  Every other cell takes the *table route*: both sides'
-pairs are taken from the E tables and summed as one term list, the right
-side's coefficients negated (the bosonic view subtracts its sides
-p-adically), so a failing certificate is always the tables' own.  The
-x-certificate route is sound only while the tables satisfy the
+Every exact statement is decided by its *x-certificate*.  With E the
+linear map x^n -> E_n(x), a statement E(t) = h has x-certificate
+c = t - E^-1(h), where E^-1(h) = (q h(x+1) + h(x))/(1+q), computed over
+the integers with no table value.  While the tables satisfy the
 functional equation q E_n(x+1) + E_n(x) = (1+q) x^n up to the
-statement's degree, one more in the integral view; that *license* is
-checked on the integer numerators once per degree and process, and a
-degree that fails it sends its cells to the table route.
+statement's degree (one more in the integral view), each view's
+certificate left - right is one sum over c's nonzero coefficients: E(c)
+in the poly view, minus the fermionic moments of E(c) in the fermionic
+view, and U(E(c)) + q * (U(h)/q - beta) in the integral view.  So a cell
+that holds reads no table value.  That *license* is checked on the
+integer numerators once per degree and process; a degree it refuses
+raises ``TableError``, an error row of the grid.  The calculus rules and
+the bosonic view are decided on the tables (``table_certificate``).
 
 Several catalogued statements exist in two encodings: a ``_PRINTED``
 variant transcribing the typeset source, including its suspect summation
@@ -72,7 +68,7 @@ from itertools import accumulate, chain, product
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .exactarith import RF_Q, RF_ZERO, RatFuncQ, XPolyQ, sum_products
+from .exactarith import RF_Q, RatFuncQ, XPolyQ, sum_products
 from .padic import PadicApprox, Record
 from .qintegral import KIND_BOSONIC, MonomialIntegrals
 from .qspecial import TWO_Q_RECIP, binom, euler_number, euler_poly
@@ -400,40 +396,32 @@ REGISTRY: Dict[IdentityId, IdentityInfo] = {
 }
 
 
-def cell_pairs(identity: IdentityId, params: Dict[str, int]
-               ) -> Tuple[list, list]:
-    """The (coefficient, image) pairs of both sides of an exact cell: its
-    view's (``view_pairs``), or the calculus rule's own."""
-    info = REGISTRY[identity]
-    built = info.build(**params)
-    if info.view is None:
-        return built
-    return view_pairs(info.view, built, info.beta(**params), info.moved)
-
-
 def sides(identity: IdentityId, params: Dict[str, int],
           ctx: Optional[NumericContext] = None) -> Tuple[object, object]:
     """Both sides of an identity at one parameter cell, each one exact sum
-    (``cell_pairs``), or p-adically in ``ctx`` for the bosonic view,
-    monomial side first."""
+    of its (coefficient, image) pairs (``view_pairs``, or the calculus
+    rule's own), or p-adically in ``ctx`` for the bosonic view, monomial
+    side first."""
     info = REGISTRY[identity]
+    built = info.build(**params)
     if info.view == "bosonic":
-        terms, mono = map(ring_terms, info.build(**params))
+        terms, mono = map(ring_terms, built)
         return ctx.apply(mono, ctx.bernoulli), ctx.apply(terms, ctx.bosonic_moment)
-    left, right = cell_pairs(identity, params)
-    return sum_products(left), sum_products(right)
+    if info.view is not None:
+        built = view_pairs(info.view, built, info.beta(**params), info.moved)
+    return tuple(map(sum_products, built))
 
 
 def table_certificate(identity: IdentityId, params: Dict[str, int],
                       ctx: Optional[NumericContext] = None):
-    """left - right of a cell, from the tables.  An exact cell sums its
-    left pairs and its right pairs, coefficients negated, as one exact sum
-    (``cell_pairs``), reduced once (per power of x); the bosonic view
-    subtracts its sides p-adically."""
+    """left - right of a calculus rule or a bosonic cell, from the tables.
+    A calculus rule sums its left pairs and its right pairs, coefficients
+    negated, as one exact sum, reduced once per power of x; the bosonic
+    view subtracts its sides p-adically."""
     if REGISTRY[identity].view == "bosonic":
         left, right = sides(identity, params, ctx)
         return left - right
-    left, right = cell_pairs(identity, params)
+    left, right = REGISTRY[identity].build(**params)
     return sum_products(left + [(-c, v) for c, v in right])
 
 
@@ -445,8 +433,8 @@ def table_certificate(identity: IdentityId, params: Dict[str, int],
 # E^-1 inverts the tables as far as they satisfy the functional equation
 # q E_n(x+1) + E_n(x) = (1+q) x^n, because E_n(x) is Appell: E commutes
 # with x -> x+1.  Then E(t) - h = E(c), and E(c) = 0 iff c = 0, E_n being
-# monic.  A view maps both sides by one linear map, so a zero c decides
-# its theorem too, and c needs no value of the tables.
+# monic.  A view maps both sides by one linear map V, so its certificate
+# is V(E(c)), and c needs no value of the tables.
 
 
 def _columns(terms: ZTerms, top: int, width: int) -> list:
@@ -529,34 +517,47 @@ def _functional_equation_row(n: int) -> bool:
 
 def table_licensed(n: int) -> bool:
     """Whether the tables satisfy the functional equation for every degree
-    up to n, the condition under which a zero x-certificate decides a
-    statement of degree n.  Each degree is checked once per process."""
+    up to n, the condition under which the x-certificate of a statement of
+    degree n gives its certificate.  Each degree is checked once per process."""
     return all(map(_functional_equation_row, range(1, n + 1)))
 
 
-def _x_route(identity: IdentityId, params: Dict[str, int]):
-    """(statement, residual, zero certificate, degree licensed) of a cell
-    that a zero x-certificate may decide, or None.
+class TableError(ArithmeticError):
+    """The tables fail the functional equation up to a degree that a
+    statement needs, so its x-certificate does not give its certificate."""
 
-    EQ6 itself, the calculus rules and the bosonic view are decided on the
-    tables.  The residual is 0 but in the integral view, where the
-    certificate is U(E(c)) + q * residual with residual U(h)/q less the
-    printed beta, h the statement's right side.  With h = (1+q) sum
-    c_i x^i, whose monomial coefficients are (c_i, c_i), U(h)/q is
-    -sum c_i/(i+1).  The integral view also needs one degree more: the
-    unit integral E[n+1]/(n+1) of E_n(x) rests on the functional equation
-    at n + 1.
+
+def statement_certificate(identity: IdentityId, params: Dict[str, int]
+                          ) -> Tuple[object, XPolyQ]:
+    """(certificate, x-certificate c) of a statement cell, its certificate
+    left - right the view of E(c), one sum over c's nonzero coefficients.
+
+    In the integral view the certificate is U(E(c)) + q * residual, the
+    residual U(h)/q less the printed beta, h the statement's right side.
+    With h = (1+q) sum c_i x^i, whose monomial coefficients are (c_i, c_i),
+    U(h)/q is -sum c_i/(i+1).  The integral view also needs one degree
+    more: the unit integral E[n+1]/(n+1) of E_n(x) rests on the functional
+    equation at n + 1.  Raises TableError when the tables are not licensed
+    to the degree the cell needs.
     """
     info = REGISTRY[identity]
-    if identity is IdentityId.EQ6 or info.view in (None, "bosonic"):
-        return None
     statement = info.build(**params)
-    if info.view != "integral":
-        zero = XPolyQ.zero() if info.view == "poly" else RF_ZERO
-        return statement, 0, zero, _degree(statement)
-    u_h = -sum(Fraction(c, i + 1) for (c, _), _, i in statement[1])  # U(h)/q
-    return (statement, u_h - info.beta(**params), RF_ZERO,
-            _degree(statement) + 1)
+    degree = _degree(statement) + (info.view == "integral")
+    if not table_licensed(degree):
+        raise TableError(f"the tables fail the functional equation up to "
+                         f"degree {degree}")
+    c = x_polynomial(*x_certificate(statement))
+    terms = monomials(c)
+    if info.view == "poly":
+        # E(c) is a polynomial in x, the zero one when c is zero
+        cert = sum_products(images(terms, euler_poly)) if terms else c
+    elif info.view == "fermionic":
+        cert = sum_products([(-ci, fermionic_moment(i)) for ci, i in terms])
+    else:
+        u_h = -sum(Fraction(ci, i + 1) for (ci, _), _, i in statement[1])
+        cert = sum_products(images(terms, unit_integral)
+                            + [(u_h - info.beta(**params), RF_Q)])
+    return cert, c
 
 
 class VerificationResult(Record):
@@ -597,9 +598,10 @@ def _mode(identity: IdentityId, ctx: Optional[NumericContext]) -> str:
 
 def verify(identity: IdentityId, params: Dict[str, int],
            ctx: Optional[NumericContext] = None) -> VerificationResult:
-    """Decide one cell: by its x-certificate when that is zero and the
-    tables are licensed to its degree, otherwise by its table certificate
-    left - right (``table_certificate``), and classify the verdict.
+    """Decide one cell: a statement by its x-certificate
+    (``statement_certificate``), a calculus rule or a bosonic cell by its
+    table certificate left - right (``table_certificate``), and classify
+    the verdict.
 
     Exact identities hold iff the difference is identically zero.  A p-adic
     identity fails when the difference has a nonzero digit below p^K, and
@@ -622,17 +624,10 @@ def verify(identity: IdentityId, params: Dict[str, int],
         raise ValueError(f"{identity.value} needs a numeric context")
 
     start = time.monotonic()
-    cert, route, x_cert = None, TABLES, None
-    shortcut = _x_route(identity, params)
-    if shortcut is not None:
-        statement, residual, zero, degree = shortcut
-        cols, b = x_certificate(statement)
-        if any(map(any, cols)):
-            x_cert = str(x_polynomial(cols, b))
-        elif not residual and table_licensed(degree):
-            cert, route = zero, X_CERTIFICATE
-    if cert is None:
-        cert = table_certificate(identity, params, ctx)
+    if info.view in (None, "bosonic"):
+        cert, c, route = table_certificate(identity, params, ctx), None, TABLES
+    else:
+        (cert, c), route = statement_certificate(identity, params), X_CERTIFICATE
     if info.mode == "exact":
         verdict = HOLDS if cert.is_zero else FAILS
     elif not cert.is_zero and cert.valuation < ctx.target:
@@ -643,7 +638,8 @@ def verify(identity: IdentityId, params: Dict[str, int],
         verdict = ERROR
     elapsed = time.monotonic() - start
     return VerificationResult(identity, dict(params), _mode(identity, ctx),
-                              verdict, cert, str(cert), elapsed, route, x_cert)
+                              verdict, cert, str(cert), elapsed, route,
+                              str(c) if c else None)
 
 
 def grid_params(identity: IdentityId,

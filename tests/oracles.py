@@ -261,7 +261,7 @@ def beta_exact(a: int, b: int) -> Fraction:
 def shifted(poly: XPolyQ, c) -> XPolyQ:
     """Compose with the shift x -> x + c."""
     shift = XPolyQ([c, RF_ONE])
-    acc = XPolyQ.zero()
+    acc = XPolyQ()
     for coef in reversed(poly.coeffs):
         acc = add(mul(acc, shift), coef)
     return acc

@@ -57,6 +57,8 @@ BATTERY_SHA256 = ("baedeef0ed5e5eb90ce3a2bffd6704ab"
 COMMAND_SHA256 = {
     "verify EQ6 --k 0..10 --m 0..10":
         "6e04cc419d9341e55eb807688394a2879723866ed962149968b5b6adc12848a1",
+    "verify EQ6 --k 0..30 --m 0..30":
+        "84fcb76d8f06e1fc44a34de8bbb19186cca65110b482d0659d666cbf9553e782",
     "verify all --p 5 --K 5":
         "b6e890b2a012d99cb94d364d4dfedb8dc6cae346500e5586c3680d99ac188eb6",
     "poly --n 0..20":

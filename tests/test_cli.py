@@ -29,7 +29,7 @@ from qeuler.report import TOOL_VERSION, CacheError, Report, ResultCache
 from qeuler.qspecial import euler_number
 from qeuler.zpoly import euler_number_at, euler_numerator
 
-from oracles import ratfunc_to_obj
+from oracles import bosonic_closed_form, ratfunc_to_obj, valuation
 from test_acceptance import BATTERY_SHA256
 
 
@@ -250,6 +250,24 @@ class TestNumbersCommand:
         assert rows[0]["valuation"] == 0 and rows[0]["unit"] == 1
         assert rows[1]["valuation"] == 1 and rows[1]["unit"] == 17
 
+    @pytest.mark.parametrize("p, q, K", [
+        (3, "1+p", 5), (5, "6", 6), (7, "8", 4), (3, "4/7", 5)])
+    def test_bernoulli_rows_are_the_closed_form(self, capsys, p, q, K):
+        # each row is the closed form B_n = E[n](-q) + n lambda
+        # E[n-1](-q)/(q - 1) to the precision it achieved
+        code, out, _ = run(capsys, "numbers", "bernoulli", "--n", "0..8",
+                           "--p", str(p), "--q", q, "--K", str(K),
+                           "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["items"]
+        assert [row["n"] for row in rows] == list(range(9))
+        q = Fraction(1 + p) if q == "1+p" else Fraction(q)
+        for row in rows:
+            digits = row["achieved_precision"]
+            value = Fraction(p) ** row["valuation"] * row["unit"]
+            closed = bosonic_closed_form(row["n"], 0, p, q, digits)
+            assert valuation(value - closed, p) >= digits, row
+
     def test_bernoulli_large_prime_exits_zero(self, capsys):
         code, out, err = run(capsys, "numbers", "bernoulli", "--n", "0..3",
                              "--p", "1000003", "--K", "4", "--format", "json")
@@ -466,6 +484,11 @@ class TestVerifyCommand:
             assert code == 2
             assert "stray" in err
 
+    def test_all_takes_no_ranges(self, capsys):
+        code, _, err = run(capsys, "verify", "all", "--n", "1..3")
+        assert code == 2
+        assert "error: all takes no ranges; stray range for ['n']" in err
+
     def test_unknown_identity_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "THM9")
         assert code == 2
@@ -510,7 +533,7 @@ class TestTimingSideChannel:
         doc = json.loads(out.read_text())
         assert doc["canonical_sha256"] == BATTERY_SHA256
         timing = doc["timing"]
-        assert timing["routes"] == {"x-certificate": 136, "tables": 129}
+        assert timing["routes"] == {"x-certificate": 225, "tables": 40}
         # only the cells whose x-certificate is not zero
         assert sorted(timing["x_certificates"]) == [
             f"{ident}:{{'k': {k}}}" for ident in ("THM3_PRINTED", "THM5_PRINTED")

@@ -224,7 +224,7 @@ class TestXPolyQ:
                           " - x^5 + (1/3)x^6")
         assert str(XPolyQ([0, Fraction(-2, 3)])) == "-(2/3)x"
         assert str(XPolyQ([rf((1,), Q), 0, 2])) == "((1)/(q)) + 2x^2"
-        assert str(XPolyQ.zero()) == "0"
+        assert str(XPolyQ()) == "0"
 
     def test_mul_degree(self):
         f = mul(XPolyQ.x_power(2), XPolyQ([rf((-1,)), RF_ONE]))
@@ -381,7 +381,7 @@ def test_xpoly_ring_axioms(f, g, h):
     assert mul(f, plus(g, h)) == plus(mul(f, g), mul(f, h))
     assert plus(f, g) == plus(g, f) == add(g, f)
     assert mul(f, g) == mul(g, f)
-    assert sum_products([(1, f), (-1, f)]) == XPolyQ.zero()
+    assert sum_products([(1, f), (-1, f)]) == XPolyQ()
     assert mul(f, XPolyQ((1,))) == f
     fg = mul(f, g)
     assert fg.is_zero or fg.degree == f.degree + g.degree

@@ -13,6 +13,7 @@ from qeuler import identities, padic, qintegral, qspecial, zpoly
 from qeuler.cli import main as cli_main
 from qeuler.exactarith import RF_ONE, RF_ZERO, RatFuncQ, XPolyQ, sum_products
 from qeuler.identities import (
+    ERROR,
     FAILS,
     HOLDS,
     HOLDS_TO_PRECISION,
@@ -497,9 +498,10 @@ def table_route(identity, params):
     return sub(left, right)
 
 
-# the identities a zero x-certificate decides, on grids that contain the
-# default battery's
+# the statements, every one decided by its x-certificate, on grids that
+# contain the default battery's
 DERIVED_GRIDS = {
+    IdentityId.EQ6: {"k": (0, 12), "m": (0, 12)},
     IdentityId.EQ103: {"k": (1, 12)},
     IdentityId.THM3_PRINTED: {"k": (1, 8)},
     IdentityId.THM3_CORRECTED: {"k": (1, 8)},
@@ -512,18 +514,24 @@ DERIVED_GRIDS = {
 }
 
 
+def assert_table_route_agrees(r):
+    """A statement cell, decided by its x-certificate, has the verdict and
+    the certificate (value, string and type) of the table route."""
+    cert = table_route(r.id, r.params)
+    assert r.route == X_CERTIFICATE
+    assert r.verdict == (HOLDS if cert.is_zero else FAILS)
+    assert r.certificate == cert
+    assert r.certificate_str == str(cert)
+    assert type(r.certificate) is type(cert)
+
+
 class TestXCertificateRoute:
-    """A zero x-certificate decides a cell exactly as the tables do."""
+    """The view of E(c) is the certificate the tables give."""
 
     @pytest.mark.parametrize("identity", list(DERIVED_GRIDS))
     def test_routes_agree(self, identity):
         for r in verify_grid(identity, DERIVED_GRIDS[identity]):
-            cert = table_route(identity, r.params)
-            assert r.verdict == (HOLDS if cert.is_zero else FAILS)
-            assert r.certificate_str == str(cert)
-            assert type(r.certificate) is type(cert)
-            # every cell that holds is decided without the tables
-            assert r.route == (X_CERTIFICATE if cert.is_zero else TABLES)
+            assert_table_route_agrees(r)
 
     @settings(max_examples=25, deadline=None)
     @given(k=st.integers(1, 9), m=st.integers(0, 9))
@@ -542,32 +550,97 @@ class TestXCertificateRoute:
             x_moment, e_moment = view_sums("fermionic", statement)
             assert (sub(x_moment, e_moment)
                     == -sum_products(images(monomials(c), fermionic_moment)))
-        cells = [(IdentityId.THM1_COR, {"k": k}), (IdentityId.THM2, {"k": k}),
+        cells = [(IdentityId.EQ6, {"k": k, "m": m}),
+                 (IdentityId.THM1_COR, {"k": k}), (IdentityId.THM2, {"k": k}),
                  (IdentityId.THM5_PRINTED, {"k": k})]
         if m:
             cells += [(IdentityId.THM1, {"k": k, "m": m}),
                       (IdentityId.THM4, {"k": k, "m": m})]
         for identity, params in cells:
-            decided = verify(identity, params).route == X_CERTIFICATE
-            assert decided == table_route(identity, params).is_zero
+            r = verify(identity, params)
+            assert_table_route_agrees(r)
+            assert (r.x_certificate is None) == (r.verdict == HOLDS)
 
-    def test_wrong_printed_beta_takes_the_tables(self, monkeypatch):
-        # a zero x-certificate with a nonzero beta residual decides nothing:
-        # the cell fails on the tables, by q times the beta error
+    def test_wrong_printed_beta_fails_by_its_residual(self, monkeypatch):
+        # a zero x-certificate with a nonzero beta residual fails, by q
+        # times the beta error, as it does on the tables
         delta = Fraction(1, 7)
         printed = identities._beta
         monkeypatch.setattr(identities, "_beta",
                             lambda k, m: printed(k, m) + delta)
         r = verify(IdentityId.THM2, {"k": 2})
-        assert (r.verdict, r.route) == (FAILS, TABLES)
+        assert (r.verdict, r.x_certificate) == (FAILS, None)
+        assert_table_route_agrees(r)
         assert r.certificate == mul(rf(Q), -delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), view=st.sampled_from(["poly", "fermionic",
+                                                 "integral"]))
+    def test_random_statements_agree_with_the_tables(self, data, view):
+        # an arbitrary statement, mostly false, stands in for a catalogue
+        # entry; its view of E(c) is the certificate the tables give.  The
+        # integral view's monomials have the form (1+q) c x^i it assumes.
+        coeffs = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+        terms = data.draw(st.lists(st.tuples(
+            coeffs.map(tuple), st.integers(0, 2), st.integers(0, 6)),
+            min_size=1, max_size=4))
+        if view == "integral":
+            mono = [((c, c), 0, i) for c, i in data.draw(st.lists(st.tuples(
+                st.integers(-3, 3), st.integers(0, 6)), min_size=1,
+                max_size=3))]
+        else:
+            mono = data.draw(st.lists(st.tuples(
+                coeffs.map(tuple), st.integers(0, 2), st.integers(0, 6)),
+                min_size=1, max_size=3))
+        beta = data.draw(st.builds(Fraction, st.integers(-9, 9),
+                                   st.integers(1, 9)))
+        moved = data.draw(st.integers(0, len(terms)))
+        info = identities.IdentityInfo(lambda: (terms, mono), view, (), 0, {},
+                                       lambda: beta, moved)
+        saved = identities.REGISTRY[IdentityId.EQ103]
+        identities.REGISTRY[IdentityId.EQ103] = info
+        try:
+            assert_table_route_agrees(verify(IdentityId.EQ103, {}))
+        finally:
+            identities.REGISTRY[IdentityId.EQ103] = saved
+
+    def test_cells_that_hold_read_no_table_value(self, monkeypatch):
+        # E(c) is summed over c's nonzero coefficients only, so a cell
+        # whose x-certificate is zero asks for no table polynomial, moment
+        # or unit integral; the printed THM3 cells show the spy sees calls
+        calls = []
+
+        def spy(name):
+            table = getattr(identities, name)
+
+            def counted(n):
+                calls.append((name, n))
+                return table(n)
+            return counted
+
+        for name in ("euler_poly", "fermionic_moment", "unit_integral"):
+            monkeypatch.setattr(identities, name, spy(name))
+        cells = [(IdentityId.EQ6, {"k": (0, 12), "m": (0, 12)}),
+                 (IdentityId.THM1, None), (IdentityId.THM4, None),
+                 (IdentityId.THM3_PRINTED, None)]
+        held = 0
+        for identity, ranges in cells:
+            for params in grid_params(identity, ranges):
+                calls.clear()
+                r = verify(identity, params)
+                if r.x_certificate is None:
+                    assert calls == []
+                    held += 1
+                else:
+                    assert identity is IdentityId.THM3_PRINTED and calls
+        assert held == 169 + 64 + 36
 
 
 class TestOneSumCertificate:
-    """The table route sums an exact cell's left images and its negated
-    right images at once; the two sides summed on their own and subtracted
-    in the independent R (p-adically in the bosonic view) are the
-    reference."""
+    """The table route (the calculus rules and the bosonic view) sums an
+    exact cell's left images and its negated right images at once; the
+    two sides summed on their own and subtracted in the independent R
+    (p-adically in the bosonic view) are the reference."""
 
     @staticmethod
     def assert_one_sum(identity, params, ctx=None):
@@ -589,13 +662,7 @@ class TestOneSumCertificate:
                     cert = self.assert_one_sum(identity, r.params, ctx)
                     assert r.certificate_str == str(cert)
                     cells += 1
-        assert cells == 129     # the battery's timing.routes count
-
-    def test_eq6_to_12(self):
-        for r in verify_grid(IdentityId.EQ6, {"k": (0, 12), "m": (0, 12)}):
-            assert r.route == TABLES
-            assert r.certificate_str == str(self.assert_one_sum(
-                IdentityId.EQ6, r.params))
+        assert cells == 40      # the battery's timing.routes count
 
     def test_calculus_rules_to_30(self):
         for identity, low in ((IdentityId.EQ7, 1), (IdentityId.EQ8, 0)):
@@ -714,8 +781,9 @@ def corrupt_table(request, monkeypatch):
 
 
 class TestLicense:
-    """The x-certificate route runs only on tables that satisfy the
-    functional equation q E_n(x+1) + E_n(x) = (1+q) x^n."""
+    """A statement is decided by its x-certificate only on tables that
+    satisfy the functional equation q E_n(x+1) + E_n(x) = (1+q) x^n; a
+    degree the license refuses is an error row."""
 
     def test_integer_recurrence_holds_to_60(self):
         assert table_licensed(60)
@@ -728,11 +796,25 @@ class TestLicense:
                          "--format", "json", "--out", str(out)])
         doc = json.loads(out.read_text())
         assert code == 1
-        assert doc["timing"]["routes"] == {TABLES: 9}
+        assert doc["timing"]["routes"] == {}
+        assert len(doc["items"]) == 9
         for item in doc["items"]:
-            cert = table_route(IdentityId.THM4, item["params"])
-            assert item["verdict"] == FAILS
-            assert item["certificate"] == str(cert)
+            degree = item["params"]["k"] + item["params"]["m"]
+            assert item["verdict"] == ERROR
+            assert item["certificate"] == (
+                "TableError: the tables fail the functional equation up to "
+                f"degree {degree}")
+
+    def test_eq6_holds_only_within_the_license(self, corrupt_table, tmp_path):
+        out = tmp_path / "eq6.json"
+        code = cli_main(["verify", "EQ6", "--k", "0..3", "--m", "0..3",
+                         "--format", "json", "--out", str(out)])
+        items = json.loads(out.read_text())["items"]
+        assert code == 1
+        assert len(items) == 16
+        for item in items:
+            licensed = item["params"]["k"] + item["params"]["m"] <= 1
+            assert item["verdict"] == (HOLDS if licensed else ERROR)
 
     @pytest.mark.parametrize("corrupt_table", [3], indirect=True)
     def test_integral_view_needs_one_degree_more(self, corrupt_table):
@@ -742,8 +824,8 @@ class TestLicense:
         assert not table_licensed(3)
         for identity, params in ((IdentityId.THM1, {"k": 1, "m": 1}),
                                  (IdentityId.THM2, {"k": 1})):
-            r = verify(identity, params)
-            assert (r.verdict, r.route) == (FAILS, TABLES)
-            assert r.certificate_str == "(1/3)/(1 + 2q + q^2)"
+            [r] = verify_grid(identity, {p: (1, 1) for p in params})
+            assert r.verdict == ERROR
+            assert r.certificate_str.endswith("up to degree 3")
         r = verify(IdentityId.EQ103, {"k": 1})
         assert (r.verdict, r.route) == (HOLDS, X_CERTIFICATE)
