@@ -4,7 +4,8 @@ reports.
 
 ``COMMANDS`` is the one list of commands: each entry is its help, its
 arguments as data, what runs it into a ``Report`` and the format it
-prints by default.  ``main`` parses, runs the entry, writes the report and
+prints by default.  ``main`` parses, runs the entry, checks the report's
+hash against the ``--cache`` file when one is given, writes the report and
 returns its exit code: 0 for success (printed-variant failures are
 informational, and table and integral rows carry no verdict), 1 when a
 corrected or exact identity fails, and 2 for usage or configuration
@@ -251,20 +252,6 @@ def _check_user_files(args) -> None:
                               "No such file or directory")
 
 
-@contextmanager
-def _cache(args):
-    """The --cache file's ResultCache, or None without one; saved only when
-    the block completes."""
-    if args.no_cache or not args.cache:
-        yield None
-        return
-    with _user_file("--cache", args.cache):
-        cache = ResultCache(Path(args.cache))
-    yield cache
-    with _user_file("--cache", args.cache):
-        cache.save()
-
-
 def _emit(report: Report, args, default_format: str) -> None:
     fmt = args.format or default_format
     if fmt == "json":
@@ -303,44 +290,41 @@ def cmd_numbers(args) -> Report:
     start = time.monotonic()
     items = []
     config = {"command": "numbers", "kind": args.kind, "n": [lo, hi]}
-    with _cache(args) as cache:
-        if args.kind == "euler":
-            from .errors import PoleError
-            from .zpoly import euler_number_at, euler_number_str, euler_numerator
+    if args.kind == "euler":
+        from .errors import PoleError
+        from .zpoly import euler_number_at, euler_number_str
 
-            at_q = None
-            if args.at_q is not None:
+        at_q = None
+        if args.at_q is not None:
+            try:
+                at_q = Fraction(args.at_q)
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(f"bad --at-q value {args.at_q!r}")
+            config["at_q"] = str(at_q)
+        for n in range(lo, hi + 1):
+            row = {"n": n, "value": euler_number_str(n)}
+            if at_q is not None:
                 try:
-                    at_q = Fraction(args.at_q)
-                except (ValueError, ZeroDivisionError):
-                    raise ConfigError(f"bad --at-q value {args.at_q!r}")
-                config["at_q"] = str(at_q)
-            for n in range(lo, hi + 1):
-                if cache is not None:
-                    cache.put_euler(n, euler_numerator(n))
-                row = {"n": n, "value": euler_number_str(n)}
-                if at_q is not None:
-                    try:
-                        row["value_at_q"] = str(euler_number_at(n, at_q))
-                    except PoleError:
-                        raise ConfigError(f"pole at q = {at_q} for n = {n}")
-                items.append(row)
-        else:
-            from .qintegral import KIND_BOSONIC, MonomialIntegrals
+                    row["value_at_q"] = str(euler_number_at(n, at_q))
+                except PoleError:
+                    raise ConfigError(f"pole at q = {at_q} for n = {n}")
+            items.append(row)
+    else:
+        from .qintegral import KIND_BOSONIC, MonomialIntegrals
 
-            pad, block = _padic_config(args, require_explicit=True)
-            config.update(block)
-            integrals = MonomialIntegrals(*pad, cache=cache)
-            for n in range(lo, hi + 1):
-                res, fields = _adaptive(integrals, KIND_BOSONIC, n)
-                value = res.value
-                items.append({
-                    "n": n,
-                    "valuation": "" if value.is_zero else value.valuation,
-                    "unit": "" if value.is_zero else value.unit,
-                    "precision": value.precision,
-                    **fields,
-                })
+        pad, block = _padic_config(args, require_explicit=True)
+        config.update(block)
+        integrals = MonomialIntegrals(*pad)
+        for n in range(lo, hi + 1):
+            res, fields = _adaptive(integrals, KIND_BOSONIC, n)
+            value = res.value
+            items.append({
+                "n": n,
+                "valuation": "" if value.is_zero else value.valuation,
+                "unit": "" if value.is_zero else value.unit,
+                "precision": value.precision,
+                **fields,
+            })
     return Report(config, items,
                   timing={"total_seconds": time.monotonic() - start})
 
@@ -388,22 +372,21 @@ def cmd_verify(args, battery: bool = False) -> Report:
     pad, block = _padic_config(args)
     items = []
     per_item, routes, x_certificates = {}, {}, {}
-    with _cache(args) as cache:
-        ctx = NumericContext(*pad, cache=cache)
-        start = time.monotonic()
-        for ident in targets:
-            try:
-                results = verify_grid(ident, explicit_ranges, ctx)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
-            for r in results:
-                items.append(r.as_report_item())
-                cell = f"{r.id.value}:{r.params}"
-                per_item[cell] = r.elapsed
-                if r.route is not None:
-                    routes[r.route] = routes.get(r.route, 0) + 1
-                if r.x_certificate is not None:
-                    x_certificates[cell] = r.x_certificate
+    ctx = NumericContext(*pad)
+    start = time.monotonic()
+    for ident in targets:
+        try:
+            results = verify_grid(ident, explicit_ranges, ctx)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        for r in results:
+            items.append(r.as_report_item())
+            cell = f"{r.id.value}:{r.params}"
+            per_item[cell] = r.elapsed
+            if r.route is not None:
+                routes[r.route] = routes.get(r.route, 0) + 1
+            if r.x_certificate is not None:
+                x_certificates[cell] = r.x_certificate
 
     config = {
         "command": "report" if battery else "verify",
@@ -501,6 +484,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.set_int_max_str_digits(0)
         _check_user_files(args)
         report = run(args)
+        if getattr(args, "cache", None) and not args.no_cache:
+            # the report is computed first, so a mismatch prints nothing
+            with _user_file("--cache", args.cache):
+                cache = ResultCache(Path(args.cache))
+                report.timing["cache"] = cache.check(report)
+                cache.save()
         _emit(report, args, default_format)
     except (ConfigError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)

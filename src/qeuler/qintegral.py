@@ -268,19 +268,14 @@ class MonomialIntegrals:
 
     Every integral is computed once.  An integral that does not converge
     is memoized too, as its partial result and ``stopped_by``, and each
-    later call raises a fresh ConvergenceNotReached from them.  With a
-    result cache attached (anything with ``put_integral``, such as
-    ``report.ResultCache``), each converged result is stored, or checked
-    against the entry already stored, so a persisted file can end a run
-    but never change an answer.
+    later call raises a fresh ConvergenceNotReached from them.
     """
 
-    __slots__ = ("p", "q", "target", "guard", "max_level", "cache", "_results")
+    __slots__ = ("p", "q", "target", "guard", "max_level", "_results")
 
-    def __init__(self, p, q, target, guard=None, max_level=None, cache=None):
+    def __init__(self, p, q, target, guard=None, max_level=None):
         (self.p, self.q, self.target, self.guard,
          self.max_level) = check_config(p, q, target, guard, max_level)
-        self.cache = cache
         self._results = {}
 
     def __call__(self, kind: str, n: int) -> IntegralResult:
@@ -294,11 +289,6 @@ class MonomialIntegrals:
                 result = integrate(req)
             except ConvergenceNotReached as exc:
                 result = (exc.result, exc.stopped_by)
-            else:
-                if self.cache is not None:
-                    self.cache.put_integral(kind, n, self.p, self.q,
-                                            self.target, self.guard,
-                                            self.max_level, result)
             self._results[key] = result
         if type(result) is tuple:
             raise ConvergenceNotReached(*result)

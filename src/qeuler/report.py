@@ -1,5 +1,5 @@
-"""Deterministic reports, and the persistent result cache with the
-encoding of its entries.
+"""Deterministic reports, and the persistent result cache of their
+hashes.
 
 A report's canonical body contains no timestamps or timings; elapsed time
 lives in a side-channel section excluded from canonical serialization and
@@ -9,17 +9,17 @@ hashing, so byte-identical configs yield byte-identical canonical bodies.
 are imported where they are used: pretty and CSV output hash nothing and
 encode no JSON (a verify row's parameters are written as canonical JSON
 writes them), so a table, an integral or a grid printed that way loads
-none of them.
+none of them.  Under ``--cache`` they hash the report and load them all,
+since the cache stores the report's canonical hash.
 """
 
 from __future__ import annotations
 
-from math import comb, inf
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 REPORT_SCHEMA = "qeuler-report/1"
-CACHE_SCHEMA = "qeuler-cache/1"
+CACHE_SCHEMA = "qeuler-cache/2"
 TOOL_VERSION = "0.1.0"
 
 # verdicts of an identity check, as reports count them
@@ -181,15 +181,16 @@ class CacheError(ValueError):
 
 
 class ResultCache:
-    """Single-file JSON cache for computed number tables and numeric
-    integrals.  Every entry is recomputed and checked against what it
-    encodes, never served.  An unreadable file, or an entry that is
-    malformed or disagrees with the recomputed value, raises CacheError,
-    and saving replaces the file atomically."""
+    """Single-file JSON cache of report hashes: one entry per report, keyed
+    by the tool version and the report's canonical config, holding its
+    canonical SHA-256.  No entry is ever served: a report is computed,
+    then ``check`` stores its hash or compares it with the hash already
+    stored.  An unreadable file, or a stored hash that differs, raises
+    CacheError, and saving replaces the file atomically."""
 
     def __init__(self, path: Optional[Path] = None):
         self.path = Path(path) if path is not None else None
-        self.entries: Dict[str, dict] = {}
+        self.entries: Dict[str, str] = {}
         self.dirty = False
         if self.path is not None and self.path.exists():
             import json
@@ -225,53 +226,16 @@ class ResultCache:
             raise
         self.dirty = False
 
-    def _put(self, key: str, obj: dict, what: str) -> None:
-        """Store an entry, or check it against the entry already stored."""
+    def check(self, report: Report) -> str:
+        """Store the report's hash, or check it against the hash already
+        stored under its key; "stored" or "checked", as the case was."""
+        key = f"{TOOL_VERSION}:{canonical_json(report.config)}"
+        digest = report.sha256()
         stored = self.entries.get(key)
         if stored is None:
-            self.entries[key] = obj
+            self.entries[key] = digest
             self.dirty = True
-        elif stored != obj:
-            raise CacheError(f"cache entry {key!r} does not match {what}")
-
-    # -- euler numbers -----------------------------------------------------
-
-    def put_euler(self, n: int, numerator: Tuple[int, ...]):
-        """Store E[n] = N_n/(1+q)^n, given the integer coefficients of N_n;
-        an entry already stored must be its exact encoding, the ascending
-        coefficients of the numerator and of the expanded denominator.
-
-        Recomputing the table is cheaper than decoding it, so stored
-        entries are only ever checked, never served."""
-        obj = {"num": [str(c) for c in numerator],
-               "den": [str(comb(n, i)) for i in range(n + 1)]}
-        self._put(f"euler:n={n}", obj, f"E[{n}]")
-
-    # -- numeric integrals ---------------------------------------------------
-
-    @staticmethod
-    def _padic_obj(x) -> dict:
-        """The encoding of a padic.PadicApprox."""
-        if x.unit is None:
-            return {"p": x.p, "zero": True, "abs_precision": x.precision}
-        return {"p": x.p, "valuation": x.valuation, "unit": x.unit,
-                "precision": x.precision}
-
-    def put_integral(self, kind, n, p, q, target, guard, max_level, result):
-        """Store a qintegral.IntegralResult, its values and every (level,
-        value, distance) of its trace; an entry already stored must be its
-        exact encoding.  Like E[n] entries, integrals are only ever
-        checked, never served."""
-        padic = self._padic_obj
-        obj = {
-            "value": padic(result.value),
-            "achieved_precision": result.achieved_precision,
-            "levels_used": result.levels_used,
-            "converged": result.converged,
-            "trace": [{"level": lv, "value": padic(val),
-                       "distance": "inf" if d == inf else d}
-                      for lv, val, d in result.trace],
-        }
-        key = (f"{kind}:n={n}:p={p}:q={q}:K={target}"
-               f":guard={guard}:nmax={max_level}")
-        self._put(key, obj, "the computed integral")
+            return "stored"
+        if stored != digest:
+            raise CacheError(f"cache entry {key!r} does not match the report")
+        return "checked"

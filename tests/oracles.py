@@ -15,7 +15,6 @@ from qeuler.qintegral import (
     KIND_BOSONIC,
     KIND_FERMIONIC,
     IntegralRequest,
-    IntegralResult,
     _residue_of_rational,
     integrate,
 )
@@ -526,33 +525,3 @@ def euler_number_padic(n: int, p=None, q=None, target=None,
     req = IntegralRequest(KIND_FERMIONIC, n, Fraction(0), p, q, target, **kwargs)
     return integrate(req).value
 
-
-# -- the cache encoding ---------------------------------------------------------
-
-def ratfunc_to_obj(f: RatFuncQ) -> dict:
-    """The cache encoding of E[n], taken from a RatFuncQ: the ascending
-    coefficients of its numerator and of its expanded denominator."""
-    return {"num": [str(c) for c in f.num],
-            "den": [str(c) for c in unit(f.a, f.b)]}
-
-
-def padic_from_dict(d: dict) -> PadicApprox:
-    if d.get("zero"):
-        return PadicApprox.zero(d["p"], d["abs_precision"])
-    return PadicApprox(d["p"], d["valuation"], d["unit"], d["precision"])
-
-
-def integral_result_from_dict(d: dict) -> IntegralResult:
-    """The IntegralResult that ResultCache.put_integral encoded."""
-    trace = tuple(
-        (row["level"], padic_from_dict(row["value"]),
-         inf if row["distance"] == "inf" else row["distance"])
-        for row in d["trace"]
-    )
-    return IntegralResult(
-        value=padic_from_dict(d["value"]),
-        achieved_precision=d["achieved_precision"],
-        levels_used=d["levels_used"],
-        converged=d["converged"],
-        trace=trace,
-    )

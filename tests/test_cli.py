@@ -1,5 +1,5 @@
 """CLI surface: table output, report formats, exit codes, determinism,
-and the result cache."""
+and the cache of report hashes."""
 
 import hashlib
 import json
@@ -7,7 +7,6 @@ import os
 import re
 import sys
 import time
-import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,11 +24,18 @@ from qeuler.cli import (
 from qeuler import qintegral
 from qeuler.padic import PadicApprox, padic_distance
 from qeuler.qintegral import IntegralResult
-from qeuler.report import TOOL_VERSION, CacheError, Report, ResultCache
+from qeuler import report as report_module
+from qeuler.report import (
+    TOOL_VERSION,
+    CacheError,
+    Report,
+    ResultCache,
+    canonical_json,
+)
 from qeuler.qspecial import euler_number
-from qeuler.zpoly import euler_number_at, euler_numerator
+from qeuler.zpoly import euler_number_at, euler_number_str
 
-from oracles import bosonic_closed_form, ratfunc_to_obj, valuation
+from oracles import bosonic_closed_form, valuation
 from test_acceptance import BATTERY_SHA256
 
 
@@ -37,6 +43,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def euler_table(n):
+    """The report of E[0..n], as a test builds it."""
+    return Report({"n": [0, n]}, [{"n": i, "value": euler_number_str(i)}
+                                  for i in range(n + 1)])
+
+
+def poison_stored_hash(path):
+    """Edit the one hash of a cache file."""
+    doc = json.loads(path.read_text())
+    (key,) = doc["entries"]
+    doc["entries"][key] = doc["entries"][key][::-1]
+    path.write_text(json.dumps(doc))
+
+
+EULER_0_2_CONFIG = canonical_json({"command": "numbers", "kind": "euler",
+                                   "n": [0, 2]})
+EULER_0_2_KEY = f"{TOOL_VERSION}:{EULER_0_2_CONFIG}"
 
 
 class TestParsing:
@@ -637,6 +662,10 @@ class TestDeterminismAndCache:
         _, none, _ = run(capsys, *args, "--no-cache")
         assert Report.parse(cold).canonical() == Report.parse(warm).canonical()
         assert Report.parse(cold).canonical() == Report.parse(none).canonical()
+        # what the cache did is in the side channel only
+        assert json.loads(cold)["timing"]["cache"] == "stored"
+        assert json.loads(warm)["timing"]["cache"] == "checked"
+        assert "cache" not in json.loads(none)["timing"]
 
     @pytest.mark.parametrize("argv", [
         ("poly", "--n", "0..1"),
@@ -649,61 +678,72 @@ class TestDeterminismAndCache:
             assert code == 2
         assert not cache.exists()
 
-    def test_cache_round_trips_euler_entries(self, tmp_path):
+    def test_cache_round_trips_report_hashes(self, tmp_path):
         path = tmp_path / "cache.json"
+        reports = [euler_table(n) for n in range(6)]
         cache = ResultCache(path)
-        for n in range(6):
-            cache.put_euler(n, euler_numerator(n))
+        assert [cache.check(r) for r in reports] == ["stored"] * 6
         cache.save()
         again = ResultCache(path)
-        for n in range(6):
-            again.put_euler(n, euler_numerator(n))   # raises on a mismatch
+        assert again.entries == {
+            f"{TOOL_VERSION}:{canonical_json(r.config)}": r.sha256()
+            for r in reports}
+        # raises on a mismatch
+        assert [again.check(r) for r in reports] == ["checked"] * 6
         assert not again.dirty
         with pytest.raises(CacheError):
-            again.put_euler(5, euler_numerator(4))
-
-    def test_put_euler_annotations_resolve(self):
-        hints = typing.get_type_hints(ResultCache.put_euler)
-        assert hints["numerator"] == typing.Tuple[int, ...]
+            again.check(Report(reports[5].config, reports[4].items))
 
     def test_truncated_cache_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "cache.json"
-        path.write_text('{"schema": "qeuler-cache/1", "entr')
+        path.write_text('{"schema": "qeuler-cache/2", "entr')
         code, _, err = run(capsys, "numbers", "euler", "--n", "0..2",
                            "--cache", str(path))
         assert code == 2
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("entries, argv", [
-        (None, ("numbers", "euler", "--n", "0..2")),
-        ({"euler:n=1": {"num": ["1"]}}, ("numbers", "euler", "--n", "0..2")),
-        ({"euler:n=1": {"num": ["1"], "den": ["0"]}},
-         ("numbers", "euler", "--n", "0..2")),
-        ({"bosonic:n=0:p=3:q=4:K=4:guard=4:nmax=12": {"value": {}}},
-         ("numbers", "bernoulli", "--n", "0", "--p", "3", "--K", "4")),
-        # a zero known mod 3^1 beside achieved precision 4
-        ({"bosonic:n=1:p=3:q=4:K=4:guard=4:nmax=12": {
-            "value": {"p": 3, "zero": True, "abs_precision": 1},
-            "achieved_precision": 4, "levels_used": 6, "converged": True,
-            "trace": []}},
-         ("numbers", "bernoulli", "--n", "1", "--p", "3", "--K", "4")),
-        # a 5-adic value under a 3-adic key
-        ({"bosonic:n=1:p=3:q=4:K=4:guard=4:nmax=12": {
-            "value": {"p": 5, "valuation": 0, "unit": 1, "precision": 4},
-            "achieved_precision": 4, "levels_used": 6, "converged": True,
-            "trace": []}},
-         ("numbers", "bernoulli", "--n", "1", "--p", "3", "--K", "4")),
+    @pytest.mark.parametrize("doc", [
+        # no entry table, and an entry table that is not a table
+        {"schema": "qeuler-cache/2"},
+        {"schema": "qeuler-cache/2", "entries": []},
+        # a file that is not a JSON object
+        ["qeuler-cache/2", {}],
+        # an entry under this run's key that is not a hash
+        {"schema": "qeuler-cache/2", "entries": {EULER_0_2_KEY: {"num": ["1"]}}},
+        # a file of the per-value encoding, with a correct E[1] entry
+        {"schema": "qeuler-cache/1",
+         "entries": {"euler:n=1": {"num": ["0", "-1"], "den": ["1", "1"]}}},
     ])
-    def test_malformed_cache_is_config_error(self, capsys, tmp_path,
-                                             entries, argv):
+    def test_malformed_cache_is_config_error(self, capsys, tmp_path, doc):
         path = tmp_path / "cache.json"
-        doc = {"schema": "qeuler-cache/1"}
-        if entries is not None:
-            doc["entries"] = entries
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, *argv, "--cache", str(path))
+        code, out, err = run(capsys, "numbers", "euler", "--n", "0..2",
+                             "--cache", str(path))
         assert code == 2
+        assert out == ""
         assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    def test_entry_of_another_version_is_not_a_mismatch(self, capsys,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # the version is in the body, so its hash differs, and in the key,
+        # so the two entries stand side by side
+        path = tmp_path / "cache.json"
+        args = ("numbers", "euler", "--n", "0..2", "--format", "json",
+                "--cache", str(path))
+        monkeypatch.setattr(report_module, "TOOL_VERSION", "0.0.9")
+        code, older, _ = run(capsys, *args)
+        assert code == 0
+        monkeypatch.undo()
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert json.loads(out)["timing"]["cache"] == "stored"
+        assert json.loads(out)["canonical_sha256"] != (
+            json.loads(older)["canonical_sha256"])
+        entries = json.loads(path.read_text())["entries"]
+        assert sorted(entries) == [f"0.0.9:{EULER_0_2_CONFIG}",
+                                   f"{TOOL_VERSION}:{EULER_0_2_CONFIG}"]
 
     def test_poisoned_euler_entry_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "cache.json"
@@ -713,13 +753,12 @@ class TestDeterminismAndCache:
         assert code == 0
         code, warm, _ = run(capsys, *args)
         assert (code, warm) == (0, cold)
-        doc = json.loads(path.read_text())
-        doc["entries"]["euler:n=2"] = {"num": ["0", "5"], "den": ["1"]}
-        path.write_text(json.dumps(doc))
+        poison_stored_hash(path)
         code, out, err = run(capsys, *args)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
 
     def test_cache_in_missing_directory_is_config_error(self, capsys,
                                                          tmp_path):
@@ -739,7 +778,7 @@ class TestDeterminismAndCache:
     def test_interrupted_save_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
         cache = ResultCache(path)
-        cache.put_euler(1, euler_numerator(1))
+        cache.check(euler_table(1))
         cache.save()
         before = path.read_text()
 
@@ -747,7 +786,7 @@ class TestDeterminismAndCache:
             raise OSError("interrupted before the rename")
 
         monkeypatch.setattr(os, "replace", interrupted)
-        cache.put_euler(2, euler_numerator(2))
+        cache.check(euler_table(2))
         with pytest.raises(OSError):
             cache.save()
         assert path.read_text() == before
@@ -779,22 +818,18 @@ class TestDeterminismAndCache:
         assert code == 1
 
     def test_poisoned_integral_entry_is_config_error(self, capsys, tmp_path):
-        # a self-consistent but wrong bosonic entry: unit 17 edited to 20
         path = tmp_path / "cache.json"
         args = ("numbers", "bernoulli", "--n", "1", "--p", "3", "--K", "4",
                 "--cache", str(path))
         code, cold, _ = run(capsys, *args)
         assert code == 0
         assert "17*3^1 + O(3^4)" in cold
-        doc = json.loads(path.read_text())
-        (key,) = [k for k in doc["entries"] if k.startswith("bosonic:n=1:")]
-        assert doc["entries"][key]["value"]["unit"] == 17
-        doc["entries"][key]["value"]["unit"] = 20
-        path.write_text(json.dumps(doc))
+        poison_stored_hash(path)
         code, out, err = run(capsys, *args)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ("report", "--out", "{missing}"),
@@ -821,15 +856,3 @@ class TestDeterminismAndCache:
         assert err.startswith("error: cannot use --")
         assert cells == []
         assert os.listdir(tmp_path) == []
-
-    def test_ratfunc_serialization_round_trip(self):
-        # the encoding of the RatFuncQ E[5] survives JSON, and the entry
-        # built from integers accepts it only for E[5]
-        stored = json.loads(json.dumps(ratfunc_to_obj(euler_number(5))))
-        cache = ResultCache()
-        cache.entries["euler:n=5"] = stored
-        cache.put_euler(5, euler_numerator(5))
-        assert not cache.dirty
-        cache.entries["euler:n=4"] = stored
-        with pytest.raises(CacheError):
-            cache.put_euler(4, euler_numerator(4))

@@ -129,7 +129,8 @@ def test_json_output_hashes_without_openssl():
 
 
 def test_euler_table_loads_no_catalog(tmp_path):
-    # rows, values at q and cache entries all come from the integer table
+    # rows and values at q come from the integer table, and the cache
+    # holds the report's hash
     modules = loaded_modules("numbers", "euler", "--n", "0..4", "--at-q",
                              "3/7", "--format", "json", "--cache",
                              str(tmp_path / "cache.json"))
