@@ -745,6 +745,39 @@ class TestDeterminismAndCache:
         assert sorted(entries) == [f"0.0.9:{EULER_0_2_CONFIG}",
                                    f"{TOOL_VERSION}:{EULER_0_2_CONFIG}"]
 
+    def test_overlapping_ranges_are_separate_entries(self, capsys, tmp_path):
+        # an entry is checked only by a rerun of its own configuration: a
+        # wider range stores a second hash beside the first
+        path = tmp_path / "cache.json"
+        docs = []
+        for n in ("0..2", "0..3", "0..2"):
+            code, out, _ = run(capsys, "numbers", "euler", "--n", n,
+                               "--format", "json", "--cache", str(path))
+            assert code == 0
+            docs.append(json.loads(out))
+        assert [d["timing"]["cache"] for d in docs] == [
+            "stored", "stored", "checked"]
+        entries = json.loads(path.read_text())["entries"]
+        assert len(entries) == 2
+        assert entries[EULER_0_2_KEY] == docs[0]["canonical_sha256"]
+
+    @pytest.mark.parametrize("fmt", ["pretty", "csv"])
+    def test_text_formats_store_the_report_hash(self, capsys, tmp_path, fmt):
+        # pretty and CSV print no hash, but a --cache run stores the one
+        # JSON output prints, and prints what a --no-cache run prints
+        path = tmp_path / "cache.json"
+        args = ("numbers", "euler", "--n", "0..2")
+        _, plain, _ = run(capsys, *args, "--format", fmt, "--no-cache")
+        code, cold, _ = run(capsys, *args, "--format", fmt,
+                            "--cache", str(path))
+        assert (code, cold) == (0, plain)
+        code, warm, _ = run(capsys, *args, "--format", fmt,
+                            "--cache", str(path))
+        assert (code, warm) == (0, plain)
+        _, as_json, _ = run(capsys, *args, "--format", "json", "--no-cache")
+        assert json.loads(path.read_text())["entries"] == {
+            EULER_0_2_KEY: json.loads(as_json)["canonical_sha256"]}
+
     def test_poisoned_euler_entry_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "cache.json"
         args = ("numbers", "euler", "--n", "0..3", "--format", "csv",
