@@ -14,8 +14,9 @@ never as a traceback.
 
 Each command imports the layers it uses when it runs, so a cold process
 loads and compiles only those: ``integrate`` and ``numbers bernoulli``
-never load the exact layers or the identity catalog, and ``numbers euler``
-renders its rows from the integer table of ``zpoly`` alone.  A
+never load the exact layers or the identity catalog, ``verify`` and
+``report`` never load the Riemann sums of ``qintegral``, and ``numbers
+euler`` renders its rows from the integer table of ``zpoly`` alone.  A
 well-formed command line is read straight from the command's entry
 (``read_argv``), so such a process never imports argparse.  Any other line
 (help, an abbreviation, a bad value, a stray or missing argument) goes to
@@ -64,7 +65,7 @@ def parse_range(text: str) -> tuple:
 
 def parse_q(text: str) -> Optional[Fraction]:
     """q given as an integer or a rational 'a/b', or None for '1+p', the
-    default of ``qintegral.check_config``."""
+    default of ``padic.check_config``."""
     if text.strip() == "1+p":
         return None
     try:
@@ -83,7 +84,8 @@ _PADIC_ARGS = (
     ("--K", dict(type=int, help="target p-adic precision")),
     ("--guard", dict(type=int, help="guard digits (>= 2, default 4)")),
     ("--n-max", dict(type=int, dest="n_max",
-                     help="maximum Riemann-sum level (default 12)")),
+                     help="maximum Riemann-sum level of integrate and "
+                          "numbers bernoulli (default 12)")),
 )
 _OUTPUT_ARGS = (
     ("--format", dict(choices=("json", "csv", "pretty"),
@@ -183,9 +185,11 @@ _PADIC_OPTIONS = {_dest(flag, spec): flag for flag, spec in _PADIC_ARGS}
 
 
 def _padic_config(args, require_explicit: bool = False) -> tuple:
-    """The validated (p, q, K, guard, n_max), in the order MonomialIntegrals
-    takes them, and their block of the report config."""
-    from .qintegral import check_config
+    """The validated (p, q, K, guard, n_max), in the order of
+    ``padic.check_config``, and their block of the report config.  Only
+    ``integrate`` and ``numbers bernoulli`` run Riemann levels, so n_max
+    limits only them; ``verify`` takes it into its config block."""
+    from .padic import check_config
 
     if require_explicit and (args.p is None or args.K is None):
         raise ConfigError("this command needs explicit --p and --K")
@@ -252,10 +256,13 @@ def _check_user_files(args) -> None:
                               "No such file or directory")
 
 
-def _emit(report: Report, args, default_format: str) -> None:
+def _emit(report: Report, args, default_format: str,
+          digest: Optional[str]) -> None:
+    """Write the report in its format; ``digest`` is its canonical hash
+    when main has taken it already."""
     fmt = args.format or default_format
     if fmt == "json":
-        text = report.to_json()
+        text = report.to_json(digest)
     elif fmt == "csv":
         text = report.to_csv()
     else:
@@ -484,13 +491,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.set_int_max_str_digits(0)
         _check_user_files(args)
         report = run(args)
+        digest = None
         if getattr(args, "cache", None) and not args.no_cache:
-            # the report is computed first, so a mismatch prints nothing
+            # the report is computed first, so a mismatch prints nothing;
+            # its hash is taken once, for the cache and for JSON output
+            digest = report.sha256()
             with _user_file("--cache", args.cache):
                 cache = ResultCache(Path(args.cache))
-                report.timing["cache"] = cache.check(report)
+                report.timing["cache"] = cache.check(report.config, digest)
                 cache.save()
-        _emit(report, args, default_format)
+        _emit(report, args, default_format, digest)
     except (ConfigError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

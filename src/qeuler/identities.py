@@ -33,8 +33,9 @@ side and certificate is one term-list sum of such pairs.
 
 Exact identities are decided in the ring R = Q[q, 1/q, 1/(1+q)]
 (certificate identically zero or not); identities involving q-Bernoulli
-numbers are decided here to finite p-adic precision, because B is
-computed as a Riemann-sum limit.
+numbers are decided here to finite p-adic precision, because B_n involves
+log_p q: it is taken from its closed form in the q-Euler numbers at -q
+(``q_bernoulli``), to a precision proven there, and runs no Riemann sum.
 
 Every exact statement is decided by its *x-certificate*.  With E the
 linear map x^n -> E_n(x), a statement E(t) = h has x-certificate
@@ -69,11 +70,10 @@ from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactarith import RF_Q, RatFuncQ, XPolyQ, sum_products
-from .padic import PadicApprox, Record
-from .qintegral import KIND_BOSONIC, MonomialIntegrals
+from .padic import PadicApprox, Record, check_config, log_p, rational_valuation
 from .qspecial import TWO_Q_RECIP, binom, euler_number, euler_poly
 from .report import ERROR, FAILS, HOLDS, HOLDS_TO_PRECISION
-from .zpoly import euler_numerator
+from .zpoly import euler_number_at, euler_numerator
 
 Terms = List[Tuple[object, int]]
 # (coeffs, b, n): coeffs(q) / (1+q)^b times E_n(x), or times x^n, with
@@ -81,8 +81,6 @@ Terms = List[Tuple[object, int]]
 ZTerms = List[Tuple[Tuple[int, ...], int, int]]
 # (terms, monomials): sum c E_n(x) = sum c' x^i
 Statement = Tuple[ZTerms, ZTerms]
-
-_ONE_PLUS_Q = (1, 1)
 
 # the two ways verify decides a cell, as the report's timing counts them
 X_CERTIFICATE = "x-certificate"
@@ -223,16 +221,62 @@ def fermionic_moment(n: int) -> RatFuncQ:
 # p-adic context
 
 
-class NumericContext(MonomialIntegrals):
-    """The p-adic configuration of the numeric identity checks: the
-    memoized monomial integrals of ``MonomialIntegrals`` (``ctx(kind, n)``,
-    or ``ctx.monomial_integral(kind, n)``), plus a memo of the exact
-    values embedded at that configuration."""
+def q_bernoulli(n: int, p: int, q: Fraction, precision: int) -> PadicApprox:
+    """The weight-0 q-Bernoulli number B_n, the bosonic integral of xi^n,
+    known modulo p^precision, from its closed form in the q-Euler numbers.
 
-    __slots__ = ("_embeds", "_bosonic")
+    For q != 1, B_n = E[n](-q) + n E[n-1](-q) / log_p q.  The level-N sums
+    of the bosonic integral have the generating function
+    (1 - q^M e^(M t)) (1 - q)/((1 - q e^t)(1 - q^M)) at M = p^N, which
+    tends to (1 - q)/(1 - q e^t) (1 + t/log_p q), and (1 + q)/(1 + q e^t)
+    generates E[n], so (1 - q)/(1 - q e^t) generates E[n](-q) (T. Kim,
+    "q-Volkenborn integration", Russ. J. Math. Phys. 9 (2002) 288-299).
+    The E values are exact rationals.  With v = v_p(q - 1), L = log_p q
+    and l = ``padic.log_p(q, p, D)``, v_p(L - l) >= D and, for D > v,
+    v_p(l) = v_p(L) = v.  So the rational r = E[n](-q) + lead/l, with
+    lead = n E[n-1](-q), is off by lead/l - lead/L = lead (L - l)/(l L),
+    of valuation at least v_p(lead) + D - 2 v, and
+    D = max(precision + 2 v - v_p(lead), v + 1) gives v_p(B_n - r) >=
+    precision.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    At q = 1 the measure is Volkenborn's and B_n is the classical
+    Bernoulli number (B_1 = -1/2), an exact rational: 2/(e^t + 1)
+    generates E[n] at q = 1, and t/(e^t + 1) = t/(e^t - 1) - 2t/(e^(2t) - 1),
+    so B_n = -n E[n-1](1) / (2 (2^n - 1)) for n >= 1.
+
+    r is embedded with every digit below p^precision: the zero known to
+    precision digits when v_p(r) >= precision.
+    """
+    if n == 0:
+        value = Fraction(1)
+    elif q == 1:
+        value = -n * euler_number_at(n - 1, q) / (2 * (2 ** n - 1))
+    else:
+        value = euler_number_at(n, -q)
+        lead = n * euler_number_at(n - 1, -q)
+        if lead:
+            v = rational_valuation(q - 1, p)
+            digits = max(precision + 2 * v - rational_valuation(lead, p), v + 1)
+            value += lead / log_p(q, p, digits)
+    v = rational_valuation(value, p) if value else precision
+    if v >= precision:
+        return PadicApprox.zero(p, precision)
+    return PadicApprox.from_rational(value, p, precision - v)
+
+
+class NumericContext:
+    """The p-adic configuration of the bosonic identity checks, checked by
+    ``padic.check_config`` when the context is built, with its memos: the
+    q-Bernoulli numbers at that configuration, the exact values embedded
+    at it, and the bosonic moments of the q-Euler polynomials."""
+
+    __slots__ = ("p", "q", "target", "guard", "max_level", "_bernoulli",
+                 "_embeds", "_bosonic")
+
+    def __init__(self, p, q, target, guard=None, max_level=None):
+        (self.p, self.q, self.target, self.guard,
+         self.max_level) = check_config(p, q, target, guard, max_level)
+        self._bernoulli = {}  # n -> B_n
         self._embeds = {}     # exact value, as given -> its PadicApprox
         self._bosonic = {}    # n -> bosonic moment of E_n(x)
 
@@ -250,12 +294,14 @@ class NumericContext(MonomialIntegrals):
                 at_q, self.p, self.embed_precision)
         return approx
 
-    # the memo under its own name, by which perfbench/tracer.py times it
-    monomial_integral = MonomialIntegrals.__call__
-
     def bernoulli(self, n: int) -> PadicApprox:
-        """Numeric weight-0 q-Bernoulli number at this context's precision."""
-        return self.monomial_integral(KIND_BOSONIC, n).value
+        """The weight-0 q-Bernoulli number B_n known modulo p^K
+        (``q_bernoulli``), memoized by n."""
+        value = self._bernoulli.get(n)
+        if value is None:
+            value = self._bernoulli[n] = q_bernoulli(n, self.p, self.q,
+                                                     self.target)
+        return value
 
     def apply(self, terms: Terms, image: Callable[[int], PadicApprox]
               ) -> PadicApprox:
@@ -460,13 +506,6 @@ def _shifted(col: list) -> list:
     return col
 
 
-def _add_product(out: list, poly, cols: list, shift: int = 0) -> None:
-    """out += q^shift poly(q) cols, over columns by power of q."""
-    for i, a in enumerate(poly, shift):
-        for j, col in enumerate(cols, i):
-            out[j] = list(map(add, out[j], map(a.__mul__, col)))
-
-
 def _degree(statement: Statement) -> int:
     return max(n for _, _, n in chain(*statement))
 
@@ -477,21 +516,37 @@ def x_certificate(statement: Statement) -> Tuple[list, int]:
 
     Over one (1+q)^B for every coefficient, (1+q)^(B+1) c is
     (1+q) T(x) - q M(x+1) - M(x), with T the term list and M the
-    monomials; it is formed on integer columns, and no value of R is built.
+    monomials.  Its column j, by power of q, is
+    t_j + t_(j-1) - S(m_(j-1)) - m_j, with S the Taylor shift, formed in
+    one pass over the integer columns; each distinct monomial column is
+    shifted once (EQ6's monomial coefficients are (c, c), so its two
+    columns are one), and no value of R is built.
     """
     terms, mono = statement
     top = max(b for _, b, _ in chain(terms, mono))
     width = 1 + _degree(statement)
     t, m = _columns(terms, top, width), _columns(mono, top, width)
-    cols = [[0] * width for _ in range(1 + max(len(t), len(m)))]
-    _add_product(cols, _ONE_PLUS_Q, t)
-    _add_product(cols, (-1,), [_shifted(col) for col in m], shift=1)
-    _add_product(cols, (-1,), m)
+    zero = [0] * width
+    size = 1 + max(len(t), len(m))
+    t += [zero] * (size - len(t))
+    m += [zero] * (size - len(m))
+    shifts = {tuple(zero): zero}
+    cols, t_prev, s_prev = [], zero, zero
+    for t_j, m_j in zip(t, m):
+        cols.append([a + b - s - d
+                     for a, b, s, d in zip(t_j, t_prev, s_prev, m_j)])
+        key = tuple(m_j)
+        if key not in shifts:
+            shifts[key] = _shifted(m_j)
+        t_prev, s_prev = t_j, shifts[key]
     return cols, top + 1
 
 
 def x_polynomial(cols: list, b: int) -> XPolyQ:
-    """An x-certificate (cols, b) as a polynomial in x over R."""
+    """An x-certificate (cols, b) as a polynomial in x over R; the zero
+    polynomial, with no value of R built, when every column is zero."""
+    if not any(map(any, cols)):
+        return XPolyQ()
     return XPolyQ([RatFuncQ.over_bracket([col[i] for col in cols], b)
                    for i in range(len(cols[0]))])
 

@@ -9,6 +9,12 @@ but never silently fabricate digits.
 ``Record`` is the immutable-value base of PadicApprox, of the integral
 requests and results of ``qintegral`` and of the catalogue entries and
 verification results of ``identities``.
+
+The p-adic configuration (the prime, q, the target precision K, the
+guard digits and the level cap) has its defaults and its one check,
+``check_config``, here, where both numeric routes find them: the level
+sums of ``qintegral`` and the closed forms of ``identities``.  ``log_p``
+gives the p-adic logarithm of q to a proven number of digits.
 """
 
 from __future__ import annotations
@@ -63,6 +69,14 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+# the default p-adic configuration: the prime, the target precision K, the
+# guard digits and the level cap; q defaults to 1 + p
+DEFAULT_P = 3
+DEFAULT_TARGET = 4
+DEFAULT_GUARD = 4
+DEFAULT_MAX_LEVEL = 12
+
+
 def _require_odd_prime(p: int) -> None:
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -85,6 +99,54 @@ def rational_valuation(r: Fraction, p: int) -> int:
     if r == 0:
         raise ValueError("valuation of zero")
     return int_valuation(r.numerator, p)[0] - int_valuation(r.denominator, p)[0]
+
+
+def check_config(p=None, q=None, target=None, guard=None, max_level=None,
+                 names=("p", "q", "target", "guard", "max_level")) -> tuple:
+    """The p-adic configuration (p, q, target, guard, max_level), a setting
+    given as None at its default.  Raises ValueError, naming the setting
+    as ``names`` does, unless p is an odd prime, q = 1 or v_p(q - 1) >= 1,
+    target >= 1, guard >= 2 and max_level >= 1."""
+    p = DEFAULT_P if p is None else p
+    target = DEFAULT_TARGET if target is None else target
+    guard = DEFAULT_GUARD if guard is None else guard
+    max_level = DEFAULT_MAX_LEVEL if max_level is None else max_level
+    if not is_odd_prime(p):
+        raise ValueError(f"{names[0]} must be an odd prime, got {p}")
+    q = Fraction(1 + p if q is None else q)
+    if q != 1 and rational_valuation(q - 1, p) < 1:
+        raise ValueError(f"{names[1]} must satisfy v_p(q - 1) >= 1")
+    for name, value, least in zip(names[2:], (target, guard, max_level),
+                                  (1, 2, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+    return p, q, target, guard, max_level
+
+
+def log_p(q: Fraction, p: int, precision: int) -> Fraction:
+    """A rational l with v_p(log_p q - l) >= precision, for an odd prime p
+    and a rational q with v = v_p(q - 1) >= 1.
+
+    log_p q = sum_{k>=1} (-1)^(k+1) (q - 1)^k / k, and l is the sum of the
+    terms before the first k with k v - log_p k >= precision.  Term k has
+    valuation k v - v_p(k) >= k v - log_p k =: f(k), and f grows with k
+    (f'(k) = v - 1/(k ln p) > 0, as v >= 1 and ln p > 1), so every term
+    left out has valuation at least precision, and so has their sum.  The
+    test k v - log_p k >= precision is made in integers, as
+    p^(k v - precision) >= k with k v >= precision.  The first term has
+    valuation v and every other term more ((k - 1) v > log_p k for
+    k >= 2), so v_p(log_p q) = v.
+    """
+    x = q - 1
+    v = rational_valuation(x, p)
+    if v < 1:
+        raise ValueError("log_p needs v_p(q - 1) >= 1")
+    total, power, k = Fraction(0), Fraction(1), 1
+    while k * v < precision or p ** (k * v - precision) < k:
+        power *= x
+        total += power / k if k % 2 else -power / k
+        k += 1
+    return total
 
 
 class Record:

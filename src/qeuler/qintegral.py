@@ -28,20 +28,13 @@ from .padic import (
     PadicApprox,
     PrecisionExhausted,
     Record,
-    is_odd_prime,
+    check_config,
     padic_distance,
     rational_valuation,
 )
 
 KIND_BOSONIC = "bosonic"
 KIND_FERMIONIC = "fermionic"
-
-# the default p-adic configuration: the prime, the target precision K, the
-# guard digits and the level cap; q defaults to 1 + p
-DEFAULT_P = 3
-DEFAULT_TARGET = 4
-DEFAULT_GUARD = 4
-DEFAULT_MAX_LEVEL = 12
 
 # why an adaptive run stopped short of convergence
 STOP_MAX_LEVEL = "max_level"
@@ -71,33 +64,11 @@ class ConvergenceNotReached(QIntegralError):
         self.stopped_by = stopped_by
 
 
-def check_config(p=None, q=None, target=None, guard=None, max_level=None,
-                 names=("p", "q", "target", "guard", "max_level")) -> tuple:
-    """The p-adic configuration (p, q, target, guard, max_level), a setting
-    given as None at its default.  Raises ValueError, naming the setting
-    as ``names`` does, unless p is an odd prime, q = 1 or v_p(q - 1) >= 1,
-    target >= 1, guard >= 2 and max_level >= 1."""
-    p = DEFAULT_P if p is None else p
-    target = DEFAULT_TARGET if target is None else target
-    guard = DEFAULT_GUARD if guard is None else guard
-    max_level = DEFAULT_MAX_LEVEL if max_level is None else max_level
-    if not is_odd_prime(p):
-        raise ValueError(f"{names[0]} must be an odd prime, got {p}")
-    q = Fraction(1 + p if q is None else q)
-    if q != 1 and rational_valuation(q - 1, p) < 1:
-        raise ValueError(f"{names[1]} must satisfy v_p(q - 1) >= 1")
-    for name, value, least in zip(names[2:], (target, guard, max_level),
-                                  (1, 2, 1)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}")
-    return p, q, target, guard, max_level
-
-
 class IntegralRequest(Record):
     """One shifted-monomial integrand (x0 + xi)^n against d(mu_q) or
     d(mu_-q), with q supplied as an exact rational so the symbolic and
     numeric paths share it bit for bit, at a configuration that
-    ``check_config`` checks and completes.  An immutable Record."""
+    ``padic.check_config`` checks and completes.  An immutable Record."""
 
     __slots__ = ("kind", "exponent", "shift", "p", "q", "target", "guard",
                  "max_level")
@@ -262,9 +233,9 @@ def integrate(req: IntegralRequest) -> IntegralResult:
 class MonomialIntegrals:
     """Memoized integrals of xi^n under either measure at one p-adic
     configuration: the prime, q, the target precision, the guard digits
-    and the level cap, checked by ``check_config`` when the memo is built.
-    ``identities.NumericContext`` is this memo with the embedding of exact
-    values added, so a configuration is held once.
+    and the level cap, checked by ``padic.check_config`` when the memo is
+    built.  ``numbers bernoulli`` reads its table from it, and the tests
+    check the closed forms of ``identities.NumericContext`` against it.
 
     Every integral is computed once.  An integral that does not converge
     is memoized too, as its partial result and ``stopped_by``, and each

@@ -10,7 +10,8 @@ are imported where they are used: pretty and CSV output hash nothing and
 encode no JSON (a verify row's parameters are written as canonical JSON
 writes them), so a table, an integral or a grid printed that way loads
 none of them.  Under ``--cache`` they hash the report and load them all,
-since the cache stores the report's canonical hash.
+since the cache stores the report's canonical hash; that hash is taken
+once, and JSON output prints it.
 """
 
 from __future__ import annotations
@@ -110,12 +111,13 @@ class Report:
                     return 1
         return 0
 
-    def to_json(self) -> str:
+    def to_json(self, digest: Optional[str] = None) -> str:
         """The body with its hash and the timing side channel, on one line
-        in the canonical layout; the body is built once and hashed in its
-        canonical form."""
+        in the canonical layout; the body is built once, and hashed in its
+        canonical form unless the caller gives that hash, ``digest``, as
+        ``sha256`` took it."""
         doc = self.body()
-        doc["canonical_sha256"] = _sha256(canonical_json(doc))
+        doc["canonical_sha256"] = digest or _sha256(canonical_json(doc))
         doc["timing"] = self.timing
         return canonical_json(doc) + "\n"
 
@@ -186,7 +188,8 @@ class ResultCache:
     canonical SHA-256.  No entry is ever served: a report is computed,
     then ``check`` stores its hash or compares it with the hash already
     stored.  An unreadable file, or a stored hash that differs, raises
-    CacheError, and saving replaces the file atomically."""
+    CacheError.  Saving replaces the file atomically and keeps its mode; a
+    new file gets the mode that ``open`` would give it under the umask."""
 
     def __init__(self, path: Optional[Path] = None):
         self.path = Path(path) if path is not None else None
@@ -212,13 +215,16 @@ class ResultCache:
             return
         import json
         import os
-        import tempfile
 
         doc = {"schema": CACHE_SCHEMA, "entries": self.entries}
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent,
-                                   prefix=self.path.name + ".", suffix=".tmp")
+        tmp = self.path.with_name(f"{self.path.name}.{os.urandom(6).hex()}.tmp")
+        # created as open() creates a file, 0o666 less the umask, unlike
+        # tempfile.mkstemp's 0o600; an existing file's mode is copied over
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as f:
+                if self.path.exists():
+                    os.fchmod(f.fileno(), self.path.stat().st_mode & 0o7777)
                 f.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
             os.replace(tmp, self.path)
         except BaseException:
@@ -226,11 +232,11 @@ class ResultCache:
             raise
         self.dirty = False
 
-    def check(self, report: Report) -> str:
-        """Store the report's hash, or check it against the hash already
-        stored under its key; "stored" or "checked", as the case was."""
-        key = f"{TOOL_VERSION}:{canonical_json(report.config)}"
-        digest = report.sha256()
+    def check(self, config: dict, digest: str) -> str:
+        """Store a report's hash ``digest``, or check it against the hash
+        already stored under the key of its ``config``; "stored" or
+        "checked", as the case was."""
+        key = f"{TOOL_VERSION}:{canonical_json(config)}"
         stored = self.entries.get(key)
         if stored is None:
             self.entries[key] = digest

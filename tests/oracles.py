@@ -9,12 +9,20 @@ from itertools import zip_longest
 from math import comb, factorial, inf, lcm
 
 from qeuler.exactarith import RF_ONE, RF_Q, RF_ZERO, RatFuncQ, XPolyQ
-from qeuler.identities import IdentityId, NumericContext, monomials, sides
+from qeuler.identities import (
+    IdentityId,
+    NumericContext,
+    _columns,
+    _degree,
+    monomials,
+    sides,
+)
 from qeuler.padic import PadicApprox
 from qeuler.qintegral import (
     KIND_BOSONIC,
     KIND_FERMIONIC,
     IntegralRequest,
+    MonomialIntegrals,
     _residue_of_rational,
     integrate,
 )
@@ -399,18 +407,57 @@ def thm1_independent_route(k: int, m: int):
     return left, right
 
 
+def _taylor_shift(col: list) -> list:
+    """The coefficients of p(x+1) from those of p(x), by the binomial
+    expansion: coefficient i is sum_{k>=i} C(k, i) p_k."""
+    return [sum(comb(k, i) * c for k, c in enumerate(col) if k >= i)
+            for i in range(len(col))]
+
+
+def _add_product(out: list, poly, cols: list, shift: int = 0) -> None:
+    """out += q^shift poly(q) cols, over columns by power of q."""
+    for i, a in enumerate(poly, shift):
+        for j, col in enumerate(cols, i):
+            out[j] = [o + a * c for o, c in zip(out[j], col)]
+
+
+def three_pass_x_certificate(statement) -> tuple:
+    """The x-certificate (cols, b) of a statement in three passes over the
+    integer columns: (1+q) T(x), then -q M(x+1) with every monomial column
+    shifted, then -M(x), each added to the columns on its own.  The
+    reference for the one-pass identities.x_certificate."""
+    terms, mono = statement
+    top = max(b for _, b, _ in terms + mono)
+    width = 1 + _degree(statement)
+    t, m = _columns(terms, top, width), _columns(mono, top, width)
+    cols = [[0] * width for _ in range(1 + max(len(t), len(m)))]
+    _add_product(cols, ONE_PLUS_Q, t)
+    _add_product(cols, (-1,), [_taylor_shift(col) for col in m], shift=1)
+    _add_product(cols, (-1,), m)
+    return cols, top + 1
+
+
 def fermionic_image(poly: XPolyQ) -> RatFuncQ:
     """Exact fermionic moment of a polynomial in x, x^i -> E[i] applied to
     its monomials: the route the fermionic view is checked against."""
     return folded_apply(monomials(poly), euler_number)
 
 
-def direct_moment(kind: str, poly: XPolyQ, ctx: NumericContext) -> PadicApprox:
+def level_integrals(ctx: NumericContext) -> MonomialIntegrals:
+    """The level route's memo of monomial integrals at the configuration
+    of a NumericContext."""
+    return MonomialIntegrals(ctx.p, ctx.q, ctx.target, ctx.guard,
+                             ctx.max_level)
+
+
+def direct_moment(kind: str, poly: XPolyQ, ctx: NumericContext,
+                  integrals: MonomialIntegrals) -> PadicApprox:
     """Numeric moment of an exact polynomial in x under the fermionic or
-    bosonic measure, by linearity over the monomial integrals: the
-    independent route that integrates a side directly."""
-    return ctx.apply(monomials(poly),
-                     lambda i: ctx.monomial_integral(kind, i).value)
+    bosonic measure, by linearity over the Riemann-sum limits of the
+    monomial integrals (``integrals``, at ctx's configuration), each
+    coefficient embedded by ctx: the independent route that integrates a
+    side directly, with no closed form."""
+    return ctx.apply(monomials(poly), lambda i: integrals(kind, i).value)
 
 
 # -- numeric numbers ----------------------------------------------------------
@@ -506,6 +553,20 @@ def bosonic_closed_form(n: int, x0, p: int, q, precision: int) -> Fraction:
     digits = max(precision + 2 * v - valuation(lead, p), v + 1)
     lam = (q - 1) / padic_log(q, p, digits)
     return head + lead * lam / (q - 1)
+
+
+_classical_bernoulli = [Fraction(1)]
+
+
+def classical_bernoulli_number(n: int) -> Fraction:
+    """The classical Bernoulli number B_n, with B_1 = -1/2, from the
+    recurrence sum_{j<=n} C(n+1, j) B_j = 0 (n >= 1): the q = 1 oracle,
+    sharing nothing with the q-Euler table."""
+    while len(_classical_bernoulli) <= n:
+        m = len(_classical_bernoulli)
+        s = sum(comb(m + 1, j) * b for j, b in enumerate(_classical_bernoulli))
+        _classical_bernoulli.append(-s / (m + 1))
+    return _classical_bernoulli[n]
 
 
 def bernoulli_number_padic(n: int, p=None, q=None, target=None,

@@ -39,6 +39,7 @@ from oracles import (
     classical_euler_number,
     direct_moment,
     euler_poly_integral01,
+    level_integrals,
     mul,
     rf,
     starved_modulus,
@@ -239,12 +240,13 @@ def test_criterion_09_bosonic_precision_law():
 def test_criterion_10_thm6_cor7():
     start = time.monotonic()
     ctx = NumericContext(3, Fraction(4), 4, 4, 12)
+    integrals = level_integrals(ctx)
     for k in range(1, 4):
         for m in range(1, 4):
             r = verify(IdentityId.THM6, {"k": k, "m": m}, ctx)
             assert r.verdict == HOLDS_TO_PRECISION
             shift = sides(IdentityId.EQ6, {"k": k, "m": m})[1]
-            direct = direct_moment(KIND_BOSONIC, shift, ctx)
+            direct = direct_moment(KIND_BOSONIC, shift, ctx, integrals)
             left, right = sides(IdentityId.THM6, {"k": k, "m": m}, ctx)
             assert padic_distance(left, direct) >= ctx.target
             assert padic_distance(right, direct) >= ctx.target
@@ -253,7 +255,7 @@ def test_criterion_10_thm6_cor7():
         assert r.verdict == HOLDS_TO_PRECISION
         left, right = sides(IdentityId.COR7_CORRECTED, {"k": k}, ctx)
         rhs = sides(IdentityId.THM3_CORRECTED, {"k": k})[1]
-        direct = direct_moment(KIND_BOSONIC, rhs, ctx)
+        direct = direct_moment(KIND_BOSONIC, rhs, ctx, integrals)
         assert padic_distance(left, direct) >= ctx.target
         assert padic_distance(right, direct) >= ctx.target
     assert time.monotonic() - start < 120.0

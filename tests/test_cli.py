@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -21,9 +22,8 @@ from qeuler.cli import (
     parse_q,
     parse_range,
 )
-from qeuler import qintegral
+from qeuler import identities, padic
 from qeuler.padic import PadicApprox, padic_distance
-from qeuler.qintegral import IntegralResult
 from qeuler import report as report_module
 from qeuler.report import (
     TOOL_VERSION,
@@ -197,7 +197,7 @@ VALUE_OPTIONS = [(name, action.option_strings[0])
 
 
 class TestPadicConfiguration:
-    """``qintegral.check_config`` checks the p-adic settings and holds their
+    """``padic.check_config`` checks the p-adic settings and holds their
     defaults; the CLI turns its ValueError into one ``error:`` line that
     names the setting as the user gave it."""
 
@@ -220,11 +220,11 @@ class TestPadicConfiguration:
             2, "", f"error: {message}\n")
 
     def test_help_states_the_defaults_of_check_config(self):
-        # help is built without loading qintegral, so it repeats them
+        # help is built without loading padic, so it repeats them
         helps = {a.dest: a.help for a in _subparser("integrate")._actions}
         assert "default 1+p" in helps["q"]
-        assert f"default {qintegral.DEFAULT_GUARD})" in helps["guard"]
-        assert f"default {qintegral.DEFAULT_MAX_LEVEL})" in helps["n_max"]
+        assert f"default {padic.DEFAULT_GUARD})" in helps["guard"]
+        assert f"default {padic.DEFAULT_MAX_LEVEL})" in helps["n_max"]
 
     def test_config_block_holds_the_defaults(self, capsys):
         code, out, _ = run(capsys, "integrate", "bosonic", "--n", "1",
@@ -522,33 +522,38 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "THM6", "--q", "2")
         assert code == 2
 
-    def test_error_rows_keep_padic_mode(self, capsys):
-        # two levels cannot converge, so both cells are error rows
+    def test_error_rows_keep_padic_mode(self, capsys, monkeypatch):
+        # no q-Bernoulli number can be had, so both cells are error rows
+        def unavailable(n, p, q, precision):
+            raise ArithmeticError(f"no B_{n}")
+
+        monkeypatch.setattr(identities, "q_bernoulli", unavailable)
         code, out, _ = run(capsys, "verify", "THM6", "--k", "1", "--m", "1..2",
-                           "--n-max", "2", "--format", "json")
+                           "--format", "json")
         assert code == 1
         items = json.loads(out)["items"]
         assert [item["verdict"] for item in items] == ["error", "error"]
         assert {item["mode"] for item in items} == {"padic(p=3,q=4,K=4)"}
+        assert all(item["certificate"].startswith("ArithmeticError: no B_")
+                   for item in items)
 
     def test_failed_integrals_run_once(self, capsys, monkeypatch):
-        # nine error cells need the three bosonic integrals n = 1, 2, 3;
-        # each stops short of convergence once and is then served its memo
-        computed, calls = qintegral.integrate, []
+        # nine error cells, each a zero known to fewer than K digits, need
+        # the q-Bernoulli numbers B_0 .. B_6; each is computed once and is
+        # then served its memo
+        calls = []
 
-        def counted(req):
-            calls.append((req.kind, req.exponent))
-            return computed(req)
+        def short(n, p, q, precision):
+            calls.append(n)
+            return PadicApprox.zero(p, 1)
 
-        monkeypatch.setattr(qintegral, "integrate", counted)
+        monkeypatch.setattr(identities, "q_bernoulli", short)
         code, out, _ = run(capsys, "verify", "THM6", "--k", "1..3", "--m",
                            "1..3", "--n-max", "2", "--format", "json")
         assert code == 1
         items = json.loads(out)["items"]
         assert [item["verdict"] for item in items] == ["error"] * 9
-        assert all(item["certificate"].startswith("ConvergenceNotReached")
-                   for item in items)
-        assert sorted(calls) == [("bosonic", n) for n in (1, 2, 3)]
+        assert sorted(calls) == list(range(7))
 
 
 class TestTimingSideChannel:
@@ -682,17 +687,19 @@ class TestDeterminismAndCache:
         path = tmp_path / "cache.json"
         reports = [euler_table(n) for n in range(6)]
         cache = ResultCache(path)
-        assert [cache.check(r) for r in reports] == ["stored"] * 6
+        assert [cache.check(r.config, r.sha256())
+                for r in reports] == ["stored"] * 6
         cache.save()
         again = ResultCache(path)
         assert again.entries == {
             f"{TOOL_VERSION}:{canonical_json(r.config)}": r.sha256()
             for r in reports}
         # raises on a mismatch
-        assert [again.check(r) for r in reports] == ["checked"] * 6
+        assert [again.check(r.config, r.sha256())
+                for r in reports] == ["checked"] * 6
         assert not again.dirty
         with pytest.raises(CacheError):
-            again.check(Report(reports[5].config, reports[4].items))
+            again.check(reports[5].config, reports[4].sha256())
 
     def test_truncated_cache_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "cache.json"
@@ -808,10 +815,61 @@ class TestDeterminismAndCache:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_json_cache_run_hashes_the_body_once(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # the hash that the cache stores or checks is the one JSON prints
+        texts = []
+        digest = report_module._sha256
+
+        def counted(text):
+            texts.append(text)
+            return digest(text)
+
+        monkeypatch.setattr(report_module, "_sha256", counted)
+        args = ("numbers", "euler", "--n", "0..4", "--format", "json")
+        cache = ("--cache", str(tmp_path / "cache.json"))
+        for extra, status in (((), None), (cache, "stored"),
+                              (cache, "checked")):
+            texts.clear()
+            code, out, _ = run(capsys, *args, *extra)
+            doc = json.loads(out)
+            assert (code, doc["timing"].get("cache")) == (0, status)
+            assert texts == [Report.parse(out).canonical()]
+            assert doc["canonical_sha256"] == digest(texts[0])
+
+    def test_store_keeps_the_mode_of_the_cache_file(self, capsys, tmp_path):
+        # each run stores a new entry, so each saves the file again
+        path = tmp_path / "cache.json"
+        for n in range(3):
+            code, _, _ = run(capsys, "numbers", "euler", "--n", f"0..{n}",
+                             "--cache", str(path))
+            assert code == 0
+            if n:
+                assert stat.S_IMODE(os.stat(path).st_mode) == 0o664
+            os.chmod(path, 0o664)
+        assert len(json.loads(path.read_text())["entries"]) == 3
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002],
+                             ids=lambda umask: f"umask-{umask:03o}")
+    def test_new_cache_file_takes_the_mode_open_gives(self, tmp_path, umask):
+        path, plain = tmp_path / "cache.json", tmp_path / "plain"
+        table = euler_table(1)
+        previous = os.umask(umask)
+        try:
+            cache = ResultCache(path)
+            cache.check(table.config, table.sha256())
+            cache.save()
+            plain.write_text("")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(os.stat(plain).st_mode) == 0o666 & ~umask
+
     def test_interrupted_save_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
         cache = ResultCache(path)
-        cache.check(euler_table(1))
+        stored = euler_table(1)
+        cache.check(stored.config, stored.sha256())
         cache.save()
         before = path.read_text()
 
@@ -819,7 +877,8 @@ class TestDeterminismAndCache:
             raise OSError("interrupted before the rename")
 
         monkeypatch.setattr(os, "replace", interrupted)
-        cache.check(euler_table(2))
+        changed = euler_table(2)
+        cache.check(changed.config, changed.sha256())
         with pytest.raises(OSError):
             cache.save()
         assert path.read_text() == before
@@ -827,23 +886,14 @@ class TestDeterminismAndCache:
 
     def test_zero_certificate_short_of_K_is_undecided(self, capsys,
                                                       monkeypatch):
-        # bosonic integrals replaced by zeros known mod 3^1 make the THM6
+        # q-Bernoulli numbers replaced by zeros known mod 3^1 make the THM6
         # difference a zero known to 1 < K digits: no verdict, exit 1
         args = ("verify", "THM6", "--k", "1", "--m", "1", "--format", "json")
         code, out, _ = run(capsys, *args)
         assert code == 0
         assert json.loads(out)["items"][0]["verdict"] == "holds-to-precision"
-        computed = qintegral.integrate
-
-        def zero_bosonic(req):
-            result = computed(req)
-            if not req.bosonic:
-                return result
-            return IntegralResult(PadicApprox.zero(3, 1), 1,
-                                  result.levels_used, result.converged,
-                                  result.trace)
-
-        monkeypatch.setattr(qintegral, "integrate", zero_bosonic)
+        monkeypatch.setattr(identities, "q_bernoulli",
+                            lambda n, p, q, precision: PadicApprox.zero(p, 1))
         code, out, _ = run(capsys, *args)
         item = json.loads(out)["items"][0]
         assert item["verdict"] == "error"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import identities, padic, qintegral, qspecial, zpoly
+from qeuler import identities, padic, qspecial, zpoly
 from qeuler.cli import main as cli_main
 from qeuler.exactarith import RF_ONE, RF_ZERO, RatFuncQ, XPolyQ, sum_products
 from qeuler.identities import (
@@ -41,11 +41,12 @@ from qeuler.identities import (
     verify,
     verify_grid,
     view_pairs,
+    q_bernoulli,
     x_certificate,
     x_polynomial,
 )
 from qeuler.padic import PadicApprox, padic_distance
-from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC
+from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC, MonomialIntegrals
 from qeuler.qspecial import euler_number, euler_poly
 
 from test_acceptance import COMMAND_SHA256
@@ -56,19 +57,25 @@ from oracles import (
     RF_ONE_PLUS_Q,
     add,
     beta_exact,
+    bosonic_closed_form,
+    classical_bernoulli_number,
     direct_moment,
     eq103_terms,
     euler_poly_integral01,
     evaluate_point,
     fermionic_image,
     folded_apply,
+    level_integrals,
     mul,
+    padic_rational,
     power,
     rf,
     sub,
     thm1_independent_route,
     thm3_construction_residual,
+    three_pass_x_certificate,
     total,
+    valuation,
     x_derivative,
     x_integral01,
 )
@@ -278,11 +285,12 @@ class TestThm4:
 
     def test_padic_witness_at_k5(self):
         ctx5 = NumericContext(3, Fraction(4), 5, 4, 12)
+        integrals = level_integrals(ctx5)
         for k in range(1, 4):
             for m in range(1, 4):
                 exact = ctx5.embed(sides(IdentityId.THM4, {"k": k, "m": m})[0])
                 shift = sides(IdentityId.EQ6, {"k": k, "m": m})[1]
-                numeric = direct_moment(KIND_FERMIONIC, shift, ctx5)
+                numeric = direct_moment(KIND_FERMIONIC, shift, ctx5, integrals)
                 d = padic_distance(exact, numeric)
                 assert d == inf or d >= 5
 
@@ -313,7 +321,8 @@ class TestThm5:
         ctx5 = NumericContext(3, Fraction(4), 5, 4, 12)
         exact = ctx5.embed(sides(IdentityId.THM5_CORRECTED, {"k": 2})[0])
         rhs = sides(IdentityId.THM3_CORRECTED, {"k": 2})[1]
-        numeric = direct_moment(KIND_FERMIONIC, rhs, ctx5)
+        numeric = direct_moment(KIND_FERMIONIC, rhs, ctx5,
+                                level_integrals(ctx5))
         d = padic_distance(exact, numeric)
         assert d == inf or d >= 5
 
@@ -337,7 +346,7 @@ class TestThm6:
         left, right = sides(IdentityId.THM6, {"k": 1, "m": 1}, ctx)
         assert padic_distance(left, right) >= ctx.target
         shift = sides(IdentityId.EQ6, {"k": 1, "m": 1})[1]
-        direct = direct_moment(KIND_BOSONIC, shift, ctx)
+        direct = direct_moment(KIND_BOSONIC, shift, ctx, level_integrals(ctx))
         assert padic_distance(left, direct) >= ctx.target
         assert padic_distance(right, direct) >= ctx.target
 
@@ -371,11 +380,12 @@ class TestThm6:
 
 class TestCor7:
     def test_corrected_holds_and_two_routes(self, ctx):
+        integrals = level_integrals(ctx)
         for k in (1, 2):
             left, right = sides(IdentityId.COR7_CORRECTED, {"k": k}, ctx)
             assert padic_distance(left, right) >= ctx.target
             rhs = sides(IdentityId.THM3_CORRECTED, {"k": k})[1]
-            direct = direct_moment(KIND_BOSONIC, rhs, ctx)
+            direct = direct_moment(KIND_BOSONIC, rhs, ctx, integrals)
             assert padic_distance(left, direct) >= ctx.target
 
     def test_printed_differs(self, ctx):
@@ -744,10 +754,11 @@ class TestPrimeChecks:
     def test_arithmetic_results_reuse_a_checked_p(self, monkeypatch,
                                                   tmp_path):
         # p is tested where it comes in: once by the CLI, once where the
-        # NumericContext is built, once per integral request (13) and once
-        # per embedded exact value (183, each through
-        # PadicApprox.from_rational); the results of p-adic arithmetic take
-        # their operand's p unchecked (5,283 tests before)
+        # NumericContext is built, once per q-Bernoulli number (13, B_0 ..
+        # B_12) and once per embedded exact value (183), each number and
+        # value through PadicApprox.from_rational or zero; the results of
+        # p-adic arithmetic take their operand's p unchecked (5,283 tests
+        # before)
         checked = []
         is_odd_prime = padic.is_odd_prime
 
@@ -756,7 +767,6 @@ class TestPrimeChecks:
             return is_odd_prime(p)
 
         monkeypatch.setattr(padic, "is_odd_prime", counting)
-        monkeypatch.setattr(qintegral, "is_odd_prime", counting)
         assert run_deep_thm6(tmp_path) == DEEP_THM6_SHA256
         assert checked == [7] * (1 + 1 + 13 + 183)
 
@@ -829,3 +839,121 @@ class TestLicense:
             assert r.certificate_str.endswith("up to degree 3")
         r = verify(IdentityId.EQ103, {"k": 1})
         assert (r.verdict, r.route) == (HOLDS, X_CERTIFICATE)
+
+
+# (p, q, K) of the closed-form checks, q = 1 aside
+CLOSED_FORM_CONFIGS = [(3, Fraction(4), 4), (3, Fraction(4, 7), 6),
+                       (5, Fraction(6), 5), (3, Fraction(-2), 7),
+                       (7, Fraction(8), 10)]
+
+
+class TestClosedFormBernoulli:
+    """NumericContext.bernoulli takes B_n from its closed form in the
+    q-Euler numbers at -q, and the classical B_n at q = 1.  The Riemann-sum
+    limits of qintegral, the tests' closed form (its own log_p) and the
+    classical recurrence are the references."""
+
+    @pytest.mark.parametrize("p, q, K", CLOSED_FORM_CONFIGS + [
+        (3, Fraction(1), 5), (5, Fraction(1), 6), (7, Fraction(1), 10)])
+    def test_agrees_with_the_level_route_and_the_oracle(self, p, q, K):
+        ctx = NumericContext(p, q, K)
+        integrals = MonomialIntegrals(p, q, K, max_level=40)
+        for n in range(11):
+            b = ctx.bernoulli(n)
+            assert b.abs_precision == K
+            # the level value is truncated to the K digits it achieved
+            assert b == integrals(KIND_BOSONIC, n).value
+            if q == 1:
+                exact = classical_bernoulli_number(n)
+            else:
+                exact = bosonic_closed_form(n, 0, p, q, K)
+            assert valuation(padic_rational(b) - exact, p) >= K
+            assert ctx.bernoulli(n) is b        # memoized by n
+
+    def test_classical_values_at_q_one(self):
+        ctx = NumericContext(5, Fraction(1), 3)
+        assert classical_bernoulli_number(1) == Fraction(-1, 2)
+        assert ctx.bernoulli(1) == PadicApprox.from_rational(
+            Fraction(-1, 2), 5, 3)
+        # B_3 = 0 and v_5(B_4) = v_5(-1/30) = -1
+        assert ctx.bernoulli(3) == PadicApprox.zero(5, 3)
+        assert ctx.bernoulli(4) == PadicApprox.from_rational(
+            Fraction(-1, 30), 5, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), v=st.integers(1, 2),
+           a=st.integers(-30, 30).filter(bool), b=st.integers(1, 30),
+           K=st.integers(1, 12), n=st.integers(0, 9))
+    def test_every_digit_it_claims_is_right(self, p, v, a, b, K, n):
+        # the oracle taken to five digits more than K is the reference for
+        # the K digits that the truncation bound of log_p promises
+        if a % p == 0 or b % p == 0:
+            return
+        q = 1 + Fraction(p ** v * a, b)
+        got = q_bernoulli(n, p, q, K)
+        assert got.abs_precision == K
+        exact = bosonic_closed_form(n, 0, p, q, K + 5)
+        assert valuation(padic_rational(got) - exact, p) >= K
+
+
+def assert_one_pass(statement):
+    cols, b = x_certificate(statement)
+    assert (cols, b) == three_pass_x_certificate(statement)
+    return cols, b
+
+
+class TestOnePassXCertificate:
+    """x_certificate forms each column of (1+q) T(x) - q M(x+1) - M(x) in
+    one pass, shifting each distinct monomial column once; the three-pass
+    route of the oracles is the reference."""
+
+    def test_eq6_to_40(self):
+        for k in range(41):
+            for m in range(41):
+                cols, _ = assert_one_pass(eq6_statement(k, m))
+                assert not any(map(any, cols))
+
+    def test_degree_2k1_readings_to_20(self):
+        nonzero = set()
+        for k in range(1, 21):
+            for variant in ("printed", "corrected"):
+                cols, _ = assert_one_pass(degree_2k1_statement(k, variant))
+                if any(map(any, cols)):
+                    nonzero.add(variant)
+        assert nonzero == {"printed"}
+
+    def test_corrupted_statement(self):
+        terms, mono = eq6_statement(3, 4)
+        (c, b, n), *rest = terms
+        cols, b = assert_one_pass(([((c[0] + 1, *c[1:]), b, n), *rest], mono))
+        assert any(map(any, cols))
+        assert not x_polynomial(cols, b).is_zero
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_statements(self, data):
+        term = st.tuples(st.lists(st.integers(-3, 3), min_size=1,
+                                  max_size=3).map(tuple),
+                         st.integers(0, 2), st.integers(0, 7))
+        assert_one_pass((data.draw(st.lists(term, min_size=1, max_size=5)),
+                         data.draw(st.lists(term, min_size=1, max_size=4))))
+
+    def test_each_distinct_monomial_column_is_shifted_once(self, monkeypatch):
+        # EQ6's monomial coefficients are (c, c): one column shifted
+        shifted, shift = [], identities._shifted
+
+        def counted(col):
+            shifted.append(tuple(col))
+            return shift(col)
+
+        monkeypatch.setattr(identities, "_shifted", counted)
+        x_certificate(eq6_statement(4, 5))
+        assert len(shifted) == 1 and any(shifted[0])
+
+    def test_a_zero_certificate_builds_no_value_of_r(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a value of R was built")
+
+        monkeypatch.setattr(RatFuncQ, "over_bracket", refused)
+        c = x_polynomial(*x_certificate(eq6_statement(6, 7)))
+        assert c.is_zero and c == XPolyQ()

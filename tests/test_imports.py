@@ -83,6 +83,20 @@ def test_verify_loads_no_dataclasses(argv):
         assert not modules & {"hashlib", "json"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "EQ6", "--k", "0..3", "--m", "0..3", "--format", "json"),
+    ("verify", "THM6", "--k", "1..2", "--m", "1..2", "--format", "json"),
+    ("report",),
+])
+def test_verify_and_report_run_no_riemann_sums(argv):
+    # q-Bernoulli numbers come from their closed form in padic and zpoly;
+    # integrate and numbers bernoulli, which print levels, still load
+    # qintegral (test_numeric_commands_load_no_exact_layer)
+    modules = loaded_modules(*argv)
+    assert "qeuler.identities" in modules
+    assert "qeuler.qintegral" not in modules
+
+
 ARGPARSE = {"argparse", "gettext", "locale"}
 
 

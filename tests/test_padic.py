@@ -16,6 +16,7 @@ from qeuler.padic import (
     PadicApprox,
     PrecisionExhausted,
     is_odd_prime,
+    log_p,
     padic_distance,
     rational_valuation,
 )
@@ -25,6 +26,8 @@ from qeuler.qintegral import (
     IntegralRequest,
     integrate,
 )
+
+from oracles import valuation
 
 
 class TestConstruction:
@@ -205,6 +208,46 @@ def trial_division_is_odd_prime(p: int) -> bool:
             return False
         d += 2
     return True
+
+
+def exp_series(x: Fraction, p: int, precision: int) -> Fraction:
+    """A rational within p^-precision of exp_p(x), for v_p(x) >= 1: the
+    terms x^k/k! with k v - (k - 1)/(p - 1) < precision, since term k has
+    valuation at least k v - v_p(k!) >= k v - (k - 1)/(p - 1), which grows
+    with k."""
+    if x == 0:
+        return Fraction(1)
+    v = rational_valuation(x, p)
+    total, term, k = Fraction(0), Fraction(1), 0
+    while (k * v * (p - 1) - (k - 1)) < precision * (p - 1):
+        total += term
+        k += 1
+        term = term * x / k
+    return total
+
+
+class TestLogP:
+    """padic.log_p(q, p, D) is within p^-D of log_p q: exp_p, summed on its
+    own, takes it back to q to D digits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 11]), v=st.integers(1, 3),
+           a=st.integers(-40, 40).filter(bool), b=st.integers(1, 40),
+           digits=st.integers(1, 16))
+    def test_exp_takes_it_back_to_q(self, p, v, a, b, digits):
+        if a % p == 0 or b % p == 0:
+            return
+        q = 1 + Fraction(p ** v * a, b)
+        log = log_p(q, p, digits)
+        if digits > v:
+            assert rational_valuation(log, p) == v
+        # q exp(log - log_p q) - q has the valuation of log - log_p q
+        assert valuation(exp_series(log, p, digits + 1) - q, p) >= digits
+
+    @pytest.mark.parametrize("q", [Fraction(1), Fraction(2), Fraction(5, 3)])
+    def test_needs_q_near_one(self, q):
+        with pytest.raises(ValueError):
+            log_p(q, 3, 4)
 
 
 class TestPrimality:
