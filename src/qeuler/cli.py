@@ -379,7 +379,7 @@ def cmd_verify(args, battery: bool = False) -> Report:
     pad, block = _padic_config(args)
     items = []
     per_item, routes, x_certificates = {}, {}, {}
-    ctx = NumericContext(*pad)
+    ctx = NumericContext(*pad[:4])  # n_max limits no verify row
     start = time.monotonic()
     for ident in targets:
         try:

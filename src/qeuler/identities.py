@@ -270,12 +270,12 @@ class NumericContext:
     q-Bernoulli numbers at that configuration, the exact values embedded
     at it, and the bosonic moments of the q-Euler polynomials."""
 
-    __slots__ = ("p", "q", "target", "guard", "max_level", "_bernoulli",
-                 "_embeds", "_bosonic")
+    __slots__ = ("p", "q", "target", "guard", "_bernoulli", "_embeds",
+                 "_bosonic")
 
-    def __init__(self, p, q, target, guard=None, max_level=None):
-        (self.p, self.q, self.target, self.guard,
-         self.max_level) = check_config(p, q, target, guard, max_level)
+    def __init__(self, p, q, target, guard=None):
+        self.p, self.q, self.target, self.guard, _ = check_config(
+            p, q, target, guard)
         self._bernoulli = {}  # n -> B_n
         self._embeds = {}     # exact value, as given -> its PadicApprox
         self._bosonic = {}    # n -> bosonic moment of E_n(x)

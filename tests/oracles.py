@@ -443,11 +443,12 @@ def fermionic_image(poly: XPolyQ) -> RatFuncQ:
     return folded_apply(monomials(poly), euler_number)
 
 
-def level_integrals(ctx: NumericContext) -> MonomialIntegrals:
+def level_integrals(ctx: NumericContext, max_level=None
+                    ) -> MonomialIntegrals:
     """The level route's memo of monomial integrals at the configuration
-    of a NumericContext."""
-    return MonomialIntegrals(ctx.p, ctx.q, ctx.target, ctx.guard,
-                             ctx.max_level)
+    of a NumericContext, with at most ``max_level`` levels (the default
+    cap when None)."""
+    return MonomialIntegrals(ctx.p, ctx.q, ctx.target, ctx.guard, max_level)
 
 
 def direct_moment(kind: str, poly: XPolyQ, ctx: NumericContext,

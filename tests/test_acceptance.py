@@ -239,7 +239,7 @@ def test_criterion_09_bosonic_precision_law():
 @criterion(10, "mixed-family p-adic suite against two-route oracle, < 120 s")
 def test_criterion_10_thm6_cor7():
     start = time.monotonic()
-    ctx = NumericContext(3, Fraction(4), 4, 4, 12)
+    ctx = NumericContext(3, Fraction(4), 4, 4)
     integrals = level_integrals(ctx)
     for k in range(1, 4):
         for m in range(1, 4):

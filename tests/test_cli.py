@@ -540,7 +540,9 @@ class TestVerifyCommand:
     def test_failed_integrals_run_once(self, capsys, monkeypatch):
         # nine error cells, each a zero known to fewer than K digits, need
         # the q-Bernoulli numbers B_0 .. B_6; each is computed once and is
-        # then served its memo
+        # then served its memo (test_qintegral's
+        # test_memo_runs_a_short_integral_once covers the level route's
+        # memo of integrals that stop short)
         calls = []
 
         def short(n, p, q, precision):
@@ -549,7 +551,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(identities, "q_bernoulli", short)
         code, out, _ = run(capsys, "verify", "THM6", "--k", "1..3", "--m",
-                           "1..3", "--n-max", "2", "--format", "json")
+                           "1..3", "--format", "json")
         assert code == 1
         items = json.loads(out)["items"]
         assert [item["verdict"] for item in items] == ["error"] * 9

@@ -83,7 +83,7 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def ctx():
-    return NumericContext(3, Fraction(4), 4, 4, 12)
+    return NumericContext(3, Fraction(4), 4, 4)
 
 
 class DeltaSliceContext(NumericContext):
@@ -95,7 +95,7 @@ class DeltaSliceContext(NumericContext):
 
 @pytest.fixture(scope="module")
 def delta_ctx():
-    return DeltaSliceContext(3, Fraction(4), 4, 4, 12)
+    return DeltaSliceContext(3, Fraction(4), 4, 4)
 
 
 class TestTermListSums:
@@ -284,7 +284,7 @@ class TestThm4:
                 assert left == right
 
     def test_padic_witness_at_k5(self):
-        ctx5 = NumericContext(3, Fraction(4), 5, 4, 12)
+        ctx5 = NumericContext(3, Fraction(4), 5, 4)
         integrals = level_integrals(ctx5)
         for k in range(1, 4):
             for m in range(1, 4):
@@ -318,7 +318,7 @@ class TestThm5:
             assert sides(IdentityId.THM5_CORRECTED, {"k": k})[0] == oracle
 
     def test_padic_witness(self):
-        ctx5 = NumericContext(3, Fraction(4), 5, 4, 12)
+        ctx5 = NumericContext(3, Fraction(4), 5, 4)
         exact = ctx5.embed(sides(IdentityId.THM5_CORRECTED, {"k": 2})[0])
         rhs = sides(IdentityId.THM3_CORRECTED, {"k": 2})[1]
         numeric = direct_moment(KIND_FERMIONIC, rhs, ctx5,
@@ -354,7 +354,7 @@ class TestThm6:
         # (1+q) is a p-adic unit, so summing embed((1+q) c) B_i gives the
         # digits and precision of embed(1+q) times the sum of embed(c) B_i
         for q in (Fraction(4), Fraction(1), Fraction(10), Fraction(-2)):
-            numeric = NumericContext(3, q, 4, 4, 12)
+            numeric = NumericContext(3, q, 4, 4)
             for k in range(1, 4):
                 for m in range(1, 4):
                     x_side = sides(IdentityId.THM6, {"k": k, "m": m},
@@ -364,7 +364,7 @@ class TestThm6:
                     assert x_side == numeric.embed(1 + q) * unfolded
 
     def test_second_prime(self):
-        ctx5 = NumericContext(5, Fraction(6), 4, 4, 10)
+        ctx5 = NumericContext(5, Fraction(6), 4, 4)
         left, right = sides(IdentityId.THM6, {"k": 1, "m": 2}, ctx5)
         assert padic_distance(left, right) >= 4
 

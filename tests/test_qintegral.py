@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler.padic import PadicApprox, PrecisionExhausted, padic_distance
+from qeuler import qintegral
 from qeuler.qintegral import (
     KIND_BOSONIC,
     KIND_FERMIONIC,
@@ -194,6 +195,13 @@ class TestValidation:
         config = {"p": 3, "q": Fraction(4), "target": 4, "guard": 4,
                   "max_level": 12, setting: value}
         args = (KIND_BOSONIC, 1) if build is IntegralRequest else ()
+        if build is NumericContext:
+            # verify runs no Riemann level, so its context takes no cap
+            with pytest.raises(TypeError, match="max_level"):
+                build(**config)
+            if setting == "max_level":
+                return
+            del config["max_level"]
         with pytest.raises(ValueError, match=f"^{setting} must"):
             build(*args, **config)
 
@@ -247,6 +255,29 @@ class TestAdaptiveIntegrate:
         assert res.levels_used == 4
         assert err.value.stopped_by == STOP_MAX_LEVEL
         assert STOP_MAX_LEVEL in str(err.value)
+
+    def test_memo_runs_a_short_integral_once(self, monkeypatch):
+        # an integral that stops short is integrated once; every call
+        # raises a fresh ConvergenceNotReached from the memoized partial
+        # result and stop
+        calls = []
+
+        def spy(req):
+            calls.append(req)
+            return integrate(req)
+
+        monkeypatch.setattr(qintegral, "integrate", spy)
+        integrals = MonomialIntegrals(3, Fraction(4), 8, max_level=4)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ConvergenceNotReached) as err:
+                integrals(KIND_FERMIONIC, 5)
+            raised.append(err.value)
+        assert len(calls) == 1
+        assert raised[0] is not raised[1]
+        assert raised[0].result is raised[1].result
+        assert [e.stopped_by for e in raised] == [STOP_MAX_LEVEL] * 2
+        assert raised[0].result.achieved_precision < 8
 
     @pytest.mark.parametrize("kind", [KIND_BOSONIC, KIND_FERMIONIC])
     def test_one_level_certifies_no_digit(self, kind):
