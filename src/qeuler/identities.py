@@ -1,6 +1,6 @@
 """Registry of the checkable identities relating the weight-0 q-Euler and
-q-Bernoulli families, each producing explicit left/right sides and a
-verdict with a difference certificate.
+q-Bernoulli families, each decided to a verdict with a difference
+certificate left - right.
 
 Every catalogued statement comes from the master identity and is data: a
 *statement* (terms, monomials) means
@@ -8,13 +8,12 @@ Every catalogued statement comes from the master identity and is data: a
     sum c * E_n(x) over terms  =  sum c' * x^i over monomials.
 
 Its coefficients are integer data, c(q)/(1+q)^b for an integer polynomial
-c, and ``ring_terms`` turns them into values of R.  There are two: the
-master identity EQ6 at (k, m), whose factor (1+q) sits in its monomial
-coefficients, and the degree-(2k+1) statement in its printed or corrected
-reading.  EQ103 and THM2 read EQ6 at (k, k), whose terms are the paper's
-even/odd regrouping, and THM1_COR reads it at (k, k+1).  A theorem is a
-statement seen through one of four *views*, linear maps applied to both
-sides:
+c.  There are two: the master identity EQ6 at (k, m), whose factor (1+q)
+sits in its monomial coefficients, and the degree-(2k+1) statement in its
+printed or corrected reading.  EQ103 and THM2 read EQ6 at (k, k), whose
+terms are the paper's even/odd regrouping, and THM1_COR reads it at
+(k, k+1).  A theorem is a statement seen through one of four *views*,
+linear maps applied to both sides:
 
 - ``"poly"``: E_n(x) -> E_n(x) and x^i -> x^i (E-side first);
 - ``"fermionic"``: E_n(x) -> its fermionic moment and x^i -> E[i]
@@ -28,8 +27,8 @@ sides:
 
 Only the calculus rules (EQ7, EQ8) have no view: their registry entries
 build the (coefficient, image) pairs of both sides themselves, with the
-derivative and the unit-interval integral of x^i as images.  Every exact
-side and certificate is one term-list sum of such pairs.
+derivative and the unit-interval integral of x^i as images, and their
+certificate is one term-list sum of such pairs.
 
 Exact identities are decided in the ring R = Q[q, 1/q, 1/(1+q)]
 (certificate identically zero or not); identities involving q-Bernoulli
@@ -37,19 +36,22 @@ numbers are decided here to finite p-adic precision, because B_n involves
 log_p q: it is taken from its closed form in the q-Euler numbers at -q
 (``q_bernoulli``), to a precision proven there, and runs no Riemann sum.
 
-Every exact statement is decided by its *x-certificate*.  With E the
-linear map x^n -> E_n(x), a statement E(t) = h has x-certificate
+Every statement is decided by its *x-certificate*.  With E the linear
+map x^n -> E_n(x), a statement E(t) = h has x-certificate
 c = t - E^-1(h), where E^-1(h) = (q h(x+1) + h(x))/(1+q), computed over
 the integers with no table value.  While the tables satisfy the
 functional equation q E_n(x+1) + E_n(x) = (1+q) x^n up to the
 statement's degree (one more in the integral view), each view's
 certificate left - right is one sum over c's nonzero coefficients: E(c)
 in the poly view, minus the fermionic moments of E(c) in the fermionic
-view, and U(E(c)) + q * (U(h)/q - beta) in the integral view.  So a cell
-that holds reads no table value.  That *license* is checked on the
-integer numerators once per degree and process; a degree it refuses
-raises ``TableError``, an error row of the grid.  The calculus rules and
-the bosonic view are decided on the tables (``table_certificate``).
+view, minus the bosonic moments of E(c) (p-adically, to K digits) in the
+bosonic view, and U(E(c)) + q * (U(h)/q - beta) in the integral view.
+So an exact cell that holds reads no table value, and a bosonic cell
+with c = 0 reads no q-Bernoulli number either: it is the zero known
+modulo p^K.  That *license* is checked on the integer numerators once
+per degree and process; a degree it refuses raises ``TableError``, an
+error row of the grid.  Only the calculus rules are decided on the
+tables (``table_certificate``).
 
 Several catalogued statements exist in two encodings: a ``_PRINTED``
 variant transcribing the typeset source, including its suspect summation
@@ -164,11 +166,6 @@ def degree_2k1_rhs(k: int) -> ZTerms:
     return terms
 
 
-def ring_terms(terms: ZTerms) -> Terms:
-    """An integer term list as terms over R."""
-    return [(RatFuncQ.over_bracket(coeffs, b), n) for coeffs, b, n in terms]
-
-
 def monomials(poly: XPolyQ) -> Terms:
     """The nonzero monomial terms of a polynomial in x."""
     return [(c, i) for i, c in enumerate(poly.coeffs) if not c.is_zero]
@@ -268,7 +265,8 @@ class NumericContext:
     """The p-adic configuration of the bosonic identity checks, checked by
     ``padic.check_config`` when the context is built, with its memos: the
     q-Bernoulli numbers at that configuration, the exact values embedded
-    at it, and the bosonic moments of the q-Euler polynomials."""
+    at it, and the bosonic moments of the q-Euler polynomials.  Only a
+    bosonic cell whose x-certificate is not zero fills them."""
 
     __slots__ = ("p", "q", "target", "guard", "_bernoulli", "_embeds",
                  "_bosonic")
@@ -321,25 +319,7 @@ class NumericContext:
 
 
 # ---------------------------------------------------------------------------
-# views and sides
-
-
-def view_pairs(view: str, statement: Statement, beta: Fraction = 0,
-               moved: int = 0) -> Tuple[list, list]:
-    """The (coefficient, image) pairs of both sides of a statement through
-    an exact view, ordered as the theorem is printed: the E-side first for
-    "poly" and "integral", the monomial side first for "fermionic".  The
-    "integral" view's right side is q * beta less the image of the first
-    ``moved`` terms."""
-    terms = ring_terms(statement[0])
-    if view == "integral":
-        return (images(terms[moved:], unit_integral),
-                [(beta, RF_Q)] + [(-c, v) for c, v in
-                                  images(terms[:moved], unit_integral)])
-    mono = ring_terms(statement[1])
-    if view == "poly":
-        return images(terms, euler_poly), images(mono, XPolyQ.x_power)
-    return images(mono, euler_number), images(terms, fermionic_moment)
+# printed beta terms and calculus rules
 
 
 def _beta(k: int, m: int) -> Fraction:
@@ -442,31 +422,10 @@ REGISTRY: Dict[IdentityId, IdentityInfo] = {
 }
 
 
-def sides(identity: IdentityId, params: Dict[str, int],
-          ctx: Optional[NumericContext] = None) -> Tuple[object, object]:
-    """Both sides of an identity at one parameter cell, each one exact sum
-    of its (coefficient, image) pairs (``view_pairs``, or the calculus
-    rule's own), or p-adically in ``ctx`` for the bosonic view, monomial
-    side first."""
-    info = REGISTRY[identity]
-    built = info.build(**params)
-    if info.view == "bosonic":
-        terms, mono = map(ring_terms, built)
-        return ctx.apply(mono, ctx.bernoulli), ctx.apply(terms, ctx.bosonic_moment)
-    if info.view is not None:
-        built = view_pairs(info.view, built, info.beta(**params), info.moved)
-    return tuple(map(sum_products, built))
-
-
-def table_certificate(identity: IdentityId, params: Dict[str, int],
-                      ctx: Optional[NumericContext] = None):
-    """left - right of a calculus rule or a bosonic cell, from the tables.
-    A calculus rule sums its left pairs and its right pairs, coefficients
-    negated, as one exact sum, reduced once per power of x; the bosonic
-    view subtracts its sides p-adically."""
-    if REGISTRY[identity].view == "bosonic":
-        left, right = sides(identity, params, ctx)
-        return left - right
+def table_certificate(identity: IdentityId, params: Dict[str, int]):
+    """left - right of a calculus rule, from the tables: its left pairs and
+    its right pairs, coefficients negated, as one exact sum, reduced once
+    per power of x."""
     left, right = REGISTRY[identity].build(**params)
     return sum_products(left + [(-c, v) for c, v in right])
 
@@ -582,7 +541,8 @@ class TableError(ArithmeticError):
     statement needs, so its x-certificate does not give its certificate."""
 
 
-def statement_certificate(identity: IdentityId, params: Dict[str, int]
+def statement_certificate(identity: IdentityId, params: Dict[str, int],
+                          ctx: Optional[NumericContext] = None
                           ) -> Tuple[object, XPolyQ]:
     """(certificate, x-certificate c) of a statement cell, its certificate
     left - right the view of E(c), one sum over c's nonzero coefficients.
@@ -592,8 +552,14 @@ def statement_certificate(identity: IdentityId, params: Dict[str, int]
     With h = (1+q) sum c_i x^i, whose monomial coefficients are (c_i, c_i),
     U(h)/q is -sum c_i/(i+1).  The integral view also needs one degree
     more: the unit integral E[n+1]/(n+1) of E_n(x) rests on the functional
-    equation at n + 1.  Raises TableError when the tables are not licensed
-    to the degree the cell needs.
+    equation at n + 1.
+
+    The bosonic view, monomial side first, has the certificate minus the
+    bosonic moments of E(c), p-adically in ``ctx``: the zero known modulo
+    p^K when c is zero, which reads no q-Bernoulli number, and otherwise
+    the sum truncated to K digits.  Truncation never adds digits, so a sum
+    known to fewer than K digits stays short of K.  Raises TableError when
+    the tables are not licensed to the degree the cell needs.
     """
     info = REGISTRY[identity]
     statement = info.build(**params)
@@ -608,6 +574,12 @@ def statement_certificate(identity: IdentityId, params: Dict[str, int]
         cert = sum_products(images(terms, euler_poly)) if terms else c
     elif info.view == "fermionic":
         cert = sum_products([(-ci, fermionic_moment(i)) for ci, i in terms])
+    elif info.view == "bosonic":
+        if terms:
+            cert = (-ctx.apply(terms, ctx.bosonic_moment)).truncate_abs(
+                ctx.target)
+        else:
+            cert = PadicApprox.zero(ctx.p, ctx.target)
     else:
         u_h = -sum(Fraction(ci, i + 1) for (ci, _), _, i in statement[1])
         cert = sum_products(images(terms, unit_integral)
@@ -654,9 +626,8 @@ def _mode(identity: IdentityId, ctx: Optional[NumericContext]) -> str:
 def verify(identity: IdentityId, params: Dict[str, int],
            ctx: Optional[NumericContext] = None) -> VerificationResult:
     """Decide one cell: a statement by its x-certificate
-    (``statement_certificate``), a calculus rule or a bosonic cell by its
-    table certificate left - right (``table_certificate``), and classify
-    the verdict.
+    (``statement_certificate``), a calculus rule by its table certificate
+    left - right (``table_certificate``), and classify the verdict.
 
     Exact identities hold iff the difference is identically zero.  A p-adic
     identity fails when the difference has a nonzero digit below p^K, and
@@ -679,10 +650,11 @@ def verify(identity: IdentityId, params: Dict[str, int],
         raise ValueError(f"{identity.value} needs a numeric context")
 
     start = time.monotonic()
-    if info.view in (None, "bosonic"):
-        cert, c, route = table_certificate(identity, params, ctx), None, TABLES
+    if info.view is None:
+        cert, c, route = table_certificate(identity, params), None, TABLES
     else:
-        (cert, c), route = statement_certificate(identity, params), X_CERTIFICATE
+        (cert, c), route = (statement_certificate(identity, params, ctx),
+                            X_CERTIFICATE)
     if info.mode == "exact":
         verdict = HOLDS if cert.is_zero else FAILS
     elif not cert.is_zero and cert.valuation < ctx.target:

@@ -8,14 +8,24 @@ from functools import reduce
 from itertools import zip_longest
 from math import comb, factorial, inf, lcm
 
-from qeuler.exactarith import RF_ONE, RF_Q, RF_ZERO, RatFuncQ, XPolyQ
+from qeuler.exactarith import (
+    RF_ONE,
+    RF_Q,
+    RF_ZERO,
+    RatFuncQ,
+    XPolyQ,
+    sum_products,
+)
 from qeuler.identities import (
+    REGISTRY,
     IdentityId,
     NumericContext,
     _columns,
     _degree,
+    fermionic_moment,
+    images,
     monomials,
-    sides,
+    unit_integral,
 )
 from qeuler.padic import PadicApprox
 from qeuler.qintegral import (
@@ -362,6 +372,52 @@ def classical_euler_number(n: int) -> Fraction:
         s = sum(comb(m, l) * _classical[l] for l in range(m))
         _classical.append(-s / 2)
     return _classical[n]
+
+
+# -- identity sides: the reference route --------------------------------------
+#
+# The package decides a statement by its x-certificate alone.  Here both
+# sides of a cell are summed on their own, from the tables, as the theorem
+# is printed: the route every x-certificate is checked against.
+
+def ring_terms(terms) -> list:
+    """An integer term list (coeffs, b, n) as terms over R."""
+    return [(RatFuncQ.over_bracket(coeffs, b), n) for coeffs, b, n in terms]
+
+
+def view_pairs(view: str, statement, beta: Fraction = 0,
+               moved: int = 0) -> tuple:
+    """The (coefficient, image) pairs of both sides of a statement through
+    an exact view, ordered as the theorem is printed: the E-side first for
+    "poly" and "integral", the monomial side first for "fermionic".  The
+    "integral" view's right side is q * beta less the image of the first
+    ``moved`` terms."""
+    terms = ring_terms(statement[0])
+    if view == "integral":
+        return (images(terms[moved:], unit_integral),
+                [(beta, RF_Q)] + [(-c, v) for c, v in
+                                  images(terms[:moved], unit_integral)])
+    mono = ring_terms(statement[1])
+    if view == "poly":
+        return images(terms, euler_poly), images(mono, XPolyQ.x_power)
+    return images(mono, euler_number), images(terms, fermionic_moment)
+
+
+def sides(identity: IdentityId, params: dict, ctx: NumericContext = None
+          ) -> tuple:
+    """Both sides of an identity at one parameter cell, each one exact sum
+    of its (coefficient, image) pairs (``view_pairs``, or the calculus
+    rule's own), or, in the bosonic view, p-adically in ``ctx``, monomial
+    side first: x^i -> B_i and E_n(x) -> its bosonic moment."""
+    info = REGISTRY[identity]
+    built = info.build(**params)
+    if info.view == "bosonic":
+        terms, mono = map(ring_terms, built)
+        return (ctx.apply(mono, ctx.bernoulli),
+                ctx.apply(terms, ctx.bosonic_moment))
+    if info.view is not None:
+        built = view_pairs(info.view, built, info.beta(**params), info.moved)
+    return tuple(map(sum_products, built))
 
 
 # -- identity sides by other routes -------------------------------------------

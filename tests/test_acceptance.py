@@ -16,7 +16,6 @@ from qeuler.identities import (
     HOLDS_TO_PRECISION,
     IdentityId,
     NumericContext,
-    sides,
     verify,
     verify_grid,
 )
@@ -42,6 +41,7 @@ from oracles import (
     level_integrals,
     mul,
     rf,
+    sides,
     starved_modulus,
     thm1_independent_route,
     thm3_construction_residual,

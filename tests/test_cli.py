@@ -523,14 +523,16 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_error_rows_keep_padic_mode(self, capsys, monkeypatch):
-        # no q-Bernoulli number can be had, so both cells are error rows
+        # no q-Bernoulli number can be had, so both cells, whose
+        # x-certificates are not zero, are error rows; printed-variant
+        # rows never affect the exit code
         def unavailable(n, p, q, precision):
             raise ArithmeticError(f"no B_{n}")
 
         monkeypatch.setattr(identities, "q_bernoulli", unavailable)
-        code, out, _ = run(capsys, "verify", "THM6", "--k", "1", "--m", "1..2",
+        code, out, _ = run(capsys, "verify", "COR7_PRINTED", "--k", "1..2",
                            "--format", "json")
-        assert code == 1
+        assert code == 0
         items = json.loads(out)["items"]
         assert [item["verdict"] for item in items] == ["error", "error"]
         assert {item["mode"] for item in items} == {"padic(p=3,q=4,K=4)"}
@@ -538,8 +540,8 @@ class TestVerifyCommand:
                    for item in items)
 
     def test_failed_integrals_run_once(self, capsys, monkeypatch):
-        # nine error cells, each a zero known to fewer than K digits, need
-        # the q-Bernoulli numbers B_0 .. B_6; each is computed once and is
+        # three error cells, each a zero known to fewer than K digits, need
+        # the q-Bernoulli numbers B_0 .. B_7; each is computed once and is
         # then served its memo (test_qintegral's
         # test_memo_runs_a_short_integral_once covers the level route's
         # memo of integrals that stop short)
@@ -550,12 +552,12 @@ class TestVerifyCommand:
             return PadicApprox.zero(p, 1)
 
         monkeypatch.setattr(identities, "q_bernoulli", short)
-        code, out, _ = run(capsys, "verify", "THM6", "--k", "1..3", "--m",
-                           "1..3", "--format", "json")
-        assert code == 1
+        code, out, _ = run(capsys, "verify", "COR7_PRINTED", "--k", "1..3",
+                           "--format", "json")
+        assert code == 0
         items = json.loads(out)["items"]
-        assert [item["verdict"] for item in items] == ["error"] * 9
-        assert sorted(calls) == list(range(7))
+        assert [item["verdict"] for item in items] == ["error"] * 3
+        assert sorted(calls) == list(range(8))
 
 
 class TestTimingSideChannel:
@@ -565,11 +567,12 @@ class TestTimingSideChannel:
         doc = json.loads(out.read_text())
         assert doc["canonical_sha256"] == BATTERY_SHA256
         timing = doc["timing"]
-        assert timing["routes"] == {"x-certificate": 225, "tables": 40}
+        assert timing["routes"] == {"x-certificate": 240, "tables": 25}
         # only the cells whose x-certificate is not zero
         assert sorted(timing["x_certificates"]) == [
-            f"{ident}:{{'k': {k}}}" for ident in ("THM3_PRINTED", "THM5_PRINTED")
-            for k in range(1, 5)]
+            f"{ident}:{{'k': {k}}}" for ident, top in (
+                ("COR7_PRINTED", 3), ("THM3_PRINTED", 4), ("THM5_PRINTED", 4))
+            for k in range(1, top + 1)]
         assert timing["x_certificates"]["THM3_PRINTED:{'k': 2}"] == (
             "((2 - 2q)/(1 + q))x^3 + ((-2 + 2q)/(1 + q))x^5")
 
@@ -888,19 +891,26 @@ class TestDeterminismAndCache:
 
     def test_zero_certificate_short_of_K_is_undecided(self, capsys,
                                                       monkeypatch):
-        # q-Bernoulli numbers replaced by zeros known mod 3^1 make the THM6
-        # difference a zero known to 1 < K digits: no verdict, exit 1
-        args = ("verify", "THM6", "--k", "1", "--m", "1", "--format", "json")
+        # q-Bernoulli numbers replaced by zeros known mod 3^1 make the
+        # COR7_PRINTED difference at k = 1, whose x-certificate is not
+        # zero, a zero known to 1 < K digits: no verdict (a printed
+        # variant's row, so exit 0)
+        args = ("verify", "COR7_PRINTED", "--k", "1", "--format", "json")
         code, out, _ = run(capsys, *args)
         assert code == 0
-        assert json.loads(out)["items"][0]["verdict"] == "holds-to-precision"
+        assert json.loads(out)["items"][0]["verdict"] == "fails"
         monkeypatch.setattr(identities, "q_bernoulli",
                             lambda n, p, q, precision: PadicApprox.zero(p, 1))
         code, out, _ = run(capsys, *args)
         item = json.loads(out)["items"][0]
         assert item["verdict"] == "error"
         assert item["certificate"] == "O(3^1)"
-        assert code == 1
+        assert code == 0
+        # a THM6 cell's x-certificate is zero, so it reads no B_n at all
+        code, out, _ = run(capsys, "verify", "THM6", "--k", "1", "--m", "1",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["items"][0]["certificate"] == "O(3^4)"
 
     def test_poisoned_integral_entry_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "cache.json"

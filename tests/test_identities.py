@@ -32,15 +32,12 @@ from qeuler.identities import (
     grid_params,
     images,
     monomials,
-    ring_terms,
     shift_terms,
-    sides,
     table_certificate,
     table_licensed,
     unit_integral,
     verify,
     verify_grid,
-    view_pairs,
     q_bernoulli,
     x_certificate,
     x_polynomial,
@@ -70,12 +67,15 @@ from oracles import (
     padic_rational,
     power,
     rf,
+    ring_terms,
+    sides,
     sub,
     thm1_independent_route,
     thm3_construction_residual,
     three_pass_x_certificate,
     total,
     valuation,
+    view_pairs,
     x_derivative,
     x_integral01,
 )
@@ -646,20 +646,85 @@ class TestXCertificateRoute:
         assert held == 169 + 64 + 36
 
 
+# (p, q, K) of the bosonic reference grids: two primes besides 3, q a
+# unit, a fraction, negative and 1, and K from 4 to 20
+BOSONIC_CONFIGS = [(3, Fraction(4), 4), (7, Fraction(8), 10),
+                   (5, Fraction(6), 5), (3, Fraction(4, 7), 6),
+                   (3, Fraction(-2), 7), (5, Fraction(6), 12),
+                   (3, Fraction(4), 20), (3, Fraction(1), 5),
+                   (7, Fraction(1), 6)]
+BOSONIC_GRIDS = [(IdentityId.COR7_PRINTED, {"k": (1, 16)}),
+                 (IdentityId.COR7_CORRECTED, {"k": (1, 10)}),
+                 (IdentityId.THM6, {"k": (1, 10), "m": (1, 10)})]
+
+
+def padic_verdict(cert, target):
+    """The verdict of a p-adic certificate, as verify states it."""
+    if not cert.is_zero and cert.valuation < target:
+        return FAILS
+    return HOLDS_TO_PRECISION if cert.abs_precision >= target else ERROR
+
+
+class TestBosonicXCertificate:
+    """A bosonic cell is decided by its x-certificate c: the zero known
+    modulo p^K when c is zero, minus the bosonic moments of E(c) truncated
+    to K digits otherwise.  Both sides summed p-adically on their own, from
+    the tables, and subtracted are the reference."""
+
+    @pytest.mark.parametrize("identity, ranges", BOSONIC_GRIDS,
+                             ids=[str(i) for i, _ in BOSONIC_GRIDS])
+    @pytest.mark.parametrize("p, q, K", BOSONIC_CONFIGS)
+    def test_verdicts_and_strings_match_the_sides(self, p, q, K, identity,
+                                                  ranges):
+        reference = NumericContext(p, q, K)
+        printed = identity is IdentityId.COR7_PRINTED
+        for r in verify_grid(identity, ranges, NumericContext(p, q, K)):
+            left, right = sides(identity, r.params, reference)
+            cert = left - right
+            assert r.route == X_CERTIFICATE
+            assert (r.verdict, r.certificate_str) == (
+                padic_verdict(cert, K), str(cert))
+            assert (r.x_certificate is not None) == printed
+
+    def test_zero_certificates_read_no_bernoulli_number(self, monkeypatch,
+                                                        tmp_path):
+        # THM6 and COR7_CORRECTED have c = 0 on every cell; the battery
+        # asks only for the B_n of its COR7_PRINTED cells, each once
+        asked = []
+        q_bernoulli = identities.q_bernoulli
+
+        def spy(n, p, q, precision):
+            asked.append(n)
+            return q_bernoulli(n, p, q, precision)
+
+        monkeypatch.setattr(identities, "q_bernoulli", spy)
+        ctx = NumericContext(7, Fraction(8), 10)
+        for identity in (IdentityId.THM6, IdentityId.COR7_CORRECTED):
+            ranges = {name: (1, 8) for name in identities.REGISTRY[
+                identity].params}
+            results = verify_grid(identity, ranges, ctx)
+            assert {r.verdict for r in results} == {HOLDS_TO_PRECISION}
+        assert asked == []
+        assert cli_main(["report", "--out", str(tmp_path / "r.json")]) == 0
+        needed = set()
+        for k in range(1, 4):
+            statement = degree_2k1_statement(k, "printed")
+            c = x_polynomial(*x_certificate(statement))
+            needed |= {l for _, i in monomials(c) for l in range(i + 1)}
+        assert sorted(asked) == sorted(needed) == list(range(8))
+
+
 class TestOneSumCertificate:
-    """The table route (the calculus rules and the bosonic view) sums an
-    exact cell's left images and its negated right images at once; the
-    two sides summed on their own and subtracted in the independent R
-    (p-adically in the bosonic view) are the reference."""
+    """The table route, which decides the calculus rules alone, sums a
+    cell's left images and its negated right images at once; the two sides
+    summed on their own and subtracted in the independent R are the
+    reference."""
 
     @staticmethod
-    def assert_one_sum(identity, params, ctx=None):
-        left, right = sides(identity, params, ctx)
-        cert = table_certificate(identity, params, ctx)
-        if identities.REGISTRY[identity].view == "bosonic":
-            reference = left - right
-        else:
-            reference = sub(left, right)
+    def assert_one_sum(identity, params):
+        left, right = sides(identity, params)
+        cert = table_certificate(identity, params)
+        reference = sub(left, right)
         assert cert == reference
         assert str(cert) == str(reference)
         return cert
@@ -669,10 +734,11 @@ class TestOneSumCertificate:
         for identity in IdentityId:
             for r in verify_grid(identity, ctx=ctx):
                 if r.route == TABLES:
-                    cert = self.assert_one_sum(identity, r.params, ctx)
+                    assert identities.REGISTRY[identity].view is None
+                    cert = self.assert_one_sum(identity, r.params)
                     assert r.certificate_str == str(cert)
                     cells += 1
-        assert cells == 40      # the battery's timing.routes count
+        assert cells == 25      # the battery's timing.routes count
 
     def test_calculus_rules_to_30(self):
         for identity, low in ((IdentityId.EQ7, 1), (IdentityId.EQ8, 0)):
@@ -696,9 +762,23 @@ class TestOneSumCertificate:
         assert all(verdicts[IdentityId.EQ8, n] == FAILS for n in range(1, 9))
 
 
+# the deep COR7_PRINTED grid, every cell of which has a nonzero
+# x-certificate and so reads q-Bernoulli numbers, and its canonical_sha256
+DEEP_COR7 = "verify COR7_PRINTED --k 1..6 --p 7 --K 10"
+DEEP_COR7_SHA256 = ("51f4369e39be4080659db6428051e40f"
+                    "6bd1e81815c0221061121d0f5ddf3a6e")
+
+
+def run_deep_cor7(tmp_path) -> str:
+    out = tmp_path / "cor7.json"
+    assert cli_main([*DEEP_COR7.split(), "--format", "json",
+                     "--out", str(out)]) == 0
+    return json.loads(out.read_text())["canonical_sha256"]
+
+
 class TestEmbedMemo:
     def test_each_coefficient_is_evaluated_once(self, monkeypatch, tmp_path):
-        command = "verify THM6 --k 1..4 --m 1..4 --p 7 --K 6"
+        # 73 embeddings of 63 distinct values of R, each evaluated at q once
         evaluated, embedded = [], []
         evaluate, embed = RatFuncQ.evaluate, NumericContext.embed
 
@@ -712,53 +792,36 @@ class TestEmbedMemo:
 
         monkeypatch.setattr(RatFuncQ, "evaluate", counting_evaluate)
         monkeypatch.setattr(NumericContext, "embed", recording_embed)
-        out = tmp_path / "thm6.json"
-        assert cli_main([*command.split(), "--format", "json",
-                         "--out", str(out)]) == 0
+        assert run_deep_cor7(tmp_path) == DEEP_COR7_SHA256
         distinct = {v for v in embedded if isinstance(v, RatFuncQ)}
-        assert len(evaluated) == len(distinct) < len(embedded)
-        assert json.loads(out.read_text())["canonical_sha256"] == \
-            COMMAND_SHA256[command]
-
-
-# the deep THM6 grid, and its canonical_sha256 taken before the memos
-DEEP_THM6 = "verify THM6 --k 1..6 --m 1..6 --p 7 --K 10"
-DEEP_THM6_SHA256 = ("bb0fa778089f737c744261e6328a5941"
-                    "3b85c2f4d69cdd57e96b72040b5550bf")
-
-
-def run_deep_thm6(tmp_path) -> str:
-    out = tmp_path / "thm6.json"
-    assert cli_main([*DEEP_THM6.split(), "--format", "json",
-                     "--out", str(out)]) == 0
-    return json.loads(out.read_text())["canonical_sha256"]
+        assert len(evaluated) == len(distinct) == 63 < len(embedded) == 73
 
 
 class TestBosonicMomentMemo:
     def test_each_moment_is_computed_once(self, monkeypatch, tmp_path):
-        # the deep grid asks for 197 moments of 12 distinct E_n(x); only
-        # bosonic_moment takes monomials of a table polynomial there
+        # the deep grid asks for 17 moments of 7 distinct E_n(x), n odd, as
+        # the printed x-certificates have odd powers of x only; only
+        # bosonic_moment reads a table polynomial there
         computed = []
-        monomials = identities.monomials
+        euler_poly = identities.euler_poly
 
-        def counting_monomials(poly):
-            computed.append(poly.degree)
-            return monomials(poly)
+        def counting_euler_poly(n):
+            computed.append(n)
+            return euler_poly(n)
 
-        monkeypatch.setattr(identities, "monomials", counting_monomials)
-        assert run_deep_thm6(tmp_path) == DEEP_THM6_SHA256
-        assert sorted(computed) == list(range(1, 13))
+        monkeypatch.setattr(identities, "euler_poly", counting_euler_poly)
+        assert run_deep_cor7(tmp_path) == DEEP_COR7_SHA256
+        assert sorted(computed) == list(range(1, 14, 2))
 
 
 class TestPrimeChecks:
     def test_arithmetic_results_reuse_a_checked_p(self, monkeypatch,
                                                   tmp_path):
         # p is tested where it comes in: once by the CLI, once where the
-        # NumericContext is built, once per q-Bernoulli number (13, B_0 ..
-        # B_12) and once per embedded exact value (183), each number and
+        # NumericContext is built, once per q-Bernoulli number (14, B_0 ..
+        # B_13) and once per embedded exact value (63), each number and
         # value through PadicApprox.from_rational or zero; the results of
-        # p-adic arithmetic take their operand's p unchecked (5,283 tests
-        # before)
+        # p-adic arithmetic take their operand's p unchecked
         checked = []
         is_odd_prime = padic.is_odd_prime
 
@@ -767,8 +830,8 @@ class TestPrimeChecks:
             return is_odd_prime(p)
 
         monkeypatch.setattr(padic, "is_odd_prime", counting)
-        assert run_deep_thm6(tmp_path) == DEEP_THM6_SHA256
-        assert checked == [7] * (1 + 1 + 13 + 183)
+        assert run_deep_cor7(tmp_path) == DEEP_COR7_SHA256
+        assert checked == [7] * (1 + 1 + 14 + 63)
 
 
 @pytest.fixture
@@ -839,6 +902,42 @@ class TestLicense:
             assert r.certificate_str.endswith("up to degree 3")
         r = verify(IdentityId.EQ103, {"k": 1})
         assert (r.verdict, r.route) == (HOLDS, X_CERTIFICATE)
+
+
+    @pytest.mark.parametrize("corrupt_table", [4], indirect=True)
+    def test_bosonic_cells_past_the_license_are_errors(self, corrupt_table,
+                                                       tmp_path):
+        # with N_4 wrong the tables are licensed to degree 3: THM6 cells of
+        # k + m <= 3 and the degree-3 COR7 cells keep their verdicts, and
+        # every other cell is a padic-mode TableError row, whatever the
+        # p-adic sums of the corrupt tables would give
+        assert table_licensed(3) and not table_licensed(4)
+        licensed = {("THM6", 1, 1): HOLDS_TO_PRECISION,
+                    ("THM6", 1, 2): HOLDS_TO_PRECISION,
+                    ("THM6", 2, 1): HOLDS_TO_PRECISION,
+                    ("COR7_PRINTED", 1): FAILS,
+                    ("COR7_CORRECTED", 1): HOLDS_TO_PRECISION}
+        for argv in (["THM6", "--k", "1..3", "--m", "1..3"],
+                     ["COR7_PRINTED", "--k", "1..3"],
+                     ["COR7_CORRECTED", "--k", "1..3"]):
+            out = tmp_path / f"{argv[0]}.json"
+            code = cli_main(["verify", *argv, "--format", "json",
+                             "--out", str(out)])
+            assert code == (0 if argv[0] == "COR7_PRINTED" else 1)
+            for item in json.loads(out.read_text())["items"]:
+                params = item["params"]
+                cell = (item["id"], *params.values())
+                degree = (params["k"] + params["m"] if "m" in params
+                          else 2 * params["k"] + 1)
+                assert item["mode"] == "padic(p=3,q=4,K=4)"
+                if degree <= 3:
+                    assert item["verdict"] == licensed.pop(cell)
+                else:
+                    assert item["verdict"] == ERROR
+                    assert item["certificate"] == (
+                        "TableError: the tables fail the functional "
+                        f"equation up to degree {degree}")
+        assert licensed == {}
 
 
 # (p, q, K) of the closed-form checks, q = 1 aside
