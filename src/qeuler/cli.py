@@ -187,8 +187,9 @@ _PADIC_OPTIONS = {_dest(flag, spec): flag for flag, spec in _PADIC_ARGS}
 def _padic_config(args, require_explicit: bool = False) -> tuple:
     """The validated (p, q, K, guard, n_max), in the order of
     ``padic.check_config``, and their block of the report config.  Only
-    ``integrate`` and ``numbers bernoulli`` run Riemann levels, so n_max
-    limits only them; ``verify`` takes it into its config block."""
+    ``integrate`` and ``numbers bernoulli`` run Riemann levels, so guard
+    and n_max limit only them; ``verify`` takes both into its config
+    block."""
     from .padic import check_config
 
     if require_explicit and (args.p is None or args.K is None):
@@ -378,8 +379,8 @@ def cmd_verify(args, battery: bool = False) -> Report:
     explicit_ranges = _verify_ranges(args, config_identity, params)
     pad, block = _padic_config(args)
     items = []
-    per_item, routes, x_certificates = {}, {}, {}
-    ctx = NumericContext(*pad[:4])  # n_max limits no verify row
+    per_item, routes, x_certificates, bosonic_pairs = {}, {}, {}, {}
+    ctx = NumericContext(*pad[:3])  # guard and n_max limit no verify row
     start = time.monotonic()
     for ident in targets:
         try:
@@ -394,6 +395,8 @@ def cmd_verify(args, battery: bool = False) -> Report:
                 routes[r.route] = routes.get(r.route, 0) + 1
             if r.x_certificate is not None:
                 x_certificates[cell] = r.x_certificate
+            if r.bosonic_pair is not None:
+                bosonic_pairs[cell] = [*map(str, r.bosonic_pair)]
 
     config = {
         "command": "report" if battery else "verify",
@@ -407,6 +410,7 @@ def cmd_verify(args, battery: bool = False) -> Report:
         "per_item_seconds": per_item,
         "routes": routes,
         "x_certificates": x_certificates,
+        "bosonic_pairs": bosonic_pairs,
     })
 
 

@@ -33,8 +33,9 @@ certificate is one term-list sum of such pairs.
 Exact identities are decided in the ring R = Q[q, 1/q, 1/(1+q)]
 (certificate identically zero or not); identities involving q-Bernoulli
 numbers are decided here to finite p-adic precision, because B_n involves
-log_p q: it is taken from its closed form in the q-Euler numbers at -q
-(``q_bernoulli``), to a precision proven there, and runs no Riemann sum.
+log_p q: its closed form in the q-Euler numbers at -q is a + b/log_p q,
+a and b exact at q, and so is every bosonic certificate, known modulo
+p^K to a precision proven in ``_at_precision``; no Riemann sum is run.
 
 Every statement is decided by its *x-certificate*.  With E the linear
 map x^n -> E_n(x), a statement E(t) = h has x-certificate
@@ -44,8 +45,8 @@ functional equation q E_n(x+1) + E_n(x) = (1+q) x^n up to the
 statement's degree (one more in the integral view), each view's
 certificate left - right is one sum over c's nonzero coefficients: E(c)
 in the poly view, minus the fermionic moments of E(c) in the fermionic
-view, minus the bosonic moments of E(c) (p-adically, to K digits) in the
-bosonic view, and U(E(c)) + q * (U(h)/q - beta) in the integral view.
+view, minus the bosonic moments of E(c) (to K digits) in the bosonic
+view, and U(E(c)) + q * (U(h)/q - beta) in the integral view.
 So an exact cell that holds reads no table value, and a bosonic cell
 with c = 0 reads no q-Bernoulli number either: it is the zero known
 modulo p^K.  That *license* is checked on the integer numerators once
@@ -66,7 +67,7 @@ from __future__ import annotations
 import time
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, partial
 from itertools import accumulate, chain, product
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
@@ -218,9 +219,9 @@ def fermionic_moment(n: int) -> RatFuncQ:
 # p-adic context
 
 
-def q_bernoulli(n: int, p: int, q: Fraction, precision: int) -> PadicApprox:
-    """The weight-0 q-Bernoulli number B_n, the bosonic integral of xi^n,
-    known modulo p^precision, from its closed form in the q-Euler numbers.
+def _bernoulli_pair(n: int, q: Fraction) -> Tuple[Fraction, Fraction]:
+    """(a, b), exact rationals, with the weight-0 q-Bernoulli number B_n,
+    the bosonic integral of xi^n, equal to a + b/log_p q.
 
     For q != 1, B_n = E[n](-q) + n E[n-1](-q) / log_p q.  The level-N sums
     of the bosonic integral have the generating function
@@ -228,94 +229,76 @@ def q_bernoulli(n: int, p: int, q: Fraction, precision: int) -> PadicApprox:
     tends to (1 - q)/(1 - q e^t) (1 + t/log_p q), and (1 + q)/(1 + q e^t)
     generates E[n], so (1 - q)/(1 - q e^t) generates E[n](-q) (T. Kim,
     "q-Volkenborn integration", Russ. J. Math. Phys. 9 (2002) 288-299).
-    The E values are exact rationals.  With v = v_p(q - 1), L = log_p q
-    and l = ``padic.log_p(q, p, D)``, v_p(L - l) >= D and, for D > v,
-    v_p(l) = v_p(L) = v.  So the rational r = E[n](-q) + lead/l, with
-    lead = n E[n-1](-q), is off by lead/l - lead/L = lead (L - l)/(l L),
-    of valuation at least v_p(lead) + D - 2 v, and
-    D = max(precision + 2 v - v_p(lead), v + 1) gives v_p(B_n - r) >=
-    precision.
 
     At q = 1 the measure is Volkenborn's and B_n is the classical
-    Bernoulli number (B_1 = -1/2), an exact rational: 2/(e^t + 1)
-    generates E[n] at q = 1, and t/(e^t + 1) = t/(e^t - 1) - 2t/(e^(2t) - 1),
-    so B_n = -n E[n-1](1) / (2 (2^n - 1)) for n >= 1.
-
-    r is embedded with every digit below p^precision: the zero known to
-    precision digits when v_p(r) >= precision.
+    Bernoulli number (B_1 = -1/2), so b = 0: 2/(e^t + 1) generates E[n] at
+    q = 1, and t/(e^t + 1) = t/(e^t - 1) - 2t/(e^(2t) - 1), so
+    B_n = -n E[n-1](1) / (2 (2^n - 1)) for n >= 1.
     """
     if n == 0:
-        value = Fraction(1)
-    elif q == 1:
-        value = -n * euler_number_at(n - 1, q) / (2 * (2 ** n - 1))
-    else:
-        value = euler_number_at(n, -q)
-        lead = n * euler_number_at(n - 1, -q)
-        if lead:
-            v = rational_valuation(q - 1, p)
-            digits = max(precision + 2 * v - rational_valuation(lead, p), v + 1)
-            value += lead / log_p(q, p, digits)
+        return Fraction(1), Fraction(0)
+    if q == 1:
+        return -n * euler_number_at(n - 1, q) / (2 * (2 ** n - 1)), Fraction(0)
+    return euler_number_at(n, -q), n * euler_number_at(n - 1, -q)
+
+
+def _at_precision(a: Fraction, b: Fraction, p: int, q: Fraction,
+                  precision: int) -> PadicApprox:
+    """a + b/log_p q, for rationals a and b (b = 0 when q = 1), known
+    modulo p^precision: the zero known to precision digits when its
+    valuation is at least precision.
+
+    Proof of the bound, for any rational b != 0.  With v = v_p(q - 1) >= 1,
+    L = log_p q and l = ``padic.log_p(q, p, D)``, v_p(L - l) >= D, and
+    v_p(L) = v.  For D > v, l and L then agree below p^(v+1), so
+    v_p(l) = v and l != 0.  The rational r = a + b/l is off by
+    b/l - b/L = b (L - l)/(l L), of valuation at least v_p(b) + D - 2 v.
+    So D = max(precision + 2 v - v_p(b), v + 1) gives
+    v_p(a + b/L - r) >= precision, whatever the sign of v_p(b), and r,
+    embedded with every digit below p^precision, is a + b/L modulo
+    p^precision.  With b = 0 no log is taken and r = a is exact.
+    """
+    value = Fraction(a)
+    if b:
+        v = rational_valuation(q - 1, p)
+        digits = max(precision + 2 * v - rational_valuation(b, p), v + 1)
+        value += b / log_p(q, p, digits)
     v = rational_valuation(value, p) if value else precision
     if v >= precision:
         return PadicApprox.zero(p, precision)
     return PadicApprox.from_rational(value, p, precision - v)
 
 
+def q_bernoulli(n: int, p: int, q: Fraction, precision: int) -> PadicApprox:
+    """The weight-0 q-Bernoulli number B_n known modulo p^precision, from
+    its closed form in the q-Euler numbers (``_bernoulli_pair``)."""
+    return _at_precision(*_bernoulli_pair(n, q), p, q, precision)
+
+
+@cache
+def _moment_pair(n: int, q: Fraction) -> Tuple[Fraction, Fraction]:
+    """(A, B) with the bosonic moment of E_n(x) at q, sum_l C(n,l) E[n-l] B_l,
+    equal to A + B/log_p q; memoized by (n, q).
+
+    The moment is 2^n times B_n at q^2.  Its generating function is that
+    of E[n], (1 + q)/(1 + q e^t), times that of B_n (``_bernoulli_pair``),
+    and (1 + q)(1 - q)/((1 + q e^t)(1 - q e^t)) = (1 - q^2)/(1 - q^2 e^(2t))
+    with t/log_p q = 2t/log_p q^2; at q = 1, 2/(e^t + 1) t/(e^t - 1) =
+    2t/(e^(2t) - 1).  So (A, B) = (2^n a, 2^(n-1) b), with (a, b) the pair
+    of B_n at q^2.
+    """
+    a, b = _bernoulli_pair(n, q * q)
+    return 2 ** n * a, 2 ** n * b / 2
+
+
 class NumericContext:
-    """The p-adic configuration of the bosonic identity checks, checked by
-    ``padic.check_config`` when the context is built, with its memos: the
-    q-Bernoulli numbers at that configuration, the exact values embedded
-    at it, and the bosonic moments of the q-Euler polynomials.  Only a
-    bosonic cell whose x-certificate is not zero fills them."""
+    """The p-adic configuration (p, q, K) of the bosonic view, checked by
+    ``padic.check_config`` when the context is built."""
 
-    __slots__ = ("p", "q", "target", "guard", "_bernoulli", "_embeds",
-                 "_bosonic")
+    __slots__ = ("p", "q", "target")
 
-    def __init__(self, p, q, target, guard=None):
-        self.p, self.q, self.target, self.guard, _ = check_config(
-            p, q, target, guard)
-        self._bernoulli = {}  # n -> B_n
-        self._embeds = {}     # exact value, as given -> its PadicApprox
-        self._bosonic = {}    # n -> bosonic moment of E_n(x)
-
-    @property
-    def embed_precision(self) -> int:
-        return self.target + self.guard + 2
-
-    def embed(self, value) -> PadicApprox:
-        """Embed an exact rational (or rational function of q) p-adically;
-        memoized by the value given, so each one is evaluated at q once."""
-        approx = self._embeds.get(value)
-        if approx is None:
-            at_q = value.evaluate(self.q) if isinstance(value, RatFuncQ) else value
-            approx = self._embeds[value] = PadicApprox.from_rational(
-                at_q, self.p, self.embed_precision)
-        return approx
-
-    def bernoulli(self, n: int) -> PadicApprox:
-        """The weight-0 q-Bernoulli number B_n known modulo p^K
-        (``q_bernoulli``), memoized by n."""
-        value = self._bernoulli.get(n)
-        if value is None:
-            value = self._bernoulli[n] = q_bernoulli(n, self.p, self.q,
-                                                     self.target)
-        return value
-
-    def apply(self, terms: Terms, image: Callable[[int], PadicApprox]
-              ) -> PadicApprox:
-        """sum embed(coefficient) * image(n) over a term list: each
-        coefficient is embedded, multiplied, and added left to right, the
-        order the certificate's precision is stated for."""
-        return reduce(add, (self.embed(c) * image(n) for c, n in terms))
-
-    def bosonic_moment(self, n: int) -> PadicApprox:
-        """Bosonic moment of E_n(x): sum_l C(n,l) E_{n-l} B_l, memoized by
-        n."""
-        moment = self._bosonic.get(n)
-        if moment is None:
-            moment = self._bosonic[n] = self.apply(monomials(euler_poly(n)),
-                                                   self.bernoulli)
-        return moment
+    def __init__(self, p, q, target):
+        self.p, self.q, self.target = check_config(p, q, target)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +526,10 @@ class TableError(ArithmeticError):
 
 def statement_certificate(identity: IdentityId, params: Dict[str, int],
                           ctx: Optional[NumericContext] = None
-                          ) -> Tuple[object, XPolyQ]:
-    """(certificate, x-certificate c) of a statement cell, its certificate
-    left - right the view of E(c), one sum over c's nonzero coefficients.
+                          ) -> Tuple[object, XPolyQ, Optional[tuple]]:
+    """(certificate, x-certificate c, bosonic pair) of a statement cell,
+    its certificate left - right the view of E(c), one sum over c's
+    nonzero coefficients.
 
     In the integral view the certificate is U(E(c)) + q * residual, the
     residual U(h)/q less the printed beta, h the statement's right side.
@@ -555,11 +539,15 @@ def statement_certificate(identity: IdentityId, params: Dict[str, int],
     equation at n + 1.
 
     The bosonic view, monomial side first, has the certificate minus the
-    bosonic moments of E(c), p-adically in ``ctx``: the zero known modulo
-    p^K when c is zero, which reads no q-Bernoulli number, and otherwise
-    the sum truncated to K digits.  Truncation never adds digits, so a sum
-    known to fewer than K digits stays short of K.  Raises TableError when
-    the tables are not licensed to the degree the cell needs.
+    bosonic moments of E(c).  Each moment is A_i + B_i/log_p q with A_i
+    and B_i exact at q (``_moment_pair``), so the certificate is
+    A + B/log_p q with A = -sum c_i(q) A_i and B = -sum c_i(q) B_i, one
+    exact pair known modulo p^K in ``ctx`` (``_at_precision``).  A zero c
+    gives (0, 0), the zero known modulo p^K, and reads no q-Bernoulli
+    number.  The pair is returned third, None in the other views.
+
+    Raises TableError when the tables are not licensed to the degree the
+    cell needs.
     """
     info = REGISTRY[identity]
     statement = info.build(**params)
@@ -568,39 +556,43 @@ def statement_certificate(identity: IdentityId, params: Dict[str, int],
         raise TableError(f"the tables fail the functional equation up to "
                          f"degree {degree}")
     c = x_polynomial(*x_certificate(statement))
-    terms = monomials(c)
+    terms, pair = monomials(c), None
     if info.view == "poly":
         # E(c) is a polynomial in x, the zero one when c is zero
         cert = sum_products(images(terms, euler_poly)) if terms else c
     elif info.view == "fermionic":
         cert = sum_products([(-ci, fermionic_moment(i)) for ci, i in terms])
     elif info.view == "bosonic":
-        if terms:
-            cert = (-ctx.apply(terms, ctx.bosonic_moment)).truncate_abs(
-                ctx.target)
-        else:
-            cert = PadicApprox.zero(ctx.p, ctx.target)
+        a = b = Fraction(0)
+        for ci, i in terms:
+            (a_i, b_i), at_q = _moment_pair(i, ctx.q), ci.evaluate(ctx.q)
+            a, b = a - at_q * a_i, b - at_q * b_i
+        pair = a, b
+        cert = _at_precision(*pair, ctx.p, ctx.q, ctx.target)
     else:
         u_h = -sum(Fraction(ci, i + 1) for (ci, _), _, i in statement[1])
         cert = sum_products(images(terms, unit_integral)
                             + [(u_h - info.beta(**params), RF_Q)])
-    return cert, c
+    return cert, c, pair
 
 
 class VerificationResult(Record):
     """One decided cell.  ``route`` is X_CERTIFICATE or TABLES (None for a
-    cell that raised); ``x_certificate`` is the x-certificate, when
-    nonzero."""
+    cell that raised); ``x_certificate`` is the x-certificate, and
+    ``bosonic_pair`` the exact (A, B) of a bosonic certificate
+    A + B/log_p q, when the x-certificate is nonzero."""
 
     __slots__ = ("id", "params", "mode", "verdict", "certificate",
-                 "certificate_str", "elapsed", "route", "x_certificate")
+                 "certificate_str", "elapsed", "route", "x_certificate",
+                 "bosonic_pair")
 
     def __init__(self, id: IdentityId, params: Dict[str, int], mode: str,
                  verdict: str, certificate: object, certificate_str: str,
                  elapsed: float, route: Optional[str] = None,
-                 x_certificate: Optional[str] = None):
+                 x_certificate: Optional[str] = None,
+                 bosonic_pair: Optional[Tuple[Fraction, Fraction]] = None):
         self._set(id, params, mode, verdict, certificate, certificate_str,
-                  elapsed, route, x_certificate)
+                  elapsed, route, x_certificate, bosonic_pair)
 
     def sort_key(self):
         return (self.id.value,
@@ -651,10 +643,11 @@ def verify(identity: IdentityId, params: Dict[str, int],
 
     start = time.monotonic()
     if info.view is None:
-        cert, c, route = table_certificate(identity, params), None, TABLES
+        cert, c, pair, route = (table_certificate(identity, params), None,
+                                None, TABLES)
     else:
-        (cert, c), route = (statement_certificate(identity, params, ctx),
-                            X_CERTIFICATE)
+        (cert, c, pair), route = (statement_certificate(identity, params, ctx),
+                                  X_CERTIFICATE)
     if info.mode == "exact":
         verdict = HOLDS if cert.is_zero else FAILS
     elif not cert.is_zero and cert.valuation < ctx.target:
@@ -666,7 +659,7 @@ def verify(identity: IdentityId, params: Dict[str, int],
     elapsed = time.monotonic() - start
     return VerificationResult(identity, dict(params), _mode(identity, ctx),
                               verdict, cert, str(cert), elapsed, route,
-                              str(c) if c else None)
+                              str(c) if c else None, pair if c else None)
 
 
 def grid_params(identity: IdentityId,

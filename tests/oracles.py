@@ -4,7 +4,7 @@ package."""
 
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import zip_longest
 from math import comb, factorial, inf, lcm
 
@@ -16,18 +16,21 @@ from qeuler.exactarith import (
     XPolyQ,
     sum_products,
 )
+from qeuler import identities
 from qeuler.identities import (
     REGISTRY,
     IdentityId,
     NumericContext,
+    _bernoulli_pair,
     _columns,
     _degree,
     fermionic_moment,
     images,
     monomials,
+    q_bernoulli,
     unit_integral,
 )
-from qeuler.padic import PadicApprox
+from qeuler.padic import PadicApprox, check_config
 from qeuler.qintegral import (
     KIND_BOSONIC,
     KIND_FERMIONIC,
@@ -403,7 +406,61 @@ def view_pairs(view: str, statement, beta: Fraction = 0,
     return images(mono, euler_number), images(terms, fermionic_moment)
 
 
-def sides(identity: IdentityId, params: dict, ctx: NumericContext = None
+class ReferenceContext(NumericContext):
+    """The p-adic route the bosonic view is checked against, at one
+    configuration (p, q, K, guard): each exact coefficient is embedded to
+    K + guard + 2 digits, multiplied by a p-adic image and added, with
+    three memos: B_n, each exact value embedded once, and each bosonic
+    moment.  It shares only the closed form of B_n (``q_bernoulli``) with
+    ``verify``, which decides a bosonic cell as one exact pair."""
+
+    def __init__(self, p, q, target, guard=None):
+        self.p, self.q, self.target, self.guard, _ = check_config(
+            p, q, target, guard)
+        self._bernoulli = {}  # n -> B_n
+        self._embeds = {}     # exact value, as given -> its PadicApprox
+        self._bosonic = {}    # n -> bosonic moment of E_n(x)
+
+    @property
+    def embed_precision(self) -> int:
+        return self.target + self.guard + 2
+
+    def embed(self, value) -> PadicApprox:
+        """Embed an exact rational (or rational function of q) p-adically;
+        memoized by the value given, so each one is evaluated at q once."""
+        approx = self._embeds.get(value)
+        if approx is None:
+            at_q = value.evaluate(self.q) if isinstance(value, RatFuncQ) else value
+            approx = self._embeds[value] = PadicApprox.from_rational(
+                at_q, self.p, self.embed_precision)
+        return approx
+
+    def bernoulli(self, n: int) -> PadicApprox:
+        """The weight-0 q-Bernoulli number B_n known modulo p^K
+        (``q_bernoulli``), memoized by n."""
+        value = self._bernoulli.get(n)
+        if value is None:
+            value = self._bernoulli[n] = q_bernoulli(n, self.p, self.q,
+                                                     self.target)
+        return value
+
+    def apply(self, terms, image) -> PadicApprox:
+        """sum embed(coefficient) * image(n) over a term list: each
+        coefficient is embedded, multiplied, and added left to right."""
+        return reduce(PadicApprox.__add__,
+                      (self.embed(c) * image(n) for c, n in terms))
+
+    def bosonic_moment(self, n: int) -> PadicApprox:
+        """Bosonic moment of E_n(x): sum_l C(n,l) E_{n-l} B_l, memoized by
+        n."""
+        moment = self._bosonic.get(n)
+        if moment is None:
+            moment = self._bosonic[n] = self.apply(monomials(euler_poly(n)),
+                                                   self.bernoulli)
+        return moment
+
+
+def sides(identity: IdentityId, params: dict, ctx: ReferenceContext = None
           ) -> tuple:
     """Both sides of an identity at one parameter cell, each one exact sum
     of its (coefficient, image) pairs (``view_pairs``, or the calculus
@@ -499,15 +556,15 @@ def fermionic_image(poly: XPolyQ) -> RatFuncQ:
     return folded_apply(monomials(poly), euler_number)
 
 
-def level_integrals(ctx: NumericContext, max_level=None
+def level_integrals(ctx: ReferenceContext, max_level=None
                     ) -> MonomialIntegrals:
     """The level route's memo of monomial integrals at the configuration
-    of a NumericContext, with at most ``max_level`` levels (the default
+    of a ReferenceContext, with at most ``max_level`` levels (the default
     cap when None)."""
     return MonomialIntegrals(ctx.p, ctx.q, ctx.target, ctx.guard, max_level)
 
 
-def direct_moment(kind: str, poly: XPolyQ, ctx: NumericContext,
+def direct_moment(kind: str, poly: XPolyQ, ctx: ReferenceContext,
                   integrals: MonomialIntegrals) -> PadicApprox:
     """Numeric moment of an exact polynomial in x under the fermionic or
     bosonic measure, by linearity over the Riemann-sum limits of the
@@ -610,6 +667,35 @@ def bosonic_closed_form(n: int, x0, p: int, q, precision: int) -> Fraction:
     digits = max(precision + 2 * v - valuation(lead, p), v + 1)
     lam = (q - 1) / padic_log(q, p, digits)
     return head + lead * lam / (q - 1)
+
+
+def convolved_moment_pair(n: int, q: Fraction) -> tuple:
+    """(A, B) of the bosonic moment of E_n(x), sum_l C(n,l) E[n-l] B_l,
+    as the convolution of the exact E[n-l](q) with the pairs of the B_l:
+    the route the closed form of ``identities._moment_pair`` is checked
+    against."""
+    a = b = Fraction(0)
+    for l in range(n + 1):
+        e = comb(n, l) * euler_number(n - l).evaluate(q)
+        a_l, b_l = _bernoulli_pair(l, q)
+        a += e * a_l
+        b += e * b_l
+    return a, b
+
+
+def counted_moment_pairs(monkeypatch) -> list:
+    """Put ``identities._moment_pair`` behind a fresh memo for the rest of
+    a test, so that the cells the test runs compute every moment pair they
+    need, whatever earlier tests memoized; the list of the n computed,
+    in order."""
+    computed, compute = [], identities._moment_pair.__wrapped__
+
+    def counted(n, q):
+        computed.append(n)
+        return compute(n, q)
+
+    monkeypatch.setattr(identities, "_moment_pair", cache(counted))
+    return computed
 
 
 _classical_bernoulli = [Fraction(1)]

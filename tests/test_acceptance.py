@@ -15,7 +15,6 @@ from qeuler.identities import (
     HOLDS,
     HOLDS_TO_PRECISION,
     IdentityId,
-    NumericContext,
     verify,
     verify_grid,
 )
@@ -34,6 +33,7 @@ from qeuler.cli import main as cli_main
 from oracles import (
     ONE_PLUS_Q,
     RF_ONE_PLUS_Q,
+    ReferenceContext,
     beta_exact,
     classical_euler_number,
     direct_moment,
@@ -88,6 +88,15 @@ COMMAND_SHA256 = {
         "6816df63741d1e7591786cee5d05f460f73dc1972df72f7ca39077a3b5cce838",
     "verify THM6 --k 1..3 --m 1..3 --p 3 --q 1 --K 5":
         "6e0183bd25416b2608920c9d1a743b41b06319439848342a46f4c9f617260825",
+    # deep COR7_PRINTED grids, every cell decided by one exact pair
+    "verify COR7_PRINTED --k 1..20 --p 3 --q 10 --K 30":
+        "934d8e939e4244df273f068eb6a30dde310032ec10e04ac34b48c714a571e985",
+    "verify COR7_PRINTED --k 1..20 --p 3 --q 82 --K 9":
+        "aad9f956ef64eac18bbdc718c922b3c7dffc6c5708ca1c78ad95e306c7170667",
+    "verify COR7_PRINTED --k 1..30 --p 3 --q 4/7 --K 6":
+        "3b6a8bfad20bcdbfb5d2a3a28bbc15f24dbb5e055c71c50d8a6c9cf0681df110",
+    "verify COR7_PRINTED --k 1..16 --p 3 --q -2 --K 7":
+        "5c523ea0c6be2dbda7ee1e691c9ebcf088efce1e156c442674debf87aa68a1b2",
     "verify EQ7 --n 1..30":
         "94c4d63ac18baa7f0845b9ac48ef9fa190dbbcbec66436fc66c88fb612670f5a",
     "verify EQ8 --n 0..30":
@@ -239,7 +248,7 @@ def test_criterion_09_bosonic_precision_law():
 @criterion(10, "mixed-family p-adic suite against two-route oracle, < 120 s")
 def test_criterion_10_thm6_cor7():
     start = time.monotonic()
-    ctx = NumericContext(3, Fraction(4), 4, 4)
+    ctx = ReferenceContext(3, Fraction(4), 4, 4)
     integrals = level_integrals(ctx)
     for k in range(1, 4):
         for m in range(1, 4):
@@ -291,3 +300,12 @@ def test_criterion_12_pinned_commands(tmp_path, capsys):
                          "--out", str(out_file)])
         assert code == 0, command
         assert Report.parse(out_file.read_text()).sha256() == expected, command
+    # verify takes no guard digits: they change no row
+    items = []
+    for guard in ("2", "9"):
+        out_file = tmp_path / f"guard-{guard}.json"
+        assert cli_main(["verify", "COR7_PRINTED", "--k", "1..20", "--p", "3",
+                         "--q", "82", "--K", "9", "--guard", guard,
+                         "--format", "json", "--out", str(out_file)]) == 0
+        items.append(Report.parse(out_file.read_text()).items)
+    assert items[0] == items[1]

@@ -35,7 +35,12 @@ from qeuler.report import (
 from qeuler.qspecial import euler_number
 from qeuler.zpoly import euler_number_at, euler_number_str
 
-from oracles import bosonic_closed_form, valuation
+from oracles import (
+    bosonic_closed_form,
+    counted_moment_pairs,
+    padic_log,
+    valuation,
+)
 from test_acceptance import BATTERY_SHA256
 
 
@@ -526,10 +531,11 @@ class TestVerifyCommand:
         # no q-Bernoulli number can be had, so both cells, whose
         # x-certificates are not zero, are error rows; printed-variant
         # rows never affect the exit code
-        def unavailable(n, p, q, precision):
+        def unavailable(n, q):
             raise ArithmeticError(f"no B_{n}")
 
-        monkeypatch.setattr(identities, "q_bernoulli", unavailable)
+        counted_moment_pairs(monkeypatch)       # no pair memoized before
+        monkeypatch.setattr(identities, "_bernoulli_pair", unavailable)
         code, out, _ = run(capsys, "verify", "COR7_PRINTED", "--k", "1..2",
                            "--format", "json")
         assert code == 0
@@ -541,23 +547,25 @@ class TestVerifyCommand:
 
     def test_failed_integrals_run_once(self, capsys, monkeypatch):
         # three error cells, each a zero known to fewer than K digits, need
-        # the q-Bernoulli numbers B_0 .. B_7; each is computed once and is
-        # then served its memo (test_qintegral's
-        # test_memo_runs_a_short_integral_once covers the level route's
-        # memo of integrals that stop short)
-        calls = []
+        # the moment pairs of E_1, E_3, E_5 and E_7; each is computed once
+        # and is then served its memo, and each cell is embedded once
+        # (test_qintegral's test_memo_runs_a_short_integral_once covers the
+        # level route's memo of integrals that stop short)
+        embedded = []
 
-        def short(n, p, q, precision):
-            calls.append(n)
+        def short(a, b, p, q, precision):
+            embedded.append((a, b))
             return PadicApprox.zero(p, 1)
 
-        monkeypatch.setattr(identities, "q_bernoulli", short)
+        computed = counted_moment_pairs(monkeypatch)
+        monkeypatch.setattr(identities, "_at_precision", short)
         code, out, _ = run(capsys, "verify", "COR7_PRINTED", "--k", "1..3",
                            "--format", "json")
         assert code == 0
         items = json.loads(out)["items"]
         assert [item["verdict"] for item in items] == ["error"] * 3
-        assert sorted(calls) == list(range(8))
+        assert computed == [1, 3, 5, 7]
+        assert len(embedded) == 3 and (0, 0) not in embedded
 
 
 class TestTimingSideChannel:
@@ -575,6 +583,21 @@ class TestTimingSideChannel:
             for k in range(1, top + 1)]
         assert timing["x_certificates"]["THM3_PRINTED:{'k': 2}"] == (
             "((2 - 2q)/(1 + q))x^3 + ((-2 + 2q)/(1 + q))x^5")
+        # and, of those, the bosonic cells' exact (A, B), with certificate
+        # A + B/log_3 4
+        pairs = timing["bosonic_pairs"]
+        assert pairs == {
+            "COR7_PRINTED:{'k': 1}": ["2432/625", "-888/125"],
+            "COR7_PRINTED:{'k': 2}": ["11693312/84375", "-1111936/5625"],
+            "COR7_PRINTED:{'k': 3}": ["3380856832/703125",
+                                      "-312682496/46875"]}
+        for item in doc["items"]:
+            cell = f"{item['id']}:{item['params']}"
+            if cell in pairs:
+                a, b = map(Fraction, pairs[cell])
+                exact = a + b / padic_log(Fraction(4), 3, 12)
+                assert item["certificate"] == str(
+                    PadicApprox.from_rational(exact, 3, 12).truncate_abs(4))
 
 
 class TestReportDocument:
@@ -891,7 +914,7 @@ class TestDeterminismAndCache:
 
     def test_zero_certificate_short_of_K_is_undecided(self, capsys,
                                                       monkeypatch):
-        # q-Bernoulli numbers replaced by zeros known mod 3^1 make the
+        # a certificate embedded as the zero known mod 3^1 makes the
         # COR7_PRINTED difference at k = 1, whose x-certificate is not
         # zero, a zero known to 1 < K digits: no verdict (a printed
         # variant's row, so exit 0)
@@ -899,14 +922,20 @@ class TestDeterminismAndCache:
         code, out, _ = run(capsys, *args)
         assert code == 0
         assert json.loads(out)["items"][0]["verdict"] == "fails"
-        monkeypatch.setattr(identities, "q_bernoulli",
-                            lambda n, p, q, precision: PadicApprox.zero(p, 1))
+        monkeypatch.setattr(identities, "_at_precision",
+                            lambda a, b, p, q, precision: PadicApprox.zero(p, 1))
         code, out, _ = run(capsys, *args)
         item = json.loads(out)["items"][0]
         assert item["verdict"] == "error"
         assert item["certificate"] == "O(3^1)"
         assert code == 0
-        # a THM6 cell's x-certificate is zero, so it reads no B_n at all
+        # a THM6 cell's x-certificate is zero, so it reads no moment pair
+        monkeypatch.undo()
+
+        def unavailable(n, q):
+            raise ArithmeticError(f"no moment of E_{n}")
+
+        monkeypatch.setattr(identities, "_moment_pair", unavailable)
         code, out, _ = run(capsys, "verify", "THM6", "--k", "1", "--m", "1",
                            "--format", "json")
         assert code == 0

@@ -21,6 +21,7 @@ from qeuler.identities import (
     X_CERTIFICATE,
     IdentityId,
     NumericContext,
+    _at_precision,
     _functional_equation_row,
     _beta,
     degree_2k1_rhs,
@@ -52,10 +53,13 @@ from oracles import (
     ONE_PLUS_Q,
     Q,
     RF_ONE_PLUS_Q,
+    ReferenceContext,
     add,
     beta_exact,
     bosonic_closed_form,
     classical_bernoulli_number,
+    convolved_moment_pair,
+    counted_moment_pairs,
     direct_moment,
     eq103_terms,
     euler_poly_integral01,
@@ -64,6 +68,7 @@ from oracles import (
     folded_apply,
     level_integrals,
     mul,
+    padic_log,
     padic_rational,
     power,
     rf,
@@ -83,10 +88,10 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def ctx():
-    return NumericContext(3, Fraction(4), 4, 4)
+    return ReferenceContext(3, Fraction(4), 4, 4)
 
 
-class DeltaSliceContext(NumericContext):
+class DeltaSliceContext(ReferenceContext):
     """Every numeric B value replaced by the 0-index slice [n == 0]."""
 
     def bernoulli(self, n: int) -> PadicApprox:
@@ -284,7 +289,7 @@ class TestThm4:
                 assert left == right
 
     def test_padic_witness_at_k5(self):
-        ctx5 = NumericContext(3, Fraction(4), 5, 4)
+        ctx5 = ReferenceContext(3, Fraction(4), 5, 4)
         integrals = level_integrals(ctx5)
         for k in range(1, 4):
             for m in range(1, 4):
@@ -318,7 +323,7 @@ class TestThm5:
             assert sides(IdentityId.THM5_CORRECTED, {"k": k})[0] == oracle
 
     def test_padic_witness(self):
-        ctx5 = NumericContext(3, Fraction(4), 5, 4)
+        ctx5 = ReferenceContext(3, Fraction(4), 5, 4)
         exact = ctx5.embed(sides(IdentityId.THM5_CORRECTED, {"k": 2})[0])
         rhs = sides(IdentityId.THM3_CORRECTED, {"k": 2})[1]
         numeric = direct_moment(KIND_FERMIONIC, rhs, ctx5,
@@ -354,7 +359,7 @@ class TestThm6:
         # (1+q) is a p-adic unit, so summing embed((1+q) c) B_i gives the
         # digits and precision of embed(1+q) times the sum of embed(c) B_i
         for q in (Fraction(4), Fraction(1), Fraction(10), Fraction(-2)):
-            numeric = NumericContext(3, q, 4, 4)
+            numeric = ReferenceContext(3, q, 4, 4)
             for k in range(1, 4):
                 for m in range(1, 4):
                     x_side = sides(IdentityId.THM6, {"k": k, "m": m},
@@ -364,7 +369,7 @@ class TestThm6:
                     assert x_side == numeric.embed(1 + q) * unfolded
 
     def test_second_prime(self):
-        ctx5 = NumericContext(5, Fraction(6), 4, 4)
+        ctx5 = ReferenceContext(5, Fraction(6), 4, 4)
         left, right = sides(IdentityId.THM6, {"k": 1, "m": 2}, ctx5)
         assert padic_distance(left, right) >= 4
 
@@ -666,17 +671,18 @@ def padic_verdict(cert, target):
 
 
 class TestBosonicXCertificate:
-    """A bosonic cell is decided by its x-certificate c: the zero known
-    modulo p^K when c is zero, minus the bosonic moments of E(c) truncated
-    to K digits otherwise.  Both sides summed p-adically on their own, from
-    the tables, and subtracted are the reference."""
+    """A bosonic cell is decided by its x-certificate c: minus the bosonic
+    moments of E(c), one exact pair (A, B) with the certificate
+    A + B/log_p q, known modulo p^K; (0, 0), the zero known modulo p^K,
+    when c is zero.  Both sides summed p-adically on their own, from the
+    tables, by the ReferenceContext, and subtracted are the reference."""
 
     @pytest.mark.parametrize("identity, ranges", BOSONIC_GRIDS,
                              ids=[str(i) for i, _ in BOSONIC_GRIDS])
     @pytest.mark.parametrize("p, q, K", BOSONIC_CONFIGS)
     def test_verdicts_and_strings_match_the_sides(self, p, q, K, identity,
                                                   ranges):
-        reference = NumericContext(p, q, K)
+        reference = ReferenceContext(p, q, K)
         printed = identity is IdentityId.COR7_PRINTED
         for r in verify_grid(identity, ranges, NumericContext(p, q, K)):
             left, right = sides(identity, r.params, reference)
@@ -688,30 +694,50 @@ class TestBosonicXCertificate:
 
     def test_zero_certificates_read_no_bernoulli_number(self, monkeypatch,
                                                         tmp_path):
-        # THM6 and COR7_CORRECTED have c = 0 on every cell; the battery
-        # asks only for the B_n of its COR7_PRINTED cells, each once
-        asked = []
-        q_bernoulli = identities.q_bernoulli
-
-        def spy(n, p, q, precision):
-            asked.append(n)
-            return q_bernoulli(n, p, q, precision)
-
-        monkeypatch.setattr(identities, "q_bernoulli", spy)
+        # THM6 and COR7_CORRECTED have c = 0 on every cell, so they ask for
+        # no moment pair; the battery asks only for the pairs of the powers
+        # of x in its COR7_PRINTED x-certificates, each once
+        computed = counted_moment_pairs(monkeypatch)
         ctx = NumericContext(7, Fraction(8), 10)
         for identity in (IdentityId.THM6, IdentityId.COR7_CORRECTED):
             ranges = {name: (1, 8) for name in identities.REGISTRY[
                 identity].params}
             results = verify_grid(identity, ranges, ctx)
             assert {r.verdict for r in results} == {HOLDS_TO_PRECISION}
-        assert asked == []
+            assert {r.bosonic_pair for r in results} == {None}
+        assert computed == []
         assert cli_main(["report", "--out", str(tmp_path / "r.json")]) == 0
         needed = set()
         for k in range(1, 4):
             statement = degree_2k1_statement(k, "printed")
             c = x_polynomial(*x_certificate(statement))
-            needed |= {l for _, i in monomials(c) for l in range(i + 1)}
-        assert sorted(asked) == sorted(needed) == list(range(8))
+            needed |= {i for _, i in monomials(c)}
+        assert sorted(computed) == sorted(needed) == [1, 3, 5, 7]
+
+    @pytest.mark.parametrize("q", [Fraction(4), Fraction(8), Fraction(4, 7),
+                                   Fraction(-2), Fraction(1)])
+    def test_moment_pairs_are_the_convolution(self, q):
+        # the bosonic moment of E_n(x) is 2^n times B_n at q^2
+        for n in range(31):
+            assert identities._moment_pair(n, q) == convolved_moment_pair(n, q)
+
+    @pytest.mark.parametrize("p, q, K", BOSONIC_CONFIGS)
+    def test_printed_pairs_vanish_only_at_q_one(self, p, q, K):
+        # off q = 1 no COR7_PRINTED pair to k = 16 is (0, 0); at q = 1 every
+        # B is 0, and A is 0 from k = 2 on (k = 1 is the one cell that
+        # fails there)
+        results = verify_grid(IdentityId.COR7_PRINTED, {"k": (1, 16)},
+                              NumericContext(p, q, K))
+        pairs = {r.params["k"]: r.bosonic_pair for r in results}
+        if q != 1:
+            assert (0, 0) not in pairs.values()
+        else:
+            assert pairs.pop(1)[0] != 0
+            assert all(b == 0 for _, b in pairs.values())
+            assert set(pairs.values()) == {(0, 0)}
+        for r in results:
+            assert str(_at_precision(*r.bosonic_pair, p, q, K)) == (
+                r.certificate_str)
 
 
 class TestOneSumCertificate:
@@ -728,17 +754,6 @@ class TestOneSumCertificate:
         assert cert == reference
         assert str(cert) == str(reference)
         return cert
-
-    def test_default_battery_table_cells(self, ctx):
-        cells = 0
-        for identity in IdentityId:
-            for r in verify_grid(identity, ctx=ctx):
-                if r.route == TABLES:
-                    assert identities.REGISTRY[identity].view is None
-                    cert = self.assert_one_sum(identity, r.params)
-                    assert r.certificate_str == str(cert)
-                    cells += 1
-        assert cells == 25      # the battery's timing.routes count
 
     def test_calculus_rules_to_30(self):
         for identity, low in ((IdentityId.EQ7, 1), (IdentityId.EQ8, 0)):
@@ -776,52 +791,23 @@ def run_deep_cor7(tmp_path) -> str:
     return json.loads(out.read_text())["canonical_sha256"]
 
 
-class TestEmbedMemo:
-    def test_each_coefficient_is_evaluated_once(self, monkeypatch, tmp_path):
-        # 73 embeddings of 63 distinct values of R, each evaluated at q once
-        evaluated, embedded = [], []
-        evaluate, embed = RatFuncQ.evaluate, NumericContext.embed
-
-        def counting_evaluate(self, q0):
-            evaluated.append(self)
-            return evaluate(self, q0)
-
-        def recording_embed(self, value):
-            embedded.append(value)
-            return embed(self, value)
-
-        monkeypatch.setattr(RatFuncQ, "evaluate", counting_evaluate)
-        monkeypatch.setattr(NumericContext, "embed", recording_embed)
-        assert run_deep_cor7(tmp_path) == DEEP_COR7_SHA256
-        distinct = {v for v in embedded if isinstance(v, RatFuncQ)}
-        assert len(evaluated) == len(distinct) == 63 < len(embedded) == 73
-
-
 class TestBosonicMomentMemo:
     def test_each_moment_is_computed_once(self, monkeypatch, tmp_path):
         # the deep grid asks for 17 moments of 7 distinct E_n(x), n odd, as
-        # the printed x-certificates have odd powers of x only; only
-        # bosonic_moment reads a table polynomial there
-        computed = []
-        euler_poly = identities.euler_poly
-
-        def counting_euler_poly(n):
-            computed.append(n)
-            return euler_poly(n)
-
-        monkeypatch.setattr(identities, "euler_poly", counting_euler_poly)
+        # the printed x-certificates have odd powers of x only; each pair is
+        # computed once
+        computed = counted_moment_pairs(monkeypatch)
         assert run_deep_cor7(tmp_path) == DEEP_COR7_SHA256
-        assert sorted(computed) == list(range(1, 14, 2))
+        assert computed == list(range(1, 14, 2))
 
 
 class TestPrimeChecks:
     def test_arithmetic_results_reuse_a_checked_p(self, monkeypatch,
                                                   tmp_path):
         # p is tested where it comes in: once by the CLI, once where the
-        # NumericContext is built, once per q-Bernoulli number (14, B_0 ..
-        # B_13) and once per embedded exact value (63), each number and
-        # value through PadicApprox.from_rational or zero; the results of
-        # p-adic arithmetic take their operand's p unchecked
+        # NumericContext is built, and once per cell (6), whose one exact
+        # pair is embedded through PadicApprox.from_rational or zero; the
+        # results of p-adic arithmetic take their operand's p unchecked
         checked = []
         is_odd_prime = padic.is_odd_prime
 
@@ -831,7 +817,7 @@ class TestPrimeChecks:
 
         monkeypatch.setattr(padic, "is_odd_prime", counting)
         assert run_deep_cor7(tmp_path) == DEEP_COR7_SHA256
-        assert checked == [7] * (1 + 1 + 14 + 63)
+        assert checked == [7] * (1 + 1 + 6)
 
 
 @pytest.fixture
@@ -845,7 +831,7 @@ def corrupt_table(request, monkeypatch):
     numerators[i] = (numerators[i][0] + 1, *numerators[i][1:])
     monkeypatch.setattr(zpoly, "_numerators", numerators)
     memos = (qspecial.euler_number, qspecial.euler_poly, fermionic_moment,
-             _functional_equation_row)
+             _functional_equation_row, identities._moment_pair)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -947,15 +933,15 @@ CLOSED_FORM_CONFIGS = [(3, Fraction(4), 4), (3, Fraction(4, 7), 6),
 
 
 class TestClosedFormBernoulli:
-    """NumericContext.bernoulli takes B_n from its closed form in the
-    q-Euler numbers at -q, and the classical B_n at q = 1.  The Riemann-sum
-    limits of qintegral, the tests' closed form (its own log_p) and the
-    classical recurrence are the references."""
+    """q_bernoulli takes B_n from its closed form in the q-Euler numbers at
+    -q, and the classical B_n at q = 1; the ReferenceContext memoizes it.
+    The Riemann-sum limits of qintegral, the tests' closed form (its own
+    log_p) and the classical recurrence are the references."""
 
     @pytest.mark.parametrize("p, q, K", CLOSED_FORM_CONFIGS + [
         (3, Fraction(1), 5), (5, Fraction(1), 6), (7, Fraction(1), 10)])
     def test_agrees_with_the_level_route_and_the_oracle(self, p, q, K):
-        ctx = NumericContext(p, q, K)
+        ctx = ReferenceContext(p, q, K)
         integrals = MonomialIntegrals(p, q, K, max_level=40)
         for n in range(11):
             b = ctx.bernoulli(n)
@@ -970,7 +956,7 @@ class TestClosedFormBernoulli:
             assert ctx.bernoulli(n) is b        # memoized by n
 
     def test_classical_values_at_q_one(self):
-        ctx = NumericContext(5, Fraction(1), 3)
+        ctx = ReferenceContext(5, Fraction(1), 3)
         assert classical_bernoulli_number(1) == Fraction(-1, 2)
         assert ctx.bernoulli(1) == PadicApprox.from_rational(
             Fraction(-1, 2), 5, 3)
@@ -992,6 +978,25 @@ class TestClosedFormBernoulli:
         got = q_bernoulli(n, p, q, K)
         assert got.abs_precision == K
         exact = bosonic_closed_form(n, 0, p, q, K + 5)
+        assert valuation(padic_rational(got) - exact, p) >= K
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), v=st.integers(1, 2),
+           s=st.integers(-30, 30).filter(bool), t=st.integers(1, 30),
+           a=st.fractions(max_denominator=50), b=st.fractions(
+               max_denominator=50).filter(bool), e=st.integers(-4, 4),
+           K=st.integers(1, 12))
+    def test_a_pair_keeps_every_digit_whatever_b(self, p, v, s, t, a, b, e,
+                                                 K):
+        # a + b/log_p q with b of any valuation, negative too, against the
+        # oracle's log taken five digits past what the division needs
+        if s % p == 0 or t % p == 0:
+            return
+        q, b = 1 + Fraction(p ** v * s, t), b * Fraction(p) ** e
+        got = _at_precision(a, b, p, q, K)
+        assert got.abs_precision == K
+        digits = max(K + 2 * v - valuation(b, p), v + 1) + 5
+        exact = a + b / padic_log(q, p, digits)
         assert valuation(padic_rational(got) - exact, p) >= K
 
 

@@ -28,7 +28,7 @@ from qeuler.qintegral import (
     integrate,
     riemann_level,
 )
-from qeuler.identities import NumericContext
+from qeuler.identities import NumericContext, q_bernoulli
 from qeuler.qspecial import euler_number, euler_poly
 
 from oracles import (
@@ -196,12 +196,13 @@ class TestValidation:
                   "max_level": 12, setting: value}
         args = (KIND_BOSONIC, 1) if build is IntegralRequest else ()
         if build is NumericContext:
-            # verify runs no Riemann level, so its context takes no cap
-            with pytest.raises(TypeError, match="max_level"):
+            # verify runs no Riemann level and embeds no exact coefficient,
+            # so its context takes no level cap and no guard digits
+            with pytest.raises(TypeError, match="guard"):
                 build(**config)
-            if setting == "max_level":
+            if setting in ("guard", "max_level"):
                 return
-            del config["max_level"]
+            del config["guard"], config["max_level"]
         with pytest.raises(ValueError, match=f"^{setting} must"):
             build(*args, **config)
 
@@ -367,7 +368,6 @@ class TestBosonicClosedForm:
         (3, -2, 6), (5, 11, 5)])
     def test_integrals_and_bernoulli_numbers(self, p, q, K):
         q = Fraction(q)
-        ctx = NumericContext(p, q, K)
         for x0 in (Fraction(0), Fraction(1, 2), Fraction(-2, 5)):
             if x0.denominator % p == 0:
                 continue
@@ -376,7 +376,8 @@ class TestBosonicClosedForm:
                 assert result.achieved_precision == K
                 assert agrees_with_closed_form(result.value, n, x0, p, q), (n, x0)
                 if x0 == 0:
-                    assert agrees_with_closed_form(ctx.bernoulli(n), n, x0, p, q)
+                    assert agrees_with_closed_form(q_bernoulli(n, p, q, K),
+                                                   n, x0, p, q)
 
     def test_seeded_stopping_rule_cases(self):
         # 300 seeded requests: p in {3, 5, 7}, v_p(q - 1) >= 1, p-integral
