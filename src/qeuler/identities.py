@@ -269,12 +269,6 @@ def _at_precision(a: Fraction, b: Fraction, p: int, q: Fraction,
     return PadicApprox.from_rational(value, p, precision - v)
 
 
-def q_bernoulli(n: int, p: int, q: Fraction, precision: int) -> PadicApprox:
-    """The weight-0 q-Bernoulli number B_n known modulo p^precision, from
-    its closed form in the q-Euler numbers (``_bernoulli_pair``)."""
-    return _at_precision(*_bernoulli_pair(n, q), p, q, precision)
-
-
 @cache
 def _moment_pair(n: int, q: Fraction) -> Tuple[Fraction, Fraction]:
     """(A, B) with the bosonic moment of E_n(x) at q, sum_l C(n,l) E[n-l] B_l,

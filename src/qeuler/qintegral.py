@@ -235,7 +235,7 @@ class MonomialIntegrals:
     configuration: the prime, q, the target precision, the guard digits
     and the level cap, checked by ``padic.check_config`` when the memo is
     built.  ``numbers bernoulli`` reads its table from it, and the tests
-    check the closed form of ``identities.q_bernoulli`` against it.
+    check the closed form of B_n (``oracles.q_bernoulli``) against it.
 
     Every integral is computed once.  An integral that does not converge
     is memoized too, as its partial result and ``stopped_by``, and each

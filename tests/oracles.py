@@ -21,13 +21,13 @@ from qeuler.identities import (
     REGISTRY,
     IdentityId,
     NumericContext,
+    _at_precision,
     _bernoulli_pair,
     _columns,
     _degree,
     fermionic_moment,
     images,
     monomials,
-    q_bernoulli,
     unit_integral,
 )
 from qeuler.padic import PadicApprox, check_config
@@ -404,6 +404,13 @@ def view_pairs(view: str, statement, beta: Fraction = 0,
     if view == "poly":
         return images(terms, euler_poly), images(mono, XPolyQ.x_power)
     return images(mono, euler_number), images(terms, fermionic_moment)
+
+
+def q_bernoulli(n: int, p: int, q: Fraction, precision: int) -> PadicApprox:
+    """The weight-0 q-Bernoulli number B_n known modulo p^precision, from
+    its closed form in the q-Euler numbers (``identities._bernoulli_pair``)
+    at the precision ``identities._at_precision`` proves."""
+    return _at_precision(*_bernoulli_pair(n, q), p, q, precision)
 
 
 class ReferenceContext(NumericContext):

@@ -39,7 +39,6 @@ from qeuler.identities import (
     unit_integral,
     verify,
     verify_grid,
-    q_bernoulli,
     x_certificate,
     x_polynomial,
 )
@@ -71,6 +70,7 @@ from oracles import (
     padic_log,
     padic_rational,
     power,
+    q_bernoulli,
     rf,
     ring_terms,
     sides,

@@ -28,7 +28,7 @@ from qeuler.qintegral import (
     integrate,
     riemann_level,
 )
-from qeuler.identities import NumericContext, q_bernoulli
+from qeuler.identities import NumericContext
 from qeuler.qspecial import euler_number, euler_poly
 
 from oracles import (
@@ -38,6 +38,7 @@ from oracles import (
     euler_number_padic,
     padic_log,
     padic_rational,
+    q_bernoulli,
     starved_modulus,
     valuation,
     x_evaluate,
