@@ -1,11 +1,13 @@
 """CLI surface: table output, report formats, exit codes, determinism,
 and the cache of report hashes."""
 
+import gc
 import hashlib
 import json
 import os
 import re
 import stat
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -980,3 +982,78 @@ class TestDeterminismAndCache:
         assert err.startswith("error: cannot use --")
         assert cells == []
         assert os.listdir(tmp_path) == []
+
+
+# -- the program as it is run -------------------------------------------------
+
+SRC = Path(qeuler.__file__).resolve().parent.parent
+
+# Runs qeuler.cli as __main__, as ``python -m qeuler.cli`` does, with the
+# arguments after the first, and writes the interpreter's freeze count at
+# exit to the file named by the first.
+_FREEZE_PROBE = """\
+import atexit, gc, pathlib, runpy, sys
+path = pathlib.Path(sys.argv.pop(1))
+atexit.register(lambda: path.write_text(str(gc.get_freeze_count())))
+runpy.run_module("qeuler.cli", run_name="__main__")
+"""
+
+
+def run_child(*argv, cwd=None):
+    """``python -m qeuler.cli argv`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcessEntry:
+    """``python -m qeuler.cli`` reaches ``cli.entry``, which freezes the heap
+    around ``main``; the output is the in-process ``main``'s."""
+
+    def test_entry_freezes_the_heap(self, tmp_path):
+        count = tmp_path / "count"
+        proc = run_child("-c", _FREEZE_PROBE, str(count), "numbers", "euler",
+                         "--n", "0..3")
+        assert proc.returncode == 0, proc.stderr
+        assert int(count.read_text()) > 0
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        code, _, _ = run(capsys, "verify", "EQ6", "--k", "0..1", "--m", "0..1")
+        assert code == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    @pytest.mark.parametrize("argv", [
+        ("numbers", "euler", "--n", "0..5"),
+        ("integrate", "fermionic", "--n", "3", "--p", "3", "--K", "4"),
+        ("verify", "EQ6", "--k", "0..2", "--m", "0..2"),
+    ])
+    def test_child_body_is_main_body(self, capsys, argv):
+        argv = (*argv, "--format", "json")
+        proc = run_child("-m", "qeuler.cli", *argv)
+        code, out, _ = run(capsys, *argv)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert Report.parse(proc.stdout).canonical() == (
+            Report.parse(out).canonical())
+
+    def test_child_usage_error_is_one_line(self):
+        proc = run_child("-m", "qeuler.cli", "verify", "THM9")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error:")
+
+    def test_child_files_are_complete(self, tmp_path):
+        out, cache = tmp_path / "r.json", tmp_path / "cache.json"
+        proc = run_child("-m", "qeuler.cli", "verify", "EQ6", "--k", "0..2",
+                         "--m", "0..2", "--format", "json", "--out", str(out),
+                         "--cache", str(cache), cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        report = Report.parse(out.read_text())
+        assert len(report.items) == 9
+        entries = json.loads(cache.read_text())["entries"]
+        key = f"{TOOL_VERSION}:{canonical_json(report.config)}"
+        assert entries == {key: report.sha256()}
+        assert sorted(os.listdir(tmp_path)) == ["cache.json", "r.json"]
