@@ -320,13 +320,13 @@ def cmd_numbers(args) -> Report:
                     raise ConfigError(f"pole at q = {at_q} for n = {n}")
             items.append(row)
     else:
-        from .qintegral import KIND_BOSONIC, MonomialIntegrals
+        from .qintegral import KIND_BOSONIC, IntegralRequest, integrate
 
         pad, block = _padic_config(args, require_explicit=True)
         config.update(block)
-        integrals = MonomialIntegrals(*pad)
         for n in range(lo, hi + 1):
-            res, fields = _adaptive(integrals, KIND_BOSONIC, n)
+            req = IntegralRequest(KIND_BOSONIC, n, Fraction(0), *pad)
+            res, fields = _adaptive(integrate, req)
             value = res.value
             items.append({
                 "n": n,

@@ -3,9 +3,12 @@ q-Bernoulli families, each decided to a verdict with a difference
 certificate left - right.
 
 Every catalogued statement comes from the master identity and is data: a
-*statement* (terms, monomials) means
+*statement* (terms, monomials, shifted) means
 
-    sum c * E_n(x) over terms  =  sum c' * x^i over monomials.
+    sum c * E_n(x) over terms  =  sum c' * x^i over monomials,
+
+with ``shifted`` the monomials of the right side at x + 1, which its
+builder gives in closed form.
 
 Its coefficients are integer data, c(q)/(1+q)^b for an integer polynomial
 c.  There are two: the master identity EQ6 at (k, m), whose factor (1+q)
@@ -68,13 +71,14 @@ import time
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, chain, product
+from itertools import chain, product
+from math import comb
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactarith import RF_Q, RatFuncQ, XPolyQ, sum_products
 from .padic import PadicApprox, Record, check_config, log_p, rational_valuation
-from .qspecial import TWO_Q_RECIP, binom, euler_number, euler_poly
+from .qspecial import TWO_Q_RECIP, euler_number, euler_poly
 from .report import ERROR, FAILS, HOLDS, HOLDS_TO_PRECISION
 from .zpoly import euler_number_at, euler_numerator
 
@@ -82,8 +86,8 @@ Terms = List[Tuple[object, int]]
 # (coeffs, b, n): coeffs(q) / (1+q)^b times E_n(x), or times x^n, with
 # coeffs ascending integers
 ZTerms = List[Tuple[Tuple[int, ...], int, int]]
-# (terms, monomials): sum c E_n(x) = sum c' x^i
-Statement = Tuple[ZTerms, ZTerms]
+# (terms, monomials h(x), h(x+1)): sum c E_n(x) = sum c' x^i = h(x)
+Statement = Tuple[ZTerms, ZTerms, ZTerms]
 
 # the two ways verify decides a cell, as the report's timing counts them
 X_CERTIFICATE = "x-certificate"
@@ -118,12 +122,8 @@ class IdentityId(str, Enum):
 def eq6_terms(k: int, m: int) -> ZTerms:
     """The master identity's bracket sum:
     sum_j (q C(k, j) + (-1)^j C(m, j)) E_{k+m-j}(x)."""
-    terms = []
-    for j in range(max(k, m) + 1):
-        c = ((-1) ** j * binom(m, j), binom(k, j))
-        if any(c):
-            terms.append((c, 0, k + m - j))
-    return terms
+    return [(((-1) ** j * comb(m, j), comb(k, j)), 0, k + m - j)
+            for j in range(max(k, m) + 1)]
 
 
 # Readings of the degree-(2k+1) statement: the last index of its second sum
@@ -143,27 +143,29 @@ def degree_2k1_terms(k: int, variant: str) -> ZTerms:
     if variant not in _READINGS:
         raise ValueError(f"variant must be 'printed' or 'corrected', got {variant!r}")
     last, offset = _READINGS[variant]
-    terms = [((binom(k, 2 * j),) * 2, 0, 2 * k + 1 - 2 * j)
+    terms = [((comb(k, 2 * j),) * 2, 0, 2 * k + 1 - 2 * j)
              for j in range(k // 2 + 1)]
-    terms += [((binom(k, 2 * j - 1),), 0, 2 * k + 1 - 2 * j)
+    terms += [((comb(k, 2 * j - 1),), 0, 2 * k + 1 - 2 * j)
               for j in range(1, last(k) + 1)]
     for j in range((k - 1) // 2 + 1):
-        c = binom(k, 2 * j + 1)
+        c = comb(k, 2 * j + 1)
         terms += [((-c, c), 0, 2 * k - 2 * j), ((-c, c), 1, 2 * k - 2 * j + offset)]
     return terms
 
 
-def shift_terms(k: int, m: int) -> ZTerms:
-    """x^k (x - 1)^m as monomial terms."""
-    return [((binom(m, l) * (-1) ** (m - l),), 0, k + l) for l in range(m + 1)]
+def shift_terms(k: int, m: int, s: int = -1) -> ZTerms:
+    """x^k (x + s)^m as monomial terms."""
+    return [((comb(m, l) * s ** (m - l),), 0, k + l) for l in range(m + 1)]
 
 
-def degree_2k1_rhs(k: int) -> ZTerms:
+def degree_2k1_rhs(k: int, s: int = -1) -> ZTerms:
     """x^k (x-1)^k ((1+q) x - q) as monomial terms, one pair per term of
-    x^k (x-1)^k, as the bosonic statement is printed."""
+    x^k (x-1)^k, as the bosonic statement is printed; at s = 1 the same at
+    x + 1, (x+1)^k x^k ((1+q) x + 1)."""
+    t = (1 + s) // 2                # (1+q)(x + t) - q = (1+q) x + t + (t-1) q
     terms = []
-    for (c,), _, i in shift_terms(k, k):
-        terms += [((c, c), 0, i + 1), ((0, -c), 0, i)]
+    for (c,), _, i in shift_terms(k, k, s):
+        terms += [((c, c), 0, i + 1), ((t * c, (t - 1) * c), 0, i)]
     return terms
 
 
@@ -178,13 +180,15 @@ def monomials(poly: XPolyQ) -> Terms:
 
 def eq6_statement(k: int, m: int) -> Statement:
     """The master identity at (k, m): the bracket sum equals
-    (1+q) x^k (x-1)^m."""
-    return eq6_terms(k, m), [((c, c), 0, i) for (c,), _, i in shift_terms(k, m)]
+    (1+q) x^k (x-1)^m, which is (1+q) (x+1)^k x^m at x + 1."""
+    return (eq6_terms(k, m),
+            [((c, c), 0, i) for (c,), _, i in shift_terms(k, m)],
+            [((c, c), 0, i) for (c,), _, i in shift_terms(m, k, 1)])
 
 
 def degree_2k1_statement(k: int, variant: str) -> Statement:
     """The degree-(2k+1) identity, printed or corrected reading."""
-    return degree_2k1_terms(k, variant), degree_2k1_rhs(k)
+    return degree_2k1_terms(k, variant), degree_2k1_rhs(k), degree_2k1_rhs(k, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +212,7 @@ def fermionic_moment(n: int) -> RatFuncQ:
     integer convolution sum_l C(n,l) N_{n-l} N_l over (1+q)^n."""
     acc = [0] * (n + 1)
     for l in range(n + 1):
-        c = binom(n, l)
+        c = comb(n, l)
         for i, a in enumerate(euler_numerator(n - l)):
             for j, b in enumerate(euler_numerator(l), i):
                 acc[j] += c * a * b
@@ -302,7 +306,7 @@ class NumericContext:
 def _beta(k: int, m: int) -> Fraction:
     """The printed beta term of the integrated statements, over q:
     -int_0^1 x^k (x-1)^m dx = (-1)^(m+1) k! m! / (k+m+1)!."""
-    return Fraction((-1) ** (m + 1), (k + m + 1) * binom(k + m, k))
+    return Fraction((-1) ** (m + 1), (k + m + 1) * comb(k + m, k))
 
 
 def _x_derivative(i: int) -> XPolyQ:
@@ -433,15 +437,6 @@ def _columns(terms: ZTerms, top: int, width: int) -> list:
     return cols
 
 
-def _shifted(col: list) -> list:
-    """The coefficients of p(x+1) from those of p(x): the Taylor shift,
-    one suffix-sum pass per degree."""
-    col = col[:]
-    for i in range(len(col) - 1):
-        col[i:] = list(accumulate(reversed(col[i:])))[::-1]
-    return col
-
-
 def _degree(statement: Statement) -> int:
     return max(n for _, _, n in chain(*statement))
 
@@ -450,32 +445,19 @@ def x_certificate(statement: Statement) -> Tuple[list, int]:
     """The x-certificate c of a statement over the integers, as (cols, b)
     with c = sum_j cols[j](x) q^j / (1+q)^b.
 
-    Over one (1+q)^B for every coefficient, (1+q)^(B+1) c is
-    (1+q) T(x) - q M(x+1) - M(x), with T the term list and M the
-    monomials.  Its column j, by power of q, is
-    t_j + t_(j-1) - S(m_(j-1)) - m_j, with S the Taylor shift, formed in
-    one pass over the integer columns; each distinct monomial column is
-    shifted once (EQ6's monomial coefficients are (c, c), so its two
-    columns are one), and no value of R is built.
+    With T the term list, M the monomials and M(x+1) the shifted
+    monomials, c = T - (q M(x+1) + M(x))/(1+q): the terms of M(x) and of
+    q M(x+1) go over one more (1+q), negated, and every term is brought
+    to (1+q)^top in one pass over the integer columns.  The statement's
+    builder gives M(x+1) in closed form, so no polynomial is shifted, and
+    no value of R is built.
     """
-    terms, mono = statement
-    top = max(b for _, b, _ in chain(terms, mono))
-    width = 1 + _degree(statement)
-    t, m = _columns(terms, top, width), _columns(mono, top, width)
-    zero = [0] * width
-    size = 1 + max(len(t), len(m))
-    t += [zero] * (size - len(t))
-    m += [zero] * (size - len(m))
-    shifts = {tuple(zero): zero}
-    cols, t_prev, s_prev = [], zero, zero
-    for t_j, m_j in zip(t, m):
-        cols.append([a + b - s - d
-                     for a, b, s, d in zip(t_j, t_prev, s_prev, m_j)])
-        key = tuple(m_j)
-        if key not in shifts:
-            shifts[key] = _shifted(m_j)
-        t_prev, s_prev = t_j, shifts[key]
-    return cols, top + 1
+    terms, mono, shifted = statement
+    top = 1 + max(b for _, b, _ in chain(*statement))
+    moved = [(tuple(-c for c in coeffs), b + 1, n) for coeffs, b, n in mono]
+    moved += [((0, *(-c for c in coeffs)), b + 1, n)
+              for coeffs, b, n in shifted]
+    return _columns(terms + moved, top, 1 + _degree(statement)), top
 
 
 def x_polynomial(cols: list, b: int) -> XPolyQ:
@@ -499,7 +481,7 @@ def _functional_equation_row(n: int) -> bool:
     for i in range(n + 1):
         acc = [*map(add, acc + [0], [0] + acc)]     # times (1+q)
         for d, c in enumerate(euler_numerator(i)):
-            acc[d] += binom(n, i) * c
+            acc[d] += comb(n, i) * c
     acc = [0, *acc]                                 # times q
     for d, c in enumerate(euler_numerator(n)):
         acc[d] += c

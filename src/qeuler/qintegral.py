@@ -229,38 +229,3 @@ def integrate(req: IntegralRequest) -> IntegralResult:
         raise ConvergenceNotReached(result, stopped_by)
     return result
 
-
-class MonomialIntegrals:
-    """Memoized integrals of xi^n under either measure at one p-adic
-    configuration: the prime, q, the target precision, the guard digits
-    and the level cap, checked by ``padic.check_config`` when the memo is
-    built.  ``numbers bernoulli`` reads its table from it, and the tests
-    check the closed form of B_n (``oracles.q_bernoulli``) against it.
-
-    Every integral is computed once.  An integral that does not converge
-    is memoized too, as its partial result and ``stopped_by``, and each
-    later call raises a fresh ConvergenceNotReached from them.
-    """
-
-    __slots__ = ("p", "q", "target", "guard", "max_level", "_results")
-
-    def __init__(self, p, q, target, guard=None, max_level=None):
-        (self.p, self.q, self.target, self.guard,
-         self.max_level) = check_config(p, q, target, guard, max_level)
-        self._results = {}
-
-    def __call__(self, kind: str, n: int) -> IntegralResult:
-        """The adaptive integral of xi^n; propagates ConvergenceNotReached."""
-        key = (kind, n)
-        result = self._results.get(key)
-        if result is None:
-            req = IntegralRequest(kind, n, Fraction(0), self.p, self.q,
-                                  self.target, self.guard, self.max_level)
-            try:
-                result = integrate(req)
-            except ConvergenceNotReached as exc:
-                result = (exc.result, exc.stopped_by)
-            self._results[key] = result
-        if type(result) is tuple:
-            raise ConvergenceNotReached(*result)
-        return result

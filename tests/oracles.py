@@ -34,8 +34,9 @@ from qeuler.padic import PadicApprox, check_config
 from qeuler.qintegral import (
     KIND_BOSONIC,
     KIND_FERMIONIC,
+    ConvergenceNotReached,
     IntegralRequest,
-    MonomialIntegrals,
+    IntegralResult,
     _residue_of_rational,
     integrate,
 )
@@ -476,7 +477,7 @@ def sides(identity: IdentityId, params: dict, ctx: ReferenceContext = None
     info = REGISTRY[identity]
     built = info.build(**params)
     if info.view == "bosonic":
-        terms, mono = map(ring_terms, built)
+        terms, mono = map(ring_terms, built[:2])
         return (ctx.apply(mono, ctx.bernoulli),
                 ctx.apply(terms, ctx.bosonic_moment))
     if info.view is not None:
@@ -530,8 +531,18 @@ def thm1_independent_route(k: int, m: int):
 def _taylor_shift(col: list) -> list:
     """The coefficients of p(x+1) from those of p(x), by the binomial
     expansion: coefficient i is sum_{k>=i} C(k, i) p_k."""
-    return [sum(comb(k, i) * c for k, c in enumerate(col) if k >= i)
+    return [sum(comb(k, i) * col[k] for k in range(i, len(col)))
             for i in range(len(col))]
+
+
+def taylor_shifted(mono) -> list:
+    """The monomial terms of M(x+1) from those of M(x), an integer term
+    list: every integer column of M over (1+q)^b, b the largest exponent
+    in M, Taylor-shifted, and read back as one term per power of x."""
+    top = max(b for _, b, _ in mono)
+    width = 1 + max(n for _, _, n in mono)
+    cols = [_taylor_shift(col) for col in _columns(mono, top, width)]
+    return [(tuple(col[i] for col in cols), top, i) for i in range(width)]
 
 
 def _add_product(out: list, poly, cols: list, shift: int = 0) -> None:
@@ -545,8 +556,9 @@ def three_pass_x_certificate(statement) -> tuple:
     """The x-certificate (cols, b) of a statement in three passes over the
     integer columns: (1+q) T(x), then -q M(x+1) with every monomial column
     shifted, then -M(x), each added to the columns on its own.  The
-    reference for the one-pass identities.x_certificate."""
-    terms, mono = statement
+    reference for the one-pass identities.x_certificate, which takes
+    M(x+1) from the statement instead: this route ignores it."""
+    terms, mono, _ = statement
     top = max(b for _, b, _ in terms + mono)
     width = 1 + _degree(statement)
     t, m = _columns(terms, top, width), _columns(mono, top, width)
@@ -561,6 +573,42 @@ def fermionic_image(poly: XPolyQ) -> RatFuncQ:
     """Exact fermionic moment of a polynomial in x, x^i -> E[i] applied to
     its monomials: the route the fermionic view is checked against."""
     return folded_apply(monomials(poly), euler_number)
+
+
+class MonomialIntegrals:
+    """Memoized integrals of xi^n under either measure at one p-adic
+    configuration: the prime, q, the target precision, the guard digits
+    and the level cap, checked by ``padic.check_config`` when the memo is
+    built.  The level route: the closed form of B_n (``q_bernoulli``) and
+    the bosonic and fermionic views are checked against it.
+
+    Every integral is computed once.  An integral that does not converge
+    is memoized too, as its partial result and ``stopped_by``, and each
+    later call raises a fresh ConvergenceNotReached from them.
+    """
+
+    __slots__ = ("p", "q", "target", "guard", "max_level", "_results")
+
+    def __init__(self, p, q, target, guard=None, max_level=None):
+        (self.p, self.q, self.target, self.guard,
+         self.max_level) = check_config(p, q, target, guard, max_level)
+        self._results = {}
+
+    def __call__(self, kind: str, n: int) -> IntegralResult:
+        """The adaptive integral of xi^n; propagates ConvergenceNotReached."""
+        key = (kind, n)
+        result = self._results.get(key)
+        if result is None:
+            req = IntegralRequest(kind, n, Fraction(0), self.p, self.q,
+                                  self.target, self.guard, self.max_level)
+            try:
+                result = integrate(req)
+            except ConvergenceNotReached as exc:
+                result = (exc.result, exc.stopped_by)
+            self._results[key] = result
+        if type(result) is tuple:
+            raise ConvergenceNotReached(*result)
+        return result
 
 
 def level_integrals(ctx: ReferenceContext, max_level=None

@@ -60,12 +60,17 @@ COMMAND_SHA256 = {
         "6e04cc419d9341e55eb807688394a2879723866ed962149968b5b6adc12848a1",
     "verify EQ6 --k 0..30 --m 0..30":
         "84fcb76d8f06e1fc44a34de8bbb19186cca65110b482d0659d666cbf9553e782",
+    "verify EQ6 --k 0..60 --m 0..60":
+        "ab140b0e24ce3529d8b39cca8cfc77e203600914b92303c00a7cdf46beb552b4",
     "verify all --p 5 --K 5":
         "b6e890b2a012d99cb94d364d4dfedb8dc6cae346500e5586c3680d99ac188eb6",
     "poly --n 0..20":
         "2928e7285c559c98e0bafb01545b5fe7b38b632d9594224a7497d2bfe0d58aa6",
     "verify THM3_PRINTED --k 1..6":
         "ce515b96f9a9f8319b99d1344e8e2ff6be65ae4e7d73ffd36589fdff9c4b4bce",
+    # every cell fails, each with a nonzero x-certificate
+    "verify THM3_PRINTED --k 1..30":
+        "346a0faae6fdbbea802f4ee90ee0cacbf9979f954c87ed321d3fbc816ca31876",
     "verify THM5_PRINTED --k 1..5":
         "b28861c4fda11177a22a258fc573ef46aa4b910adcdd78866f2f7869a092bda2",
     "verify THM4 --k 1..8 --m 1..8":

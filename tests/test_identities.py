@@ -22,6 +22,8 @@ from qeuler.identities import (
     IdentityId,
     NumericContext,
     _at_precision,
+    _columns,
+    _degree,
     _functional_equation_row,
     _beta,
     degree_2k1_rhs,
@@ -43,16 +45,18 @@ from qeuler.identities import (
     x_polynomial,
 )
 from qeuler.padic import PadicApprox, padic_distance
-from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC, MonomialIntegrals
+from qeuler.qintegral import KIND_BOSONIC, KIND_FERMIONIC
 from qeuler.qspecial import euler_number, euler_poly
 
 from test_acceptance import COMMAND_SHA256
 
 from oracles import (
+    MonomialIntegrals,
     ONE_PLUS_Q,
     Q,
     RF_ONE_PLUS_Q,
     ReferenceContext,
+    _taylor_shift,
     add,
     beta_exact,
     bosonic_closed_form,
@@ -75,6 +79,7 @@ from oracles import (
     ring_terms,
     sides,
     sub,
+    taylor_shifted,
     thm1_independent_route,
     thm3_construction_residual,
     three_pass_x_certificate,
@@ -610,7 +615,8 @@ class TestXCertificateRoute:
         beta = data.draw(st.builds(Fraction, st.integers(-9, 9),
                                    st.integers(1, 9)))
         moved = data.draw(st.integers(0, len(terms)))
-        info = identities.IdentityInfo(lambda: (terms, mono), view, (), 0, {},
+        statement = terms, mono, taylor_shifted(mono)
+        info = identities.IdentityInfo(lambda: statement, view, (), 0, {},
                                        lambda: beta, moved)
         saved = identities.REGISTRY[IdentityId.EQ103]
         identities.REGISTRY[IdentityId.EQ103] = info
@@ -1000,16 +1006,50 @@ class TestClosedFormBernoulli:
         assert valuation(padic_rational(got) - exact, p) >= K
 
 
+def trimmed(cols: list) -> list:
+    """The columns of an x-certificate without its trailing zero ones."""
+    cols = list(cols)
+    while cols and not any(cols[-1]):
+        cols.pop()
+    return cols
+
+
 def assert_one_pass(statement):
     cols, b = x_certificate(statement)
-    assert (cols, b) == three_pass_x_certificate(statement)
+    reference, b_ref = three_pass_x_certificate(statement)
+    assert (trimmed(cols), b) == (trimmed(reference), b_ref)
     return cols, b
 
 
+class TestShiftedSide:
+    """Each statement builder gives its monomial side at x + 1 in closed
+    form; the Taylor shift of the side's integer columns is the
+    reference."""
+
+    @staticmethod
+    def assert_shifted(statement):
+        _, mono, shifted = statement
+        width = 1 + _degree(statement)
+        top = max(b for _, b, _ in mono + shifted)
+        expected = [_taylor_shift(col) for col in _columns(mono, top, width)]
+        assert trimmed(_columns(shifted, top, width)) == trimmed(expected)
+
+    def test_eq6_to_40(self):
+        for k in range(41):
+            for m in range(41):
+                self.assert_shifted(eq6_statement(k, m))
+
+    def test_degree_2k1_readings_to_20(self):
+        for k in range(1, 21):
+            for variant in ("printed", "corrected"):
+                self.assert_shifted(degree_2k1_statement(k, variant))
+
+
 class TestOnePassXCertificate:
-    """x_certificate forms each column of (1+q) T(x) - q M(x+1) - M(x) in
-    one pass, shifting each distinct monomial column once; the three-pass
-    route of the oracles is the reference."""
+    """x_certificate forms (1+q) T(x) - q M(x+1) - M(x) in one pass over
+    the integer columns, with M(x+1) as the statement gives it; the
+    three-pass route of the oracles, which shifts M itself, is the
+    reference."""
 
     def test_eq6_to_40(self):
         for k in range(41):
@@ -1027,11 +1067,23 @@ class TestOnePassXCertificate:
         assert nonzero == {"printed"}
 
     def test_corrupted_statement(self):
-        terms, mono = eq6_statement(3, 4)
+        terms, mono, shifted = eq6_statement(3, 4)
         (c, b, n), *rest = terms
-        cols, b = assert_one_pass(([((c[0] + 1, *c[1:]), b, n), *rest], mono))
+        cols, b = assert_one_pass(([((c[0] + 1, *c[1:]), b, n), *rest], mono,
+                                   shifted))
         assert any(map(any, cols))
         assert not x_polynomial(cols, b).is_zero
+
+    def test_corrupted_shifted_side(self):
+        # the certificate reads M(x+1) from the statement: a wrong shifted
+        # side gives a nonzero certificate where the three-pass route,
+        # which shifts M itself, gives zero
+        terms, mono, shifted = eq6_statement(3, 4)
+        (c, b, n), *rest = shifted
+        statement = terms, mono, [((c[0] + 1, *c[1:]), b, n), *rest]
+        cols, b = x_certificate(statement)
+        assert not x_polynomial(cols, b).is_zero
+        assert not any(map(any, three_pass_x_certificate(statement)[0]))
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -1039,20 +1091,9 @@ class TestOnePassXCertificate:
         term = st.tuples(st.lists(st.integers(-3, 3), min_size=1,
                                   max_size=3).map(tuple),
                          st.integers(0, 2), st.integers(0, 7))
+        mono = data.draw(st.lists(term, min_size=1, max_size=4))
         assert_one_pass((data.draw(st.lists(term, min_size=1, max_size=5)),
-                         data.draw(st.lists(term, min_size=1, max_size=4))))
-
-    def test_each_distinct_monomial_column_is_shifted_once(self, monkeypatch):
-        # EQ6's monomial coefficients are (c, c): one column shifted
-        shifted, shift = [], identities._shifted
-
-        def counted(col):
-            shifted.append(tuple(col))
-            return shift(col)
-
-        monkeypatch.setattr(identities, "_shifted", counted)
-        x_certificate(eq6_statement(4, 5))
-        assert len(shifted) == 1 and any(shifted[0])
+                         mono, taylor_shifted(mono)))
 
     def test_a_zero_certificate_builds_no_value_of_r(self, monkeypatch):
         def refused(*args):
