@@ -56,7 +56,6 @@ from oracles import (
     Q,
     RF_ONE_PLUS_Q,
     ReferenceContext,
-    _taylor_shift,
     add,
     beta_exact,
     bosonic_closed_form,
@@ -1023,16 +1022,16 @@ def assert_one_pass(statement):
 
 class TestShiftedSide:
     """Each statement builder gives its monomial side at x + 1 in closed
-    form; the Taylor shift of the side's integer columns is the
-    reference."""
+    form; the Taylor shift of the side's integer columns
+    (``oracles.taylor_shifted``) is the reference."""
 
     @staticmethod
     def assert_shifted(statement):
         _, mono, shifted = statement
         width = 1 + _degree(statement)
         top = max(b for _, b, _ in mono + shifted)
-        expected = [_taylor_shift(col) for col in _columns(mono, top, width)]
-        assert trimmed(_columns(shifted, top, width)) == trimmed(expected)
+        assert (trimmed(_columns(shifted, top, width))
+                == trimmed(_columns(taylor_shifted(mono), top, width)))
 
     def test_eq6_to_40(self):
         for k in range(41):
