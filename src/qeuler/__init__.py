@@ -9,6 +9,7 @@ used.
 from importlib import import_module
 
 _EXPORTS = {
+    "cache": ("ResultCache",),
     "exactarith": ("DivisionByZero", "PoleError", "RatFuncQ", "XPolyQ"),
     "identities": ("IdentityId", "NumericContext", "VerificationResult",
                    "verify", "verify_grid"),
@@ -16,7 +17,7 @@ _EXPORTS = {
     "qintegral": ("ConvergenceNotReached", "IntegralRequest",
                   "IntegralResult", "integrate", "riemann_level"),
     "qspecial": ("DomainError", "binom", "euler_number", "euler_poly"),
-    "report": ("Report", "ResultCache"),
+    "report": ("Report",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -14,40 +14,42 @@ never as a traceback.
 
 Each command imports the layers it uses when it runs, so a cold process
 loads and compiles only those: ``integrate`` and ``numbers bernoulli``
-never load the exact layers or the identity catalog, ``verify`` and
-``report`` never load the Riemann sums of ``qintegral``, and ``numbers
-euler`` renders its rows from the integer table of ``zpoly`` alone.  A
-well-formed command line is read straight from the command's entry
+never load the exact layers, the identity catalog or the closed form of
+``closedform``, ``verify`` and ``report`` never load the Riemann sums of
+``qintegral``, and ``numbers euler`` renders its rows from the integer
+table of ``zpoly`` alone.  The same holds for the code of this front end:
+the catalog commands (``verify``, ``report``, ``poly``) and the argparse
+fallback are in ``commands``, the text formats in ``formats`` and the
+cache of report hashes in ``cache``, each loaded only on the lines that
+run it.  ``commands`` takes what it needs of this module as arguments, so
+under ``python -m qeuler.cli`` this module is compiled once.
+
+A well-formed command line is read straight from the command's entry
 (``read_argv``), so such a process never imports argparse.  Any other line
 (help, an abbreviation, a bad value, a stray or missing argument) goes to
-``build_parser``, which builds the arguments of only the command it names;
-every command still has its subparser, so usage, help and error text are
-the full parser's.  ``entry``, the process entry, freezes the heap around
-``main`` so that a cold process's collections, the one at exit among them,
-skip it; ``main`` itself leaves the collector alone.
+``commands.build_parser``, which builds the arguments of only the command
+it names; every command still has its subparser, so usage, help and error
+text are the full parser's.  ``entry``, the process entry, freezes the
+heap around ``main`` so that a cold process's collections, the one at exit
+among them, skip it; ``main`` itself leaves the collector alone.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 from types import SimpleNamespace
-from typing import List, Optional, Sequence
 
-from .report import CacheError, Report, ResultCache
+from .errors import CacheError, ConfigError
+from .report import Report
 
 # the integral kinds of qintegral, named here so that building the parser
 # loads no numeric layer
 KINDS = ("fermionic", "bosonic")
-
-
-class ConfigError(Exception):
-    pass
 
 
 def parse_range(text: str) -> tuple:
@@ -65,7 +67,7 @@ def parse_range(text: str) -> tuple:
     return lo, hi
 
 
-def parse_q(text: str) -> Optional[Fraction]:
+def parse_q(text: str) -> Fraction | None:
     """q given as an integer or a rational 'a/b', or None for '1+p', the
     default of ``padic.check_config``."""
     if text.strip() == "1+p":
@@ -78,8 +80,8 @@ def parse_q(text: str) -> Optional[Fraction]:
 
 # Each command's arguments are data: a flag (or a positional argument's
 # name) with the keyword arguments of argparse's add_argument for it.
-# build_parser gives them to argparse as they are, and read_argv reads a
-# well-formed argv from the same entries.
+# commands.build_parser gives them to argparse as they are, and read_argv
+# reads a well-formed argv from the same entries.
 _PADIC_ARGS = (
     ("--p", dict(type=int, help="odd prime")),
     ("--q", dict(help="q as '1+p', an integer, or 'a/b' (default 1+p)")),
@@ -106,30 +108,7 @@ def _dest(flag: str, spec: dict) -> str:
     return spec.get("dest", flag.lstrip("-").replace("-", "_"))
 
 
-def build_parser(argv: Sequence[str] = ()):
-    """The ``argparse.ArgumentParser`` of ``argv`` (argparse is imported
-    here, not at module level, so the return type is not annotated).
-    Every command has its subparser, so usage, help and error text are
-    those of the full parser, but only the command that ``argv[0]`` names
-    gets its arguments; when it names none (no arguments, an option, a
-    typo), every command gets them."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="qeuler",
-        description="Exact and p-adic tables and identity checks for the "
-                    "weight-0 q-Euler/q-Bernoulli families.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    invoked = argv[0] if argv and argv[0] in COMMANDS else None
-    for name, (help_text, arguments, _, _) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        if invoked in (None, name):
-            for flag, spec in arguments:
-                sp.add_argument(flag, **spec)
-    return parser
-
-
-def read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+def read_argv(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of a well-formed ``argv``, read from ``COMMANDS``
     without argparse, or None for any other argv.
 
@@ -214,16 +193,22 @@ def _reject_options(args, label: str, options: dict) -> None:
         raise ConfigError(f"{label} does not take {', '.join(given)}")
 
 
-@contextmanager
-def _user_file(option: str, path: str):
+def _file_error(option: str, path: str, exc: OSError) -> ConfigError:
     """An OSError on a file the user named is a configuration error."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot use {option} {path}: {exc.strerror or exc}")
+    return ConfigError(f"cannot use {option} {path}: {exc.strerror or exc}")
 
 
-def _check_values(args, digits: Optional[int]) -> None:
+def _target(path: str) -> str:
+    """The file that ``path`` names, spelled as ``pathlib.Path`` spells
+    it: empty and '.' components dropped, so that 'out.json/' names
+    'out.json', and a root of exactly two slashes kept."""
+    slashes = len(path) - len(path.lstrip("/"))
+    root = "//" if slashes == 2 else "/" * (slashes > 0)
+    parts = [part for part in path.split("/") if part not in ("", ".")]
+    return root + "/".join(parts) or "."
+
+
+def _check_values(args, digits: int | None) -> None:
     """No option takes a list, but argparse stores '--opt=--' as an empty
     one without calling the option's type: a usage error.  A value with a
     number of more than ``digits`` digits is one too: the rationals and
@@ -251,28 +236,31 @@ def _check_user_files(args) -> None:
     for option, path in files:
         if not path:
             continue
-        target = Path(path)
-        if target.is_dir():
+        target = _target(path)
+        if os.path.isdir(target):
             raise ConfigError(f"cannot use {option} {path}: Is a directory")
-        if not target.parent.is_dir():
+        if not os.path.isdir(os.path.dirname(target) or "."):
             raise ConfigError(f"cannot use {option} {path}: "
                               "No such file or directory")
 
 
 def _emit(report: Report, args, default_format: str,
-          digest: Optional[str]) -> None:
+          digest: str | None) -> None:
     """Write the report in its format; ``digest`` is its canonical hash
-    when main has taken it already."""
+    when main has taken it already.  The text formats load ``formats``."""
     fmt = args.format or default_format
     if fmt == "json":
         text = report.to_json(digest)
-    elif fmt == "csv":
-        text = report.to_csv()
     else:
-        text = report.to_pretty()
+        from .formats import to_csv, to_pretty
+
+        text = to_csv(report) if fmt == "csv" else to_pretty(report)
     if args.out:
-        with _user_file("--out", args.out):
-            Path(args.out).write_text(text)
+        try:
+            with open(_target(args.out), "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise _file_error("--out", args.out, exc)
     else:
         sys.stdout.write(text)
 
@@ -339,81 +327,16 @@ def cmd_numbers(args) -> Report:
                   timing={"total_seconds": time.monotonic() - start})
 
 
-def cmd_poly(args) -> Report:
-    from .qspecial import euler_poly
+def _poly(args) -> Report:
+    from .commands import cmd_poly
 
-    lo, hi = parse_range(args.n)
-    if lo < 0:
-        raise ConfigError("indices must be >= 0")
-    start = time.monotonic()
-    items = [{"n": n, "value": str(euler_poly(n))} for n in range(lo, hi + 1)]
-    return Report({"command": "poly", "n": [lo, hi]}, items,
-                  timing={"total_seconds": time.monotonic() - start})
+    return cmd_poly(args, parse_range)
 
 
-def _verify_ranges(args, label: str, params) -> dict:
-    """Parsed --k/--m/--n ranges; a range for a parameter the target does
-    not take is a configuration error."""
-    supplied = [n for n in ("k", "m", "n") if getattr(args, n, None) is not None]
-    stray = sorted(set(supplied) - set(params))
-    if stray:
-        takes = sorted(params) or "no ranges"
-        raise ConfigError(f"{label} takes {takes}; stray range for {stray}")
-    return {name: parse_range(getattr(args, name)) for name in supplied}
+def _verify(args, battery: bool = False) -> Report:
+    from .commands import cmd_verify
 
-
-def cmd_verify(args, battery: bool = False) -> Report:
-    from .identities import REGISTRY, IdentityId, NumericContext, verify_grid
-
-    if battery or args.identity == "all":
-        targets = list(IdentityId)
-        config_identity = "all"
-        params = ()
-    else:
-        try:
-            targets = [IdentityId(args.identity)]
-        except ValueError:
-            raise ConfigError(
-                f"unknown identity {args.identity!r}; expected 'all' or one "
-                f"of {', '.join(i.value for i in IdentityId)}")
-        config_identity = args.identity
-        params = REGISTRY[targets[0]].params
-    explicit_ranges = _verify_ranges(args, config_identity, params)
-    pad, block = _padic_config(args)
-    items = []
-    per_item, routes, x_certificates, bosonic_pairs = {}, {}, {}, {}
-    ctx = NumericContext(*pad[:3])  # guard and n_max limit no verify row
-    start = time.monotonic()
-    for ident in targets:
-        try:
-            results = verify_grid(ident, explicit_ranges, ctx)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        for r in results:
-            items.append(r.as_report_item())
-            cell = f"{r.id.value}:{r.params}"
-            per_item[cell] = r.elapsed
-            if r.route is not None:
-                routes[r.route] = routes.get(r.route, 0) + 1
-            if r.x_certificate is not None:
-                x_certificates[cell] = r.x_certificate
-            if r.bosonic_pair is not None:
-                bosonic_pairs[cell] = [*map(str, r.bosonic_pair)]
-
-    config = {
-        "command": "report" if battery else "verify",
-        "identity": config_identity,
-        "padic": block,
-    }
-    if explicit_ranges:
-        config["ranges"] = {k: list(v) for k, v in sorted(explicit_ranges.items())}
-    return Report(config, items, timing={
-        "total_seconds": time.monotonic() - start,
-        "per_item_seconds": per_item,
-        "routes": routes,
-        "x_certificates": x_certificates,
-        "bosonic_pairs": bosonic_pairs,
-    })
+    return cmd_verify(args, parse_range, _padic_config, battery)
 
 
 def cmd_integrate(args) -> Report:
@@ -448,7 +371,8 @@ def cmd_integrate(args) -> Report:
 
 
 # every command, in usage order: its help, its arguments, what runs it into
-# a Report, and the format it prints by default
+# a Report, and the format it prints by default; poly, verify and report
+# run from the commands module, which loads only when they run
 COMMANDS = {
     "numbers": ("number tables", (
         ("kind", dict(choices=("euler", "bernoulli"))),
@@ -458,13 +382,13 @@ COMMANDS = {
         *_PADIC_ARGS, *_OUTPUT_ARGS, *_CACHE_ARGS), cmd_numbers, "pretty"),
     "poly": ("polynomial tables", (
         ("--n", dict(default="0..4", help="index range 'a..b'")),
-        *_OUTPUT_ARGS), cmd_poly, "pretty"),
+        *_OUTPUT_ARGS), _poly, "pretty"),
     "verify": ("verify one identity or all of them", (
         ("identity", dict(help="an identity id, or 'all'")),
         ("--k", dict(help="range 'a..b' for k")),
         ("--m", dict(help="range 'a..b' for m")),
         ("--n", dict(help="range 'a..b' for n")),
-        *_PADIC_ARGS, *_OUTPUT_ARGS, *_CACHE_ARGS), cmd_verify, "pretty"),
+        *_PADIC_ARGS, *_OUTPUT_ARGS, *_CACHE_ARGS), _verify, "pretty"),
     "integrate": ("evaluate one p-adic q-integral", (
         ("kind", dict(choices=KINDS)),
         ("--n", dict(type=int, required=True, help="monomial exponent")),
@@ -472,17 +396,19 @@ COMMANDS = {
         *_PADIC_ARGS, *_OUTPUT_ARGS), cmd_integrate, "pretty"),
     "report": ("run the full default verification battery", (
         *_PADIC_ARGS, *_OUTPUT_ARGS, *_CACHE_ARGS),
-        partial(cmd_verify, battery=True), "json"),
+        partial(_verify, battery=True), "json"),
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = read_argv(argv)
     if args is None:
+        from .commands import build_parser
+
         try:
-            args = build_parser(argv).parse_args(argv)
+            args = build_parser(COMMANDS, argv).parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     _, _, run, default_format = COMMANDS[args.command]
@@ -501,11 +427,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "cache", None) and not args.no_cache:
             # the report is computed first, so a mismatch prints nothing;
             # its hash is taken once, for the cache and for JSON output
+            from .cache import ResultCache
+
             digest = report.sha256()
-            with _user_file("--cache", args.cache):
-                cache = ResultCache(Path(args.cache))
+            try:
+                cache = ResultCache(_target(args.cache))
                 report.timing["cache"] = cache.check(report.config, digest)
                 cache.save()
+            except OSError as exc:
+                raise _file_error("--cache", args.cache, exc)
         _emit(report, args, default_format, digest)
     except (ConfigError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,8 @@ Exact identities are decided in the ring R = Q[q, 1/q, 1/(1+q)]
 numbers are decided here to finite p-adic precision, because B_n involves
 log_p q: its closed form in the q-Euler numbers at -q is a + b/log_p q,
 a and b exact at q, and so is every bosonic certificate, known modulo
-p^K to a precision proven in ``_at_precision``; no Riemann sum is run.
+p^K to a precision proven in ``closedform.at_precision``; no Riemann sum
+is run.
 
 Every statement is decided by its *x-certificate*.  With E the linear
 map x^n -> E_n(x), a statement E(t) = h has x-certificate
@@ -76,11 +77,12 @@ from math import comb
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .closedform import at_precision, bernoulli_pair
 from .exactarith import RF_Q, RatFuncQ, XPolyQ, sum_products
-from .padic import PadicApprox, Record, check_config, log_p, rational_valuation
+from .padic import Record, check_config
 from .qspecial import TWO_Q_RECIP, euler_number, euler_poly
 from .report import ERROR, FAILS, HOLDS, HOLDS_TO_PRECISION
-from .zpoly import euler_number_at, euler_numerator
+from .zpoly import euler_numerator
 
 Terms = List[Tuple[object, int]]
 # (coeffs, b, n): coeffs(q) / (1+q)^b times E_n(x), or times x^n, with
@@ -223,69 +225,20 @@ def fermionic_moment(n: int) -> RatFuncQ:
 # p-adic context
 
 
-def _bernoulli_pair(n: int, q: Fraction) -> Tuple[Fraction, Fraction]:
-    """(a, b), exact rationals, with the weight-0 q-Bernoulli number B_n,
-    the bosonic integral of xi^n, equal to a + b/log_p q.
-
-    For q != 1, B_n = E[n](-q) + n E[n-1](-q) / log_p q.  The level-N sums
-    of the bosonic integral have the generating function
-    (1 - q^M e^(M t)) (1 - q)/((1 - q e^t)(1 - q^M)) at M = p^N, which
-    tends to (1 - q)/(1 - q e^t) (1 + t/log_p q), and (1 + q)/(1 + q e^t)
-    generates E[n], so (1 - q)/(1 - q e^t) generates E[n](-q) (T. Kim,
-    "q-Volkenborn integration", Russ. J. Math. Phys. 9 (2002) 288-299).
-
-    At q = 1 the measure is Volkenborn's and B_n is the classical
-    Bernoulli number (B_1 = -1/2), so b = 0: 2/(e^t + 1) generates E[n] at
-    q = 1, and t/(e^t + 1) = t/(e^t - 1) - 2t/(e^(2t) - 1), so
-    B_n = -n E[n-1](1) / (2 (2^n - 1)) for n >= 1.
-    """
-    if n == 0:
-        return Fraction(1), Fraction(0)
-    if q == 1:
-        return -n * euler_number_at(n - 1, q) / (2 * (2 ** n - 1)), Fraction(0)
-    return euler_number_at(n, -q), n * euler_number_at(n - 1, -q)
-
-
-def _at_precision(a: Fraction, b: Fraction, p: int, q: Fraction,
-                  precision: int) -> PadicApprox:
-    """a + b/log_p q, for rationals a and b (b = 0 when q = 1), known
-    modulo p^precision: the zero known to precision digits when its
-    valuation is at least precision.
-
-    Proof of the bound, for any rational b != 0.  With v = v_p(q - 1) >= 1,
-    L = log_p q and l = ``padic.log_p(q, p, D)``, v_p(L - l) >= D, and
-    v_p(L) = v.  For D > v, l and L then agree below p^(v+1), so
-    v_p(l) = v and l != 0.  The rational r = a + b/l is off by
-    b/l - b/L = b (L - l)/(l L), of valuation at least v_p(b) + D - 2 v.
-    So D = max(precision + 2 v - v_p(b), v + 1) gives
-    v_p(a + b/L - r) >= precision, whatever the sign of v_p(b), and r,
-    embedded with every digit below p^precision, is a + b/L modulo
-    p^precision.  With b = 0 no log is taken and r = a is exact.
-    """
-    value = Fraction(a)
-    if b:
-        v = rational_valuation(q - 1, p)
-        digits = max(precision + 2 * v - rational_valuation(b, p), v + 1)
-        value += b / log_p(q, p, digits)
-    v = rational_valuation(value, p) if value else precision
-    if v >= precision:
-        return PadicApprox.zero(p, precision)
-    return PadicApprox.from_rational(value, p, precision - v)
-
-
 @cache
 def _moment_pair(n: int, q: Fraction) -> Tuple[Fraction, Fraction]:
     """(A, B) with the bosonic moment of E_n(x) at q, sum_l C(n,l) E[n-l] B_l,
     equal to A + B/log_p q; memoized by (n, q).
 
     The moment is 2^n times B_n at q^2.  Its generating function is that
-    of E[n], (1 + q)/(1 + q e^t), times that of B_n (``_bernoulli_pair``),
-    and (1 + q)(1 - q)/((1 + q e^t)(1 - q e^t)) = (1 - q^2)/(1 - q^2 e^(2t))
+    of E[n], (1 + q)/(1 + q e^t), times that of B_n
+    (``closedform.bernoulli_pair``), and
+    (1 + q)(1 - q)/((1 + q e^t)(1 - q e^t)) = (1 - q^2)/(1 - q^2 e^(2t))
     with t/log_p q = 2t/log_p q^2; at q = 1, 2/(e^t + 1) t/(e^t - 1) =
     2t/(e^(2t) - 1).  So (A, B) = (2^n a, 2^(n-1) b), with (a, b) the pair
     of B_n at q^2.
     """
-    a, b = _bernoulli_pair(n, q * q)
+    a, b = bernoulli_pair(n, q * q)
     return 2 ** n * a, 2 ** n * b / 2
 
 
@@ -518,7 +471,7 @@ def statement_certificate(identity: IdentityId, params: Dict[str, int],
     bosonic moments of E(c).  Each moment is A_i + B_i/log_p q with A_i
     and B_i exact at q (``_moment_pair``), so the certificate is
     A + B/log_p q with A = -sum c_i(q) A_i and B = -sum c_i(q) B_i, one
-    exact pair known modulo p^K in ``ctx`` (``_at_precision``).  A zero c
+    exact pair known modulo p^K in ``ctx`` (``at_precision``).  A zero c
     gives (0, 0), the zero known modulo p^K, and reads no q-Bernoulli
     number.  The pair is returned third, None in the other views.
 
@@ -544,7 +497,7 @@ def statement_certificate(identity: IdentityId, params: Dict[str, int],
             (a_i, b_i), at_q = _moment_pair(i, ctx.q), ci.evaluate(ctx.q)
             a, b = a - at_q * a_i, b - at_q * b_i
         pair = a, b
-        cert = _at_precision(*pair, ctx.p, ctx.q, ctx.target)
+        cert = at_precision(*pair, ctx.p, ctx.q, ctx.target)
     else:
         u_h = -sum(Fraction(ci, i + 1) for (ci, _), _, i in statement[1])
         cert = sum_products(images(terms, unit_integral)

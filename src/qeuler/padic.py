@@ -13,8 +13,8 @@ verification results of ``identities``.
 The p-adic configuration (the prime, q, the target precision K, the
 guard digits and the level cap) has its defaults and its one check,
 ``check_config``, here, where both numeric routes find them: the level
-sums of ``qintegral`` and the closed forms of ``identities``.  ``log_p``
-gives the p-adic logarithm of q to a proven number of digits.
+sums of ``qintegral`` and the closed forms of ``closedform`` and
+``identities``.
 """
 
 from __future__ import annotations
@@ -121,32 +121,6 @@ def check_config(p=None, q=None, target=None, guard=None, max_level=None,
         if value < least:
             raise ValueError(f"{name} must be >= {least}")
     return p, q, target, guard, max_level
-
-
-def log_p(q: Fraction, p: int, precision: int) -> Fraction:
-    """A rational l with v_p(log_p q - l) >= precision, for an odd prime p
-    and a rational q with v = v_p(q - 1) >= 1.
-
-    log_p q = sum_{k>=1} (-1)^(k+1) (q - 1)^k / k, and l is the sum of the
-    terms before the first k with k v - log_p k >= precision.  Term k has
-    valuation k v - v_p(k) >= k v - log_p k =: f(k), and f grows with k
-    (f'(k) = v - 1/(k ln p) > 0, as v >= 1 and ln p > 1), so every term
-    left out has valuation at least precision, and so has their sum.  The
-    test k v - log_p k >= precision is made in integers, as
-    p^(k v - precision) >= k with k v >= precision.  The first term has
-    valuation v and every other term more ((k - 1) v > log_p k for
-    k >= 2), so v_p(log_p q) = v.
-    """
-    x = q - 1
-    v = rational_valuation(x, p)
-    if v < 1:
-        raise ValueError("log_p needs v_p(q - 1) >= 1")
-    total, power, k = Fraction(0), Fraction(1), 1
-    while k * v < precision or p ** (k * v - precision) < k:
-        power *= x
-        total += power / k if k % 2 else -power / k
-        k += 1
-    return total
 
 
 class Record:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, inf
-from typing import Optional, Tuple, Union
 
 from .padic import (
     PadicApprox,
@@ -95,7 +94,7 @@ class IntegralRequest(Record):
         return self.target + self.guard + (level if self.bosonic else 0)
 
 
-LevelTrace = Tuple[int, PadicApprox, Union[int, float, None]]
+LevelTrace = tuple[int, PadicApprox, int | float | None]
 
 
 class IntegralResult(Record):
@@ -107,7 +106,7 @@ class IntegralResult(Record):
 
     def __init__(self, value: PadicApprox, achieved_precision: int,
                  levels_used: int, converged: bool,
-                 trace: Tuple[LevelTrace, ...]):
+                 trace: tuple[LevelTrace, ...]):
         self._set(value, achieved_precision, levels_used, converged, trace)
 
 
@@ -120,7 +119,7 @@ def _residue_of_rational(r: Fraction, modulus: int) -> int:
 
 
 def _level_sum(req: IntegralRequest, level: int, work: int,
-               top: int) -> Tuple[int, int]:
+               top: int) -> tuple[int, int]:
     """Sum of (x0 + xi)^n t^xi over xi < M = p^level, modulo p^work, and
     the bracket [M]_t = S_0 modulo p^top.
 
@@ -185,8 +184,8 @@ def integrate(req: IntegralRequest) -> IntegralResult:
     steps.  Raises ConvergenceNotReached (carrying the partial result) if
     max_level is reached first or a level exhausts the working precision."""
     trace = []
-    prev: Optional[PadicApprox] = None
-    value: Optional[PadicApprox] = None
+    prev: PadicApprox | None = None
+    value: PadicApprox | None = None
     stable = 0
     level = 0
     stopped_by = STOP_MAX_LEVEL

@@ -33,10 +33,12 @@ class DomainError(ValueError):
 
 
 def binom(n: int, r: int) -> int:
-    """Binomial coefficient with C(n, r) = 0 for r < 0 or r > n.
+    """Binomial coefficient with C(n, r) = 0 for r < 0, r > n or n < 0.
 
-    The zero convention is load-bearing: identity summations rely on it to
-    make printed bounds and full-range bounds interchangeable.
+    A public helper of the package namespace: unlike ``math.comb``, which
+    raises on a negative argument, it reads a binomial outside its range
+    as zero, so a sum over a printed bound and one over the full range
+    agree.  The identity builders call ``math.comb`` inside the range.
     """
     if r < 0 or r > n or n < 0:
         return 0

@@ -35,7 +35,6 @@ import threading
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm
-from typing import Tuple
 
 from .errors import PoleError
 
@@ -43,7 +42,7 @@ _lock = threading.Lock()
 _numerators: list = [(1,)]      # N_n, ascending integer coefficients
 
 
-def euler_numerator(n: int) -> Tuple[int, ...]:
+def euler_numerator(n: int) -> tuple[int, ...]:
     """N_n = (1 + q)^n * E[n] as ascending integer coefficients."""
     if n < 0:
         raise ValueError("index must be >= 0")
@@ -57,7 +56,7 @@ def euler_numerator(n: int) -> Tuple[int, ...]:
     return _numerators[n]
 
 
-def bracket_power(n: int) -> Tuple[int, ...]:
+def bracket_power(n: int) -> tuple[int, ...]:
     """(1 + q)^n as ascending integer coefficients."""
     return tuple(comb(n, i) for i in range(n + 1))
 

@@ -21,8 +21,6 @@ from qeuler.identities import (
     REGISTRY,
     IdentityId,
     NumericContext,
-    _at_precision,
-    _bernoulli_pair,
     _columns,
     _degree,
     fermionic_moment,
@@ -30,6 +28,7 @@ from qeuler.identities import (
     monomials,
     unit_integral,
 )
+from qeuler.closedform import at_precision, bernoulli_pair
 from qeuler.padic import PadicApprox, check_config
 from qeuler.qintegral import (
     KIND_BOSONIC,
@@ -409,9 +408,9 @@ def view_pairs(view: str, statement, beta: Fraction = 0,
 
 def q_bernoulli(n: int, p: int, q: Fraction, precision: int) -> PadicApprox:
     """The weight-0 q-Bernoulli number B_n known modulo p^precision, from
-    its closed form in the q-Euler numbers (``identities._bernoulli_pair``)
-    at the precision ``identities._at_precision`` proves."""
-    return _at_precision(*_bernoulli_pair(n, q), p, q, precision)
+    its closed form in the q-Euler numbers (``closedform.bernoulli_pair``)
+    at the precision ``closedform.at_precision`` proves."""
+    return at_precision(*bernoulli_pair(n, q), p, q, precision)
 
 
 class ReferenceContext(NumericContext):
@@ -732,7 +731,7 @@ def convolved_moment_pair(n: int, q: Fraction) -> tuple:
     a = b = Fraction(0)
     for l in range(n + 1):
         e = comb(n, l) * euler_number(n - l).evaluate(q)
-        a_l, b_l = _bernoulli_pair(l, q)
+        a_l, b_l = bernoulli_pair(l, q)
         a += e * a_l
         b += e * b_l
     return a, b

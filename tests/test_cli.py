@@ -16,24 +16,13 @@ from pathlib import Path
 import pytest
 
 import qeuler
-from qeuler.cli import (
-    COMMANDS,
-    ConfigError,
-    build_parser,
-    main,
-    parse_q,
-    parse_range,
-)
-from qeuler import identities, padic
+from qeuler.cli import COMMANDS, main, parse_q, parse_range
+from qeuler import cli, commands, identities, padic
+from qeuler.cache import ResultCache
+from qeuler.errors import CacheError, ConfigError
 from qeuler.padic import PadicApprox, padic_distance
 from qeuler import report as report_module
-from qeuler.report import (
-    TOOL_VERSION,
-    CacheError,
-    Report,
-    ResultCache,
-    canonical_json,
-)
+from qeuler.report import TOOL_VERSION, Report, canonical_json
 from qeuler.qspecial import euler_number
 from qeuler.zpoly import euler_number_at, euler_number_str
 
@@ -110,7 +99,7 @@ class TestParserParity:
         ["--help"], ["-h"],
         *([name, "--help"] for name in COMMANDS)])
     def test_help_is_the_full_parsers(self, capsys, argv):
-        full = parse_with(build_parser(), capsys, argv)
+        full = parse_with(commands.build_parser(COMMANDS), capsys, argv)
         assert full[0] == 0 and full[1].startswith("usage: qeuler")
         assert run(capsys, *argv) == full
 
@@ -126,7 +115,7 @@ class TestParserParity:
         (["numbers", "frob"], "argument kind: invalid choice: 'frob'"),
     ])
     def test_errors_are_the_full_parsers(self, capsys, argv, message):
-        full = parse_with(build_parser(), capsys, argv)
+        full = parse_with(commands.build_parser(COMMANDS), capsys, argv)
         assert full[0] == 2 and message in full[2]
         assert run(capsys, *argv) == full
 
@@ -135,7 +124,7 @@ class TestParserParity:
             2, "", "error: bad range 'x'; expected 'a..b'\n")
 
     def test_only_the_invoked_command_has_arguments(self, capsys):
-        parser = build_parser(["integrate"])
+        parser = commands.build_parser(COMMANDS, ["integrate"])
         assert parser.parse_args(["integrate", "bosonic", "--n", "2"]).n == 2
         code, _, err = parse_with(parser, capsys, ["numbers", "euler"])
         assert code == 2 and "unrecognized arguments: euler" in err
@@ -154,7 +143,7 @@ class TestCommandTable:
     }
 
     def test_every_subparser_has_a_handler(self):
-        sub = next(a for a in build_parser()._actions
+        sub = next(a for a in commands.build_parser(COMMANDS)._actions
                    if a.dest == "command")
         assert list(sub.choices) == list(COMMANDS) == list(self.CHEAP)
         for name, (_, arguments, run_command, fmt) in COMMANDS.items():
@@ -179,10 +168,10 @@ class TestCommandTable:
                                                  monkeypatch):
         # the write fails after the command has run: still exit 2, one
         # error line and no traceback
-        def refuse(self, text):
+        def refuse(path, mode):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(Path, "write_text", refuse)
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
         out = tmp_path / "t.txt"
         code, stdout, err = run(capsys, "poly", "--n", "0..2", "--out",
                                 str(out))
@@ -193,7 +182,7 @@ class TestCommandTable:
 
 
 def _subparser(name):
-    return next(a for a in build_parser([name])._actions
+    return next(a for a in commands.build_parser(COMMANDS, [name])._actions
                 if a.dest == "command").choices[name]
 
 
@@ -537,7 +526,7 @@ class TestVerifyCommand:
             raise ArithmeticError(f"no B_{n}")
 
         counted_moment_pairs(monkeypatch)       # no pair memoized before
-        monkeypatch.setattr(identities, "_bernoulli_pair", unavailable)
+        monkeypatch.setattr(identities, "bernoulli_pair", unavailable)
         code, out, _ = run(capsys, "verify", "COR7_PRINTED", "--k", "1..2",
                            "--format", "json")
         assert code == 0
@@ -560,7 +549,7 @@ class TestVerifyCommand:
             return PadicApprox.zero(p, 1)
 
         computed = counted_moment_pairs(monkeypatch)
-        monkeypatch.setattr(identities, "_at_precision", short)
+        monkeypatch.setattr(identities, "at_precision", short)
         code, out, _ = run(capsys, "verify", "COR7_PRINTED", "--k", "1..3",
                            "--format", "json")
         assert code == 0
@@ -635,7 +624,8 @@ class TestReportDocument:
     def test_params_cells_are_canonical_json(self):
         # pretty and CSV rows write a row's parameters without json
         from qeuler.identities import IdentityId, grid_params
-        from qeuler.report import _cell, canonical_json
+        from qeuler.formats import _cell
+        from qeuler.report import canonical_json
 
         cells = [params for identity in IdentityId
                  for params in grid_params(identity)]
@@ -924,7 +914,7 @@ class TestDeterminismAndCache:
         code, out, _ = run(capsys, *args)
         assert code == 0
         assert json.loads(out)["items"][0]["verdict"] == "fails"
-        monkeypatch.setattr(identities, "_at_precision",
+        monkeypatch.setattr(identities, "at_precision",
                             lambda a, b, p, q, precision: PadicApprox.zero(p, 1))
         code, out, _ = run(capsys, *args)
         item = json.loads(out)["items"][0]
@@ -1057,3 +1047,27 @@ class TestProcessEntry:
         key = f"{TOOL_VERSION}:{canonical_json(report.config)}"
         assert entries == {key: report.sha256()}
         assert sorted(os.listdir(tmp_path)) == ["cache.json", "r.json"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (("integrate", "bosonic", "--n=3", "--p=7", "--K=5"), 0),
+        (("numbers", "euler", "--n=0..4", "--cache=cache.json"), 0),
+        (("numbers", "bernoulli", "--n=0..4", "--p=3", "--K=4"), 0),
+        (("verify", "EQ6", "--k=0..2", "--m=0..2"), 0),
+        (("report",), 0),
+        (("poly", "--format=csv"), 0),
+        (("integrate", "--help"), 0),
+        (("verify", "THM9"), 2),
+    ], ids=["integrate", "euler-cache", "bernoulli", "verify", "report",
+            "poly-csv", "help", "usage-error"])
+    def test_cli_is_compiled_once(self, tmp_path, argv, code):
+        # under -m the running module is __main__; a module that imported
+        # qeuler.cli by name would compile and run cli.py a second time,
+        # which -X importtime shows as an import of qeuler.cli
+        proc = run_child("-X", "importtime", "-m", "qeuler.cli", *argv,
+                         cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "qeuler.report" in imported
+        assert "qeuler.cli" not in imported

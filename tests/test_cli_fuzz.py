@@ -24,7 +24,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qeuler.cli import build_parser, main, read_argv
+from qeuler import cli
+from qeuler.cli import main, read_argv
+from qeuler.commands import build_parser
 
 # each option's values: valid ones, then out-of-range or malformed ones
 RANGES = (("0", "1", "0..3", "1..2", "2..4"),
@@ -113,7 +115,8 @@ def test_every_argv_exits_0_1_or_2(argv):
 def test_the_reader_declines_or_agrees_with_argparse(argv):
     args = read_argv(argv)
     if args is not None:
-        assert vars(args) == vars(build_parser(argv).parse_args(argv)), argv
+        parsed = build_parser(cli.COMMANDS, argv).parse_args(argv)
+        assert vars(args) == vars(parsed), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -128,4 +131,4 @@ def test_the_reader_declines_or_agrees_with_argparse(argv):
 def test_the_reader_reads_well_formed_lines(argv):
     args = read_argv(argv)
     assert args is not None
-    assert vars(args) == vars(build_parser(argv).parse_args(argv))
+    assert vars(args) == vars(build_parser(cli.COMMANDS, argv).parse_args(argv))

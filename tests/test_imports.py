@@ -23,7 +23,9 @@ SRC = Path(qeuler.__file__).resolve().parent.parent
 # Runs its arguments through the CLI in a fresh interpreter (or, with the
 # single argument "package", imports qeuler; with none, imports nothing),
 # then writes the names of the loaded modules to stderr, one a line, and
-# exits with the CLI's exit code.
+# exits with the CLI's exit code.  The interpreter runs without the site
+# module (-S), whose .pth files may preload standard modules (pathlib,
+# typing, contextlib and others) that the probe could then never report.
 _PROBE = """\
 import sys
 code = 0
@@ -41,7 +43,7 @@ def _probe(*argv, code: int = 0) -> set:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", _PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     return set(proc.stderr.split("\n"))
@@ -55,6 +57,13 @@ def loaded_modules(*argv, code: int = 0) -> set:
 
 NUMERIC_FREE = {"qeuler.identities", "qeuler.qspecial", "qeuler.exactarith",
                 "dataclasses"}
+# what a well-formed integrate or numbers bernoulli line in JSON never runs:
+# the catalog commands and the argparse fallback, the text formats, the
+# cache, the closed form, and the standard modules that qeuler only used
+# for paths, annotations and a context manager
+NUMERIC_JSON_FREE = {"qeuler.commands", "qeuler.formats", "qeuler.cache",
+                     "qeuler.closedform", "pathlib", "typing", "contextlib",
+                     "argparse", "csv"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -67,6 +76,41 @@ def test_numeric_commands_load_no_exact_layer(argv):
     modules = loaded_modules(*argv)
     assert "qeuler.qintegral" in modules
     assert not modules & NUMERIC_FREE
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", "bosonic", "--n=3", "--p=7", "--K=5", "--format=json"),
+    ("integrate", "fermionic", "--n", "4", "--x0", "1/2", "--p", "3",
+     "--K", "4", "--format", "json"),
+    ("numbers", "bernoulli", "--n=0..8", "--p=3", "--K=5", "--format=json"),
+])
+def test_numeric_json_lines_load_only_what_they_run(argv):
+    modules = loaded_modules(*argv)
+    assert {"qeuler.qintegral", "json"} <= modules
+    assert not modules & (NUMERIC_JSON_FREE | NUMERIC_FREE)
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv"])
+def test_text_formats_load_the_format_module(fmt):
+    modules = loaded_modules("integrate", "bosonic", "--n=3", "--p=7",
+                             "--K=5", f"--format={fmt}")
+    assert "qeuler.formats" in modules
+    assert not modules & {"qeuler.cache", "qeuler.commands", "json"}
+
+
+def test_cache_line_loads_the_cache_module(tmp_path):
+    modules = loaded_modules("numbers", "bernoulli", "--n=0..3", "--p=3",
+                             "--K=4", "--format=json",
+                             f"--cache={tmp_path / 'cache.json'}")
+    assert "qeuler.cache" in modules
+    assert not modules & {"qeuler.formats", "qeuler.commands",
+                          "qeuler.closedform", "pathlib"}
+
+
+def test_report_loads_the_closed_form():
+    modules = loaded_modules("report")
+    assert {"qeuler.commands", "qeuler.closedform"} <= modules
+    assert not modules & {"qeuler.formats", "qeuler.cache", "argparse"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -160,8 +204,9 @@ def test_poly_loads_only_the_exact_tables():
 
 
 # the README's Layout table, lowest layer first
-LAYERS = ("errors", "zpoly", "exactarith", "qspecial", "padic", "qintegral",
-          "report", "identities", "cli")
+LAYERS = ("errors", "zpoly", "exactarith", "qspecial", "padic", "closedform",
+          "qintegral", "report", "formats", "cache", "identities", "commands",
+          "cli")
 
 
 def _relative_imports(module: str) -> set:

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeuler.closedform import log_p
 from qeuler.exactarith import DivisionByZero
 from qeuler.padic import (
     PRIME_BOUND,
     PadicApprox,
     PrecisionExhausted,
     is_odd_prime,
-    log_p,
     padic_distance,
     rational_valuation,
 )
@@ -227,7 +227,7 @@ def exp_series(x: Fraction, p: int, precision: int) -> Fraction:
 
 
 class TestLogP:
-    """padic.log_p(q, p, D) is within p^-D of log_p q: exp_p, summed on its
+    """closedform.log_p(q, p, D) is within p^-D of log_p q: exp_p, summed on its
     own, takes it back to q to D digits."""
 
     @settings(max_examples=80, deadline=None)
