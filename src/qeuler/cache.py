@@ -3,7 +3,7 @@ loads this module only on the lines that give ``--cache``."""
 
 from __future__ import annotations
 
-import os
+from pathlib import Path
 
 from . import report
 from .errors import CacheError
@@ -20,16 +20,15 @@ class ResultCache:
     CacheError.  Saving replaces the file atomically and keeps its mode; a
     new file gets the mode that ``open`` would give it under the umask."""
 
-    def __init__(self, path: str | os.PathLike | None = None):
-        self.path = None if path is None else os.fspath(path)
+    def __init__(self, path: Path | str | None = None):
+        self.path = Path(path) if path is not None else None
         self.entries: dict[str, str] = {}
         self.dirty = False
-        if self.path is not None and os.path.exists(self.path):
+        if self.path is not None and self.path.exists():
             import json
 
             try:
-                with open(self.path) as f:
-                    doc = json.loads(f.read())
+                doc = json.loads(self.path.read_text())
                 schema = doc.get("schema")
                 entries = doc["entries"]
             except (ValueError, KeyError, AttributeError) as exc:
@@ -44,16 +43,17 @@ class ResultCache:
         if self.path is None or not self.dirty:
             return
         import json
+        import os
 
         doc = {"schema": CACHE_SCHEMA, "entries": self.entries}
-        tmp = f"{self.path}.{os.urandom(6).hex()}.tmp"
+        tmp = self.path.with_name(f"{self.path.name}.{os.urandom(6).hex()}.tmp")
         # created as open() creates a file, 0o666 less the umask, unlike
         # tempfile.mkstemp's 0o600; an existing file's mode is copied over
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as f:
-                if os.path.exists(self.path):
-                    os.fchmod(f.fileno(), os.stat(self.path).st_mode & 0o7777)
+                if self.path.exists():
+                    os.fchmod(f.fileno(), self.path.stat().st_mode & 0o7777)
                 f.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
             os.replace(tmp, self.path)
         except BaseException:

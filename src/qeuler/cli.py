@@ -36,7 +36,6 @@ among them, skip it; ``main`` itself leaves the collector alone.
 
 from __future__ import annotations
 
-import os
 import re
 import sys
 import time
@@ -198,16 +197,6 @@ def _file_error(option: str, path: str, exc: OSError) -> ConfigError:
     return ConfigError(f"cannot use {option} {path}: {exc.strerror or exc}")
 
 
-def _target(path: str) -> str:
-    """The file that ``path`` names, spelled as ``pathlib.Path`` spells
-    it: empty and '.' components dropped, so that 'out.json/' names
-    'out.json', and a root of exactly two slashes kept."""
-    slashes = len(path) - len(path.lstrip("/"))
-    root = "//" if slashes == 2 else "/" * (slashes > 0)
-    parts = [part for part in path.split("/") if part not in ("", ".")]
-    return root + "/".join(parts) or "."
-
-
 def _check_values(args, digits: int | None) -> None:
     """No option takes a list, but argparse stores '--opt=--' as an empty
     one without calling the option's type: a usage error.  A value with a
@@ -236,10 +225,12 @@ def _check_user_files(args) -> None:
     for option, path in files:
         if not path:
             continue
-        target = _target(path)
-        if os.path.isdir(target):
+        from pathlib import Path
+
+        target = Path(path)
+        if target.is_dir():
             raise ConfigError(f"cannot use {option} {path}: Is a directory")
-        if not os.path.isdir(os.path.dirname(target) or "."):
+        if not target.parent.is_dir():
             raise ConfigError(f"cannot use {option} {path}: "
                               "No such file or directory")
 
@@ -256,9 +247,10 @@ def _emit(report: Report, args, default_format: str,
 
         text = to_csv(report) if fmt == "csv" else to_pretty(report)
     if args.out:
+        from pathlib import Path
+
         try:
-            with open(_target(args.out), "w") as f:
-                f.write(text)
+            Path(args.out).write_text(text)
         except OSError as exc:
             raise _file_error("--out", args.out, exc)
     else:
@@ -431,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
 
             digest = report.sha256()
             try:
-                cache = ResultCache(_target(args.cache))
+                cache = ResultCache(args.cache)
                 report.timing["cache"] = cache.check(report.config, digest)
                 cache.save()
             except OSError as exc:

@@ -4,10 +4,6 @@ with a and b exact rationals in the q-Euler numbers at -q (T. Kim,
 its embedding to a proven number of p-adic digits.
 
 ``log_p`` gives the p-adic logarithm of q to a proven number of digits.
-It is memoized per (p, q): the series is summed once per process, a call
-that asks for more digits than are known extends the partial sum where
-the last one stopped, and a log known to D digits serves every call that
-asks for fewer.
 
 This layer sits between ``padic`` and ``identities``.  ``verify`` and
 ``report`` load it; ``integrate`` and ``numbers bernoulli``, which answer
@@ -20,10 +16,6 @@ from fractions import Fraction
 
 from .padic import PadicApprox, rational_valuation
 from .zpoly import euler_number_at
-
-# (p, q) -> (k, (q - 1)^(k - 1), the sum of the terms before k) of the
-# series of log_p q, as far as it has been summed
-_LOGS: dict = {}
 
 
 def log_p(q: Fraction, p: int, precision: int) -> Fraction:
@@ -39,23 +31,16 @@ def log_p(q: Fraction, p: int, precision: int) -> Fraction:
     p^(k v - precision) >= k with k v >= precision.  The first term has
     valuation v and every other term more ((k - 1) v > log_p k for
     k >= 2), so v_p(log_p q) = v.
-
-    The sum is memoized per (p, q) and extended term by term.  A sum that
-    stopped at a precision D >= precision is within p^-D of log_p q, so it
-    is returned as it is.
     """
     x = q - 1
     v = rational_valuation(x, p)
     if v < 1:
         raise ValueError("log_p needs v_p(q - 1) >= 1")
-    k, power, total = _LOGS.get((p, q), (1, Fraction(1), Fraction(0)))
+    total, power, k = Fraction(0), Fraction(1), 1
     while k * v < precision or p ** (k * v - precision) < k:
         power *= x
         total += power / k if k % 2 else -power / k
         k += 1
-    # each call stores what it summed: a call racing another in a second
-    # thread may store a shorter sum, which a later call extends again
-    _LOGS[p, q] = k, power, total
     return total
 
 

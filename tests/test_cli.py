@@ -17,7 +17,7 @@ import pytest
 
 import qeuler
 from qeuler.cli import COMMANDS, main, parse_q, parse_range
-from qeuler import cli, commands, identities, padic
+from qeuler import commands, identities, padic
 from qeuler.cache import ResultCache
 from qeuler.errors import CacheError, ConfigError
 from qeuler.padic import PadicApprox, padic_distance
@@ -168,10 +168,10 @@ class TestCommandTable:
                                                  monkeypatch):
         # the write fails after the command has run: still exit 2, one
         # error line and no traceback
-        def refuse(path, mode):
+        def refuse(self, text):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        monkeypatch.setattr(Path, "write_text", refuse)
         out = tmp_path / "t.txt"
         code, stdout, err = run(capsys, "poly", "--n", "0..2", "--out",
                                 str(out))

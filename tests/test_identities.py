@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import closedform, identities, padic, qspecial, zpoly
+from qeuler import identities, padic, qspecial, zpoly
 from qeuler.cli import main as cli_main
 from qeuler.closedform import at_precision, bernoulli_pair
 from qeuler.exactarith import RF_ONE, RF_ZERO, RatFuncQ, XPolyQ, sum_products
@@ -1004,66 +1004,6 @@ class TestClosedFormBernoulli:
         exact = a + b / padic_log(q, p, digits)
         assert valuation(padic_rational(got) - exact, p) >= K
 
-
-class TestLogMemo:
-    """``closedform.log_p`` sums the series of log_p q once per (p, q),
-    extending it when more digits are asked for, and a log known to D
-    digits serves every request for fewer."""
-
-    class Recorded(dict):
-        """A memo of logs that records, in ``calls``, the term each call
-        started from (what it read) and the term it stopped at (what it
-        stored)."""
-
-        def __init__(self):
-            super().__init__()
-            self.calls = []
-
-        def get(self, key, default=None):
-            value = super().get(key, default)
-            self.calls.append([value[0]])
-            return value
-
-        def __setitem__(self, key, value):
-            self.calls[-1].append(value[0])
-            super().__setitem__(key, value)
-
-    def test_21_values_at_K_3000_sum_one_series(self, monkeypatch):
-        p, q, K = 3, Fraction(4), 3000
-        asked, log = [], closedform.log_p
-
-        def recorded(q, p, precision):
-            asked.append(precision)
-            return log(q, p, precision)
-
-        memo = self.Recorded()
-        monkeypatch.setattr(closedform, "_LOGS", memo)
-        monkeypatch.setattr(closedform, "log_p", recorded)
-        values = [at_precision(*bernoulli_pair(n, q), p, q, K)
-                  for n in range(21)]
-        assert len(asked) == 20                 # B_0 takes no log
-        assert all(value.abs_precision == K for value in values)
-        # each call started where the one before stopped, so no term was
-        # summed twice, and the one series ends where a single log to the
-        # most digits asked for ends
-        assert [start for start, _ in memo.calls] == (
-            [1] + [end for _, end in memo.calls[:-1]])
-        once = self.Recorded()
-        monkeypatch.setattr(closedform, "_LOGS", once)
-        log(q, p, max(asked))
-        assert once.calls == [[1, memo.calls[-1][1]]]
-
-    @pytest.mark.parametrize("p, q, K", CLOSED_FORM_CONFIGS + [
-        (3, Fraction(1), 5), (5, Fraction(1), 6), (7, Fraction(1), 10)])
-    def test_same_strings_as_per_call_logs(self, monkeypatch, p, q, K):
-        # 12 rows at each of the eight settings; the memo is filled from
-        # the top row down, so most rows are served a longer log
-        pairs = [bernoulli_pair(n, q) for n in range(12)]
-        monkeypatch.setattr(closedform, "_LOGS", {})
-        memoized = [str(at_precision(*pair, p, q, K)) for pair in pairs[::-1]]
-        monkeypatch.setattr(closedform, "log_p", padic_log)
-        per_call = [str(at_precision(*pair, p, q, K)) for pair in pairs[::-1]]
-        assert memoized == per_call
 
 def trimmed(cols: list) -> list:
     """The columns of an x-certificate without its trailing zero ones."""

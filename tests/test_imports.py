@@ -104,7 +104,7 @@ def test_cache_line_loads_the_cache_module(tmp_path):
                              f"--cache={tmp_path / 'cache.json'}")
     assert "qeuler.cache" in modules
     assert not modules & {"qeuler.formats", "qeuler.commands",
-                          "qeuler.closedform", "pathlib"}
+                          "qeuler.closedform"}
 
 
 def test_report_loads_the_closed_form():
